@@ -3,7 +3,7 @@
 Subcommands: generate, verify, transform, classify, export.  Exit codes:
 0 on success, 2 when a verification fails, 1 on usage errors.  The global
 relative tolerance can be set with --tol or the ISOTHERMIC_TOL environment
-variable.
+variable; it holds for one call of :func:`main` and is restored afterwards.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .nets import calapso, verify_isothermic
 from .netfile import load_net, save_net
 from .objexport import export_obj
 from .revolution import RotationProfile, build_revolution_cmc, seed_edge
-from .tolerances import set_tolerance
+from .tolerances import get_tolerance, set_tolerance
 from .transforms import backlund_init, bianchi, darboux_propagate, pcq_backlund, pcq_darboux
 
 USAGE_ERROR = 1
@@ -343,15 +343,18 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     env_tol = os.environ.get("ISOTHERMIC_TOL")
-    if args.tol is not None:
-        set_tolerance(args.tol)
-    elif env_tol:
-        set_tolerance(float(env_tol))
+    previous_tol = get_tolerance()
     try:
+        if args.tol is not None:
+            set_tolerance(args.tol)
+        elif env_tol:
+            set_tolerance(float(env_tol))
         return args.func(args)
     except GeometryError as exc:
         print(f"verification error: {exc}", file=sys.stderr)
         return VERIFY_FAILURE
+    finally:
+        set_tolerance(previous_tol)
 
 
 if __name__ == "__main__":

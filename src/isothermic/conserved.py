@@ -25,7 +25,7 @@ from .errors import (
     SingularSystem,
     SphericalStar,
 )
-from .grids import VertexField, propagation_order
+from .grids import VertexField, edge_stacks, propagation_order, sweep_integrate
 from .minkowski import SIGNATURE, minkowski_inner, norm2, solve_dense
 from .nets import IsothermicNet
 from .polyvec import (
@@ -115,19 +115,16 @@ def pcq_residual(net: IsothermicNet, coeffs) -> float:
     coeffs = np.asarray(coeffs, dtype=float)
     k = coeffs.shape[2]
     scale = 1.0 + mp_max_coeff(coeffs)
-    dom = net.domain
     worst = 0.0
-    for i, j in dom.edges():
-        ci = coeffs[dom.index(i)]
-        cj = coeffs[dom.index(j)]
-        Fi, Fj = net.lifts[i], net.lifts[j]
-        a = net.weight((i, j))
-        g = float(minkowski_inner(Fi, Fj))
-        pii = mp_inner_vec(ci, Fi)  # <P_i, F_i>(lam)
-        pjj = mp_inner_vec(cj, Fj)
-        resid = np.zeros((k + 1, 5))
-        resid[:k] = cj - ci
-        resid[1:] -= (a / g) * (np.outer(pjj, Fi) - np.outer(pii, Fj))
+    for (Fi, Fj), a, (ci, cj) in zip(edge_stacks(net.lifts.data), net.weights.stacks(),
+                                     edge_stacks(coeffs)):
+        g = minkowski_inner(Fi, Fj)
+        pii = mp_inner_vec(ci, Fi[..., None, :])  # <P_i, F_i>(lam)
+        pjj = mp_inner_vec(cj, Fj[..., None, :])
+        resid = np.zeros(ci.shape[:2] + (k + 1, 5))
+        resid[..., :k, :] = cj - ci
+        resid[..., 1:, :] -= (a / g)[..., None, None] * (
+            pjj[..., :, None] * Fi[..., None, :] - pii[..., :, None] * Fj[..., None, :])
         worst = max(worst, float(np.abs(resid).max()) / scale)
     return worst
 
@@ -290,32 +287,25 @@ def propagate_congruence(net: IsothermicNet, Q, Z0, basepoint) -> VertexField:
 
     which is integrable on any isothermic net and independent of lift
     scalings.  Incidence <Z, F> = 0 is *not* automatic away from the
-    basepoint's star; callers check it."""
+    basepoint's star; callers check it.
+
+    The edge form is summed along the basepoint's column and then along
+    every row (:func:`grids.sweep_integrate`); the edges ((m,n) (m+1,n)) off
+    that column are checked against it in one batch."""
     dom = net.domain
-    field = VertexField.zeros(dom, (5,))
-    field[basepoint] = np.asarray(Z0, dtype=float)
-
-    def step(src, dst):
-        Fi, Fj = net.lifts[src], net.lifts[dst]
-        a = net.weight((src, dst))
-        g = float(minkowski_inner(Fi, Fj))
-        qi = float(minkowski_inner(Q, Fi))
-        qj = float(minkowski_inner(Q, Fj))
-        field[dst] = field[src] + (a / g) * (qj * Fi - qi * Fj)
-
-    tree, cross = propagation_order(dom, basepoint)
-    for parent, child in tree:
-        step(parent, child)
-    worst = 0.0
-    for i, j in cross:
-        saved = field[j].copy()
-        step(i, j)
-        worst = max(worst, float(np.abs(field[j] - saved).max()))
-        field[j] = saved
-    scale = 1.0 + float(np.abs(field.data).max())
+    F = net.lifts.data
+    QF = minkowski_inner(F, np.asarray(Q, dtype=float))
+    wu, wv = [(a / minkowski_inner(Fi, Fj))[..., None] * (qj[..., None] * Fi - qi[..., None] * Fj)
+              for (Fi, Fj), a, (qi, qj) in zip(edge_stacks(F), net.weights.stacks(),
+                                               edge_stacks(QF))]
+    m0, n0 = dom.index(basepoint)
+    Z = np.asarray(Z0, dtype=float) + sweep_integrate(wu, wv, (m0, n0))
+    resid = np.delete(Z[1:] - Z[:-1] - wu, n0, axis=1)
+    worst = float(np.abs(resid).max()) if resid.size else 0.0
+    scale = 1.0 + float(np.abs(Z).max())
     if worst > tol(scale):
         raise NotConserved(f"congruence propagation is path dependent ({worst:.3g})")
-    return field
+    return VertexField(dom, Z)
 
 
 def _linear_quantity(net, Q, Z_field) -> ConservedQuantity:

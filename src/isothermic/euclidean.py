@@ -9,7 +9,14 @@ import numpy as np
 
 from .conserved import ConservedQuantity
 from .errors import NotChristoffel, NotClosed, NotParallel
-from .grids import EdgeFunction, GridDomain, VertexField, closedness_check, propagation_order
+from .grids import (
+    EdgeFunction,
+    GridDomain,
+    VertexField,
+    closedness_check,
+    edge_stacks,
+    sweep_integrate,
+)
 from .minkowski import (
     Q_EUCLIDEAN,
     euclidean_lift,
@@ -66,23 +73,22 @@ def christoffel(net: EuclideanNet, basepoint=None) -> EuclideanNet:
     dom = net.domain
     if basepoint is None:
         basepoint = (dom.m1, dom.n1)
+    omega = []
+    for axis, ((fi, fj), a) in enumerate(zip(edge_stacks(net.points.data),
+                                             net.weights.stacks())):
+        df = fj - fi
+        d2 = (df * df).sum(axis=-1)
+        degenerate = np.argwhere(d2 <= tol(1.0) ** 2)
+        if len(degenerate):
+            raise NotClosed(f"degenerate edge {dom.stack_edge(axis, degenerate[0])}")
+        omega.append(-(a / d2)[..., None] * df)
 
-    def omega(edge):
-        df = net.edge_vector(edge)
-        d2 = float(np.dot(df, df))
-        if d2 <= tol(1.0) ** 2:
-            raise NotClosed(f"degenerate edge {edge}")
-        return -(net.weights.value(edge) / d2) * df
-
-    report = closedness_check(omega, dom)
+    report = closedness_check(*omega, dom)
     if not report.ok:
         raise NotClosed(
             f"dual edge form is not closed (residual {report.max_residual:.3g} "
             f"at face {report.worst_face})")
-    dual = VertexField.zeros(dom, (3,))
-    tree, _ = propagation_order(dom, basepoint)
-    for parent, child in tree:
-        dual[child] = dual[parent] + omega((parent, child))
+    dual = VertexField(dom, sweep_integrate(*omega, dom.index(basepoint)))
     return EuclideanNet(dom, dual, net.weights)
 
 
@@ -109,11 +115,10 @@ def parallel_lcq(net: EuclideanNet, dual: EuclideanNet, H: float) -> ConservedQu
         raise NotParallel(
             f"|f* - f| deviates from 1/H by {float(np.abs(gap).max()):.3g}")
     worst = 0.0
-    for e in dom.edges():
-        df = net.edge_vector(e)
-        dfs = dual.edge_vector(e)
-        target = -(H / 2.0) * float(np.dot(df, dfs))
-        worst = max(worst, abs(net.weights.value(e) - target))
+    for (fi, fj), (gi, gj), a in zip(edge_stacks(net.points.data),
+                                     edge_stacks(dual.points.data), net.weights.stacks()):
+        target = -(H / 2.0) * ((fj - fi) * (gj - gi)).sum(axis=-1)
+        worst = max(worst, float(np.abs(a - target).max()))
     if worst > tol(1.0 + net.weights.max_abs()):
         raise NotChristoffel(
             f"weights miss the canonical dual scaling by {worst:.3g}")

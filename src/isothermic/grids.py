@@ -4,6 +4,12 @@ Vertices are integer pairs (m, n) with m1 <= m <= m2, n1 <= n <= n2.
 Directed edges are vertex pairs one step apart; faces are quadruples
 ((m,n) (m+1,n) (m+1,n+1) (m,n+1)).  Edge weights that take equal values on
 opposite edges of every face are stored as two one-variable arrays.
+
+Batched checks see a vertex array of shape (rows, cols, ...) through two
+*edge stacks*, one entry per edge ((m,n) (m+1,n)) with shape
+(rows-1, cols, ...) and one per edge ((m,n) (m,n+1)) with shape
+(rows, cols-1, ...), and through the *face stack* of shape
+(rows-1, cols-1, 4, ...).
 """
 
 from __future__ import annotations
@@ -86,6 +92,12 @@ class GridDomain:
         i, j, k, l = face
         return ((i, j), (j, k), (k, l), (l, i))
 
+    def stack_edge(self, axis: int, index):
+        """The edge at array index (mi, ni) of the edge stack along +m
+        (``axis`` 0) or +n (``axis`` 1), as a vertex pair."""
+        i = (self.m1 + int(index[0]), self.n1 + int(index[1]))
+        return i, (i[0] + 1 - axis, i[1] + axis)
+
     def neighbors(self, v):
         m, n = v
         for w in ((m + 1, n), (m - 1, n), (m, n + 1), (m, n - 1)):
@@ -94,6 +106,21 @@ class GridDomain:
 
     def center(self):
         return ((self.m1 + self.m2) // 2, (self.n1 + self.n2) // 2)
+
+
+def edge_stacks(data):
+    """Endpoint pairs (i, j) of the two edge stacks of a vertex array:
+    ``(data[:-1], data[1:])`` on the edges ((m,n) (m+1,n)) and
+    ``(data[:, :-1], data[:, 1:])`` on the edges ((m,n) (m,n+1))."""
+    data = np.asarray(data)
+    return (data[:-1], data[1:]), (data[:, :-1], data[:, 1:])
+
+
+def face_stack(data):
+    """Corners (i, j, k, l) of every face of a vertex array, stacked on a
+    new third axis: shape (rows-1, cols-1, 4, ...)."""
+    data = np.asarray(data)
+    return np.stack([data[:-1, :-1], data[1:, :-1], data[1:, 1:], data[:-1, 1:]], axis=2)
 
 
 class VertexField:
@@ -174,6 +201,11 @@ class EdgeFunction:
             return float(self.u[min(m, m2) - self.domain.m1])
         return float(self.v[min(n, n2) - self.domain.n1])
 
+    def stacks(self):
+        """The weights on the two edge stacks, shaped (rows-1, 1) and
+        (1, cols-1) to broadcast against them."""
+        return self.u[:, None], self.v[None, :]
+
     def scaled(self, factor: float) -> "EdgeFunction":
         return EdgeFunction(self.domain, self.u * factor, self.v * factor)
 
@@ -203,26 +235,45 @@ class ClosednessReport:
     worst_face: tuple | None
 
 
-def closedness_check(omega, domain: GridDomain, scale=None) -> ClosednessReport:
+def closedness_check(wu, wv, domain: GridDomain, scale=None) -> ClosednessReport:
     """Check that an edge 1-form sums to zero around every face.
 
-    ``omega`` maps a directed edge to a vector; it must be antisymmetric.
+    ``wu`` and ``wv`` hold the form on the two edge stacks, each edge
+    directed along +m or +n; the form is antisymmetric, so a face
+    (i, j, k, l) sums to w(ij) + w(jk) - w(lk) - w(il).
     """
-    worst = 0.0
+    total = wu[:, :-1] + wv[1:] - wu[:, 1:] - wv[:-1]
+    resid = np.sqrt((total * total).reshape(total.shape[:2] + (-1,)).sum(-1))
+    worst = float(resid.max())
     worst_face = None
-    max_entry = 0.0
-    for face in domain.faces():
-        total = None
-        for e in GridDomain.face_edges(face):
-            w = np.asarray(omega(e), dtype=float)
-            max_entry = max(max_entry, float(np.abs(w).max()))
-            total = w if total is None else total + w
-        r = float(np.linalg.norm(total))
-        if r > worst:
-            worst, worst_face = r, face
+    if worst > 0.0:
+        mi, ni = np.unravel_index(int(np.argmax(resid)), resid.shape)
+        m, n = domain.m1 + int(mi), domain.n1 + int(ni)
+        worst_face = ((m, n), (m + 1, n), (m + 1, n + 1), (m, n + 1))
     if scale is None:
-        scale = 1.0 + max_entry
+        scale = 1.0 + max(float(np.abs(wu).max()), float(np.abs(wv).max()))
     return ClosednessReport(worst <= tol(scale), worst, worst_face)
+
+
+def _sum_outward(w, k0):
+    """Values g along axis 0 with g[k0] = 0 and g[k+1] - g[k] = w[k], summed
+    outward from k0 in both directions."""
+    g = np.zeros((w.shape[0] + 1,) + w.shape[1:])
+    g[k0 + 1:] = np.cumsum(w[k0:], axis=0)
+    g[:k0] = -np.cumsum(w[:k0][::-1], axis=0)[::-1]
+    return g
+
+
+def sweep_integrate(wu, wv, base):
+    """Integrate an additive edge form from zero at the vertex with array
+    index ``base``: sum ``wu`` along the base column, then ``wv`` along every
+    row outward from that column.  Returns shape (rows, cols, ...); the
+    edges ((m,n) (m+1,n)) off the base column are not used and remain to be
+    checked by the caller."""
+    m0, n0 = base
+    column = _sum_outward(wu[:, n0], m0)
+    rows = np.swapaxes(_sum_outward(np.swapaxes(wv, 0, 1), n0), 0, 1)
+    return column[:, None] + rows
 
 
 def propagation_order(domain: GridDomain, basepoint=None):

@@ -110,16 +110,10 @@ def gram_det(vectors):
     return float(np.linalg.det(gram_matrix(V)))
 
 
-def _unit_rows(vectors):
-    V = np.array(vectors, dtype=float)
-    norms = np.linalg.norm(V, axis=-1)
-    if np.any(norms == 0.0):
-        raise DegeneratePoints("zero representative")
-    return V / norms[:, None]
-
-
-def cross_ratio(P1, P2, P3, P4):
-    """Cross ratio of four points given by isotropic representatives.
+def cross_ratios(V):
+    """Cross ratios of stacked quadruples of points: ``V`` has shape
+    (..., 4, 5), one quadruple of isotropic representatives per leading
+    index, and the result is a complex array of shape (...).
 
     Computed from pairwise inner products as
 
@@ -137,27 +131,34 @@ def cross_ratio(P1, P2, P3, P4):
     Raises
     ------
     DegeneratePoints
-        If a denominator inner product vanishes (coinciding points).
+        If a denominator inner product vanishes (coinciding points) in any
+        quadruple.
     """
-    V = _unit_rows([P1, P2, P3, P4])
-    G = gram_matrix(V)
-    g12, g13, g14 = G[0, 1], G[0, 2], G[0, 3]
-    g23, g24, g34 = G[1, 2], G[1, 3], G[2, 3]
+    V = np.asarray(V, dtype=float)
+    norms = np.linalg.norm(V, axis=-1)
+    if np.any(norms == 0.0):
+        raise DegeneratePoints("zero representative")
+    U = V / norms[..., None]
+    G = (U * SIGNATURE) @ np.swapaxes(U, -1, -2)
+    g12, g13, g14 = G[..., 0, 1], G[..., 0, 2], G[..., 0, 3]
+    g23, g24, g34 = G[..., 1, 2], G[..., 1, 3], G[..., 2, 3]
     den = 2.0 * g14 * g23
-    if abs(den) <= tol(1.0):
+    if np.any(np.abs(den) <= tol(1.0)):
         raise DegeneratePoints("cross ratio denominator vanishes")
-    num = g12 * g34 - g13 * g24 + g14 * g23
-    s = np.linalg.svd(V, compute_uv=False)
-    if s[3] <= tol(s[0]):
-        return complex(num / den, 0.0)
-    det = float(np.linalg.det(G))
-    if det < 0.0:
-        root = complex(0.0, np.sqrt(-det))
-        q = (num + root) / den
-        return q if q.imag > 0 else (num - root) / den
-    # Nearly rank-deficient but with nonnegative determinant noise: the
-    # points are concircular to working precision.
-    return complex(num / den, 0.0)
+    q = np.array((g12 * g34 - g13 * g24 + g14 * g23) / den, dtype=complex)
+    s = np.linalg.svd(U, compute_uv=False)
+    det = np.linalg.det(G)
+    # a nearly rank-deficient quadruple, or one with nonnegative determinant
+    # noise, is concircular to working precision and keeps a real value
+    off_circle = (s[..., 3] > tol(s[..., 0])) & (det < 0.0)
+    q.imag = np.where(off_circle, np.sqrt(np.abs(det)) / np.abs(den), 0.0)
+    return q
+
+
+def cross_ratio(P1, P2, P3, P4):
+    """Cross ratio of four points given by isotropic representatives: the
+    one-quadruple case of :func:`cross_ratios`."""
+    return complex(cross_ratios(np.array([P1, P2, P3, P4], dtype=float)))
 
 
 def cross_ratio_apply(q, A, B, X):
@@ -186,19 +187,24 @@ def cross_ratio_apply(q, A, B, X):
 
 
 def cross_ratio_matrix(q, A, B):
-    """5x5 matrix of :func:`cross_ratio_apply`; an isometry of the metric."""
+    """5x5 matrix of :func:`cross_ratio_apply`; an isometry of the metric.
+
+    Broadcasts over leading axes: parameters of shape (...) and anchors of
+    shape (..., 5) give matrices of shape (..., 5, 5).
+    """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
-    if abs(q) <= tol(1.0):
+    if (np.abs(q) <= tol(1.0)).any():
         raise SingularParameter("circle transform parameter is zero")
-    g = minkowski_inner(A, B)
-    scale = float(np.linalg.norm(A) * np.linalg.norm(B))
-    if abs(g) <= tol(scale):
+    BJ = B * SIGNATURE
+    g = (A * BJ).sum(axis=-1)
+    scale = np.sqrt((A * A).sum(axis=-1) * (B * B).sum(axis=-1))
+    if (np.abs(g) <= tol(scale)).any():
         raise DegeneratePair("anchor representatives are orthogonal")
-    M = np.eye(5)
-    M += ((q - 1.0) / g) * np.outer(A, B * SIGNATURE)
-    M += ((1.0 / q - 1.0) / g) * np.outer(B, A * SIGNATURE)
-    return M
+    AB = A[..., :, None] * BJ[..., None, :]
+    BA = B[..., :, None] * (A * SIGNATURE)[..., None, :]
+    return np.eye(5) + ((q - 1.0) / g)[..., None, None] * AB \
+        + ((1.0 / q - 1.0) / g)[..., None, None] * BA
 
 
 def is_isometry(M, scale=1.0):
@@ -244,7 +250,11 @@ def orthonormal_complement(X):
     non-isotropic vector, ordered timelike direction first (when present).
 
     Rows w satisfy <w_i, w_j> = +-delta_ij; signs are fixed by making the
-    largest component of each direction positive.
+    largest component of each direction positive.  The basis comes from a
+    Gram-Schmidt pass over the columns of the projector onto the complement;
+    when that pass keeps a nearly dependent column, so that the result is
+    not orthonormal or not orthogonal to X within tolerance, the range is
+    taken from the projector's SVD instead.
     """
     X = np.asarray(X, dtype=float)
     x2 = float(norm2(X))
@@ -260,14 +270,24 @@ def orthonormal_complement(X):
             basis.append(w)
         if len(basis) == 4:
             break
-    B = np.stack(basis)
-    evals, evecs = np.linalg.eigh((B * SIGNATURE) @ B.T)
-    dirs = (evecs.T @ B) / np.sqrt(np.abs(evals))[:, None]
+    dirs = _minkowski_directions(np.stack(basis))
+    gram_defect = np.abs(np.abs((dirs * SIGNATURE) @ dirs.T) - np.eye(len(dirs))).max()
+    incidence = (np.abs(minkowski_inner(dirs, X))
+                 / (np.linalg.norm(dirs, axis=1) * np.linalg.norm(X)))
+    if len(dirs) != 4 or not max(gram_defect, incidence.max()) <= tol(1.0):
+        dirs = _minkowski_directions(np.linalg.svd(comp)[0][:, :4].T)
     for d in dirs:
         k = int(np.argmax(np.abs(d)))
         if d[k] < 0:
             d *= -1.0
     return dirs
+
+
+def _minkowski_directions(B):
+    """The rows of B recombined into directions with <w_i, w_j> = +-delta_ij,
+    in ascending order of the Minkowski Gram's eigenvalues."""
+    evals, evecs = np.linalg.eigh((B * SIGNATURE) @ B.T)
+    return (evecs.T @ B) / np.sqrt(np.abs(evals))[:, None]
 
 
 def ray_distance(x, y):

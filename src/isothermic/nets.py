@@ -6,8 +6,10 @@ function, equal on opposite face edges, whose ratio across each face equals
 the face cross ratio.  Everything here is lift-scaling invariant except
 where a specific normalization is the point (:func:`moutard_lift`).
 
-Nets are treated as immutable values: every operation returns fresh data,
-so nets can be shared freely across threads.
+Operations return fresh data and never modify a net's lifts or weights.
+Nets are still not safe to share across threads: the tolerance every check
+compares against is a module-level setting (:mod:`isothermic.tolerances`),
+and the revolution builders attach ``net.revolution`` after construction.
 """
 
 from __future__ import annotations
@@ -24,10 +26,18 @@ from .errors import (
     NotFlat,
     PoleParameter,
 )
-from .grids import EdgeFunction, GridDomain, VertexField, propagation_order
+from .grids import (
+    EdgeFunction,
+    GridDomain,
+    VertexField,
+    edge_stacks,
+    face_stack,
+    propagation_order,
+)
 from .minkowski import (
     cross_ratio,
     cross_ratio_matrix,
+    cross_ratios,
     minkowski_inner,
     norm2,
 )
@@ -77,15 +87,10 @@ class IsothermicNet:
         """Check lightlike lifts and that weight ratios match face cross
         ratios; returns the worst residual."""
         scale = self.lift_scale() ** 2
-        worst = 0.0
-        for v in self.domain.vertices():
-            F = self.lifts[v]
-            worst = max(worst, abs(float(norm2(F))) / max(scale, 1e-300))
-        for face in self.domain.faces():
-            q = self.face_cross_ratio(face)
-            i, j, k, l = face
-            expected = self.weight((i, j)) / self.weight((i, l))
-            worst = max(worst, abs(q - expected) / (1.0 + abs(expected)))
+        worst = float(np.abs(norm2(self.lifts.data)).max()) / max(scale, 1e-300)
+        q = cross_ratios(face_stack(self.lifts.data))
+        expected = self.weights.u[:, None] / self.weights.v[None, :]
+        worst = max(worst, float((np.abs(q - expected) / (1.0 + np.abs(expected))).max()))
         if worst > tol(1.0):
             raise GeometryError(f"net fails validation (residual {worst:.3g})")
         return worst
@@ -128,13 +133,9 @@ def verify_isothermic(lifts: VertexField, *, strict: bool = True) -> IsothermicR
         if strict:
             raise GeometryError(report.reason + f" (regularity {regularity:.3g})")
         return report
-    ratios = np.zeros((domain.rows - 1, domain.cols - 1))
-    max_imag = 0.0
-    for face in domain.faces():
-        i = face[0]
-        q = cross_ratio(lifts[face[0]], lifts[face[1]], lifts[face[2]], lifts[face[3]])
-        max_imag = max(max_imag, abs(q.imag) / (1.0 + abs(q)))
-        ratios[i[0] - domain.m1, i[1] - domain.n1] = q.real
+    q = cross_ratios(face_stack(lifts.data))
+    ratios = q.real
+    max_imag = float((np.abs(q.imag) / (1.0 + np.abs(q))).max())
     if max_imag > tol(1.0):
         report = IsothermicReport(False, None, max_imag, np.inf, np.inf, regularity,
                                   "a face has a complex cross ratio")
@@ -143,12 +144,8 @@ def verify_isothermic(lifts: VertexField, *, strict: bool = True) -> IsothermicR
         return report
 
     # product-one condition on all 3x3 subgrids
-    max_grid = 0.0
-    for mi in range(1, domain.rows - 1):
-        for ni in range(1, domain.cols - 1):
-            prod = (ratios[mi, ni - 1] / ratios[mi, ni]) * (
-                ratios[mi - 1, ni] / ratios[mi - 1, ni - 1])
-            max_grid = max(max_grid, abs(prod - 1.0))
+    prod = (ratios[1:, :-1] / ratios[1:, 1:]) * (ratios[:-1, 1:] / ratios[:-1, :-1])
+    max_grid = float(np.abs(prod - 1.0).max()) if prod.size else 0.0
     if max_grid > tol(1.0):
         report = IsothermicReport(False, None, max_imag, max_grid, np.inf, regularity,
                                   "cross ratios fail the 3x3 product-one condition")
@@ -172,18 +169,18 @@ def verify_isothermic(lifts: VertexField, *, strict: bool = True) -> IsothermicR
     return report
 
 
+#: The four corner triples of a face, each dropping one corner.
+_FACE_TRIPLES = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
+
+
 def face_regularity(lifts: VertexField) -> float:
     """Smallest relative third singular value over all face triples (of the
     unit representatives, so the measure is scaling invariant); a regular
     net keeps this well above tolerance."""
-    worst = np.inf
-    for face in lifts.domain.faces():
-        V = np.stack([lifts[v] / np.linalg.norm(lifts[v]) for v in face])
-        for drop in range(4):
-            sub = np.delete(V, drop, axis=0)
-            s = np.linalg.svd(sub, compute_uv=False)
-            worst = min(worst, s[2] / s[0])
-    return float(worst)
+    U = face_stack(lifts.data)
+    U = U / np.linalg.norm(U, axis=-1, keepdims=True)
+    s = np.linalg.svd(U[..., _FACE_TRIPLES, :], compute_uv=False)
+    return float((s[..., 2] / s[..., 0]).min())
 
 
 def moutard_lift(lifts: VertexField, weights: EdgeFunction) -> VertexField:
@@ -230,10 +227,8 @@ def moutard_lift(lifts: VertexField, weights: EdgeFunction) -> VertexField:
         ail = weights.value((i, l))
         out[k] = out[i] + ((aij - ail) / g) * (out[j] - out[l])
 
-    worst = 0.0
-    for e in domain.edges():
-        worst = max(worst, abs(float(minkowski_inner(out[e[0]], out[e[1]]))
-                               - weights.value(e)))
+    worst = max(float(np.abs(minkowski_inner(Fi, Fj) - a).max())
+                for (Fi, Fj), a in zip(edge_stacks(out.data), weights.stacks()))
     if worst > tol(1.0 + weights.max_abs() + float(np.abs(out.data).max()) ** 2):
         raise DegenerateEdge(
             f"normalized lifts miss the prescribed edge products by {worst:.3g}; "
@@ -244,13 +239,11 @@ def moutard_lift(lifts: VertexField, weights: EdgeFunction) -> VertexField:
 def moutard_check(lifts: VertexField):
     """Whether the diagonals F_k - F_i and F_j - F_l are parallel on every
     face; returns (ok, worst relative second singular value)."""
-    worst = 0.0
-    for face in lifts.domain.faces():
-        i, j, k, l = face
-        D = np.stack([lifts[k] - lifts[i], lifts[j] - lifts[l]])
-        s = np.linalg.svd(D, compute_uv=False)
-        if s[0] > 0:
-            worst = max(worst, float(s[1] / s[0]))
+    F = face_stack(lifts.data)
+    D = np.stack([F[:, :, 2] - F[:, :, 0], F[:, :, 1] - F[:, :, 3]], axis=2)
+    s = np.linalg.svd(D, compute_uv=False)
+    # s[1] <= s[0], so a face with s[0] = 0 contributes 0
+    worst = float((s[..., 1] / np.where(s[..., 0] > 0, s[..., 0], 1.0)).max())
     return worst <= tol(1.0), worst
 
 
@@ -324,6 +317,45 @@ def edge_connection(net: IsothermicNet, lam: float, edge) -> np.ndarray:
     return cross_ratio_matrix(q, net.lifts[i], net.lifts[j])
 
 
+def edge_connections(net: IsothermicNet, lam: float, reverse: bool = False):
+    """The edge connections at ``lam`` on the two edge stacks, shapes
+    (rows-1, cols, 5, 5) and (rows, cols-1, 5, 5); each maps the fiber over
+    the edge's second endpoint to the fiber over its first, and with
+    ``reverse`` the edges are taken backwards (along -m and -n).
+
+    Raises
+    ------
+    PoleParameter
+        If 1 - lam * a vanishes on some edge.
+    """
+    out = []
+    for axis, ((Fi, Fj), a) in enumerate(zip(edge_stacks(net.lifts.data), net.weights.stacks())):
+        a = np.broadcast_to(a, Fi.shape[:2])
+        q = 1.0 - lam * a
+        poles = np.argwhere(np.abs(q) <= tol(1.0 + np.abs(lam * a)))
+        if len(poles):
+            edge = net.domain.stack_edge(axis, poles[0])
+            edge = edge[::-1] if reverse else edge
+            raise PoleParameter(f"parameter {lam} is a pole of edge {edge}")
+        out.append(cross_ratio_matrix(q, Fj, Fi) if reverse else cross_ratio_matrix(q, Fi, Fj))
+    return tuple(out)
+
+
+def edge_connection_lookup(net: IsothermicNet, lam: float):
+    """Function of a directed edge returning its connection matrix at
+    ``lam``, read from the edge stacks of both orientations built once."""
+    stacks = edge_connections(net, lam), edge_connections(net, lam, reverse=True)
+    m1, n1 = net.domain.m1, net.domain.n1
+
+    def connection(edge):
+        (m, n), (m2, n2) = edge
+        backward = m2 < m or n2 < n
+        along_n = m == m2
+        return stacks[backward][along_n][min(m, m2) - m1, min(n, n2) - n1]
+
+    return connection
+
+
 def face_holonomy(net: IsothermicNet, lam: float, face) -> np.ndarray:
     (i, j), (j2, k), (k2, l), (l2, i2) = GridDomain.face_edges(face)
     M = edge_connection(net, lam, (i, j))
@@ -340,8 +372,11 @@ def holonomy_residual(net: IsothermicNet, lams) -> float:
     worst = 0.0
     eye = np.eye(5)
     for lam in np.atleast_1d(lams):
-        for face in net.domain.faces():
-            worst = max(worst, float(np.abs(face_holonomy(net, float(lam), face) - eye).max()))
+        (Cu, Cv), (Ru, Rv) = (edge_connections(net, float(lam)),
+                              edge_connections(net, float(lam), reverse=True))
+        # around the face (i, j, k, l): C(ij) C(jk) C(kl) C(li)
+        M = Cu[:, :-1] @ Cv[1:] @ Ru[:, 1:] @ Rv[:-1]
+        worst = max(worst, float(np.abs(M - eye).max()))
     return worst
 
 
@@ -392,12 +427,13 @@ def calapso(net: IsothermicNet, mu: float, basepoint=None) -> tuple[CalapsoFrame
         basepoint = (domain.m1, domain.n1)
     frames = VertexField.zeros(domain, (5, 5))
     frames[basepoint] = np.eye(5)
+    connection = edge_connection_lookup(net, mu)
     tree, cross = propagation_order(domain, basepoint)
     for parent, child in tree:
-        frames[child] = frames[parent] @ edge_connection(net, mu, (parent, child))
+        frames[child] = frames[parent] @ connection((parent, child))
     worst = 0.0
     for i, j in cross:
-        resid = frames[j] - frames[i] @ edge_connection(net, mu, (i, j))
+        resid = frames[j] - frames[i] @ connection((i, j))
         worst = max(worst, float(np.abs(resid).max()))
     if worst > tol(10.0 + float(np.abs(frames.data).max())):
         raise NotFlat(f"path dependence {worst:.3g}; input net is not isothermic")

@@ -7,6 +7,8 @@ tolerance defaults to 1e-9 (double precision with O(10) arithmetic depth)
 and can be overridden globally, e.g. from the CLI ``--tol`` flag.
 """
 
+import numpy as np
+
 DEFAULT_REL_TOL = 1e-9
 ABS_FLOOR = 1e-12
 
@@ -30,10 +32,9 @@ def reset_tolerance() -> None:
     _rel_tol = DEFAULT_REL_TOL
 
 
-def tol(scale: float = 1.0) -> float:
-    """Absolute tolerance for a quantity of characteristic size ``scale``."""
+def tol(scale=1.0):
+    """Absolute tolerance for a quantity of characteristic size ``scale``;
+    elementwise for an array of scales."""
+    if isinstance(scale, np.ndarray):
+        return np.maximum(ABS_FLOOR, _rel_tol * np.abs(scale))
     return max(ABS_FLOOR, _rel_tol * abs(scale))
-
-
-def near_zero(value: float, scale: float = 1.0) -> bool:
-    return abs(value) <= tol(scale)

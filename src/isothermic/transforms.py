@@ -26,17 +26,17 @@ from .errors import (
     NotParallel,
     NotPolynomial,
 )
-from .grids import VertexField, propagation_order
+from .grids import VertexField, edge_stacks, propagation_order
 from .minkowski import (
     SIGNATURE,
-    cross_ratio,
     cross_ratio_matrix,
+    cross_ratios,
     minkowski_inner,
     norm2,
     orthonormal_complement,
     ray_distance,
 )
-from .nets import CalapsoFrame, IsothermicNet, edge_connection
+from .nets import CalapsoFrame, IsothermicNet, edge_connection_lookup, edge_connections
 from .polyvec import (
     mp_eval,
     mp_inner_vec,
@@ -72,11 +72,12 @@ class DarbouxTransform:
     def cross_ratio_residual(self) -> float:
         """Worst deviation of [f_i; f_j; fhat_j; fhat_i] from a_ij * mu."""
         worst = 0.0
-        for i, j in self.base.domain.edges():
-            q = cross_ratio(self.base.lifts[i], self.base.lifts[j],
-                            self.lifts[j], self.lifts[i])
-            target = self.base.weight((i, j)) * self.mu
-            worst = max(worst, abs(q - target) / (1.0 + abs(target)))
+        for (Fi, Fj), a, (Hi, Hj) in zip(edge_stacks(self.base.lifts.data),
+                                         self.base.weights.stacks(),
+                                         edge_stacks(self.lifts.data)):
+            q = cross_ratios(np.stack([Fi, Fj, Hj, Hi], axis=2))
+            target = a * self.mu
+            worst = max(worst, float((np.abs(q - target) / (1.0 + np.abs(target))).max()))
         return worst
 
 
@@ -84,8 +85,8 @@ def parallel_residual(net: IsothermicNet, mu: float, section: VertexField) -> fl
     """Worst edge defect of S_i = C_ij(mu) S_j over all edges."""
     worst = 0.0
     scale = 1.0 + float(np.abs(section.data).max())
-    for i, j in net.domain.edges():
-        resid = section[i] - edge_connection(net, mu, (i, j)) @ section[j]
+    for C, (Si, Sj) in zip(edge_connections(net, mu), edge_stacks(section.data)):
+        resid = Si - np.einsum("...ij,...j->...i", C, Sj)
         worst = max(worst, float(np.abs(resid).max()) / scale)
     return worst
 
@@ -112,15 +113,16 @@ def darboux_propagate(net: IsothermicNet, mu: float, start, basepoint=None) -> D
 
     lifts = VertexField.zeros(dom, (5,))
     lifts[basepoint] = start
+    connection = edge_connection_lookup(net, mu)
     tree, cross = propagation_order(dom, basepoint)
     for parent, child in tree:
         # parallelity F_parent = C(parent, child) F_child inverted via the
         # reversed edge map
-        lifts[child] = edge_connection(net, mu, (child, parent)) @ lifts[parent]
+        lifts[child] = connection((child, parent)) @ lifts[parent]
     worst = 0.0
     scale = 1.0 + float(np.abs(lifts.data).max())
     for i, j in cross:
-        resid = lifts[i] - edge_connection(net, mu, (i, j)) @ lifts[j]
+        resid = lifts[i] - connection((i, j)) @ lifts[j]
         worst = max(worst, float(np.abs(resid).max()) / scale)
     if worst > tol(1.0):
         raise NotParallel(f"Darboux propagation is path dependent ({worst:.3g})")

@@ -107,31 +107,62 @@ def test_transform_subcommands(tmp_path, capsys):
     assert kappa == pytest.approx(0.0, abs=1e-9)
 
 
-def test_tolerance_flag(tmp_path):
-    from isothermic.tolerances import get_tolerance, reset_tolerance
+def _bent_net_file(tmp_path):
+    """A 3x3 cylinder with one point moved 1e-7 off its circle: it fails
+    ``verify`` at the default tolerance and passes at 1e-5."""
+    from isothermic.nets import IsothermicNet
 
-    src = tmp_path / "net.json"
     net = catalog.cylinder_net(3, 3, 0.3, np.pi / 4)
-    save_net(src, net)
+    pts = euclidean_point(net.lifts.data)
+    pts[1, 1, 0] += 1e-7
+    bent = IsothermicNet(net.domain, VertexField(net.domain, euclidean_lift(pts)), net.weights)
+    src = tmp_path / "bent.json"
+    save_net(src, bent)
+    return src
+
+
+def test_tolerance_flag(tmp_path):
+    from isothermic.tolerances import DEFAULT_REL_TOL, get_tolerance, reset_tolerance
+
+    src = _bent_net_file(tmp_path)
     try:
-        assert run(["--tol", "1e-6", "verify", src]) == 0
-        assert get_tolerance() == 1e-6
+        assert run(["verify", src]) == 2
+        assert run(["--tol", "1e-5", "verify", src]) == 0
+        # the flag holds for its own call only
+        assert get_tolerance() == DEFAULT_REL_TOL
+        assert run(["verify", src]) == 2
     finally:
         reset_tolerance()
 
 
 def test_tolerance_env(tmp_path, monkeypatch):
-    from isothermic.tolerances import get_tolerance, reset_tolerance
+    from isothermic.tolerances import DEFAULT_REL_TOL, get_tolerance, reset_tolerance
 
-    src = tmp_path / "net.json"
-    net = catalog.cylinder_net(3, 3, 0.3, np.pi / 4)
-    save_net(src, net)
-    monkeypatch.setenv("ISOTHERMIC_TOL", "1e-7")
+    src = _bent_net_file(tmp_path)
+    monkeypatch.setenv("ISOTHERMIC_TOL", "1e-5")
     try:
         assert run(["verify", src]) == 0
-        assert get_tolerance() == 1e-7
+        assert get_tolerance() == DEFAULT_REL_TOL
     finally:
         reset_tolerance()
+
+
+def test_tolerance_restored_after_main(tmp_path):
+    from isothermic.tolerances import get_tolerance, reset_tolerance, set_tolerance
+
+    src = tmp_path / "net.json"
+    save_net(src, catalog.cylinder_net(3, 3, 0.3, np.pi / 4))
+    try:
+        set_tolerance(2e-9)
+        assert run(["--tol", "1e-3", "verify", src]) == 0
+        assert get_tolerance() == 2e-9
+        # also when the command fails
+        assert run(["--tol", "1e-3", "verify", tmp_path / "missing.json"]) != 0
+        assert get_tolerance() == 2e-9
+    finally:
+        reset_tolerance()
+    assert run(["--tol", "1e-3", "verify", src]) == 0
+    assert get_tolerance() == 1e-9
 
 
 def test_generate_with_seed_edge_file(tmp_path):

@@ -12,6 +12,7 @@ from isothermic.grids import (
     closedness_check,
     d_edge,
     propagation_order,
+    sweep_integrate,
 )
 
 
@@ -73,50 +74,51 @@ def test_leibniz_identity(seed):
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
+def _differential(g):
+    """A vertex array's differential on the two edge stacks."""
+    return g[1:] - g[:-1], g[:, 1:] - g[:, :-1]
+
+
 def test_closedness_of_differentials(rng):
     dom = GridDomain(0, 3, 0, 3)
-    g = VertexField(dom, rng.normal(size=(4, 4, 5)))
-    report = closedness_check(lambda e: d_edge(g, e), dom)
+    g = rng.normal(size=(4, 4, 5))
+    report = closedness_check(*_differential(g), dom)
     assert report.ok
     assert report.max_residual < 1e-14
 
 
 def test_closedness_constant_form():
     dom = GridDomain(0, 3, 0, 3)
-
-    def omega(edge):
-        (m, n), (m2, n2) = edge
-        if n2 == n:  # horizontal: +- e1
-            return np.array([float(m2 - m), 0.0, 0.0, 0.0, 0.0])
-        return np.zeros(5)
-
-    assert closedness_check(omega, dom).ok
+    # e1 on every edge along +m, zero along +n
+    wu = np.zeros((3, 4, 5))
+    wu[..., 0] = 1.0
+    assert closedness_check(wu, np.zeros((4, 3, 5)), dom).ok
 
 
 def test_closedness_detects_perturbation(rng):
     dom = GridDomain(0, 3, 0, 3)
-    g = VertexField(dom, rng.normal(size=(4, 4, 5)))
-    bad = (((1, 1), (2, 1)))
-
-    def omega(edge):
-        w = d_edge(g, edge)
-        if frozenset(edge) == frozenset(bad):
-            sign = 1.0 if edge == bad else -1.0
-            w = w + sign * np.array([0.01, 0, 0, 0, 0])
-        return w
-
-    report = closedness_check(omega, dom)
+    g = rng.normal(size=(4, 4, 5))
+    wu, wv = _differential(g)
+    bad = ((1, 1), (2, 1))
+    wu[1, 1, 0] += 0.01
+    report = closedness_check(wu, wv, dom)
     assert not report.ok
     assert report.max_residual == pytest.approx(0.01, rel=1e-9)
+    assert bad[0] in report.worst_face and bad[1] in report.worst_face
     # exactly the two faces adjacent to the perturbed edge fail
-    failing = []
-    for face in dom.faces():
-        total = sum(omega(e) for e in dom.face_edges(face))
-        if np.linalg.norm(total) > 1e-9:
-            failing.append(face)
+    total = wu[:, :-1] + wv[1:] - wu[:, 1:] - wv[:-1]
+    failing = [face for face in dom.faces()
+               if np.linalg.norm(total[face[0]]) > 1e-9]
     assert len(failing) == 2
     for face in failing:
         assert bad[0] in face and bad[1] in face
+
+
+def test_sweep_integrate_inverts_differential(rng):
+    g = rng.normal(size=(4, 5, 3))
+    for base in ((0, 0), (2, 3), (3, 4)):
+        G = sweep_integrate(*_differential(g), base)
+        np.testing.assert_allclose(G, g - g[base], atol=1e-13)
 
 
 def test_propagation_order():

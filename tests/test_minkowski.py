@@ -23,6 +23,7 @@ from isothermic.minkowski import (
     is_lightlike,
     minkowski_inner,
     norm2,
+    orthonormal_complement,
     ray_distance,
     solve_dense,
     spaceform_point,
@@ -248,3 +249,29 @@ def test_solve_dense():
         solve_dense(np.array([[1.0, 2.0], [2.0, 4.0]]), np.array([1.0, 1.0]))
     with pytest.raises(ValueError):
         solve_dense(np.eye(7), np.zeros(7))
+
+
+def _assert_orthonormal_complement(P):
+    from isothermic.minkowski import SIGNATURE
+    from isothermic.tolerances import tol
+
+    D = orthonormal_complement(P)
+    gram = (D * SIGNATURE) @ D.T
+    assert np.abs(gram - np.diag([-1.0, 1.0, 1.0, 1.0])).max() <= tol(1.0)
+    assert np.abs(minkowski_inner(D, P)).max() <= tol(float(np.linalg.norm(P)))
+
+
+def test_orthonormal_complement_nearly_dependent_columns():
+    # the projector's columns are nearly dependent here; a Gram-Schmidt pass
+    # over them kept a direction of Minkowski square 5 instead of 1
+    _assert_orthonormal_complement(np.array([-0.33, -0.26, -0.91, 1e-8, 4e-9]))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.tuples(*(st.floats(-3.0, 3.0),) * 5), st.floats(1e-9, 1.0))
+def test_orthonormal_complement_spacelike(P, shrink):
+    # spacelike with |P[2]| > |P[0]| + 1, and nearly 3-dimensional for small shrink
+    P = np.array(P)
+    P[3:] *= shrink
+    P[2] += np.copysign(np.linalg.norm(P) + 1.0, P[2])
+    _assert_orthonormal_complement(P)
