@@ -25,10 +25,12 @@ from .errors import (
     SingularSystem,
     SphericalStar,
 )
-from .grids import VertexField, edge_stacks, propagation_order, sweep_integrate
+from .grids import VertexField, edge_stacks, sweep_integrate, sweep_propagate
 from .minkowski import SIGNATURE, minkowski_inner, norm2, solve_dense
 from .nets import IsothermicNet
 from .polyvec import (
+    mp_divide_linear,
+    mp_divide_one_minus,
     mp_eval,
     mp_inner_vec,
     mp_max_coeff,
@@ -125,7 +127,7 @@ def pcq_residual(net: IsothermicNet, coeffs) -> float:
         resid[..., :k, :] = cj - ci
         resid[..., 1:, :] -= (a / g)[..., None, None] * (
             pjj[..., :, None] * Fi[..., None, :] - pii[..., :, None] * Fj[..., None, :])
-        worst = max(worst, float(np.abs(resid).max()) / scale)
+        worst = max(worst, float(np.abs(resid).max(initial=0.0)) / scale)
     return worst
 
 
@@ -146,6 +148,7 @@ def pcq_propagate(net: IsothermicNet, seed, basepoint=None) -> ConservedQuantity
     """Extend a seed polynomial at the basepoint to a conserved quantity by
     parallel transport through the edge connections.
 
+    The transport follows the spanning tree of :func:`grids.sweep_propagate`.
     On each edge the transported polynomial stays polynomial only if an
     exact division by (1 - lam * a_ij) succeeds; a residual there, degree
     growth, or path dependence on the redundant edges means the seed value
@@ -162,51 +165,37 @@ def pcq_propagate(net: IsothermicNet, seed, basepoint=None) -> ConservedQuantity
     if seed.ndim != 2 or seed.shape[1] != 5:
         raise ValueError("seed must have shape (deg+1, 5)")
     k = seed.shape[0]
-    coeffs = np.zeros((dom.rows, dom.cols, k, 5))
-    coeffs[dom.index(basepoint)] = seed
+    base = dom.index(basepoint)
     scale = 1.0 + mp_max_coeff(seed)
+    limit = tol(scale * net.lift_scale())
+    lifts = edge_stacks(net.lifts.data)
+    weights = [np.broadcast_to(a, Fi.shape[:2]) for a, (Fi, _) in zip(net.weights.stacks(), lifts)]
 
-    lift_scale = net.lift_scale()
-
-    def transport(src, dst):
-        ci = coeffs[dom.index(src)]
-        Fi, Fj = net.lifts[src], net.lifts[dst]
-        a = net.weight((src, dst))
-        g = float(minkowski_inner(Fi, Fj))
-        s_poly = mp_inner_vec(ci, Fj)  # real coefficients of <P_src(lam), F_dst>
-        # exact division by (1 - a*lam) gives <P_dst, F_dst>
-        p_dst = np.zeros(max(k - 1, 1))
-        carry = 0.0
-        for idx in range(k - 1):
-            carry = s_poly[idx] + a * carry
-            p_dst[idx] = carry
-        rem = s_poly[k - 1] + a * carry if k > 1 else s_poly[0]
-        if abs(rem) > tol(scale * lift_scale):
+    def transport(ci, axis, index, forward):
+        Fa, Fb = lifts[axis][0][index], lifts[axis][1][index]
+        Fi, Fj = (Fa, Fb) if forward else (Fb, Fa)
+        a = weights[axis][index][:, None]
+        g = minkowski_inner(Fi, Fj)[:, None, None]
+        # exact division of <P_src(lam), F_dst> by (1 - a*lam) gives <P_dst, F_dst>
+        p_dst, rem = mp_divide_one_minus(mp_inner_vec(ci, Fj[:, None, :])[..., None], a)
+        worst, edge = dom.worst_edge(np.abs(rem[:, 0]), axis, index, forward)
+        if worst > limit:
             raise NotConserved(
-                f"transport across {(src, dst)} is not polynomial "
-                f"(division remainder {abs(rem):.3g})")
-        p_src = mp_inner_vec(ci, Fi)
-        if abs(p_src[k - 1]) > tol(scale * lift_scale):
+                f"transport across {edge} is not polynomial (division remainder {worst:.3g})")
+        p_src = mp_inner_vec(ci, Fi[:, None, :])
+        worst, edge = dom.worst_edge(np.abs(p_src[:, k - 1]), axis, index, forward)
+        if worst > limit:
             raise NotConserved(
-                f"transport across {(src, dst)} raises the degree "
-                f"(top incidence defect {abs(p_src[k - 1]):.3g})")
-        add = np.zeros((k, 5))
-        if k > 1:
-            add[1:] += np.outer(p_dst[: k - 1], Fi)
-            add[1:] -= np.outer(p_src[: k - 1], Fj)
-        coeffs[dom.index(dst)] = ci + (a / g) * add
+                f"transport across {edge} raises the degree (top incidence defect {worst:.3g})")
+        add = np.zeros(ci.shape)
+        add[:, 1:] = p_dst[:, :k - 1] * Fi[:, None, :] - p_src[:, :k - 1, None] * Fj[:, None, :]
+        return ci + (a[:, None] / g) * add
 
-    tree, cross = propagation_order(dom, basepoint)
-    for parent, child in tree:
-        transport(parent, child)
-    worst = 0.0
-    for i, j in cross:
-        saved = coeffs[dom.index(j)].copy()
-        transport(i, j)
-        worst = max(worst, float(np.abs(coeffs[dom.index(j)] - saved).max()))
-        coeffs[dom.index(j)] = saved
+    coeffs, cross = sweep_propagate(seed, base, (dom.rows, dom.cols), transport)
+    resid = np.abs(transport(coeffs[:-1][cross], 0, cross, True) - coeffs[1:][cross])
+    worst, edge = dom.worst_edge(resid.max(axis=(-2, -1)), 0, cross)
     if worst > tol(scale):
-        raise NotConserved(f"path dependence {worst:.3g} during propagation")
+        raise NotConserved(f"path dependence {worst:.3g} during propagation; worst edge {edge}")
     return ConservedQuantity(net, coeffs)
 
 
@@ -222,15 +211,9 @@ def degree_reduce(cq: ConservedQuantity, mu: float) -> ConservedQuantity:
     worst = float(np.sqrt((values * values).sum(-1)).max())
     if worst > tol(cq.scale() * (1.0 + abs(mu)) ** cq.degree):
         raise NonzeroRoot(f"|P({mu})| = {worst:.3g} is not a root")
-    k = cq.coeffs.shape[2]
-    if k < 2:
+    if cq.coeffs.shape[2] < 2:
         raise NonzeroRoot("cannot reduce a constant quantity")
-    out = np.zeros((cq.coeffs.shape[0], cq.coeffs.shape[1], k - 1, 5))
-    carry = cq.coeffs[:, :, k - 1, :]
-    for j in range(k - 2, -1, -1):
-        out[:, :, j, :] = carry
-        carry = cq.coeffs[:, :, j, :] + mu * carry
-    return ConservedQuantity(cq.net, out)
+    return ConservedQuantity(cq.net, mp_divide_linear(cq.coeffs, mu)[0])
 
 
 def norm_poly(cq: ConservedQuantity) -> np.ndarray:

@@ -14,7 +14,6 @@ Batched checks see a vertex array of shape (rows, cols, ...) through two
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,11 +91,26 @@ class GridDomain:
         i, j, k, l = face
         return ((i, j), (j, k), (k, l), (l, i))
 
+    def vertex_at(self, index):
+        """The vertex at array index (mi, ni)."""
+        return self.m1 + int(index[0]), self.n1 + int(index[1])
+
     def stack_edge(self, axis: int, index):
         """The edge at array index (mi, ni) of the edge stack along +m
         (``axis`` 0) or +n (``axis`` 1), as a vertex pair."""
-        i = (self.m1 + int(index[0]), self.n1 + int(index[1]))
+        i = self.vertex_at(index)
         return i, (i[0] + 1 - axis, i[1] + axis)
+
+    def worst_edge(self, resid, axis: int, index, forward: bool = True):
+        """Largest entry of a per-edge residual over the entries ``index``
+        (a pair of index arrays) of the edge stack along ``axis``, and its
+        edge, directed backwards unless ``forward``; (0.0, None) when
+        ``index`` selects no edge."""
+        if not resid.size:
+            return 0.0, None
+        w = int(np.argmax(resid))
+        edge = self.stack_edge(axis, (index[0][w], index[1][w]))
+        return float(resid.flat[w]), edge if forward else edge[::-1]
 
     def neighbors(self, v):
         m, n = v
@@ -213,13 +227,13 @@ class EdgeFunction:
         """The weight function a / (1 - mu*a) of a Calapso transform."""
         du = 1.0 - mu * self.u
         dv = 1.0 - mu * self.v
-        scale = 1.0 + float(max(np.abs(self.u).max(), np.abs(self.v).max()))
+        scale = 1.0 + self.max_abs()
         if np.any(np.abs(du) <= tol(scale)) or np.any(np.abs(dv) <= tol(scale)):
             raise PoleParameter("parameter hits a pole of the edge weights")
         return EdgeFunction(self.domain, self.u / du, self.v / dv)
 
     def max_abs(self) -> float:
-        return float(max(np.abs(self.u).max(), np.abs(self.v).max()))
+        return float(max(np.abs(self.u).max(initial=0.0), np.abs(self.v).max(initial=0.0)))
 
     def allclose(self, other, scale=None) -> bool:
         if scale is None:
@@ -276,31 +290,37 @@ def sweep_integrate(wu, wv, base):
     return column[:, None] + rows
 
 
-def propagation_order(domain: GridDomain, basepoint=None):
-    """Breadth-first spanning tree from the basepoint.
+def sweep_propagate(start, base, shape, step):
+    """Propagate a value over a (rows, cols) grid from the vertex with array
+    index ``base``, where it is ``start``: along the base column one vertex
+    at a time, then outward column by column with all rows in one step, in
+    rows + cols - 2 calls of
 
-    Returns (tree, cross): ``tree`` lists directed edges (parent, child) in
-    visit order, covering every vertex except the basepoint exactly once;
-    ``cross`` lists the remaining undirected edges, which a flat propagation
-    must satisfy redundantly.
+        step(values, axis, index, forward) -> values at the far ends.
+
+    ``index`` is a pair of equal-length index arrays selecting entries of
+    the edge stack along +m (``axis`` 0) or +n (``axis`` 1), ``values``
+    holds the values at the near ends of those edges, stacked in the same
+    order, and ``forward`` tells whether the step runs along +m/+n or
+    against it.  Returns the values, shape (rows, cols) + start.shape, and
+    the index arrays of the edges along +m off the base column, which the
+    sweep does not use (the spanning tree is the one :func:`sweep_integrate`
+    sums along) and which remain for the caller to check.
     """
-    if basepoint is None:
-        basepoint = (domain.m1, domain.n1)
-    if not domain.contains(basepoint):
-        raise KeyError(f"basepoint {basepoint} outside domain")
-    seen = {basepoint}
-    tree = []
-    cross = []
-    queue = deque([basepoint])
-    while queue:
-        v = queue.popleft()
-        for w in domain.neighbors(v):
-            if w not in seen:
-                seen.add(w)
-                tree.append((v, w))
-                queue.append(w)
-    tree_set = {frozenset(e) for e in tree}
-    for i, j in domain.edges():
-        if frozenset((i, j)) not in tree_set:
-            cross.append((i, j))
-    return tree, cross
+    rows, cols = shape
+    m0, n0 = base
+    out = np.empty((rows, cols) + np.shape(start))
+    out[m0, n0] = start
+    base_col = np.array([n0])
+    for m in range(m0, rows - 1):
+        out[m + 1, n0] = step(out[m:m + 1, n0], 0, (np.array([m]), base_col), True)[0]
+    for m in range(m0 - 1, -1, -1):
+        out[m, n0] = step(out[m + 1:m + 2, n0], 0, (np.array([m]), base_col), False)[0]
+    all_rows = np.arange(rows)
+    for n in range(n0, cols - 1):
+        out[:, n + 1] = step(out[:, n], 1, (all_rows, np.full(rows, n)), True)
+    for n in range(n0 - 1, -1, -1):
+        out[:, n] = step(out[:, n + 1], 1, (all_rows, np.full(rows, n)), False)
+    cross = np.ones((rows - 1, cols), dtype=bool)
+    cross[:, n0] = False
+    return out, np.nonzero(cross)

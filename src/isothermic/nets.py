@@ -32,7 +32,7 @@ from .grids import (
     VertexField,
     edge_stacks,
     face_stack,
-    propagation_order,
+    sweep_propagate,
 )
 from .minkowski import (
     cross_ratio,
@@ -341,21 +341,6 @@ def edge_connections(net: IsothermicNet, lam: float, reverse: bool = False):
     return tuple(out)
 
 
-def edge_connection_lookup(net: IsothermicNet, lam: float):
-    """Function of a directed edge returning its connection matrix at
-    ``lam``, read from the edge stacks of both orientations built once."""
-    stacks = edge_connections(net, lam), edge_connections(net, lam, reverse=True)
-    m1, n1 = net.domain.m1, net.domain.n1
-
-    def connection(edge):
-        (m, n), (m2, n2) = edge
-        backward = m2 < m or n2 < n
-        along_n = m == m2
-        return stacks[backward][along_n][min(m, m2) - m1, min(n, n2) - n1]
-
-    return connection
-
-
 def face_holonomy(net: IsothermicNet, lam: float, face) -> np.ndarray:
     (i, j), (j2, k), (k2, l), (l2, i2) = GridDomain.face_edges(face)
     M = edge_connection(net, lam, (i, j))
@@ -413,9 +398,10 @@ class CalapsoFrame:
 def calapso(net: IsothermicNet, mu: float, basepoint=None) -> tuple[CalapsoFrame, IsothermicNet]:
     """Calapso transform of an isothermic net.
 
-    Propagates frames T with T_j = T_i * C_ij(mu) breadth-first from the
-    basepoint (identity there); flatness of the connection makes the result
-    path independent, and the residual over the redundant edges is reported.
+    Propagates frames T with T_j = T_i * C_ij(mu) from the basepoint
+    (identity there) along a spanning tree (:func:`grids.sweep_propagate`);
+    flatness of the connection makes the result path independent, and the
+    residual over the remaining edges is reported.
     The transformed net has lifts T_i F_i and edge weights a / (1 - mu*a).
 
     Raises
@@ -425,19 +411,20 @@ def calapso(net: IsothermicNet, mu: float, basepoint=None) -> tuple[CalapsoFrame
     domain = net.domain
     if basepoint is None:
         basepoint = (domain.m1, domain.n1)
-    frames = VertexField.zeros(domain, (5, 5))
-    frames[basepoint] = np.eye(5)
-    connection = edge_connection_lookup(net, mu)
-    tree, cross = propagation_order(domain, basepoint)
-    for parent, child in tree:
-        frames[child] = frames[parent] @ connection((parent, child))
-    worst = 0.0
-    for i, j in cross:
-        resid = frames[j] - frames[i] @ connection((i, j))
-        worst = max(worst, float(np.abs(resid).max()))
-    if worst > tol(10.0 + float(np.abs(frames.data).max())):
-        raise NotFlat(f"path dependence {worst:.3g}; input net is not isothermic")
+    base = domain.index(basepoint)
+    along, against = edge_connections(net, mu), edge_connections(net, mu, reverse=True)
 
+    def step(T, axis, index, forward):
+        return T @ (along if forward else against)[axis][index]
+
+    frames, cross = sweep_propagate(np.eye(5), base, (domain.rows, domain.cols), step)
+    resid = np.abs(frames[1:][cross] - step(frames[:-1][cross], 0, cross, True))
+    worst, edge = domain.worst_edge(resid.max(axis=(-2, -1)), 0, cross)
+    if worst > tol(10.0 + float(np.abs(frames).max())):
+        raise NotFlat(f"path dependence {worst:.3g}; input net is not isothermic; "
+                      f"worst edge {edge}")
+
+    frames = VertexField(domain, frames)
     new_lifts = VertexField(domain, np.einsum("mnij,mnj->mni", frames.data, net.lifts.data))
     transformed = IsothermicNet(domain, new_lifts, net.weights.calapso_shifted(mu),
                                 revolution=None)

@@ -1,7 +1,8 @@
 """Polynomials in a real spectral parameter with vector coefficients.
 
 A polynomial of degree N is an ndarray of shape ``(..., N+1, 5)`` holding
-ascending coefficients; real polynomials are ndarrays of shape ``(..., K)``.
+ascending coefficients; real polynomials are ndarrays of shape ``(..., K)``
+(the division helpers take them with a trailing axis of length 1).
 All helpers broadcast over leading axes, so a whole grid of polynomials can
 be processed in one call.
 """
@@ -75,7 +76,7 @@ def mp_divide_linear(coeffs, mu):
     k = c.shape[-2]
     if k < 2:
         raise ValueError("cannot divide a constant polynomial by (lam - mu)")
-    q = np.zeros(c.shape[:-2] + (k - 1, 5))
+    q = np.zeros(c.shape[:-2] + (k - 1, c.shape[-1]))
     carry = c[..., k - 1, :]
     for j in range(k - 2, -1, -1):
         q[..., j, :] = carry
@@ -84,16 +85,18 @@ def mp_divide_linear(coeffs, mu):
 
 
 def mp_divide_one_minus(coeffs, a):
-    """Division by (1 - a*lam): returns (quotient, remainder vector).
+    """Division by (1 - a*lam) of a polynomial of degree K-1: returns the
+    quotient Q of degree K-2 and the remainder vector r with
+    P = (1 - a*lam) Q + r lam^(K-1).
 
-    Exact division leaves a zero remainder, which happens iff P(1/a) = 0.
+    Exact division leaves a zero remainder, which happens iff P(1/a) = 0,
+    or, for a = 0, iff the top coefficient vanishes.  ``a`` may be an array
+    broadcasting against the remainder's shape (..., 5).
     """
-    if a == 0.0:
-        raise ZeroDivisionError("divisor degenerates to the constant 1")
     c = np.asarray(coeffs, dtype=float)
     k = c.shape[-2]
-    q = np.zeros(c.shape[:-2] + (max(k - 1, 1), 5))
-    carry = np.zeros(c.shape[:-2] + (5,))
+    q = np.zeros(c.shape[:-2] + (max(k - 1, 1), c.shape[-1]))
+    carry = np.zeros(c.shape[:-2] + (c.shape[-1],))
     for j in range(k - 1):
         carry = c[..., j, :] + a * carry
         q[..., j, :] = carry

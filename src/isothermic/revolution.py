@@ -192,7 +192,6 @@ def symmetric_pcq_check(net: IsothermicNet, cq: ConservedQuantity,
     """
     if net.revolution is None:
         raise ValueError("net carries no rotational structure")
-    dom = net.domain
     angles = net.revolution.profile.angles
     coeffs = cq.coeffs
     scale = cq.scale()
@@ -206,10 +205,7 @@ def symmetric_pcq_check(net: IsothermicNet, cq: ConservedQuantity,
         rotated[:, ni, :, 3] = s * x + c * y
     equivariant = float(np.abs(rotated - rotated[:, :1]).max()) <= tol(scale)
 
-    p = np.zeros((dom.rows, dom.cols, coeffs.shape[2]))
-    for v in dom.vertices():
-        mi, ni = dom.index(v)
-        p[mi, ni] = mp_inner_vec(coeffs[mi, ni], net.lifts[v])
+    p = mp_inner_vec(coeffs, net.lifts.data[:, :, None, :])
     scalar = float(np.abs(p - p[:, :1]).max()) <= tol(scale * net.lift_scale())
 
     if require_agreement and equivariant != scalar:

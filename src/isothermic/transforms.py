@@ -26,7 +26,7 @@ from .errors import (
     NotParallel,
     NotPolynomial,
 )
-from .grids import VertexField, edge_stacks, propagation_order
+from .grids import VertexField, edge_stacks, sweep_propagate
 from .minkowski import (
     SIGNATURE,
     cross_ratio_matrix,
@@ -36,8 +36,9 @@ from .minkowski import (
     orthonormal_complement,
     ray_distance,
 )
-from .nets import CalapsoFrame, IsothermicNet, edge_connection_lookup, edge_connections
+from .nets import CalapsoFrame, IsothermicNet, edge_connections
 from .polyvec import (
+    mp_divide_linear,
     mp_eval,
     mp_inner_vec,
     mp_max_coeff,
@@ -77,7 +78,7 @@ class DarbouxTransform:
                                          edge_stacks(self.lifts.data)):
             q = cross_ratios(np.stack([Fi, Fj, Hj, Hi], axis=2))
             target = a * self.mu
-            worst = max(worst, float((np.abs(q - target) / (1.0 + np.abs(target))).max()))
+            worst = max(worst, float((np.abs(q - target) / (1.0 + np.abs(target))).max(initial=0.0)))
         return worst
 
 
@@ -87,12 +88,15 @@ def parallel_residual(net: IsothermicNet, mu: float, section: VertexField) -> fl
     scale = 1.0 + float(np.abs(section.data).max())
     for C, (Si, Sj) in zip(edge_connections(net, mu), edge_stacks(section.data)):
         resid = Si - np.einsum("...ij,...j->...i", C, Sj)
-        worst = max(worst, float(np.abs(resid).max()) / scale)
+        worst = max(worst, float(np.abs(resid).max(initial=0.0)) / scale)
     return worst
 
 
 def darboux_propagate(net: IsothermicNet, mu: float, start, basepoint=None) -> DarbouxTransform:
     """Propagate an isotropic start vector into a Darboux transform.
+
+    The section follows the spanning tree of :func:`grids.sweep_propagate`;
+    the remaining edges are checked for parallelity in one batch.
 
     Raises
     ------
@@ -100,6 +104,8 @@ def darboux_propagate(net: IsothermicNet, mu: float, start, basepoint=None) -> D
         If the start is not isotropic or is proportional to the base lift.
     PoleParameter
         If 1 - mu * a vanishes on some edge.
+    NotParallel
+        If the section is path dependent (the input net is not isothermic).
     """
     dom = net.domain
     if basepoint is None:
@@ -111,22 +117,22 @@ def darboux_propagate(net: IsothermicNet, mu: float, start, basepoint=None) -> D
     if ray_distance(start, net.lifts[basepoint]) <= tol(1.0):
         raise DegenerateStart("start coincides with the base net")
 
-    lifts = VertexField.zeros(dom, (5,))
-    lifts[basepoint] = start
-    connection = edge_connection_lookup(net, mu)
-    tree, cross = propagation_order(dom, basepoint)
-    for parent, child in tree:
-        # parallelity F_parent = C(parent, child) F_child inverted via the
-        # reversed edge map
-        lifts[child] = connection((child, parent)) @ lifts[parent]
-    worst = 0.0
-    scale = 1.0 + float(np.abs(lifts.data).max())
-    for i, j in cross:
-        resid = lifts[i] - connection((i, j)) @ lifts[j]
-        worst = max(worst, float(np.abs(resid).max()) / scale)
+    base = dom.index(basepoint)
+    along, against = edge_connections(net, mu), edge_connections(net, mu, reverse=True)
+
+    def step(S, axis, index, forward):
+        # parallelity S_near = C(near, far) S_far inverted via the reversed edge map
+        M = (against if forward else along)[axis][index]
+        return (M @ S[..., None])[..., 0]
+
+    lifts, cross = sweep_propagate(start, base, (dom.rows, dom.cols), step)
+    scale = 1.0 + float(np.abs(lifts).max())
+    resid = np.abs(lifts[:-1][cross] - step(lifts[1:][cross], 0, cross, False)).max(axis=-1)
+    worst, edge = dom.worst_edge(resid / scale, 0, cross)
     if worst > tol(1.0):
-        raise NotParallel(f"Darboux propagation is path dependent ({worst:.3g})")
-    return DarbouxTransform(mu, lifts, net, worst)
+        raise NotParallel(f"Darboux propagation is path dependent ({worst:.3g}); "
+                          f"worst edge {edge}")
+    return DarbouxTransform(mu, VertexField(dom, lifts), net, worst)
 
 
 def backlund_init(cq: ConservedQuantity, mu: float, s: float, basepoint=None) -> np.ndarray:
@@ -183,26 +189,20 @@ def pcq_darboux(cq: ConservedQuantity, transform: DarbouxTransform) -> Conserved
     NotPolynomial
         If the degree N+2 coefficient fails to cancel (bad input quantity).
     """
-    net = cq.net
     mu = transform.mu
-    dom = net.domain
-    k = cq.coeffs.shape[2]
-    out = np.zeros((dom.rows, dom.cols, k + 2, 5))
-    for v in dom.vertices():
-        mi, ni = dom.index(v)
-        c = cq.coeffs[mi, ni]
-        F = net.lifts[v]
-        Fh = transform.lifts[v]
-        g = float(minkowski_inner(F, Fh))
-        pf = mp_inner_vec(c, F)
-        pfh = mp_inner_vec(c, Fh)
-        total = np.zeros((k + 2, 5))
-        total[:k] += -mu * c
-        total[1 : k + 1] += c
-        total[2 : k + 2] -= np.outer(pf, Fh) / (mu * g)
-        total[1 : k + 1] += np.outer(pf, Fh) / g
-        total[1 : k + 1] -= np.outer(pfh, F) / g
-        out[mi, ni] = total
+    c = cq.coeffs
+    k = c.shape[2]
+    F = cq.net.lifts.data[:, :, None, :]
+    Fh = transform.lifts.data[:, :, None, :]
+    g = minkowski_inner(F, Fh)[..., None]
+    pf = mp_inner_vec(c, F)[..., None]
+    pfh = mp_inner_vec(c, Fh)[..., None]
+    out = np.zeros(c.shape[:2] + (k + 2, 5))
+    out[:, :, :k] += -mu * c
+    out[:, :, 1:k + 1] += c
+    out[:, :, 2:k + 2] -= pf * Fh / (mu * g)
+    out[:, :, 1:k + 1] += pf * Fh / g
+    out[:, :, 1:k + 1] -= pfh * F / g
     scale = 1.0 + mp_max_coeff(out)
     top = float(np.abs(out[:, :, k + 1, :]).max())
     if top > tol(scale):
@@ -225,36 +225,27 @@ def pcq_backlund(cq: ConservedQuantity, transform: DarbouxTransform) -> Conserve
     NotBacklund
         If the start orthogonality <P(mu), Fhat> fails at some vertex.
     """
-    net = cq.net
     mu = transform.mu
-    dom = net.domain
-    k = cq.coeffs.shape[2]
-    out = np.zeros((dom.rows, dom.cols, k, 5))
+    c = cq.coeffs
+    k = c.shape[2]
+    F = cq.net.lifts.data[:, :, None, :]
+    Fh = transform.lifts.data[:, :, None, :]
+    g = minkowski_inner(F, Fh)[..., None]
+    pf = mp_inner_vec(c, F)[..., None]
+    pfh = mp_inner_vec(c, Fh)  # must vanish at mu
+    # divide lam * pfh by (lam - mu): quotient degree <= k-1
+    num = np.concatenate([np.zeros(pfh.shape[:2] + (1,)), pfh], axis=-1)
+    quot, rem = mp_divide_linear(num[..., None], mu)
+    rem = np.abs(rem[..., 0])
     scale = cq.scale() * (1.0 + float(np.abs(transform.lifts.data).max()))
-    for v in dom.vertices():
-        mi, ni = dom.index(v)
-        c = cq.coeffs[mi, ni]
-        F = net.lifts[v]
-        Fh = transform.lifts[v]
-        g = float(minkowski_inner(F, Fh))
-        pf = mp_inner_vec(c, F)
-        pfh = mp_inner_vec(c, Fh)  # must vanish at mu
-        # divide lam * pfh by (lam - mu): quotient degree <= k-1
-        num = np.concatenate([[0.0], pfh])
-        quot = np.zeros(k)
-        carry = num[k]
-        for j in range(k - 1, -1, -1):
-            quot[j] = carry
-            carry = num[j] + mu * carry
-        if abs(carry) > tol(scale):
-            raise NotBacklund(f"<P({mu}), Fhat> = {carry:.3g} at {v}")
-        total = c.copy()
-        if k > 1:
-            total[1:] -= np.outer(pf[: k - 1], Fh) / (mu * g)
-        total -= np.outer(quot, F) / g
-        out[mi, ni] = total
-    result = ConservedQuantity(transform.net(), out)
-    return result
+    if rem.max() > tol(scale):
+        index = np.unravel_index(int(np.argmax(rem)), rem.shape)
+        raise NotBacklund(f"<P({mu}), Fhat> = {rem[index]:.3g} at "
+                          f"{cq.net.domain.vertex_at(index)}")
+    out = c.copy()
+    out[:, :, 1:] -= pf[:, :, :k - 1] * Fh / (mu * g)
+    out -= quot * F / g
+    return ConservedQuantity(transform.net(), out)
 
 
 @dataclass
@@ -287,14 +278,14 @@ def bianchi(net: IsothermicNet, first: DarbouxTransform, second: DarbouxTransfor
     mu1, mu2 = first.mu, second.mu
     if abs(mu1 - mu2) <= tol(1.0 + abs(mu1)):
         raise CoincidentTransforms("equal parameters")
-    dom = net.domain
-    lifts = VertexField.zeros(dom, (5,))
-    for v in dom.vertices():
-        A, B = first.lifts[v], second.lifts[v]
-        g = float(minkowski_inner(A, B))
-        if abs(g) <= tol(float(np.linalg.norm(A) * np.linalg.norm(B))):
-            raise CoincidentTransforms(f"transforms coincide at {v}")
-        lifts[v] = cross_ratio_matrix(mu2 / mu1, A, B) @ net.lifts[v]
+    A, B = first.lifts.data, second.lifts.data
+    g = np.abs(minkowski_inner(A, B))
+    limit = tol(np.linalg.norm(A, axis=-1) * np.linalg.norm(B, axis=-1))
+    if (g <= limit).any():
+        index = np.unravel_index(int(np.argmin(g / limit)), g.shape)
+        raise CoincidentTransforms(f"transforms coincide at {net.domain.vertex_at(index)}")
+    M = cross_ratio_matrix(mu2 / mu1, A, B)
+    lifts = VertexField(net.domain, (M @ net.lifts.data[..., None])[..., 0])
 
     d_of_first = DarbouxTransform(mu2, lifts, first.net())
     d_of_second = DarbouxTransform(mu1, lifts, second.net())

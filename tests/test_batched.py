@@ -1,9 +1,15 @@
-"""The batched checks against per-face and per-edge references.
+"""The batched checks, propagators and transforms against per-face,
+per-edge and per-vertex references.
 
-Every check of the library runs as array code on face and edge stacks.  The
-references below evaluate the same formulas one face or one edge at a time,
-with their own Gram-matrix cross ratio, so a slicing or broadcasting slip in
-the stacks shows up as a mismatch on some face or edge."""
+Every check of the library runs as array code on face and edge stacks, and
+every propagation sweeps whole columns at a time.  The references below
+evaluate the same formulas one face, edge or vertex at a time (propagating
+along a breadth-first spanning tree, with their own Gram-matrix cross
+ratio), so a slicing or broadcasting slip in the stacks shows up as a
+mismatch on some face, edge or vertex."""
+
+import re
+from collections import deque
 
 import numpy as np
 import pytest
@@ -11,9 +17,24 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import darboux_stacked_net
 from isothermic import catalog
-from isothermic.conserved import lcq_solve_grid, pcq_residual
-from isothermic.errors import DegeneratePoints, NonConcircularFace
-from isothermic.grids import GridDomain, VertexField
+from isothermic.conserved import (
+    ConservedQuantity,
+    lcq_solve_grid,
+    pcq_propagate,
+    pcq_residual,
+)
+from isothermic.errors import (
+    CoincidentTransforms,
+    DegeneratePoints,
+    GeometryError,
+    NonConcircularFace,
+    NotBacklund,
+    NotConserved,
+    NotFlat,
+    NotParallel,
+    PoleParameter,
+)
+from isothermic.grids import EdgeFunction, GridDomain, VertexField
 from isothermic.minkowski import (
     Q_EUCLIDEAN,
     SIGNATURE,
@@ -25,12 +46,22 @@ from isothermic.minkowski import (
 )
 from isothermic.nets import (
     IsothermicNet,
+    calapso,
     edge_connection,
     edge_connections,
     face_regularity,
     verify_isothermic,
 )
-from isothermic.transforms import DarbouxTransform, darboux_propagate, parallel_residual
+from isothermic.tolerances import tol
+from isothermic.transforms import (
+    DarbouxTransform,
+    backlund_init,
+    bianchi,
+    darboux_propagate,
+    parallel_residual,
+    pcq_backlund,
+    pcq_darboux,
+)
 
 # --- references, one face or edge at a time -----------------------------------
 
@@ -230,3 +261,337 @@ def test_stack_edge_labels_follow_domain_offsets():
     dom = GridDomain(2, 5, -1, 3)
     assert dom.stack_edge(0, (0, 0)) == ((2, -1), (3, -1))
     assert dom.stack_edge(1, (3, 3)) == ((5, 2), (5, 3))
+
+
+# --- propagators and transforms against breadth-first, per-vertex references ---
+
+
+def bfs_tree(dom, base):
+    """Directed edges (parent, child) of a breadth-first spanning tree, and
+    the remaining edges."""
+    seen, tree, queue = {base}, [], deque([base])
+    while queue:
+        v = queue.popleft()
+        for w in dom.neighbors(v):
+            if w not in seen:
+                seen.add(w)
+                tree.append((v, w))
+                queue.append(w)
+    in_tree = {frozenset(e) for e in tree}
+    return tree, [e for e in dom.edges() if frozenset(e) not in in_tree]
+
+
+def as_array(dom, values):
+    return np.stack([np.stack([values[(m, n)] for n in range(dom.n1, dom.n2 + 1)])
+                     for m in range(dom.m1, dom.m2 + 1)])
+
+
+def ref_calapso_frames(net, mu, base):
+    dom = net.domain
+    tree, cross = bfs_tree(dom, base)
+    T = {base: np.eye(5)}
+    for parent, child in tree:
+        T[child] = T[parent] @ edge_connection(net, mu, (parent, child))
+    resid = [float(np.abs(T[j] - T[i] @ edge_connection(net, mu, (i, j))).max())
+             for i, j in cross]
+    frames = as_array(dom, T)
+    if resid and max(resid) > tol(10.0 + float(np.abs(frames).max())):
+        raise NotFlat(f"worst edge {cross[int(np.argmax(resid))]}")
+    return frames
+
+
+def ref_darboux_lifts(net, mu, start, base):
+    dom = net.domain
+    tree, cross = bfs_tree(dom, base)
+    S = {base: start}
+    for parent, child in tree:
+        S[child] = edge_connection(net, mu, (child, parent)) @ S[parent]
+    lifts = as_array(dom, S)
+    scale = 1.0 + float(np.abs(lifts).max())
+    resid = [float(np.abs(S[i] - edge_connection(net, mu, (i, j)) @ S[j]).max()) / scale
+             for i, j in cross]
+    if resid and max(resid) > tol(1.0):
+        raise NotParallel(f"worst edge {cross[int(np.argmax(resid))]}")
+    return lifts
+
+
+def ref_pcq_propagate(net, seed, base):
+    """Transport P_j = P_i + (a/g) lam (<P_j, F_j> F_i - <P_i, F_i> F_j), with
+    <P_j, F_j> = <P_i, F_j> / (1 - a lam) by synthetic division, which must
+    leave no remainder at the top."""
+    dom = net.domain
+    k = seed.shape[0]
+    scale = 1.0 + float(np.sqrt((seed * seed).sum(-1)).max())
+    limit = tol(scale * net.lift_scale())
+
+    def transport(ci, i, j):
+        Fi, Fj = net.lifts[i], net.lifts[j]
+        a = net.weight((i, j))
+        s = (ci * Fj * SIGNATURE).sum(-1)
+        pj = np.zeros(k)
+        for d in range(k - 1):
+            pj[d] = s[d] + a * (pj[d - 1] if d else 0.0)
+        if abs(s[k - 1] + a * (pj[k - 2] if k > 1 else 0.0)) > limit:
+            raise NotConserved(f"remainder on {(i, j)}")
+        pi = (ci * Fi * SIGNATURE).sum(-1)
+        if abs(pi[k - 1]) > limit:
+            raise NotConserved(f"degree on {(i, j)}")
+        out = ci.copy()
+        out[1:] += (a / float(minkowski_inner(Fi, Fj))) * (
+            np.outer(pj[:k - 1], Fi) - np.outer(pi[:k - 1], Fj))
+        return out
+
+    tree, cross = bfs_tree(dom, base)
+    P = {base: seed}
+    for parent, child in tree:
+        P[child] = transport(P[parent], parent, child)
+    resid = [float(np.abs(transport(P[i], i, j) - P[j]).max()) for i, j in cross]
+    if resid and max(resid) > tol(scale):
+        raise NotConserved(f"worst edge {cross[int(np.argmax(resid))]}")
+    return as_array(dom, P)
+
+
+def ref_pcq_darboux(cq, t):
+    """Phat = (lam - mu) P - (lam (lam - mu)/mu <P,F> Fhat + lam <P,Fhat> F) / <F,Fhat>."""
+    dom, mu = cq.net.domain, t.mu
+    k = cq.coeffs.shape[2]
+    out = {}
+    for v in dom.vertices():
+        c, F, Fh = cq.at(v), cq.net.lifts[v], t.lifts[v]
+        g = float(minkowski_inner(F, Fh))
+        pf, pfh = (c * F * SIGNATURE).sum(-1), (c * Fh * SIGNATURE).sum(-1)
+        total = np.zeros((k + 2, 5))
+        total[:k] -= mu * c
+        total[1:k + 1] += c
+        total[2:] -= np.outer(pf, Fh) / (mu * g)
+        total[1:k + 1] += (np.outer(pf, Fh) - np.outer(pfh, F)) / g
+        out[v] = total
+    return as_array(dom, out)
+
+
+def ref_pcq_backlund(cq, t):
+    """Phat = P - (lam/mu) <P,F>/<F,Fhat> Fhat - lam <P,Fhat>/((lam-mu) <F,Fhat>) F."""
+    dom, mu = cq.net.domain, t.mu
+    k = cq.coeffs.shape[2]
+    scale = cq.scale() * (1.0 + float(np.abs(t.lifts.data).max()))
+    out, defects = {}, {}
+    for v in dom.vertices():
+        c, F, Fh = cq.at(v), cq.net.lifts[v], t.lifts[v]
+        g = float(minkowski_inner(F, Fh))
+        pf, pfh = (c * F * SIGNATURE).sum(-1), (c * Fh * SIGNATURE).sum(-1)
+        quot, rem = np.polynomial.polynomial.polydiv(np.concatenate([[0.0], pfh]), [-mu, 1.0])
+        defects[v] = abs(rem[0])
+        total = c.copy()
+        total[1:] -= np.outer(pf[:k - 1], Fh) / (mu * g)
+        total[:len(quot)] -= np.outer(quot, F) / g
+        out[v] = total
+    worst = max(defects, key=defects.get)
+    if defects[worst] > tol(scale):
+        raise NotBacklund(f"at {worst}")
+    return ConservedQuantity(t.net(), as_array(dom, out))
+
+
+def ref_bianchi_lifts(net, first, second):
+    out = {}
+    for v in net.domain.vertices():
+        A, B = first.lifts[v], second.lifts[v]
+        if abs(float(minkowski_inner(A, B))) <= tol(np.linalg.norm(A) * np.linalg.norm(B)):
+            raise CoincidentTransforms(f"at {v}")
+        out[v] = cross_ratio_matrix(second.mu / first.mu, A, B) @ net.lifts[v]
+    return as_array(net.domain, out)
+
+
+def outcome(fn):
+    """The array ``fn`` returns, or the class of the GeometryError it raises."""
+    try:
+        return np.asarray(fn())
+    except GeometryError as exc:
+        return type(exc)
+
+
+def assert_same(got, ref, rtol=1e-12):
+    if isinstance(ref, type) or isinstance(got, type):
+        assert got is ref
+    else:
+        np.testing.assert_allclose(got, ref, rtol=rtol, atol=rtol * np.abs(ref).max())
+
+
+PATCH_SHAPES = [(1, 4), (4, 1), (2, 5), (5, 2), (3, 4)]
+
+
+def block(net, shape, offset=(0, 0), coeffs=None):
+    """The top-left ``shape`` block of a net (and of a quantity's
+    coefficients), relabelled to start at vertex ``offset``."""
+    rows, cols = shape
+    dom = GridDomain(offset[0], offset[0] + rows - 1, offset[1], offset[1] + cols - 1)
+    patch = IsothermicNet(dom, VertexField(dom, net.lifts.data[:rows, :cols]),
+                          EdgeFunction(dom, net.weights.u[:rows - 1], net.weights.v[:cols - 1]))
+    if coeffs is None:
+        return patch, None
+    return patch, coeffs[:rows, :cols]
+
+
+def net_with_quantity(seed, shape, kind, offset):
+    """A net of the given kind and shape with a conserved quantity's
+    coefficients (None for Moutard nets, which carry none in general)."""
+    rng = np.random.default_rng(seed)
+    full = (max(shape[0], 2), max(shape[1], 2))
+    if kind == "moutard":
+        return block(catalog.random_moutard_net(rng, *full), shape, offset)
+    cyl = catalog.cylinder_net(*full, rng.uniform(0.2, 0.8), rng.uniform(0.4, 1.2))
+    cq = catalog.cylinder_quantity(cyl)
+    if kind == "cylinder":
+        return block(cyl, shape, offset, cq.coeffs)
+    w = np.concatenate([cyl.weights.u, cyl.weights.v])
+    for _ in range(100):
+        mu = rng.uniform(-2.0, 2.0)
+        if abs(mu) < 0.1 or np.abs(1.0 - mu * w).min() < 0.05:
+            continue
+        t = darboux_propagate(cyl, mu, rng.uniform(0.5, 2.0) * euclidean_lift(
+            rng.uniform(-2.0, 2.0, 3)))
+        if face_regularity(t.net().lifts) >= 5e-3:
+            return block(t.net(), shape, offset, pcq_darboux(cq, t).coeffs)
+    raise AssertionError("could not draw a regular Darboux transform")
+
+
+def admissible_mu(net, mu):
+    w = np.concatenate([net.weights.u, net.weights.v])
+    if abs(mu) < 0.1 or np.abs(1.0 - mu * w).min() < 0.05:
+        return 0.5 / (1.0 + np.abs(w).max())
+    return mu
+
+
+def basepoint(dom, where):
+    return {"corner": (dom.m1, dom.n1), "centre": dom.center(),
+            "far corner": (dom.m2, dom.n2)}[where]
+
+
+PATCHES = st.tuples(st.integers(0, 10 ** 6), st.sampled_from(PATCH_SHAPES),
+                    st.sampled_from(["cylinder", "moutard", "darboux"]),
+                    st.sampled_from([(0, 0), (0, 0), (3, -2)]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(PATCHES, st.sampled_from(["corner", "centre", "far corner"]), st.floats(-2.0, 2.0))
+def test_propagators_match_bfs_references(drawn, where, mu):
+    seed, shape, kind, offset = drawn
+    net, coeffs = net_with_quantity(seed, shape, kind, offset)
+    base = basepoint(net.domain, where)
+    mu = admissible_mu(net, mu)
+    assert_same(outcome(lambda: calapso(net, mu, base)[0].frames.data),
+                outcome(lambda: ref_calapso_frames(net, mu, base)))
+    rng = np.random.default_rng(seed)
+    start = rng.uniform(0.5, 2.0) * euclidean_lift(rng.uniform(2.0, 3.0, 3))
+    assert_same(outcome(lambda: darboux_propagate(net, mu, start, base).lifts.data),
+                outcome(lambda: ref_darboux_lifts(net, mu, start, base)))
+    if coeffs is None:
+        seed_poly = rng.normal(size=(2, 5))
+    else:
+        seed_poly = coeffs[net.domain.index(base)]
+    got = outcome(lambda: pcq_propagate(net, seed_poly, base).coeffs)
+    assert_same(got, outcome(lambda: ref_pcq_propagate(net, seed_poly, base)))
+    if coeffs is not None:
+        assert_same(got, coeffs, rtol=1e-9)
+    else:
+        assert got is NotConserved
+
+
+@settings(max_examples=25, deadline=None)
+@given(PATCHES.filter(lambda d: d[2] != "moutard"), st.floats(-3.0, -0.5),
+       st.floats(-3.0, -0.5), st.floats(0.0, 0.7))
+def test_quantity_transforms_match_vertex_references(drawn, mu1, mu2, s):
+    seed, shape, kind, offset = drawn
+    net, coeffs = net_with_quantity(seed, shape, kind, offset)
+    cq = ConservedQuantity(net, coeffs)
+    rng = np.random.default_rng(seed)
+    mu = admissible_mu(net, float(rng.uniform(0.3, 0.6)))
+    t = darboux_propagate(net, mu, euclidean_lift(rng.uniform(2.0, 3.0, 3)))
+    got = pcq_darboux(cq, t).coeffs
+    ref = ref_pcq_darboux(cq, t)
+    assert_same(got, ref[:, :, :got.shape[2]])
+    assert np.abs(ref[:, :, got.shape[2]:]).max(initial=0.0) <= 1e-9 * np.abs(ref).max()
+
+    mu1, mu2 = admissible_mu(net, mu1), admissible_mu(net, mu2)
+    if abs(mu1 - mu2) < 0.1:
+        mu2 = mu1 - 0.25
+    pairs = []
+    for mu_b, s_b in ((mu1, s), (mu2, s + 0.3)):
+        try:
+            tb = darboux_propagate(net, mu_b, backlund_init(cq, mu_b, s_b))
+        except GeometryError:
+            return
+        assert_same(outcome(lambda: pcq_backlund(cq, tb).coeffs),
+                    outcome(lambda: ref_pcq_backlund(cq, tb).coeffs))
+        pairs.append(tb)
+    t1, t2 = pairs
+    assert_same(outcome(lambda: bianchi(net, t1, t2).lifts.data),
+                outcome(lambda: ref_bianchi_lifts(net, t1, t2)))
+
+
+# --- the same errors, naming where they happen ---------------------------------
+
+
+def offset_cylinder(rows=4, cols=5):
+    return block(catalog.cylinder_net(rows, cols, 0.5, 0.9), (rows, cols), (2, -1))[0]
+
+
+def test_pole_edge_is_named():
+    net = offset_cylinder()
+    mu = 1.0 / net.weights.v[0]
+    first_pole = ((2, -1), (2, 0))
+    for run in (lambda: calapso(net, mu),
+                lambda: darboux_propagate(net, mu, euclidean_lift([3.0, 0.5, 0.2]))):
+        with pytest.raises(PoleParameter, match=re.escape(f"is a pole of edge {first_pole}")):
+            run()
+
+
+def moved(net, vertex, by=1e-6):
+    data = net.lifts.data.copy()
+    pts = euclidean_point(data)
+    pts[net.domain.index(vertex)] += by
+    return IsothermicNet(net.domain, VertexField(net.domain, euclidean_lift(pts)), net.weights)
+
+
+def test_path_dependence_names_the_worst_edge():
+    net = moved(offset_cylinder(), (3, 1))
+    with pytest.raises(NotFlat) as got:
+        calapso(net, 0.4)
+    with pytest.raises(NotFlat) as ref:
+        ref_calapso_frames(net, 0.4, (2, -1))
+    assert str(got.value).startswith("path dependence")
+    assert str(got.value).endswith(str(ref.value))
+    start = euclidean_lift([3.0, 0.5, 0.2])
+    with pytest.raises(NotParallel) as got:
+        darboux_propagate(net, 0.4, start, (5, 3))
+    with pytest.raises(NotParallel) as ref:
+        ref_darboux_lifts(net, 0.4, start, (5, 3))
+    assert str(got.value).startswith("Darboux propagation is path dependent")
+    assert str(got.value).endswith(str(ref.value))
+    cq = catalog.cylinder_quantity(catalog.cylinder_net(4, 5, 0.5, 0.9))
+    with pytest.raises(NotConserved, match=re.escape("transport across ((3, 0), (3, 1))")):
+        pcq_propagate(net, cq.coeffs[0, 0], (2, -1))
+
+
+def test_backlund_start_off_the_conic_names_the_worst_vertex():
+    net = offset_cylinder()
+    cq = ConservedQuantity(net, catalog.cylinder_quantity(
+        catalog.cylinder_net(4, 5, 0.5, 0.9)).coeffs)
+    t = darboux_propagate(net, -1.0, euclidean_lift([3.0, 0.5, 0.2]))
+    with pytest.raises(NotBacklund) as got:
+        pcq_backlund(cq, t)
+    with pytest.raises(NotBacklund) as ref:
+        ref_pcq_backlund(cq, t)
+    assert str(got.value).startswith("<P(-1.0), Fhat> = ")
+    assert str(got.value).endswith(str(ref.value))
+
+
+def test_coincident_transforms_name_the_vertex():
+    net = offset_cylinder()
+    first = darboux_propagate(net, -1.0, euclidean_lift([3.0, 0.5, 0.2]))
+    data = darboux_propagate(net, -0.5, euclidean_lift([2.0, -1.0, 0.4])).lifts.data.copy()
+    data[net.domain.index((4, 2))] = 2.0 * first.lifts[(4, 2)]
+    second = DarbouxTransform(-0.5, VertexField(net.domain, data), net)
+    for run in (lambda: bianchi(net, first, second),
+                lambda: ref_bianchi_lifts(net, first, second)):
+        with pytest.raises(CoincidentTransforms, match=r"at \(4, 2\)"):
+            run()

@@ -11,8 +11,8 @@ from isothermic.grids import (
     avg_edge,
     closedness_check,
     d_edge,
-    propagation_order,
     sweep_integrate,
+    sweep_propagate,
 )
 
 
@@ -122,12 +122,28 @@ def test_sweep_integrate_inverts_differential(rng):
 
 
 def test_propagation_order():
-    dom = GridDomain(0, 2, 0, 3)
-    tree, cross = propagation_order(dom, (1, 1))
-    seen = {(1, 1)}
-    for parent, child in tree:
-        assert parent in seen
-        assert child not in seen
-        seen.add(child)
-    assert seen == set(dom.vertices())
-    assert len(tree) + len(cross) == len(list(dom.edges()))
+    """The sweep sets every vertex exactly once, from any basepoint, in
+    rows + cols - 2 steps, and leaves exactly the +m edges off the base
+    column as cross edges."""
+    rows, cols = 3, 4
+    for base in np.ndindex(rows, cols):
+        written = np.zeros((rows, cols), dtype=int)
+        written[base] = 1
+        calls = []
+
+        def step(values, axis, index, forward):
+            mi, ni = index
+            near = (mi + (not forward) * (1 - axis), ni + (not forward) * axis)
+            far = (mi + forward * (1 - axis), ni + forward * axis)
+            assert written[near].all()
+            np.add.at(written, far, 1)
+            calls.append(axis)
+            return values + 1
+
+        dist, cross = sweep_propagate(0, base, (rows, cols), step)
+        assert (written == 1).all()
+        assert len(calls) == rows + cols - 2
+        m, n = np.indices((rows, cols))
+        np.testing.assert_array_equal(dist, abs(m - base[0]) + abs(n - base[1]))
+        assert set(zip(*cross)) == {(mi, ni) for mi in range(rows - 1) for ni in range(cols)
+                         if ni != base[1]}

@@ -79,6 +79,33 @@ def test_divide_one_minus(rng):
     np.testing.assert_allclose(rem, np.zeros(5), atol=1e-12)
 
 
+@pytest.mark.parametrize("a", [0.0, -1.4, 0.6])
+def test_divide_one_minus_leaves_top_remainder(rng, a):
+    """P = (1 - a lam) Q + r lam^(K-1), for a = 0 too (division by 1), on
+    real polynomials passed with a trailing axis of 1."""
+    p = rng.normal(size=(4, 1))
+    q, rem = mp_divide_one_minus(p, a)
+    back = np.zeros(4)
+    back[:3] += q[:, 0]
+    back[1:] -= a * q[:, 0]
+    back[3] += rem[0]
+    np.testing.assert_allclose(back, p[:, 0], atol=1e-12)
+
+
+def test_division_helpers_broadcast_over_leading_axes(rng):
+    c = rng.normal(size=(3, 4, 5))
+    a = rng.uniform(-2.0, 2.0, size=(3, 1))
+    q, rem = mp_divide_one_minus(c, a)
+    ql, reml = mp_divide_linear(c, 0.7)
+    for i in range(3):
+        qi, ri = mp_divide_one_minus(c[i], float(a[i, 0]))
+        np.testing.assert_array_equal(q[i], qi)
+        np.testing.assert_array_equal(rem[i], ri)
+        qi, ri = mp_divide_linear(c[i], 0.7)
+        np.testing.assert_array_equal(ql[i], qi)
+        np.testing.assert_array_equal(reml[i], ri)
+
+
 def test_shift_and_scale_arg(rng):
     c = rng.normal(size=(4, 5))
     for lam in (0.0, 0.4, -1.7):
