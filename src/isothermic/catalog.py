@@ -8,9 +8,10 @@ import numpy as np
 from .conserved import ConservedQuantity
 from .errors import DegenerateEdge
 from .grids import EdgeFunction, GridDomain, VertexField
-from .minkowski import Q_EUCLIDEAN, euclidean_lift, minkowski_inner
-from .nets import IsothermicNet
+from .minkowski import Q_EUCLIDEAN, euclidean_lift, euclidean_point, minkowski_inner
+from .nets import IsothermicNet, moutard_fill
 from .revolution import RevolutionStructure, RotationProfile
+from .tolerances import tol
 
 
 def cylinder_net(rows: int, cols: int, eta: float, phi: float,
@@ -21,7 +22,7 @@ def cylinder_net(rows: int, cols: int, eta: float, phi: float,
     circles); its face cross ratios are -eta^2 / (4 sin^2(phi/2))."""
     if rows < 2 or cols < 2:
         raise ValueError("cylinder needs at least a 2x2 grid")
-    domain = GridDomain(0, rows - 1, 0, cols - 1)
+    domain = GridDomain(rows, cols)
     m = np.arange(rows)[:, None]
     n = (n_start + np.arange(cols))[None, :]
     pts = np.stack(np.broadcast_arrays(eta * m, np.cos(n * phi), np.sin(n * phi)),
@@ -29,16 +30,12 @@ def cylinder_net(rows: int, cols: int, eta: float, phi: float,
     lifts = VertexField(domain, euclidean_lift(pts))
     u = np.full(rows - 1, -eta * eta / 4.0)
     v = np.full(cols - 1, np.sin(phi / 2.0) ** 2)
-    net = IsothermicNet(domain, lifts, EdgeFunction(domain, u, v))
-    net.revolution = RevolutionStructure(
-        RotationProfile(phi * (n_start + np.arange(cols))),
-        meridian_points=None, alpha=None)
-    return net
+    revolution = RevolutionStructure(RotationProfile(phi * (n_start + np.arange(cols))),
+                                     meridian_points=None, alpha=None)
+    return IsothermicNet(domain, lifts, EdgeFunction(domain, u, v), revolution=revolution)
 
 
 def cylinder_points(net: IsothermicNet) -> np.ndarray:
-    from .minkowski import euclidean_point
-
     return euclidean_point(net.lifts.data)
 
 
@@ -53,35 +50,32 @@ def cylinder_dual_lifts(net: IsothermicNet) -> np.ndarray:
 def cylinder_quantity(net: IsothermicNet) -> ConservedQuantity:
     """The cylinder's normalized linear quantity lam*(F*/2 - Q) + Q with
     Q = (1,0,0,0,-1); it has H = 1/2 and kappa = 0."""
-    dom = net.domain
-    coeffs = np.zeros((dom.rows, dom.cols, 2, 5))
-    coeffs[:, :, 0, :] = Q_EUCLIDEAN
-    coeffs[:, :, 1, :] = cylinder_dual_lifts(net) / 2.0 - Q_EUCLIDEAN
-    return ConservedQuantity(net, coeffs)
+    return ConservedQuantity.linear(net, Q_EUCLIDEAN, cylinder_dual_lifts(net) / 2.0 - Q_EUCLIDEAN)
 
 
-def _angular_parity(net: IsothermicNet) -> np.ndarray:
-    """(-1)^n per column, with n read off the stored rotation angles."""
-    if net.revolution is None:
-        raise ValueError("net carries no rotation data")
-    angles = net.revolution.profile.angles
-    phi = float(angles[1] - angles[0])
-    idx = np.rint(angles / phi).astype(int)
-    return (-1.0) ** idx, float(np.cos(phi))
+def zigzag_quantity(net: IsothermicNet) -> ConservedQuantity:
+    """Degenerate linear quantity lam*(-1)^n F + Q_zz of a net whose Euclidean
+    lifts F = ((1+|f|^2)/2, f, (1-|f|^2)/2) have y coordinates alternating
+    between 1 (even n) and alpha (odd n) along every row: the zigzag plane,
+    or a cylinder patch with angles {-phi, 0, phi} (alpha = cos phi), where
+    the cylinder coincides with the zigzag plane;
+    Q_zz = -4/(1-alpha) ((1+alpha)/2, 0, 1, 0, -(1+alpha)/2).
 
-
-def zigzag_quantity_on(net: IsothermicNet) -> ConservedQuantity:
-    """Degenerate linear quantity lam*(-1)^n F + Q_zz carried by a cylinder
-    patch with angles {-phi, 0, phi} (where the cylinder coincides with the
-    zigzag plane); Q_zz = -4/(1-c) ((1+c)/2, 0, 1, 0, -(1+c)/2), c = cos phi."""
-    signs, c = _angular_parity(net)
-    dom = net.domain
-    Qzz = (-4.0 / (1.0 - c)) * np.array(
-        [(1.0 + c) / 2.0, 0.0, 1.0, 0.0, -(1.0 + c) / 2.0])
-    coeffs = np.zeros((dom.rows, dom.cols, 2, 5))
-    coeffs[:, :, 0, :] = Qzz
-    coeffs[:, :, 1, :] = net.lifts.data * signs[None, :, None]
-    return ConservedQuantity(net, coeffs, check=False)
+    Raises
+    ------
+    ValueError
+        If the y coordinates do not alternate between 1 and some alpha.
+    """
+    y = net.lifts.data[..., 2]
+    alpha = float(y.min())
+    even = y[0] > (1.0 + alpha) / 2.0
+    if (len(even) < 2 or np.any(even[1:] == even[:-1])
+            or np.abs(y - np.where(even, 1.0, alpha)).max() > tol(1.0)):
+        raise ValueError("y coordinates do not alternate between 1 and alpha")
+    Qzz = (-4.0 / (1.0 - alpha)) * np.array(
+        [(1.0 + alpha) / 2.0, 0.0, 1.0, 0.0, -(1.0 + alpha) / 2.0])
+    signs = np.where(even, 1.0, -1.0)
+    return ConservedQuantity.linear(net, Qzz, net.lifts.data * signs[None, :, None], check=False)
 
 
 def cylinder_family_quantity(net: IsothermicNet, t: float) -> ConservedQuantity:
@@ -92,7 +86,7 @@ def cylinder_family_quantity(net: IsothermicNet, t: float) -> ConservedQuantity:
     normalized for every t, with H_t = (1+t^2)/2 - t (1+cos phi)/(1-cos phi)
     and kappa_t = -4 t^2 / (1-cos phi)^2."""
     base = cylinder_quantity(net)
-    zz = zigzag_quantity_on(net)
+    zz = zigzag_quantity(net)
     return ConservedQuantity(net, base.coeffs + (t / 2.0) * zz.coeffs)
 
 
@@ -102,7 +96,7 @@ def zigzag_net(rows: int, cols: int, eta: float, alpha: float, beta: float,
     with rectangular faces; weights are +-<F_i, F_j>/2 as for the cylinder."""
     if not 0.0 < alpha < 1.0 or beta <= 0 or eta <= 0:
         raise ValueError("zigzag parameters need 0 < alpha < 1 and beta, eta > 0")
-    domain = GridDomain(0, rows - 1, 0, cols - 1)
+    domain = GridDomain(rows, cols)
     m = np.arange(rows)[:, None]
     n = (n_start + np.arange(cols))[None, :]
     y = (1.0 + alpha) / 2.0 + ((-1.0) ** n) * (1.0 - alpha) / 2.0
@@ -110,27 +104,12 @@ def zigzag_net(rows: int, cols: int, eta: float, alpha: float, beta: float,
     lifts = VertexField(domain, euclidean_lift(pts))
     u = np.full(rows - 1, -eta * eta / 4.0)
     v = np.full(cols - 1, ((1.0 - alpha) ** 2 + beta * beta) / 4.0)
-    net = IsothermicNet(domain, lifts, EdgeFunction(domain, u, v))
-    net._zigzag = (alpha, n_start)
-    return net
-
-
-def zigzag_quantity(net: IsothermicNet) -> ConservedQuantity:
-    """Degenerate linear quantity lam*(-1)^n F + Q_zz of the zigzag plane."""
-    alpha, n_start = net._zigzag
-    dom = net.domain
-    Qzz = (-4.0 / (1.0 - alpha)) * np.array(
-        [(1.0 + alpha) / 2.0, 0.0, 1.0, 0.0, -(1.0 + alpha) / 2.0])
-    signs = (-1.0) ** (n_start + np.arange(dom.cols))
-    coeffs = np.zeros((dom.rows, dom.cols, 2, 5))
-    coeffs[:, :, 0, :] = Qzz
-    coeffs[:, :, 1, :] = net.lifts.data * signs[None, :, None]
-    return ConservedQuantity(net, coeffs, check=False)
+    return IsothermicNet(domain, lifts, EdgeFunction(domain, u, v))
 
 
 def planar_grid_net(rows: int, cols: int) -> IsothermicNet:
     """Unit square grid f = (m, n, 0); every face cross ratio is -1."""
-    domain = GridDomain(0, rows - 1, 0, cols - 1)
+    domain = GridDomain(rows, cols)
     m = np.arange(rows)[:, None]
     n = np.arange(cols)[None, :]
     pts = np.stack(np.broadcast_arrays(m.astype(float), n.astype(float),
@@ -146,39 +125,24 @@ def random_moutard_net(rng: np.random.Generator, rows: int, cols: int,
 
     Draws a random first row and first column of lifts (random points of a
     box with random positive scalings), reads off the edge weights there,
-    and fills the grid through the Moutard equation; the filled lifts stay
-    isotropic and realize the weights on every edge automatically.
+    and fills the grid through the Moutard equation (:func:`moutard_fill`);
+    the filled lifts stay isotropic and realize the weights on every edge
+    automatically.  A draw is rejected when an edge weight is below 1e-3, a
+    face diagonal product below 1e-6 or a filled lift entry above 1e3 in
+    absolute value.
     """
-    domain = GridDomain(0, rows - 1, 0, cols - 1)
+    domain = GridDomain(rows, cols)
     for _ in range(max_tries):
-        lifts = VertexField.zeros(domain, (5,))
-        ok = True
         pts = rng.uniform(-box, box, size=(rows + cols, 3))
         scales = rng.uniform(0.5, 2.0, size=rows + cols)
-        for m in range(rows):
-            lifts[(m, 0)] = scales[m] * euclidean_lift(pts[m])
-        for n in range(1, cols):
-            lifts[(0, n)] = scales[rows + n] * euclidean_lift(pts[rows + n])
-        u = np.array([float(minkowski_inner(lifts[(m, 0)], lifts[(m + 1, 0)]))
-                      for m in range(rows - 1)])
-        v = np.array([float(minkowski_inner(lifts[(0, n)], lifts[(0, n + 1)]))
-                      for n in range(cols - 1)])
+        F = np.zeros((rows, cols, 5))
+        F[:, 0] = scales[:rows, None] * euclidean_lift(pts[:rows])
+        F[0, 1:] = scales[rows + 1:, None] * euclidean_lift(pts[rows + 1:])
+        u = minkowski_inner(F[:-1, 0], F[1:, 0])
+        v = minkowski_inner(F[0, :-1], F[0, 1:])
         if np.any(np.abs(u) < 1e-3) or np.any(np.abs(v) < 1e-3):
             continue
-        weights = EdgeFunction(domain, u, v)
-        for face in domain.faces():
-            i, j, k, l = face
-            g = float(minkowski_inner(lifts[j], lifts[l]))
-            if abs(g) < 1e-6:
-                ok = False
-                break
-            aij = weights.value((i, j))
-            ail = weights.value((i, l))
-            lifts[k] = lifts[i] + ((aij - ail) / g) * (lifts[j] - lifts[l])
-            if np.abs(lifts[k]).max() > 1e3:
-                ok = False
-                break
-        if not ok:
-            continue
-        return IsothermicNet(domain, lifts, weights)
+        # g_floor just below 1e-6 rejects exactly the products |g| < 1e-6
+        if moutard_fill(F, u, v, np.nextafter(1e-6, 0.0), f_max=1e3) is None:
+            return IsothermicNet(domain, VertexField(domain, F), EdgeFunction(domain, u, v))
     raise DegenerateEdge("could not draw a non-degenerate random net")

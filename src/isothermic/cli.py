@@ -9,6 +9,7 @@ variable; it holds for one call of :func:`main` and is restored afterwards.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 
@@ -24,13 +25,26 @@ from .conserved import (
 )
 from .errors import GeometryError
 from .euclidean import EuclideanNet, christoffel, classify_cmc
-from .minkowski import euclidean_lift
+from .minkowski import embed_lorentz3, euclidean_lift
 from .nets import calapso, verify_isothermic
 from .netfile import load_net, save_net
 from .objexport import export_obj
-from .revolution import RotationProfile, build_revolution_cmc, seed_edge
+from .revolution import (
+    RotationProfile,
+    build_revolution_cmc,
+    closure_defect,
+    default_space_form,
+    find_seed_edge,
+)
 from .tolerances import get_tolerance, set_tolerance
-from .transforms import backlund_init, bianchi, darboux_propagate, pcq_backlund, pcq_darboux
+from .transforms import (
+    backlund_init,
+    bianchi,
+    calapso_pcq,
+    darboux_propagate,
+    pcq_backlund,
+    pcq_darboux,
+)
 
 USAGE_ERROR = 1
 VERIFY_FAILURE = 2
@@ -52,49 +66,10 @@ def _parse_reals(text: str, prefix: str = "") -> np.ndarray:
         raise GeometryError(f"cannot parse real list from '{text}'") from exc
 
 
-def _default_space_form(kappa: float) -> np.ndarray:
-    if abs(kappa) < 1e-15:
-        return np.array([1.0, 0.0, -1.0])
-    if kappa < 0:
-        return np.array([0.0, 0.0, np.sqrt(-kappa)])
-    return np.array([np.sqrt(kappa), 0.0, 0.0])
-
-
-def _find_seed_edge(Q, H):
-    """Deterministic scan for an admissible seed edge."""
-    from .minkowski import hyperbolic_point, inner3, norm3
-
-    candidates = []
-    for eta0 in (0.0, 0.15, -0.2, 0.3):
-        for rho0 in (1.0, 0.8, 1.3, 0.6):
-            for deta in (0.25, 0.4, 0.15):
-                for drho in (0.1, -0.15, 0.3, 0.0):
-                    candidates.append((eta0, rho0, eta0 + deta, rho0 + drho))
-    kappa = -float(norm3(Q))
-    for eta0, rho0, eta1, rho1 in candidates:
-        if rho1 <= 0.05:
-            continue
-        M0 = hyperbolic_point(eta0, rho0)
-        M1 = hyperbolic_point(eta1, rho1)
-        if abs(inner3(Q, M0)) < 1e-6 or abs(inner3(Q, M1)) < 1e-6:
-            continue
-        try:
-            sols = seed_edge(Q, H, M0, M1)
-        except GeometryError:
-            continue
-        for branch, sol in enumerate(sols):
-            gate = 1.0 - 2.0 * sol.edge_weight * H - sol.edge_weight ** 2 * kappa
-            if gate > 1e-6:
-                return M0, M1, branch
-    raise GeometryError("no admissible seed edge found for these (H, kappa)")
-
-
 def _cmd_generate(args) -> int:
     kappa = args.kappa
-    Q3 = _default_space_form(kappa)
+    Q3 = default_space_form(kappa)
     if args.seed_edge:
-        import json
-
         with open(args.seed_edge) as fh:
             doc = json.load(fh)
         M0 = np.asarray(doc["M0"], dtype=float)
@@ -103,14 +78,12 @@ def _cmd_generate(args) -> int:
             Q3 = np.asarray(doc["Q"], dtype=float)
         branch = args.branch if args.branch is not None else 0
     else:
-        M0, M1, auto_branch = _find_seed_edge(Q3, args.H)
+        M0, M1, auto_branch = find_seed_edge(Q3, args.H)
         branch = args.branch if args.branch is not None else auto_branch
     profile = RotationProfile.uniform(args.angles, 2.0 * np.pi / args.angles)
     net, quantity = build_revolution_cmc(Q3, args.H, M0, M1, args.steps,
                                          profile, branch=branch)
     H, kap = mean_curvature_data(quantity)
-    from .revolution import closure_defect
-
     metadata = {
         "construction": "revolution-cmc",
         "H": H,
@@ -176,8 +149,6 @@ def _cmd_transform(args) -> int:
 
     if args.kind == "calapso":
         frame, transformed = calapso(net, args.mu)
-        from .transforms import calapso_pcq
-
         out_net = transformed
         out_quantities = [calapso_pcq(cq, frame) for cq in quantities]
         out_meta["mu"] = args.mu
@@ -255,16 +226,11 @@ def _cmd_export(args) -> int:
     elif quantities:
         Q = quantities[0].constant
     elif "kappa" in metadata:
-        Q3 = _default_space_form(float(metadata["kappa"]))
-        from .minkowski import embed_lorentz3
-
-        Q = embed_lorentz3(Q3)
+        Q = embed_lorentz3(default_space_form(float(metadata["kappa"])))
     if Q is None:
         raise GeometryError("no ambient vector available: pass --Q")
     Q = np.asarray(Q, dtype=float)
     if Q.shape == (3,):
-        from .minkowski import embed_lorentz3
-
         Q = embed_lorentz3(Q)
     report = export_obj(net, Q, args.model, args.output, clamp=args.clamp)
     print(f"wrote {report.path}: {report.vertex_count} vertices, "

@@ -26,7 +26,7 @@ from .errors import (
     SphericalStar,
 )
 from .grids import VertexField, edge_stacks, sweep_integrate, sweep_propagate
-from .minkowski import SIGNATURE, minkowski_inner, norm2, solve_dense
+from .minkowski import SIGNATURE, minkowski_inner, norm2, solve_dense, span_normal
 from .nets import IsothermicNet
 from .polyvec import (
     mp_divide_linear,
@@ -51,6 +51,15 @@ class ConservedQuantity:
         self.coeffs = coeffs
         if check:
             self._check_invariants()
+
+    @classmethod
+    def linear(cls, net: IsothermicNet, Q, Z, *, check: bool = True) -> "ConservedQuantity":
+        """The linear quantity lam*Z + Q: constant coefficient Q (a 5-vector)
+        and top coefficients Z, shape (rows, cols, 5)."""
+        coeffs = np.empty((net.domain.rows, net.domain.cols, 2, 5))
+        coeffs[:, :, 0] = Q
+        coeffs[:, :, 1] = Z
+        return cls(net, coeffs, check=check)
 
     # -- basic accessors ------------------------------------------------
 
@@ -291,14 +300,6 @@ def propagate_congruence(net: IsothermicNet, Q, Z0, basepoint) -> VertexField:
     return VertexField(dom, Z)
 
 
-def _linear_quantity(net, Q, Z_field) -> ConservedQuantity:
-    dom = net.domain
-    coeffs = np.zeros((dom.rows, dom.cols, 2, 5))
-    coeffs[:, :, 0, :] = np.asarray(Q, dtype=float)
-    coeffs[:, :, 1, :] = Z_field.data
-    return ConservedQuantity(net, coeffs, check=False)
-
-
 def lcq_solve_3x3(net: IsothermicNet, Q) -> ConservedQuantity:
     """Unique linear conserved quantity lam*Z + Q of a non-spherical 3x3 net.
 
@@ -332,7 +333,7 @@ def lcq_solve_3x3(net: IsothermicNet, Q) -> ConservedQuantity:
     except SingularSystem as exc:
         raise SphericalStar("vertex star is cospherical") from exc
     Z = propagate_congruence(net, Q, Zc, c)
-    cq = _linear_quantity(net, Q, Z)
+    cq = ConservedQuantity.linear(net, Q, Z.data, check=False)
     report = pcq_verify(net, cq)
     if not report.ok:
         raise NotConserved(f"star solve did not yield a conserved quantity "
@@ -383,7 +384,7 @@ def lcq_solve_grid(net: IsothermicNet, Q, basepoint=None):
     worst = float(inc.max())
     if worst > tol(1.0):
         return InconsistencyReport(worst, inc)
-    cq = _linear_quantity(net, Q, Z)
+    cq = ConservedQuantity.linear(net, Q, Z.data, check=False)
     report = pcq_verify(net, cq)
     if not report.ok:
         return InconsistencyReport(worst, inc, None)
@@ -403,24 +404,16 @@ def classify_type(net: IsothermicNet, candidates=()) -> TypeReport:
     """Classify the net relative to supplied candidate quantities.
 
     Type 0 (all vertices on one sphere) is decided intrinsically from the
-    rank of the lifts; higher types are certified only relative to the
-    verified normalized candidates, reporting the minimal degree among them
-    and whether a degenerate (isotropic-top) quantity was seen.
+    rank of the lifts, and holds for every net of fewer than five vertices;
+    higher types are certified only relative to the verified normalized
+    candidates, reporting the minimal degree among them and whether a
+    degenerate (isotropic-top) quantity was seen.
     """
     V = net.lifts.data.reshape(-1, 5)
     V = V / np.linalg.norm(V, axis=1)[:, None]
     s = np.linalg.svd(V, compute_uv=False)
-    if s[4] / s[0] <= tol(1.0):
-        _, _, vt = np.linalg.svd(V * SIGNATURE)
-        normal = vt[-1]
-        nn = float(norm2(normal))
-        sphere = None
-        if nn > tol(1.0):
-            sphere = normal / np.sqrt(nn)
-            k = int(np.argmax(np.abs(sphere)))
-            if sphere[k] < 0:
-                sphere = -sphere
-        return TypeReport(True, sphere, 0, False, 0)
+    if len(s) < 5 or s[4] / s[0] <= tol(1.0):
+        return TypeReport(True, span_normal(V), 0, False, 0)
 
     min_degree = None
     degenerate = False

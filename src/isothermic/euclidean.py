@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conserved import ConservedQuantity
+from .conserved import ConservedQuantity, mean_curvature_data
 from .errors import NotChristoffel, NotClosed, NotParallel
 from .grids import (
     EdgeFunction,
@@ -72,7 +72,7 @@ def christoffel(net: EuclideanNet, basepoint=None) -> EuclideanNet:
     """
     dom = net.domain
     if basepoint is None:
-        basepoint = (dom.m1, dom.n1)
+        basepoint = (0, 0)
     omega = []
     for axis, ((fi, fj), a) in enumerate(zip(edge_stacks(net.points.data),
                                              net.weights.stacks())):
@@ -109,7 +109,6 @@ def parallel_lcq(net: EuclideanNet, dual: EuclideanNet, H: float) -> ConservedQu
     """
     if H == 0.0:
         raise ValueError("parallel net characterization needs H != 0")
-    dom = net.domain
     gap = np.linalg.norm(dual.points.data - net.points.data, axis=-1) - 1.0 / H
     if float(np.abs(gap).max()) > tol(1.0 + 1.0 / abs(H)):
         raise NotParallel(
@@ -124,15 +123,13 @@ def parallel_lcq(net: EuclideanNet, dual: EuclideanNet, H: float) -> ConservedQu
             f"weights miss the canonical dual scaling by {worst:.3g}")
 
     dual_lifts = euclidean_lift(dual.points.data)
-    coeffs = np.zeros((dom.rows, dom.cols, 2, 5))
-    coeffs[:, :, 0, :] = Q_EUCLIDEAN
-    coeffs[:, :, 1, :] = H * dual_lifts - Q_EUCLIDEAN / (2.0 * H)
-    return ConservedQuantity(net.to_isothermic(), coeffs)
+    return ConservedQuantity.linear(net.to_isothermic(), Q_EUCLIDEAN,
+                                    H * dual_lifts - Q_EUCLIDEAN / (2.0 * H))
 
 
 def extract_parallel(cq: ConservedQuantity) -> EuclideanNet:
     """Inverse of :func:`parallel_lcq`: the dual net ( 2H Z + Q ) / (2 H^2)."""
-    H, kappa = _curvatures(cq)
+    H, kappa = mean_curvature_data(cq)
     if abs(kappa) > tol(1.0) or H == 0.0:
         raise ValueError("parallel net extraction needs kappa = 0 and H != 0")
     Z = cq.coeffs[:, :, 1, :]
@@ -140,12 +137,6 @@ def extract_parallel(cq: ConservedQuantity) -> EuclideanNet:
     lifts = (2.0 * H * Z + Q) / (2.0 * H * H)
     pts = euclidean_point(lifts)
     return EuclideanNet(cq.net.domain, VertexField(cq.net.domain, pts), cq.net.weights)
-
-
-def _curvatures(cq: ConservedQuantity):
-    from .conserved import mean_curvature_data
-
-    return mean_curvature_data(cq)
 
 
 @dataclass
@@ -174,7 +165,7 @@ def bp_sphere(cq: ConservedQuantity, vertex) -> MeanCurvatureSphere:
     equal-distance conditions of the axis neighbors per direction, the
     weight-scaled power identity <Z, F_nbr> = a_{c,nbr}, and |f - c| = |r|.
     """
-    H, kappa = _curvatures(cq)
+    H, kappa = mean_curvature_data(cq)
     Q = cq.constant
     if abs(kappa) > tol(1.0) or float(np.abs(Q - Q_EUCLIDEAN).max()) > tol(1.0):
         raise ValueError("mean curvature spheres need the flat gauge Q = (1,0,0,0,-1)")
@@ -237,7 +228,7 @@ def classify_cmc(cq: ConservedQuantity) -> CmcLabel:
     """Label a normalized linear quantity by its curvature pair:
     minimal-euclidean (H = kappa = 0), horospherical (H^2 + kappa = 0 with
     kappa < 0), cmc-euclidean (kappa = 0), or cmc-spaceform."""
-    H, kappa = _curvatures(cq)
+    H, kappa = mean_curvature_data(cq)
     inv = H * H + kappa
     flat = abs(kappa) <= tol(1.0)
     if flat and abs(H) <= tol(1.0):

@@ -1,6 +1,7 @@
 """Rectangular grid combinatorics and discrete calculus.
 
-Vertices are integer pairs (m, n) with m1 <= m <= m2, n1 <= n <= n2.
+Vertices are integer pairs (m, n) with 0 <= m < rows, 0 <= n < cols, and
+each is its own index into arrays of shape (rows, cols, ...).
 Directed edges are vertex pairs one step apart; faces are quadruples
 ((m,n) (m+1,n) (m+1,n+1) (m,n+1)).  Edge weights that take equal values on
 opposite edges of every face are stored as two one-variable arrays.
@@ -27,53 +28,43 @@ Edge = tuple  # ((m, n), (m', n'))
 
 @dataclass(frozen=True)
 class GridDomain:
-    """Inclusive rectangle of integer vertices."""
+    """Rectangle of integer vertices (m, n), 0 <= m < rows, 0 <= n < cols;
+    a vertex is its own array index."""
 
-    m1: int
-    m2: int
-    n1: int
-    n2: int
+    rows: int
+    cols: int
 
     def __post_init__(self):
-        if self.m2 < self.m1 or self.n2 < self.n1:
+        if self.rows < 1 or self.cols < 1:
             raise ValueError("empty grid domain")
-
-    @property
-    def rows(self) -> int:
-        return self.m2 - self.m1 + 1
-
-    @property
-    def cols(self) -> int:
-        return self.n2 - self.n1 + 1
 
     def contains(self, v) -> bool:
         m, n = v
-        return self.m1 <= m <= self.m2 and self.n1 <= n <= self.n2
+        return 0 <= m < self.rows and 0 <= n < self.cols
 
     def index(self, v):
         """Array index (row, col) of a vertex."""
         if not self.contains(v):
             raise KeyError(f"vertex {v} outside domain")
-        return v[0] - self.m1, v[1] - self.n1
+        return v[0], v[1]
 
     def vertices(self):
-        for m in range(self.m1, self.m2 + 1):
-            for n in range(self.n1, self.n2 + 1):
+        for m in range(self.rows):
+            for n in range(self.cols):
                 yield (m, n)
 
     def interior_vertices(self):
-        for m in range(self.m1 + 1, self.m2):
-            for n in range(self.n1 + 1, self.n2):
+        for m in range(1, self.rows - 1):
+            for n in range(1, self.cols - 1):
                 yield (m, n)
 
     def edges(self):
         """Each undirected edge once, directed along +m or +n."""
-        for m in range(self.m1, self.m2 + 1):
-            for n in range(self.n1, self.n2 + 1):
-                if m < self.m2:
-                    yield ((m, n), (m + 1, n))
-                if n < self.n2:
-                    yield ((m, n), (m, n + 1))
+        for m, n in self.vertices():
+            if m < self.rows - 1:
+                yield ((m, n), (m + 1, n))
+            if n < self.cols - 1:
+                yield ((m, n), (m, n + 1))
 
     def directed_edges(self):
         for i, j in self.edges():
@@ -81,8 +72,8 @@ class GridDomain:
             yield (j, i)
 
     def faces(self):
-        for m in range(self.m1, self.m2):
-            for n in range(self.n1, self.n2):
+        for m in range(self.rows - 1):
+            for n in range(self.cols - 1):
                 yield ((m, n), (m + 1, n), (m + 1, n + 1), (m, n + 1))
 
     @staticmethod
@@ -92,8 +83,8 @@ class GridDomain:
         return ((i, j), (j, k), (k, l), (l, i))
 
     def vertex_at(self, index):
-        """The vertex at array index (mi, ni)."""
-        return self.m1 + int(index[0]), self.n1 + int(index[1])
+        """The vertex at array index (mi, ni), as a pair of ints."""
+        return int(index[0]), int(index[1])
 
     def stack_edge(self, axis: int, index):
         """The edge at array index (mi, ni) of the edge stack along +m
@@ -119,7 +110,7 @@ class GridDomain:
                 yield w
 
     def center(self):
-        return ((self.m1 + self.m2) // 2, (self.n1 + self.n2) // 2)
+        return ((self.rows - 1) // 2, (self.cols - 1) // 2)
 
 
 def edge_stacks(data):
@@ -155,8 +146,7 @@ class VertexField:
 
     @classmethod
     def from_function(cls, domain, fn):
-        values = [[fn((m, n)) for n in range(domain.n1, domain.n2 + 1)]
-                  for m in range(domain.m1, domain.m2 + 1)]
+        values = [[fn((m, n)) for n in range(domain.cols)] for m in range(domain.rows)]
         return cls(domain, np.asarray(values, dtype=float))
 
     def __getitem__(self, v):
@@ -205,15 +195,15 @@ class EdgeFunction:
                    np.full(domain.cols - 1, float(v_value)))
 
     def value(self, edge) -> float:
-        (m, n), (m2, n2) = edge
-        dm, dn = m2 - m, n2 - n
+        (mi, ni), (mj, nj) = edge
+        dm, dn = mj - mi, nj - ni
         if abs(dm) + abs(dn) != 1:
             raise KeyError(f"{edge} is not a grid edge")
         if not (self.domain.contains(edge[0]) and self.domain.contains(edge[1])):
             raise KeyError(f"{edge} outside domain")
         if dn == 0:
-            return float(self.u[min(m, m2) - self.domain.m1])
-        return float(self.v[min(n, n2) - self.domain.n1])
+            return float(self.u[min(mi, mj)])
+        return float(self.v[min(ni, nj)])
 
     def stacks(self):
         """The weights on the two edge stacks, shaped (rows-1, 1) and
@@ -238,8 +228,8 @@ class EdgeFunction:
     def allclose(self, other, scale=None) -> bool:
         if scale is None:
             scale = 1.0 + max(self.max_abs(), other.max_abs())
-        return (np.abs(self.u - other.u).max() <= tol(scale)
-                and np.abs(self.v - other.v).max() <= tol(scale))
+        return (np.abs(self.u - other.u).max(initial=0.0) <= tol(scale)
+                and np.abs(self.v - other.v).max(initial=0.0) <= tol(scale))
 
 
 @dataclass
@@ -257,15 +247,15 @@ def closedness_check(wu, wv, domain: GridDomain, scale=None) -> ClosednessReport
     (i, j, k, l) sums to w(ij) + w(jk) - w(lk) - w(il).
     """
     total = wu[:, :-1] + wv[1:] - wu[:, 1:] - wv[:-1]
-    resid = np.sqrt((total * total).reshape(total.shape[:2] + (-1,)).sum(-1))
-    worst = float(resid.max())
+    resid = np.sqrt((total * total).sum(axis=tuple(range(2, total.ndim))))
+    worst = float(resid.max(initial=0.0))
     worst_face = None
     if worst > 0.0:
-        mi, ni = np.unravel_index(int(np.argmax(resid)), resid.shape)
-        m, n = domain.m1 + int(mi), domain.n1 + int(ni)
+        m, n = domain.vertex_at(np.unravel_index(int(np.argmax(resid)), resid.shape))
         worst_face = ((m, n), (m + 1, n), (m + 1, n + 1), (m, n + 1))
     if scale is None:
-        scale = 1.0 + max(float(np.abs(wu).max()), float(np.abs(wv).max()))
+        scale = 1.0 + max(float(np.abs(wu).max(initial=0.0)),
+                          float(np.abs(wv).max(initial=0.0)))
     return ClosednessReport(worst <= tol(scale), worst, worst_face)
 
 

@@ -290,6 +290,20 @@ def _minkowski_directions(B):
     return (evecs.T @ B) / np.sqrt(np.abs(evals))[:, None]
 
 
+def span_normal(V):
+    """Unit spacelike Minkowski normal of the span of the rows of V (the
+    sphere through the points those lifts represent), with its largest
+    entry made positive; None when the normal is not spacelike."""
+    _, _, vt = np.linalg.svd(V * SIGNATURE)
+    normal = vt[-1]
+    nn = float(norm2(normal))
+    if nn <= tol(1.0):
+        return None
+    normal = normal / np.sqrt(nn)
+    k = int(np.argmax(np.abs(normal)))
+    return -normal if normal[k] < 0 else normal
+
+
 def ray_distance(x, y):
     """Distance between the projective rays of x and y (0 when proportional).
 

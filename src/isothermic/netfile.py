@@ -138,7 +138,7 @@ def load_net(path):
     cols = int(_require(doc, "cols", path))
     if rows < 1 or cols < 1:
         raise ParseError(f"{path}: grid size must be positive")
-    domain = GridDomain(0, rows - 1, 0, cols - 1)
+    domain = GridDomain(rows, cols)
 
     def array_field(key, shape):
         raw = _require(doc, key, path)

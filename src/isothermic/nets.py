@@ -6,15 +6,16 @@ function, equal on opposite face edges, whose ratio across each face equals
 the face cross ratio.  Everything here is lift-scaling invariant except
 where a specific normalization is the point (:func:`moutard_lift`).
 
-Operations return fresh data and never modify a net's lifts or weights.
-Nets are still not safe to share across threads: the tolerance every check
-compares against is a module-level setting (:mod:`isothermic.tolerances`),
-and the revolution builders attach ``net.revolution`` after construction.
+Operations return fresh data and never modify a net's lifts or weights,
+and a net's fields are set once, by its constructor.  Nets are still not
+safe to share across threads: the tolerance every check compares against is
+a module-level setting (:mod:`isothermic.tolerances`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -40,24 +41,29 @@ from .minkowski import (
     cross_ratios,
     minkowski_inner,
     norm2,
+    span_normal,
 )
 from .tolerances import tol
 
+if TYPE_CHECKING:
+    from .revolution import RevolutionStructure
 
+
+@dataclass(frozen=True, eq=False)
 class IsothermicNet:
-    """Grid of isotropic lifts with a cross-ratio factorizing edge function."""
+    """Grid of isotropic lifts with a cross-ratio factorizing edge function,
+    and the rotational structure of the revolution builders (or None)."""
 
-    def __init__(self, domain: GridDomain, lifts: VertexField, weights: EdgeFunction,
-                 revolution=None):
-        if lifts.domain != domain or weights.domain != domain:
+    domain: GridDomain
+    lifts: VertexField
+    weights: EdgeFunction
+    revolution: RevolutionStructure | None = None
+
+    def __post_init__(self):
+        if self.lifts.domain != self.domain or self.weights.domain != self.domain:
             raise ValueError("lifts/weights domain mismatch")
-        if lifts.data.shape[2:] != (5,):
+        if self.lifts.data.shape[2:] != (5,):
             raise ValueError("lifts must be 5-vectors")
-        self.domain = domain
-        self.lifts = lifts
-        self.weights = weights
-        #: Optional rotational structure set by the revolution builders.
-        self.revolution = revolution
 
     def lift(self, v):
         return self.lifts[v]
@@ -90,7 +96,8 @@ class IsothermicNet:
         worst = float(np.abs(norm2(self.lifts.data)).max()) / max(scale, 1e-300)
         q = cross_ratios(face_stack(self.lifts.data))
         expected = self.weights.u[:, None] / self.weights.v[None, :]
-        worst = max(worst, float((np.abs(q - expected) / (1.0 + np.abs(expected))).max()))
+        worst = max(worst, float((np.abs(q - expected) / (1.0 + np.abs(expected)))
+                                 .max(initial=0.0)))
         if worst > tol(1.0):
             raise GeometryError(f"net fails validation (residual {worst:.3g})")
         return worst
@@ -125,7 +132,11 @@ def verify_isothermic(lifts: VertexField, *, strict: bool = True) -> IsothermicR
     """
     domain = lifts.domain
     if domain.rows < 2 or domain.cols < 2:
-        raise ValueError("need at least one face")
+        report = IsothermicReport(False, None, np.inf, np.inf, np.inf,
+                                  reason="need at least one face")
+        if strict:
+            raise GeometryError(report.reason + f" ({domain.rows}x{domain.cols} grid)")
+        return report
     regularity = face_regularity(lifts)
     if regularity <= tol(1.0):
         report = IsothermicReport(False, None, np.inf, np.inf, np.inf, regularity,
@@ -180,60 +191,81 @@ def face_regularity(lifts: VertexField) -> float:
     U = face_stack(lifts.data)
     U = U / np.linalg.norm(U, axis=-1, keepdims=True)
     s = np.linalg.svd(U[..., _FACE_TRIPLES, :], compute_uv=False)
-    return float((s[..., 2] / s[..., 0]).min())
+    return float((s[..., 2] / s[..., 0]).min(initial=np.inf))
+
+
+def moutard_fill(F, u, v, g_floor: float, f_max: float = np.inf):
+    """Fill the lifts ``F``, shape (rows, cols, 5) and given on the first row
+    and column, through the Moutard equation of every face (i, j, k, l),
+
+        F_k = F_i + (a_ij - a_il) / <F_j, F_l> * (F_j - F_l),
+
+    where a_ij = u[m] and a_il = v[n] on the face at (m, n).  Each step
+    fills the faces of one anti-diagonal m + n = d, rows + cols - 3 steps in
+    all.  The fill stops before a step where some |<F_j, F_l>| <= g_floor,
+    or after one where some new F_k has an entry above ``f_max`` in absolute
+    value, and returns the array index of the first such face on that
+    anti-diagonal; it returns None once ``F`` is full.
+    """
+    rows, cols = F.shape[:2]
+    for d in range(rows + cols - 3):
+        m = np.arange(max(0, d - cols + 2), min(d, rows - 2) + 1)
+        n = d - m
+        g = minkowski_inner(F[m + 1, n], F[m, n + 1])
+        bad = np.abs(g) <= g_floor
+        if not bad.any():
+            F[m + 1, n + 1] = F[m, n] + ((u[m] - v[n]) / g)[:, None] * (F[m + 1, n] - F[m, n + 1])
+            bad = np.abs(F[m + 1, n + 1]).max(axis=-1) > f_max
+        if bad.any():
+            w = int(np.argmax(bad))
+            return int(m[w]), int(n[w])
+    return None
 
 
 def moutard_lift(lifts: VertexField, weights: EdgeFunction) -> VertexField:
     """Rescale lifts so that every edge satisfies <F_i, F_j> = a_ij.
 
     The corner lift is kept as given; the first row and column are fixed by
-    one scalar condition per edge, and each face is then filled through
-
-        F_k = F_i + (a_ij - a_il) / <F_j, F_l> * (F_j - F_l),
-
-    which also forces the diagonals of every face to be parallel.  The
-    input must be an isothermic net whose weight function is ``weights``
-    (any global rescaling of a factorizer works, with the corresponding
-    rescaled lifts).
+    one scalar condition per edge, and the faces are then filled through
+    the Moutard equation (:func:`moutard_fill`), which also forces the
+    diagonals of every face to be parallel.  The input must be an
+    isothermic net whose weight function is ``weights`` (any global
+    rescaling of a factorizer works, with the corresponding rescaled lifts).
 
     Raises
     ------
     DegenerateEdge
         If a required inner product vanishes.
     """
-    domain = lifts.domain
-    out = VertexField.zeros(domain, (5,))
-    base = (domain.m1, domain.n1)
-    out[base] = lifts[base]
-    scale2 = float(np.abs(lifts.data).max()) ** 2
+    F = lifts.data
+    out = np.zeros_like(F)
+    out[0, 0] = F[0, 0]
+    scale2 = float(np.abs(F).max()) ** 2
 
-    def rescale_to(prev, cur):
-        g = float(minkowski_inner(out[prev], lifts[cur]))
+    def rescale_to(prev, cur, a):
+        g = float(minkowski_inner(out[prev], F[cur]))
         if abs(g) <= tol(scale2):
             raise DegenerateEdge(f"vanishing inner product on edge {(prev, cur)}")
-        out[cur] = lifts[cur] * (weights.value((prev, cur)) / g)
+        out[cur] = F[cur] * (a / g)
 
-    for m in range(domain.m1 + 1, domain.m2 + 1):
-        rescale_to((m - 1, domain.n1), (m, domain.n1))
-    for n in range(domain.n1 + 1, domain.n2 + 1):
-        rescale_to((domain.m1, n - 1), (domain.m1, n))
+    for m in range(1, lifts.domain.rows):
+        rescale_to((m - 1, 0), (m, 0), float(weights.u[m - 1]))
+    for n in range(1, lifts.domain.cols):
+        rescale_to((0, n - 1), (0, n), float(weights.v[n - 1]))
 
-    for face in domain.faces():
-        i, j, k, l = face
-        g = float(minkowski_inner(out[j], out[l]))
-        if abs(g) <= tol(scale2):
-            raise DegenerateEdge(f"vanishing diagonal product on face {face}")
-        aij = weights.value((i, j))
-        ail = weights.value((i, l))
-        out[k] = out[i] + ((aij - ail) / g) * (out[j] - out[l])
+    face = moutard_fill(out, weights.u, weights.v, tol(scale2))
+    if face is not None:
+        m, n = face
+        raise DegenerateEdge("vanishing diagonal product on face "
+                             f"{((m, n), (m + 1, n), (m + 1, n + 1), (m, n + 1))}")
 
-    worst = max(float(np.abs(minkowski_inner(Fi, Fj) - a).max())
-                for (Fi, Fj), a in zip(edge_stacks(out.data), weights.stacks()))
-    if worst > tol(1.0 + weights.max_abs() + float(np.abs(out.data).max()) ** 2):
+    worst = max(float(np.abs(minkowski_inner(Fi, Fj) - a).max(initial=0.0))
+                for (Fi, Fj), a in zip(edge_stacks(out), weights.stacks()))
+    if worst > tol(1.0 + weights.max_abs() + float(np.abs(out).max()) ** 2):
         raise DegenerateEdge(
             f"normalized lifts miss the prescribed edge products by {worst:.3g}; "
             "the weights are not a factorizer of this net")
-    return out
+    return VertexField(lifts.domain, out)
 
 
 def moutard_check(lifts: VertexField):
@@ -243,7 +275,7 @@ def moutard_check(lifts: VertexField):
     D = np.stack([F[:, :, 2] - F[:, :, 0], F[:, :, 1] - F[:, :, 3]], axis=2)
     s = np.linalg.svd(D, compute_uv=False)
     # s[1] <= s[0], so a face with s[0] = 0 contributes 0
-    worst = float((s[..., 1] / np.where(s[..., 0] > 0, s[..., 0], 1.0)).max())
+    worst = float((s[..., 1] / np.where(s[..., 0] > 0, s[..., 0], 1.0)).max(initial=0.0))
     return worst <= tol(1.0), worst
 
 
@@ -285,17 +317,7 @@ def vertex_star_cospherical(lifts: VertexField, center) -> StarReport:
     if dia_ok:
         s = np.linalg.svd(Vd, compute_uv=False)
         if s[3] / s[0] > tol(1.0):  # span is exactly 4-dimensional
-            # unit spacelike Minkowski normal of the span
-            from .minkowski import SIGNATURE
-
-            _, _, vt = np.linalg.svd(Vd * SIGNATURE)
-            normal = vt[-1]
-            nn = float(norm2(normal))
-            if nn > tol(1.0):
-                sphere = normal / np.sqrt(nn)
-                k = int(np.argmax(np.abs(sphere)))
-                if sphere[k] < 0:
-                    sphere = -sphere
+            sphere = span_normal(Vd)
     return StarReport(dia_ok, axi_ok, sphere, dgap, agap)
 
 
@@ -361,7 +383,7 @@ def holonomy_residual(net: IsothermicNet, lams) -> float:
                               edge_connections(net, float(lam), reverse=True))
         # around the face (i, j, k, l): C(ij) C(jk) C(kl) C(li)
         M = Cu[:, :-1] @ Cv[1:] @ Ru[:, 1:] @ Rv[:-1]
-        worst = max(worst, float(np.abs(M - eye).max()))
+        worst = max(worst, float(np.abs(M - eye).max(initial=0.0)))
     return worst
 
 
@@ -410,7 +432,7 @@ def calapso(net: IsothermicNet, mu: float, basepoint=None) -> tuple[CalapsoFrame
     """
     domain = net.domain
     if basepoint is None:
-        basepoint = (domain.m1, domain.n1)
+        basepoint = (0, 0)
     base = domain.index(basepoint)
     along, against = edge_connections(net, mu), edge_connections(net, mu, reverse=True)
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ModelMismatch
+from .grids import face_stack
 from .minkowski import (
     METRIC,
     SIGNATURE,
@@ -89,6 +90,11 @@ def _curved_chart(Q, lifts, model, pole_tol):
     return coords[..., 0:3] / den[..., None], good
 
 
+def _vertices(mask):
+    """The vertices where a (rows, cols) mask holds, in row-major order."""
+    return [(int(m), int(n)) for m, n in np.argwhere(mask)]
+
+
 @dataclass
 class ExportReport:
     path: str
@@ -130,27 +136,20 @@ def export_obj(net: IsothermicNet, Q, model: str, path, clamp: float = 1e6,
         coords, good = _curved_chart(Q, lifts, model, pole_tol)
 
     dom = net.domain
-    flagged = []
-    lines = []
-    for m in range(dom.rows):
-        for n in range(dom.cols):
-            xyz = coords[m, n]
-            if not good[m, n]:
-                norm = np.linalg.norm(xyz)
-                direction = xyz / norm if norm > 0 else np.array([1.0, 0.0, 0.0])
-                xyz = clamp * direction
-                flagged.append(((m + dom.m1, n + dom.n1), "unplaceable in chart"))
-            lines.append("v " + " ".join(format_float(c) for c in xyz))
+    # clamp each unplaceable vertex to ``clamp`` times its direction (or e1);
+    # the batched dot product is the one np.linalg.norm takes of one vertex
+    norm = np.sqrt((coords[..., None, :] @ coords[..., :, None])[..., 0])
+    direction = np.where(norm > 0, coords / np.where(norm > 0, norm, 1.0), [1.0, 0.0, 0.0])
+    xyz = np.where(good[..., None], coords, clamp * direction)
+    flagged = [(v, "unplaceable in chart") for v in _vertices(~good)]
     if model == "poincare":
         radii = np.linalg.norm(coords, axis=-1)
-        for m in range(dom.rows):
-            for n in range(dom.cols):
-                if good[m, n] and radii[m, n] >= 1.0 - pole_tol:
-                    flagged.append(((m + dom.m1, n + dom.n1), "on or past the ideal boundary"))
+        flagged += [(v, "on or past the ideal boundary")
+                    for v in _vertices(good & (radii >= 1.0 - pole_tol))]
 
-    for face in dom.faces():
-        ids = [1 + (v[0] - dom.m1) * dom.cols + (v[1] - dom.n1) for v in face]
-        lines.append("f " + " ".join(str(i) for i in ids))
+    ids = face_stack(1 + np.arange(dom.rows * dom.cols).reshape(dom.rows, dom.cols))
+    lines = ["v " + " ".join(format_float(c) for c in row) for row in xyz.reshape(-1, 3)]
+    lines += ["f " + " ".join(map(str, quad)) for quad in ids.reshape(-1, 4)]
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
 

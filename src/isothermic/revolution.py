@@ -32,6 +32,7 @@ from .errors import (
     AxisPoint,
     ConstraintViolated,
     DegenerateBasis,
+    GeometryError,
     InfinityBoundary,
     RepeatedPoint,
     VanishingX,
@@ -152,7 +153,7 @@ def _assemble_net(M, profile: RotationProfile, alpha: float) -> IsothermicNet:
     k = M.shape[0]
     plane = profile.plane_points()
     count = plane.shape[0]
-    domain = GridDomain(0, k - 1, 0, count - 1)
+    domain = GridDomain(k, count)
     signs = (-1.0) ** np.arange(k)
     lifts = np.zeros((k, count, 5))
     lifts[:, :, 0] = M[:, None, 0]
@@ -164,10 +165,8 @@ def _assemble_net(M, profile: RotationProfile, alpha: float) -> IsothermicNet:
     u = alpha * (-1.0 - inner3(M[1:], M[:-1]))
     dphi = np.diff(profile.angles)
     v = alpha * (-2.0) * np.sin(dphi / 2.0) ** 2
-    net = IsothermicNet(domain, VertexField(domain, lifts),
-                        EdgeFunction(domain, u, v))
-    net.revolution = RevolutionStructure(profile, M.copy(), alpha)
-    return net
+    return IsothermicNet(domain, VertexField(domain, lifts), EdgeFunction(domain, u, v),
+                         revolution=RevolutionStructure(profile, M.copy(), alpha))
 
 
 @dataclass
@@ -423,14 +422,54 @@ def build_revolution_cmc(Q, H: float, M0, M1, steps_each_dir: int,
 
     profile = angles if isinstance(angles, RotationProfile) else RotationProfile(angles)
     net = _assemble_net(meridian.points, profile, alpha)
-    dom = net.domain
 
     Q5 = embed_lorentz3(Q)
     S5 = embed_lorentz3(meridian.spheres)  # (k, 5)
     qf = (net.lifts.data * SIGNATURE * Q5).sum(-1)  # <Q, F> per vertex
     Z = S5[:, None, :] - alpha * qf[:, :, None] * net.lifts.data
-    coeffs = np.zeros((dom.rows, dom.cols, 2, 5))
-    coeffs[:, :, 0, :] = Q5
-    coeffs[:, :, 1, :] = Z
-    quantity = ConservedQuantity(net, coeffs)
-    return net, quantity
+    return net, ConservedQuantity.linear(net, Q5, Z)
+
+
+def default_space_form(kappa: float) -> np.ndarray:
+    """Ambient vector of the Lorentz 3-space with curvature kappa = -|Q|^2:
+    the flat (1, 0, -1), or a spacelike or timelike axis vector."""
+    if abs(kappa) < 1e-15:
+        return np.array([1.0, 0.0, -1.0])
+    if kappa < 0:
+        return np.array([0.0, 0.0, np.sqrt(-kappa)])
+    return np.array([np.sqrt(kappa), 0.0, 0.0])
+
+
+def find_seed_edge(Q, H):
+    """First admissible seed edge (M0, M1, branch) of a deterministic scan:
+    both points off the infinity boundary, a solvable :func:`seed_edge` and
+    a positive propagation gate 1 - 2cH - c^2 kappa.
+
+    Raises
+    ------
+    GeometryError
+        If no scanned edge is admissible.
+    """
+    candidates = []
+    for eta0 in (0.0, 0.15, -0.2, 0.3):
+        for rho0 in (1.0, 0.8, 1.3, 0.6):
+            for deta in (0.25, 0.4, 0.15):
+                for drho in (0.1, -0.15, 0.3, 0.0):
+                    candidates.append((eta0, rho0, eta0 + deta, rho0 + drho))
+    kappa = -float(norm3(Q))
+    for eta0, rho0, eta1, rho1 in candidates:
+        if rho1 <= 0.05:
+            continue
+        M0 = hyperbolic_point(eta0, rho0)
+        M1 = hyperbolic_point(eta1, rho1)
+        if abs(inner3(Q, M0)) < 1e-6 or abs(inner3(Q, M1)) < 1e-6:
+            continue
+        try:
+            sols = seed_edge(Q, H, M0, M1)
+        except GeometryError:
+            continue
+        for branch, sol in enumerate(sols):
+            gate = 1.0 - 2.0 * sol.edge_weight * H - sol.edge_weight ** 2 * kappa
+            if gate > 1e-6:
+                return M0, M1, branch
+    raise GeometryError("no admissible seed edge found for these (H, kappa)")

@@ -109,7 +109,7 @@ def darboux_propagate(net: IsothermicNet, mu: float, start, basepoint=None) -> D
     """
     dom = net.domain
     if basepoint is None:
-        basepoint = (dom.m1, dom.n1)
+        basepoint = (0, 0)
     start = np.asarray(start, dtype=float)
     s2 = float(np.dot(start, start))
     if abs(norm2(start)) > tol(s2):
@@ -154,7 +154,7 @@ def backlund_init(cq: ConservedQuantity, mu: float, s: float, basepoint=None) ->
     """
     net = cq.net
     if basepoint is None:
-        basepoint = (net.domain.m1, net.domain.n1)
+        basepoint = (0, 0)
     P = mp_eval(cq.at(basepoint), mu)
     p2 = float(norm2(P))
     scale = float(np.dot(P, P))

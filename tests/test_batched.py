@@ -25,6 +25,7 @@ from isothermic.conserved import (
 )
 from isothermic.errors import (
     CoincidentTransforms,
+    DegenerateEdge,
     DegeneratePoints,
     GeometryError,
     NonConcircularFace,
@@ -34,7 +35,8 @@ from isothermic.errors import (
     NotParallel,
     PoleParameter,
 )
-from isothermic.grids import EdgeFunction, GridDomain, VertexField
+from isothermic.euclidean import EuclideanNet, christoffel
+from isothermic.grids import EdgeFunction, GridDomain, VertexField, edge_stacks
 from isothermic.minkowski import (
     Q_EUCLIDEAN,
     SIGNATURE,
@@ -50,6 +52,9 @@ from isothermic.nets import (
     edge_connection,
     edge_connections,
     face_regularity,
+    holonomy_residual,
+    moutard_check,
+    moutard_lift,
     verify_isothermic,
 )
 from isothermic.tolerances import tol
@@ -257,10 +262,11 @@ def test_lcq_solve_grid_reproduces_cylinder_quantity():
         np.testing.assert_allclose(sol.coeffs[:, :, 0], expected.coeffs[:, :, 0], atol=0)
 
 
-def test_stack_edge_labels_follow_domain_offsets():
-    dom = GridDomain(2, 5, -1, 3)
-    assert dom.stack_edge(0, (0, 0)) == ((2, -1), (3, -1))
-    assert dom.stack_edge(1, (3, 3)) == ((5, 2), (5, 3))
+def test_stack_edge_labels_are_array_indices():
+    dom = GridDomain(4, 5)
+    assert dom.stack_edge(0, (0, 0)) == ((0, 0), (1, 0))
+    assert dom.stack_edge(1, (3, 3)) == ((3, 3), (3, 4))
+    assert dom.stack_edge(0, (np.int64(2), np.int64(4))) == ((2, 4), (3, 4))
 
 
 # --- propagators and transforms against breadth-first, per-vertex references ---
@@ -282,8 +288,8 @@ def bfs_tree(dom, base):
 
 
 def as_array(dom, values):
-    return np.stack([np.stack([values[(m, n)] for n in range(dom.n1, dom.n2 + 1)])
-                     for m in range(dom.m1, dom.m2 + 1)])
+    return np.stack([np.stack([values[(m, n)] for n in range(dom.cols)])
+                     for m in range(dom.rows)])
 
 
 def ref_calapso_frames(net, mu, base):
@@ -419,11 +425,11 @@ def assert_same(got, ref, rtol=1e-12):
 PATCH_SHAPES = [(1, 4), (4, 1), (2, 5), (5, 2), (3, 4)]
 
 
-def block(net, shape, offset=(0, 0), coeffs=None):
+def block(net, shape, coeffs=None):
     """The top-left ``shape`` block of a net (and of a quantity's
-    coefficients), relabelled to start at vertex ``offset``."""
+    coefficients)."""
     rows, cols = shape
-    dom = GridDomain(offset[0], offset[0] + rows - 1, offset[1], offset[1] + cols - 1)
+    dom = GridDomain(rows, cols)
     patch = IsothermicNet(dom, VertexField(dom, net.lifts.data[:rows, :cols]),
                           EdgeFunction(dom, net.weights.u[:rows - 1], net.weights.v[:cols - 1]))
     if coeffs is None:
@@ -431,17 +437,17 @@ def block(net, shape, offset=(0, 0), coeffs=None):
     return patch, coeffs[:rows, :cols]
 
 
-def net_with_quantity(seed, shape, kind, offset):
+def net_with_quantity(seed, shape, kind):
     """A net of the given kind and shape with a conserved quantity's
     coefficients (None for Moutard nets, which carry none in general)."""
     rng = np.random.default_rng(seed)
     full = (max(shape[0], 2), max(shape[1], 2))
     if kind == "moutard":
-        return block(catalog.random_moutard_net(rng, *full), shape, offset)
+        return block(catalog.random_moutard_net(rng, *full), shape)
     cyl = catalog.cylinder_net(*full, rng.uniform(0.2, 0.8), rng.uniform(0.4, 1.2))
     cq = catalog.cylinder_quantity(cyl)
     if kind == "cylinder":
-        return block(cyl, shape, offset, cq.coeffs)
+        return block(cyl, shape, cq.coeffs)
     w = np.concatenate([cyl.weights.u, cyl.weights.v])
     for _ in range(100):
         mu = rng.uniform(-2.0, 2.0)
@@ -450,7 +456,7 @@ def net_with_quantity(seed, shape, kind, offset):
         t = darboux_propagate(cyl, mu, rng.uniform(0.5, 2.0) * euclidean_lift(
             rng.uniform(-2.0, 2.0, 3)))
         if face_regularity(t.net().lifts) >= 5e-3:
-            return block(t.net(), shape, offset, pcq_darboux(cq, t).coeffs)
+            return block(t.net(), shape, pcq_darboux(cq, t).coeffs)
     raise AssertionError("could not draw a regular Darboux transform")
 
 
@@ -462,20 +468,19 @@ def admissible_mu(net, mu):
 
 
 def basepoint(dom, where):
-    return {"corner": (dom.m1, dom.n1), "centre": dom.center(),
-            "far corner": (dom.m2, dom.n2)}[where]
+    return {"corner": (0, 0), "centre": dom.center(),
+            "far corner": (dom.rows - 1, dom.cols - 1)}[where]
 
 
 PATCHES = st.tuples(st.integers(0, 10 ** 6), st.sampled_from(PATCH_SHAPES),
-                    st.sampled_from(["cylinder", "moutard", "darboux"]),
-                    st.sampled_from([(0, 0), (0, 0), (3, -2)]))
+                    st.sampled_from(["cylinder", "moutard", "darboux"]))
 
 
 @settings(max_examples=40, deadline=None)
 @given(PATCHES, st.sampled_from(["corner", "centre", "far corner"]), st.floats(-2.0, 2.0))
 def test_propagators_match_bfs_references(drawn, where, mu):
-    seed, shape, kind, offset = drawn
-    net, coeffs = net_with_quantity(seed, shape, kind, offset)
+    seed, shape, kind = drawn
+    net, coeffs = net_with_quantity(seed, shape, kind)
     base = basepoint(net.domain, where)
     mu = admissible_mu(net, mu)
     assert_same(outcome(lambda: calapso(net, mu, base)[0].frames.data),
@@ -500,8 +505,8 @@ def test_propagators_match_bfs_references(drawn, where, mu):
 @given(PATCHES.filter(lambda d: d[2] != "moutard"), st.floats(-3.0, -0.5),
        st.floats(-3.0, -0.5), st.floats(0.0, 0.7))
 def test_quantity_transforms_match_vertex_references(drawn, mu1, mu2, s):
-    seed, shape, kind, offset = drawn
-    net, coeffs = net_with_quantity(seed, shape, kind, offset)
+    seed, shape, kind = drawn
+    net, coeffs = net_with_quantity(seed, shape, kind)
     cq = ConservedQuantity(net, coeffs)
     rng = np.random.default_rng(seed)
     mu = admissible_mu(net, float(rng.uniform(0.3, 0.6)))
@@ -531,14 +536,14 @@ def test_quantity_transforms_match_vertex_references(drawn, mu1, mu2, s):
 # --- the same errors, naming where they happen ---------------------------------
 
 
-def offset_cylinder(rows=4, cols=5):
-    return block(catalog.cylinder_net(rows, cols, 0.5, 0.9), (rows, cols), (2, -1))[0]
+def small_cylinder():
+    return catalog.cylinder_net(4, 5, 0.5, 0.9)
 
 
 def test_pole_edge_is_named():
-    net = offset_cylinder()
+    net = small_cylinder()
     mu = 1.0 / net.weights.v[0]
-    first_pole = ((2, -1), (2, 0))
+    first_pole = ((0, 0), (0, 1))
     for run in (lambda: calapso(net, mu),
                 lambda: darboux_propagate(net, mu, euclidean_lift([3.0, 0.5, 0.2]))):
         with pytest.raises(PoleParameter, match=re.escape(f"is a pole of edge {first_pole}")):
@@ -553,27 +558,27 @@ def moved(net, vertex, by=1e-6):
 
 
 def test_path_dependence_names_the_worst_edge():
-    net = moved(offset_cylinder(), (3, 1))
+    net = moved(small_cylinder(), (1, 2))
     with pytest.raises(NotFlat) as got:
         calapso(net, 0.4)
     with pytest.raises(NotFlat) as ref:
-        ref_calapso_frames(net, 0.4, (2, -1))
+        ref_calapso_frames(net, 0.4, (0, 0))
     assert str(got.value).startswith("path dependence")
     assert str(got.value).endswith(str(ref.value))
     start = euclidean_lift([3.0, 0.5, 0.2])
     with pytest.raises(NotParallel) as got:
-        darboux_propagate(net, 0.4, start, (5, 3))
+        darboux_propagate(net, 0.4, start, (3, 4))
     with pytest.raises(NotParallel) as ref:
-        ref_darboux_lifts(net, 0.4, start, (5, 3))
+        ref_darboux_lifts(net, 0.4, start, (3, 4))
     assert str(got.value).startswith("Darboux propagation is path dependent")
     assert str(got.value).endswith(str(ref.value))
     cq = catalog.cylinder_quantity(catalog.cylinder_net(4, 5, 0.5, 0.9))
-    with pytest.raises(NotConserved, match=re.escape("transport across ((3, 0), (3, 1))")):
-        pcq_propagate(net, cq.coeffs[0, 0], (2, -1))
+    with pytest.raises(NotConserved, match=re.escape("transport across ((1, 1), (1, 2))")):
+        pcq_propagate(net, cq.coeffs[0, 0], (0, 0))
 
 
 def test_backlund_start_off_the_conic_names_the_worst_vertex():
-    net = offset_cylinder()
+    net = small_cylinder()
     cq = ConservedQuantity(net, catalog.cylinder_quantity(
         catalog.cylinder_net(4, 5, 0.5, 0.9)).coeffs)
     t = darboux_propagate(net, -1.0, euclidean_lift([3.0, 0.5, 0.2]))
@@ -586,12 +591,140 @@ def test_backlund_start_off_the_conic_names_the_worst_vertex():
 
 
 def test_coincident_transforms_name_the_vertex():
-    net = offset_cylinder()
+    net = small_cylinder()
     first = darboux_propagate(net, -1.0, euclidean_lift([3.0, 0.5, 0.2]))
     data = darboux_propagate(net, -0.5, euclidean_lift([2.0, -1.0, 0.4])).lifts.data.copy()
-    data[net.domain.index((4, 2))] = 2.0 * first.lifts[(4, 2)]
+    data[net.domain.index((2, 3))] = 2.0 * first.lifts[(2, 3)]
     second = DarbouxTransform(-0.5, VertexField(net.domain, data), net)
     for run in (lambda: bianchi(net, first, second),
                 lambda: ref_bianchi_lifts(net, first, second)):
-        with pytest.raises(CoincidentTransforms, match=r"at \(4, 2\)"):
+        with pytest.raises(CoincidentTransforms, match=r"at \(2, 3\)"):
             run()
+
+
+# --- nets without faces ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("shape", [(1, 4), (4, 1)])
+def test_faceless_nets_pass_the_face_checks(shape):
+    net, _ = block(catalog.cylinder_net(4, 4, 0.5, 0.9), shape)
+    assert net.validate() <= tol(1.0)
+    assert holonomy_residual(net, [0.3, -1.2]) == 0.0
+    assert moutard_check(net.lifts) == (True, 0.0)
+    assert face_regularity(net.lifts) == np.inf
+    report = verify_isothermic(net.lifts, strict=False)
+    assert not report.ok and report.reason == "need at least one face"
+    with pytest.raises(GeometryError, match="need at least one face"):
+        verify_isothermic(net.lifts)
+    # the dual is integrated from 0 along the edges w = -(a / |df|^2) df
+    points = EuclideanNet.from_isothermic(net).points.data
+    dual = christoffel(EuclideanNet.from_isothermic(net)).points.data
+    assert np.array_equal(dual[0, 0], np.zeros(3))
+    for (fi, fj), (gi, gj), a in zip(edge_stacks(points), edge_stacks(dual),
+                                     net.weights.stacks()):
+        df = fj - fi
+        np.testing.assert_allclose(gj - gi, -(a / (df * df).sum(-1))[..., None] * df,
+                                   rtol=1e-12, atol=1e-15)
+
+
+# --- the Moutard fill against a face-by-face loop -------------------------------
+
+
+def ref_fill(F, u, v, g_ok, f_ok=lambda Fk: True):
+    """Fill F through the Moutard equation one face at a time, in row-major
+    order; returns the first face whose product g or new lift fails."""
+    rows, cols = F.shape[:2]
+    for m in range(rows - 1):
+        for n in range(cols - 1):
+            g = float(minkowski_inner(F[m + 1, n], F[m, n + 1]))
+            if not g_ok(g):
+                return m, n
+            F[m + 1, n + 1] = F[m, n] + ((u[m] - v[n]) / g) * (F[m + 1, n] - F[m, n + 1])
+            if not f_ok(F[m + 1, n + 1]):
+                return m, n
+    return None
+
+
+def ref_random_moutard_net(rng, rows, cols):
+    for _ in range(50):
+        pts = rng.uniform(-1.0, 1.0, size=(rows + cols, 3))
+        scales = rng.uniform(0.5, 2.0, size=rows + cols)
+        F = np.zeros((rows, cols, 5))
+        for m in range(rows):
+            F[m, 0] = scales[m] * euclidean_lift(pts[m])
+        for n in range(1, cols):
+            F[0, n] = scales[rows + n] * euclidean_lift(pts[rows + n])
+        u = np.array([float(minkowski_inner(F[m, 0], F[m + 1, 0])) for m in range(rows - 1)])
+        v = np.array([float(minkowski_inner(F[0, n], F[0, n + 1])) for n in range(cols - 1)])
+        if np.any(np.abs(u) < 1e-3) or np.any(np.abs(v) < 1e-3):
+            continue
+        if ref_fill(F, u, v, lambda g: abs(g) >= 1e-6,
+                    lambda Fk: np.abs(Fk).max() <= 1e3) is None:
+            return F, u, v
+    raise DegenerateEdge("could not draw a non-degenerate random net")
+
+
+def ref_moutard_lift(lifts, weights):
+    F = lifts.data
+    rows, cols = F.shape[:2]
+    out = np.zeros_like(F)
+    out[0, 0] = F[0, 0]
+    floor = tol(float(np.abs(F).max()) ** 2)
+    boundary = ([((m - 1, 0), (m, 0), weights.u[m - 1]) for m in range(1, rows)]
+                + [((0, n - 1), (0, n), weights.v[n - 1]) for n in range(1, cols)])
+    for prev, cur, a in boundary:
+        g = float(minkowski_inner(out[prev], F[cur]))
+        if abs(g) <= floor:
+            raise DegenerateEdge(f"vanishing inner product on edge {(prev, cur)}")
+        out[cur] = F[cur] * (a / g)
+    face = ref_fill(out, weights.u, weights.v, lambda g: abs(g) > floor)
+    if face is not None:
+        m, n = face
+        raise DegenerateEdge("vanishing diagonal product on face "
+                             f"{((m, n), (m + 1, n), (m + 1, n + 1), (m, n + 1))}")
+    return out
+
+
+def assert_bitwise(got, ref):
+    """Equal arrays, or the same DegenerateEdge message."""
+    if isinstance(ref, Exception):
+        assert isinstance(got, DegenerateEdge) and str(got) == str(ref)
+    else:
+        assert not isinstance(got, Exception)
+        for g, r in zip(got, ref):
+            assert np.array_equal(g, r)
+
+
+def raised(fn):
+    try:
+        return fn()
+    except DegenerateEdge as exc:
+        return exc
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(2, 8), st.integers(2, 8))
+def test_moutard_fill_matches_face_loop(seed, rows, cols):
+    def library():
+        net = catalog.random_moutard_net(np.random.default_rng(seed), rows, cols)
+        return net.lifts.data, net.weights.u, net.weights.v
+
+    got = raised(library)
+    assert_bitwise(got, raised(lambda: ref_random_moutard_net(
+        np.random.default_rng(seed), rows, cols)))
+    if isinstance(got, Exception):
+        return
+    dom = GridDomain(rows, cols)
+    weights = EdgeFunction(dom, got[1], got[2])
+    scales = np.random.default_rng(seed + 1).uniform(0.3, 3.0, (rows, cols))
+    lifts = VertexField(dom, got[0] * scales[..., None])
+    assert_bitwise(raised(lambda: (moutard_lift(lifts, weights).data,)),
+                   raised(lambda: (ref_moutard_lift(lifts, weights),)))
+    # the same point at the corners j and l of face (0, 0) make <F_j, F_l> vanish
+    data = lifts.data.copy()
+    data[1, 0] = 2.0 * data[0, 1]
+    lifts = VertexField(dom, data)
+    with pytest.raises(DegenerateEdge, match=re.escape("face ((0, 0), (1, 0), (1, 1), (0, 1))")):
+        moutard_lift(lifts, weights)
+    assert_bitwise(raised(lambda: moutard_lift(lifts, weights)),
+                   raised(lambda: ref_moutard_lift(lifts, weights)))

@@ -5,9 +5,10 @@ import pytest
 
 from isothermic import catalog
 from isothermic.cli import main
-from isothermic.grids import VertexField
+from isothermic.grids import EdgeFunction, GridDomain, VertexField
 from isothermic.minkowski import euclidean_lift, euclidean_point
 from isothermic.netfile import load_net, save_net
+from isothermic.nets import IsothermicNet
 
 
 def run(args):
@@ -224,3 +225,26 @@ def test_classify_spherical(tmp_path, capsys):
     save_net(path, net)
     assert run(["classify", path]) == 0
     assert "type: 0 (spherical)" in capsys.readouterr().out
+
+
+def test_classify_small_cylinder(tmp_path, capsys):
+    net = catalog.cylinder_net(2, 2, 0.5, 0.9)
+    path = tmp_path / "square.json"
+    save_net(path, net, [catalog.cylinder_quantity(net)])
+    assert run(["classify", path]) == 0
+    assert "type: 0 (spherical)" in capsys.readouterr().out
+
+
+def test_faceless_net_file(tmp_path, capsys):
+    cyl = catalog.cylinder_net(2, 4, 0.5, 0.9)
+    dom = GridDomain(1, 4)
+    path = tmp_path / "row.json"
+    save_net(path, IsothermicNet(dom, VertexField(dom, cyl.lifts.data[:1]),
+                                 EdgeFunction(dom, [], cyl.weights.v)))
+    assert run(["verify", path]) == 2
+    assert "need at least one face" in capsys.readouterr().out
+    assert run(["classify", path]) == 0
+    assert "type: 0 (spherical)" in capsys.readouterr().out
+    dual = tmp_path / "dual.json"
+    assert run(["transform", "christoffel", path, "-o", dual]) == 0
+    assert load_net(dual)[0].domain == dom

@@ -24,13 +24,14 @@ from isothermic.errors import (
     NotConserved,
     SphericalStar,
 )
-from isothermic.grids import VertexField
+from isothermic.grids import EdgeFunction, GridDomain, VertexField
 from isothermic.minkowski import (
     Q_EUCLIDEAN,
     SIGNATURE,
     minkowski_inner,
+    norm2,
 )
-from isothermic.nets import moutard_check
+from isothermic.nets import IsothermicNet, moutard_check
 from isothermic.polyvec import mp_eval, mp_scale_poly
 
 ETA, PHI = 0.3, np.pi / 4
@@ -179,6 +180,19 @@ def test_classify_type():
     assert rep.min_degree is None and rep.degenerate_present
 
 
+def test_classify_type_fewer_than_five_vertices():
+    cyl = catalog.cylinder_net(2, 4, 0.5, 0.9)
+    row = GridDomain(1, 4)
+    for net in (catalog.cylinder_net(2, 2, 0.5, 0.9),
+                IsothermicNet(row, VertexField(row, cyl.lifts.data[:1]),
+                              EdgeFunction(row, [], cyl.weights.v))):
+        rep = classify_type(net)
+        assert rep.spherical and rep.min_degree == 0
+        # a unit spacelike sphere vector through every vertex
+        assert float(norm2(rep.sphere)) == pytest.approx(1.0, rel=1e-12)
+        assert np.abs(minkowski_inner(net.lifts.data, rep.sphere)).max() < 1e-12
+
+
 def test_lcq_solve_3x3_cylinder_patch():
     net, cq = cylinder_with_quantity(3, 3)
     sol = lcq_solve_3x3(net, Q_EUCLIDEAN)
@@ -256,7 +270,7 @@ def test_lcq_solve_grid_inconsistent(rng):
 
 def test_superposition():
     net, cq = cylinder_with_quantity(5, 3, n_start=-1)
-    zz = catalog.zigzag_quantity_on(net)
+    zz = catalog.zigzag_quantity(net)
     assert pcq_verify(net, zz).max_residual < 1e-12
     combo = ConservedQuantity(net, 0.7 * cq.coeffs - 1.3 * zz.coeffs, check=False)
     assert pcq_verify(net, combo).max_residual < 1e-12

@@ -92,8 +92,7 @@ def test_export_poincare(tmp_path):
     coords = np.array([[float(x) for x in line.split()[1:]]
                        for line in path.read_text().splitlines()
                        if line.startswith("v ")])
-    flagged_ids = {(v[0] - net.domain.m1) * net.domain.cols + (v[1] - net.domain.n1)
-                   for v, _ in report.flagged}
+    flagged_ids = {v[0] * net.domain.cols + v[1] for v, _ in report.flagged}
     inside = [i for i in range(len(coords)) if i not in flagged_ids]
     assert np.all(np.linalg.norm(coords[inside], axis=1) < 1.0)
 

@@ -1,6 +1,8 @@
 """Isothermic nets: verification, Moutard lifts, vertex stars, connections,
 and Calapso transforms."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,19 @@ def test_moutard_lift_of_zigzag():
     doubled = EdgeFunction(dom, 2.0 * net.weights.u, 2.0 * net.weights.v)
     rebuilt = moutard_lift(zf, doubled)
     np.testing.assert_allclose(rebuilt.data, Z, atol=1e-12)
+
+
+def test_nets_are_built_once():
+    net = catalog.cylinder_net(3, 4, 0.5, 0.9)
+    assert net.revolution is not None
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        net.revolution = None
+    # equality stays by identity
+    assert net == net and net != catalog.cylinder_net(3, 4, 0.5, 0.9)
+    # the zigzag quantity reads alpha and the column parity off the lifts,
+    # which on a 5-column cylinder do not alternate
+    with pytest.raises(ValueError):
+        catalog.zigzag_quantity(catalog.cylinder_net(3, 5, 0.5, 0.9))
 
 
 def test_moutard_lift_diagonal_parallelism(rng):

@@ -95,7 +95,7 @@ def test_symmetric_pcq_check():
     # a quantity whose ambient vector has a rotation-plane component is not
     # rotationally symmetric
     patch = catalog.cylinder_net(5, 3, 0.3, np.pi / 4, n_start=-1)
-    zz = catalog.zigzag_quantity_on(patch)
+    zz = catalog.zigzag_quantity(patch)
     assert not symmetric_pcq_check(patch, zz)
     # the cylinder's own quantity (flat ambient vector) is symmetric
     assert symmetric_pcq_check(patch, catalog.cylinder_quantity(patch))
