@@ -22,6 +22,7 @@ from .errors import (
     DegenerateTop,
     NonzeroRoot,
     NotConserved,
+    NotNormalized,
     SingularSystem,
     SphericalStar,
 )
@@ -255,12 +256,19 @@ def normalize_top(cq: ConservedQuantity) -> ConservedQuantity:
 
 def mean_curvature_data(cq: ConservedQuantity):
     """(H, kappa) of a normalized linear quantity: H = -<Z, Q> (constant
-    over vertices), kappa = -|Q|^2."""
+    over vertices), kappa = -|Q|^2.
+
+    Raises
+    ------
+    NotNormalized
+        If |top|^2 misses 1 by more than tolerance (for a quantity from the
+        revolution builder: the builder lost that much accuracy).
+    """
     if cq.degree != 1:
         raise ValueError("mean curvature data needs a linear quantity")
     t2 = cq.top_norm2()
     if abs(t2 - 1.0) > tol(1.0):
-        raise ValueError("quantity is not normalized (|top|^2 != 1)")
+        raise NotNormalized(f"quantity is not normalized (|top|^2 - 1 = {t2 - 1.0:.3g})")
     Q = cq.constant
     zq = (cq.coeffs[:, :, 1, :] * SIGNATURE * Q).sum(-1)
     H = -float(zq.mean())

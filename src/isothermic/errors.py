@@ -68,6 +68,11 @@ class DegenerateTop(GeometryError):
     """Top coefficient is isotropic; the quantity cannot be normalized."""
 
 
+class NotNormalized(GeometryError, ValueError):
+    """A linear quantity's top coefficient does not have unit Minkowski
+    square (also a ValueError, as the argument check it replaces)."""
+
+
 class SphericalStar(GeometryError):
     """A vertex star is cospherical, so the star system for the sphere
     congruence is singular."""

@@ -13,6 +13,8 @@ surfaces of revolution maps the Lorentz 3-space onto the component slots
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .errors import (
@@ -110,49 +112,145 @@ def gram_det(vectors):
     return float(np.linalg.det(gram_matrix(V)))
 
 
-def cross_ratios(V):
-    """Cross ratios of stacked quadruples of points: ``V`` has shape
+#: The products <ij> of a quadruple that the face kernel reads: the six
+#: pairs 12, 13, 14, 23, 24, 34, then the squares 11, 22, 33.
+_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 0), (1, 1), (2, 2))
+
+
+class QuadInvariants(NamedTuple):
+    """Per-quadruple results of :func:`quad_invariants`, arrays of shape (...)."""
+
+    q: np.ndarray
+    degeneracy: np.ndarray
+    regularity: np.ndarray
+
+
+def quad_invariants(V) -> QuadInvariants:
+    """Cross ratio, degeneracy and regularity of stacked quadruples of
+    points, all read off the products of one Gram build.  ``V`` has shape
     (..., 4, 5), one quadruple of isotropic representatives per leading
-    index, and the result is a complex array of shape (...).
+    index.
 
-    Computed from pairwise inner products as
+    With <ij> the products of the unit representatives U_i = V_i / |V_i|
+    and
 
-        ( <12><34> - <13><24> + <14><23> + sqrt(det) ) / ( 2 <14><23> ),
+        a = <12><34>,   b = <13><24>,   c = <14><23>,
 
-    where det is the 4x4 determinant of inner products.  The value is
-    independent of the scaling of each representative.  For concircular
-    points the representatives span only three dimensions; the rank test
-    (smallest singular value of the unit representatives) decides
-    concircularity with sensitivity linear in the off-circle distance, and
-    the result is then the unique real cross ratio.  Otherwise det < 0 and
-    the complex value with positive imaginary part is returned (canonical
-    branch).
+    the fields are
+
+    - ``q``: the cross ratio, with real part (a - b + c) / 2c.  The Gram
+      determinant of the quadruple is det = a^2 + b^2 + c^2 - 2ab - 2bc - 2ca,
+      evaluated as (a - b + c)^2 - 4ac, which cancels less; four points off
+      a common circle span four dimensions with det < 0, and the imaginary
+      part is then sqrt(-det) / 2|c| (the canonical branch, positive).
+      Concircularity decides which quadruples get it: U_4 is projected
+      onto the span of U_1, U_2, U_3 with the closed-form inverse (cofactors
+      over determinant) of their Gram matrix M, which for isotropic vectors
+      has zero diagonal and determinant 2<12><13><23>, so that
+
+          R = U_4 - alpha_1 U_1 - alpha_2 U_2 - alpha_3 U_3,
+          alpha_1 = (a + b - c) / 2<12><13>,
+          alpha_2 = (a - b + c) / 2<12><23>,
+          alpha_3 = (b + c - a) / 2<13><23>.
+
+      |R| is linear in the off-circle distance; a quadruple with
+      |R| <= tol(1 + sum |alpha|) is concircular to working precision and
+      keeps a real cross ratio.  M keeps its computed diagonal, so lifts
+      slightly off the light cone that still span three dimensions count
+      as concircular.
+    - ``degeneracy``: min(|a|, |b|, |c|) / max(|a|, |b|, |c|), which is 0
+      exactly when two of the points coincide (two isotropic vectors are
+      orthogonal only when proportional).  a, b and c all scale with the
+      product of the four representatives and are Lorentz invariant, so
+      ``q`` and ``degeneracy`` do not change under rescaling of a
+      representative or a Möbius map of the points.
+    - ``regularity``: min |<ij>| / max |<ij>| over the six pairs.  Three
+      isotropic vectors have Gram determinant 2<12><13><23>, so every triple
+      of the quadruple is in general position exactly when this is
+      positive.  It is rescaling invariant but, through the unit
+      representatives, depends on the chart.
+
+    The products are taken between the given representatives and then
+    divided by the norms, so that exactly representable data (such as lifts
+    of integer points) gives exact products.
 
     Raises
     ------
     DegeneratePoints
-        If a denominator inner product vanishes (coinciding points) in any
-        quadruple.
+        If a representative is zero.
     """
-    V = np.asarray(V, dtype=float)
-    norms = np.linalg.norm(V, axis=-1)
+    # corner-major layout (4, 5, ...): every operation below runs on
+    # contiguous arrays of shape (...)
+    W = np.ascontiguousarray(np.moveaxis(np.asarray(V, dtype=float), (-2, -1), (0, 1)))
+    norms = np.sqrt((W * W).sum(axis=1))
     if np.any(norms == 0.0):
         raise DegeneratePoints("zero representative")
-    U = V / norms[..., None]
-    G = (U * SIGNATURE) @ np.swapaxes(U, -1, -2)
-    g12, g13, g14 = G[..., 0, 1], G[..., 0, 2], G[..., 0, 3]
-    g23, g24, g34 = G[..., 1, 2], G[..., 1, 3], G[..., 2, 3]
-    den = 2.0 * g14 * g23
-    if np.any(np.abs(den) <= tol(1.0)):
-        raise DegeneratePoints("cross ratio denominator vanishes")
-    q = np.array((g12 * g34 - g13 * g24 + g14 * g23) / den, dtype=complex)
-    s = np.linalg.svd(U, compute_uv=False)
-    det = np.linalg.det(G)
-    # a nearly rank-deficient quadruple, or one with nonnegative determinant
-    # noise, is concircular to working precision and keeps a real value
-    off_circle = (s[..., 3] > tol(s[..., 0])) & (det < 0.0)
-    q.imag = np.where(off_circle, np.sqrt(np.abs(det)) / np.abs(den), 0.0)
-    return q
+    WJ = W * SIGNATURE.reshape((5,) + (1,) * (W.ndim - 2))
+    g12, g13, g14, g23, g24, g34, g11, g22, g33 = (
+        (WJ[i] * W[j]).sum(axis=0) / (norms[i] * norms[j]) for i, j in _PAIRS)
+    a, b, c = g12 * g34, g13 * g24, g14 * g23
+    absg, abc = np.abs([g12, g13, g14, g23, g24, g34]), np.abs([a, b, c])
+    regularity = _ratio(absg.min(axis=0), absg.max(axis=0))
+    degeneracy = _ratio(abc.min(axis=0), abc.max(axis=0))
+    # cofactors of M, the Gram matrix of U_1, U_2, U_3
+    m11, m22, m33 = g22 * g33 - g23 * g23, g11 * g33 - g13 * g13, g11 * g22 - g12 * g12
+    m12, m13, m23 = g13 * g23 - g12 * g33, g12 * g23 - g13 * g22, g12 * g13 - g23 * g11
+    # a degenerate quadruple gets an infinite or nan q; callers reject it
+    # by its degeneracy
+    with np.errstate(divide="ignore", invalid="ignore"):
+        n = a - b + c
+        q = np.array(n / (2.0 * c), dtype=complex)
+        det_m = g11 * m11 + g12 * m12 + g13 * m13
+        alpha = [(m11 * g14 + m12 * g24 + m13 * g34) / det_m,
+                 (m12 * g14 + m22 * g24 + m23 * g34) / det_m,
+                 (m13 * g14 + m23 * g24 + m33 * g34) / det_m]
+        U = W / norms[:, None]
+        R = U[3] - sum(x * Uk for x, Uk in zip(alpha, U))
+        det = n * n - 4.0 * a * c
+        off_circle = ((np.sqrt((R * R).sum(axis=0)) > tol(1.0 + sum(np.abs(x) for x in alpha)))
+                      & (det < 0.0))
+        q.imag[off_circle] = np.sqrt(-det[off_circle]) / (2.0 * np.abs(c[off_circle]))
+    return QuadInvariants(q, degeneracy, regularity)
+
+
+def _ratio(lo, hi):
+    """lo / hi for 0 <= lo <= hi, read as 0 where both vanish."""
+    return lo / np.where(hi > 0.0, hi, 1.0)
+
+
+def cross_ratios(V):
+    """Cross ratios of stacked quadruples of points: ``V`` has shape
+    (..., 4, 5), one quadruple of isotropic representatives per leading
+    index, and the result is a complex array of shape (...), the ``q`` of
+    :func:`quad_invariants`.  With a = <12><34>, b = <13><24>, c = <14><23>
+    from the products of the unit representatives,
+
+        q = ( a - b + c + sqrt(det) ) / 2c,   det = a^2 + b^2 + c^2 - 2ab - 2bc - 2ca,
+
+    real for concircular points (the fourth lift in the span of the other
+    three) and otherwise on the branch with positive imaginary part.  The
+    value does not depend on the scaling of each representative.
+
+    Raises
+    ------
+    DegeneratePoints
+        If a representative is zero, or two points of some quadruple
+        coincide: min(|a|, |b|, |c|) <= tol(1) * max(|a|, |b|, |c|).
+    """
+    inv = quad_invariants(V)
+    check_degeneracy(inv.degeneracy)
+    return inv.q
+
+
+def check_degeneracy(degeneracy) -> None:
+    """Raise :class:`DegeneratePoints`, naming the worst quadruple, when some
+    ``degeneracy`` of :func:`quad_invariants` is within tolerance of 0."""
+    degeneracy = np.asarray(degeneracy)
+    if degeneracy.size and degeneracy.min() <= tol(1.0):
+        worst = np.unravel_index(int(np.argmin(degeneracy)), degeneracy.shape)
+        where = f" of quadruple {tuple(map(int, worst))}" if worst else ""
+        raise DegeneratePoints(f"two points{where} coincide "
+                               f"(degeneracy {float(degeneracy.min()):.3g})")
 
 
 def cross_ratio(P1, P2, P3, P4):
@@ -252,8 +350,9 @@ def orthonormal_complement(X):
     Rows w satisfy <w_i, w_j> = +-delta_ij; signs are fixed by making the
     largest component of each direction positive.  The basis comes from a
     Gram-Schmidt pass over the columns of the projector onto the complement;
-    when that pass keeps a nearly dependent column, so that the result is
-    not orthonormal or not orthogonal to X within tolerance, the range is
+    when that pass keeps a nearly dependent column, so that the Minkowski
+    Gram of its rows has an eigenvalue within tolerance of 0 or the result
+    is not orthonormal or not orthogonal to X within tolerance, the range is
     taken from the projector's SVD instead.
     """
     X = np.asarray(X, dtype=float)
@@ -270,12 +369,20 @@ def orthonormal_complement(X):
             basis.append(w)
         if len(basis) == 4:
             break
-    dirs = _minkowski_directions(np.stack(basis))
-    gram_defect = np.abs(np.abs((dirs * SIGNATURE) @ dirs.T) - np.eye(len(dirs))).max()
-    incidence = (np.abs(minkowski_inner(dirs, X))
-                 / (np.linalg.norm(dirs, axis=1) * np.linalg.norm(X)))
-    if len(dirs) != 4 or not max(gram_defect, incidence.max()) <= tol(1.0):
+    # a Gram eigenvalue within a few rounding units of the largest carries no
+    # digits: the pass kept a nearly dependent column
+    dirs = (_minkowski_directions(np.stack(basis), floor=4.0 * np.finfo(float).eps)
+            if len(basis) == 4 else None)
+    if dirs is not None:
+        gram_defect = np.abs(np.abs((dirs * SIGNATURE) @ dirs.T) - np.eye(4)).max()
+        incidence = (np.abs(minkowski_inner(dirs, X))
+                     / (np.linalg.norm(dirs, axis=1) * np.linalg.norm(X)))
+        if not max(gram_defect, incidence.max()) <= tol(1.0):
+            dirs = None
+    if dirs is None:
         dirs = _minkowski_directions(np.linalg.svd(comp)[0][:, :4].T)
+    if dirs is None:
+        raise ValueError("complement basis needs a non-isotropic vector")
     for d in dirs:
         k = int(np.argmax(np.abs(d)))
         if d[k] < 0:
@@ -283,11 +390,15 @@ def orthonormal_complement(X):
     return dirs
 
 
-def _minkowski_directions(B):
+def _minkowski_directions(B, floor=0.0):
     """The rows of B recombined into directions with <w_i, w_j> = +-delta_ij,
-    in ascending order of the Minkowski Gram's eigenvalues."""
+    in ascending order of the Minkowski Gram's eigenvalues; None when some
+    eigenvalue is at most ``floor`` times the largest in absolute value."""
     evals, evecs = np.linalg.eigh((B * SIGNATURE) @ B.T)
-    return (evecs.T @ B) / np.sqrt(np.abs(evals))[:, None]
+    size = np.abs(evals)
+    if size.min() <= floor * size.max():
+        return None
+    return (evecs.T @ B) / np.sqrt(size)[:, None]
 
 
 def span_normal(V):

@@ -36,11 +36,13 @@ from .grids import (
     sweep_propagate,
 )
 from .minkowski import (
+    check_degeneracy,
     cross_ratio,
     cross_ratio_matrix,
     cross_ratios,
     minkowski_inner,
     norm2,
+    quad_invariants,
     span_normal,
 )
 from .tolerances import tol
@@ -118,10 +120,12 @@ def verify_isothermic(lifts: VertexField, *, strict: bool = True) -> IsothermicR
     """Verify that a grid of isotropic lifts is a discrete isothermic net and
     reconstruct its edge weight function.
 
-    Checks regularity (three-point general position on every face), then,
-    face by face, that the four points are concircular (real cross ratio)
-    and that the cross ratios satisfy the product-one condition on every
-    3x3 subgrid, and finally rebuilds the two one-variable weight arrays.
+    One pass of :func:`minkowski.quad_invariants` over the face stack gives
+    every face check: regularity (three-point general position on every
+    face), then distinct points, then, face by face, that the four points
+    are concircular (real cross ratio).  The cross ratios must then satisfy
+    the product-one condition on every 3x3 subgrid, and the two
+    one-variable weight arrays are rebuilt from them.
     The reconstruction is unique up to one global factor; the gauge fixes
     the first vertical value to -1 when every face cross ratio is negative
     (embedded faces) and to +1 otherwise.
@@ -129,6 +133,11 @@ def verify_isothermic(lifts: VertexField, *, strict: bool = True) -> IsothermicR
     Raises (in strict mode)
     -----------------------
     GeometryError, NonConcircularFace, FactorizationFailure
+
+    Raises (in either mode)
+    -----------------------
+    DegeneratePoints
+        If two points of a face coincide.
     """
     domain = lifts.domain
     if domain.rows < 2 or domain.cols < 2:
@@ -137,14 +146,16 @@ def verify_isothermic(lifts: VertexField, *, strict: bool = True) -> IsothermicR
         if strict:
             raise GeometryError(report.reason + f" ({domain.rows}x{domain.cols} grid)")
         return report
-    regularity = face_regularity(lifts)
+    inv = quad_invariants(face_stack(lifts.data))
+    regularity = float(inv.regularity.min())
     if regularity <= tol(1.0):
         report = IsothermicReport(False, None, np.inf, np.inf, np.inf, regularity,
                                   "a face has three nearly dependent lifts")
         if strict:
             raise GeometryError(report.reason + f" (regularity {regularity:.3g})")
         return report
-    q = cross_ratios(face_stack(lifts.data))
+    check_degeneracy(inv.degeneracy)
+    q = inv.q
     ratios = q.real
     max_imag = float((np.abs(q.imag) / (1.0 + np.abs(q))).max())
     if max_imag > tol(1.0):
@@ -180,18 +191,14 @@ def verify_isothermic(lifts: VertexField, *, strict: bool = True) -> IsothermicR
     return report
 
 
-#: The four corner triples of a face, each dropping one corner.
-_FACE_TRIPLES = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
-
-
 def face_regularity(lifts: VertexField) -> float:
-    """Smallest relative third singular value over all face triples (of the
-    unit representatives, so the measure is scaling invariant); a regular
-    net keeps this well above tolerance."""
-    U = face_stack(lifts.data)
-    U = U / np.linalg.norm(U, axis=-1, keepdims=True)
-    s = np.linalg.svd(U[..., _FACE_TRIPLES, :], compute_uv=False)
-    return float((s[..., 2] / s[..., 0]).min(initial=np.inf))
+    """Smallest normalized pairwise product min |<ij>| / max |<ij>| over all
+    faces (the ``regularity`` of :func:`minkowski.quad_invariants`, from
+    unit representatives, so the measure is scaling invariant).  Three
+    isotropic vectors have Gram determinant 2<12><13><23>, so every corner
+    triple of a face is in general position exactly when its six products
+    are away from 0; a regular net keeps this well above tolerance."""
+    return float(quad_invariants(face_stack(lifts.data)).regularity.min(initial=np.inf))
 
 
 def moutard_fill(F, u, v, g_floor: float, f_max: float = np.inf):

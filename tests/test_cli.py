@@ -48,6 +48,25 @@ def test_generate_deterministic(tmp_path):
     assert run(["verify", a]) == 0
 
 
+def test_generate_reports_unnormalized_quantity(tmp_path, capsys):
+    # at 48 meridian steps the builder's quantity drifts off |top|^2 = 1
+    assert run(["generate", "revolution", "--H", 0, "--kappa", -1, "--steps", 48,
+                "--angles", 16, "-o", tmp_path / "net.json"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "|top|^2 - 1 = " in err[0]
+
+
+def test_verify_accepts_calapso_transform(tmp_path, capsys):
+    # the transformed net's faces are small in the unit-representative
+    # normalization; their cross ratios still match the shifted weights
+    net, out = tmp_path / "net.json", tmp_path / "calapso.json"
+    assert run(["generate", "revolution", "--H", 0.5, "--kappa", 0, "--steps", 6,
+                "--angles", 16, "-o", net]) == 0
+    assert run(["transform", "calapso", "--mu", -0.5, net, "-o", out]) == 0
+    assert run(["verify", out]) == 0
+    assert "isothermic: ok" in capsys.readouterr().out
+
+
 def test_verify_perturbed_fixture_exits_2(tmp_path):
     net = catalog.cylinder_net(4, 4, 0.3, np.pi / 4)
     cq = catalog.cylinder_quantity(net)

@@ -1,6 +1,8 @@
 """Light-cone linear algebra: inner products, lifts, cross ratios, circle
 transforms, and the small dense solver."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -174,6 +176,15 @@ def test_cross_ratio_degenerate_points():
         cross_ratio(F, G, H, F)  # <P1, P4> = 0
 
 
+@pytest.mark.parametrize("shift", [10.0, 100.0, 1000.0])
+def test_cross_ratio_of_translated_unit_square(shift):
+    # the products of far-away lifts are tiny against their norms, but the
+    # degeneracy test compares them with each other, not with a fixed floor
+    square = np.array([(0.0, 0, 0), (1.0, 0, 0), (1.0, 1, 0), (0.0, 1, 0)]) + [shift, 0, 0]
+    q = cross_ratio(*euclidean_lift(square))
+    assert q == pytest.approx(-1.0, abs=1e-12)
+
+
 def test_circle_transform_identity_and_eigenvector():
     A = euclidean_lift(np.array([0.0, 0, 0]))
     B = euclidean_lift(np.array([1.0, 0, 0]))
@@ -265,6 +276,22 @@ def test_orthonormal_complement_nearly_dependent_columns():
     # the projector's columns are nearly dependent here; a Gram-Schmidt pass
     # over them kept a direction of Minkowski square 5 instead of 1
     _assert_orthonormal_complement(np.array([-0.33, -0.26, -0.91, 1e-8, 4e-9]))
+
+
+@pytest.mark.parametrize("P", [
+    [3.9393613347655947, 2.0482158939133104, 3.8075586455543196, 4.4468041362270085,
+     -1.0175460680226151e-08],
+    [-0.6406537955007909, -0.1381441032599806, 3.659107670446547, -2.2071300018381513e-13,
+     -1.5223293761379527e-08],
+    [-2.2681786666295567, 2.6953371156845662, -3.9707662707140146, 2.9339034425717078e-08,
+     -1.78932289504532e-08],
+])
+def test_orthonormal_complement_singular_gram_warns_nothing(P):
+    # the Gram-Schmidt pass keeps a column whose Minkowski Gram eigenvalue
+    # is 0; the basis comes from the SVD, without dividing by it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        _assert_orthonormal_complement(np.array(P))
 
 
 @settings(max_examples=50, deadline=None)
