@@ -112,24 +112,17 @@ def gram_det(vectors):
     return float(np.linalg.det(gram_matrix(V)))
 
 
-#: The products <ij> of a quadruple that the face kernel reads: the six
-#: pairs 12, 13, 14, 23, 24, 34, then the squares 11, 22, 33.
-_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 0), (1, 1), (2, 2))
-
-
 class QuadInvariants(NamedTuple):
     """Per-quadruple results of :func:`quad_invariants`, arrays of shape (...)."""
 
     q: np.ndarray
-    degeneracy: np.ndarray
     regularity: np.ndarray
 
 
 def quad_invariants(V) -> QuadInvariants:
-    """Cross ratio, degeneracy and regularity of stacked quadruples of
-    points, all read off the products of one Gram build.  ``V`` has shape
-    (..., 4, 5), one quadruple of isotropic representatives per leading
-    index.
+    """Cross ratio and regularity of stacked quadruples of points, both read
+    off the products of one Gram build.  ``V`` has shape (..., 4, 5), one
+    quadruple of isotropic representatives per leading index.
 
     With <ij> the products of the unit representatives U_i = V_i / |V_i|
     and
@@ -140,13 +133,15 @@ def quad_invariants(V) -> QuadInvariants:
 
     - ``q``: the cross ratio, with real part (a - b + c) / 2c.  The Gram
       determinant of the quadruple is det = a^2 + b^2 + c^2 - 2ab - 2bc - 2ca,
-      evaluated as (a - b + c)^2 - 4ac, which cancels less; four points off
-      a common circle span four dimensions with det < 0, and the imaginary
-      part is then sqrt(-det) / 2|c| (the canonical branch, positive).
-      Concircularity decides which quadruples get it: U_4 is projected
-      onto the span of U_1, U_2, U_3 with the closed-form inverse (cofactors
-      over determinant) of their Gram matrix M, which for isotropic vectors
-      has zero diagonal and determinant 2<12><13><23>, so that
+      which equals (x - y - z)^2 - 4yz for every order x, y, z of a, b, c
+      and is evaluated with x the largest in size, where the square cancels
+      least; four points off a common circle span four dimensions with
+      det < 0, and the imaginary part is then sqrt(-det) / 2|c| (the
+      canonical branch, positive).  Concircularity decides which
+      quadruples get it: U_4 is projected onto the span of U_1, U_2, U_3
+      with the closed-form inverse (cofactors over determinant) of their
+      Gram matrix M, which for isotropic vectors has zero diagonal and
+      determinant 2<12><13><23>, so that
 
           R = U_4 - alpha_1 U_1 - alpha_2 U_2 - alpha_3 U_3,
           alpha_1 = (a + b - c) / 2<12><13>,
@@ -157,65 +152,74 @@ def quad_invariants(V) -> QuadInvariants:
       |R| <= tol(1 + sum |alpha|) is concircular to working precision and
       keeps a real cross ratio.  M keeps its computed diagonal, so lifts
       slightly off the light cone that still span three dimensions count
-      as concircular.
-    - ``degeneracy``: min(|a|, |b|, |c|) / max(|a|, |b|, |c|), which is 0
-      exactly when two of the points coincide (two isotropic vectors are
-      orthogonal only when proportional).  a, b and c all scale with the
-      product of the four representatives and are Lorentz invariant, so
-      ``q`` and ``degeneracy`` do not change under rescaling of a
-      representative or a Möbius map of the points.
-    - ``regularity``: min |<ij>| / max |<ij>| over the six pairs.  Three
-      isotropic vectors have Gram determinant 2<12><13><23>, so every triple
-      of the quadruple is in general position exactly when this is
-      positive.  It is rescaling invariant but, through the unit
-      representatives, depends on the chart.
+      as concircular.  a, b and c all scale with the product of the four
+      representatives and are Lorentz invariant, so ``q`` does not change
+      under rescaling of a representative or a Möbius map of the points.
+    - ``regularity``: min |<ij>| / max |<ij>| over the six pairs.  Two
+      isotropic vectors are orthogonal only when proportional, and three
+      have Gram determinant 2<12><13><23>, so this is 0 exactly when two
+      points coincide and positive exactly when every triple of the
+      quadruple is in general position.  It is quadratic in the side ratio
+      of a thin quadruple, rescaling invariant and, through the unit
+      representatives, chart dependent.  A product no larger than the
+      noise of the products, the lifts' own isotropy defect max |<ii>| plus
+      a few rounding units, cannot tell two points apart and counts as 0.
 
-    The products are taken between the given representatives and then
-    divided by the norms, so that exactly representable data (such as lifts
-    of integer points) gives exact products.
+    The products come from one stacked Gram matrix of the unit
+    representatives.  Each carries a rounding error of a few units, so a
+    quadruple whose products are small against the representatives' norms
+    (small faces far from the origin of the chart) loses digits to it.
 
     Raises
     ------
     DegeneratePoints
         If a representative is zero.
     """
-    # corner-major layout (4, 5, ...): every operation below runs on
-    # contiguous arrays of shape (...)
-    W = np.ascontiguousarray(np.moveaxis(np.asarray(V, dtype=float), (-2, -1), (0, 1)))
-    norms = np.sqrt((W * W).sum(axis=1))
+    V = np.asarray(V, dtype=float)
+    norms = np.linalg.norm(V, axis=-1)
     if np.any(norms == 0.0):
         raise DegeneratePoints("zero representative")
-    WJ = W * SIGNATURE.reshape((5,) + (1,) * (W.ndim - 2))
-    g12, g13, g14, g23, g24, g34, g11, g22, g33 = (
-        (WJ[i] * W[j]).sum(axis=0) / (norms[i] * norms[j]) for i, j in _PAIRS)
+    U = V / norms[..., None]
+    # the products in corner-major layout (4, 4, ...), each a contiguous
+    # array of shape (...)
+    G = np.moveaxis((U * SIGNATURE) @ np.swapaxes(U, -1, -2), (-2, -1), (0, 1)).copy()
+    g12, g13, g14, g23, g24, g34 = G[0, 1], G[0, 2], G[0, 3], G[1, 2], G[1, 3], G[2, 3]
+    g11, g22, g33 = G[0, 0], G[1, 1], G[2, 2]
     a, b, c = g12 * g34, g13 * g24, g14 * g23
-    absg, abc = np.abs([g12, g13, g14, g23, g24, g34]), np.abs([a, b, c])
-    regularity = _ratio(absg.min(axis=0), absg.max(axis=0))
-    degeneracy = _ratio(abc.min(axis=0), abc.max(axis=0))
+    absg = np.abs([g12, g13, g14, g23, g24, g34])
+    gmin, gmax = absg.min(axis=0), absg.max(axis=0)
+    noise = np.abs([g11, g22, g33, G[3, 3]]).max(axis=0) + 8.0 * np.finfo(float).eps
+    regularity = np.where(gmin > noise, gmin, 0.0) / np.where(gmax > 0.0, gmax, 1.0)
     # cofactors of M, the Gram matrix of U_1, U_2, U_3
     m11, m22, m33 = g22 * g33 - g23 * g23, g11 * g33 - g13 * g13, g11 * g22 - g12 * g12
     m12, m13, m23 = g13 * g23 - g12 * g33, g12 * g23 - g13 * g22, g12 * g13 - g23 * g11
     # a degenerate quadruple gets an infinite or nan q; callers reject it
-    # by its degeneracy
+    # by its regularity
     with np.errstate(divide="ignore", invalid="ignore"):
-        n = a - b + c
-        q = np.array(n / (2.0 * c), dtype=complex)
+        q = np.array((a - b + c) / (2.0 * c), dtype=complex)
         det_m = g11 * m11 + g12 * m12 + g13 * m13
         alpha = [(m11 * g14 + m12 * g24 + m13 * g34) / det_m,
                  (m12 * g14 + m22 * g24 + m23 * g34) / det_m,
                  (m13 * g14 + m23 * g24 + m33 * g34) / det_m]
-        U = W / norms[:, None]
-        R = U[3] - sum(x * Uk for x, Uk in zip(alpha, U))
-        det = n * n - 4.0 * a * c
-        off_circle = ((np.sqrt((R * R).sum(axis=0)) > tol(1.0 + sum(np.abs(x) for x in alpha)))
-                      & (det < 0.0))
-        q.imag[off_circle] = np.sqrt(-det[off_circle]) / (2.0 * np.abs(c[off_circle]))
-    return QuadInvariants(q, degeneracy, regularity)
+        R = U[..., 3, :] - sum(w[..., None] * U[..., k, :] for k, w in enumerate(alpha))
+        off = np.sqrt((R * R).sum(axis=-1)) > tol(1.0 + sum(np.abs(w) for w in alpha))
+    if off.any():
+        a, b, c = a[off], b[off], c[off]
+        big_a = (np.abs(a) >= np.abs(b)) & (np.abs(a) >= np.abs(c))
+        big_b = ~big_a & (np.abs(b) >= np.abs(c))
+        x = np.where(big_a, a, np.where(big_b, b, c))
+        y, z = np.where(big_a, b, a), np.where(big_a | big_b, c, b)
+        det = (x - y - z) ** 2 - 4.0 * y * z
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q.imag[off] = np.where(det < 0.0, np.sqrt(np.abs(det)) / (2.0 * np.abs(c)), 0.0)
+    return QuadInvariants(q, regularity)
 
 
-def _ratio(lo, hi):
-    """lo / hi for 0 <= lo <= hi, read as 0 where both vanish."""
-    return lo / np.where(hi > 0.0, hi, 1.0)
+def regularity_tol() -> float:
+    """Largest ``regularity`` of :func:`quad_invariants` that counts as 0:
+    tol(1)^2, since the measure is quadratic in the side ratio of a thin
+    quadruple."""
+    return tol(1.0) ** 2
 
 
 def cross_ratios(V):
@@ -235,22 +239,17 @@ def cross_ratios(V):
     ------
     DegeneratePoints
         If a representative is zero, or two points of some quadruple
-        coincide: min(|a|, |b|, |c|) <= tol(1) * max(|a|, |b|, |c|).
+        coincide: its regularity min |<ij>| / max |<ij>| is at most
+        :func:`regularity_tol`.
     """
     inv = quad_invariants(V)
-    check_degeneracy(inv.degeneracy)
-    return inv.q
-
-
-def check_degeneracy(degeneracy) -> None:
-    """Raise :class:`DegeneratePoints`, naming the worst quadruple, when some
-    ``degeneracy`` of :func:`quad_invariants` is within tolerance of 0."""
-    degeneracy = np.asarray(degeneracy)
-    if degeneracy.size and degeneracy.min() <= tol(1.0):
-        worst = np.unravel_index(int(np.argmin(degeneracy)), degeneracy.shape)
+    regularity = np.asarray(inv.regularity)
+    if regularity.size and regularity.min() <= regularity_tol():
+        worst = np.unravel_index(int(np.argmin(regularity)), regularity.shape)
         where = f" of quadruple {tuple(map(int, worst))}" if worst else ""
         raise DegeneratePoints(f"two points{where} coincide "
-                               f"(degeneracy {float(degeneracy.min()):.3g})")
+                               f"(regularity {float(regularity.min()):.3g})")
+    return inv.q
 
 
 def cross_ratio(P1, P2, P3, P4):
@@ -381,8 +380,6 @@ def orthonormal_complement(X):
             dirs = None
     if dirs is None:
         dirs = _minkowski_directions(np.linalg.svd(comp)[0][:, :4].T)
-    if dirs is None:
-        raise ValueError("complement basis needs a non-isotropic vector")
     for d in dirs:
         k = int(np.argmax(np.abs(d)))
         if d[k] < 0:

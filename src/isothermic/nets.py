@@ -36,13 +36,13 @@ from .grids import (
     sweep_propagate,
 )
 from .minkowski import (
-    check_degeneracy,
     cross_ratio,
     cross_ratio_matrix,
     cross_ratios,
     minkowski_inner,
     norm2,
     quad_invariants,
+    regularity_tol,
     span_normal,
 )
 from .tolerances import tol
@@ -121,9 +121,9 @@ def verify_isothermic(lifts: VertexField, *, strict: bool = True) -> IsothermicR
     reconstruct its edge weight function.
 
     One pass of :func:`minkowski.quad_invariants` over the face stack gives
-    every face check: regularity (three-point general position on every
-    face), then distinct points, then, face by face, that the four points
-    are concircular (real cross ratio).  The cross ratios must then satisfy
+    every face check: regularity (distinct points in three-point general
+    position on every face), then, face by face, that the four points are
+    concircular (real cross ratio).  The cross ratios must then satisfy
     the product-one condition on every 3x3 subgrid, and the two
     one-variable weight arrays are rebuilt from them.
     The reconstruction is unique up to one global factor; the gauge fixes
@@ -133,11 +133,6 @@ def verify_isothermic(lifts: VertexField, *, strict: bool = True) -> IsothermicR
     Raises (in strict mode)
     -----------------------
     GeometryError, NonConcircularFace, FactorizationFailure
-
-    Raises (in either mode)
-    -----------------------
-    DegeneratePoints
-        If two points of a face coincide.
     """
     domain = lifts.domain
     if domain.rows < 2 or domain.cols < 2:
@@ -148,13 +143,12 @@ def verify_isothermic(lifts: VertexField, *, strict: bool = True) -> IsothermicR
         return report
     inv = quad_invariants(face_stack(lifts.data))
     regularity = float(inv.regularity.min())
-    if regularity <= tol(1.0):
+    if regularity <= regularity_tol():
         report = IsothermicReport(False, None, np.inf, np.inf, np.inf, regularity,
                                   "a face has three nearly dependent lifts")
         if strict:
             raise GeometryError(report.reason + f" (regularity {regularity:.3g})")
         return report
-    check_degeneracy(inv.degeneracy)
     q = inv.q
     ratios = q.real
     max_imag = float((np.abs(q.imag) / (1.0 + np.abs(q))).max())
@@ -197,7 +191,8 @@ def face_regularity(lifts: VertexField) -> float:
     unit representatives, so the measure is scaling invariant).  Three
     isotropic vectors have Gram determinant 2<12><13><23>, so every corner
     triple of a face is in general position exactly when its six products
-    are away from 0; a regular net keeps this well above tolerance."""
+    are away from 0; a regular net keeps this above
+    :func:`minkowski.regularity_tol`, which is quadratic like the measure."""
     return float(quad_invariants(face_stack(lifts.data)).regularity.min(initial=np.inf))
 
 

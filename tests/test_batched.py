@@ -94,32 +94,44 @@ def ref_face_cross_ratios(lifts: VertexField):
     return out
 
 
-def ref_face_products(lifts: VertexField):
-    """|<ij>| / (|F_i| |F_j|) for the six pairs of every face, one face at a
-    time: shape (rows-1, cols-1, 6)."""
+#: Index arrays of the six pairs ij, i < j, of a face's 4x4 Gram matrix.
+PAIRS = ([0, 0, 0, 1, 1, 2], [1, 2, 3, 2, 3, 3])
+
+
+def ref_face_grams(lifts: VertexField):
+    """Gram matrices of the unit representatives of every face, one face at
+    a time: shape (rows-1, cols-1, 4, 4)."""
     dom = lifts.domain
-    out = np.zeros((dom.rows - 1, dom.cols - 1, 6))
+    out = np.zeros((dom.rows - 1, dom.cols - 1, 4, 4))
     for face in dom.faces():
         V = np.stack([lifts[v] for v in face])
-        out[dom.index(face[0])] = np.abs(
-            [(V[i] * SIGNATURE * V[j]).sum() / (np.linalg.norm(V[i]) * np.linalg.norm(V[j]))
-             for i in range(4) for j in range(i + 1, 4)])
+        V = V / np.linalg.norm(V, axis=1)[:, None]
+        out[dom.index(face[0])] = (V * SIGNATURE) @ V.T
     return out
 
 
-def assert_cross_ratios_agree(q, ref, *lifts):
-    """Assert that two computations of the face cross ratios, from the given
-    lifts (one VertexField per computation), agree to rounding.  Each face
-    loses digits in its smallest normalized product, and q = (a - b + c) / 2c
-    and Im^2 = -det / 4c^2 cancel out of terms of size |a| + |b| + |c| and
-    its square."""
-    products = [ref_face_products(L) for L in lifts]
-    rel = 1e-12 + sum(16.0 * np.finfo(float).eps / g.min(axis=-1) for g in products)
-    g = products[0]
-    a, b, c = g[..., 0] * g[..., 5], g[..., 1] * g[..., 4], g[..., 2] * g[..., 3]
-    size = (a + b + c) / c
-    assert np.all(np.abs(q.real - ref.real) <= 1e-13 + rel * (np.abs(ref) + size))
-    assert np.all(np.abs(q.imag ** 2 - ref.imag ** 2) <= rel * (np.abs(ref) ** 2 + size ** 2))
+def cross_ratio_rounding(q, *lifts):
+    """Per-face bounds (real, imag) on how far two computations of the face
+    cross ratios q = (a - b + c + sqrt(det)) / 2c, from the given lifts (one
+    VertexField per computation), may differ by rounding.  Each unit product
+    <ij> of a computation is uncertain by d, its lifts' isotropy defect
+    max |<ii>| plus a rounding unit.  That moves the real part by about
+    d (3 max |<ij>| / |c| + 2 |q| / min |<ij>|) and det by about
+    8 d max |<ij>|^3, so the imaginary part by that over 4 c^2 Im q."""
+    eps = np.finfo(float).eps
+    real = imag = 0.0
+    for L in lifts:
+        G = ref_face_grams(L)
+        d = eps + np.abs(np.diagonal(G, axis1=-2, axis2=-1)).max(axis=-1)
+        g = np.abs(G[(...,) + PAIRS])
+        gmin, gmax = g.min(axis=-1), g.max(axis=-1)
+        c = np.abs(G[..., 0, 3] * G[..., 1, 2])
+        den = 4.0 * c ** 2 * q.imag
+        real = real + d * (3.0 * gmax / c + 2.0 * np.abs(q) / gmin)
+        imag = imag + (np.divide(8.0 * d * gmax ** 3, den, out=np.zeros_like(den),
+                                 where=den > 0.0)
+                       + 2.0 * d * np.abs(q.imag) / gmin)
+    return real, imag
 
 
 def ref_pcq_residual(net: IsothermicNet, coeffs):
@@ -147,21 +159,6 @@ def ref_cross_ratio_residual(t: DarbouxTransform):
         q = ref_cross_ratio(t.base.lifts[i], t.base.lifts[j], t.lifts[j], t.lifts[i])
         target = t.base.weight((i, j)) * t.mu
         worst = max(worst, abs(q - target) / (1.0 + abs(target)))
-    return worst
-
-
-def ref_cross_ratio_noise(t: DarbouxTransform):
-    """Rounding noise of :func:`ref_cross_ratio_residual`: a few rounding
-    units of |q| over the smallest normalized product of each edge
-    quadruple, relative to 1 + |target|."""
-    worst = 0.0
-    for i, j in t.base.domain.edges():
-        V = np.stack([t.base.lifts[i], t.base.lifts[j], t.lifts[j], t.lifts[i]])
-        U = V / np.linalg.norm(V, axis=1)[:, None]
-        g = np.abs((U * SIGNATURE) @ U.T)[np.triu_indices(4, 1)]
-        q = ref_cross_ratio(*V)
-        target = t.base.weight((i, j)) * t.mu
-        worst = max(worst, 16.0 * np.finfo(float).eps * abs(q) / (g.min() * (1.0 + abs(target))))
     return worst
 
 
@@ -211,10 +208,14 @@ def test_face_checks_match_references(drawn, bend):
     q = cross_ratios(np.stack([lifts.data[:-1, :-1], lifts.data[1:, :-1],
                                lifts.data[1:, 1:], lifts.data[:-1, 1:]], axis=2))
     ref = ref_face_cross_ratios(lifts)
-    # the kernel forms the products and the determinant in another order
-    # than the oracle
-    assert_cross_ratios_agree(q, ref, lifts)
-    g = ref_face_products(lifts)
+    # the kernel takes the oracle's products, so the real parts agree; its
+    # imaginary parts are closed form where the oracle's come from an LU
+    # determinant, and differ by that determinant's rounding
+    np.testing.assert_allclose(q.real, ref.real, rtol=1e-12, atol=1e-13)
+    assert np.array_equal(q.imag == 0.0, ref.imag == 0.0)
+    imag = cross_ratio_rounding(ref, lifts)[1]
+    assert np.all(np.abs(q.imag - ref.imag) <= 1e-13 + 1e-12 * np.abs(ref) + imag)
+    g = np.abs(ref_face_grams(lifts)[(...,) + PAIRS])
     assert face_regularity(lifts) == pytest.approx((g.min(axis=-1) / g.max(axis=-1)).min(),
                                                    rel=1e-12)
     if bend:
@@ -243,8 +244,8 @@ def test_edge_checks_match_references(drawn, mu):
     assert pcq_residual(net, coeffs) == pytest.approx(ref_pcq_residual(net, coeffs), rel=1e-12)
     start = rng.uniform(0.5, 2.0) * euclidean_lift(rng.uniform(2.0, 3.0, 3))
     t = darboux_propagate(net, mu, start)
-    ref = ref_cross_ratio_residual(t)
-    assert abs(t.cross_ratio_residual() - ref) <= 1e-6 * ref + 1e-12 + ref_cross_ratio_noise(t)
+    assert t.cross_ratio_residual() == pytest.approx(ref_cross_ratio_residual(t),
+                                                     rel=1e-6, abs=1e-12)
     noise = VertexField(net.domain, t.lifts.data + rng.normal(size=t.lifts.data.shape) * 1e-3)
     for section in (t.lifts, noise):
         assert parallel_residual(net, mu, section) == pytest.approx(
@@ -324,8 +325,10 @@ def test_face_checks_are_invariant(drawn, bend, move, seed):
 
     q0, q1 = (cross_ratios(np.stack([L[:-1, :-1], L[1:, :-1], L[1:, 1:], L[:-1, 1:]], axis=2))
               for L in (net.lifts.data, data))
-    assert_cross_ratios_agree(q1, q0, net.lifts, lifts)
+    real, imag = cross_ratio_rounding(q0, net.lifts, lifts)
     assert np.array_equal(q1.imag == 0.0, q0.imag == 0.0)
+    assert np.all(np.abs(q1.real - q0.real) <= 1e-12 * np.abs(q0) + real)
+    assert np.all(np.abs(q1.imag - q0.imag) <= 1e-12 * np.abs(q0) + imag)
 
     before, after = verify_outcome(net.lifts), verify_outcome(lifts)
     if isinstance(before, type):

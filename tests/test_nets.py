@@ -271,3 +271,13 @@ def test_verify_rejects_irregular_face():
     assert not report.ok and "dependent" in report.reason
     with pytest.raises(GeometryError):
         verify_isothermic(bad)
+
+
+def test_verify_accepts_thin_faces():
+    # faces about 200 times longer than wide: the regularity
+    # min |<ij>| / max |<ij>| is quadratic in that ratio (about 2e-5 here)
+    # and its threshold is quadratic too
+    net = catalog.cylinder_net(4, 4, 0.004, 0.9)
+    assert net.validate() <= 1e-12
+    report = verify_isothermic(net.lifts)
+    assert report.ok and 1e-5 < report.min_regularity < 1e-4
