@@ -9,6 +9,7 @@ variable; it holds for one call of :func:`main` and is restored afterwards.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -108,7 +109,7 @@ def _cmd_verify(args) -> int:
         print(f"FAIL isothermic: {report.reason}")
         return VERIFY_FAILURE
     try:
-        weight_residual = net.validate()
+        weight_residual = net.validate(report.cross_ratios)
     except GeometryError as exc:
         print(f"FAIL stored weights: {exc}")
         return VERIFY_FAILURE
@@ -305,9 +306,11 @@ def build_parser() -> _Parser:
     return parser
 
 
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     env_tol = os.environ.get("ISOTHERMIC_TOL")
     previous_tol = get_tolerance()
     try:

@@ -29,56 +29,54 @@ def format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _render(obj, out: list, indent: int):
+def _block(items, indent: int, brackets: str = "[]") -> str:
+    """Rendered items one per line, two spaces deeper than the brackets."""
     pad = "  " * indent
+    body = pad + "  " + (",\n" + pad + "  ").join(items) + "\n" if items else ""
+    return brackets[0] + "\n" + body + pad + brackets[1]
+
+
+def _array_template(shape, indent: int) -> str:
+    """The %-template of a float array of this shape: one ``%.17g`` slot per
+    entry, laid out as :func:`_render` lays out the nested lists."""
+    if not shape:
+        return "%.17g"
+    if len(shape) == 1 and shape[0]:
+        return "[" + ", ".join(["%.17g"] * shape[0]) + "]"
+    return _block([_array_template(shape[1:], indent + 1)] * shape[0], indent)
+
+
+def _render(obj, indent: int) -> str:
     if isinstance(obj, dict):
-        out.append("{\n")
-        for idx, (key, value) in enumerate(obj.items()):
-            out.append(pad + "  " + json.dumps(key) + ": ")
-            _render(value, out, indent + 1)
-            out.append(",\n" if idx < len(obj) - 1 else "\n")
-        out.append(pad + "}")
-    elif isinstance(obj, (list, tuple, np.ndarray)):
+        return _block([json.dumps(key) + ": " + _render(value, indent + 1)
+                       for key, value in obj.items()], indent, "{}")
+    if isinstance(obj, np.ndarray) and obj.dtype.kind == "f":
+        if not np.isfinite(obj).all():
+            raise ValueError("non-finite value cannot be serialized")
+        # + 0.0 turns -0.0 into 0.0, which renders as "0"
+        return _array_template(obj.shape, indent) % tuple((obj + 0.0).ravel().tolist())
+    if isinstance(obj, (list, tuple, np.ndarray)):
         seq = obj.tolist() if isinstance(obj, np.ndarray) else list(obj)
-        if _is_number_vector(seq):
-            out.append("[" + ", ".join(_fmt_number(x) for x in seq) + "]")
-        else:
-            out.append("[\n")
-            for idx, value in enumerate(seq):
-                out.append(pad + "  ")
-                _render(value, out, indent + 1)
-                out.append(",\n" if idx < len(seq) - 1 else "\n")
-            out.append(pad + "]")
-    elif isinstance(obj, bool):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.append(format_float(float(obj)))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif obj is None:
-        out.append("null")
-    else:
-        raise TypeError(f"cannot serialize {type(obj)!r}")
-
-
-def _is_number_vector(seq) -> bool:
-    return all(isinstance(x, (int, float, np.integer, np.floating))
-               and not isinstance(x, bool) for x in seq) and len(seq) > 0
-
-
-def _fmt_number(x) -> str:
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return format_float(float(x))
+        items = [_render(value, indent + 1) for value in seq]
+        if seq and all(isinstance(x, (int, float, np.integer, np.floating))
+                       and not isinstance(x, bool) for x in seq):
+            return "[" + ", ".join(items) + "]"
+        return _block(items, indent)
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return format_float(float(obj))
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if obj is None:
+        return "null"
+    raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
 def canonical_json(obj) -> str:
-    out: list[str] = []
-    _render(obj, out, 0)
-    out.append("\n")
-    return "".join(out)
+    return _render(obj, 0) + "\n"
 
 
 def net_to_document(net: IsothermicNet, quantities=(), metadata=None) -> dict:

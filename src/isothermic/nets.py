@@ -91,12 +91,12 @@ class IsothermicNet:
         i, j, k, l = face
         return cross_ratio(self.lifts[i], self.lifts[j], self.lifts[k], self.lifts[l])
 
-    def validate(self) -> float:
-        """Check lightlike lifts and that weight ratios match face cross
-        ratios; returns the worst residual."""
+    def validate(self, q=None) -> float:
+        """Check lightlike lifts and that weight ratios match the face cross
+        ratios ``q`` (computed if not given); returns the worst residual."""
         scale = self.lift_scale() ** 2
         worst = float(np.abs(norm2(self.lifts.data)).max()) / max(scale, 1e-300)
-        q = cross_ratios(face_stack(self.lifts.data))
+        q = cross_ratios(face_stack(self.lifts.data)) if q is None else q
         expected = self.weights.u[:, None] / self.weights.v[None, :]
         worst = max(worst, float((np.abs(q - expected) / (1.0 + np.abs(expected)))
                                  .max(initial=0.0)))
@@ -114,6 +114,7 @@ class IsothermicReport:
     max_factor_residual: float
     min_regularity: float = np.inf
     reason: str = ""
+    cross_ratios: np.ndarray | None = None  # of the faces; set when the weights are rebuilt
 
 
 def verify_isothermic(lifts: VertexField, *, strict: bool = True) -> IsothermicReport:
@@ -177,7 +178,8 @@ def verify_isothermic(lifts: VertexField, *, strict: bool = True) -> IsothermicR
     weights = EdgeFunction(domain, u, v)
     max_factor = float(np.abs(u[:, None] / v[None, :] - ratios).max())
     ok = max_factor <= tol(1.0 + float(np.abs(ratios).max()))
-    report = IsothermicReport(ok, weights, max_imag, max_grid, max_factor, regularity)
+    report = IsothermicReport(ok, weights, max_imag, max_grid, max_factor, regularity,
+                              cross_ratios=q)
     if not ok:
         report.reason = "reconstructed weights do not reproduce the cross ratios"
         if strict:

@@ -23,7 +23,6 @@ from .minkowski import (
     orthonormal_complement,
 )
 from .nets import IsothermicNet
-from .netfile import format_float
 from .tolerances import tol
 
 MODELS = ("euclidean", "poincare", "stereographic")
@@ -147,19 +146,17 @@ def export_obj(net: IsothermicNet, Q, model: str, path, clamp: float = 1e6,
         flagged += [(v, "on or past the ideal boundary")
                     for v in _vertices(good & (radii >= 1.0 - pole_tol))]
 
-    ids = face_stack(1 + np.arange(dom.rows * dom.cols).reshape(dom.rows, dom.cols))
-    lines = ["v " + " ".join(format_float(c) for c in row) for row in xyz.reshape(-1, 3)]
-    lines += ["f " + " ".join(map(str, quad)) for quad in ids.reshape(-1, 4)]
+    if not np.isfinite(xyz).all():
+        raise ValueError("non-finite value cannot be serialized")
+    nv, nf = dom.rows * dom.cols, (dom.rows - 1) * (dom.cols - 1)
+    ids = face_stack(1 + np.arange(nv).reshape(dom.rows, dom.cols))
+    # one template for the whole file; + 0.0 turns -0.0 into 0.0, written "0"
+    text = ("v %.17g %.17g %.17g\n" * nv + "f %d %d %d %d\n" * nf) % tuple(
+        (xyz + 0.0).ravel().tolist() + ids.ravel().tolist())
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(text)
 
-    report_path = str(path) + ".report.txt"
-    with open(report_path, "w", encoding="ascii") as fh:
-        fh.write(f"model: {model}\n")
-        fh.write(f"vertices: {dom.rows * dom.cols}\n")
-        fh.write(f"faces: {(dom.rows - 1) * (dom.cols - 1)}\n")
-        fh.write(f"flagged: {len(flagged)}\n")
-        for v, reason in flagged:
-            fh.write(f"  vertex {v}: {reason}\n")
-    return ExportReport(str(path), dom.rows * dom.cols,
-                        (dom.rows - 1) * (dom.cols - 1), flagged)
+    with open(str(path) + ".report.txt", "w", encoding="ascii") as fh:
+        fh.write(f"model: {model}\nvertices: {nv}\nfaces: {nf}\nflagged: {len(flagged)}\n"
+                 + "".join(f"  vertex {v}: {reason}\n" for v, reason in flagged))
+    return ExportReport(str(path), nv, nf, flagged)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from isothermic import catalog
+from isothermic import catalog, cli, minkowski, nets
 from isothermic.cli import main
 from isothermic.grids import EdgeFunction, GridDomain, VertexField
 from isothermic.minkowski import euclidean_lift, euclidean_point
@@ -218,6 +218,35 @@ def test_verify_inconsistent_weights_exits_2(tmp_path):
     doc = doc.replace("-0.022499999999999999", "-0.050000000000000000", 1)
     path.write_text(doc)
     assert run(["verify", path]) == 2
+
+
+def test_verify_makes_one_face_kernel_pass(tmp_path, monkeypatch, capsys):
+    net = catalog.cylinder_net(4, 5, 0.3, np.pi / 4)
+    path = tmp_path / "net.json"
+    save_net(path, net)
+    calls = []
+    kernel = minkowski.quad_invariants
+
+    def counted(V):
+        calls.append(V.shape)
+        return kernel(V)
+
+    monkeypatch.setattr(minkowski, "quad_invariants", counted)
+    monkeypatch.setattr(nets, "quad_invariants", counted)
+    assert run(["verify", path]) == 0
+    assert calls == [(3, 4, 4, 5)]
+    monkeypatch.undo()
+    assert f"stored-weight residual {net.validate():.3g})" in capsys.readouterr().out
+
+
+def test_main_builds_its_parser_once(tmp_path):
+    path = tmp_path / "net.json"
+    save_net(path, catalog.cylinder_net(3, 3, 0.3, np.pi / 4))
+    cli._parser.cache_clear()
+    assert run(["verify", path]) == 0
+    assert run(["classify", path]) == 0
+    assert cli._parser.cache_info().misses == 1
+    assert cli.build_parser() is not cli.build_parser()
 
 
 def test_export_with_explicit_ambient_vector(tmp_path):
