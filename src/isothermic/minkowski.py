@@ -258,8 +258,31 @@ def cross_ratio(P1, P2, P3, P4):
     return complex(cross_ratios(np.array([P1, P2, P3, P4], dtype=float)))
 
 
+def circle_factors(q, A, B):
+    """The circle transform C(q; A, B) of :func:`cross_ratio_apply` as its
+    rank-2 update I + U W, returned as (U, W, W_inverse): U = [A, B] of shape
+    (..., 5, 2), W = [alpha JB; beta JA] of shape (..., 2, 5) with
+    alpha = (q-1)/<A,B> and beta = (1/q - 1)/<A,B>, and W_inverse the same
+    with alpha and beta swapped, so that C(q; B, A) = I + U W_inverse.
+    Parameters of shape (...) broadcast against anchors of shape (..., 5).
+    Raises SingularParameter if some q vanishes and DegeneratePair if some
+    pair of anchors is orthogonal."""
+    A, B = np.broadcast_arrays(np.asarray(A, dtype=float), np.asarray(B, dtype=float))
+    if (np.abs(q) <= tol(1.0)).any():
+        raise SingularParameter("circle transform parameter is zero")
+    J = np.stack([B, A], axis=-2)
+    J[..., 0] *= -1.0  # rows JB, JA: the metric J flips the sign of slot 0
+    g = np.einsum("...i,...i->...", A, J[..., 0, :])
+    scale = np.sqrt(np.einsum("...i,...i->...", A, A) * np.einsum("...i,...i->...", B, B))
+    if (np.abs(g) <= tol(scale)).any():
+        raise DegeneratePair("anchor representatives are orthogonal")
+    coef = np.stack([(q - 1.0) / g, (1.0 / q - 1.0) / g], axis=-1)[..., None]
+    return np.stack([A, B], axis=-1), coef * J, coef[..., ::-1, :] * J
+
+
 def cross_ratio_apply(q, A, B, X):
-    """Apply the circle transform with parameter q anchored at the rays A, B:
+    """Apply the circle transform with parameter q anchored at the rays A, B
+    to X, through its factors (:func:`circle_factors`):
 
         X  ->  X + ( (q-1) <X,B> A + (1/q - 1) <X,A> B ) / <A,B>.
 
@@ -269,39 +292,16 @@ def cross_ratio_apply(q, A, B, X):
     through a, b: parameter 0 sends everything to b, 1 is the identity and
     the limit of large q sends everything to a.
     """
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    if abs(q) <= tol(1.0):
-        raise SingularParameter("circle transform parameter is zero")
-    g = minkowski_inner(A, B)
-    scale = float(np.linalg.norm(A) * np.linalg.norm(B))
-    if abs(g) <= tol(scale):
-        raise DegeneratePair("anchor representatives are orthogonal")
-    X = np.asarray(X, dtype=float)
-    ga = minkowski_inner(X, A)
-    gb = minkowski_inner(X, B)
-    return X + ((q - 1.0) * gb[..., None] * A + (1.0 / q - 1.0) * ga[..., None] * B) / g
+    U, W, _ = circle_factors(q, A, B)
+    return X + np.einsum("...ij,...j->...i", U, np.einsum("...ij,...j->...i", W, X))
 
 
 def cross_ratio_matrix(q, A, B):
-    """5x5 matrix of :func:`cross_ratio_apply`; an isometry of the metric.
-
-    Broadcasts over leading axes: parameters of shape (...) and anchors of
-    shape (..., 5) give matrices of shape (..., 5, 5).
-    """
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    if (np.abs(q) <= tol(1.0)).any():
-        raise SingularParameter("circle transform parameter is zero")
-    BJ = B * SIGNATURE
-    g = (A * BJ).sum(axis=-1)
-    scale = np.sqrt((A * A).sum(axis=-1) * (B * B).sum(axis=-1))
-    if (np.abs(g) <= tol(scale)).any():
-        raise DegeneratePair("anchor representatives are orthogonal")
-    AB = A[..., :, None] * BJ[..., None, :]
-    BA = B[..., :, None] * (A * SIGNATURE)[..., None, :]
-    return np.eye(5) + ((q - 1.0) / g)[..., None, None] * AB \
-        + ((1.0 / q - 1.0) / g)[..., None, None] * BA
+    """5x5 matrix I + U W of :func:`cross_ratio_apply`; an isometry of the
+    metric.  Parameters of shape (...) and anchors of shape (..., 5) give
+    matrices of shape (..., 5, 5)."""
+    U, W, _ = circle_factors(q, A, B)
+    return np.eye(5) + U @ W
 
 
 def is_isometry(M, scale=1.0):

@@ -36,6 +36,7 @@ from .grids import (
     sweep_propagate,
 )
 from .minkowski import (
+    circle_factors,
     cross_ratio,
     cross_ratio_matrix,
     cross_ratios,
@@ -343,11 +344,11 @@ def edge_connection(net: IsothermicNet, lam: float, edge) -> np.ndarray:
     return cross_ratio_matrix(q, net.lifts[i], net.lifts[j])
 
 
-def edge_connections(net: IsothermicNet, lam: float, reverse: bool = False):
-    """The edge connections at ``lam`` on the two edge stacks, shapes
-    (rows-1, cols, 5, 5) and (rows, cols-1, 5, 5); each maps the fiber over
-    the edge's second endpoint to the fiber over its first, and with
-    ``reverse`` the edges are taken backwards (along -m and -n).
+def edge_connections(net: IsothermicNet, lam: float):
+    """The edge connections C(1 - lam a; F_i, F_j) at ``lam`` on the two edge
+    stacks, as the factors (U, W, W_inverse) of :func:`minkowski.circle_factors`
+    with leading shapes (rows-1, cols) and (rows, cols-1): I + U W maps the
+    fiber over j to the fiber over i, and I + U W_inverse maps it back.
 
     Raises
     ------
@@ -360,19 +361,16 @@ def edge_connections(net: IsothermicNet, lam: float, reverse: bool = False):
         q = 1.0 - lam * a
         poles = np.argwhere(np.abs(q) <= tol(1.0 + np.abs(lam * a)))
         if len(poles):
-            edge = net.domain.stack_edge(axis, poles[0])
-            edge = edge[::-1] if reverse else edge
-            raise PoleParameter(f"parameter {lam} is a pole of edge {edge}")
-        out.append(cross_ratio_matrix(q, Fj, Fi) if reverse else cross_ratio_matrix(q, Fi, Fj))
+            raise PoleParameter(f"parameter {lam} is a pole of edge "
+                                f"{net.domain.stack_edge(axis, poles[0])}")
+        out.append(circle_factors(q, Fi, Fj))
     return tuple(out)
 
 
 def face_holonomy(net: IsothermicNet, lam: float, face) -> np.ndarray:
-    (i, j), (j2, k), (k2, l), (l2, i2) = GridDomain.face_edges(face)
-    M = edge_connection(net, lam, (i, j))
-    M = M @ edge_connection(net, lam, (j2, k))
-    M = M @ edge_connection(net, lam, (k2, l))
-    M = M @ edge_connection(net, lam, (l2, i2))
+    M = np.eye(5)
+    for edge in GridDomain.face_edges(face):
+        M = M @ edge_connection(net, lam, edge)
     return M
 
 
@@ -383,10 +381,11 @@ def holonomy_residual(net: IsothermicNet, lams) -> float:
     worst = 0.0
     eye = np.eye(5)
     for lam in np.atleast_1d(lams):
-        (Cu, Cv), (Ru, Rv) = (edge_connections(net, float(lam)),
-                              edge_connections(net, float(lam), reverse=True))
-        # around the face (i, j, k, l): C(ij) C(jk) C(kl) C(li)
-        M = Cu[:, :-1] @ Cv[1:] @ Ru[:, 1:] @ Rv[:-1]
+        (Uu, Wu, Ru), (Uv, Wv, Rv) = edge_connections(net, float(lam))
+        M = eye  # C(ij) C(jk) C(kl) C(li) I around the face (i, j, k, l), right to left
+        for U, W in ((Uv[:-1], Rv[:-1]), (Uu[:, 1:], Ru[:, 1:]), (Uv[1:], Wv[1:]),
+                     (Uu[:, :-1], Wu[:, :-1])):
+            M = M + U @ (W @ M)
         worst = max(worst, float(np.abs(M - eye).max(initial=0.0)))
     return worst
 
@@ -438,10 +437,11 @@ def calapso(net: IsothermicNet, mu: float, basepoint=None) -> tuple[CalapsoFrame
     if basepoint is None:
         basepoint = (0, 0)
     base = domain.index(basepoint)
-    along, against = edge_connections(net, mu), edge_connections(net, mu, reverse=True)
+    connections = edge_connections(net, mu)
 
     def step(T, axis, index, forward):
-        return T @ (along if forward else against)[axis][index]
+        U, W, W_inverse = connections[axis]
+        return T + (T @ U[index]) @ (W if forward else W_inverse)[index]
 
     frames, cross = sweep_propagate(np.eye(5), base, (domain.rows, domain.cols), step)
     resid = np.abs(frames[1:][cross] - step(frames[:-1][cross], 0, cross, True))

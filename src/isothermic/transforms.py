@@ -29,7 +29,7 @@ from .errors import (
 from .grids import VertexField, edge_stacks, sweep_propagate
 from .minkowski import (
     SIGNATURE,
-    cross_ratio_matrix,
+    cross_ratio_apply,
     cross_ratios,
     minkowski_inner,
     norm2,
@@ -86,8 +86,8 @@ def parallel_residual(net: IsothermicNet, mu: float, section: VertexField) -> fl
     """Worst edge defect of S_i = C_ij(mu) S_j over all edges."""
     worst = 0.0
     scale = 1.0 + float(np.abs(section.data).max())
-    for C, (Si, Sj) in zip(edge_connections(net, mu), edge_stacks(section.data)):
-        resid = Si - np.einsum("...ij,...j->...i", C, Sj)
+    for (U, W, _), (Si, Sj) in zip(edge_connections(net, mu), edge_stacks(section.data)):
+        resid = Si - Sj - np.einsum("...ij,...j->...i", U, np.einsum("...ij,...j->...i", W, Sj))
         worst = max(worst, float(np.abs(resid).max(initial=0.0)) / scale)
     return worst
 
@@ -118,12 +118,13 @@ def darboux_propagate(net: IsothermicNet, mu: float, start, basepoint=None) -> D
         raise DegenerateStart("start coincides with the base net")
 
     base = dom.index(basepoint)
-    along, against = edge_connections(net, mu), edge_connections(net, mu, reverse=True)
+    connections = edge_connections(net, mu)
 
     def step(S, axis, index, forward):
-        # parallelity S_near = C(near, far) S_far inverted via the reversed edge map
-        M = (against if forward else along)[axis][index]
-        return (M @ S[..., None])[..., 0]
+        # parallelity S_near = C(near, far) S_far, solved by the inverse map
+        U, W, W_inverse = connections[axis]
+        WS = np.einsum("kij,kj->ki", (W_inverse if forward else W)[index], S)
+        return S + np.einsum("kij,kj->ki", U[index], WS)
 
     lifts, cross = sweep_propagate(start, base, (dom.rows, dom.cols), step)
     scale = 1.0 + float(np.abs(lifts).max())
@@ -284,8 +285,7 @@ def bianchi(net: IsothermicNet, first: DarbouxTransform, second: DarbouxTransfor
     if (g <= limit).any():
         index = np.unravel_index(int(np.argmin(g / limit)), g.shape)
         raise CoincidentTransforms(f"transforms coincide at {net.domain.vertex_at(index)}")
-    M = cross_ratio_matrix(mu2 / mu1, A, B)
-    lifts = VertexField(net.domain, (M @ net.lifts.data[..., None])[..., 0])
+    lifts = VertexField(net.domain, cross_ratio_apply(mu2 / mu1, A, B, net.lifts.data))
 
     d_of_first = DarbouxTransform(mu2, lifts, first.net())
     d_of_second = DarbouxTransform(mu1, lifts, second.net())

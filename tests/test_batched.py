@@ -9,6 +9,7 @@ ratio), so a slicing or broadcasting slip in the stacks shows up as a
 mismatch on some face, edge or vertex."""
 
 import re
+import sys
 from collections import deque
 
 import numpy as np
@@ -260,15 +261,49 @@ def test_edge_checks_match_references(drawn, mu):
 
 
 def test_edge_connection_stacks_match_single_edges():
+    """The factor stacks applied to the identity, I + U (W I) along each edge
+    and I + U (W_inverse I) against it, are the edge connection of that
+    edge in that direction, to 1e-14 of its largest entry (the single-edge
+    matrix sums the rank-2 term in another order, so equality is not
+    bitwise)."""
     net = catalog.cylinder_net(3, 4, 0.4, 0.7)
-    for reverse in (False, True):
-        Cu, Cv = edge_connections(net, 0.6, reverse=reverse)
-        assert Cu.shape == (2, 4, 5, 5) and Cv.shape == (3, 3, 5, 5)
-        for axis, stack in enumerate((Cu, Cv)):
-            for idx in np.ndindex(stack.shape[:2]):
-                i, j = net.domain.stack_edge(axis, idx)
-                edge = (j, i) if reverse else (i, j)
-                np.testing.assert_array_equal(stack[idx], edge_connection(net, 0.6, edge))
+    (Uu, Wu, Ru), (Uv, Wv, Rv) = factors = edge_connections(net, 0.6)
+    assert Uu.shape == (2, 4, 5, 2) and Wu.shape == Ru.shape == (2, 4, 2, 5)
+    assert Uv.shape == (3, 3, 5, 2) and Wv.shape == Rv.shape == (3, 3, 2, 5)
+    eye = np.eye(5)
+    for axis, (U, W, W_inverse) in enumerate(factors):
+        for idx in np.ndindex(U.shape[:2]):
+            i, j = net.domain.stack_edge(axis, idx)
+            for V, edge in ((W, (i, j)), (W_inverse, (j, i))):
+                C = edge_connection(net, 0.6, edge)
+                np.testing.assert_allclose(eye + U[idx] @ (V[idx] @ eye), C, rtol=0,
+                                           atol=1e-14 * np.abs(C).max())
+
+
+def test_transforms_apply_connections_without_matrices(monkeypatch):
+    """Calapso frames, Darboux and Backlund sections, the Bianchi vertex map
+    and the holonomy and parallelity checks apply the circle transforms
+    through their rank-2 factors: with ``cross_ratio_matrix`` raising in
+    every module that imports it, they still return on a 4x5 cylinder."""
+    def no_matrix(*args):
+        raise AssertionError("cross_ratio_matrix called")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "isothermic" and hasattr(module, "cross_ratio_matrix"):
+            monkeypatch.setattr(module, "cross_ratio_matrix", no_matrix)
+    net = catalog.cylinder_net(4, 5, 0.4, 0.7)
+    cq = catalog.cylinder_quantity(net)
+    frame, transformed = calapso(net, 0.2)
+    assert frame.frames.data.shape == (4, 5, 5, 5) and transformed.domain == net.domain
+    darboux = darboux_propagate(net, 0.4, euclidean_lift(np.array([3.0, 0.5, 0.2])))
+    first, second = (darboux_propagate(net, mu, backlund_init(cq, mu, s))
+                     for mu, s in ((-1.0, 0.3), (-1.5, 0.6)))
+    result = bianchi(net, first, second)
+    for t in (darboux, first, second):
+        assert parallel_residual(net, t.mu, t.lifts) <= tol(1.0)
+    assert result.lifts.data.shape == (4, 5, 5)
+    assert max(result.residual_first, result.residual_second) <= tol(1.0)
+    assert holonomy_residual(net, [0.3, 0.6]) <= tol(10.0)
 
 
 def test_cross_ratio_matrix_broadcasts():

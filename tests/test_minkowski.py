@@ -5,16 +5,19 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from isothermic.errors import (
     DegenerateLift,
+    DegeneratePair,
     DegeneratePoints,
     SingularParameter,
     SingularSystem,
 )
 from isothermic.minkowski import (
+    METRIC,
     Q_EUCLIDEAN,
+    circle_factors,
     cross_ratio,
     cross_ratio_apply,
     cross_ratio_matrix,
@@ -240,6 +243,49 @@ def test_circle_transform_is_isometry():
     B = euclidean_lift(np.array([1.0, 0.7, 0.3]))
     assert is_isometry(cross_ratio_matrix(1.7, A, B))
     assert is_isometry(cross_ratio_matrix(-0.3, A, B))
+
+
+def test_circle_transform_apply_broadcasts_with_typed_errors():
+    # stacked anchors and an array of parameters, as cross_ratio_matrix takes
+    # them; a zero parameter or an orthogonal pair raises the typed error
+    rng = np.random.default_rng(11)
+    A, B, X = (euclidean_lift(rng.normal(size=(4, 3))) for _ in range(3))
+    q = rng.uniform(0.5, 2.0, size=4)
+    Y = cross_ratio_apply(q, A, B, X)
+    for k in range(4):
+        M = cross_ratio_matrix(q[k], A[k], B[k])
+        np.testing.assert_allclose(Y[k], M @ X[k], rtol=0, atol=1e-12 * np.abs(M).max()
+                                   * np.abs(X[k]).max())
+    with pytest.raises(SingularParameter):
+        cross_ratio_apply(np.array([1.0, 0.0, 2.0, 1.5]), A, B, X)
+    with pytest.raises(DegeneratePair):
+        cross_ratio_apply(q, A, np.where(np.arange(4)[:, None] == 2, A, B), X)
+
+
+ANCHOR_SCALE = st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e)
+PARAMETER = st.tuples(st.floats(0.05, 20.0), st.booleans()).map(lambda t: -t[0] if t[1] else t[0])
+
+
+@settings(max_examples=80, deadline=None)
+@given(POINT3, POINT3, POINT3, ANCHOR_SCALE, ANCHOR_SCALE, PARAMETER)
+def test_circle_factors_apply_invert_and_preserve_the_metric(a, b, x, sa, sb, q):
+    """The rank-2 factors of C(q; A, B) against its 5x5 matrix M, on
+    rescaled lifts A, B of points at least 0.1 apart: the factored apply
+    X + U (W X) is M X, X + U (W_inverse X) undoes it, and M^T J M = J, each
+    to 1e-12 relative to the sizes of M and X that enter the products."""
+    assume(np.linalg.norm(a - b) > 0.1)
+    A, B = sa * euclidean_lift(a), sb * euclidean_lift(b)
+    X = np.vstack([np.eye(5), euclidean_lift(x)])
+    U, _, W_inverse = circle_factors(q, A, B)
+    M = cross_ratio_matrix(q, A, B)
+    size, size_x = np.abs(M).max(), np.abs(X).max()
+    Y = cross_ratio_apply(q, A, B, X)
+    assert np.abs(Y - X @ M.T).max() <= 1e-12 * size * size_x
+    size_inverse = np.abs(cross_ratio_matrix(q, B, A)).max()
+    back = Y + (U @ (W_inverse @ Y.T)).T
+    assert np.abs(back - X).max() <= 1e-12 * size * size_inverse * size_x
+    assert np.abs(cross_ratio_apply(q, B, A, Y) - X).max() <= 1e-12 * size * size_inverse * size_x
+    assert np.abs(M.T @ METRIC @ M - METRIC).max() <= 1e-12 * size ** 2
 
 
 def test_euclidean_point_inverse():
