@@ -270,14 +270,19 @@ def circle_factors(q, A, B):
     A, B = np.broadcast_arrays(np.asarray(A, dtype=float), np.asarray(B, dtype=float))
     if (np.abs(q) <= tol(1.0)).any():
         raise SingularParameter("circle transform parameter is zero")
-    J = np.stack([B, A], axis=-2)
-    J[..., 0] *= -1.0  # rows JB, JA: the metric J flips the sign of slot 0
+    J = np.stack([B, A], axis=-2) * SIGNATURE
     g = np.einsum("...i,...i->...", A, J[..., 0, :])
     scale = np.sqrt(np.einsum("...i,...i->...", A, A) * np.einsum("...i,...i->...", B, B))
     if (np.abs(g) <= tol(scale)).any():
         raise DegeneratePair("anchor representatives are orthogonal")
     coef = np.stack([(q - 1.0) / g, (1.0 / q - 1.0) / g], axis=-1)[..., None]
     return np.stack([A, B], axis=-1), coef * J, coef[..., ::-1, :] * J
+
+
+def _apply_factors(U, W, X):
+    """X + U (W X) for factors of :func:`circle_factors` and vectors X of
+    shape (..., 5)."""
+    return X + np.einsum("...ij,...j->...i", U, np.einsum("...ij,...j->...i", W, X))
 
 
 def cross_ratio_apply(q, A, B, X):
@@ -293,7 +298,7 @@ def cross_ratio_apply(q, A, B, X):
     the limit of large q sends everything to a.
     """
     U, W, _ = circle_factors(q, A, B)
-    return X + np.einsum("...ij,...j->...i", U, np.einsum("...ij,...j->...i", W, X))
+    return _apply_factors(U, W, np.asarray(X, dtype=float))
 
 
 def cross_ratio_matrix(q, A, B):

@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import (
     DegenerateEdge,
+    DegeneratePoints,
     FactorizationFailure,
     GeometryError,
     NonConcircularFace,
@@ -368,9 +369,11 @@ def edge_connections(net: IsothermicNet, lam: float):
 
 
 def face_holonomy(net: IsothermicNet, lam: float, face) -> np.ndarray:
-    M = np.eye(5)
-    for edge in GridDomain.face_edges(face):
-        M = M @ edge_connection(net, lam, edge)
+    (i, j), (j2, k), (k2, l), (l2, i2) = GridDomain.face_edges(face)
+    M = edge_connection(net, lam, (i, j))
+    M = M @ edge_connection(net, lam, (j2, k))
+    M = M @ edge_connection(net, lam, (k2, l))
+    M = M @ edge_connection(net, lam, (l2, i2))
     return M
 
 
@@ -432,6 +435,9 @@ def calapso(net: IsothermicNet, mu: float, basepoint=None) -> tuple[CalapsoFrame
     Raises
     ------
     PoleParameter, NotFlat
+    DegeneratePoints
+        If a face of the transformed net has three nearly dependent lifts
+        (its regularity is at most :func:`minkowski.regularity_tol`).
     """
     domain = net.domain
     if basepoint is None:
@@ -450,8 +456,15 @@ def calapso(net: IsothermicNet, mu: float, basepoint=None) -> tuple[CalapsoFrame
         raise NotFlat(f"path dependence {worst:.3g}; input net is not isothermic; "
                       f"worst edge {edge}")
 
+    new_lifts = VertexField(domain, np.einsum("mnij,mnj->mni", frames, net.lifts.data))
+    # a flat connection can still grow frames so large that T F keeps no
+    # digits: the transformed faces then degenerate, and no net is returned
+    regularity = quad_invariants(face_stack(new_lifts.data)).regularity
+    if (regularity <= regularity_tol()).any():
+        face = domain.vertex_at(np.unravel_index(np.argmin(regularity), regularity.shape))
+        raise DegeneratePoints(f"transformed face at {face} has three nearly dependent lifts "
+                               f"(frames up to {float(np.abs(frames).max()):.3g})")
     frames = VertexField(domain, frames)
-    new_lifts = VertexField(domain, np.einsum("mnij,mnj->mni", frames.data, net.lifts.data))
     transformed = IsothermicNet(domain, new_lifts, net.weights.calapso_shifted(mu),
                                 revolution=None)
     frame = CalapsoFrame(mu, frames, net, transformed, basepoint, worst)

@@ -29,6 +29,7 @@ from .errors import (
 from .grids import VertexField, edge_stacks, sweep_propagate
 from .minkowski import (
     SIGNATURE,
+    _apply_factors,
     cross_ratio_apply,
     cross_ratios,
     minkowski_inner,
@@ -87,7 +88,7 @@ def parallel_residual(net: IsothermicNet, mu: float, section: VertexField) -> fl
     worst = 0.0
     scale = 1.0 + float(np.abs(section.data).max())
     for (U, W, _), (Si, Sj) in zip(edge_connections(net, mu), edge_stacks(section.data)):
-        resid = Si - Sj - np.einsum("...ij,...j->...i", U, np.einsum("...ij,...j->...i", W, Sj))
+        resid = Si - _apply_factors(U, W, Sj)
         worst = max(worst, float(np.abs(resid).max(initial=0.0)) / scale)
     return worst
 
@@ -123,8 +124,7 @@ def darboux_propagate(net: IsothermicNet, mu: float, start, basepoint=None) -> D
     def step(S, axis, index, forward):
         # parallelity S_near = C(near, far) S_far, solved by the inverse map
         U, W, W_inverse = connections[axis]
-        WS = np.einsum("kij,kj->ki", (W_inverse if forward else W)[index], S)
-        return S + np.einsum("kij,kj->ki", U[index], WS)
+        return _apply_factors(U[index], (W_inverse if forward else W)[index], S)
 
     lifts, cross = sweep_propagate(start, base, (dom.rows, dom.cols), step)
     scale = 1.0 + float(np.abs(lifts).max())

@@ -67,6 +67,19 @@ def test_verify_accepts_calapso_transform(tmp_path, capsys):
     assert "isothermic: ok" in capsys.readouterr().out
 
 
+def test_calapso_refuses_degenerate_transform(tmp_path, capsys):
+    # on this minimal net of revolution the frames at mu 0.4 reach 1e18, so
+    # the transformed lifts T F keep no digits; calapso exits 2 and writes
+    # nothing instead of a net that verify rejects
+    net, out = tmp_path / "net.json", tmp_path / "calapso.json"
+    assert run(["generate", "revolution", "--H", 0, "--kappa", -1, "--steps", 16,
+                "--angles", 48, "-o", net]) == 0
+    capsys.readouterr()
+    assert run(["transform", "calapso", "--mu", 0.4, net, "-o", out]) == 2
+    assert "three nearly dependent lifts" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_perturbed_fixture_exits_2(tmp_path):
     net = catalog.cylinder_net(4, 4, 0.3, np.pi / 4)
     cq = catalog.cylinder_quantity(net)
