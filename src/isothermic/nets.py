@@ -434,10 +434,7 @@ def calapso(net: IsothermicNet, mu: float, basepoint=None) -> tuple[CalapsoFrame
 
     Raises
     ------
-    PoleParameter, NotFlat
-    DegeneratePoints
-        If a face of the transformed net has three nearly dependent lifts
-        (its regularity is at most :func:`minkowski.regularity_tol`).
+    PoleParameter, NotFlat, DegeneratePoints (a transformed face is degenerate)
     """
     domain = net.domain
     if basepoint is None:
@@ -459,11 +456,10 @@ def calapso(net: IsothermicNet, mu: float, basepoint=None) -> tuple[CalapsoFrame
     new_lifts = VertexField(domain, np.einsum("mnij,mnj->mni", frames, net.lifts.data))
     # a flat connection can still grow frames so large that T F keeps no
     # digits: the transformed faces then degenerate, and no net is returned
-    regularity = quad_invariants(face_stack(new_lifts.data)).regularity
-    if (regularity <= regularity_tol()).any():
-        face = domain.vertex_at(np.unravel_index(np.argmin(regularity), regularity.shape))
-        raise DegeneratePoints(f"transformed face at {face} has three nearly dependent lifts "
-                               f"(frames up to {float(np.abs(frames).max()):.3g})")
+    regularity = face_regularity(new_lifts)
+    if regularity <= regularity_tol():
+        raise DegeneratePoints(f"a transformed face has three nearly dependent lifts (regularity "
+                               f"{regularity:.3g}, frames up to {float(np.abs(frames).max()):.3g})")
     frames = VertexField(domain, frames)
     transformed = IsothermicNet(domain, new_lifts, net.weights.calapso_shifted(mu),
                                 revolution=None)
