@@ -186,10 +186,7 @@ def quad_invariants(V) -> QuadInvariants:
     g12, g13, g14, g23, g24, g34 = G[0, 1], G[0, 2], G[0, 3], G[1, 2], G[1, 3], G[2, 3]
     g11, g22, g33 = G[0, 0], G[1, 1], G[2, 2]
     a, b, c = g12 * g34, g13 * g24, g14 * g23
-    absg = np.abs([g12, g13, g14, g23, g24, g34])
-    gmin, gmax = absg.min(axis=0), absg.max(axis=0)
-    noise = np.abs([g11, g22, g33, G[3, 3]]).max(axis=0) + 8.0 * np.finfo(float).eps
-    regularity = np.where(gmin > noise, gmin, 0.0) / np.where(gmax > 0.0, gmax, 1.0)
+    regularity = _regularity([g12, g13, g14, g23, g24, g34], [g11, g22, g33, G[3, 3]])
     # cofactors of M, the Gram matrix of U_1, U_2, U_3
     m11, m22, m33 = g22 * g33 - g23 * g23, g11 * g33 - g13 * g13, g11 * g22 - g12 * g12
     m12, m13, m23 = g13 * g23 - g12 * g33, g12 * g23 - g13 * g22, g12 * g13 - g23 * g11
@@ -213,6 +210,15 @@ def quad_invariants(V) -> QuadInvariants:
         with np.errstate(divide="ignore", invalid="ignore"):
             q.imag[off] = np.where(det < 0.0, np.sqrt(np.abs(det)) / (2.0 * np.abs(c)), 0.0)
     return QuadInvariants(q, regularity)
+
+
+def _regularity(products, selfs):
+    """The ``regularity`` of :func:`quad_invariants` from the six products and
+    the four self-products of unit representatives, stacked on axis 0."""
+    absg = np.abs(products)
+    gmin, gmax = absg.min(axis=0), absg.max(axis=0)
+    noise = np.abs(selfs).max(axis=0) + 8.0 * np.finfo(float).eps
+    return np.where(gmin > noise, gmin, 0.0) / np.where(gmax > 0.0, gmax, 1.0)
 
 
 def regularity_tol() -> float:

@@ -37,6 +37,8 @@ from .grids import (
     sweep_propagate,
 )
 from .minkowski import (
+    SIGNATURE,
+    _regularity,
     circle_factors,
     cross_ratio,
     cross_ratio_matrix,
@@ -196,8 +198,20 @@ def face_regularity(lifts: VertexField) -> float:
     isotropic vectors have Gram determinant 2<12><13><23>, so every corner
     triple of a face is in general position exactly when its six products
     are away from 0; a regular net keeps this above
-    :func:`minkowski.regularity_tol`, which is quadratic like the measure."""
-    return float(quad_invariants(face_stack(lifts.data)).regularity.min(initial=np.inf))
+    :func:`minkowski.regularity_tol`, which is quadratic like the measure.
+    Each product is taken once per edge or face diagonal, not once per face."""
+    norms = np.linalg.norm(lifts.data, axis=-1)
+    if np.any(norms == 0.0):
+        raise DegeneratePoints("zero representative")
+    U = lifts.data / norms[..., None]
+    UJ = U * SIGNATURE
+    along_m = np.einsum("...i,...i->...", UJ[:-1], U[1:])
+    along_n = np.einsum("...i,...i->...", UJ[:, :-1], U[:, 1:])
+    products = [along_m[:, :-1], along_n[1:], along_m[:, 1:], along_n[:-1],
+                np.einsum("...i,...i->...", UJ[:-1, :-1], U[1:, 1:]),
+                np.einsum("...i,...i->...", UJ[1:, :-1], U[:-1, 1:])]
+    selfs = np.moveaxis(face_stack(np.einsum("...i,...i->...", UJ, U)), 2, 0)
+    return float(_regularity(products, selfs).min(initial=np.inf))
 
 
 def moutard_fill(F, u, v, g_floor: float, f_max: float = np.inf):
