@@ -16,7 +16,6 @@ from .conserved import (
     lcq_solve_3x3,
     lcq_solve_grid,
     mean_curvature_data,
-    norm_poly,
     normalize_top,
     pcq_propagate,
     pcq_verify,
@@ -29,7 +28,7 @@ from .euclidean import (
     extract_parallel,
     parallel_lcq,
 )
-from .grids import EdgeFunction, GridDomain, VertexField, avg_edge, closedness_check, d_edge
+from .grids import EdgeFunction, GridDomain, VertexField, closedness_check
 from .minkowski import (
     Q_EUCLIDEAN,
     cross_ratio,
@@ -37,7 +36,6 @@ from .minkowski import (
     cross_ratio_matrix,
     euclidean_lift,
     euclidean_point,
-    gram_det,
     hyperbolic_point,
     minkowski_inner,
     norm2,
@@ -70,7 +68,7 @@ from .revolution import (
     seed_edge,
     symmetric_pcq_check,
 )
-from .tolerances import get_tolerance, set_tolerance, tol
+from .tolerances import tol, tolerance
 from .transforms import (
     DarbouxTransform,
     backlund_init,

@@ -35,14 +35,9 @@ def cylinder_net(rows: int, cols: int, eta: float, phi: float,
     return IsothermicNet(domain, lifts, EdgeFunction(domain, u, v), revolution=revolution)
 
 
-def cylinder_points(net: IsothermicNet) -> np.ndarray:
-    return euclidean_point(net.lifts.data)
-
-
 def cylinder_dual_lifts(net: IsothermicNet) -> np.ndarray:
     """Euclidean lifts of the parallel net (eta*m, -cos, -sin)."""
-    pts = cylinder_points(net)
-    dual = pts.copy()
+    dual = euclidean_point(net.lifts.data)
     dual[..., 1:] *= -1.0
     return euclidean_lift(dual)
 

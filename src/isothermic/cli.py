@@ -1,14 +1,16 @@
 """Command line interface.
 
 Subcommands: generate, verify, transform, classify, export.  Exit codes:
-0 on success, 2 when a verification fails, 1 on usage errors.  The global
-relative tolerance can be set with --tol or the ISOTHERMIC_TOL environment
-variable; it holds for one call of :func:`main` and is restored afterwards.
+0 on success, 2 when a verification fails, 1 on usage errors.  --tol or the
+ISOTHERMIC_TOL environment variable sets the relative tolerance in a
+:func:`tolerances.tolerance` scope around the command; without either, the
+caller's scope holds.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -37,7 +39,7 @@ from .revolution import (
     default_space_form,
     find_seed_edge,
 )
-from .tolerances import get_tolerance, set_tolerance
+from .tolerances import tolerance
 from .transforms import (
     backlund_init,
     bianchi,
@@ -243,7 +245,7 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="isothermic",
                      description="discrete isothermic nets and cmc constructions")
     parser.add_argument("--tol", type=float, default=None,
-                        help="global relative tolerance (default 1e-9)")
+                        help="relative tolerance in (0, 1) (default 1e-9)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="construct nets")
@@ -310,20 +312,20 @@ _parser = functools.cache(build_parser)
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
-    env_tol = os.environ.get("ISOTHERMIC_TOL")
-    previous_tol = get_tolerance()
-    try:
-        if args.tol is not None:
-            set_tolerance(args.tol)
-        elif env_tol:
-            set_tolerance(float(env_tol))
-        return args.func(args)
-    except GeometryError as exc:
-        print(f"verification error: {exc}", file=sys.stderr)
-        return VERIFY_FAILURE
-    finally:
-        set_tolerance(previous_tol)
+    parser = _parser()
+    args = parser.parse_args(argv)
+    rel = args.tol if args.tol is not None else os.environ.get("ISOTHERMIC_TOL") or None
+    with contextlib.ExitStack() as scope:
+        if rel is not None:
+            try:
+                scope.enter_context(tolerance(float(rel)))
+            except ValueError as exc:
+                parser.error(f"bad --tol or ISOTHERMIC_TOL: {exc}")
+        try:
+            return args.func(args)
+        except GeometryError as exc:
+            print(f"verification error: {exc}", file=sys.stderr)
+            return VERIFY_FAILURE
 
 
 if __name__ == "__main__":

@@ -226,11 +226,6 @@ def degree_reduce(cq: ConservedQuantity, mu: float) -> ConservedQuantity:
     return ConservedQuantity(cq.net, mp_divide_linear(cq.coeffs, mu)[0])
 
 
-def norm_poly(cq: ConservedQuantity) -> np.ndarray:
-    """Vertex-independent coefficients of |P(lam)|^2 (ascending)."""
-    return cq.norm_poly()
-
-
 def reparametrize(cq: ConservedQuantity, alpha: float) -> ConservedQuantity:
     """Rescale the spectral parameter: P(alpha * lam) is conserved for the
     same net with edge weights alpha * a."""
@@ -356,7 +351,6 @@ class InconsistencyReport:
 
     max_incidence: float
     residuals: np.ndarray  # per-vertex |<Z, F>| / scale
-    quantity: ConservedQuantity | None = None
 
 
 def lcq_solve_grid(net: IsothermicNet, Q, basepoint=None):
@@ -395,7 +389,7 @@ def lcq_solve_grid(net: IsothermicNet, Q, basepoint=None):
     cq = ConservedQuantity.linear(net, Q, Z.data, check=False)
     report = pcq_verify(net, cq)
     if not report.ok:
-        return InconsistencyReport(worst, inc, None)
+        return InconsistencyReport(worst, inc)
     return cq
 
 

@@ -50,13 +50,6 @@ class EuclideanNet:
         lifts = VertexField(self.domain, euclidean_lift(self.points.data))
         return IsothermicNet(self.domain, lifts, self.weights)
 
-    def point(self, v):
-        return self.points[v]
-
-    def edge_vector(self, edge):
-        i, j = edge
-        return self.points[j] - self.points[i]
-
 
 def christoffel(net: EuclideanNet, basepoint=None) -> EuclideanNet:
     """Dual net integrated from the edge form

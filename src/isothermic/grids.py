@@ -66,11 +66,6 @@ class GridDomain:
             if n < self.cols - 1:
                 yield ((m, n), (m, n + 1))
 
-    def directed_edges(self):
-        for i, j in self.edges():
-            yield (i, j)
-            yield (j, i)
-
     def faces(self):
         for m in range(self.rows - 1):
             for n in range(self.cols - 1):
@@ -140,15 +135,6 @@ class VertexField:
         self.domain = domain
         self.data = data
 
-    @classmethod
-    def zeros(cls, domain, value_shape=()):
-        return cls(domain, np.zeros((domain.rows, domain.cols) + tuple(value_shape)))
-
-    @classmethod
-    def from_function(cls, domain, fn):
-        values = [[fn((m, n)) for n in range(domain.cols)] for m in range(domain.rows)]
-        return cls(domain, np.asarray(values, dtype=float))
-
     def __getitem__(self, v):
         mi, ni = self.domain.index(v)
         return self.data[mi, ni]
@@ -159,18 +145,6 @@ class VertexField:
 
     def copy(self):
         return VertexField(self.domain, self.data.copy())
-
-
-def d_edge(field, edge):
-    """Discrete differential g_j - g_i on a directed edge; antisymmetric."""
-    i, j = edge
-    return field[j] - field[i]
-
-
-def avg_edge(field, edge):
-    """Edge average (g_i + g_j) / 2; symmetric."""
-    i, j = edge
-    return (field[i] + field[j]) / 2.0
 
 
 class EdgeFunction:
@@ -225,12 +199,6 @@ class EdgeFunction:
     def max_abs(self) -> float:
         return float(max(np.abs(self.u).max(initial=0.0), np.abs(self.v).max(initial=0.0)))
 
-    def allclose(self, other, scale=None) -> bool:
-        if scale is None:
-            scale = 1.0 + max(self.max_abs(), other.max_abs())
-        return (np.abs(self.u - other.u).max(initial=0.0) <= tol(scale)
-                and np.abs(self.v - other.v).max(initial=0.0) <= tol(scale))
-
 
 @dataclass
 class ClosednessReport:
@@ -239,7 +207,7 @@ class ClosednessReport:
     worst_face: tuple | None
 
 
-def closedness_check(wu, wv, domain: GridDomain, scale=None) -> ClosednessReport:
+def closedness_check(wu, wv, domain: GridDomain) -> ClosednessReport:
     """Check that an edge 1-form sums to zero around every face.
 
     ``wu`` and ``wv`` hold the form on the two edge stacks, each edge
@@ -253,9 +221,8 @@ def closedness_check(wu, wv, domain: GridDomain, scale=None) -> ClosednessReport
     if worst > 0.0:
         m, n = domain.vertex_at(np.unravel_index(int(np.argmax(resid)), resid.shape))
         worst_face = ((m, n), (m + 1, n), (m + 1, n + 1), (m, n + 1))
-    if scale is None:
-        scale = 1.0 + max(float(np.abs(wu).max(initial=0.0)),
-                          float(np.abs(wv).max(initial=0.0)))
+    scale = 1.0 + max(float(np.abs(wu).max(initial=0.0)),
+                      float(np.abs(wv).max(initial=0.0)))
     return ClosednessReport(worst <= tol(scale), worst, worst_face)
 
 

@@ -54,13 +54,6 @@ def norm2(x):
     return minkowski_inner(x, x)
 
 
-def is_lightlike(x, scale=None):
-    x = np.asarray(x)
-    if scale is None:
-        scale = float(np.dot(x, x))
-    return abs(norm2(x)) <= tol(scale)
-
-
 def euclidean_lift(f):
     """Isotropic representative ((1+|f|^2)/2, f, (1-|f|^2)/2) of a point of R^3.
 
@@ -97,19 +90,6 @@ def spaceform_point(F, Q):
     if np.any(np.abs(w) <= tol(scale)):
         raise DegenerateLift("point on the infinity boundary of the space form")
     return F / (-w)[..., None]
-
-
-def gram_matrix(vectors):
-    V = np.asarray(vectors, dtype=float)
-    return (V * SIGNATURE) @ V.T
-
-
-def gram_det(vectors):
-    """Determinant of the matrix of pairwise inner products of up to 5 vectors."""
-    V = np.asarray(vectors, dtype=float)
-    if not 1 <= V.shape[0] <= 5:
-        raise ValueError("gram_det expects between 1 and 5 vectors")
-    return float(np.linalg.det(gram_matrix(V)))
 
 
 class QuadInvariants(NamedTuple):
@@ -313,13 +293,6 @@ def cross_ratio_matrix(q, A, B):
     matrices of shape (..., 5, 5)."""
     U, W, _ = circle_factors(q, A, B)
     return np.eye(5) + U @ W
-
-
-def is_isometry(M, scale=1.0):
-    """Whether M^T J M = J within tolerance."""
-    M = np.asarray(M, dtype=float)
-    resid = M.T @ METRIC @ M - METRIC
-    return float(np.abs(resid).max()) <= tol(max(scale, float(np.abs(M).max()) ** 2))
 
 
 def solve_dense(A, b):

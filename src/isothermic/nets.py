@@ -7,9 +7,7 @@ the face cross ratio.  Everything here is lift-scaling invariant except
 where a specific normalization is the point (:func:`moutard_lift`).
 
 Operations return fresh data and never modify a net's lifts or weights,
-and a net's fields are set once, by its constructor.  Nets are still not
-safe to share across threads: the tolerance every check compares against is
-a module-level setting (:mod:`isothermic.tolerances`).
+and a net's fields are set once, by its constructor.
 """
 
 from __future__ import annotations
@@ -40,7 +38,6 @@ from .minkowski import (
     SIGNATURE,
     _regularity,
     circle_factors,
-    cross_ratio,
     cross_ratio_matrix,
     cross_ratios,
     minkowski_inner,
@@ -71,15 +68,8 @@ class IsothermicNet:
         if self.lifts.data.shape[2:] != (5,):
             raise ValueError("lifts must be 5-vectors")
 
-    def lift(self, v):
-        return self.lifts[v]
-
     def weight(self, edge) -> float:
         return self.weights.value(edge)
-
-    def edge_inner(self, edge) -> float:
-        i, j = edge
-        return float(minkowski_inner(self.lifts[i], self.lifts[j]))
 
     def lift_scale(self) -> float:
         return float(np.abs(self.lifts.data).max())
@@ -90,10 +80,6 @@ class IsothermicNet:
 
     def with_lifts(self, lifts: VertexField) -> "IsothermicNet":
         return IsothermicNet(self.domain, lifts, self.weights)
-
-    def face_cross_ratio(self, face) -> complex:
-        i, j, k, l = face
-        return cross_ratio(self.lifts[i], self.lifts[j], self.lifts[k], self.lifts[l])
 
     def validate(self, q=None) -> float:
         """Check lightlike lifts and that weight ratios match the face cross
@@ -324,20 +310,17 @@ def vertex_star_cospherical(lifts: VertexField, center) -> StarReport:
         if not domain.contains(v):
             raise KeyError(f"{center} is not interior")
 
-    def span_gap(vs):
+    def span(vs):
         V = np.stack([lifts[v] / np.linalg.norm(lifts[v]) for v in vs])
-        s = np.linalg.svd(V, compute_uv=False)
-        return float(s[4] / s[0]), V
+        return V, np.linalg.svd(V, compute_uv=False)
 
-    dgap, Vd = span_gap(diag)
-    agap, _ = span_gap(axis)
+    (Vd, sd), (_, sa) = span(diag), span(axis)
+    dgap, agap = float(sd[4] / sd[0]), float(sa[4] / sa[0])
     dia_ok = dgap <= tol(1.0)
     axi_ok = agap <= tol(1.0)
     sphere = None
-    if dia_ok:
-        s = np.linalg.svd(Vd, compute_uv=False)
-        if s[3] / s[0] > tol(1.0):  # span is exactly 4-dimensional
-            sphere = span_normal(Vd)
+    if dia_ok and sd[3] / sd[0] > tol(1.0):  # span is exactly 4-dimensional
+        sphere = span_normal(Vd)
     return StarReport(dia_ok, axi_ok, sphere, dgap, agap)
 
 
@@ -432,9 +415,6 @@ class CalapsoFrame:
     transformed: IsothermicNet
     basepoint: tuple
     max_residual: float = field(default=0.0)
-
-    def frame(self, v) -> np.ndarray:
-        return self.frames[v]
 
 
 def calapso(net: IsothermicNet, mu: float, basepoint=None) -> tuple[CalapsoFrame, IsothermicNet]:

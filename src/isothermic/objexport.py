@@ -27,6 +27,9 @@ from .tolerances import tol
 
 MODELS = ("euclidean", "poincare", "stereographic")
 
+#: Smallest chart denominator of a placed vertex; margin inside the ideal boundary.
+POLE_TOL = 1e-9
+
 
 def _euclidean_chart(Q, lifts):
     """Affine coordinates in the flat quadric of a lightlike Q."""
@@ -59,7 +62,7 @@ def _euclidean_chart(Q, lifts):
     return (lifts @ (E * SIGNATURE).T) / wsafe[..., None], ok
 
 
-def _curved_chart(Q, lifts, model, pole_tol):
+def _curved_chart(Q, lifts, model):
     q2 = float(norm2(Q))
     sigma = np.sqrt(abs(q2))
     dirs = orthonormal_complement(Q)
@@ -78,13 +81,13 @@ def _curved_chart(Q, lifts, model, pole_tol):
             coords = -coords
             t = coords[..., 0]
         den = 1.0 + t
-        good = ok & (den > pole_tol)
+        good = ok & (den > POLE_TOL)
         den = np.where(good, den, 1.0)
         return coords[..., 1:4] / den[..., None], good
     # stereographic: all four directions spacelike; project from the pole
     # opposite the last coordinate
     den = 1.0 + coords[..., 3]
-    good = ok & (np.abs(den) > pole_tol)
+    good = ok & (np.abs(den) > POLE_TOL)
     den = np.where(good, den, 1.0)
     return coords[..., 0:3] / den[..., None], good
 
@@ -102,8 +105,7 @@ class ExportReport:
     flagged: list  # [(vertex, reason)]
 
 
-def export_obj(net: IsothermicNet, Q, model: str, path, clamp: float = 1e6,
-               pole_tol: float = 1e-9) -> ExportReport:
+def export_obj(net: IsothermicNet, Q, model: str, path, clamp: float = 1e6) -> ExportReport:
     """Write the net as an OBJ quad mesh in the requested chart.
 
     ``model`` must match the curvature sign of Q: "euclidean" needs
@@ -132,7 +134,7 @@ def export_obj(net: IsothermicNet, Q, model: str, path, clamp: float = 1e6,
     if model == "euclidean":
         coords, good = _euclidean_chart(Q, lifts)
     else:
-        coords, good = _curved_chart(Q, lifts, model, pole_tol)
+        coords, good = _curved_chart(Q, lifts, model)
 
     dom = net.domain
     # clamp each unplaceable vertex to ``clamp`` times its direction (or e1);
@@ -144,7 +146,7 @@ def export_obj(net: IsothermicNet, Q, model: str, path, clamp: float = 1e6,
     if model == "poincare":
         radii = np.linalg.norm(coords, axis=-1)
         flagged += [(v, "on or past the ideal boundary")
-                    for v in _vertices(good & (radii >= 1.0 - pole_tol))]
+                    for v in _vertices(good & (radii >= 1.0 - POLE_TOL))]
 
     if not np.isfinite(xyz).all():
         raise ValueError("non-finite value cannot be serialized")

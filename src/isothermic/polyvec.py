@@ -50,14 +50,6 @@ def mp_norm_poly(coeffs):
     return mp_inner_poly(coeffs, coeffs)
 
 
-def rp_eval(p, lam):
-    p = np.asarray(p, dtype=float)
-    out = p[..., -1].copy()
-    for k in range(p.shape[-1] - 2, -1, -1):
-        out = out * lam + p[..., k]
-    return out
-
-
 def mp_scale_poly(coeffs, p):
     """Multiply a vector polynomial by a real polynomial."""
     c = np.asarray(coeffs, dtype=float)
@@ -120,12 +112,6 @@ def mp_scale_arg(coeffs, alpha):
     c = np.asarray(coeffs, dtype=float)
     powers = alpha ** np.arange(c.shape[-2])
     return c * powers[:, None]
-
-
-def mp_apply(matrix, coeffs):
-    """Apply a 5x5 matrix to every coefficient."""
-    c = np.asarray(coeffs, dtype=float)
-    return np.einsum("ij,...kj->...ki", np.asarray(matrix, dtype=float), c)
 
 
 def mp_max_coeff(coeffs):

@@ -178,16 +178,15 @@ class RevolutionStructure:
     alpha: float
 
 
-def symmetric_pcq_check(net: IsothermicNet, cq: ConservedQuantity,
-                        require_agreement: bool = True) -> bool:
+def symmetric_pcq_check(net: IsothermicNet, cq: ConservedQuantity) -> bool:
     """Whether a conserved quantity shares the net's rotational symmetry,
     i.e. the vertex polynomials differ along the circular direction only by
     the plane rotation.
 
     Also evaluates the scalar criterion that <P(lam), F> must not depend on
-    the rotation index, and (by default) asserts the two tests agree; the
-    lifts' scalings must be independent of the rotation index for the
-    scalar criterion to be meaningful, which holds for all builder outputs.
+    the rotation index, and asserts the two tests agree; the lifts' scalings
+    must be independent of the rotation index for the scalar criterion to be
+    meaningful, which holds for all builder outputs.
     """
     if net.revolution is None:
         raise ValueError("net carries no rotational structure")
@@ -207,7 +206,7 @@ def symmetric_pcq_check(net: IsothermicNet, cq: ConservedQuantity,
     p = mp_inner_vec(coeffs, net.lifts.data[:, :, None, :])
     scalar = float(np.abs(p - p[:, :1]).max()) <= tol(scale * net.lift_scale())
 
-    if require_agreement and equivariant != scalar:
+    if equivariant != scalar:
         raise AssertionError(
             f"symmetry tests disagree (equivariant={equivariant}, scalar={scalar})")
     return equivariant

@@ -3,38 +3,41 @@
 All degeneracy and verification tests in the package compare against
 ``tol(scale)`` = max(ABS_FLOOR, rel * scale), where ``scale`` is a
 characteristic magnitude of the data entering the test.  The relative
-tolerance defaults to 1e-9 (double precision with O(10) arithmetic depth)
-and can be overridden globally, e.g. from the CLI ``--tol`` flag.
+tolerance defaults to 1e-9 (double precision with O(10) arithmetic depth).
+``with tolerance(rel):`` sets it for one block, e.g. from the CLI ``--tol``
+flag; it is a context variable, so other threads keep their own value.
 """
+
+from contextlib import contextmanager
+from contextvars import ContextVar
 
 import numpy as np
 
 DEFAULT_REL_TOL = 1e-9
 ABS_FLOOR = 1e-12
 
-_rel_tol = DEFAULT_REL_TOL
+_rel_tol = ContextVar("rel_tol", default=DEFAULT_REL_TOL)
 
 
-def set_tolerance(rel: float) -> None:
-    """Override the global relative tolerance (must be positive)."""
-    global _rel_tol
-    if rel <= 0:
-        raise ValueError("relative tolerance must be positive")
-    _rel_tol = float(rel)
-
-
-def get_tolerance() -> float:
-    return _rel_tol
-
-
-def reset_tolerance() -> None:
-    global _rel_tol
-    _rel_tol = DEFAULT_REL_TOL
+@contextmanager
+def tolerance(rel: float):
+    """Scope in which the relative tolerance is ``rel``, restored on exit.
+    Raises ValueError unless 0 < rel < 1 (so for nan and inf too): at
+    rel >= 1 the regularity threshold tol(1)^2 would reject every net."""
+    rel = float(rel)
+    if not 0.0 < rel < 1.0:
+        raise ValueError(f"relative tolerance must be finite and in (0, 1), not {rel}")
+    token = _rel_tol.set(rel)
+    try:
+        yield
+    finally:
+        _rel_tol.reset(token)
 
 
 def tol(scale=1.0):
     """Absolute tolerance for a quantity of characteristic size ``scale``;
     elementwise for an array of scales."""
+    rel = _rel_tol.get()
     if isinstance(scale, np.ndarray):
-        return np.maximum(ABS_FLOOR, _rel_tol * np.abs(scale))
-    return max(ABS_FLOOR, _rel_tol * abs(scale))
+        return np.maximum(ABS_FLOOR, rel * np.abs(scale))
+    return max(ABS_FLOOR, rel * abs(scale))

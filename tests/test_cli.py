@@ -9,6 +9,7 @@ from isothermic.grids import EdgeFunction, GridDomain, VertexField
 from isothermic.minkowski import euclidean_lift, euclidean_point
 from isothermic.netfile import load_net, save_net
 from isothermic.nets import IsothermicNet
+from isothermic.tolerances import DEFAULT_REL_TOL, tol, tolerance
 
 
 def run(args):
@@ -155,47 +156,56 @@ def _bent_net_file(tmp_path):
 
 
 def test_tolerance_flag(tmp_path):
-    from isothermic.tolerances import DEFAULT_REL_TOL, get_tolerance, reset_tolerance
-
     src = _bent_net_file(tmp_path)
-    try:
-        assert run(["verify", src]) == 2
-        assert run(["--tol", "1e-5", "verify", src]) == 0
-        # the flag holds for its own call only
-        assert get_tolerance() == DEFAULT_REL_TOL
-        assert run(["verify", src]) == 2
-    finally:
-        reset_tolerance()
+    assert run(["verify", src]) == 2
+    assert run(["--tol", "1e-5", "verify", src]) == 0
+    # the flag holds for its own call only
+    assert tol(1.0) == DEFAULT_REL_TOL
+    assert run(["verify", src]) == 2
+    # without the flag the caller's scope holds
+    with tolerance(1e-5):
+        assert run(["verify", src]) == 0
 
 
 def test_tolerance_env(tmp_path, monkeypatch):
-    from isothermic.tolerances import DEFAULT_REL_TOL, get_tolerance, reset_tolerance
-
     src = _bent_net_file(tmp_path)
     monkeypatch.setenv("ISOTHERMIC_TOL", "1e-5")
-    try:
-        assert run(["verify", src]) == 0
-        assert get_tolerance() == DEFAULT_REL_TOL
-    finally:
-        reset_tolerance()
+    assert run(["verify", src]) == 0
+    assert tol(1.0) == DEFAULT_REL_TOL
 
 
 def test_tolerance_restored_after_main(tmp_path):
-    from isothermic.tolerances import get_tolerance, reset_tolerance, set_tolerance
-
     src = tmp_path / "net.json"
     save_net(src, catalog.cylinder_net(3, 3, 0.3, np.pi / 4))
-    try:
-        set_tolerance(2e-9)
+    with tolerance(2e-9):
         assert run(["--tol", "1e-3", "verify", src]) == 0
-        assert get_tolerance() == 2e-9
+        assert tol(1.0) == 2e-9
         # also when the command fails
         assert run(["--tol", "1e-3", "verify", tmp_path / "missing.json"]) != 0
-        assert get_tolerance() == 2e-9
-    finally:
-        reset_tolerance()
+        assert tol(1.0) == 2e-9
     assert run(["--tol", "1e-3", "verify", src]) == 0
-    assert get_tolerance() == 1e-9
+    assert tol(1.0) == 1e-9
+
+
+def test_invalid_tolerance_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    """--tol and ISOTHERMIC_TOL accept only finite values in (0, 1); anything
+    else exits 1 with one error line, not a traceback or a run at that value."""
+    src = tmp_path / "net.json"
+    save_net(src, catalog.cylinder_net(3, 3, 0.3, np.pi / 4))
+    for value in ("-1", "0", "nan", "inf", "1e300", "abc"):
+        for argv, env in ((["--tol", value, "verify", src], None), (["verify", src], value)):
+            if env is None:
+                monkeypatch.delenv("ISOTHERMIC_TOL", raising=False)
+            else:
+                monkeypatch.setenv("ISOTHERMIC_TOL", env)
+            with pytest.raises(SystemExit) as exc:
+                run(argv)
+            assert exc.value.code == 1, (value, env)
+            captured = capsys.readouterr()
+            errors = [line for line in captured.err.splitlines() if "error:" in line]
+            assert len(errors) == 1 and "tol" in errors[0], (value, env, captured.err)
+            assert captured.out == ""
+    assert tol(1.0) == DEFAULT_REL_TOL
 
 
 def test_generate_with_seed_edge_file(tmp_path):

@@ -24,7 +24,7 @@ from isothermic.errors import (
     NotConserved,
     SphericalStar,
 )
-from isothermic.grids import EdgeFunction, GridDomain, VertexField
+from isothermic.grids import EdgeFunction, GridDomain, VertexField, edge_stacks
 from isothermic.minkowski import (
     Q_EUCLIDEAN,
     SIGNATURE,
@@ -297,14 +297,11 @@ def test_uniqueness_difference_reduces():
 def test_curvature_sphere_two_expressions():
     net, cq = cylinder_with_quantity()
     Q = cq.constant  # the coefficient below the top for a linear quantity
-    for e in net.domain.edges():
-        i, j = e
-        a = net.weight(e)
-        g = net.edge_inner(e)
-        Zi = cq.coeffs[net.domain.index(i)][1]
-        Zj = cq.coeffs[net.domain.index(j)][1]
-        lhs = Zi + a * float(minkowski_inner(Q, net.lifts[j])) / g * net.lifts[i]
-        rhs = Zj + a * float(minkowski_inner(Q, net.lifts[i])) / g * net.lifts[j]
+    for (Fi, Fj), (Zi, Zj), a in zip(edge_stacks(net.lifts.data), edge_stacks(cq.coeffs[:, :, 1]),
+                                     net.weights.stacks()):
+        g = minkowski_inner(Fi, Fj)
+        lhs = Zi + (a * minkowski_inner(Q, Fj) / g)[..., None] * Fi
+        rhs = Zj + (a * minkowski_inner(Q, Fi) / g)[..., None] * Fj
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 

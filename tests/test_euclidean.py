@@ -14,7 +14,7 @@ from isothermic.euclidean import (
     extract_parallel,
     parallel_lcq,
 )
-from isothermic.grids import VertexField, avg_edge
+from isothermic.grids import VertexField, edge_stacks
 from isothermic.minkowski import euclidean_point
 from isothermic.nets import calapso
 from isothermic.transforms import calapso_pcq, complementary
@@ -92,11 +92,12 @@ def test_parallel_lcq_roundtrip():
     np.testing.assert_allclose(back.points.data, fstar, atol=1e-12)
     # H (f* - f) is a unit normal: the edge average is orthogonal to both
     # edge vectors
-    gap = VertexField(net.domain, fstar - enet.points.data)
-    for e in net.domain.edges():
-        n = 0.5 * avg_edge(gap, e)
-        assert abs(float(np.dot(n, enet.edge_vector(e)))) < 1e-12
-        assert abs(float(np.dot(n, dual.edge_vector(e)))) < 1e-12
+    stacks = zip(edge_stacks(fstar - enet.points.data), edge_stacks(enet.points.data),
+                 edge_stacks(dual.points.data))
+    for (gi, gj), (fi, fj), (di, dj) in stacks:
+        n = 0.5 * ((gi + gj) / 2.0)
+        assert np.abs((n * (fj - fi)).sum(axis=-1)).max() < 1e-12
+        assert np.abs((n * (dj - di)).sum(axis=-1)).max() < 1e-12
 
 
 def test_parallel_lcq_validates_input():

@@ -2,15 +2,11 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from isothermic.grids import (
     EdgeFunction,
     GridDomain,
-    VertexField,
-    avg_edge,
     closedness_check,
-    d_edge,
     sweep_integrate,
     sweep_propagate,
 )
@@ -27,8 +23,6 @@ def test_iterators_cover_edges_twice():
     counts = {e: from_faces.count(e) for e in set(from_faces)}
     assert set(counts) == undirected
     assert set(counts.values()) <= {1, 2}
-    directed = list(dom.directed_edges())
-    assert len(directed) == 2 * len(undirected)
 
 
 def test_edge_function_symmetric_lookup():
@@ -43,35 +37,6 @@ def test_edge_function_symmetric_lookup():
         assert ef.value((j, k)) == ef.value((i, l))
     with pytest.raises(KeyError):
         ef.value(((0, 0), (1, 1)))
-
-
-def test_d_edge_basics():
-    dom = GridDomain(3, 3)
-    const = VertexField.from_function(dom, lambda v: 3.5)
-    linear = VertexField.from_function(dom, lambda v: float(v[0]))
-    e = ((0, 1), (1, 1))
-    assert d_edge(const, e) == 0.0
-    assert d_edge(linear, e) == 1.0
-    assert d_edge(linear, (e[1], e[0])) == -1.0
-    assert avg_edge(const, e) == 3.5
-    g = VertexField.from_function(dom, lambda v: 0.0)
-    g[(0, 1)] = 0.0
-    g[(1, 1)] = 2.0
-    assert avg_edge(g, e) == 1.0
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.integers(0, 10 ** 6))
-def test_leibniz_identity(seed):
-    rng = np.random.default_rng(seed)
-    dom = GridDomain(3, 3)
-    g = VertexField(dom, rng.normal(size=(3, 3)))
-    h = VertexField(dom, rng.normal(size=(3, 3)))
-    gh = VertexField(dom, g.data * h.data)
-    for e in dom.edges():
-        lhs = d_edge(gh, e)
-        rhs = avg_edge(g, e) * d_edge(h, e) + d_edge(g, e) * avg_edge(h, e)
-        assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
 def _differential(g):

@@ -23,9 +23,6 @@ from isothermic.minkowski import (
     cross_ratio_matrix,
     euclidean_lift,
     euclidean_point,
-    gram_det,
-    is_isometry,
-    is_lightlike,
     minkowski_inner,
     norm2,
     orthonormal_complement,
@@ -33,6 +30,7 @@ from isothermic.minkowski import (
     solve_dense,
     spaceform_point,
 )
+from isothermic.tolerances import tol
 
 COORD = st.floats(-5.0, 5.0)
 POINT3 = st.tuples(COORD, COORD, COORD).map(np.array)
@@ -77,7 +75,7 @@ def test_euclidean_lift_values():
 @given(POINT3, POINT3)
 def test_lift_distance_oracle(f, g):
     F, G = euclidean_lift(f), euclidean_lift(g)
-    assert is_lightlike(F) and is_lightlike(G)
+    assert all(abs(norm2(X)) <= tol(float(X @ X)) for X in (F, G))
     d2 = float(np.dot(f - g, f - g))
     assert minkowski_inner(F, G) == pytest.approx(-d2 / 2.0, rel=1e-12, abs=1e-12)
     assert minkowski_inner(F, Q_EUCLIDEAN) == pytest.approx(-1.0, rel=1e-14)
@@ -104,32 +102,6 @@ def test_spaceform_point_degenerate():
     F = np.array([1.0, 1.0, 0.0, 0.0, -1.0])  # lightlike, F0 + F4 = 0
     with pytest.raises(DegenerateLift):
         spaceform_point(F, Q_EUCLIDEAN)
-
-
-def test_gram_det_basic():
-    e1 = np.array([0.0, 1, 0, 0, 0])
-    assert gram_det([e1]) == pytest.approx(1.0)
-    F = euclidean_lift(np.array([0.0, 0, 0]))
-    G = euclidean_lift(np.array([2.0, 1, 0]))
-    assert gram_det([F, G]) == pytest.approx(-minkowski_inner(F, G) ** 2, rel=1e-13)
-    # five generic lifts give the full 5x5 Gram determinant; note that
-    # (1,1,1) would NOT do as fifth point (it is cospherical with the rest)
-    pts = [(0.0, 0, 0), (1.0, 0, 0), (0.0, 1, 0), (0.0, 0, 1), (2.0, 0.3, -0.7)]
-    five = [euclidean_lift(np.array(p)) for p in pts]
-    assert abs(gram_det(five)) > 1e-6
-    assert abs(gram_det([*five[:4], euclidean_lift(np.array([1.0, 1, 1]))])) < 1e-12
-    with pytest.raises(ValueError):
-        gram_det(np.eye(6, 5))  # dimension cap: at most five vectors
-
-
-def test_gram_det_concircular_rank():
-    # collinear points span a 3-dimensional subspace, so the Gram determinant
-    # of their four lifts vanishes (rank oracle via SVD)
-    lifts = [euclidean_lift(np.array([t, 0.0, 0.0])) for t in (0.0, 1.0, 3.0, 4.0)]
-    V = np.stack(lifts)
-    s = np.linalg.svd(V, compute_uv=False)
-    assert s[3] / s[0] < 1e-14  # rank 3
-    assert abs(gram_det(lifts)) < 1e-12
 
 
 def test_cross_ratio_unit_square():
@@ -241,8 +213,9 @@ def test_circle_transform_inverse(q, flip):
 def test_circle_transform_is_isometry():
     A = euclidean_lift(np.array([0.2, 0.1, -0.4]))
     B = euclidean_lift(np.array([1.0, 0.7, 0.3]))
-    assert is_isometry(cross_ratio_matrix(1.7, A, B))
-    assert is_isometry(cross_ratio_matrix(-0.3, A, B))
+    for q in (1.7, -0.3):
+        M = cross_ratio_matrix(q, A, B)
+        assert np.abs(M.T @ METRIC @ M - METRIC).max() <= tol(max(1.0, np.abs(M).max() ** 2))
 
 
 def test_circle_transform_apply_broadcasts_with_typed_errors():
@@ -312,7 +285,6 @@ def test_solve_dense():
 
 def _assert_orthonormal_complement(P):
     from isothermic.minkowski import SIGNATURE
-    from isothermic.tolerances import tol
 
     D = orthonormal_complement(P)
     gram = (D * SIGNATURE) @ D.T

@@ -9,8 +9,8 @@ import pytest
 from conftest import darboux_stacked_net
 from isothermic import catalog
 from isothermic.errors import NonConcircularFace, NotFlat, PoleParameter
-from isothermic.grids import EdgeFunction, VertexField
-from isothermic.minkowski import euclidean_lift, euclidean_point, minkowski_inner
+from isothermic.grids import EdgeFunction, VertexField, edge_stacks, face_stack
+from isothermic.minkowski import cross_ratios, euclidean_lift, euclidean_point, minkowski_inner
 from isothermic.nets import (
     calapso,
     circle_identity_check,
@@ -29,9 +29,7 @@ def test_verify_planar_grid():
     net = catalog.planar_grid_net(4, 4)
     report = verify_isothermic(net.lifts)
     assert report.ok
-    for face in net.domain.faces():
-        q = net.face_cross_ratio(face)
-        assert q == pytest.approx(-1.0, rel=1e-12)
+    np.testing.assert_allclose(cross_ratios(face_stack(net.lifts.data)), -1.0, rtol=1e-12)
     # deterministic gauge: all cross ratios negative -> v[0] = -1, u positive
     assert report.weights.v[0] == -1.0
     assert np.all(report.weights.u > 0)
@@ -48,8 +46,9 @@ def test_verify_revolution_net():
     report = verify_isothermic(net.lifts)
     assert report.ok
     # the Moutard products <F_i, F_j> realize the stored weights exactly
-    for e in net.domain.edges():
-        assert net.edge_inner(e) == pytest.approx(net.weight(e), rel=1e-12)
+    for (Fi, Fj), a in zip(edge_stacks(net.lifts.data), net.weights.stacks()):
+        np.testing.assert_allclose(minkowski_inner(Fi, Fj), np.broadcast_to(a, Fi.shape[:2]),
+                                   rtol=1e-12)
     net.validate()
 
 
@@ -245,11 +244,9 @@ def test_moutard_lift_determines_cross_ratio(rng):
     # for Moutard-normalized lifts the face cross ratio is the ratio of the
     # edge products
     net = catalog.random_moutard_net(rng, 4, 4)
-    for face in net.domain.faces():
-        i, j, k, l = face
-        q = net.face_cross_ratio(face)
-        expected = net.edge_inner((i, j)) / net.edge_inner((i, l))
-        assert q == pytest.approx(expected, rel=1e-10)
+    F = face_stack(net.lifts.data)
+    expected = minkowski_inner(F[:, :, 0], F[:, :, 1]) / minkowski_inner(F[:, :, 0], F[:, :, 3])
+    np.testing.assert_allclose(cross_ratios(F), expected, rtol=1e-10)
 
 
 def test_edge_connection_pole_and_calapso_pole():

@@ -2,10 +2,10 @@
 
 import numpy as np
 import pytest
+from numpy.polynomial.polynomial import polyval
 
 from isothermic.minkowski import minkowski_inner
 from isothermic.polyvec import (
-    mp_apply,
     mp_divide_linear,
     mp_divide_one_minus,
     mp_eval,
@@ -16,7 +16,6 @@ from isothermic.polyvec import (
     mp_scale_poly,
     mp_shift,
     mp_trim,
-    rp_eval,
 )
 
 
@@ -46,7 +45,7 @@ def test_inner_poly_and_norm(rng):
     prod = mp_inner_poly(c1, c2)
     for lam in (0.0, 1.0, -2.0, 0.5):
         direct = minkowski_inner(mp_eval(c1, lam), mp_eval(c2, lam))
-        assert rp_eval(prod, lam) == pytest.approx(direct, rel=1e-13, abs=1e-13)
+        assert polyval(lam, prod) == pytest.approx(direct, rel=1e-13, abs=1e-13)
     np.testing.assert_allclose(mp_norm_poly(c1), mp_inner_poly(c1, c1), atol=0)
 
 
@@ -55,7 +54,7 @@ def test_scale_poly(rng):
     p = np.array([2.0, -1.0, 0.5])
     out = mp_scale_poly(c, p)
     for lam in (0.3, -1.2):
-        np.testing.assert_allclose(mp_eval(out, lam), rp_eval(p, lam) * mp_eval(c, lam),
+        np.testing.assert_allclose(mp_eval(out, lam), polyval(lam, p) * mp_eval(c, lam),
                                    rtol=1e-12)
 
 
@@ -117,7 +116,5 @@ def test_shift_and_scale_arg(rng):
 
 def test_apply_and_trim(rng):
     c = rng.normal(size=(3, 5))
-    A = rng.normal(size=(5, 5))
-    np.testing.assert_allclose(mp_apply(A, c)[1], A @ c[1], rtol=1e-13)
     padded = np.concatenate([c, np.full((2, 5), 1e-15)], axis=0)
     assert mp_trim(padded).shape == (3, 5)
