@@ -1,7 +1,8 @@
 """Command line interface.
 
 Subcommands: generate, verify, transform, classify, export.  Exit codes:
-0 on success, 2 when a verification fails, 1 on usage errors.  --tol or the
+0 on success, 2 when a verification fails, 1 on usage errors (an input
+file that cannot be read is one).  --tol or the
 ISOTHERMIC_TOL environment variable sets the relative tolerance in a
 :func:`tolerances.tolerance` scope around the command; without either, the
 caller's scope holds.
@@ -53,6 +54,10 @@ USAGE_ERROR = 1
 VERIFY_FAILURE = 2
 
 
+class UsageError(Exception):
+    """An input file of a command cannot be read."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -69,14 +74,23 @@ def _parse_reals(text: str, prefix: str = "") -> np.ndarray:
         raise GeometryError(f"cannot parse real list from '{text}'") from exc
 
 
+def _load(path):
+    try:
+        return load_net(path)
+    except OSError as exc:
+        raise UsageError(f"cannot read {path}: {exc.strerror or exc}") from exc
+
+
 def _cmd_generate(args) -> int:
     kappa = args.kappa
     Q3 = default_space_form(kappa)
     if args.seed_edge:
-        with open(args.seed_edge) as fh:
-            doc = json.load(fh)
-        M0 = np.asarray(doc["M0"], dtype=float)
-        M1 = np.asarray(doc["M1"], dtype=float)
+        try:
+            with open(args.seed_edge) as fh:
+                doc = json.load(fh)
+            M0, M1 = (np.asarray(doc[key], dtype=float) for key in ("M0", "M1"))
+        except (OSError, ValueError, LookupError, TypeError) as exc:
+            raise UsageError(f"cannot read M0 and M1 from {args.seed_edge}: {exc!r}") from exc
         if "Q" in doc:
             Q3 = np.asarray(doc["Q"], dtype=float)
         branch = args.branch if args.branch is not None else 0
@@ -105,7 +119,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    net, quantities, metadata = load_net(args.net)
+    net, quantities, metadata = _load(args.net)
     report = verify_isothermic(net.lifts, strict=False)
     if not report.ok:
         print(f"FAIL isothermic: {report.reason}")
@@ -146,7 +160,7 @@ def _first_quantity(quantities, what):
 
 
 def _cmd_transform(args) -> int:
-    net, quantities, metadata = load_net(args.net)
+    net, quantities, metadata = _load(args.net)
     out_quantities = []
     out_meta = {"derived_from": str(args.net), "transform": args.kind}
 
@@ -197,11 +211,14 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    net, quantities, metadata = load_net(args.net)
+    net, quantities, metadata = _load(args.net)
     report = classify_type(net, quantities)
     if report.spherical:
         print("type: 0 (spherical)")
-        if report.sphere is not None:
+        if report.span < 4:
+            family = "pencil" if report.span == 3 else f"{4 - report.span}-parameter family"
+            print(f"lifts span {report.span} dimensions: {family} of spheres, no unique sphere")
+        elif report.sphere is not None:
             print("sphere vector:", " ".join(f"{x:.12g}" for x in report.sphere))
     elif report.min_degree is not None:
         extra = ", degenerate-top candidate present" if report.degenerate_present else ""
@@ -222,7 +239,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    net, quantities, metadata = load_net(args.net)
+    net, quantities, metadata = _load(args.net)
     Q = None
     if args.Q:
         Q = _parse_reals(args.Q)
@@ -323,6 +340,10 @@ def main(argv=None) -> int:
                 parser.error(f"bad --tol or ISOTHERMIC_TOL: {exc}")
         try:
             return args.func(args)
+        except UsageError as exc:
+            parser.print_usage(sys.stderr)
+            print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+            return USAGE_ERROR
         except GeometryError as exc:
             print(f"verification error: {exc}", file=sys.stderr)
             return VERIFY_FAILURE

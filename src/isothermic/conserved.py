@@ -98,24 +98,24 @@ class ConservedQuantity:
         q_spread = np.abs(self.coeffs[:, :, 0, :] - self.constant).max()
         if q_spread > tol(s):
             raise NotConserved(f"constant coefficient varies over vertices ({q_spread:.3g})")
-        np_all = mp_norm_poly(self.coeffs)
-        spread = np.abs(np_all - np_all.mean(axis=(0, 1))).max()
-        if spread > tol(s * s):
-            raise NotConserved(f"|P|^2 varies over vertices ({spread:.3g})")
-        inc = np.abs((self.coeffs[:, :, -1, :] * SIGNATURE * self.net.lifts.data).sum(-1))
+        np_all = self._norm_polys(s)
+        inc = np.abs(mp_inner_vec(self.coeffs[:, :, -1, :], self.net.lifts.data))
         if inc.max() > tol(s * self.net.lift_scale()):
             raise NotConserved(f"top coefficient not orthogonal to the net ({inc.max():.3g})")
         if np_all[..., -1].min() < -tol(s * s):
             raise NotConserved("top coefficient has negative Minkowski square")
 
+    def _norm_polys(self, s: float) -> np.ndarray:
+        """|P(lam)|^2 at every vertex, which must spread by at most tol(s^2)."""
+        np_all = mp_norm_poly(self.coeffs)
+        spread = float(np.abs(np_all - np_all.mean(axis=(0, 1))).max())
+        if spread > tol(s * s):
+            raise NotConserved(f"|P|^2 varies over vertices ({spread:.3g})")
+        return np_all
+
     def norm_poly(self) -> np.ndarray:
         """Coefficients of |P(lam)|^2 (asserts vertex independence)."""
-        np_all = mp_norm_poly(self.coeffs)
-        mean = np_all.mean(axis=(0, 1))
-        spread = float(np.abs(np_all - mean).max())
-        if spread > tol(self.scale() ** 2):
-            raise NotConserved(f"|P|^2 varies over vertices ({spread:.3g})")
-        return mean
+        return self._norm_polys(self.scale()).mean(axis=(0, 1))
 
     def top_norm2(self) -> float:
         return float(self.norm_poly()[-1])
@@ -126,19 +126,20 @@ def pcq_residual(net: IsothermicNet, coeffs) -> float:
     coefficient scale."""
     coeffs = np.asarray(coeffs, dtype=float)
     k = coeffs.shape[2]
-    scale = 1.0 + mp_max_coeff(coeffs)
+    F = net.lifts.data
+    p = mp_inner_vec(coeffs, F[:, :, None, :])  # <P, F>(lam) at every vertex
     worst = 0.0
-    for (Fi, Fj), a, (ci, cj) in zip(edge_stacks(net.lifts.data), net.weights.stacks(),
-                                     edge_stacks(coeffs)):
-        g = minkowski_inner(Fi, Fj)
-        pii = mp_inner_vec(ci, Fi[..., None, :])  # <P_i, F_i>(lam)
-        pjj = mp_inner_vec(cj, Fj[..., None, :])
-        resid = np.zeros(ci.shape[:2] + (k + 1, 5))
-        resid[..., :k, :] = cj - ci
-        resid[..., 1:, :] -= (a / g)[..., None, None] * (
-            pjj[..., :, None] * Fi[..., None, :] - pii[..., :, None] * Fj[..., None, :])
-        worst = max(worst, float(np.abs(resid).max(initial=0.0)) / scale)
-    return worst
+    for (Fi, Fj), a, (ci, cj), (pi, pj) in zip(edge_stacks(F), net.weights.stacks(),
+                                               edge_stacks(coeffs), edge_stacks(p)):
+        w = (a / minkowski_inner(Fi, Fj))[..., None]
+        dc = cj - ci
+        # coefficient l of dP - (lam a / <F_i, F_j>) (<P_j, F_j> F_i - <P_i, F_i> F_j)
+        for l in range(k + 1):
+            r = dc[..., l, :] if l < k else 0.0
+            if l:
+                r = r - w * (pj[..., l - 1, None] * Fi - pi[..., l - 1, None] * Fj)
+            worst = max(worst, float(np.abs(r).max(initial=0.0)))
+    return worst / (1.0 + mp_max_coeff(coeffs))
 
 
 @dataclass
@@ -265,7 +266,7 @@ def mean_curvature_data(cq: ConservedQuantity):
     if abs(t2 - 1.0) > tol(1.0):
         raise NotNormalized(f"quantity is not normalized (|top|^2 - 1 = {t2 - 1.0:.3g})")
     Q = cq.constant
-    zq = (cq.coeffs[:, :, 1, :] * SIGNATURE * Q).sum(-1)
+    zq = mp_inner_vec(cq.coeffs[:, :, 1, :], Q)
     H = -float(zq.mean())
     if float(np.abs(zq + H).max()) > tol(cq.scale() ** 2):
         raise NotConserved("<Z, Q> varies over vertices")
@@ -373,16 +374,13 @@ def lcq_solve_grid(net: IsothermicNet, Q, basepoint=None):
     m, n = basepoint
     star = [(m, n), (m + 1, n), (m - 1, n), (m, n + 1), (m, n - 1),
             (m + 2, n), (m - 2, n), (m, n + 2), (m, n - 2)]
-    rows, rhs = [], []
-    for v in star:
-        if dom.contains(v):
-            rows.append(net.lifts[v] * SIGNATURE)
-            rhs.append(-float(minkowski_inner(W[v], net.lifts[v])))
-    Zc, *_ = np.linalg.lstsq(np.stack(rows), np.asarray(rhs), rcond=None)
+    idx = tuple(np.array([v for v in star if dom.contains(v)]).T)
+    F = net.lifts.data[idx]
+    Zc, *_ = np.linalg.lstsq(F * SIGNATURE, -mp_inner_vec(W.data[idx], F), rcond=None)
 
     Z = VertexField(dom, W.data + Zc)
     scale = (1.0 + float(np.abs(Z.data).max())) * net.lift_scale()
-    inc = np.abs((Z.data * SIGNATURE * net.lifts.data).sum(-1)) / scale
+    inc = np.abs(mp_inner_vec(Z.data, net.lifts.data)) / scale
     worst = float(inc.max())
     if worst > tol(1.0):
         return InconsistencyReport(worst, inc)
@@ -396,26 +394,29 @@ def lcq_solve_grid(net: IsothermicNet, Q, basepoint=None):
 @dataclass
 class TypeReport:
     spherical: bool
-    sphere: np.ndarray | None
+    sphere: np.ndarray | None  # a sphere through every vertex; unique iff span == 4
     min_degree: int | None
     degenerate_present: bool
     verified: int
+    span: int  # dimension of the span of the lifts
 
 
 def classify_type(net: IsothermicNet, candidates=()) -> TypeReport:
     """Classify the net relative to supplied candidate quantities.
 
     Type 0 (all vertices on one sphere) is decided intrinsically from the
-    rank of the lifts, and holds for every net of fewer than five vertices;
-    higher types are certified only relative to the verified normalized
-    candidates, reporting the minimal degree among them and whether a
-    degenerate (isotropic-top) quantity was seen.
+    rank of the lifts (their span; the sphere is unique at span 4) and holds
+    for every net of fewer than five vertices; higher types are certified
+    only relative to the verified normalized candidates, reporting the
+    minimal degree among them and whether a degenerate (isotropic-top)
+    quantity was seen.
     """
     V = net.lifts.data.reshape(-1, 5)
     V = V / np.linalg.norm(V, axis=1)[:, None]
     s = np.linalg.svd(V, compute_uv=False)
-    if len(s) < 5 or s[4] / s[0] <= tol(1.0):
-        return TypeReport(True, span_normal(V), 0, False, 0)
+    span = int(np.count_nonzero(s / s[0] > tol(1.0)))
+    if span < 5:
+        return TypeReport(True, span_normal(V), 0, False, 0, span)
 
     min_degree = None
     degenerate = False
@@ -431,4 +432,4 @@ def classify_type(net: IsothermicNet, candidates=()) -> TypeReport:
         d = cand.degree
         if min_degree is None or d < min_degree:
             min_degree = d
-    return TypeReport(False, None, min_degree, degenerate, verified)
+    return TypeReport(False, None, min_degree, degenerate, verified, span)

@@ -115,6 +115,8 @@ def load_net(path):
 
     Raises
     ------
+    OSError
+        When the file cannot be read.
     ParseError
         On malformed JSON (with line diagnostics) or missing fields.
     DimensionMismatch
@@ -125,8 +127,6 @@ def load_net(path):
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    except OSError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
 
     if _require(doc, "format", path) != FORMAT_NAME:
         raise ParseError(f"{path}: not an {FORMAT_NAME} file")

@@ -29,19 +29,19 @@ def mp_eval(coeffs, lam):
 def mp_inner_vec(coeffs, X):
     """Real polynomial <P(lam), X>; coefficients shape (..., K)."""
     c = np.asarray(coeffs, dtype=float)
-    return (c * (np.asarray(X, dtype=float) * SIGNATURE)).sum(axis=-1)
+    return np.einsum("...j,...j->...", c, np.asarray(X, dtype=float) * SIGNATURE)
 
 
 def mp_inner_poly(c1, c2):
     """Real polynomial <P(lam), R(lam)> of two coefficient arrays (no broadcasting
     over the polynomial axis; leading axes must match)."""
-    c1 = np.asarray(c1, dtype=float)
+    c1 = np.asarray(c1, dtype=float) * SIGNATURE
     c2 = np.asarray(c2, dtype=float)
     k1, k2 = c1.shape[-2], c2.shape[-2]
     out = np.zeros(np.broadcast_shapes(c1.shape[:-2], c2.shape[:-2]) + (k1 + k2 - 1,))
     for a in range(k1):
         for b in range(k2):
-            out[..., a + b] += (c1[..., a, :] * c2[..., b, :] * SIGNATURE).sum(axis=-1)
+            out[..., a + b] += np.einsum("...j,...j->...", c1[..., a, :], c2[..., b, :])
     return out
 
 
@@ -117,7 +117,7 @@ def mp_scale_arg(coeffs, alpha):
 def mp_max_coeff(coeffs):
     """Largest coefficient norm, for tolerance scaling."""
     c = np.asarray(coeffs, dtype=float)
-    return float(np.sqrt((c * c).sum(axis=-1)).max()) if c.size else 0.0
+    return float(np.sqrt(np.einsum("...j,...j->...", c, c).max())) if c.size else 0.0
 
 
 def mp_trim(coeffs, scale=None):
@@ -127,8 +127,8 @@ def mp_trim(coeffs, scale=None):
         scale = 1.0 + mp_max_coeff(c)
     k = c.shape[-2]
     while k > 1:
-        top = float(np.sqrt((c[..., k - 1, :] ** 2).sum(axis=-1)).max())
-        if top > tol(scale):
+        top = c[..., k - 1, :]
+        if np.sqrt(np.einsum("...j,...j->...", top, top).max()) > tol(scale):
             break
         k -= 1
     return c[..., :k, :].copy()

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import darboux_stacked_net, ref_face_regularity
-from isothermic import catalog
+from isothermic import catalog, conserved
 from isothermic.conserved import (
     ConservedQuantity,
     lcq_solve_grid,
@@ -140,11 +140,14 @@ def cross_ratio_rounding(q, *lifts):
     return real, imag
 
 
-def ref_pcq_residual(net: IsothermicNet, coeffs):
+def ref_pcq_residuals(net: IsothermicNet, coeffs):
+    """The worst residual of each coefficient l = 0 .. k of the edge
+    condition of a quantity with k coefficient blocks, relative to the
+    coefficient scale."""
     k = coeffs.shape[2]
     scale = 1.0 + float(np.sqrt((coeffs * coeffs).sum(-1)).max())
     dom = net.domain
-    worst = 0.0
+    worst = np.zeros(k + 1)
     for i, j in dom.edges():
         ci, cj = coeffs[dom.index(i)], coeffs[dom.index(j)]
         Fi, Fj = net.lifts[i], net.lifts[j]
@@ -155,8 +158,12 @@ def ref_pcq_residual(net: IsothermicNet, coeffs):
         resid = np.zeros((k + 1, 5))
         resid[:k] = cj - ci
         resid[1:] -= (a / g) * (np.outer(pjj, Fi) - np.outer(pii, Fj))
-        worst = max(worst, float(np.abs(resid).max()) / scale)
+        worst = np.maximum(worst, np.abs(resid).max(axis=-1) / scale)
     return worst
+
+
+def ref_pcq_residual(net: IsothermicNet, coeffs):
+    return float(ref_pcq_residuals(net, coeffs).max())
 
 
 def ref_cross_ratio_residual(t: DarbouxTransform):
@@ -249,7 +256,11 @@ def test_edge_checks_match_references(drawn, mu):
         mu = 0.5 / (1.0 + np.abs(w).max())
     rng = np.random.default_rng(seed)
     coeffs = rng.normal(size=(net.domain.rows, net.domain.cols, 2, 5))
-    assert pcq_residual(net, coeffs) == pytest.approx(ref_pcq_residual(net, coeffs), rel=1e-12)
+    # 1 to 4 coefficient blocks; the degree-1 draw leaves the draws below as they were
+    for k in (1, 2, 3, 4):
+        c = coeffs if k == 2 else np.random.default_rng([seed, k]).normal(
+            size=coeffs.shape[:2] + (k, 5))
+        assert pcq_residual(net, c) == pytest.approx(ref_pcq_residual(net, c), rel=1e-12)
     start = rng.uniform(0.5, 2.0) * euclidean_lift(rng.uniform(2.0, 3.0, 3))
     t = darboux_propagate(net, mu, start)
     assert t.cross_ratio_residual() == pytest.approx(ref_cross_ratio_residual(t),
@@ -258,6 +269,40 @@ def test_edge_checks_match_references(drawn, mu):
     for section in (t.lifts, noise):
         assert parallel_residual(net, mu, section) == pytest.approx(
             ref_parallel_residual(net, mu, section), rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize("last", [False, True])
+def test_pcq_residual_finds_one_corrupted_vertex(last):
+    """One vertex coefficient of a conserved quantity moved, so that the
+    worst residual falls on the first coefficient l = 0 of the edge
+    condition or on the last, l = k."""
+    net = catalog.cylinder_net(4, 5, 1.0, np.pi / 4)
+    coeffs = catalog.cylinder_quantity(net).coeffs.copy()
+    F = net.lifts.data[3, 2]
+    if last:
+        # <Z, F> != 0 at one vertex enters coefficient l = k = 2 through a / <F_i, F_j>
+        coeffs[3, 2, 1] += 0.1 * F * SIGNATURE
+    else:
+        # Q + 0.1 F leaves every <P, F> alone, so only coefficient l = 0 moves
+        coeffs[3, 2, 0] += 0.1 * F
+    per_coefficient = ref_pcq_residuals(net, coeffs)
+    assert per_coefficient.argmax() == (2 if last else 0)
+    assert pcq_residual(net, coeffs) == pytest.approx(per_coefficient.max(), rel=1e-12)
+
+
+def test_pcq_residual_contracts_the_lifts_once(monkeypatch):
+    net = catalog.cylinder_net(4, 5, 0.3, np.pi / 4)
+    coeffs = catalog.cylinder_quantity(net).coeffs
+    calls = []
+    contract = conserved.mp_inner_vec
+
+    def counted(c, X):
+        calls.append(np.shape(c))
+        return contract(c, X)
+
+    monkeypatch.setattr(conserved, "mp_inner_vec", counted)
+    pcq_residual(net, coeffs)
+    assert calls == [(4, 5, 2, 5)]
 
 
 def test_edge_connection_stacks_match_single_edges():

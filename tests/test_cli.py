@@ -232,6 +232,44 @@ def test_generate_with_seed_edge_file(tmp_path):
     assert "closure" in metadata
 
 
+def _usage_error_line(capsys):
+    captured = capsys.readouterr()
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "Traceback" not in captured.err, captured.err
+    return errors[0]
+
+
+def test_unreadable_seed_edge_file_is_a_usage_error(tmp_path, capsys):
+    """A --seed-edge file that is missing, truncated or lacks M0 or M1 exits 1
+    with one error line naming it, not a traceback."""
+    truncated = tmp_path / "truncated.json"
+    truncated.write_text('{"M0": [0.1, 0.2')
+    no_m1 = tmp_path / "no_m1.json"
+    no_m1.write_text('{"M0": [0.1, 0.2, 0.3]}')
+    out = tmp_path / "never.json"
+    for seed in (tmp_path / "missing.json", truncated, no_m1):
+        assert run(["generate", "revolution", "--H", 0.5, "--kappa", 0,
+                    "--seed-edge", seed, "-o", out]) == 1
+        assert str(seed) in _usage_error_line(capsys)
+        assert not out.exists()
+
+
+def test_unreadable_input_is_a_usage_error(tmp_path, capsys):
+    """A net path that cannot be read exits 1; a file that is read but
+    malformed still fails with its ParseError (exit 2)."""
+    missing = tmp_path / "missing.json"
+    for argv in (["verify", missing], ["classify", missing],
+                 ["export", missing, "--model", "euclidean", "-o", tmp_path / "x.obj"],
+                 ["transform", "christoffel", missing, "-o", tmp_path / "y.json"],
+                 ["verify", tmp_path]):
+        assert run(argv) == 1
+        assert "cannot read" in _usage_error_line(capsys)
+    truncated = tmp_path / "truncated.json"
+    truncated.write_text('{"format": "isothermic-net", ')
+    assert run(["verify", truncated]) == 2
+    assert "verification error: " + str(truncated) in capsys.readouterr().err
+
+
 def test_verify_inconsistent_weights_exits_2(tmp_path):
     net = catalog.cylinder_net(4, 4, 0.3, np.pi / 4)
     path = tmp_path / "badweights.json"
@@ -304,6 +342,20 @@ def test_classify_small_cylinder(tmp_path, capsys):
     save_net(path, net, [catalog.cylinder_quantity(net)])
     assert run(["classify", path]) == 0
     assert "type: 0 (spherical)" in capsys.readouterr().out
+
+
+def test_classify_names_a_pencil_of_spheres(tmp_path, capsys):
+    """Four concircular points lie on every sphere of a pencil: classify
+    reports the span, not one of those spheres."""
+    path = tmp_path / "square.json"
+    save_net(path, catalog.cylinder_net(2, 2, 0.5, 0.9))
+    assert run(["classify", path]) == 0
+    out = capsys.readouterr().out
+    assert "lifts span 3 dimensions: pencil of spheres, no unique sphere" in out
+    assert "sphere vector" not in out
+    save_net(path, catalog.planar_grid_net(3, 3))
+    assert run(["classify", path]) == 0
+    assert "sphere vector: " in capsys.readouterr().out
 
 
 def test_faceless_net_file(tmp_path, capsys):

@@ -193,6 +193,20 @@ def test_classify_type_fewer_than_five_vertices():
         assert np.abs(minkowski_inner(net.lifts.data, rep.sphere)).max() < 1e-12
 
 
+def test_classify_type_reports_the_span():
+    """The sphere through a net is unique only when its lifts span four
+    dimensions; four concircular points span three (a pencil of spheres)."""
+    cyl = catalog.cylinder_net(2, 4, 0.5, 0.9)
+    pair = GridDomain(1, 2)
+    net, _ = cylinder_with_quantity()
+    for example, span in ((IsothermicNet(pair, VertexField(pair, cyl.lifts.data[:1, :2]),
+                                         EdgeFunction(pair, [], cyl.weights.v[:1])), 2),
+                          (catalog.cylinder_net(2, 2, 0.5, 0.9), 3),
+                          (catalog.planar_grid_net(4, 4), 4), (net, 5)):
+        assert classify_type(example).span == span
+        assert classify_type(example).spherical == (span < 5)
+
+
 def test_lcq_solve_3x3_cylinder_patch():
     net, cq = cylinder_with_quantity(3, 3)
     sol = lcq_solve_3x3(net, Q_EUCLIDEAN)

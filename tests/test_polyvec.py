@@ -49,6 +49,21 @@ def test_inner_poly_and_norm(rng):
     np.testing.assert_allclose(mp_norm_poly(c1), mp_inner_poly(c1, c1), atol=0)
 
 
+def test_inner_poly_over_a_grid(rng):
+    """Leading axes, one of them broadcast, and unequal lengths K1 != K2,
+    against the product of the values at every vertex."""
+    c1 = rng.normal(size=(3, 4, 2, 5))
+    c2 = rng.normal(size=(4, 3, 5))
+    prod = mp_inner_poly(c1, c2)
+    assert prod.shape == (3, 4, 4)
+    for lam in (0.0, 1.0, -2.0, 0.5):
+        for m in range(3):
+            for n in range(4):
+                direct = minkowski_inner(mp_eval(c1[m, n], lam), mp_eval(c2[n], lam))
+                assert polyval(lam, prod[m, n]) == pytest.approx(direct, rel=1e-12, abs=1e-12)
+    np.testing.assert_allclose(mp_inner_poly(c2, c1), prod, rtol=1e-12, atol=1e-14)
+
+
 def test_scale_poly(rng):
     c = rng.normal(size=(3, 5))
     p = np.array([2.0, -1.0, 0.5])
