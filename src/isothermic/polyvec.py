@@ -34,7 +34,7 @@ def mp_inner_vec(coeffs, X):
 
 def mp_inner_poly(c1, c2):
     """Real polynomial <P(lam), R(lam)> of two coefficient arrays (no broadcasting
-    over the polynomial axis; leading axes must match)."""
+    over the polynomial axis; leading axes broadcast)."""
     c1 = np.asarray(c1, dtype=float) * SIGNATURE
     c2 = np.asarray(c2, dtype=float)
     k1, k2 = c1.shape[-2], c2.shape[-2]
