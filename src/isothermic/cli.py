@@ -2,10 +2,10 @@
 
 Subcommands: generate, verify, transform, classify, export.  Exit codes:
 0 on success, 2 when a verification fails, 1 on usage errors (an input
-file that cannot be read is one).  --tol or the
-ISOTHERMIC_TOL environment variable sets the relative tolerance in a
-:func:`tolerances.tolerance` scope around the command; without either, the
-caller's scope holds.
+file that cannot be read, or an output path that cannot be written, is
+one).  --tol or the ISOTHERMIC_TOL environment variable sets the relative
+tolerance in a :func:`tolerances.tolerance` scope around the command;
+without either, the caller's scope holds.
 """
 
 from __future__ import annotations
@@ -55,7 +55,8 @@ VERIFY_FAILURE = 2
 
 
 class UsageError(Exception):
-    """An input file of a command cannot be read."""
+    """An input file of a command cannot be read, or its output file cannot
+    be written."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -89,10 +90,12 @@ def _cmd_generate(args) -> int:
             with open(args.seed_edge) as fh:
                 doc = json.load(fh)
             M0, M1 = (np.asarray(doc[key], dtype=float) for key in ("M0", "M1"))
+            Q3 = np.asarray(doc["Q"], dtype=float) if "Q" in doc else Q3
         except (OSError, ValueError, LookupError, TypeError) as exc:
             raise UsageError(f"cannot read M0 and M1 from {args.seed_edge}: {exc!r}") from exc
-        if "Q" in doc:
-            Q3 = np.asarray(doc["Q"], dtype=float)
+        if any(x.shape != (3,) for x in (M0, M1, Q3)):
+            raise UsageError(f"{args.seed_edge}: M0, M1 and Q need length 3, not shapes "
+                             f"{M0.shape}, {M1.shape} and {Q3.shape}")
         branch = args.branch if args.branch is not None else 0
     else:
         M0, M1, auto_branch = find_seed_edge(Q3, args.H)
@@ -340,7 +343,7 @@ def main(argv=None) -> int:
                 parser.error(f"bad --tol or ISOTHERMIC_TOL: {exc}")
         try:
             return args.func(args)
-        except UsageError as exc:
+        except (UsageError, OSError) as exc:  # OSError: an output that cannot be written
             parser.print_usage(sys.stderr)
             print(f"{parser.prog}: error: {exc}", file=sys.stderr)
             return USAGE_ERROR

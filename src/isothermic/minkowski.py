@@ -13,6 +13,7 @@ surfaces of revolution maps the Lorentz 3-space onto the component slots
 
 from __future__ import annotations
 
+import itertools
 from typing import NamedTuple
 
 import numpy as np
@@ -98,11 +99,22 @@ class QuadInvariants(NamedTuple):
     q: np.ndarray
     regularity: np.ndarray
 
+    def cross_ratios(self) -> np.ndarray:
+        """``q``, or DegeneratePoints if two points of a quadruple coincide."""
+        regularity = np.asarray(self.regularity)
+        if regularity.size and regularity.min() <= regularity_tol():
+            worst = np.unravel_index(int(np.argmin(regularity)), regularity.shape)
+            where = f" of quadruple {tuple(map(int, worst))}" if worst else ""
+            raise DegeneratePoints(f"two points{where} coincide "
+                                   f"(regularity {float(regularity.min()):.3g})")
+        return self.q
+
 
 def quad_invariants(V) -> QuadInvariants:
-    """Cross ratio and regularity of stacked quadruples of points, both read
-    off the products of one Gram build.  ``V`` has shape (..., 4, 5), one
-    quadruple of isotropic representatives per leading index.
+    """Cross ratio and regularity of stacked quadruples of points.  ``V`` has
+    shape (..., 4, 5), one quadruple of isotropic representatives per
+    leading index; :func:`face_products` and :func:`edge_quad_products` take
+    the quadruples of vertex arrays without stacking them.
 
     With <ij> the products of the unit representatives U_i = V_i / |V_i|
     and
@@ -145,28 +157,71 @@ def quad_invariants(V) -> QuadInvariants:
       noise of the products, the lifts' own isotropy defect max |<ii>| plus
       a few rounding units, cannot tell two points apart and counts as 0.
 
-    The products come from one stacked Gram matrix of the unit
-    representatives.  Each carries a rounding error of a few units, so a
-    quadruple whose products are small against the representatives' norms
-    (small faces far from the origin of the chart) loses digits to it.
+    Each product is summed in the fixed order of :func:`_inner` and carries
+    a rounding error of a few units, so a quadruple whose products are small
+    against the representatives' norms (small faces far from the origin of
+    the chart) loses digits to it.
 
     Raises
     ------
     DegeneratePoints
         If a representative is zero.
     """
+    U, s = _units(V)
+    corners = tuple(U[..., k, :] for k in range(4))
+    products = tuple(_inner(x, y) for x, y in itertools.combinations(corners, 2))
+    return invariants_from_products(corners, products, tuple(s[..., k] for k in range(4)))
+
+
+def face_products(data):
+    """The arguments of :func:`invariants_from_products` for the faces of a
+    vertex array, each product taken once per vertex, edge or face diagonal."""
+    U, s = _units(data)
+    along_m, along_n = _inner(U[:-1], U[1:]), _inner(U[:, :-1], U[:, 1:])
+    corners = U[:-1, :-1], U[1:, :-1], U[1:, 1:], U[:-1, 1:]
+    products = (along_m[:, :-1], _inner(corners[0], corners[2]), along_n[:-1], along_n[1:],
+                _inner(corners[1], corners[3]), along_m[:, 1:])
+    return corners, products, (s[:-1, :-1], s[1:, :-1], s[1:, 1:], s[:-1, 1:])
+
+
+def edge_quad_products(F, H):
+    """The arguments of :func:`invariants_from_products` for [F_i, F_j, H_j, H_i]
+    on the edge stacks (i, j) along +m and +n of two vertex arrays: norms and
+    <F, H> taken once per vertex, the other products once per edge."""
+    (UF, sF), (UH, sH) = _units(F), _units(H)
+    rungs = _inner(UF, UH)
+    return [((UF[i], UF[j], UH[j], UH[i]),
+             (_inner(UF[i], UF[j]), _inner(UF[i], UH[j]), rungs[i], rungs[j],
+              _inner(UF[j], UH[i]), _inner(UH[j], UH[i])),
+             (sF[i], sF[j], sH[j], sH[i]))
+            for i, j in ((np.s_[:-1], np.s_[1:]), (np.s_[:, :-1], np.s_[:, 1:]))]
+
+
+def _inner(X, Y):
+    """<X, Y> in the fixed order (((-x0 y0 + x1 y1) + x2 y2) + x3 y3) + x4 y4."""
+    xy = X * Y
+    return (((xy[..., 1] - xy[..., 0]) + xy[..., 2]) + xy[..., 3]) + xy[..., 4]
+
+
+def _units(V):
+    """Unit representatives V / |V| and their self-products <U, U>."""
     V = np.asarray(V, dtype=float)
-    norms = np.linalg.norm(V, axis=-1)
-    if np.any(norms == 0.0):
+    norms = np.sqrt((V * V).sum(axis=-1))
+    if (norms == 0.0).any():
         raise DegeneratePoints("zero representative")
     U = V / norms[..., None]
-    # the products in corner-major layout (4, 4, ...), each a contiguous
-    # array of shape (...)
-    G = np.moveaxis((U * SIGNATURE) @ np.swapaxes(U, -1, -2), (-2, -1), (0, 1)).copy()
-    g12, g13, g14, g23, g24, g34 = G[0, 1], G[0, 2], G[0, 3], G[1, 2], G[1, 3], G[2, 3]
-    g11, g22, g33 = G[0, 0], G[1, 1], G[2, 2]
+    return U, _inner(U, U)
+
+
+def invariants_from_products(corners, products, selfs) -> QuadInvariants:
+    """The fields of :func:`quad_invariants` from the unit corners U_1 .. U_4,
+    their pair products 12, 13, 14, 23, 24, 34 and their self-products."""
+    # one contiguous array each, rows of which the arithmetic below runs on
+    products, selfs = np.array(products), np.array(selfs)
+    g12, g13, g14, g23, g24, g34 = products
+    g11, g22, g33, _ = selfs
     a, b, c = g12 * g34, g13 * g24, g14 * g23
-    regularity = _regularity([g12, g13, g14, g23, g24, g34], [g11, g22, g33, G[3, 3]])
+    regularity = _regularity(products, selfs)
     # cofactors of M, the Gram matrix of U_1, U_2, U_3
     m11, m22, m33 = g22 * g33 - g23 * g23, g11 * g33 - g13 * g13, g11 * g22 - g12 * g12
     m12, m13, m23 = g13 * g23 - g12 * g33, g12 * g23 - g13 * g22, g12 * g13 - g23 * g11
@@ -178,7 +233,7 @@ def quad_invariants(V) -> QuadInvariants:
         alpha = [(m11 * g14 + m12 * g24 + m13 * g34) / det_m,
                  (m12 * g14 + m22 * g24 + m23 * g34) / det_m,
                  (m13 * g14 + m23 * g24 + m33 * g34) / det_m]
-        R = U[..., 3, :] - sum(w[..., None] * U[..., k, :] for k, w in enumerate(alpha))
+        R = corners[3] - sum(w[..., None] * corners[k] for k, w in enumerate(alpha))
         off = np.sqrt((R * R).sum(axis=-1)) > tol(1.0 + sum(np.abs(w) for w in alpha))
     if off.any():
         a, b, c = a[off], b[off], c[off]
@@ -228,14 +283,7 @@ def cross_ratios(V):
         coincide: its regularity min |<ij>| / max |<ij>| is at most
         :func:`regularity_tol`.
     """
-    inv = quad_invariants(V)
-    regularity = np.asarray(inv.regularity)
-    if regularity.size and regularity.min() <= regularity_tol():
-        worst = np.unravel_index(int(np.argmin(regularity)), regularity.shape)
-        where = f" of quadruple {tuple(map(int, worst))}" if worst else ""
-        raise DegeneratePoints(f"two points{where} coincide "
-                               f"(regularity {float(regularity.min()):.3g})")
-    return inv.q
+    return quad_invariants(V).cross_ratios()
 
 
 def cross_ratio(P1, P2, P3, P4):

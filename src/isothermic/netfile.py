@@ -118,7 +118,8 @@ def load_net(path):
     OSError
         When the file cannot be read.
     ParseError
-        On malformed JSON (with line diagnostics) or missing fields.
+        On a non-ASCII byte, malformed JSON (with line diagnostics) or
+        missing fields.
     DimensionMismatch
         When array shapes disagree with the declared grid size.
     """
@@ -127,6 +128,8 @@ def load_net(path):
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: byte {exc.start}: not ASCII") from exc
 
     if _require(doc, "format", path) != FORMAT_NAME:
         raise ParseError(f"{path}: not an {FORMAT_NAME} file")

@@ -35,14 +35,13 @@ from .grids import (
     sweep_propagate,
 )
 from .minkowski import (
-    SIGNATURE,
     _regularity,
     circle_factors,
     cross_ratio_matrix,
-    cross_ratios,
+    face_products,
+    invariants_from_products,
     minkowski_inner,
     norm2,
-    quad_invariants,
     regularity_tol,
     span_normal,
 )
@@ -86,7 +85,8 @@ class IsothermicNet:
         ratios ``q`` (computed if not given); returns the worst residual."""
         scale = self.lift_scale() ** 2
         worst = float(np.abs(norm2(self.lifts.data)).max()) / max(scale, 1e-300)
-        q = cross_ratios(face_stack(self.lifts.data)) if q is None else q
+        if q is None:
+            q = invariants_from_products(*face_products(self.lifts.data)).cross_ratios()
         expected = self.weights.u[:, None] / self.weights.v[None, :]
         worst = max(worst, float((np.abs(q - expected) / (1.0 + np.abs(expected)))
                                  .max(initial=0.0)))
@@ -111,7 +111,7 @@ def verify_isothermic(lifts: VertexField, *, strict: bool = True) -> IsothermicR
     """Verify that a grid of isotropic lifts is a discrete isothermic net and
     reconstruct its edge weight function.
 
-    One pass of :func:`minkowski.quad_invariants` over the face stack gives
+    One pass of :func:`minkowski.face_products` over the lifts gives
     every face check: regularity (distinct points in three-point general
     position on every face), then, face by face, that the four points are
     concircular (real cross ratio).  The cross ratios must then satisfy
@@ -132,7 +132,7 @@ def verify_isothermic(lifts: VertexField, *, strict: bool = True) -> IsothermicR
         if strict:
             raise GeometryError(report.reason + f" ({domain.rows}x{domain.cols} grid)")
         return report
-    inv = quad_invariants(face_stack(lifts.data))
+    inv = invariants_from_products(*face_products(lifts.data))
     regularity = float(inv.regularity.min())
     if regularity <= regularity_tol():
         report = IsothermicReport(False, None, np.inf, np.inf, np.inf, regularity,
@@ -160,7 +160,7 @@ def verify_isothermic(lifts: VertexField, *, strict: bool = True) -> IsothermicR
             raise FactorizationFailure(report.reason + f" (residual {max_grid:.3g})")
         return report
 
-    v0 = -1.0 if np.all(ratios < 0.0) else 1.0
+    v0 = -1.0 if (ratios < 0.0).all() else 1.0
     u = ratios[:, 0] * v0
     v = np.empty(domain.cols - 1)
     v[0] = v0
@@ -185,18 +185,9 @@ def face_regularity(lifts: VertexField) -> float:
     triple of a face is in general position exactly when its six products
     are away from 0; a regular net keeps this above
     :func:`minkowski.regularity_tol`, which is quadratic like the measure.
-    Each product is taken once per edge or face diagonal, not once per face."""
-    norms = np.linalg.norm(lifts.data, axis=-1)
-    if np.any(norms == 0.0):
-        raise DegeneratePoints("zero representative")
-    U = lifts.data / norms[..., None]
-    UJ = U * SIGNATURE
-    along_m = np.einsum("...i,...i->...", UJ[:-1], U[1:])
-    along_n = np.einsum("...i,...i->...", UJ[:, :-1], U[:, 1:])
-    products = [along_m[:, :-1], along_n[1:], along_m[:, 1:], along_n[:-1],
-                np.einsum("...i,...i->...", UJ[:-1, :-1], U[1:, 1:]),
-                np.einsum("...i,...i->...", UJ[1:, :-1], U[:-1, 1:])]
-    selfs = np.moveaxis(face_stack(np.einsum("...i,...i->...", UJ, U)), 2, 0)
+    The products are those of :func:`minkowski.face_products`, taken once
+    per vertex, edge or face diagonal; no cross ratio is formed."""
+    _, products, selfs = face_products(lifts.data)
     return float(_regularity(products, selfs).min(initial=np.inf))
 
 

@@ -31,7 +31,8 @@ from .minkowski import (
     SIGNATURE,
     _apply_factors,
     cross_ratio_apply,
-    cross_ratios,
+    edge_quad_products,
+    invariants_from_products,
     minkowski_inner,
     norm2,
     orthonormal_complement,
@@ -72,12 +73,14 @@ class DarbouxTransform:
                              self.base.weights)
 
     def cross_ratio_residual(self) -> float:
-        """Worst deviation of [f_i; f_j; fhat_j; fhat_i] from a_ij * mu."""
+        """Worst deviation of [f_i; f_j; fhat_j; fhat_i] from a_ij * mu, over
+        the edge quadruples of :func:`minkowski.edge_quad_products`.
+
+        Raises DegeneratePoints if two points of an edge quadruple coincide."""
         worst = 0.0
-        for (Fi, Fj), a, (Hi, Hj) in zip(edge_stacks(self.base.lifts.data),
-                                         self.base.weights.stacks(),
-                                         edge_stacks(self.lifts.data)):
-            q = cross_ratios(np.stack([Fi, Fj, Hj, Hi], axis=2))
+        for products, a in zip(edge_quad_products(self.base.lifts.data, self.lifts.data),
+                               self.base.weights.stacks()):
+            q = invariants_from_products(*products).cross_ratios()
             target = a * self.mu
             worst = max(worst, float((np.abs(q - target) / (1.0 + np.abs(target))).max(initial=0.0)))
         return worst

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import darboux_stacked_net, ref_face_regularity
-from isothermic import catalog, conserved
+from isothermic import catalog, conserved, grids, minkowski, nets, transforms
 from isothermic.conserved import (
     ConservedQuantity,
     lcq_solve_grid,
@@ -43,8 +43,10 @@ from isothermic.minkowski import (
     SIGNATURE,
     cross_ratio_matrix,
     cross_ratios,
+    edge_quad_products,
     euclidean_lift,
     euclidean_point,
+    face_products,
     minkowski_inner,
     regularity_tol,
 )
@@ -77,10 +79,21 @@ from isothermic.transforms import (
 PAIRS = ([0, 0, 0, 1, 1, 2], [1, 2, 3, 2, 3, 3])
 
 
+def ref_unit_gram(points):
+    """Unit representatives of a few points and their Gram matrix, each
+    product summed like the kernel's, in the order
+    (((-x0 y0 + x1 y1) + x2 y2) + x3 y3) + x4 y4."""
+    V = np.array(points, dtype=float)
+    V = V / np.sqrt((V * V).sum(axis=-1))[:, None]
+    G = np.empty((len(V), len(V)))
+    for i, j in np.ndindex(G.shape):
+        x = V[i] * V[j]
+        G[i, j] = (((x[1] - x[0]) + x[2]) + x[3]) + x[4]
+    return V, G
+
+
 def ref_cross_ratio(P1, P2, P3, P4, rel=1e-9):
-    V = np.array([P1, P2, P3, P4], dtype=float)
-    V = V / np.linalg.norm(V, axis=1)[:, None]
-    G = (V * SIGNATURE) @ V.T
+    V, G = ref_unit_gram([P1, P2, P3, P4])
     # the regularity of minkowski.quad_invariants: min |<ij>| / max |<ij>|,
     # with a product within the isotropy defect and rounding counting as 0
     g = np.abs(G[PAIRS])
@@ -106,13 +119,11 @@ def ref_face_cross_ratios(lifts: VertexField):
 
 def ref_face_grams(lifts: VertexField):
     """Gram matrices of the unit representatives of every face, one face at
-    a time: shape (rows-1, cols-1, 4, 4)."""
+    a time (:func:`ref_unit_gram`): shape (rows-1, cols-1, 4, 4)."""
     dom = lifts.domain
     out = np.zeros((dom.rows - 1, dom.cols - 1, 4, 4))
     for face in dom.faces():
-        V = np.stack([lifts[v] for v in face])
-        V = V / np.linalg.norm(V, axis=1)[:, None]
-        out[dom.index(face[0])] = (V * SIGNATURE) @ V.T
+        out[dom.index(face[0])] = ref_unit_gram([lifts[v] for v in face])[1]
     return out
 
 
@@ -244,6 +255,84 @@ def test_face_checks_match_references(drawn, bend):
         ratios = ref.real
         np.testing.assert_allclose(report.weights.u[:, None] / report.weights.v[None, :],
                                    ratios, rtol=1e-9)
+
+
+def assert_quad_products_equal(built, grams, units):
+    """The corners, products and self-products of a product builder (the
+    arguments of ``minkowski.invariants_from_products``) equal the per-quadruple oracle's
+    unit representatives and Gram entries bitwise; ``grams`` and ``units``
+    have shape (..., 4, 4) and (..., 4, 5)."""
+    corners, products, selfs = built
+    for k, corner in enumerate(corners):
+        assert np.array_equal(corner, units[..., k, :])
+    for (i, j), g in zip(zip(*PAIRS), products):
+        assert np.array_equal(g, grams[..., i, j])
+    for i, g in enumerate(selfs):
+        assert np.array_equal(g, grams[..., i, i])
+
+
+@settings(max_examples=30, deadline=None)
+@given(NETS, st.booleans())
+def test_quad_products_are_the_oracles_bitwise(drawn, bend):
+    """The face products (once per vertex, edge and face diagonal) and the
+    products of the Darboux edge quadruples [F_i, F_j, H_j, H_i] (once per
+    vertex, rung, rail and diagonal) are the products one quadruple at a time
+    would take, in the same order, to the last bit."""
+    seed, shape, kind = drawn
+    net = random_net(seed, shape, kind)
+    if bend:
+        net = bent(net, seed)
+    dom = net.domain
+    F = net.lifts.data
+    H = bent(net, seed + 1).lifts.data
+    faces = (dom.rows - 1, dom.cols - 1)
+    units, grams = np.zeros(faces + (4, 5)), np.zeros(faces + (4, 4))
+    for face in dom.faces():
+        units[dom.index(face[0])], grams[dom.index(face[0])] = ref_unit_gram([F[v] for v in face])
+    assert_quad_products_equal(face_products(F), grams, units)
+    for axis, built in enumerate(edge_quad_products(F, H)):
+        stack = (dom.rows - 1 + axis, dom.cols - axis)
+        units, grams = np.zeros(stack + (4, 5)), np.zeros(stack + (4, 4))
+        for idx in np.ndindex(stack):
+            i, j = dom.stack_edge(axis, idx)
+            units[idx], grams[idx] = ref_unit_gram([F[i], F[j], H[j], H[i]])
+        assert_quad_products_equal(built, grams, units)
+
+
+class _NoStack:
+    """numpy, with ``stack`` refused."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def stack(*args, **kwargs):
+        raise AssertionError("a quadruple stack was formed")
+
+
+def test_quad_checks_form_no_quadruple_stack(monkeypatch):
+    """verify_isothermic, validate and cross_ratio_residual read their
+    products off the vertex arrays: they run, to the same results, with
+    face_stack and np.stack refused in the kernel, net and transform
+    modules."""
+    net = catalog.cylinder_net(4, 5, 0.3, np.pi / 4)
+    t = darboux_propagate(net, 0.4, euclidean_lift(np.array([3.0, 0.5, 0.2])))
+
+    def checks():
+        return (verify_isothermic(net.lifts).cross_ratios, net.validate(),
+                t.cross_ratio_residual())
+
+    expected = checks()
+
+    def refused(data):
+        raise AssertionError("a face stack was formed")
+
+    monkeypatch.setattr(grids, "face_stack", refused)
+    monkeypatch.setattr(nets, "face_stack", refused)
+    for module in (minkowski, nets, transforms):
+        monkeypatch.setattr(module, "np", _NoStack())
+    got = checks()
+    assert np.array_equal(got[0], expected[0]) and got[1:] == expected[1:]
 
 
 @settings(max_examples=30, deadline=None)

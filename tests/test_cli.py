@@ -270,6 +270,55 @@ def test_unreadable_input_is_a_usage_error(tmp_path, capsys):
     assert "verification error: " + str(truncated) in capsys.readouterr().err
 
 
+def test_non_ascii_net_file_is_a_parse_error(tmp_path, capsys):
+    """A net file holding a byte outside ASCII fails like a truncated one:
+    one line, exit 2, not a traceback."""
+    path = tmp_path / "net.json"
+    save_net(path, catalog.cylinder_net(3, 3, 0.3, np.pi / 4))
+    path.write_bytes(path.read_bytes().replace(b"{", b"{\xff", 1))
+    for argv in (["verify", path], ["classify", path],
+                 ["export", path, "--model", "euclidean", "-o", tmp_path / "x.obj"]):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"verification error: {path}: byte 1: not ASCII"]
+
+
+def test_seed_edge_of_the_wrong_length_is_a_usage_error(tmp_path, capsys):
+    """M0, M1 and Q of a --seed-edge file are points of R^{2,1}; another
+    length exits 1 with one error line naming the expected length."""
+    out = tmp_path / "never.json"
+    for doc in ('{"M0": [0.1, 0.2], "M1": [0.3, 0.4, 0.5]}',
+                '{"M0": [0.1, 0.2, 0.3], "M1": [[0.3, 0.4, 0.5]]}',
+                '{"M0": [0.1, 0.2, 0.3], "M1": [0.3, 0.4, 0.5], "Q": [1, 0, 0, 0]}'):
+        seed = tmp_path / "seed.json"
+        seed.write_text(doc)
+        assert run(["generate", "revolution", "--H", 0.5, "--kappa", 0,
+                    "--seed-edge", seed, "-o", out]) == 1
+        line = _usage_error_line(capsys)
+        assert str(seed) in line and "need length 3" in line
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("target", ["missing directory", "directory"])
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys, target):
+    """An -o path inside a missing directory, or naming a directory, exits 1
+    with one error line naming it, for every command that writes."""
+    src = tmp_path / "net.json"
+    assert run(["generate", "revolution", "--H", 0.5, "--kappa", 0,
+                "--steps", 1, "--angles", 4, "-o", src]) == 0
+    capsys.readouterr()
+    out = tmp_path / "nowhere" / "out.json"
+    if target == "directory":
+        out = tmp_path / "folder"
+        out.mkdir()
+    for argv in (["generate", "revolution", "--H", 0.5, "--kappa", 0,
+                  "--steps", 1, "--angles", 4, "-o", out],
+                 ["transform", "christoffel", src, "-o", out],
+                 ["export", src, "--model", "euclidean", "-o", out]):
+        assert run(argv) == 1
+        assert str(out) in _usage_error_line(capsys)
+
+
 def test_verify_inconsistent_weights_exits_2(tmp_path):
     net = catalog.cylinder_net(4, 4, 0.3, np.pi / 4)
     path = tmp_path / "badweights.json"
@@ -286,16 +335,16 @@ def test_verify_makes_one_face_kernel_pass(tmp_path, monkeypatch, capsys):
     path = tmp_path / "net.json"
     save_net(path, net)
     calls = []
-    kernel = minkowski.quad_invariants
+    kernel = minkowski.face_products
 
-    def counted(V):
-        calls.append(V.shape)
-        return kernel(V)
+    def counted(data):
+        calls.append(data.shape)
+        return kernel(data)
 
-    monkeypatch.setattr(minkowski, "quad_invariants", counted)
-    monkeypatch.setattr(nets, "quad_invariants", counted)
+    monkeypatch.setattr(minkowski, "face_products", counted)
+    monkeypatch.setattr(nets, "face_products", counted)
     assert run(["verify", path]) == 0
-    assert calls == [(3, 4, 4, 5)]
+    assert calls == [(4, 5, 5)]
     monkeypatch.undo()
     assert f"stored-weight residual {net.validate():.3g})" in capsys.readouterr().out
 
