@@ -264,11 +264,11 @@ def regularity_tol() -> float:
 
 
 def cross_ratios(V):
-    """Cross ratios of stacked quadruples of points: ``V`` has shape
-    (..., 4, 5), one quadruple of isotropic representatives per leading
-    index, and the result is a complex array of shape (...), the ``q`` of
-    :func:`quad_invariants`.  With a = <12><34>, b = <13><24>, c = <14><23>
-    from the products of the unit representatives,
+    """Cross ratios of quadruples of points stacked by the caller: ``V`` has
+    shape (..., 4, 5), one quadruple of isotropic representatives per leading
+    index, and the result is a complex array of shape (...), the checked
+    ``q`` of :func:`quad_invariants`.  With a = <12><34>, b = <13><24>,
+    c = <14><23> from the products of the unit representatives,
 
         q = ( a - b + c + sqrt(det) ) / 2c,   det = a^2 + b^2 + c^2 - 2ab - 2bc - 2ca,
 

@@ -31,7 +31,6 @@ from .grids import (
     GridDomain,
     VertexField,
     edge_stacks,
-    face_stack,
     sweep_propagate,
 )
 from .minkowski import (
@@ -268,8 +267,8 @@ def moutard_lift(lifts: VertexField, weights: EdgeFunction) -> VertexField:
 def moutard_check(lifts: VertexField):
     """Whether the diagonals F_k - F_i and F_j - F_l are parallel on every
     face; returns (ok, worst relative second singular value)."""
-    F = face_stack(lifts.data)
-    D = np.stack([F[:, :, 2] - F[:, :, 0], F[:, :, 1] - F[:, :, 3]], axis=2)
+    F = lifts.data
+    D = np.stack([F[1:, 1:] - F[:-1, :-1], F[1:, :-1] - F[:-1, 1:]], axis=2)
     s = np.linalg.svd(D, compute_uv=False)
     # s[1] <= s[0], so a face with s[0] = 0 contributes 0
     worst = float((s[..., 1] / np.where(s[..., 0] > 0, s[..., 0], 1.0)).max(initial=0.0))

@@ -259,9 +259,9 @@ def test_face_checks_match_references(drawn, bend):
 
 def assert_quad_products_equal(built, grams, units):
     """The corners, products and self-products of a product builder (the
-    arguments of ``minkowski.invariants_from_products``) equal the per-quadruple oracle's
-    unit representatives and Gram entries bitwise; ``grams`` and ``units``
-    have shape (..., 4, 4) and (..., 4, 5)."""
+    arguments of ``minkowski.invariants_from_products``) equal the unit
+    representatives and Gram entries of the per-quadruple oracle bitwise;
+    ``grams`` and ``units`` have shape (..., 4, 4) and (..., 4, 5)."""
     corners, products, selfs = built
     for k, corner in enumerate(corners):
         assert np.array_equal(corner, units[..., k, :])
@@ -327,8 +327,8 @@ def test_quad_checks_form_no_quadruple_stack(monkeypatch):
     def refused(data):
         raise AssertionError("a face stack was formed")
 
-    monkeypatch.setattr(grids, "face_stack", refused)
-    monkeypatch.setattr(nets, "face_stack", refused)
+    for module in (grids, nets, transforms):
+        monkeypatch.setattr(module, "face_stack", refused, raising=False)
     for module in (minkowski, nets, transforms):
         monkeypatch.setattr(module, "np", _NoStack())
     got = checks()
