@@ -28,7 +28,7 @@ from .euclidean import (
     extract_parallel,
     parallel_lcq,
 )
-from .grids import EdgeFunction, GridDomain, VertexField, closedness_check
+from .grids import EdgeFunction, GridDomain, VertexField
 from .minkowski import (
     Q_EUCLIDEAN,
     cross_ratio,

@@ -83,6 +83,9 @@ def _load(path):
 
 
 def _cmd_generate(args) -> int:
+    if args.angles < 2 or args.steps < 0:
+        raise UsageError(f"need --angles at least 2 and --steps at least 0, "
+                         f"not {args.angles} and {args.steps}")
     kappa = args.kappa
     Q3 = default_space_form(kappa)
     if args.seed_edge:
@@ -116,8 +119,9 @@ def _cmd_generate(args) -> int:
         "closure": closure_defect(net),
     }
     save_net(args.output, net, [quantity], metadata)
+    # + 0.0 turns -0.0 into 0.0, which prints as "0"
     print(f"wrote {args.output}: {net.domain.rows}x{net.domain.cols} net, "
-          f"H={H:.12g}, kappa={kap:.12g}")
+          f"H={H + 0.0:.12g}, kappa={kap + 0.0:.12g}")
     return 0
 
 

@@ -176,7 +176,6 @@ def pcq_propagate(net: IsothermicNet, seed, basepoint=None) -> ConservedQuantity
     if seed.ndim != 2 or seed.shape[1] != 5:
         raise ValueError("seed must have shape (deg+1, 5)")
     k = seed.shape[0]
-    base = dom.index(basepoint)
     scale = 1.0 + mp_max_coeff(seed)
     limit = tol(scale * net.lift_scale())
     lifts = edge_stacks(net.lifts.data)
@@ -202,9 +201,7 @@ def pcq_propagate(net: IsothermicNet, seed, basepoint=None) -> ConservedQuantity
         add[:, 1:] = p_dst[:, :k - 1] * Fi[:, None, :] - p_src[:, :k - 1, None] * Fj[:, None, :]
         return ci + (a[:, None] / g) * add
 
-    coeffs, cross = sweep_propagate(seed, base, (dom.rows, dom.cols), transport)
-    resid = np.abs(transport(coeffs[:-1][cross], 0, cross, True) - coeffs[1:][cross])
-    worst, edge = dom.worst_edge(resid.max(axis=(-2, -1)), 0, cross)
+    coeffs, worst, edge = sweep_propagate(dom, seed, basepoint, transport)
     if worst > tol(scale):
         raise NotConserved(f"path dependence {worst:.3g} during propagation; worst edge {edge}")
     return ConservedQuantity(net, coeffs)
@@ -286,21 +283,19 @@ def propagate_congruence(net: IsothermicNet, Q, Z0, basepoint) -> VertexField:
     basepoint's star; callers check it.
 
     The edge form is summed along the basepoint's column and then along
-    every row (:func:`grids.sweep_integrate`); the edges ((m,n) (m+1,n)) off
-    that column are checked against it in one batch."""
+    every row, and closed on the remaining edges, by
+    :func:`grids.sweep_integrate`."""
     dom = net.domain
     F = net.lifts.data
     QF = minkowski_inner(F, np.asarray(Q, dtype=float))
     wu, wv = [(a / minkowski_inner(Fi, Fj))[..., None] * (qj[..., None] * Fi - qi[..., None] * Fj)
               for (Fi, Fj), a, (qi, qj) in zip(edge_stacks(F), net.weights.stacks(),
                                                edge_stacks(QF))]
-    m0, n0 = dom.index(basepoint)
-    Z = np.asarray(Z0, dtype=float) + sweep_integrate(wu, wv, (m0, n0))
-    resid = np.delete(Z[1:] - Z[:-1] - wu, n0, axis=1)
-    worst = float(np.abs(resid).max()) if resid.size else 0.0
-    scale = 1.0 + float(np.abs(Z).max())
-    if worst > tol(scale):
-        raise NotConserved(f"congruence propagation is path dependent ({worst:.3g})")
+    Z, worst, edge = sweep_integrate(dom, wu, wv, basepoint)
+    Z += np.asarray(Z0, dtype=float)
+    if worst > tol(1.0 + float(np.abs(Z).max())):
+        raise NotConserved(f"congruence propagation is path dependent ({worst:.3g}); "
+                           f"worst edge {edge}")
     return VertexField(dom, Z)
 
 

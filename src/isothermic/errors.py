@@ -111,7 +111,7 @@ class NotParallel(GeometryError):
 # --- Euclidean reductions ------------------------------------------------------
 
 class NotClosed(GeometryError):
-    """A discrete 1-form fails the face-closedness test; integration aborted."""
+    """A discrete 1-form is not closed: its integral depends on the path."""
 
 
 class NotChristoffel(GeometryError):

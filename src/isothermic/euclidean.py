@@ -13,7 +13,6 @@ from .grids import (
     EdgeFunction,
     GridDomain,
     VertexField,
-    closedness_check,
     edge_stacks,
     sweep_integrate,
 )
@@ -76,13 +75,10 @@ def christoffel(net: EuclideanNet, basepoint=None) -> EuclideanNet:
             raise NotClosed(f"degenerate edge {dom.stack_edge(axis, degenerate[0])}")
         omega.append(-(a / d2)[..., None] * df)
 
-    report = closedness_check(*omega, dom)
-    if not report.ok:
-        raise NotClosed(
-            f"dual edge form is not closed (residual {report.max_residual:.3g} "
-            f"at face {report.worst_face})")
-    dual = VertexField(dom, sweep_integrate(*omega, dom.index(basepoint)))
-    return EuclideanNet(dom, dual, net.weights)
+    dual, worst, edge = sweep_integrate(dom, *omega, basepoint)
+    if worst > tol(1.0 + max(float(np.abs(w).max(initial=0.0)) for w in omega)):
+        raise NotClosed(f"dual edge form is not closed (residual {worst:.3g}); worst edge {edge}")
+    return EuclideanNet(dom, VertexField(dom, dual), net.weights)
 
 
 def parallel_lcq(net: EuclideanNet, dual: EuclideanNet, H: float) -> ConservedQuantity:

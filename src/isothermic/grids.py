@@ -200,32 +200,6 @@ class EdgeFunction:
         return float(max(np.abs(self.u).max(initial=0.0), np.abs(self.v).max(initial=0.0)))
 
 
-@dataclass
-class ClosednessReport:
-    ok: bool
-    max_residual: float
-    worst_face: tuple | None
-
-
-def closedness_check(wu, wv, domain: GridDomain) -> ClosednessReport:
-    """Check that an edge 1-form sums to zero around every face.
-
-    ``wu`` and ``wv`` hold the form on the two edge stacks, each edge
-    directed along +m or +n; the form is antisymmetric, so a face
-    (i, j, k, l) sums to w(ij) + w(jk) - w(lk) - w(il).
-    """
-    total = wu[:, :-1] + wv[1:] - wu[:, 1:] - wv[:-1]
-    resid = np.sqrt((total * total).sum(axis=tuple(range(2, total.ndim))))
-    worst = float(resid.max(initial=0.0))
-    worst_face = None
-    if worst > 0.0:
-        m, n = domain.vertex_at(np.unravel_index(int(np.argmax(resid)), resid.shape))
-        worst_face = ((m, n), (m + 1, n), (m + 1, n + 1), (m, n + 1))
-    scale = 1.0 + max(float(np.abs(wu).max(initial=0.0)),
-                      float(np.abs(wv).max(initial=0.0)))
-    return ClosednessReport(worst <= tol(scale), worst, worst_face)
-
-
 def _sum_outward(w, k0):
     """Values g along axis 0 with g[k0] = 0 and g[k+1] - g[k] = w[k], summed
     outward from k0 in both directions."""
@@ -235,23 +209,30 @@ def _sum_outward(w, k0):
     return g
 
 
-def sweep_integrate(wu, wv, base):
-    """Integrate an additive edge form from zero at the vertex with array
-    index ``base``: sum ``wu`` along the base column, then ``wv`` along every
-    row outward from that column.  Returns shape (rows, cols, ...); the
-    edges ((m,n) (m+1,n)) off the base column are not used and remain to be
-    checked by the caller."""
-    m0, n0 = base
+def sweep_integrate(domain: GridDomain, wu, wv, base):
+    """Integrate an additive edge form from zero at the vertex ``base``: sum
+    ``wu`` along the base column, then ``wv`` along every row outward from
+    that column.  Returns the values g, shape (rows, cols, ...), the largest
+    entry of |g_(m+1,n) - g_(m,n) - wu| on the edges ((m,n) (m+1,n)) off the
+    base column, which the sum does not use, and its edge; (0.0, None) when
+    there is no such edge.  That residual is the form's sum around the faces
+    between the edge and the base column: it vanishes iff the form is closed."""
+    m0, n0 = domain.index(base)
     column = _sum_outward(wu[:, n0], m0)
     rows = np.swapaxes(_sum_outward(np.swapaxes(wv, 0, 1), n0), 0, 1)
-    return column[:, None] + rows
+    g = column[:, None] + rows
+    if domain.rows == 1 or domain.cols == 1:
+        return g, 0.0, None
+    resid = np.abs(g[1:] - g[:-1] - wu)
+    resid[:, n0] = 0.0
+    worst = np.unravel_index(int(np.argmax(resid)), resid.shape)
+    return g, float(resid[worst]), domain.stack_edge(0, worst)
 
 
-def sweep_propagate(start, base, shape, step):
-    """Propagate a value over a (rows, cols) grid from the vertex with array
-    index ``base``, where it is ``start``: along the base column one vertex
-    at a time, then outward column by column with all rows in one step, in
-    rows + cols - 2 calls of
+def sweep_propagate(domain: GridDomain, start, base, step):
+    """Propagate a value over the grid from the vertex ``base``, where it is
+    ``start``: along the base column one vertex at a time, then outward
+    column by column with all rows in one step, in rows + cols - 2 calls of
 
         step(values, axis, index, forward) -> values at the far ends.
 
@@ -259,13 +240,16 @@ def sweep_propagate(start, base, shape, step):
     the edge stack along +m (``axis`` 0) or +n (``axis`` 1), ``values``
     holds the values at the near ends of those edges, stacked in the same
     order, and ``forward`` tells whether the step runs along +m/+n or
-    against it.  Returns the values, shape (rows, cols) + start.shape, and
-    the index arrays of the edges along +m off the base column, which the
-    sweep does not use (the spanning tree is the one :func:`sweep_integrate`
-    sums along) and which remain for the caller to check.
+    against it.  The spanning tree is the one :func:`sweep_integrate` sums
+    along.  One more call steps forward over the edges ((m,n) (m+1,n)) off
+    the base column, which the tree does not use, and closes the sweep.
+
+    Returns the values, shape (rows, cols) + start.shape, the largest
+    entry of |stepped - stored| at the far ends of those edges, and its
+    edge; (0.0, None) when there is no such edge.
     """
-    rows, cols = shape
-    m0, n0 = base
+    rows, cols = domain.rows, domain.cols
+    m0, n0 = domain.index(base)
     out = np.empty((rows, cols) + np.shape(start))
     out[m0, n0] = start
     base_col = np.array([n0])
@@ -278,6 +262,9 @@ def sweep_propagate(start, base, shape, step):
         out[:, n + 1] = step(out[:, n], 1, (all_rows, np.full(rows, n)), True)
     for n in range(n0 - 1, -1, -1):
         out[:, n] = step(out[:, n + 1], 1, (all_rows, np.full(rows, n)), False)
-    cross = np.ones((rows - 1, cols), dtype=bool)
-    cross[:, n0] = False
-    return out, np.nonzero(cross)
+    if rows == 1 or cols == 1:
+        return out, 0.0, None
+    cross = np.nonzero(np.broadcast_to(np.arange(cols) != n0, (rows - 1, cols)))
+    resid = np.abs(out[1:][cross] - step(out[:-1][cross], 0, cross, True))
+    worst, edge = domain.worst_edge(resid.reshape(len(resid), -1).max(axis=1), 0, cross)
+    return out, worst, edge

@@ -118,8 +118,9 @@ def load_net(path):
     OSError
         When the file cannot be read.
     ParseError
-        On a non-ASCII byte, malformed JSON (with line diagnostics) or
-        missing fields.
+        On a non-ASCII byte, malformed JSON (with line diagnostics), a
+        document that is not an object, missing fields, or sizes and
+        quantities of the wrong type.
     DimensionMismatch
         When array shapes disagree with the declared grid size.
     """
@@ -131,12 +132,16 @@ def load_net(path):
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: byte {exc.start}: not ASCII") from exc
 
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path}: not an {FORMAT_NAME} file (the document is not an object)")
     if _require(doc, "format", path) != FORMAT_NAME:
         raise ParseError(f"{path}: not an {FORMAT_NAME} file")
     if _require(doc, "version", path) != FORMAT_VERSION:
         raise ParseError(f"{path}: unsupported version {doc['version']}")
-    rows = int(_require(doc, "rows", path))
-    cols = int(_require(doc, "cols", path))
+    try:
+        rows, cols = (int(_require(doc, key, path)) for key in ("rows", "cols"))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"{path}: grid size is not an integer ({exc})") from exc
     if rows < 1 or cols < 1:
         raise ParseError(f"{path}: grid size must be positive")
     domain = GridDomain(rows, cols)
@@ -158,11 +163,17 @@ def load_net(path):
     net = IsothermicNet(domain, VertexField(domain, lifts),
                         EdgeFunction(domain, a_u, a_v))
 
-    quantities = []
-    for idx, item in enumerate(doc.get("conserved_quantities", [])):
-        degree = item.get("degree")
-        coeffs = np.asarray(item.get("coeffs"), dtype=float)
-        if degree is None or coeffs.shape != (rows, cols, int(degree) + 1, 5):
+    quantities, items = [], doc.get("conserved_quantities", [])
+    if not isinstance(items, list):
+        raise ParseError(f"{path}: conserved_quantities must be a list")
+    for idx, item in enumerate(items):
+        try:
+            degree = int(item["degree"])
+            coeffs = np.asarray(item["coeffs"], dtype=float)
+        except (LookupError, TypeError, ValueError, OverflowError) as exc:
+            raise ParseError(f"{path}: conserved_quantities[{idx}] needs an integer "
+                             f"'degree' and numeric 'coeffs' ({exc!r})") from exc
+        if coeffs.shape != (rows, cols, degree + 1, 5):
             raise DimensionMismatch(
                 f"{path}: conserved_quantities[{idx}] has inconsistent shape")
         quantities.append(ConservedQuantity(net, coeffs, check=False))

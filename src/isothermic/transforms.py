@@ -99,8 +99,8 @@ def parallel_residual(net: IsothermicNet, mu: float, section: VertexField) -> fl
 def darboux_propagate(net: IsothermicNet, mu: float, start, basepoint=None) -> DarbouxTransform:
     """Propagate an isotropic start vector into a Darboux transform.
 
-    The section follows the spanning tree of :func:`grids.sweep_propagate`;
-    the remaining edges are checked for parallelity in one batch.
+    The section follows the spanning tree of :func:`grids.sweep_propagate`,
+    which also checks parallelity on the remaining edges.
 
     Raises
     ------
@@ -121,7 +121,6 @@ def darboux_propagate(net: IsothermicNet, mu: float, start, basepoint=None) -> D
     if ray_distance(start, net.lifts[basepoint]) <= tol(1.0):
         raise DegenerateStart("start coincides with the base net")
 
-    base = dom.index(basepoint)
     connections = edge_connections(net, mu)
 
     def step(S, axis, index, forward):
@@ -129,10 +128,8 @@ def darboux_propagate(net: IsothermicNet, mu: float, start, basepoint=None) -> D
         U, W, W_inverse = connections[axis]
         return _apply_factors(U[index], (W_inverse if forward else W)[index], S)
 
-    lifts, cross = sweep_propagate(start, base, (dom.rows, dom.cols), step)
-    scale = 1.0 + float(np.abs(lifts).max())
-    resid = np.abs(lifts[:-1][cross] - step(lifts[1:][cross], 0, cross, False)).max(axis=-1)
-    worst, edge = dom.worst_edge(resid / scale, 0, cross)
+    lifts, worst, edge = sweep_propagate(dom, start, basepoint, step)
+    worst /= 1.0 + float(np.abs(lifts).max())
     if worst > tol(1.0):
         raise NotParallel(f"Darboux propagation is path dependent ({worst:.3g}); "
                           f"worst edge {edge}")

@@ -23,6 +23,7 @@ from isothermic.conserved import (
     lcq_solve_grid,
     pcq_propagate,
     pcq_residual,
+    propagate_congruence,
 )
 from isothermic.errors import (
     CoincidentTransforms,
@@ -640,6 +641,27 @@ def ref_pcq_propagate(net, seed, base):
     return as_array(dom, P)
 
 
+def ref_congruence(net, Q, Z0, base):
+    """Z_j = Z_i + a_ij / <F_i, F_j> (<Q, F_j> F_i - <Q, F_i> F_j), summed one
+    edge at a time and checked on the remaining edges."""
+    dom = net.domain
+
+    def form(i, j):
+        Fi, Fj = net.lifts[i], net.lifts[j]
+        return (net.weight((i, j)) / float(minkowski_inner(Fi, Fj))
+                * (float(minkowski_inner(Q, Fj)) * Fi - float(minkowski_inner(Q, Fi)) * Fj))
+
+    tree, cross = bfs_tree(dom, base)
+    Z = {base: Z0}
+    for parent, child in tree:
+        Z[child] = Z[parent] + form(parent, child)
+    resid = [float(np.abs(Z[j] - Z[i] - form(i, j)).max()) for i, j in cross]
+    values = as_array(dom, Z)
+    if resid and max(resid) > tol(1.0 + float(np.abs(values).max())):
+        raise NotConserved(f"worst edge {cross[int(np.argmax(resid))]}")
+    return values
+
+
 def ref_pcq_darboux(cq, t):
     """Phat = (lam - mu) P - (lam (lam - mu)/mu <P,F> Fhat + lam <P,Fhat> F) / <F,Fhat>."""
     dom, mu = cq.net.domain, t.mu
@@ -858,6 +880,13 @@ def test_path_dependence_names_the_worst_edge():
     cq = catalog.cylinder_quantity(catalog.cylinder_net(4, 5, 0.5, 0.9))
     with pytest.raises(NotConserved, match=re.escape("transport across ((1, 1), (1, 2))")):
         pcq_propagate(net, cq.coeffs[0, 0], (0, 0))
+    for base in ((0, 0), (3, 4), (2, 1)):
+        with pytest.raises(NotConserved) as got:
+            propagate_congruence(net, cq.constant, cq.at(base)[1], base)
+        with pytest.raises(NotConserved) as ref:
+            ref_congruence(net, cq.constant, cq.at(base)[1], base)
+        assert str(got.value).startswith("congruence propagation is path dependent")
+        assert str(got.value).endswith(str(ref.value))
 
 
 def test_backlund_start_off_the_conic_names_the_worst_vertex():
@@ -910,7 +939,7 @@ def test_faceless_nets_pass_the_face_checks(shape):
                                    rtol=1e-12, atol=1e-15)
 
 
-# --- the Moutard fill against a face-by-face loop -------------------------------
+# --- the Moutard fill and the Moutard lift against loops -------------------------
 
 
 def ref_fill(F, u, v, g_ok, f_ok=lambda Fk: True):
@@ -948,23 +977,43 @@ def ref_random_moutard_net(rng, rows, cols):
 
 
 def ref_moutard_lift(lifts, weights):
+    """Scales lambda = 1 at (0, 0) and lambda_j = a_ij / (lambda_i <F_i, F_j>),
+    one edge at a time: down the first column, then along each row from it.
+    Each remaining edge is stepped once more, so that a vanishing product
+    there is named too; then every product is checked on its own edge, and
+    the diagonals of every face for parallelism."""
     F = lifts.data
     rows, cols = F.shape[:2]
-    out = np.zeros_like(F)
-    out[0, 0] = F[0, 0]
     floor = tol(float(np.abs(F).max()) ** 2)
-    boundary = ([((m - 1, 0), (m, 0), weights.u[m - 1]) for m in range(1, rows)]
-                + [((0, n - 1), (0, n), weights.v[n - 1]) for n in range(1, cols)])
-    for prev, cur, a in boundary:
-        g = float(minkowski_inner(out[prev], F[cur]))
+    lam = np.zeros((rows, cols))
+    lam[0, 0] = 1.0
+
+    def scale(i, j, a):
+        g = lam[i] * float(minkowski_inner(F[i], F[j]))
         if abs(g) <= floor:
-            raise DegenerateEdge(f"vanishing inner product on edge {(prev, cur)}")
-        out[cur] = F[cur] * (a / g)
-    face = ref_fill(out, weights.u, weights.v, lambda g: abs(g) > floor)
-    if face is not None:
-        m, n = face
-        raise DegenerateEdge("vanishing diagonal product on face "
-                             f"{((m, n), (m + 1, n), (m + 1, n + 1), (m, n + 1))}")
+            raise DegenerateEdge(f"vanishing inner product on edge {(i, j)}")
+        return a / g
+
+    for m in range(1, rows):
+        lam[m, 0] = scale((m - 1, 0), (m, 0), weights.u[m - 1])
+    for n in range(1, cols):
+        for m in range(rows):
+            lam[m, n] = scale((m, n - 1), (m, n), weights.v[n - 1])
+    for m in range(rows - 1):
+        for n in range(1, cols):
+            scale((m, n), (m + 1, n), weights.u[m])
+    out = F * lam[..., None]
+    worst = max(abs(float(minkowski_inner(out[i], out[j])) - weights.value((i, j)))
+                / (abs(weights.value((i, j))) + np.linalg.norm(out[i]) * np.linalg.norm(out[j]))
+                for i, j in lifts.domain.edges())
+    defect = 0.0
+    for i, j, k, l in lifts.domain.faces():
+        s = np.linalg.svd(np.stack([out[k] - out[i], out[j] - out[l]]), compute_uv=False)
+        defect = max(defect, s[1] / s[0] if s[0] > 0 else 0.0)
+    if worst > tol(1.0) or defect > tol(1.0):
+        raise DegenerateEdge(
+            f"normalized lifts miss the prescribed edge products by {worst:.3g} relative "
+            f"(diagonal defect {defect:.3g}); the weights are not a factorizer of this net")
     return out
 
 
@@ -1001,13 +1050,22 @@ def test_moutard_fill_matches_face_loop(seed, rows, cols):
     weights = EdgeFunction(dom, got[1], got[2])
     scales = np.random.default_rng(seed + 1).uniform(0.3, 3.0, (rows, cols))
     lifts = VertexField(dom, got[0] * scales[..., None])
-    assert_bitwise(raised(lambda: (moutard_lift(lifts, weights).data,)),
-                   raised(lambda: (ref_moutard_lift(lifts, weights),)))
-    # the same point at the corners j and l of face (0, 0) make <F_j, F_l> vanish
+    normalized = raised(lambda: (moutard_lift(lifts, weights).data,))
+    assert_bitwise(normalized, raised(lambda: (ref_moutard_lift(lifts, weights),)))
+    if not isinstance(normalized, Exception):
+        # every prescribed product holds at the tolerance moutard_lift used
+        # with the fill, and the rescaled lifts are Moutard lifts
+        out = normalized[0]
+        limit = tol(1.0 + weights.max_abs() + float(np.abs(out).max()) ** 2)
+        for (Fi, Fj), a in zip(edge_stacks(out), weights.stacks()):
+            assert np.abs(minkowski_inner(Fi, Fj) - a).max() <= limit
+        assert moutard_check(VertexField(dom, out))[0]
+    # the same point at the corners j and l of face (0, 0): no rescaling
+    # meets the products of both paths around that face
     data = lifts.data.copy()
     data[1, 0] = 2.0 * data[0, 1]
     lifts = VertexField(dom, data)
-    with pytest.raises(DegenerateEdge, match=re.escape("face ((0, 0), (1, 0), (1, 1), (0, 1))")):
+    with pytest.raises(DegenerateEdge):
         moutard_lift(lifts, weights)
     assert_bitwise(raised(lambda: moutard_lift(lifts, weights)),
                    raised(lambda: ref_moutard_lift(lifts, weights)))

@@ -30,6 +30,8 @@ def test_generate_verify_classify_export(tmp_path, capsys):
     assert run(["verify", out, "--lcq", "Q=1,0,0,0,-1"]) == 0
     text = capsys.readouterr().out
     assert "H=0.5" in text
+    # kappa 0 prints without the sign of -0.0
+    assert "H=0.5, kappa=0\n" in text
     assert run(["classify", out]) == 0
     assert "cmc-euclidean" in capsys.readouterr().out
     obj = tmp_path / "net.obj"
@@ -265,9 +267,14 @@ def test_unreadable_input_is_a_usage_error(tmp_path, capsys):
         assert run(argv) == 1
         assert "cannot read" in _usage_error_line(capsys)
     truncated = tmp_path / "truncated.json"
-    truncated.write_text('{"format": "isothermic-net", ')
-    assert run(["verify", truncated]) == 2
-    assert "verification error: " + str(truncated) in capsys.readouterr().err
+    # a truncated document, and documents that are not net objects
+    for text in ('{"format": "isothermic-net", ', "5", '["format"]',
+                 '{"format": "isothermic-net", "version": 1, "rows": "x", "cols": 2}'):
+        truncated.write_text(text)
+        assert run(["verify", truncated]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("verification error: " + str(truncated))
 
 
 def test_non_ascii_net_file_is_a_parse_error(tmp_path, capsys):
@@ -296,6 +303,17 @@ def test_seed_edge_of_the_wrong_length_is_a_usage_error(tmp_path, capsys):
                     "--seed-edge", seed, "-o", out]) == 1
         line = _usage_error_line(capsys)
         assert str(seed) in line and "need length 3" in line
+        assert not out.exists()
+
+
+def test_generate_size_flags_are_checked(tmp_path, capsys):
+    """--angles below 2 and --steps below 0 exit 1 with one error line, and
+    write nothing."""
+    out = tmp_path / "never.json"
+    for flag, value in (("--angles", 0), ("--angles", -3), ("--angles", 1), ("--steps", -1)):
+        assert run(["generate", "revolution", "--H", 0.5, "--kappa", 0, flag, value,
+                    "-o", out]) == 1
+        assert "need --angles at least 2 and --steps at least 0" in _usage_error_line(capsys)
         assert not out.exists()
 
 

@@ -80,6 +80,13 @@ def test_christoffel_rejects_wrong_weights():
     bad = EuclideanNet(enet.domain, enet.points, scrambled)
     with pytest.raises(NotClosed):
         christoffel(bad)
+    # the doubled weight sits on the edges between rows 1 and 2, so the sum
+    # misses on those off the base column, most on the last one
+    for base in ((0, 0), (3, 2)):
+        with pytest.raises(NotClosed) as got:
+            christoffel(bad, base)
+        assert str(got.value).startswith("dual edge form is not closed (residual ")
+        assert str(got.value).endswith("; worst edge ((1, 4), (2, 4))")
 
 
 def test_parallel_lcq_roundtrip():

@@ -6,7 +6,6 @@ import pytest
 from isothermic.grids import (
     EdgeFunction,
     GridDomain,
-    closedness_check,
     sweep_integrate,
     sweep_propagate,
 )
@@ -47,9 +46,8 @@ def _differential(g):
 def test_closedness_of_differentials(rng):
     dom = GridDomain(4, 4)
     g = rng.normal(size=(4, 4, 5))
-    report = closedness_check(*_differential(g), dom)
-    assert report.ok
-    assert report.max_residual < 1e-14
+    _, worst, _ = sweep_integrate(dom, *_differential(g), (0, 0))
+    assert worst < 1e-14
 
 
 def test_closedness_constant_form():
@@ -57,7 +55,9 @@ def test_closedness_constant_form():
     # e1 on every edge along +m, zero along +n
     wu = np.zeros((3, 4, 5))
     wu[..., 0] = 1.0
-    assert closedness_check(wu, np.zeros((4, 3, 5)), dom).ok
+    for base in dom.vertices():
+        _, worst, _ = sweep_integrate(dom, wu, np.zeros((4, 3, 5)), base)
+        assert worst < 1e-14
 
 
 def test_closedness_detects_perturbation(rng):
@@ -66,31 +66,31 @@ def test_closedness_detects_perturbation(rng):
     wu, wv = _differential(g)
     bad = ((1, 1), (2, 1))
     wu[1, 1, 0] += 0.01
-    report = closedness_check(wu, wv, dom)
-    assert not report.ok
-    assert report.max_residual == pytest.approx(0.01, rel=1e-9)
-    assert bad[0] in report.worst_face and bad[1] in report.worst_face
-    # exactly the two faces adjacent to the perturbed edge fail
-    total = wu[:, :-1] + wv[1:] - wu[:, 1:] - wv[:-1]
-    failing = [face for face in dom.faces()
-               if np.linalg.norm(total[face[0]]) > 1e-9]
-    assert len(failing) == 2
-    for face in failing:
-        assert bad[0] in face and bad[1] in face
+    _, worst, edge = sweep_integrate(dom, wu, wv, (0, 0))
+    assert worst == pytest.approx(0.01, rel=1e-9)
+    assert edge == bad
+    # from a base on the perturbed edge's column the sum runs along that
+    # edge, and every other edge between rows 1 and 2 misses by 0.01
+    _, worst, edge = sweep_integrate(dom, wu, wv, (0, 1))
+    assert worst == pytest.approx(0.01, rel=1e-9)
+    assert edge in {((1, n), (2, n)) for n in (0, 2, 3)}
 
 
 def test_sweep_integrate_inverts_differential(rng):
     g = rng.normal(size=(4, 5, 3))
+    dom = GridDomain(4, 5)
     for base in ((0, 0), (2, 3), (3, 4)):
-        G = sweep_integrate(*_differential(g), base)
+        G, worst, _ = sweep_integrate(dom, *_differential(g), base)
         np.testing.assert_allclose(G, g - g[base], atol=1e-13)
+        assert worst < 1e-13
 
 
-def test_propagation_order():
+def test_sweep_steps_along_a_tree_then_closes():
     """The sweep sets every vertex exactly once, from any basepoint, in
-    rows + cols - 2 steps, and leaves exactly the +m edges off the base
-    column as cross edges."""
+    rows + cols - 2 steps, then makes one more step forward over exactly
+    the +m edges off the base column and reports the worst of them."""
     rows, cols = 3, 4
+    dom = GridDomain(rows, cols)
     for base in np.ndindex(rows, cols):
         written = np.zeros((rows, cols), dtype=int)
         written[base] = 1
@@ -102,13 +102,22 @@ def test_propagation_order():
             far = (mi + forward * (1 - axis), ni + forward * axis)
             assert written[near].all()
             np.add.at(written, far, 1)
-            calls.append(axis)
+            calls.append((axis, set(zip(mi.tolist(), ni.tolist())), forward))
             return values + 1
 
-        dist, cross = sweep_propagate(0, base, (rows, cols), step)
-        assert (written == 1).all()
-        assert len(calls) == rows + cols - 2
+        dist, worst, edge = sweep_propagate(dom, 0, base, step)
+        assert len(calls) == rows + cols - 1
+        *tree, closing = calls
+        assert closing == (0, {(mi, ni) for mi in range(rows - 1) for ni in range(cols)
+                               if ni != base[1]}, True)
+        # the closing step lands once more on the far ends of its edges
+        closed = np.ones((rows, cols), dtype=int)
+        closed[1:] += 1
+        closed[1:, base[1]] = 1
+        np.testing.assert_array_equal(written, closed)
         m, n = np.indices((rows, cols))
         np.testing.assert_array_equal(dist, abs(m - base[0]) + abs(n - base[1]))
-        assert set(zip(*cross)) == {(mi, ni) for mi in range(rows - 1) for ni in range(cols)
-                         if ni != base[1]}
+        # stepping down an off-tree edge above the base row misses by 2
+        assert worst == (2 if base[0] else 0)
+        (mi, ni), far = edge
+        assert far == (mi + 1, ni) and ni != base[1] and (mi < base[0] or not base[0])

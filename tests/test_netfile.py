@@ -205,6 +205,18 @@ def test_load_reports_field_errors(tmp_path):
     path.write_text('{"format": "other"}\n')
     with pytest.raises(ParseError, match="not an"):
         load_net(path)
+    # documents that are not net objects
+    for text, message in (("5", "not an object"), ('["format"]', "not an object"),
+                          ('{"format": "isothermic-net", "version": 1, "rows": "x", "cols": 2}',
+                           "grid size is not an integer"),
+                          ('{"format": "isothermic-net", "version": 1, "rows": 2, "cols": 2,'
+                           ' "lifts": [[[1, 0, 0, 0, 1], [1, 0, 0, 0, 1]],'
+                           ' [[1, 0, 0, 0, 1], [1, 0, 0, 0, 1]]], "a_u": [1], "a_v": [1],'
+                           ' "conserved_quantities": [5]}',
+                           "conserved_quantities\\[0\\] needs an integer")):
+        path.write_text(text + "\n")
+        with pytest.raises(ParseError, match=message):
+            load_net(path)
 
 
 def test_load_dimension_mismatch(tmp_path):
