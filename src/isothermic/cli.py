@@ -2,10 +2,10 @@
 
 Subcommands: generate, verify, transform, classify, export.  Exit codes:
 0 on success, 2 when a verification fails, 1 on usage errors (an input
-file that cannot be read, or an output path that cannot be written, is
-one).  --tol or the ISOTHERMIC_TOL environment variable sets the relative
-tolerance in a :func:`tolerances.tolerance` scope around the command;
-without either, the caller's scope holds.
+that cannot be read, an output that cannot be written, a number that is
+not finite).  --tol or the ISOTHERMIC_TOL environment variable sets the
+relative tolerance in a :func:`tolerances.tolerance` scope around the
+command; without either, the caller's scope holds.
 """
 
 from __future__ import annotations
@@ -55,8 +55,8 @@ VERIFY_FAILURE = 2
 
 
 class UsageError(Exception):
-    """An input file of a command cannot be read, or its output file cannot
-    be written."""
+    """An input file of a command cannot be read, its output file cannot be
+    written, or a list of reals it takes holds anything but finite numbers."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -66,13 +66,21 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_ERROR)
 
 
+def _finite(text: str) -> float:
+    """The argparse type of every real flag: a finite float."""
+    with contextlib.suppress(ValueError):
+        if np.isfinite(value := float(text)):
+            return value
+    raise argparse.ArgumentTypeError(f"expected a finite number, not {text!r}")
+
+
 def _parse_reals(text: str, prefix: str = "") -> np.ndarray:
     if prefix and text.startswith(prefix):
         text = text[len(prefix):]
     try:
-        return np.array([float(x) for x in text.replace(",", " ").split()])
-    except ValueError as exc:
-        raise GeometryError(f"cannot parse real list from '{text}'") from exc
+        return np.array([_finite(x) for x in text.replace(",", " ").split()])
+    except argparse.ArgumentTypeError as exc:
+        raise UsageError(f"cannot parse a list of finite reals from {text!r}: {exc}") from exc
 
 
 def _load(path):
@@ -275,8 +283,8 @@ def build_parser() -> _Parser:
     gen = sub.add_parser("generate", help="construct nets")
     gen_sub = gen.add_subparsers(dest="generator", required=True)
     rev = gen_sub.add_parser("revolution", help="cmc net of revolution")
-    rev.add_argument("--H", type=float, required=True, help="mean curvature")
-    rev.add_argument("--kappa", type=float, required=True, help="ambient curvature")
+    rev.add_argument("--H", type=_finite, required=True, help="mean curvature")
+    rev.add_argument("--kappa", type=_finite, required=True, help="ambient curvature")
     rev.add_argument("--steps", type=int, default=6,
                      help="meridian steps beyond the seed edge, each direction")
     rev.add_argument("--angles", type=int, default=12, help="rotation samples")
@@ -297,21 +305,21 @@ def build_parser() -> _Parser:
     tra_sub = tra.add_subparsers(dest="kind", required=True)
 
     cal = tra_sub.add_parser("calapso")
-    cal.add_argument("--mu", type=float, required=True)
+    cal.add_argument("--mu", type=_finite, required=True)
     dar = tra_sub.add_parser("darboux")
-    dar.add_argument("--mu", type=float, required=True)
+    dar.add_argument("--mu", type=_finite, required=True)
     dar.add_argument("--start", required=True,
                      help="start point (3 reals) or lift (5 reals)")
     bac = tra_sub.add_parser("backlund")
-    bac.add_argument("--mu", type=float, required=True)
-    bac.add_argument("--s", type=float, default=0.0,
+    bac.add_argument("--mu", type=_finite, required=True)
+    bac.add_argument("--s", type=_finite, default=0.0,
                      help="rational parameter on the start circle")
     tra_sub.add_parser("christoffel")
     bia = tra_sub.add_parser("bianchi")
-    bia.add_argument("--mu1", type=float, required=True)
-    bia.add_argument("--mu2", type=float, required=True)
-    bia.add_argument("--s1", type=float, default=0.0)
-    bia.add_argument("--s2", type=float, default=0.5)
+    bia.add_argument("--mu1", type=_finite, required=True)
+    bia.add_argument("--mu2", type=_finite, required=True)
+    bia.add_argument("--s1", type=_finite, default=0.0)
+    bia.add_argument("--s2", type=_finite, default=0.5)
     for p in (cal, dar, bac, tra_sub.choices["christoffel"], bia):
         p.add_argument("net")
         p.add_argument("-o", "--output", required=True)
@@ -326,7 +334,7 @@ def build_parser() -> _Parser:
     exp.add_argument("--model", required=True,
                      choices=("euclidean", "poincare", "stereographic"))
     exp.add_argument("--Q", default=None, help="ambient vector (3 or 5 reals)")
-    exp.add_argument("--clamp", type=float, default=1e6)
+    exp.add_argument("--clamp", type=_finite, default=1e6)
     exp.add_argument("-o", "--output", required=True)
     exp.set_defaults(func=_cmd_export)
     return parser

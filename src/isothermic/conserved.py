@@ -182,24 +182,23 @@ def pcq_propagate(net: IsothermicNet, seed, basepoint=None) -> ConservedQuantity
     weights = [np.broadcast_to(a, Fi.shape[:2]) for a, (Fi, _) in zip(net.weights.stacks(), lifts)]
 
     def transport(ci, axis, index, forward):
-        Fa, Fb = lifts[axis][0][index], lifts[axis][1][index]
-        Fi, Fj = (Fa, Fb) if forward else (Fb, Fa)
-        a = weights[axis][index][:, None]
-        g = minkowski_inner(Fi, Fj)[:, None, None]
+        Fi, Fj = (F[index][..., None, :] for F in lifts[axis][::1 if forward else -1])
+        a = weights[axis][index][..., None]
+        g = minkowski_inner(Fi, Fj)[..., None]
         # exact division of <P_src(lam), F_dst> by (1 - a*lam) gives <P_dst, F_dst>
-        p_dst, rem = mp_divide_one_minus(mp_inner_vec(ci, Fj[:, None, :])[..., None], a)
-        worst, edge = dom.worst_edge(np.abs(rem[:, 0]), axis, index, forward)
+        p_dst, rem = mp_divide_one_minus(mp_inner_vec(ci, Fj)[..., None], a)
+        worst, edge = dom.worst_edge(np.abs(rem[..., 0]), axis, index, forward)
         if worst > limit:
             raise NotConserved(
                 f"transport across {edge} is not polynomial (division remainder {worst:.3g})")
-        p_src = mp_inner_vec(ci, Fi[:, None, :])
-        worst, edge = dom.worst_edge(np.abs(p_src[:, k - 1]), axis, index, forward)
+        p_src = mp_inner_vec(ci, Fi)
+        worst, edge = dom.worst_edge(np.abs(p_src[..., k - 1]), axis, index, forward)
         if worst > limit:
             raise NotConserved(
                 f"transport across {edge} raises the degree (top incidence defect {worst:.3g})")
         add = np.zeros(ci.shape)
-        add[:, 1:] = p_dst[:, :k - 1] * Fi[:, None, :] - p_src[:, :k - 1, None] * Fj[:, None, :]
-        return ci + (a[:, None] / g) * add
+        add[..., 1:, :] = p_dst[..., :k - 1, :] * Fi - p_src[..., :k - 1, None] * Fj
+        return ci + (a[..., None] / g) * add
 
     coeffs, worst, edge = sweep_propagate(dom, seed, basepoint, transport)
     if worst > tol(scale):

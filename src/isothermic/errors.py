@@ -118,10 +118,6 @@ class NotChristoffel(GeometryError):
     """A claimed dual pair does not satisfy the dual edge relation."""
 
 
-class PlanarSphere(GeometryError):
-    """A sphere-congruence vector encodes a plane, not a sphere."""
-
-
 # --- surfaces of revolution ----------------------------------------------------
 
 class ConstraintViolated(GeometryError):

@@ -88,15 +88,15 @@ class GridDomain:
         return i, (i[0] + 1 - axis, i[1] + axis)
 
     def worst_edge(self, resid, axis: int, index, forward: bool = True):
-        """Largest entry of a per-edge residual over the entries ``index``
-        (a pair of index arrays) of the edge stack along ``axis``, and its
-        edge, directed backwards unless ``forward``; (0.0, None) when
-        ``index`` selects no edge."""
+        """Largest entry of a per-edge residual over the block ``index`` (a
+        pair of slices with explicit starts) of the edge stack along
+        ``axis``, and its edge, directed backwards unless ``forward``;
+        (0.0, None) when the block is empty."""
         if not resid.size:
             return 0.0, None
-        w = int(np.argmax(resid))
-        edge = self.stack_edge(axis, (index[0][w], index[1][w]))
-        return float(resid.flat[w]), edge if forward else edge[::-1]
+        w = np.unravel_index(int(np.argmax(resid)), resid.shape)
+        edge = self.stack_edge(axis, (index[0].start + w[0], index[1].start + w[1]))
+        return float(resid[w]), edge if forward else edge[::-1]
 
     def neighbors(self, v):
         m, n = v
@@ -121,6 +121,15 @@ def face_stack(data):
     new third axis: shape (rows-1, cols-1, 4, ...)."""
     data = np.asarray(data)
     return np.stack([data[:-1, :-1], data[1:, :-1], data[1:, 1:], data[:-1, 1:]], axis=2)
+
+
+def _edge_pairs(data, axis: int, reverse: bool = False):
+    """[data_i; data_j], or [data_j; data_i] when ``reverse``, on the edge stack
+    along ``axis``: a window of shape (stack, 2, ...) over C-contiguous data."""
+    data = np.ascontiguousarray(data)
+    shape, step = [n - (k == axis) for k, n in enumerate(data.shape)], data.strides[axis]
+    return np.ndarray(shape[:2] + [2] + shape[2:], data.dtype, data, step * reverse,
+                      data.strides[:2] + ((-step if reverse else step),) + data.strides[2:])
 
 
 class VertexField:
@@ -236,13 +245,14 @@ def sweep_propagate(domain: GridDomain, start, base, step):
 
         step(values, axis, index, forward) -> values at the far ends.
 
-    ``index`` is a pair of equal-length index arrays selecting entries of
-    the edge stack along +m (``axis`` 0) or +n (``axis`` 1), ``values``
-    holds the values at the near ends of those edges, stacked in the same
-    order, and ``forward`` tells whether the step runs along +m/+n or
+    ``index`` is a pair of slices with explicit starts, the block of the
+    edge stack along +m (``axis`` 0) or +n (``axis`` 1) that the step
+    crosses, so indexing a stack with it gives a view; ``values`` holds
+    the values at the near ends of those edges, with the same two leading
+    axes, and ``forward`` tells whether the step runs along +m/+n or
     against it.  The spanning tree is the one :func:`sweep_integrate` sums
-    along.  One more call steps forward over the edges ((m,n) (m+1,n)) off
-    the base column, which the tree does not use, and closes the sweep.
+    along.  One more call steps forward over all edges ((m,n) (m+1,n)) and
+    closes the sweep on those off the base column, which the tree skips.
 
     Returns the values, shape (rows, cols) + start.shape, the largest
     entry of |stepped - stored| at the far ends of those edges, and its
@@ -252,19 +262,19 @@ def sweep_propagate(domain: GridDomain, start, base, step):
     m0, n0 = domain.index(base)
     out = np.empty((rows, cols) + np.shape(start))
     out[m0, n0] = start
-    base_col = np.array([n0])
+    col = slice(n0, n0 + 1)
     for m in range(m0, rows - 1):
-        out[m + 1, n0] = step(out[m:m + 1, n0], 0, (np.array([m]), base_col), True)[0]
+        out[m + 1:m + 2, col] = step(out[m:m + 1, col], 0, (slice(m, m + 1), col), True)
     for m in range(m0 - 1, -1, -1):
-        out[m, n0] = step(out[m + 1:m + 2, n0], 0, (np.array([m]), base_col), False)[0]
-    all_rows = np.arange(rows)
+        out[m:m + 1, col] = step(out[m + 1:m + 2, col], 0, (slice(m, m + 1), col), False)
     for n in range(n0, cols - 1):
-        out[:, n + 1] = step(out[:, n], 1, (all_rows, np.full(rows, n)), True)
+        out[:, n + 1:n + 2] = step(out[:, n:n + 1], 1, (slice(0, rows), slice(n, n + 1)), True)
     for n in range(n0 - 1, -1, -1):
-        out[:, n] = step(out[:, n + 1], 1, (all_rows, np.full(rows, n)), False)
+        out[:, n:n + 1] = step(out[:, n + 1:n + 2], 1, (slice(0, rows), slice(n, n + 1)), False)
     if rows == 1 or cols == 1:
         return out, 0.0, None
-    cross = np.nonzero(np.broadcast_to(np.arange(cols) != n0, (rows - 1, cols)))
-    resid = np.abs(out[1:][cross] - step(out[:-1][cross], 0, cross, True))
-    worst, edge = domain.worst_edge(resid.reshape(len(resid), -1).max(axis=1), 0, cross)
+    index = (slice(0, rows - 1), slice(0, cols))
+    resid = np.abs(out[1:] - step(out[:-1], 0, index, True)).reshape(rows - 1, cols, -1).max(-1)
+    resid[:, n0] = -np.inf  # the tree's own edges
+    worst, edge = domain.worst_edge(resid, 0, index)
     return out, worst, edge

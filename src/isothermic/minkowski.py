@@ -292,36 +292,41 @@ def cross_ratio(P1, P2, P3, P4):
     return complex(cross_ratios(np.array([P1, P2, P3, P4], dtype=float)))
 
 
-def circle_factors(q, A, B):
+def circle_coefficients(q, A, B):
     """The circle transform C(q; A, B) of :func:`cross_ratio_apply` as its
-    rank-2 update I + U W, returned as (U, W, W_inverse): U = [A, B] of shape
-    (..., 5, 2), W = [alpha JB; beta JA] of shape (..., 2, 5) with
-    alpha = (q-1)/<A,B> and beta = (1/q - 1)/<A,B>, and W_inverse the same
-    with alpha and beta swapped, so that C(q; B, A) = I + U W_inverse.
-    Parameters of shape (...) broadcast against anchors of shape (..., 5).
-    Raises SingularParameter if some q vanishes and DegeneratePair if some
-    pair of anchors is orthogonal."""
-    A, B = np.broadcast_arrays(np.asarray(A, dtype=float), np.asarray(B, dtype=float))
+    coefficients c = (alpha, beta) = ((q-1)/<A,B>, (1/q - 1)/<A,B>), shape
+    (..., 2, 1): with U = [A, B] of shape (..., 5, 2) and J = [JB; JA] of
+    shape (..., 2, 5), JX = X * SIGNATURE, the map is X + U (c * (J X))
+    (:func:`_circle_apply`), and swapping alpha and beta gives its inverse
+    C(q; B, A).  Parameters of shape (...) broadcast against anchors of shape
+    (..., 5).  Raises SingularParameter if some q vanishes and DegeneratePair
+    if some pair of anchors is orthogonal."""
+    A, B = np.asarray(A, dtype=float), np.asarray(B, dtype=float)
     if (np.abs(q) <= tol(1.0)).any():
         raise SingularParameter("circle transform parameter is zero")
-    J = np.stack([B, A], axis=-2) * SIGNATURE
-    g = np.einsum("...i,...i->...", A, J[..., 0, :])
-    scale = np.sqrt(np.einsum("...i,...i->...", A, A) * np.einsum("...i,...i->...", B, B))
-    if (np.abs(g) <= tol(scale)).any():
+    g = np.einsum("...i,...i->...", A, B * SIGNATURE)
+    if (np.abs(g) <= tol(np.sqrt(np.einsum("...i,...i->...", A, A)
+                                 * np.einsum("...i,...i->...", B, B)))).any():
         raise DegeneratePair("anchor representatives are orthogonal")
-    coef = np.stack([(q - 1.0) / g, (1.0 / q - 1.0) / g], axis=-1)[..., None]
-    return np.stack([A, B], axis=-1), coef * J, coef[..., ::-1, :] * J
+    return np.stack([(q - 1.0) / g, (1.0 / q - 1.0) / g], axis=-1)[..., None]
 
 
-def _apply_factors(U, W, X):
-    """X + U (W X) for factors of :func:`circle_factors` and vectors X of
-    shape (..., 5)."""
-    return X + np.einsum("...ij,...j->...i", U, np.einsum("...ij,...j->...i", W, X))
+def _circle_apply(U, J, c, X):
+    """X + U (c * (J X)) for U, J and c of :func:`circle_coefficients` and
+    columns X of shape (..., 5, k); no matrix I + U c J is formed."""
+    return X + U @ (c * (J @ X))
+
+
+def _anchored(q, A, B):
+    """U = [A, B], J = [JB; JA] and c of :func:`circle_coefficients`."""
+    A, B = np.broadcast_arrays(np.asarray(A, dtype=float), np.asarray(B, dtype=float))
+    c = circle_coefficients(q, A, B)
+    return np.stack([A, B], axis=-1), np.stack([B, A], axis=-2) * SIGNATURE, c
 
 
 def cross_ratio_apply(q, A, B, X):
     """Apply the circle transform with parameter q anchored at the rays A, B
-    to X, through its factors (:func:`circle_factors`):
+    to X, through its coefficients (:func:`circle_coefficients`):
 
         X  ->  X + ( (q-1) <X,B> A + (1/q - 1) <X,A> B ) / <A,B>.
 
@@ -331,16 +336,14 @@ def cross_ratio_apply(q, A, B, X):
     through a, b: parameter 0 sends everything to b, 1 is the identity and
     the limit of large q sends everything to a.
     """
-    U, W, _ = circle_factors(q, A, B)
-    return _apply_factors(U, W, np.asarray(X, dtype=float))
+    return _circle_apply(*_anchored(q, A, B), np.asarray(X, dtype=float)[..., None])[..., 0]
 
 
 def cross_ratio_matrix(q, A, B):
-    """5x5 matrix I + U W of :func:`cross_ratio_apply`; an isometry of the
-    metric.  Parameters of shape (...) and anchors of shape (..., 5) give
-    matrices of shape (..., 5, 5)."""
-    U, W, _ = circle_factors(q, A, B)
-    return np.eye(5) + U @ W
+    """5x5 matrix of :func:`cross_ratio_apply`, its apply to the identity; an
+    isometry of the metric.  Parameters of shape (...) and anchors of shape
+    (..., 5) give matrices of shape (..., 5, 5)."""
+    return _circle_apply(*_anchored(q, A, B), np.eye(5))
 
 
 def solve_dense(A, b):

@@ -30,12 +30,15 @@ from .grids import (
     EdgeFunction,
     GridDomain,
     VertexField,
+    _edge_pairs,
     edge_stacks,
     sweep_propagate,
 )
 from .minkowski import (
+    SIGNATURE,
+    _circle_apply,
     _regularity,
-    circle_factors,
+    circle_coefficients,
     cross_ratio_matrix,
     face_products,
     invariants_from_products,
@@ -124,40 +127,35 @@ def verify_isothermic(lifts: VertexField, *, strict: bool = True) -> IsothermicR
     -----------------------
     GeometryError, NonConcircularFace, FactorizationFailure
     """
+    def refuse(error, detail, *fields):
+        # a failed report with the residuals and reason ``fields``, raised in strict mode
+        report = IsothermicReport(False, None, *fields)
+        if strict:
+            raise error(f"{report.reason} ({detail})")
+        return report
+
     domain = lifts.domain
     if domain.rows < 2 or domain.cols < 2:
-        report = IsothermicReport(False, None, np.inf, np.inf, np.inf,
-                                  reason="need at least one face")
-        if strict:
-            raise GeometryError(report.reason + f" ({domain.rows}x{domain.cols} grid)")
-        return report
+        return refuse(GeometryError, f"{domain.rows}x{domain.cols} grid",
+                      np.inf, np.inf, np.inf, np.inf, "need at least one face")
     inv = invariants_from_products(*face_products(lifts.data))
     regularity = float(inv.regularity.min())
     if regularity <= regularity_tol():
-        report = IsothermicReport(False, None, np.inf, np.inf, np.inf, regularity,
-                                  "a face has three nearly dependent lifts")
-        if strict:
-            raise GeometryError(report.reason + f" (regularity {regularity:.3g})")
-        return report
+        return refuse(GeometryError, f"regularity {regularity:.3g}", np.inf, np.inf, np.inf,
+                      regularity, "a face has three nearly dependent lifts")
     q = inv.q
     ratios = q.real
     max_imag = float((np.abs(q.imag) / (1.0 + np.abs(q))).max())
     if max_imag > tol(1.0):
-        report = IsothermicReport(False, None, max_imag, np.inf, np.inf, regularity,
-                                  "a face has a complex cross ratio")
-        if strict:
-            raise NonConcircularFace(report.reason + f" (imag {max_imag:.3g})")
-        return report
+        return refuse(NonConcircularFace, f"imag {max_imag:.3g}", max_imag, np.inf, np.inf,
+                      regularity, "a face has a complex cross ratio")
 
     # product-one condition on all 3x3 subgrids
     prod = (ratios[1:, :-1] / ratios[1:, 1:]) * (ratios[:-1, 1:] / ratios[:-1, :-1])
     max_grid = float(np.abs(prod - 1.0).max()) if prod.size else 0.0
     if max_grid > tol(1.0):
-        report = IsothermicReport(False, None, max_imag, max_grid, np.inf, regularity,
-                                  "cross ratios fail the 3x3 product-one condition")
-        if strict:
-            raise FactorizationFailure(report.reason + f" (residual {max_grid:.3g})")
-        return report
+        return refuse(FactorizationFailure, f"residual {max_grid:.3g}", max_imag, max_grid,
+                      np.inf, regularity, "cross ratios fail the 3x3 product-one condition")
 
     v0 = -1.0 if (ratios < 0.0).all() else 1.0
     u = ratios[:, 0] * v0
@@ -254,8 +252,8 @@ def moutard_lift(lifts: VertexField, weights: EdgeFunction) -> VertexField:
         g = lam * products[axis][index]
         small = np.abs(g) <= floor
         if small.any():
-            edge = domain.stack_edge(axis, [i[small][0] for i in index])
-            raise DegenerateEdge(f"vanishing inner product on edge {edge}")
+            raise DegenerateEdge("vanishing inner product on edge "
+                                 f"{domain.worst_edge(small, axis, index)[1]}")
         return targets[axis][index] / g
 
     scales, _, _ = sweep_propagate(domain, 1.0, (0, 0), step)
@@ -344,34 +342,44 @@ def edge_connection(net: IsothermicNet, lam: float, edge) -> np.ndarray:
 
 def edge_connections(net: IsothermicNet, lam: float):
     """The edge connections C(1 - lam a; F_i, F_j) at ``lam`` on the two edge
-    stacks, as the factors (U, W, W_inverse) of :func:`minkowski.circle_factors`
-    with leading shapes (rows-1, cols) and (rows, cols-1): I + U W maps the
-    fiber over j to the fiber over i, and I + U W_inverse maps it back.
+    stacks, with leading shapes (rows-1, cols) and (rows, cols-1), as the
+    (U, J, c) of :func:`minkowski.circle_coefficients`, U = [F_i, F_j] and
+    J = [JF_j; JF_i] windows over the lifts and JF: X + U (c * (J X)) maps
+    the fiber over j to the fiber over i, and c[..., ::-1, :] maps it back.
 
     Raises
     ------
     PoleParameter
-        If 1 - lam * a vanishes on some edge.
+        If ``lam`` is not finite, or 1 - lam * a vanishes on some edge.
     """
+    if not np.isfinite(lam):
+        raise PoleParameter(f"parameter {lam} is not finite")
+    F, JF = net.lifts.data, net.lifts.data * SIGNATURE
     out = []
-    for axis, ((Fi, Fj), a) in enumerate(zip(edge_stacks(net.lifts.data), net.weights.stacks())):
+    for axis, ((Fi, Fj), a) in enumerate(zip(edge_stacks(F), net.weights.stacks())):
         a = np.broadcast_to(a, Fi.shape[:2])
         q = 1.0 - lam * a
         poles = np.argwhere(np.abs(q) <= tol(1.0 + np.abs(lam * a)))
         if len(poles):
             raise PoleParameter(f"parameter {lam} is a pole of edge "
                                 f"{net.domain.stack_edge(axis, poles[0])}")
-        out.append(circle_factors(q, Fi, Fj))
+        out.append((_edge_pairs(F, axis).swapaxes(-1, -2), _edge_pairs(JF, axis, reverse=True),
+                    circle_coefficients(q, Fi, Fj)))
     return tuple(out)
 
 
+def _parallel_step(connections):
+    """Step of :func:`grids.sweep_propagate` for sections S_i = C_ij S_j of
+    :func:`edge_connections`, columns of shape (..., 5, k), by the inverse map."""
+    def step(S, axis, index, forward):
+        U, J, c = (x[index] for x in connections[axis])
+        return _circle_apply(U, J, c[..., ::-1, :] if forward else c, S)
+    return step
+
+
 def face_holonomy(net: IsothermicNet, lam: float, face) -> np.ndarray:
-    (i, j), (j2, k), (k2, l), (l2, i2) = GridDomain.face_edges(face)
-    M = edge_connection(net, lam, (i, j))
-    M = M @ edge_connection(net, lam, (j2, k))
-    M = M @ edge_connection(net, lam, (k2, l))
-    M = M @ edge_connection(net, lam, (l2, i2))
-    return M
+    """C(ij) C(jk) C(kl) C(li) around the face (i, j, k, l)."""
+    return np.linalg.multi_dot([edge_connection(net, lam, e) for e in GridDomain.face_edges(face)])
 
 
 def holonomy_residual(net: IsothermicNet, lams) -> float:
@@ -381,11 +389,12 @@ def holonomy_residual(net: IsothermicNet, lams) -> float:
     worst = 0.0
     eye = np.eye(5)
     for lam in np.atleast_1d(lams):
-        (Uu, Wu, Ru), (Uv, Wv, Rv) = edge_connections(net, float(lam))
+        (Uu, Ju, cu), (Uv, Jv, cv) = edge_connections(net, float(lam))
         M = eye  # C(ij) C(jk) C(kl) C(li) I around the face (i, j, k, l), right to left
-        for U, W in ((Uv[:-1], Rv[:-1]), (Uu[:, 1:], Ru[:, 1:]), (Uv[1:], Wv[1:]),
-                     (Uu[:, :-1], Wu[:, :-1])):
-            M = M + U @ (W @ M)
+        for U, J, c in ((Uv[:-1], Jv[:-1], cv[:-1, :, ::-1]),
+                        (Uu[:, 1:], Ju[:, 1:], cu[:, 1:, ::-1]),
+                        (Uv[1:], Jv[1:], cv[1:]), (Uu[:, :-1], Ju[:, :-1], cu[:, :-1])):
+            M = _circle_apply(U, J, c, M)
         worst = max(worst, float(np.abs(M - eye).max(initial=0.0)))
     return worst
 
@@ -433,13 +442,10 @@ def calapso(net: IsothermicNet, mu: float, basepoint=None) -> tuple[CalapsoFrame
     domain = net.domain
     if basepoint is None:
         basepoint = (0, 0)
-    connections = edge_connections(net, mu)
-
-    def step(T, axis, index, forward):
-        U, W, W_inverse = connections[axis]
-        return T + (T @ U[index]) @ (W if forward else W_inverse)[index]
-
-    frames, worst, edge = sweep_propagate(domain, np.eye(5), basepoint, step)
+    # frames T_j = T_i C_ij travel as the parallel section S = G T^T (G the metric)
+    S, worst, edge = sweep_propagate(domain, np.diag(SIGNATURE), basepoint,
+                                     _parallel_step(edge_connections(net, mu)))
+    frames = np.swapaxes(S, -1, -2) * SIGNATURE
     if worst > tol(10.0 + float(np.abs(frames).max())):
         raise NotFlat(f"path dependence {worst:.3g}; input net is not isothermic; "
                       f"worst edge {edge}")

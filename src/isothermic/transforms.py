@@ -29,7 +29,7 @@ from .errors import (
 from .grids import VertexField, edge_stacks, sweep_propagate
 from .minkowski import (
     SIGNATURE,
-    _apply_factors,
+    _circle_apply,
     cross_ratio_apply,
     edge_quad_products,
     invariants_from_products,
@@ -38,7 +38,7 @@ from .minkowski import (
     orthonormal_complement,
     ray_distance,
 )
-from .nets import CalapsoFrame, IsothermicNet, edge_connections
+from .nets import CalapsoFrame, IsothermicNet, _parallel_step, edge_connections
 from .polyvec import (
     mp_divide_linear,
     mp_eval,
@@ -90,8 +90,8 @@ def parallel_residual(net: IsothermicNet, mu: float, section: VertexField) -> fl
     """Worst edge defect of S_i = C_ij(mu) S_j over all edges."""
     worst = 0.0
     scale = 1.0 + float(np.abs(section.data).max())
-    for (U, W, _), (Si, Sj) in zip(edge_connections(net, mu), edge_stacks(section.data)):
-        resid = Si - _apply_factors(U, W, Sj)
+    for (U, J, c), (Si, Sj) in zip(edge_connections(net, mu), edge_stacks(section.data)):
+        resid = Si - _circle_apply(U, J, c, Sj[..., None])[..., 0]
         worst = max(worst, float(np.abs(resid).max(initial=0.0)) / scale)
     return worst
 
@@ -105,7 +105,7 @@ def darboux_propagate(net: IsothermicNet, mu: float, start, basepoint=None) -> D
     Raises
     ------
     DegenerateStart
-        If the start is not isotropic or is proportional to the base lift.
+        If the start is not finite, not isotropic or proportional to the base lift.
     PoleParameter
         If 1 - mu * a vanishes on some edge.
     NotParallel
@@ -115,25 +115,21 @@ def darboux_propagate(net: IsothermicNet, mu: float, start, basepoint=None) -> D
     if basepoint is None:
         basepoint = (0, 0)
     start = np.asarray(start, dtype=float)
+    if not np.isfinite(start).all():
+        raise DegenerateStart(f"start vector {start} is not finite")
     s2 = float(np.dot(start, start))
     if abs(norm2(start)) > tol(s2):
         raise DegenerateStart("start vector is not isotropic")
     if ray_distance(start, net.lifts[basepoint]) <= tol(1.0):
         raise DegenerateStart("start coincides with the base net")
 
-    connections = edge_connections(net, mu)
-
-    def step(S, axis, index, forward):
-        # parallelity S_near = C(near, far) S_far, solved by the inverse map
-        U, W, W_inverse = connections[axis]
-        return _apply_factors(U[index], (W_inverse if forward else W)[index], S)
-
-    lifts, worst, edge = sweep_propagate(dom, start, basepoint, step)
+    step = _parallel_step(edge_connections(net, mu))
+    lifts, worst, edge = sweep_propagate(dom, start[:, None], basepoint, step)
     worst /= 1.0 + float(np.abs(lifts).max())
     if worst > tol(1.0):
         raise NotParallel(f"Darboux propagation is path dependent ({worst:.3g}); "
                           f"worst edge {edge}")
-    return DarbouxTransform(mu, VertexField(dom, lifts), net, worst)
+    return DarbouxTransform(mu, VertexField(dom, lifts[..., 0]), net, worst)
 
 
 def backlund_init(cq: ConservedQuantity, mu: float, s: float, basepoint=None) -> np.ndarray:
@@ -151,8 +147,10 @@ def backlund_init(cq: ConservedQuantity, mu: float, s: float, basepoint=None) ->
     EmptyConic
         If P(mu) is timelike (no real isotropic directions exist).
     DegenerateStart
-        If the chosen direction coincides with the net's lift.
+        If mu or s is not finite, or the chosen direction coincides with the net's lift.
     """
+    if not np.isfinite([mu, s]).all():
+        raise DegenerateStart(f"mu = {mu} and s = {s} must be finite")
     net = cq.net
     if basepoint is None:
         basepoint = (0, 0)

@@ -42,6 +42,7 @@ from isothermic.grids import EdgeFunction, GridDomain, VertexField, edge_stacks
 from isothermic.minkowski import (
     Q_EUCLIDEAN,
     SIGNATURE,
+    _circle_apply,
     cross_ratio_matrix,
     cross_ratios,
     edge_quad_products,
@@ -396,29 +397,29 @@ def test_pcq_residual_contracts_the_lifts_once(monkeypatch):
 
 
 def test_edge_connection_stacks_match_single_edges():
-    """The factor stacks applied to the identity, I + U (W I) along each edge
-    and I + U (W_inverse I) against it, are the edge connection of that
-    edge in that direction, to 1e-14 of its largest entry (the single-edge
-    matrix sums the rank-2 term in another order, so equality is not
-    bitwise)."""
+    """The connection stacks (U, J, c) applied to the identity,
+    I + U (c * (J I)) along each edge and the same with alpha and beta
+    swapped against it, are the edge connection of that edge in that
+    direction, to 1e-14 of its largest entry (the single-edge matrix sums
+    the rank-2 term in another order, so equality is not bitwise); U and J
+    are windows over the lifts, not copies."""
     net = catalog.cylinder_net(3, 4, 0.4, 0.7)
-    (Uu, Wu, Ru), (Uv, Wv, Rv) = factors = edge_connections(net, 0.6)
-    assert Uu.shape == (2, 4, 5, 2) and Wu.shape == Ru.shape == (2, 4, 2, 5)
-    assert Uv.shape == (3, 3, 5, 2) and Wv.shape == Rv.shape == (3, 3, 2, 5)
     eye = np.eye(5)
-    for axis, (U, W, W_inverse) in enumerate(factors):
+    for axis, (U, J, c) in enumerate(edge_connections(net, 0.6)):
+        assert U.shape[:2] == J.shape[:2] == c.shape[:2] == ((2, 4), (3, 3))[axis]
+        assert np.shares_memory(U, net.lifts.data)
         for idx in np.ndindex(U.shape[:2]):
             i, j = net.domain.stack_edge(axis, idx)
-            for V, edge in ((W, (i, j)), (W_inverse, (j, i))):
+            for coef, edge in ((c[idx], (i, j)), (c[idx][::-1], (j, i))):
                 C = edge_connection(net, 0.6, edge)
-                np.testing.assert_allclose(eye + U[idx] @ (V[idx] @ eye), C, rtol=0,
+                np.testing.assert_allclose(_circle_apply(U[idx], J[idx], coef, eye), C, rtol=0,
                                            atol=1e-14 * np.abs(C).max())
 
 
 def test_transforms_apply_connections_without_matrices(monkeypatch):
     """Calapso frames, Darboux and Backlund sections, the Bianchi vertex map
     and the holonomy and parallelity checks apply the circle transforms
-    through their rank-2 factors: with ``cross_ratio_matrix`` raising in
+    through their coefficients: with ``cross_ratio_matrix`` raising in
     every module that imports it, they still return on a 4x5 cylinder."""
     def no_matrix(*args):
         raise AssertionError("cross_ratio_matrix called")

@@ -306,6 +306,41 @@ def test_seed_edge_of_the_wrong_length_is_a_usage_error(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_non_finite_numbers_are_usage_errors(tmp_path, capsys):
+    """Every real flag and every real list (--start, --lcq, --Q) accepts only
+    finite numbers: NaN or an infinity exits 1 with one error line naming
+    the value, writes nothing, and never reaches the library (where a NaN
+    start once left a NaN section for save_net to reject)."""
+    src = tmp_path / "net.json"
+    assert run(["generate", "revolution", "--H", 0.5, "--kappa", 0,
+                "--steps", 1, "--angles", 4, "-o", src]) == 0
+    capsys.readouterr()
+    out = tmp_path / "never.json"
+    cases = [["generate", "revolution", "--H", "nan", "--kappa", 0, "-o", out],
+             ["generate", "revolution", "--H", 0.5, "--kappa", "inf", "-o", out],
+             ["transform", "calapso", "--mu", "nan", src, "-o", out],
+             ["transform", "darboux", "--mu", "nan", "--start", "3,0.5,0.2", src, "-o", out],
+             ["transform", "darboux", "--mu", 0.4, "--start", "nan,0.5,0.2", src, "-o", out],
+             ["transform", "backlund", "--mu", "nan", src, "-o", out],
+             ["transform", "backlund", "--mu", -1, "--s", "inf", src, "-o", out],
+             ["transform", "bianchi", "--mu1", "nan", "--mu2", -1.5, src, "-o", out],
+             ["transform", "bianchi", "--mu1", -1, "--mu2=-inf", src, "-o", out],
+             ["transform", "bianchi", "--mu1", -1, "--mu2", -1.5, "--s1", "nan", src, "-o", out],
+             ["transform", "bianchi", "--mu1", -1, "--mu2", -1.5, "--s2", "inf", src, "-o", out],
+             ["verify", src, "--lcq", "Q=1,0,0,nan,-1"],
+             ["export", src, "--model", "euclidean", "--clamp", "nan", "-o", out],
+             ["export", src, "--model", "euclidean", "--Q", "1,inf,-1", "-o", out]]
+    for argv in cases:
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 1, argv
+        line = _usage_error_line(capsys)
+        assert "finite" in line and ("nan" in line or "inf" in line), (argv, line)
+        assert not out.exists()
+
+
 def test_generate_size_flags_are_checked(tmp_path, capsys):
     """--angles below 2 and --steps below 0 exit 1 with one error line, and
     write nothing."""

@@ -87,34 +87,39 @@ def test_sweep_integrate_inverts_differential(rng):
 
 def test_sweep_steps_along_a_tree_then_closes():
     """The sweep sets every vertex exactly once, from any basepoint, in
-    rows + cols - 2 steps, then makes one more step forward over exactly
-    the +m edges off the base column and reports the worst of them."""
+    rows + cols - 2 steps, then makes one more step forward over every +m
+    edge and reports the worst of those off the base column.  Every index a
+    step receives is a pair of slices with explicit starts, so indexing an
+    edge stack with it gives a view, and the values it receives have the
+    leading shape of that block."""
     rows, cols = 3, 4
     dom = GridDomain(rows, cols)
+    stacks = (np.zeros((rows - 1, cols)), np.zeros((rows, cols - 1)))
     for base in np.ndindex(rows, cols):
         written = np.zeros((rows, cols), dtype=int)
         written[base] = 1
         calls = []
 
         def step(values, axis, index, forward):
-            mi, ni = index
+            assert all(type(i) is slice and i.start is not None for i in index)
+            block = stacks[axis][index]
+            assert np.shares_memory(block, stacks[axis]) and values.shape[:2] == block.shape
+            mi, ni = (k[index] for k in np.indices(stacks[axis].shape))
             near = (mi + (not forward) * (1 - axis), ni + (not forward) * axis)
             far = (mi + forward * (1 - axis), ni + forward * axis)
             assert written[near].all()
-            np.add.at(written, far, 1)
-            calls.append((axis, set(zip(mi.tolist(), ni.tolist())), forward))
-            return values + 1
+            calls.append((axis, set(zip(mi.flat, ni.flat)), forward))
+            if len(calls) < rows + cols - 1:
+                np.add.at(written, far, 1)
+                return values + 1
+            # the closing step: a miss on the base column must not count
+            return values + 1 + 10 * (ni == base[1])
 
         dist, worst, edge = sweep_propagate(dom, 0, base, step)
         assert len(calls) == rows + cols - 1
         *tree, closing = calls
-        assert closing == (0, {(mi, ni) for mi in range(rows - 1) for ni in range(cols)
-                               if ni != base[1]}, True)
-        # the closing step lands once more on the far ends of its edges
-        closed = np.ones((rows, cols), dtype=int)
-        closed[1:] += 1
-        closed[1:, base[1]] = 1
-        np.testing.assert_array_equal(written, closed)
+        assert closing == (0, set(np.ndindex(rows - 1, cols)), True)
+        np.testing.assert_array_equal(written, np.ones((rows, cols), dtype=int))
         m, n = np.indices((rows, cols))
         np.testing.assert_array_equal(dist, abs(m - base[0]) + abs(n - base[1]))
         # stepping down an off-tree edge above the base row misses by 2

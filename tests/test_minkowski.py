@@ -17,7 +17,9 @@ from isothermic.errors import (
 from isothermic.minkowski import (
     METRIC,
     Q_EUCLIDEAN,
-    circle_factors,
+    SIGNATURE,
+    _circle_apply,
+    circle_coefficients,
     cross_ratio,
     cross_ratio_apply,
     cross_ratio_matrix,
@@ -241,21 +243,25 @@ PARAMETER = st.tuples(st.floats(0.05, 20.0), st.booleans()).map(lambda t: -t[0] 
 
 @settings(max_examples=80, deadline=None)
 @given(POINT3, POINT3, POINT3, ANCHOR_SCALE, ANCHOR_SCALE, PARAMETER)
-def test_circle_factors_apply_invert_and_preserve_the_metric(a, b, x, sa, sb, q):
-    """The rank-2 factors of C(q; A, B) against its 5x5 matrix M, on
-    rescaled lifts A, B of points at least 0.1 apart: the factored apply
-    X + U (W X) is M X, X + U (W_inverse X) undoes it, and M^T J M = J, each
-    to 1e-12 relative to the sizes of M and X that enter the products."""
+def test_circle_coefficients_apply_invert_and_preserve_the_metric(a, b, x, sa, sb, q):
+    """The coefficients c of C(q; A, B) against its 5x5 matrix M, on
+    rescaled lifts A, B of points at least 0.1 apart: with U = [A, B] and
+    J = [JB; JA], the apply X + U (c * (J X)) is M X, the apply with alpha
+    and beta swapped undoes it, and M^T J M = J, each to 1e-12 relative to
+    the sizes of M and X that enter the products."""
     assume(np.linalg.norm(a - b) > 0.1)
     A, B = sa * euclidean_lift(a), sb * euclidean_lift(b)
     X = np.vstack([np.eye(5), euclidean_lift(x)])
-    U, _, W_inverse = circle_factors(q, A, B)
+    U, J = np.stack([A, B], axis=-1), np.stack([B, A]) * SIGNATURE
+    c = circle_coefficients(q, A, B)
+    assert c.shape == (2, 1)
     M = cross_ratio_matrix(q, A, B)
     size, size_x = np.abs(M).max(), np.abs(X).max()
-    Y = cross_ratio_apply(q, A, B, X)
+    Y = _circle_apply(U, J, c, X.T).T
     assert np.abs(Y - X @ M.T).max() <= 1e-12 * size * size_x
+    assert np.abs(cross_ratio_apply(q, A, B, X) - X @ M.T).max() <= 1e-12 * size * size_x
     size_inverse = np.abs(cross_ratio_matrix(q, B, A)).max()
-    back = Y + (U @ (W_inverse @ Y.T)).T
+    back = _circle_apply(U, J, c[::-1], Y.T).T
     assert np.abs(back - X).max() <= 1e-12 * size * size_inverse * size_x
     assert np.abs(cross_ratio_apply(q, B, A, Y) - X).max() <= 1e-12 * size * size_inverse * size_x
     assert np.abs(M.T @ METRIC @ M - METRIC).max() <= 1e-12 * size ** 2

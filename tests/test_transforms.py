@@ -1,6 +1,8 @@
 """Darboux/Backlund transforms, permutability, complementary nets, and
 reconstruction from parallel sections."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -15,11 +17,14 @@ from isothermic.conserved import (
 )
 from isothermic.errors import (
     CoincidentTransforms,
+    DegenerateStart,
     EmptyConic,
     IncidenceFailure,
     NotBacklund,
+    PoleParameter,
 )
 from isothermic.minkowski import (
+    SIGNATURE,
     cross_ratio,
     cross_ratio_matrix,
     euclidean_lift,
@@ -27,7 +32,8 @@ from isothermic.minkowski import (
     norm2,
     ray_distance,
 )
-from isothermic.nets import calapso, verify_isothermic
+from isothermic.netfile import load_net
+from isothermic.nets import calapso, edge_connections, verify_isothermic
 from isothermic.polyvec import mp_eval, mp_scale_poly
 from isothermic.transforms import (
     DarbouxTransform,
@@ -433,3 +439,56 @@ def test_parallel_sections_must_be_parallel(cylinder):
     with pytest.raises(NotParallel):
         pcq_from_parallel_sections(net, [(2.0, bad), (-1.5, cq.evaluate(-1.5))],
                                    [1.0 / 3.5, -1.0 / 3.5])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_parameters_and_starts_raise(cylinder, bad):
+    """A non-finite spectral parameter, start entry, Backlund mu or s raises a
+    typed error instead of returning a NaN section or reaching an SVD."""
+    net, cq = cylinder
+    start = euclidean_lift(np.array([3.0, 0.5, 0.2]))
+    for run in (lambda: edge_connections(net, bad), lambda: calapso(net, bad),
+                lambda: darboux_propagate(net, bad, start)):
+        with pytest.raises(PoleParameter, match="not finite"):
+            run()
+    with pytest.raises(DegenerateStart, match="not finite"):
+        darboux_propagate(net, 0.4, np.where(np.arange(5) == 1, bad, start))
+    for mu, s in ((bad, 0.0), (-1.0, bad)):
+        with pytest.raises(DegenerateStart, match="must be finite"):
+            backlund_init(cq, mu, s)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="long double is no more precise than float here")
+def test_darboux_section_keeps_digits_on_a_negative_curvature_net(tmp_path):
+    """On the kappa < 0 net of ``generate revolution --H 0 --kappa -1 --steps
+    12 --angles 32`` the Darboux section at mu 0.4 from (3, 0.5, 0.2) stays
+    within 3e-12 (relative to its largest entry) of the same sweep in long
+    double, where each step applies the inverse edge connection
+    S_j = S_i + ((q-1) <S_i,F_i> F_j + (1/q-1) <S_i,F_j> F_i) / <F_i,F_j>."""
+    from isothermic.cli import main
+
+    path = tmp_path / "net.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the meridian crosses the infinity boundary
+        assert main(["generate", "revolution", "--H", "0", "--kappa", "-1", "--steps", "12",
+                     "--angles", "32", "-o", str(path)]) == 0
+    net, _, _ = load_net(path)
+    mu, start = 0.4, euclidean_lift(np.array([3.0, 0.5, 0.2]))
+    got = darboux_propagate(net, mu, start).lifts.data
+    F, sig = net.lifts.data.astype(np.longdouble), SIGNATURE.astype(np.longdouble)
+
+    def step(S, i, j, a):
+        q = 1 - np.longdouble(mu) * np.longdouble(a)
+        return S + ((q - 1) * (S * F[i] * sig).sum() * F[j]
+                    + (1 / q - 1) * (S * F[j] * sig).sum() * F[i]) / (F[i] * F[j] * sig).sum()
+
+    rows, cols = net.domain.rows, net.domain.cols
+    S = np.empty((rows, cols, 5), dtype=np.longdouble)
+    S[0, 0] = start
+    for m in range(rows - 1):
+        S[m + 1, 0] = step(S[m, 0], (m, 0), (m + 1, 0), net.weights.u[m])
+    for n in range(cols - 1):
+        for m in range(rows):
+            S[m, n + 1] = step(S[m, n], (m, n), (m, n + 1), net.weights.v[n])
+    assert float(np.abs(got - S).max() / np.abs(S).max()) <= 3e-12
