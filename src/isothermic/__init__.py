@@ -9,7 +9,6 @@ mean and ambient curvature.
 
 from .conserved import (
     ConservedQuantity,
-    InconsistencyReport,
     TypeReport,
     classify_type,
     degree_reduce,
@@ -68,7 +67,7 @@ from .revolution import (
     seed_edge,
     symmetric_pcq_check,
 )
-from .tolerances import tol, tolerance
+from .tolerances import Check, tol, tolerance
 from .transforms import (
     DarbouxTransform,
     backlund_init,

@@ -3,10 +3,12 @@ Moutard-normalized nets for testing and demos."""
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 
 from .conserved import ConservedQuantity
-from .errors import DegenerateEdge
+from .errors import DegenerateEdge, GeometryError
 from .grids import EdgeFunction, GridDomain, VertexField
 from .minkowski import Q_EUCLIDEAN, euclidean_lift, euclidean_point, minkowski_inner
 from .nets import IsothermicNet, moutard_fill
@@ -123,8 +125,8 @@ def random_moutard_net(rng: np.random.Generator, rows: int, cols: int,
     and fills the grid through the Moutard equation (:func:`moutard_fill`);
     the filled lifts stay isotropic and realize the weights on every edge
     automatically.  A draw is rejected when an edge weight is below 1e-3, a
-    face diagonal product below 1e-6 or a filled lift entry above 1e3 in
-    absolute value.
+    face diagonal product below 1e-6, a filled lift entry above 1e3 in
+    absolute value, or the net fails :meth:`IsothermicNet.validate`.
     """
     domain = GridDomain(rows, cols)
     for _ in range(max_tries):
@@ -139,5 +141,8 @@ def random_moutard_net(rng: np.random.Generator, rows: int, cols: int,
             continue
         # g_floor just below 1e-6 rejects exactly the products |g| < 1e-6
         if moutard_fill(F, u, v, np.nextafter(1e-6, 0.0), f_max=1e3) is None:
-            return IsothermicNet(domain, VertexField(domain, F), EdgeFunction(domain, u, v))
+            net = IsothermicNet(domain, VertexField(domain, F), EdgeFunction(domain, u, v))
+            with contextlib.suppress(GeometryError):  # the fill's drift fails validation
+                net.validate()
+                return net
     raise DegenerateEdge("could not draw a non-degenerate random net")

@@ -1,9 +1,11 @@
 """Command line interface.
 
 Subcommands: generate, verify, transform, classify, export.  Exit codes:
-0 on success, 2 when a verification fails, 1 on usage errors (an input
-that cannot be read, an output that cannot be written, a number that is
-not finite).  --tol or the ISOTHERMIC_TOL environment variable sets the
+0 on success, 2 when a verification fails (a :class:`errors.GeometryError`,
+or floating-point overflow, division by zero or an invalid operation, which
+the command runs under ``numpy.errstate`` to raise), 1 on usage errors (an
+input that cannot be read, an output that cannot be written, a number that
+is not finite).  --tol or the ISOTHERMIC_TOL environment variable sets the
 relative tolerance in a :func:`tolerances.tolerance` scope around the
 command; without either, the caller's scope holds.
 """
@@ -20,7 +22,6 @@ import sys
 import numpy as np
 
 from .conserved import (
-    InconsistencyReport,
     classify_type,
     lcq_solve_grid,
     mean_curvature_data,
@@ -40,7 +41,7 @@ from .revolution import (
     default_space_form,
     find_seed_edge,
 )
-from .tolerances import tolerance
+from .tolerances import Check, tolerance
 from .transforms import (
     backlund_init,
     bianchi,
@@ -137,21 +138,21 @@ def _cmd_verify(args) -> int:
     net, quantities, metadata = _load(args.net)
     report = verify_isothermic(net.lifts, strict=False)
     if not report.ok:
-        print(f"FAIL isothermic: {report.reason}")
+        print(f"FAIL isothermic: {report.check}")
         return VERIFY_FAILURE
     try:
         weight_residual = net.validate(report.cross_ratios)
     except GeometryError as exc:
         print(f"FAIL stored weights: {exc}")
         return VERIFY_FAILURE
-    print(f"isothermic: ok (factorization residual {report.max_factor_residual:.3g}, "
+    print(f"isothermic: ok (factorization residual {report.check.value:.3g}, "
           f"stored-weight residual {weight_residual:.3g})")
     code = 0
     for idx, cq in enumerate(quantities):
         vr = pcq_verify(net, cq)
         status = "ok" if vr.ok else "FAIL"
         print(f"conserved quantity {idx} (degree {cq.degree}): {status} "
-              f"(residual {vr.max_residual:.3g})")
+              f"(residual {vr.value:.3g})")
         if not vr.ok:
             code = VERIFY_FAILURE
     if args.lcq:
@@ -159,8 +160,8 @@ def _cmd_verify(args) -> int:
         if Q.shape != (5,):
             raise GeometryError("--lcq expects 5 reals")
         result = lcq_solve_grid(net, Q)
-        if isinstance(result, InconsistencyReport):
-            print(f"FAIL lcq: incidence residual {result.max_incidence:.3g}")
+        if isinstance(result, Check):
+            print(f"FAIL lcq: {result}")
             code = VERIFY_FAILURE
         else:
             H, kap = mean_curvature_data(normalize_top(result))
@@ -260,16 +261,19 @@ def _cmd_export(args) -> int:
         Q = _parse_reals(args.Q)
     elif quantities:
         Q = quantities[0].constant
-    elif "kappa" in metadata:
+    elif isinstance(metadata.get("kappa"), (int, float)) and np.isfinite(metadata["kappa"]):
         Q = embed_lorentz3(default_space_form(float(metadata["kappa"])))
     if Q is None:
         raise GeometryError("no ambient vector available: pass --Q")
     Q = np.asarray(Q, dtype=float)
     if Q.shape == (3,):
         Q = embed_lorentz3(Q)
+    if Q.shape != (5,):
+        raise GeometryError("--Q expects 3 or 5 reals")
     report = export_obj(net, Q, args.model, args.output, clamp=args.clamp)
-    print(f"wrote {report.path}: {report.vertex_count} vertices, "
-          f"{report.face_count} quads, {len(report.flagged)} flagged")
+    rows, cols = net.domain.rows, net.domain.cols
+    print(f"wrote {report.path}: {rows * cols} vertices, "
+          f"{(rows - 1) * (cols - 1)} quads, {len(report.flagged)} flagged")
     return 0
 
 
@@ -354,12 +358,13 @@ def main(argv=None) -> int:
             except ValueError as exc:
                 parser.error(f"bad --tol or ISOTHERMIC_TOL: {exc}")
         try:
-            return args.func(args)
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                return args.func(args)
         except (UsageError, OSError) as exc:  # OSError: an output that cannot be written
             parser.print_usage(sys.stderr)
             print(f"{parser.prog}: error: {exc}", file=sys.stderr)
             return USAGE_ERROR
-        except GeometryError as exc:
+        except (GeometryError, FloatingPointError) as exc:
             print(f"verification error: {exc}", file=sys.stderr)
             return VERIFY_FAILURE
 

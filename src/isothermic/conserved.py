@@ -38,7 +38,7 @@ from .polyvec import (
     mp_norm_poly,
     mp_scale_arg,
 )
-from .tolerances import tol
+from .tolerances import Check, tol
 
 
 class ConservedQuantity:
@@ -95,22 +95,21 @@ class ConservedQuantity:
 
     def _check_invariants(self):
         s = self.scale()
-        q_spread = np.abs(self.coeffs[:, :, 0, :] - self.constant).max()
-        if q_spread > tol(s):
-            raise NotConserved(f"constant coefficient varies over vertices ({q_spread:.3g})")
+        Check("constant coefficient varies over vertices",
+              float(np.abs(self.coeffs[:, :, 0, :] - self.constant).max()),
+              tol(s)).require(NotConserved)
         np_all = self._norm_polys(s)
         inc = np.abs(mp_inner_vec(self.coeffs[:, :, -1, :], self.net.lifts.data))
-        if inc.max() > tol(s * self.net.lift_scale()):
-            raise NotConserved(f"top coefficient not orthogonal to the net ({inc.max():.3g})")
-        if np_all[..., -1].min() < -tol(s * s):
-            raise NotConserved("top coefficient has negative Minkowski square")
+        Check("top coefficient not orthogonal to the net", float(inc.max()),
+              tol(s * self.net.lift_scale())).require(NotConserved)
+        Check("top coefficient has negative Minkowski square", -float(np_all[..., -1].min()),
+              tol(s * s)).require(NotConserved)
 
     def _norm_polys(self, s: float) -> np.ndarray:
         """|P(lam)|^2 at every vertex, which must spread by at most tol(s^2)."""
         np_all = mp_norm_poly(self.coeffs)
-        spread = float(np.abs(np_all - np_all.mean(axis=(0, 1))).max())
-        if spread > tol(s * s):
-            raise NotConserved(f"|P|^2 varies over vertices ({spread:.3g})")
+        Check("|P|^2 varies over vertices", float(np.abs(np_all - np_all.mean(axis=(0, 1))).max()),
+              tol(s * s)).require(NotConserved)
         return np_all
 
     def norm_poly(self) -> np.ndarray:
@@ -138,21 +137,15 @@ def pcq_residual(net: IsothermicNet, coeffs) -> float:
             r = dc[..., l, :] if l < k else 0.0
             if l:
                 r = r - w * (pj[..., l - 1, None] * Fi - pi[..., l - 1, None] * Fj)
-            worst = max(worst, float(np.abs(r).max(initial=0.0)))
-    return worst / (1.0 + mp_max_coeff(coeffs))
+            worst = np.maximum(worst, np.abs(r).max(initial=0.0))
+    return float(worst) / (1.0 + mp_max_coeff(coeffs))
 
 
-@dataclass
-class VerifyReport:
-    ok: bool
-    max_residual: float
-
-
-def pcq_verify(net: IsothermicNet, quantity) -> VerifyReport:
-    """Report-only check of the conserved-quantity edge condition."""
+def pcq_verify(net: IsothermicNet, quantity) -> Check:
+    """The conserved-quantity edge condition as a check, never raised: the
+    :func:`pcq_residual` of a quantity or its coefficients against tol(1)."""
     coeffs = quantity.coeffs if isinstance(quantity, ConservedQuantity) else quantity
-    r = pcq_residual(net, coeffs)
-    return VerifyReport(r <= tol(1.0), r)
+    return Check("edge condition of the conserved quantity", pcq_residual(net, coeffs), tol(1.0))
 
 
 def pcq_propagate(net: IsothermicNet, seed, basepoint=None) -> ConservedQuantity:
@@ -188,21 +181,18 @@ def pcq_propagate(net: IsothermicNet, seed, basepoint=None) -> ConservedQuantity
         # exact division of <P_src(lam), F_dst> by (1 - a*lam) gives <P_dst, F_dst>
         p_dst, rem = mp_divide_one_minus(mp_inner_vec(ci, Fj)[..., None], a)
         worst, edge = dom.worst_edge(np.abs(rem[..., 0]), axis, index, forward)
-        if worst > limit:
-            raise NotConserved(
-                f"transport across {edge} is not polynomial (division remainder {worst:.3g})")
+        Check("transport is not polynomial: division remainder", worst, limit,
+              edge).require(NotConserved)
         p_src = mp_inner_vec(ci, Fi)
         worst, edge = dom.worst_edge(np.abs(p_src[..., k - 1]), axis, index, forward)
-        if worst > limit:
-            raise NotConserved(
-                f"transport across {edge} raises the degree (top incidence defect {worst:.3g})")
+        Check("transport raises the degree: top incidence defect", worst, limit,
+              edge).require(NotConserved)
         add = np.zeros(ci.shape)
         add[..., 1:, :] = p_dst[..., :k - 1, :] * Fi - p_src[..., :k - 1, None] * Fj
         return ci + (a[..., None] / g) * add
 
     coeffs, worst, edge = sweep_propagate(dom, seed, basepoint, transport)
-    if worst > tol(scale):
-        raise NotConserved(f"path dependence {worst:.3g} during propagation; worst edge {edge}")
+    Check("path dependence during propagation", worst, tol(scale), edge).require(NotConserved)
     return ConservedQuantity(net, coeffs)
 
 
@@ -215,9 +205,8 @@ def degree_reduce(cq: ConservedQuantity, mu: float) -> ConservedQuantity:
     NonzeroRoot
     """
     values = mp_eval(cq.coeffs, mu)
-    worst = float(np.sqrt((values * values).sum(-1)).max())
-    if worst > tol(cq.scale() * (1.0 + abs(mu)) ** cq.degree):
-        raise NonzeroRoot(f"|P({mu})| = {worst:.3g} is not a root")
+    Check(f"|P({mu})| is not a root", float(np.sqrt((values * values).sum(-1)).max()),
+          tol(cq.scale() * (1.0 + abs(mu)) ** cq.degree)).require(NonzeroRoot)
     if cq.coeffs.shape[2] < 2:
         raise NonzeroRoot("cannot reduce a constant quantity")
     return ConservedQuantity(cq.net, mp_divide_linear(cq.coeffs, mu)[0])
@@ -258,14 +247,13 @@ def mean_curvature_data(cq: ConservedQuantity):
     """
     if cq.degree != 1:
         raise ValueError("mean curvature data needs a linear quantity")
-    t2 = cq.top_norm2()
-    if abs(t2 - 1.0) > tol(1.0):
-        raise NotNormalized(f"quantity is not normalized (|top|^2 - 1 = {t2 - 1.0:.3g})")
+    Check("quantity is not normalized: |top|^2 - 1", abs(cq.top_norm2() - 1.0),
+          tol(1.0)).require(NotNormalized)
     Q = cq.constant
     zq = mp_inner_vec(cq.coeffs[:, :, 1, :], Q)
     H = -float(zq.mean())
-    if float(np.abs(zq + H).max()) > tol(cq.scale() ** 2):
-        raise NotConserved("<Z, Q> varies over vertices")
+    Check("<Z, Q> varies over vertices", float(np.abs(zq + H).max()),
+          tol(cq.scale() ** 2)).require(NotConserved)
     return H, -float(norm2(Q))
 
 
@@ -292,9 +280,8 @@ def propagate_congruence(net: IsothermicNet, Q, Z0, basepoint) -> VertexField:
                                                edge_stacks(QF))]
     Z, worst, edge = sweep_integrate(dom, wu, wv, basepoint)
     Z += np.asarray(Z0, dtype=float)
-    if worst > tol(1.0 + float(np.abs(Z).max())):
-        raise NotConserved(f"congruence propagation is path dependent ({worst:.3g}); "
-                           f"worst edge {edge}")
+    Check("congruence propagation is path dependent", worst,
+          tol(1.0 + float(np.abs(Z).max())), edge).require(NotConserved)
     return VertexField(dom, Z)
 
 
@@ -332,29 +319,19 @@ def lcq_solve_3x3(net: IsothermicNet, Q) -> ConservedQuantity:
         raise SphericalStar("vertex star is cospherical") from exc
     Z = propagate_congruence(net, Q, Zc, c)
     cq = ConservedQuantity.linear(net, Q, Z.data, check=False)
-    report = pcq_verify(net, cq)
-    if not report.ok:
-        raise NotConserved(f"star solve did not yield a conserved quantity "
-                           f"(residual {report.max_residual:.3g})")
+    pcq_verify(net, cq)._replace(
+        name="star solve did not yield a conserved quantity").require(NotConserved)
     return cq
-
-
-@dataclass
-class InconsistencyReport:
-    """Returned by :func:`lcq_solve_grid` when no linear quantity with the
-    requested constant term exists on the whole net."""
-
-    max_incidence: float
-    residuals: np.ndarray  # per-vertex |<Z, F>| / scale
 
 
 def lcq_solve_grid(net: IsothermicNet, Q, basepoint=None):
     """Linear conserved quantity with prescribed constant term on a whole
-    grid, or an :class:`InconsistencyReport`.
+    grid, or the failed :class:`tolerances.Check` when none exists.
 
     Solves the nine incidence conditions on the extended vertex star of the
-    basepoint in least squares, propagates, and verifies incidence at every
-    vertex; failure means the net is not cmc for this ambient vector.
+    basepoint in least squares, propagates, and checks incidence at every
+    vertex (naming the worst) and the edge condition (:func:`pcq_verify`);
+    failure means the net is not cmc for this ambient vector.
     """
     dom = net.domain
     if basepoint is None:
@@ -375,14 +352,13 @@ def lcq_solve_grid(net: IsothermicNet, Q, basepoint=None):
     Z = VertexField(dom, W.data + Zc)
     scale = (1.0 + float(np.abs(Z.data).max())) * net.lift_scale()
     inc = np.abs(mp_inner_vec(Z.data, net.lifts.data)) / scale
-    worst = float(inc.max())
-    if worst > tol(1.0):
-        return InconsistencyReport(worst, inc)
+    worst = np.unravel_index(int(np.argmax(inc)), inc.shape)
+    check = Check("incidence residual", float(inc[worst]), tol(1.0), dom.vertex_at(worst))
+    if not check.ok:
+        return check
     cq = ConservedQuantity.linear(net, Q, Z.data, check=False)
-    report = pcq_verify(net, cq)
-    if not report.ok:
-        return InconsistencyReport(worst, inc)
-    return cq
+    check = pcq_verify(net, cq)
+    return cq if check.ok else check
 
 
 @dataclass

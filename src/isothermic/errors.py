@@ -6,7 +6,12 @@ all inherit from :class:`GeometryError` so blanket handling stays easy.
 
 
 class GeometryError(Exception):
-    """Base class for all geometric failures raised by this package."""
+    """Base class for all geometric failures raised by this package; one
+    raised by :meth:`tolerances.Check.require` keeps that check as ``check``."""
+
+    def __init__(self, *args, check=None):
+        super().__init__(*args)
+        self.check = check
 
 
 # --- linear algebra / light-cone primitives ---------------------------------

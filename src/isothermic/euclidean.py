@@ -23,7 +23,7 @@ from .minkowski import (
     minkowski_inner,
 )
 from .nets import IsothermicNet
-from .tolerances import tol
+from .tolerances import Check, tol
 
 
 class EuclideanNet:
@@ -76,8 +76,9 @@ def christoffel(net: EuclideanNet, basepoint=None) -> EuclideanNet:
         omega.append(-(a / d2)[..., None] * df)
 
     dual, worst, edge = sweep_integrate(dom, *omega, basepoint)
-    if worst > tol(1.0 + max(float(np.abs(w).max(initial=0.0)) for w in omega)):
-        raise NotClosed(f"dual edge form is not closed (residual {worst:.3g}); worst edge {edge}")
+    Check("dual edge form is not closed", worst,
+          tol(1.0 + max(float(np.abs(w).max(initial=0.0)) for w in omega)),
+          edge).require(NotClosed)
     return EuclideanNet(dom, VertexField(dom, dual), net.weights)
 
 
@@ -99,17 +100,15 @@ def parallel_lcq(net: EuclideanNet, dual: EuclideanNet, H: float) -> ConservedQu
     if H == 0.0:
         raise ValueError("parallel net characterization needs H != 0")
     gap = np.linalg.norm(dual.points.data - net.points.data, axis=-1) - 1.0 / H
-    if float(np.abs(gap).max()) > tol(1.0 + 1.0 / abs(H)):
-        raise NotParallel(
-            f"|f* - f| deviates from 1/H by {float(np.abs(gap).max()):.3g}")
+    Check("|f* - f| deviates from 1/H", float(np.abs(gap).max()),
+          tol(1.0 + 1.0 / abs(H))).require(NotParallel)
     worst = 0.0
     for (fi, fj), (gi, gj), a in zip(edge_stacks(net.points.data),
                                      edge_stacks(dual.points.data), net.weights.stacks()):
         target = -(H / 2.0) * ((fj - fi) * (gj - gi)).sum(axis=-1)
-        worst = max(worst, float(np.abs(a - target).max()))
-    if worst > tol(1.0 + net.weights.max_abs()):
-        raise NotChristoffel(
-            f"weights miss the canonical dual scaling by {worst:.3g}")
+        worst = np.maximum(worst, np.abs(a - target).max())
+    Check("weights miss the canonical dual scaling", float(worst),
+          tol(1.0 + net.weights.max_abs())).require(NotChristoffel)
 
     dual_lifts = euclidean_lift(dual.points.data)
     return ConservedQuantity.linear(net.to_isothermic(), Q_EUCLIDEAN,
@@ -176,8 +175,8 @@ def bp_sphere(cq: ConservedQuantity, vertex) -> MeanCurvatureSphere:
         for a, b in pairs:
             da = np.linalg.norm(pts[dom.index(a)] - center)
             db = np.linalg.norm(pts[dom.index(b)] - center)
-            worst_eq = max(worst_eq, abs(da - db) / (1.0 + da))
-        return worst_eq
+            worst_eq = np.maximum(worst_eq, abs(da - db) / (1.0 + da))
+        return float(worst_eq)
 
     scale = 1.0 + float(np.abs(Z).max())
     if abs(lift_slope) <= tol(scale):
@@ -187,10 +186,10 @@ def bp_sphere(cq: ConservedQuantity, vertex) -> MeanCurvatureSphere:
         for w in ((m + 1, n), (m - 1, n), (m, n + 1), (m, n - 1)):
             a = net.weight((vertex, w))
             lhs = float(np.dot(normal, pts[dom.index(w)] - f))
-            worst_power = max(worst_power, abs(lhs - a) / (1.0 + abs(a)))
+            worst_power = np.maximum(worst_power, abs(lhs - a) / (1.0 + abs(a)))
         r_inc = abs(float(np.dot(normal, f)) - offset) / (1.0 + abs(offset))
         return MeanCurvatureSphere("plane", None, None, normal, offset,
-                                   0.0, worst_power, r_inc)
+                                   0.0, float(worst_power), r_inc)
 
     r = 1.0 / lift_slope
     center = r * Z[1:4]
@@ -199,10 +198,10 @@ def bp_sphere(cq: ConservedQuantity, vertex) -> MeanCurvatureSphere:
     for w in ((m + 1, n), (m - 1, n), (m, n + 1), (m, n - 1)):
         a = net.weight((vertex, w))
         power = float(np.dot(pts[dom.index(w)] - center, pts[dom.index(w)] - center)) - r * r
-        worst_power = max(worst_power, abs(power / (-2.0 * r) - a) / (1.0 + abs(a)))
+        worst_power = np.maximum(worst_power, abs(power / (-2.0 * r) - a) / (1.0 + abs(a)))
     r_resid = abs(np.linalg.norm(f - center) - abs(r)) / (1.0 + abs(r))
     return MeanCurvatureSphere("sphere", center, abs(r), None, None,
-                               worst_eq, worst_power, r_resid)
+                               worst_eq, float(worst_power), r_resid)
 
 
 @dataclass

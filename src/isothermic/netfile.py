@@ -110,6 +110,12 @@ def _require(doc, key, path):
     return doc[key]
 
 
+def _finite(arr, key, path):
+    if not np.isfinite(arr).all():
+        raise ParseError(f"{path}: field '{key}' holds a non-finite number")
+    return arr
+
+
 def load_net(path):
     """Load (net, quantities, metadata) from a net file.
 
@@ -119,8 +125,9 @@ def load_net(path):
         When the file cannot be read.
     ParseError
         On a non-ASCII byte, malformed JSON (with line diagnostics), a
-        document that is not an object, missing fields, or sizes and
-        quantities of the wrong type.
+        document that is not an object, missing fields, sizes and
+        quantities of the wrong type, or a non-finite number in an array
+        (Python's json reads NaN and Infinity).
     DimensionMismatch
         When array shapes disagree with the declared grid size.
     """
@@ -155,7 +162,7 @@ def load_net(path):
         if arr.shape != shape:
             raise DimensionMismatch(
                 f"{path}: field '{key}' has shape {arr.shape}, expected {shape}")
-        return arr
+        return _finite(arr, key, path)
 
     lifts = array_field("lifts", (rows, cols, 5))
     a_u = array_field("a_u", (rows - 1,))
@@ -176,6 +183,7 @@ def load_net(path):
         if coeffs.shape != (rows, cols, degree + 1, 5):
             raise DimensionMismatch(
                 f"{path}: conserved_quantities[{idx}] has inconsistent shape")
+        coeffs = _finite(coeffs, f"conserved_quantities[{idx}]", path)
         quantities.append(ConservedQuantity(net, coeffs, check=False))
     metadata = doc.get("metadata", {})
     if not isinstance(metadata, dict):

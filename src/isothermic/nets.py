@@ -12,7 +12,7 @@ and a net's fields are set once, by its constructor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -47,7 +47,7 @@ from .minkowski import (
     regularity_tol,
     span_normal,
 )
-from .tolerances import tol
+from .tolerances import Check, tol
 
 if TYPE_CHECKING:
     from .revolution import RevolutionStructure
@@ -86,27 +86,26 @@ class IsothermicNet:
         """Check lightlike lifts and that weight ratios match the face cross
         ratios ``q`` (computed if not given); returns the worst residual."""
         scale = self.lift_scale() ** 2
-        worst = float(np.abs(norm2(self.lifts.data)).max()) / max(scale, 1e-300)
         if q is None:
             q = invariants_from_products(*face_products(self.lifts.data)).cross_ratios()
         expected = self.weights.u[:, None] / self.weights.v[None, :]
-        worst = max(worst, float((np.abs(q - expected) / (1.0 + np.abs(expected)))
-                                 .max(initial=0.0)))
-        if worst > tol(1.0):
-            raise GeometryError(f"net fails validation (residual {worst:.3g})")
-        return worst
+        worst = np.maximum(np.abs(norm2(self.lifts.data)).max() / max(scale, 1e-300),
+                           (np.abs(q - expected) / (1.0 + np.abs(expected))).max(initial=0.0))
+        return Check("net fails validation", float(worst), tol(1.0)).require(GeometryError).value
 
 
 @dataclass
 class IsothermicReport:
-    ok: bool
-    weights: EdgeFunction | None
-    max_imag: float
-    max_grid_residual: float
-    max_factor_residual: float
-    min_regularity: float = np.inf
-    reason: str = ""
+    """The first failed check of :func:`verify_isothermic`, or its last one."""
+
+    check: Check
+    weights: EdgeFunction | None = None
     cross_ratios: np.ndarray | None = None  # of the faces; set when the weights are rebuilt
+    min_regularity: float = np.inf
+
+    @property
+    def ok(self) -> bool:
+        return self.check.ok
 
 
 def verify_isothermic(lifts: VertexField, *, strict: bool = True) -> IsothermicReport:
@@ -123,54 +122,47 @@ def verify_isothermic(lifts: VertexField, *, strict: bool = True) -> IsothermicR
     the first vertical value to -1 when every face cross ratio is negative
     (embedded faces) and to +1 otherwise.
 
+    The report holds the first check that fails, or the last one when all
+    hold; strict mode raises a failed check.
+
     Raises (in strict mode)
     -----------------------
     GeometryError, NonConcircularFace, FactorizationFailure
     """
-    def refuse(error, detail, *fields):
-        # a failed report with the residuals and reason ``fields``, raised in strict mode
-        report = IsothermicReport(False, None, *fields)
-        if strict:
-            raise error(f"{report.reason} ({detail})")
-        return report
-
     domain = lifts.domain
-    if domain.rows < 2 or domain.cols < 2:
-        return refuse(GeometryError, f"{domain.rows}x{domain.cols} grid",
-                      np.inf, np.inf, np.inf, np.inf, "need at least one face")
-    inv = invariants_from_products(*face_products(lifts.data))
-    regularity = float(inv.regularity.min())
-    if regularity <= regularity_tol():
-        return refuse(GeometryError, f"regularity {regularity:.3g}", np.inf, np.inf, np.inf,
-                      regularity, "a face has three nearly dependent lifts")
-    q = inv.q
-    ratios = q.real
-    max_imag = float((np.abs(q.imag) / (1.0 + np.abs(q))).max())
-    if max_imag > tol(1.0):
-        return refuse(NonConcircularFace, f"imag {max_imag:.3g}", max_imag, np.inf, np.inf,
-                      regularity, "a face has a complex cross ratio")
-
-    # product-one condition on all 3x3 subgrids
-    prod = (ratios[1:, :-1] / ratios[1:, 1:]) * (ratios[:-1, 1:] / ratios[:-1, :-1])
-    max_grid = float(np.abs(prod - 1.0).max()) if prod.size else 0.0
-    if max_grid > tol(1.0):
-        return refuse(FactorizationFailure, f"residual {max_grid:.3g}", max_imag, max_grid,
-                      np.inf, regularity, "cross ratios fail the 3x3 product-one condition")
-
-    v0 = -1.0 if (ratios < 0.0).all() else 1.0
-    u = ratios[:, 0] * v0
-    v = np.empty(domain.cols - 1)
-    v[0] = v0
-    v[1:] = u[0] / ratios[0, 1:]
-    weights = EdgeFunction(domain, u, v)
-    max_factor = float(np.abs(u[:, None] / v[None, :] - ratios).max())
-    ok = max_factor <= tol(1.0 + float(np.abs(ratios).max()))
-    report = IsothermicReport(ok, weights, max_imag, max_grid, max_factor, regularity,
-                              cross_ratios=q)
-    if not ok:
-        report.reason = "reconstructed weights do not reproduce the cross ratios"
-        if strict:
-            raise FactorizationFailure(report.reason + f" (residual {max_factor:.3g})")
+    report = IsothermicReport(Check("need at least one face", np.inf, 0.0,
+                                    f"{domain.rows}x{domain.cols} grid"))
+    error = GeometryError
+    if domain.rows > 1 and domain.cols > 1:
+        inv = invariants_from_products(*face_products(lifts.data))
+        report.min_regularity = float(inv.regularity.min())
+        # a floor: the tolerance must stay below the smallest regularity
+        report.check = Check("a face has three nearly dependent lifts", regularity_tol(),
+                             report.min_regularity)
+    if report.ok:
+        q = inv.q
+        ratios = q.real
+        report.check = Check("a face has a complex cross ratio",
+                             float((np.abs(q.imag) / (1.0 + np.abs(q))).max()), tol(1.0))
+        error = NonConcircularFace
+    if report.ok:
+        # product-one condition on all 3x3 subgrids
+        prod = (ratios[1:, :-1] / ratios[1:, 1:]) * (ratios[:-1, 1:] / ratios[:-1, :-1])
+        report.check = Check("cross ratios fail the 3x3 product-one condition",
+                             float(np.abs(prod - 1.0).max(initial=0.0)), tol(1.0))
+        error = FactorizationFailure
+    if report.ok:
+        v0 = -1.0 if (ratios < 0.0).all() else 1.0
+        u = ratios[:, 0] * v0
+        v = np.empty(domain.cols - 1)
+        v[0] = v0
+        v[1:] = u[0] / ratios[0, 1:]
+        report.weights, report.cross_ratios = EdgeFunction(domain, u, v), q
+        report.check = Check("reconstructed weights do not reproduce the cross ratios",
+                             float(np.abs(u[:, None] / v[None, :] - ratios).max()),
+                             tol(1.0 + float(np.abs(ratios).max())))
+    if strict:
+        report.check.require(error)
     return report
 
 
@@ -240,7 +232,7 @@ def moutard_lift(lifts: VertexField, weights: EdgeFunction) -> VertexField:
     DegenerateEdge
         If a product lambda_i <F_i, F_j> vanishes, or the rescaled lifts
         miss an edge product (relative to |a_ij| + |F_i| |F_j| on that edge)
-        or fail :func:`moutard_check`.
+        or fail :func:`moutard_check`; the error carries the failed check.
     """
     domain = lifts.domain
     F = lifts.data
@@ -260,45 +252,36 @@ def moutard_lift(lifts: VertexField, weights: EdgeFunction) -> VertexField:
     out = VertexField(domain, F * scales[..., None])
     # each product against the scale of its own edge, so that a lift blown
     # up elsewhere cannot excuse a miss
-    worst = max(float((np.abs(minkowski_inner(Fi, Fj) - a)
-                       / (np.abs(a) + np.linalg.norm(Fi, axis=-1) * np.linalg.norm(Fj, axis=-1))
-                       ).max(initial=0.0))
-                for (Fi, Fj), a in zip(edge_stacks(out.data), weights.stacks()))
-    ok, defect = moutard_check(out)
-    if worst > tol(1.0) or not ok:
-        raise DegenerateEdge(
-            f"normalized lifts miss the prescribed edge products by {worst:.3g} relative "
-            f"(diagonal defect {defect:.3g}); the weights are not a factorizer of this net")
+    worst = np.max([(np.abs(minkowski_inner(Fi, Fj) - a)
+                     / (np.abs(a) + np.linalg.norm(Fi, axis=-1) * np.linalg.norm(Fj, axis=-1))
+                     ).max(initial=0.0)
+                    for (Fi, Fj), a in zip(edge_stacks(out.data), weights.stacks())])
+    Check("normalized lifts miss the prescribed edge products", float(worst),
+          tol(1.0)).require(DegenerateEdge)
+    moutard_check(out).require(DegenerateEdge)
     return out
 
 
-def moutard_check(lifts: VertexField):
+def moutard_check(lifts: VertexField) -> Check:
     """Whether the diagonals F_k - F_i and F_j - F_l are parallel on every
-    face; returns (ok, worst relative second singular value)."""
+    face: the worst relative second singular value against tol(1)."""
     F = lifts.data
     D = np.stack([F[1:, 1:] - F[:-1, :-1], F[1:, :-1] - F[:-1, 1:]], axis=2)
     s = np.linalg.svd(D, compute_uv=False)
     # s[1] <= s[0], so a face with s[0] = 0 contributes 0
     worst = float((s[..., 1] / np.where(s[..., 0] > 0, s[..., 0], 1.0)).max(initial=0.0))
-    return worst <= tol(1.0), worst
+    return Check("face diagonals are not parallel", worst, tol(1.0))
 
 
-@dataclass
-class StarReport:
-    diagonal_cospherical: bool
-    axis_cospherical: bool
-    central_sphere: np.ndarray | None
-    diagonal_gap: float
-    axis_gap: float
+def vertex_star_cospherical(lifts: VertexField, center):
+    """(diagonal check, axis check, sphere): cosphericity of the diagonal
+    and axis vertex stars of an interior vertex, and the central sphere
+    spanned by the diagonal star (or None).
 
-
-def vertex_star_cospherical(lifts: VertexField, center) -> StarReport:
-    """Cosphericity of the diagonal and axis vertex stars of an interior
-    vertex, and the central sphere spanned by the diagonal star.
-
-    A five-point star is cospherical when its lifts span at most four
-    dimensions; in that case the unit spacelike normal of the span encodes
-    the sphere through the five points.
+    A five-point star is cospherical when its unit lifts span at most four
+    dimensions (relative fifth singular value within tol(1)); when the
+    diagonal star spans exactly four, the unit spacelike normal of the span
+    encodes the sphere through the five points.
     """
     m, n = center
     domain = lifts.domain
@@ -313,13 +296,12 @@ def vertex_star_cospherical(lifts: VertexField, center) -> StarReport:
         return V, np.linalg.svd(V, compute_uv=False)
 
     (Vd, sd), (_, sa) = span(diag), span(axis)
-    dgap, agap = float(sd[4] / sd[0]), float(sa[4] / sa[0])
-    dia_ok = dgap <= tol(1.0)
-    axi_ok = agap <= tol(1.0)
+    diagonal = Check("diagonal star is not cospherical", float(sd[4] / sd[0]), tol(1.0), center)
+    axis = Check("axis star is not cospherical", float(sa[4] / sa[0]), tol(1.0), center)
     sphere = None
-    if dia_ok and sd[3] / sd[0] > tol(1.0):  # span is exactly 4-dimensional
+    if diagonal.ok and sd[3] / sd[0] > tol(1.0):  # span is exactly 4-dimensional
         sphere = span_normal(Vd)
-    return StarReport(dia_ok, axi_ok, sphere, dgap, agap)
+    return diagonal, axis, sphere
 
 
 def edge_connection(net: IsothermicNet, lam: float, edge) -> np.ndarray:
@@ -395,8 +377,8 @@ def holonomy_residual(net: IsothermicNet, lams) -> float:
                         (Uu[:, 1:], Ju[:, 1:], cu[:, 1:, ::-1]),
                         (Uv[1:], Jv[1:], cv[1:]), (Uu[:, :-1], Ju[:, :-1], cu[:, :-1])):
             M = _circle_apply(U, J, c, M)
-        worst = max(worst, float(np.abs(M - eye).max(initial=0.0)))
-    return worst
+        worst = np.maximum(worst, np.abs(M - eye).max(initial=0.0))
+    return float(worst)
 
 
 def circle_identity_check(P1, P2, P3, P4, a: float, b: float, lam: float) -> float:
@@ -423,7 +405,7 @@ class CalapsoFrame:
     net: IsothermicNet
     transformed: IsothermicNet
     basepoint: tuple
-    max_residual: float = field(default=0.0)
+    check: Check | None = None  # the sweep's closing check
 
 
 def calapso(net: IsothermicNet, mu: float, basepoint=None) -> tuple[CalapsoFrame, IsothermicNet]:
@@ -432,7 +414,7 @@ def calapso(net: IsothermicNet, mu: float, basepoint=None) -> tuple[CalapsoFrame
     Propagates frames T with T_j = T_i * C_ij(mu) from the basepoint
     (identity there) along a spanning tree (:func:`grids.sweep_propagate`);
     flatness of the connection makes the result path independent, and the
-    residual over the remaining edges is reported.
+    residual over the remaining edges is checked and kept in the frame.
     The transformed net has lifts T_i F_i and edge weights a / (1 - mu*a).
 
     Raises
@@ -446,19 +428,17 @@ def calapso(net: IsothermicNet, mu: float, basepoint=None) -> tuple[CalapsoFrame
     S, worst, edge = sweep_propagate(domain, np.diag(SIGNATURE), basepoint,
                                      _parallel_step(edge_connections(net, mu)))
     frames = np.swapaxes(S, -1, -2) * SIGNATURE
-    if worst > tol(10.0 + float(np.abs(frames).max())):
-        raise NotFlat(f"path dependence {worst:.3g}; input net is not isothermic; "
-                      f"worst edge {edge}")
+    largest = float(np.abs(frames).max())
+    check = Check("path dependence; input net is not isothermic", worst, tol(10.0 + largest),
+                  edge).require(NotFlat)
 
     new_lifts = VertexField(domain, np.einsum("mnij,mnj->mni", frames, net.lifts.data))
     # a flat connection can still grow frames so large that T F keeps no
     # digits: the transformed faces then degenerate, and no net is returned
-    regularity = face_regularity(new_lifts)
-    if regularity <= regularity_tol():
-        raise DegeneratePoints(f"a transformed face has three nearly dependent lifts (regularity "
-                               f"{regularity:.3g}, frames up to {float(np.abs(frames).max()):.3g})")
+    Check(f"a transformed face, with frames up to {largest:.3g}, has three nearly dependent "
+          "lifts", regularity_tol(), face_regularity(new_lifts)).require(DegeneratePoints)
     frames = VertexField(domain, frames)
     transformed = IsothermicNet(domain, new_lifts, net.weights.calapso_shifted(mu),
                                 revolution=None)
-    frame = CalapsoFrame(mu, frames, net, transformed, basepoint, worst)
+    frame = CalapsoFrame(mu, frames, net, transformed, basepoint, check)
     return frame, transformed

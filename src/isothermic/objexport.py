@@ -100,8 +100,6 @@ def _vertices(mask):
 @dataclass
 class ExportReport:
     path: str
-    vertex_count: int
-    face_count: int
     flagged: list  # [(vertex, reason)]
 
 
@@ -123,6 +121,8 @@ def export_obj(net: IsothermicNet, Q, model: str, path, clamp: float = 1e6) -> E
     qscale = float(np.dot(Q, Q))
     if model not in MODELS:
         raise ModelMismatch(f"unknown model '{model}'")
+    if qscale == 0.0:
+        raise ModelMismatch("the ambient vector Q is zero")
     if model == "euclidean" and abs(q2) > tol(qscale):
         raise ModelMismatch("euclidean chart needs a lightlike ambient vector")
     if model == "poincare" and q2 <= tol(qscale):
@@ -161,4 +161,4 @@ def export_obj(net: IsothermicNet, Q, model: str, path, clamp: float = 1e6) -> E
     with open(str(path) + ".report.txt", "w", encoding="ascii") as fh:
         fh.write(f"model: {model}\nvertices: {nv}\nfaces: {nf}\nflagged: {len(flagged)}\n"
                  + "".join(f"  vertex {v}: {reason}\n" for v, reason in flagged))
-    return ExportReport(str(path), nv, nf, flagged)
+    return ExportReport(str(path), flagged)

@@ -49,7 +49,7 @@ from .minkowski import (
 )
 from .nets import IsothermicNet
 from .polyvec import mp_inner_vec
-from .tolerances import tol
+from .tolerances import Check, tol
 
 
 @dataclass
@@ -102,17 +102,16 @@ class Meridian:
     def validate(self) -> float:
         M, S, Q = self.points, self.spheres, self.space_form
         alpha, c, H = self.alpha, self.edge_weight, self.mean_curvature
-        worst = float(np.abs(norm3(M) + 1.0).max())
-        worst = max(worst, float(np.abs(norm3(S) - 1.0).max()))
-        worst = max(worst, float(np.abs(inner3(S, M)).max()))
         dM = M[1:] - M[:-1]
         Mavg = (M[1:] + M[:-1]) / 2.0
         dS = S[1:] - S[:-1]
         qm = inner3(Q, Mavg)
-        worst = max(worst, float(np.abs(dS - 2.0 * alpha * qm[:, None] * dM).max()))
-        worst = max(worst, float(np.abs(inner3(S, Q) + H - alpha * inner3(M, Q) ** 2).max()))
-        worst = max(worst, float(np.abs(inner3(M[1:], M[:-1]) + 1.0 + c / alpha).max()))
-        return worst
+        return float(np.max([np.abs(norm3(M) + 1.0).max(),
+                             np.abs(norm3(S) - 1.0).max(),
+                             np.abs(inner3(S, M)).max(),
+                             np.abs(dS - 2.0 * alpha * qm[:, None] * dM).max(),
+                             np.abs(inner3(S, Q) + H - alpha * inner3(M, Q) ** 2).max(),
+                             np.abs(inner3(M[1:], M[:-1]) + 1.0 + c / alpha).max()]))
 
 
 @dataclass
@@ -258,9 +257,8 @@ def seed_edge(Q, H: float, M0, M1) -> list[SeedSolution]:
 
     margin = aa - cc * cc * H * H
     scale = abs(aa) + cc * cc * H * H
-    if margin < -tol(scale):
-        raise ConstraintViolated(
-            f"mean curvature too large for this edge (C^2 H^2 - A = {-margin:.3g})")
+    Check("mean curvature too large for this edge: C^2 H^2 - A", -margin,
+          tol(scale)).require(ConstraintViolated)
     margin = max(margin, 0.0)
     disc = np.sqrt(delta * (-margin)) / aa  # delta < 0, so the radicand is >= 0
     center = -bb * H / aa
@@ -291,8 +289,8 @@ def seed_edge(Q, H: float, M0, M1) -> list[SeedSolution]:
         sol = SeedSolution(float(alpha), S0, S1, float(c))
         resid = Meridian(np.stack([M0, M1]), np.stack([S0, S1]), Q,
                          float(alpha), float(c), H).validate()
-        if resid > tol(10.0 * (1.0 + abs(alpha)) * (1.0 + qscale) ** 2):
-            raise ConstraintViolated(f"seed solve inconsistent (residual {resid:.3g})")
+        Check("seed solve inconsistent", resid,
+              tol(10.0 * (1.0 + abs(alpha)) * (1.0 + qscale) ** 2)).require(ConstraintViolated)
         out.append(sol)
     return out
 
@@ -415,9 +413,8 @@ def build_revolution_cmc(Q, H: float, M0, M1, steps_each_dir: int,
         spheres.insert(0, Sn)
 
     meridian = Meridian(np.stack(points), np.stack(spheres), Q, alpha, c, H)
-    resid = meridian.validate()
-    if resid > tol(100.0 * (1.0 + abs(alpha)) * (1.0 + float(np.dot(Q, Q)))):
-        raise ConstraintViolated(f"meridian propagation inconsistent ({resid:.3g})")
+    Check("meridian propagation inconsistent", meridian.validate(),
+          tol(100.0 * (1.0 + abs(alpha)) * (1.0 + float(np.dot(Q, Q))))).require(ConstraintViolated)
 
     profile = angles if isinstance(angles, RotationProfile) else RotationProfile(angles)
     net = _assemble_net(meridian.points, profile, alpha)

@@ -6,10 +6,12 @@ characteristic magnitude of the data entering the test.  The relative
 tolerance defaults to 1e-9 (double precision with O(10) arithmetic depth).
 ``with tolerance(rel):`` sets it for one block, e.g. from the CLI ``--tol``
 flag; it is a context variable, so other threads keep their own value.
+A :class:`Check` records one such comparison and raises on failure.
 """
 
 from contextlib import contextmanager
 from contextvars import ContextVar
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,3 +43,31 @@ def tol(scale=1.0):
     if isinstance(scale, np.ndarray):
         return np.maximum(ABS_FLOOR, rel * np.abs(scale))
     return max(ABS_FLOOR, rel * abs(scale))
+
+
+class Check(NamedTuple):
+    """A residual ``value`` decided against its tolerance ``limit``, with
+    the vertex, edge or face ``where`` the worst case sits (or None).
+
+    The check holds when value <= limit, so a NaN value fails it.  A lower
+    bound is written with the floor as ``value`` and the measure as ``limit``.
+    """
+
+    name: str
+    value: float
+    limit: float
+    where: object = None
+
+    @property
+    def ok(self) -> bool:
+        return bool(self.value <= self.limit)
+
+    def __str__(self) -> str:
+        at = "" if self.where is None else f" at {self.where}"
+        return f"{self.name} ({self.value:.3g} > {self.limit:.3g}){at}"
+
+    def require(self, error):
+        """This check when it holds; else raises ``error(str(self), check=self)``."""
+        if not self.ok:
+            raise error(str(self), check=self)
+        return self

@@ -48,7 +48,7 @@ from .polyvec import (
     mp_shift,
     mp_trim,
 )
-from .tolerances import tol
+from .tolerances import Check, tol
 
 
 @dataclass
@@ -58,7 +58,7 @@ class DarbouxTransform:
     mu: float
     lifts: VertexField
     base: IsothermicNet
-    max_residual: float = 0.0
+    check: Check | None = None  # the propagation's closing check
 
     def net(self) -> IsothermicNet:
         """The transform as an isothermic net (same edge weights).
@@ -82,8 +82,9 @@ class DarbouxTransform:
                                self.base.weights.stacks()):
             q = invariants_from_products(*products).cross_ratios()
             target = a * self.mu
-            worst = max(worst, float((np.abs(q - target) / (1.0 + np.abs(target))).max(initial=0.0)))
-        return worst
+            worst = np.maximum(worst, np.max(np.abs(q - target) / (1.0 + np.abs(target)),
+                                             initial=0.0))
+        return float(worst)
 
 
 def parallel_residual(net: IsothermicNet, mu: float, section: VertexField) -> float:
@@ -92,8 +93,8 @@ def parallel_residual(net: IsothermicNet, mu: float, section: VertexField) -> fl
     scale = 1.0 + float(np.abs(section.data).max())
     for (U, J, c), (Si, Sj) in zip(edge_connections(net, mu), edge_stacks(section.data)):
         resid = Si - _circle_apply(U, J, c, Sj[..., None])[..., 0]
-        worst = max(worst, float(np.abs(resid).max(initial=0.0)) / scale)
-    return worst
+        worst = np.maximum(worst, np.abs(resid).max(initial=0.0) / scale)
+    return float(worst)
 
 
 def darboux_propagate(net: IsothermicNet, mu: float, start, basepoint=None) -> DarbouxTransform:
@@ -125,11 +126,9 @@ def darboux_propagate(net: IsothermicNet, mu: float, start, basepoint=None) -> D
 
     step = _parallel_step(edge_connections(net, mu))
     lifts, worst, edge = sweep_propagate(dom, start[:, None], basepoint, step)
-    worst /= 1.0 + float(np.abs(lifts).max())
-    if worst > tol(1.0):
-        raise NotParallel(f"Darboux propagation is path dependent ({worst:.3g}); "
-                          f"worst edge {edge}")
-    return DarbouxTransform(mu, VertexField(dom, lifts[..., 0]), net, worst)
+    check = Check("Darboux propagation is path dependent",
+                  worst / (1.0 + float(np.abs(lifts).max())), tol(1.0), edge).require(NotParallel)
+    return DarbouxTransform(mu, VertexField(dom, lifts[..., 0]), net, check)
 
 
 def backlund_init(cq: ConservedQuantity, mu: float, s: float, basepoint=None) -> np.ndarray:
@@ -203,9 +202,8 @@ def pcq_darboux(cq: ConservedQuantity, transform: DarbouxTransform) -> Conserved
     out[:, :, 1:k + 1] += pf * Fh / g
     out[:, :, 1:k + 1] -= pfh * F / g
     scale = 1.0 + mp_max_coeff(out)
-    top = float(np.abs(out[:, :, k + 1, :]).max())
-    if top > tol(scale):
-        raise NotPolynomial(f"degree {k + 1} coefficient does not cancel ({top:.3g})")
+    Check(f"degree {k + 1} coefficient does not cancel", float(np.abs(out[:, :, k + 1, :]).max()),
+          tol(scale)).require(NotPolynomial)
     trimmed = mp_trim(out, scale)
     return ConservedQuantity(transform.net(), trimmed)
 
@@ -237,10 +235,9 @@ def pcq_backlund(cq: ConservedQuantity, transform: DarbouxTransform) -> Conserve
     quot, rem = mp_divide_linear(num[..., None], mu)
     rem = np.abs(rem[..., 0])
     scale = cq.scale() * (1.0 + float(np.abs(transform.lifts.data).max()))
-    if rem.max() > tol(scale):
-        index = np.unravel_index(int(np.argmax(rem)), rem.shape)
-        raise NotBacklund(f"<P({mu}), Fhat> = {rem[index]:.3g} at "
-                          f"{cq.net.domain.vertex_at(index)}")
+    index = np.unravel_index(int(np.argmax(rem)), rem.shape)
+    Check(f"<P({mu}), Fhat> does not vanish", float(rem[index]), tol(scale),
+          cq.net.domain.vertex_at(index)).require(NotBacklund)
     out = c.copy()
     out[:, :, 1:] -= pf[:, :, :k - 1] * Fh / (mu * g)
     out -= quot * F / g
@@ -370,18 +367,16 @@ def pcq_from_parallel_sections(net: IsothermicNet, sections, weights) -> Conserv
     if len(set(np.round(mus, 12))) != len(mus):
         raise ValueError("section parameters must be pairwise distinct")
     for mu, sec in sections:
-        r = parallel_residual(net, mu, sec)
-        if r > tol(1.0):
-            raise NotParallel(f"section at {mu} is not parallel (residual {r:.3g})")
+        Check(f"section at {mu} is not parallel", parallel_residual(net, mu, sec),
+              tol(1.0)).require(NotParallel)
     dom = net.domain
     top = np.zeros((dom.rows, dom.cols, 5))
     for w, (mu, sec) in zip(weights, sections):
         top += w * sec.data
     inc = np.abs((top * SIGNATURE * net.lifts.data).sum(-1))
     scale = (1.0 + float(np.abs(top).max())) * net.lift_scale()
-    if inc.max() > tol(scale):
-        raise IncidenceFailure(
-            f"combined top coefficient not orthogonal to the net ({inc.max():.3g})")
+    Check("combined top coefficient not orthogonal to the net", float(inc.max()),
+          tol(scale)).require(IncidenceFailure)
 
     k = len(sections)
     coeffs = np.zeros((dom.rows, dom.cols, k, 5))

@@ -76,7 +76,7 @@ def test_acceptance_02_space_form_family():
     worst = 0.0
     for t in (0.25, 0.5, 1.0):
         cq = catalog.cylinder_family_quantity(net, t)
-        resid = pcq_verify(net, cq).max_residual
+        resid = pcq_verify(net, cq).value
         H, kappa = mean_curvature_data(cq)
         H_expect = 0.5 * (1 + t * t) - t * (1 + c) / (1 - c)
         k_expect = -4 * t * t / (1 - c) ** 2
@@ -256,7 +256,7 @@ def test_acceptance_08_revolution_constructor():
                                            RotationProfile.uniform(7, 0.8),
                                            branch=branch)
         iso_ok = verify_isothermic(net.lifts).ok
-        resid = pcq_verify(net, cq).max_residual
+        resid = pcq_verify(net, cq).value
         Hm, km = mean_curvature_data(cq)
         case_ok = (iso_ok and resid <= 1e-8
                    and abs(Hm - H) <= 1e-9 and abs(km - kappa) <= 1e-9)

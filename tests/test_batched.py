@@ -8,6 +8,7 @@ along a breadth-first spanning tree, with their own Gram-matrix cross
 ratio), so a slicing or broadcasting slip in the stacks shows up as a
 mismatch on some face, edge or vertex."""
 
+import functools
 import re
 import sys
 from collections import deque
@@ -466,14 +467,14 @@ def lorentz_map(rng):
 
 
 def verify_outcome(lifts):
-    """(ok, reason, u, v) of a non-strict verification, or the type of the
-    error it raises."""
+    """(ok, name of the deciding check, u, v) of a non-strict verification,
+    or the type of the error it raises."""
     try:
         report = verify_isothermic(lifts, strict=False)
     except GeometryError as exc:
         return type(exc)
     w = report.weights
-    return report.ok, report.reason, None if w is None else w.u, None if w is None else w.v
+    return report.ok, report.check.name, None if w is None else w.u, None if w is None else w.v
 
 
 def validate_outcome(net):
@@ -587,7 +588,7 @@ def ref_calapso_frames(net, mu, base):
              for i, j in cross]
     frames = as_array(dom, T)
     if resid and max(resid) > tol(10.0 + float(np.abs(frames).max())):
-        raise NotFlat(f"worst edge {cross[int(np.argmax(resid))]}")
+        raise NotFlat(f"at {cross[int(np.argmax(resid))]}")
     return frames
 
 
@@ -602,7 +603,7 @@ def ref_darboux_lifts(net, mu, start, base):
     resid = [float(np.abs(S[i] - edge_connection(net, mu, (i, j)) @ S[j]).max()) / scale
              for i, j in cross]
     if resid and max(resid) > tol(1.0):
-        raise NotParallel(f"worst edge {cross[int(np.argmax(resid))]}")
+        raise NotParallel(f"at {cross[int(np.argmax(resid))]}")
     return lifts
 
 
@@ -638,7 +639,7 @@ def ref_pcq_propagate(net, seed, base):
         P[child] = transport(P[parent], parent, child)
     resid = [float(np.abs(transport(P[i], i, j) - P[j]).max()) for i, j in cross]
     if resid and max(resid) > tol(scale):
-        raise NotConserved(f"worst edge {cross[int(np.argmax(resid))]}")
+        raise NotConserved(f"at {cross[int(np.argmax(resid))]}")
     return as_array(dom, P)
 
 
@@ -659,7 +660,7 @@ def ref_congruence(net, Q, Z0, base):
     resid = [float(np.abs(Z[j] - Z[i] - form(i, j)).max()) for i, j in cross]
     values = as_array(dom, Z)
     if resid and max(resid) > tol(1.0 + float(np.abs(values).max())):
-        raise NotConserved(f"worst edge {cross[int(np.argmax(resid))]}")
+        raise NotConserved(f"at {cross[int(np.argmax(resid))]}")
     return values
 
 
@@ -721,11 +722,36 @@ def outcome(fn):
         return type(exc)
 
 
-def assert_same(got, ref, rtol=1e-12):
+#: Rounding allowed per unit of a draw's conditioning: the library and the
+#: references round along different paths, and ill-conditioned draws amplify
+#: the difference (by at most 2.7 units in 800 to 1000 draws of each comparison).
+ROUNDING = 8 * np.finfo(float).eps
+
+
+def assert_same(got, ref, rtol=1e-12, decided=True):
+    """Equal outcomes: arrays equal to ``rtol`` relative to the largest entry
+    of ``ref``, or the same error class.  Unless ``decided``, the rounding of
+    the draw reaches the checks' tolerance, so the two may also differ in
+    whether they raise."""
     if isinstance(ref, type) or isinstance(got, type):
-        assert got is ref
+        assert got is ref or not decided
     else:
         np.testing.assert_allclose(got, ref, rtol=rtol, atol=rtol * np.abs(ref).max())
+
+
+def connection_conditioning(net, mu):
+    """Largest max|C_ij(mu)| max|C_ji(mu)| over the edges: how much one step
+    through an edge connection can amplify the rounding of its input."""
+    return max((float(np.abs(edge_connection(net, mu, (i, j))).max()
+                      * np.abs(edge_connection(net, mu, (j, i))).max())
+                for i, j in net.domain.edges()), default=1.0)
+
+
+def pair_conditioning(A, B):
+    """Largest |A||B| / |<A, B>| over the vertices: how much dividing by
+    <A, B> amplifies the rounding of a product."""
+    return float((np.linalg.norm(A, axis=-1) * np.linalg.norm(B, axis=-1)
+                  / np.abs(minkowski_inner(A, B))).max())
 
 
 PATCH_SHAPES = [(1, 4), (4, 1), (2, 5), (5, 2), (3, 4)]
@@ -784,23 +810,29 @@ PATCHES = st.tuples(st.integers(0, 10 ** 6), st.sampled_from(PATCH_SHAPES),
 
 @settings(max_examples=40, deadline=None)
 @given(PATCHES, st.sampled_from(["corner", "centre", "far corner"]), st.floats(-2.0, 2.0))
+@example((91450, (2, 5), "moutard"), "corner", 2.0)  # frames up to 125
+@example((836009, (3, 4), "moutard"), "corner", 2.0)
+@example((916144, (3, 4), "moutard"), "centre", -2.0)  # conditioning 3.9e7: undecided
 def test_propagators_match_bfs_references(drawn, where, mu):
     seed, shape, kind = drawn
     net, coeffs = net_with_quantity(seed, shape, kind)
     base = basepoint(net.domain, where)
     mu = admissible_mu(net, mu)
-    assert_same(outcome(lambda: calapso(net, mu, base)[0].frames.data),
-                outcome(lambda: ref_calapso_frames(net, mu, base)))
+    # the propagated values round to about the conditioning of the connections
+    rounding = ROUNDING * connection_conditioning(net, mu)
+    same = functools.partial(assert_same, rtol=max(1e-12, rounding), decided=rounding < tol(1.0))
+    same(outcome(lambda: calapso(net, mu, base)[0].frames.data),
+         outcome(lambda: ref_calapso_frames(net, mu, base)))
     rng = np.random.default_rng(seed)
     start = rng.uniform(0.5, 2.0) * euclidean_lift(rng.uniform(2.0, 3.0, 3))
-    assert_same(outcome(lambda: darboux_propagate(net, mu, start, base).lifts.data),
-                outcome(lambda: ref_darboux_lifts(net, mu, start, base)))
+    same(outcome(lambda: darboux_propagate(net, mu, start, base).lifts.data),
+         outcome(lambda: ref_darboux_lifts(net, mu, start, base)))
     if coeffs is None:
         seed_poly = rng.normal(size=(2, 5))
     else:
         seed_poly = coeffs[net.domain.index(base)]
     got = outcome(lambda: pcq_propagate(net, seed_poly, base).coeffs)
-    assert_same(got, outcome(lambda: ref_pcq_propagate(net, seed_poly, base)))
+    same(got, outcome(lambda: ref_pcq_propagate(net, seed_poly, base)))
     if coeffs is not None:
         assert_same(got, coeffs, rtol=1e-9)
     else:
@@ -810,6 +842,8 @@ def test_propagators_match_bfs_references(drawn, where, mu):
 @settings(max_examples=25, deadline=None)
 @given(PATCHES.filter(lambda d: d[2] != "moutard"), st.floats(-3.0, -0.5),
        st.floats(-3.0, -0.5), st.floats(0.0, 0.7))
+@example((1000000, (1, 4), "darboux"), -3.0, -1.0, 0.0)
+@example((303349, (1, 4), "darboux"), -1.0, -3.0, 0.0)
 def test_quantity_transforms_match_vertex_references(drawn, mu1, mu2, s):
     seed, shape, kind = drawn
     net, coeffs = net_with_quantity(seed, shape, kind)
@@ -831,12 +865,19 @@ def test_quantity_transforms_match_vertex_references(drawn, mu1, mu2, s):
             tb = darboux_propagate(net, mu_b, backlund_init(cq, mu_b, s_b))
         except GeometryError:
             return
-        assert_same(outcome(lambda: pcq_backlund(cq, tb).coeffs),
-                    outcome(lambda: ref_pcq_backlund(cq, tb).coeffs))
+        ref = outcome(lambda: ref_pcq_backlund(cq, tb).coeffs)
+        # the quotient's constant coefficient, zero in exact arithmetic, keeps
+        # rounding of the quantity's size that 1 / <F, Fhat> amplifies
+        rounding = 0.0 if isinstance(ref, type) else (
+            ROUNDING * pair_conditioning(net.lifts.data, tb.lifts.data) * cq.scale()
+            / np.abs(ref).max())
+        assert_same(outcome(lambda: pcq_backlund(cq, tb).coeffs), ref,
+                    rtol=max(1e-12, rounding))
         pairs.append(tb)
     t1, t2 = pairs
+    rounding = ROUNDING * pair_conditioning(t1.lifts.data, t2.lifts.data)
     assert_same(outcome(lambda: bianchi(net, t1, t2).lifts.data),
-                outcome(lambda: ref_bianchi_lifts(net, t1, t2)))
+                outcome(lambda: ref_bianchi_lifts(net, t1, t2)), rtol=max(1e-12, rounding))
 
 
 # --- the same errors, naming where they happen ---------------------------------
@@ -879,8 +920,9 @@ def test_path_dependence_names_the_worst_edge():
     assert str(got.value).startswith("Darboux propagation is path dependent")
     assert str(got.value).endswith(str(ref.value))
     cq = catalog.cylinder_quantity(catalog.cylinder_net(4, 5, 0.5, 0.9))
-    with pytest.raises(NotConserved, match=re.escape("transport across ((1, 1), (1, 2))")):
+    with pytest.raises(NotConserved, match=re.escape("at ((1, 1), (1, 2))")) as got:
         pcq_propagate(net, cq.coeffs[0, 0], (0, 0))
+    assert str(got.value).startswith("transport ")
     for base in ((0, 0), (3, 4), (2, 1)):
         with pytest.raises(NotConserved) as got:
             propagate_congruence(net, cq.constant, cq.at(base)[1], base)
@@ -899,7 +941,7 @@ def test_backlund_start_off_the_conic_names_the_worst_vertex():
         pcq_backlund(cq, t)
     with pytest.raises(NotBacklund) as ref:
         ref_pcq_backlund(cq, t)
-    assert str(got.value).startswith("<P(-1.0), Fhat> = ")
+    assert str(got.value).startswith("<P(-1.0), Fhat> does not vanish (")
     assert str(got.value).endswith(str(ref.value))
 
 
@@ -923,10 +965,11 @@ def test_faceless_nets_pass_the_face_checks(shape):
     net, _ = block(catalog.cylinder_net(4, 4, 0.5, 0.9), shape)
     assert net.validate() <= tol(1.0)
     assert holonomy_residual(net, [0.3, -1.2]) == 0.0
-    assert moutard_check(net.lifts) == (True, 0.0)
+    check = moutard_check(net.lifts)
+    assert check.ok and check.value == 0.0
     assert face_regularity(net.lifts) == np.inf
     report = verify_isothermic(net.lifts, strict=False)
-    assert not report.ok and report.reason == "need at least one face"
+    assert not report.ok and report.check.name == "need at least one face"
     with pytest.raises(GeometryError, match="need at least one face"):
         verify_isothermic(net.lifts)
     # the dual is integrated from 0 along the edges w = -(a / |df|^2) df
@@ -972,8 +1015,14 @@ def ref_random_moutard_net(rng, rows, cols):
         if np.any(np.abs(u) < 1e-3) or np.any(np.abs(v) < 1e-3):
             continue
         if ref_fill(F, u, v, lambda g: abs(g) >= 1e-6,
-                    lambda Fk: np.abs(Fk).max() <= 1e3) is None:
-            return F, u, v
+                    lambda Fk: np.abs(Fk).max() <= 1e3) is not None:
+            continue
+        dom = GridDomain(rows, cols)
+        try:  # the library's own validation decides, as in the catalog
+            IsothermicNet(dom, VertexField(dom, F), EdgeFunction(dom, u, v)).validate()
+        except GeometryError:
+            continue
+        return F, u, v
     raise DegenerateEdge("could not draw a non-degenerate random net")
 
 
@@ -1011,11 +1060,21 @@ def ref_moutard_lift(lifts, weights):
     for i, j, k, l in lifts.domain.faces():
         s = np.linalg.svd(np.stack([out[k] - out[i], out[j] - out[l]]), compute_uv=False)
         defect = max(defect, s[1] / s[0] if s[0] > 0 else 0.0)
-    if worst > tol(1.0) or defect > tol(1.0):
-        raise DegenerateEdge(
-            f"normalized lifts miss the prescribed edge products by {worst:.3g} relative "
-            f"(diagonal defect {defect:.3g}); the weights are not a factorizer of this net")
+    if not worst <= tol(1.0):
+        raise DegenerateEdge(f"normalized lifts miss the prescribed edge products "
+                             f"({worst:.3g} > {tol(1.0):.3g})")
+    if not defect <= tol(1.0):
+        raise DegenerateEdge(f"face diagonals are not parallel ({defect:.3g} > {tol(1.0):.3g})")
     return out
+
+
+@pytest.mark.parametrize("seed, rows, cols", [(1607, 6, 7), (2008, 8, 8)])
+def test_random_moutard_nets_pass_their_own_validation(seed, rows, cols):
+    # these draws once kept fills whose drift missed the stored weights by
+    # 4.7e-7 and 4.7e-9; such draws are now redrawn
+    net = catalog.random_moutard_net(np.random.default_rng(seed), rows, cols)
+    assert net.validate() <= tol(1.0)
+    assert moutard_lift(net.lifts, net.weights).data.shape == (rows, cols, 5)
 
 
 def assert_bitwise(got, ref):
@@ -1060,7 +1119,7 @@ def test_moutard_fill_matches_face_loop(seed, rows, cols):
         limit = tol(1.0 + weights.max_abs() + float(np.abs(out).max()) ** 2)
         for (Fi, Fj), a in zip(edge_stacks(out), weights.stacks()):
             assert np.abs(minkowski_inner(Fi, Fj) - a).max() <= limit
-        assert moutard_check(VertexField(dom, out))[0]
+        assert moutard_check(VertexField(dom, out)).ok
     # the same point at the corners j and l of face (0, 0): no rescaling
     # meets the products of both paths around that face
     data = lifts.data.copy()

@@ -56,7 +56,22 @@ def test_generate_reports_unnormalized_quantity(tmp_path, capsys):
     assert run(["generate", "revolution", "--H", 0, "--kappa", -1, "--steps", 48,
                 "--angles", 16, "-o", tmp_path / "net.json"]) == 2
     err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and "|top|^2 - 1 = " in err[0]
+    assert len(err) == 1 and "quantity is not normalized: |top|^2 - 1 (" in err[0]
+
+
+def test_verify_refuses_a_nan_weight(tmp_path, capsys):
+    # a NaN weight made every residual fold drop it: verify printed "ok"
+    path = tmp_path / "net.json"
+    save_net(path, catalog.cylinder_net(3, 4, 0.3, 0.7))
+    text = path.read_text()
+    start = text.index('"a_u"')
+    second = text.index(",", start) + 1
+    path.write_text(text[:second] + " NaN" + text[text.index("]", second):])
+    assert run(["verify", path]) == 2
+    captured = capsys.readouterr()
+    assert "ok" not in captured.out
+    assert captured.err.strip() == (f"verification error: {path}: field 'a_u' holds a "
+                                    "non-finite number")
 
 
 def test_verify_accepts_calapso_transform(tmp_path, capsys):
@@ -420,6 +435,17 @@ def test_export_with_explicit_ambient_vector(tmp_path):
     assert run(["export", src, "--model", "euclidean",
                 "--Q", "1,0,0,0,-1", "-o", out]) == 0
     assert out.exists()
+
+
+@pytest.mark.parametrize("kappa", ["null", '"x"', "[1]", "NaN", "1e999"])
+def test_export_refuses_a_metadata_kappa_that_is_not_a_real(tmp_path, capsys, kappa):
+    # with no quantity stored, export takes its ambient vector from the
+    # metadata's kappa, which once reached float() unchecked (a traceback)
+    src = tmp_path / "net.json"
+    save_net(src, catalog.cylinder_net(4, 4, 0.3, np.pi / 4), [], {"kappa": 0.5})
+    src.write_text(src.read_text().replace('"kappa": 0.5', f'"kappa": {kappa}'))
+    assert run(["export", src, "--model", "euclidean", "-o", tmp_path / "net.obj"]) == 2
+    assert capsys.readouterr().err == "verification error: no ambient vector available: pass --Q\n"
 
 
 def test_generate_inadmissible_exits_2(tmp_path, capsys):

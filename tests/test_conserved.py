@@ -8,7 +8,6 @@ from conftest import darboux_stacked_net
 from isothermic import catalog
 from isothermic.conserved import (
     ConservedQuantity,
-    InconsistencyReport,
     classify_type,
     degree_reduce,
     lcq_solve_3x3,
@@ -33,6 +32,7 @@ from isothermic.minkowski import (
 )
 from isothermic.nets import IsothermicNet, moutard_check
 from isothermic.polyvec import mp_eval, mp_scale_poly
+from isothermic.tolerances import Check
 
 ETA, PHI = 0.3, np.pi / 4
 
@@ -44,18 +44,17 @@ def cylinder_with_quantity(rows=5, cols=5, n_start=0):
 
 def test_pcq_verify_cylinder():
     net, cq = cylinder_with_quantity()
-    assert pcq_verify(net, cq).max_residual < 1e-12
+    assert pcq_verify(net, cq).value < 1e-12
 
 
 def test_pcq_verify_zigzag_degenerate():
     net = catalog.zigzag_net(3, 3, 0.7, 0.4, 0.8, n_start=-1)
     cq = catalog.zigzag_quantity(net)
-    assert pcq_verify(net, cq).max_residual < 1e-12
+    assert pcq_verify(net, cq).value < 1e-12
     # its top coefficient is isotropic but is a Moutard lift
     Z = VertexField(net.domain, cq.coeffs[:, :, 1, :])
     assert abs(cq.top_norm2()) < 1e-12
-    ok, _ = moutard_check(Z)
-    assert ok
+    assert moutard_check(Z).ok
 
 
 def test_pcq_verify_detects_perturbation():
@@ -64,7 +63,7 @@ def test_pcq_verify_detects_perturbation():
     coeffs[2, 2, 1, 1] += 1e-4
     report = pcq_verify(net, coeffs)
     assert not report.ok
-    assert report.max_residual > 1e-6
+    assert report.value > 1e-6
 
 
 def test_pcq_propagate_constant_on_spherical():
@@ -132,7 +131,7 @@ def test_reparametrize():
 
     doubled = reparametrize(cq, 2.0)
     np.testing.assert_allclose(doubled.net.weights.u, 2.0 * net.weights.u, atol=0)
-    assert pcq_verify(doubled.net, doubled).max_residual < 1e-12
+    assert pcq_verify(doubled.net, doubled).value < 1e-12
 
 
 def test_reparametrize_homothety_effect():
@@ -264,7 +263,7 @@ def test_lcq_solve_grid_family():
     net, _ = cylinder_with_quantity(6, 3, n_start=-1)
     for t in (0.25, 0.5, 1.0):
         cq = catalog.cylinder_family_quantity(net, t)
-        assert pcq_verify(net, cq).max_residual < 1e-12
+        assert pcq_verify(net, cq).value < 1e-12
         H, kappa = mean_curvature_data(cq)
         c = np.cos(PHI)
         assert H == pytest.approx((1 + t * t) / 2 - t * (1 + c) / (1 - c), abs=1e-9)
@@ -278,16 +277,16 @@ def test_lcq_solve_grid_family():
 def test_lcq_solve_grid_inconsistent(rng):
     net = darboux_stacked_net(rng, 5, 5)
     result = lcq_solve_grid(net, rng.normal(size=5))
-    assert isinstance(result, InconsistencyReport)
-    assert result.max_incidence > 1e-6
+    assert isinstance(result, Check) and not result.ok
+    assert result.value > 1e-6 and net.domain.contains(result.where)
 
 
 def test_superposition():
     net, cq = cylinder_with_quantity(5, 3, n_start=-1)
     zz = catalog.zigzag_quantity(net)
-    assert pcq_verify(net, zz).max_residual < 1e-12
+    assert pcq_verify(net, zz).value < 1e-12
     combo = ConservedQuantity(net, 0.7 * cq.coeffs - 1.3 * zz.coeffs, check=False)
-    assert pcq_verify(net, combo).max_residual < 1e-12
+    assert pcq_verify(net, combo).value < 1e-12
 
 
 def test_uniqueness_difference_reduces():

@@ -85,8 +85,9 @@ def test_christoffel_rejects_wrong_weights():
     for base in ((0, 0), (3, 2)):
         with pytest.raises(NotClosed) as got:
             christoffel(bad, base)
-        assert str(got.value).startswith("dual edge form is not closed (residual ")
-        assert str(got.value).endswith("; worst edge ((1, 4), (2, 4))")
+        assert str(got.value).startswith("dual edge form is not closed (")
+        assert got.value.check.where == ((1, 4), (2, 4))
+        assert str(got.value).endswith(" at ((1, 4), (2, 4))")
 
 
 def test_parallel_lcq_roundtrip():

@@ -1,6 +1,7 @@
 """Net file round-trips and OBJ export."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -219,6 +220,22 @@ def test_load_reports_field_errors(tmp_path):
             load_net(path)
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
+@pytest.mark.parametrize("field", ["lifts", "a_u", "conserved_quantities[0]"])
+def test_load_refuses_non_finite_numbers(tmp_path, field, literal):
+    # Python's json reads NaN and Infinity; a NaN weight once verified as ok
+    net = catalog.cylinder_net(3, 4, ETA, PHI)
+    path = tmp_path / "net.json"
+    save_net(path, net, [catalog.cylinder_quantity(net)])
+    doc = json.loads(path.read_text())
+    target = {"lifts": doc["lifts"][1][2], "a_u": doc["a_u"],
+              "conserved_quantities[0]": doc["conserved_quantities"][0]["coeffs"][2][1][1]}[field]
+    target[1] = "@"
+    path.write_text(json.dumps(doc).replace('"@"', literal))
+    with pytest.raises(ParseError, match=re.escape(f"field '{field}' holds a non-finite number")):
+        load_net(path)
+
+
 def test_load_dimension_mismatch(tmp_path):
     net = catalog.cylinder_net(3, 3, ETA, PHI)
     path = tmp_path / "net.json"
@@ -233,9 +250,7 @@ def test_export_euclidean(tmp_path):
     net = catalog.cylinder_net(4, 5, ETA, PHI)
     path = tmp_path / "mesh.obj"
     report = export_obj(net, np.array([1.0, 0, 0, 0, -1.0]), "euclidean", path)
-    assert report.vertex_count == 20
-    assert report.face_count == 12
-    assert not report.flagged
+    assert report.path == str(path) and not report.flagged
     lines = path.read_text().splitlines()
     vs = [l for l in lines if l.startswith("v ")]
     fs = [l for l in lines if l.startswith("f ")]
@@ -243,7 +258,8 @@ def test_export_euclidean(tmp_path):
     # vertex coordinates reproduce the cylinder points
     first = np.array([float(x) for x in vs[0].split()[1:]])
     np.testing.assert_allclose(first, [0.0, 1.0, 0.0], atol=1e-12)
-    assert (tmp_path / "mesh.obj.report.txt").exists()
+    assert (tmp_path / "mesh.obj.report.txt").read_text().startswith(
+        "model: euclidean\nvertices: 20\nfaces: 12\nflagged: 0\n")
     # determinism: identical inputs give identical bytes
     data = path.read_bytes()
     export_obj(net, np.array([1.0, 0, 0, 0, -1.0]), "euclidean", path)

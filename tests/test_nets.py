@@ -79,8 +79,7 @@ def test_moutard_lift_of_zigzag():
     for e in dom.edges():
         prod = float(minkowski_inner(zf[e[0]], zf[e[1]]))
         assert prod == pytest.approx(2.0 * net.weight(e), rel=1e-12)
-    ok, _ = moutard_check(zf)
-    assert ok
+    assert moutard_check(zf).ok
     # moutard_lift with those products and the matching corner reproduces it
     doubled = EdgeFunction(dom, 2.0 * net.weights.u, 2.0 * net.weights.v)
     rebuilt = moutard_lift(zf, doubled)
@@ -97,8 +96,8 @@ def test_moutard_lift_of_fine_cylinders(N):
     for (Fi, Fj), a in zip(edge_stacks(lifted.data), net.weights.stacks()):
         np.testing.assert_allclose(minkowski_inner(Fi, Fj), np.broadcast_to(a, Fi.shape[:2]),
                                    rtol=1e-9)
-    ok, worst = moutard_check(lifted)
-    assert ok and worst < 1e-13
+    check = moutard_check(lifted)
+    assert check.ok and check.value < 1e-13
 
 
 def test_nets_are_built_once():
@@ -116,8 +115,8 @@ def test_nets_are_built_once():
 
 def test_moutard_lift_diagonal_parallelism(rng):
     net = catalog.random_moutard_net(rng, 4, 5)
-    ok, resid = moutard_check(net.lifts)
-    assert ok and resid < 1e-12
+    check = moutard_check(net.lifts)
+    assert check.ok and check.value < 1e-12
     # rank oracle: stack the two diagonal differences per face
     for face in net.domain.faces():
         i, j, k, l = face
@@ -130,16 +129,15 @@ def test_moutard_check_fails_for_euclidean_lifts(rng):
     net = catalog.random_moutard_net(rng, 4, 4)
     pts = euclidean_point(net.lifts.data)
     euclid = VertexField(net.domain, euclidean_lift(pts))
-    ok, resid = moutard_check(euclid)
-    assert not ok
-    assert resid > 1e-4
+    check = moutard_check(euclid)
+    assert not check.ok
+    assert check.value > 1e-4
 
 
 def test_moutard_check_revolution_cylinder():
     net = revolution_lift(0.4 * np.arange(4), np.ones(4),
                           RotationProfile.uniform(4, np.pi / 2))
-    ok, _ = moutard_check(net.lifts)
-    assert ok
+    assert moutard_check(net.lifts).ok
     assert np.allclose(net.weights.v, -1.0)  # -2 sin^2(pi/4)
     assert np.allclose(net.weights.u, 0.4 ** 2 / 2.0)
 
@@ -148,17 +146,17 @@ def test_vertex_star_cospherical(rng):
     # any isothermic net: diagonal star cospherical at interior vertices
     net = darboux_stacked_net(rng, 4, 4)
     for v in net.domain.interior_vertices():
-        rep = vertex_star_cospherical(net.lifts, v)
-        assert rep.diagonal_cospherical
+        diagonal, _, _ = vertex_star_cospherical(net.lifts, v)
+        assert diagonal.ok and diagonal.where == v
     # spherical net: axis star cospherical too, with the plane's normal
     planar = catalog.planar_grid_net(4, 4)
-    rep = vertex_star_cospherical(planar.lifts, (1, 1))
-    assert rep.diagonal_cospherical and rep.axis_cospherical
-    np.testing.assert_allclose(rep.central_sphere, [0, 0, 0, 1, 0], atol=1e-12)
+    diagonal, axis, sphere = vertex_star_cospherical(planar.lifts, (1, 1))
+    assert diagonal.ok and axis.ok
+    np.testing.assert_allclose(sphere, [0, 0, 0, 1, 0], atol=1e-12)
     # generic non-spherical isothermic net: axis star not cospherical
     cyl = catalog.cylinder_net(4, 4, 0.5, 0.9)
-    rep = vertex_star_cospherical(cyl.lifts, (2, 2))
-    assert rep.diagonal_cospherical and not rep.axis_cospherical
+    diagonal, axis, _ = vertex_star_cospherical(cyl.lifts, (2, 2))
+    assert diagonal.ok and not axis.ok
 
 
 def test_edge_connection_basics(rng):
@@ -279,7 +277,7 @@ def test_verify_rejects_irregular_face():
     lifts[1, 1] = 1.001 * lifts[1, 0]  # nearly dependent with a neighbour
     bad = VertexField(net.domain, lifts)
     report = verify_isothermic(bad, strict=False)
-    assert not report.ok and "dependent" in report.reason
+    assert not report.ok and "dependent" in report.check.name
     with pytest.raises(GeometryError):
         verify_isothermic(bad)
 

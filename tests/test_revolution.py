@@ -59,7 +59,7 @@ def test_revolution_lift_cylinder_weights():
                           RotationProfile.uniform(4, np.pi / 2))
     np.testing.assert_allclose(net.weights.u, 0.08, atol=1e-15)
     np.testing.assert_allclose(net.weights.v, -1.0, atol=1e-15)
-    assert moutard_check(net.lifts)[0]
+    assert moutard_check(net.lifts).ok
     assert verify_isothermic(net.lifts).ok
 
 
@@ -211,7 +211,7 @@ def test_build_hyperbolic_catenoid():
                                    hyperbolic_point(0.35, 0.8), 3,
                                    RotationProfile.uniform(7, 0.8))
     assert verify_isothermic(net.lifts).ok
-    assert pcq_verify(net, cq).max_residual < 1e-8
+    assert pcq_verify(net, cq).value < 1e-8
     H, kappa = mean_curvature_data(cq)
     assert H == pytest.approx(0.0, abs=1e-12)
     assert kappa == pytest.approx(-1.0, abs=1e-12)

@@ -1,11 +1,17 @@
 """The tolerance scope: its range, its isolation between threads and its
-restoration on exit."""
+restoration on exit; the check record that decides against it."""
 
 import threading
 
+import numpy as np
 import pytest
 
-from isothermic.tolerances import DEFAULT_REL_TOL, tol, tolerance
+from isothermic import catalog
+from isothermic.conserved import ConservedQuantity
+from isothermic.errors import GeometryError, NotConserved
+from isothermic.grids import EdgeFunction
+from isothermic.nets import IsothermicNet
+from isothermic.tolerances import DEFAULT_REL_TOL, Check, tol, tolerance
 
 
 @pytest.mark.parametrize("rel", [-1.0, 0.0, 1.0, 1e300, float("inf"), float("nan")])
@@ -41,3 +47,38 @@ def test_tolerance_scope_is_isolated():
             assert tol(1.0) == 1e-3
             raise RuntimeError("inside the scope")
     assert tol(1.0) == DEFAULT_REL_TOL
+
+
+def test_check_decides_and_raises_with_itself():
+    held = Check("path dependence", 1e-12, tol(1.0), ((0, 1), (1, 1)))
+    assert held.ok and held.require(NotConserved) is held
+    failed = held._replace(value=2.5e-7)
+    assert not failed.ok
+    assert str(failed) == "path dependence (2.5e-07 > 1e-09) at ((0, 1), (1, 1))"
+    assert str(Check("drift", 3.0, 1.0)) == "drift (3 > 1)"
+    with pytest.raises(NotConserved) as got:
+        failed.require(NotConserved)
+    assert got.value.check is failed and str(got.value) == str(failed)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), np.float64("nan")])
+def test_a_nan_residual_fails_its_check(bad):
+    assert not Check("residual", bad, 1.0).ok
+    with pytest.raises(GeometryError):
+        Check("residual", bad, 1.0).require(GeometryError)
+
+
+def test_nan_data_fail_validation_and_invariants():
+    # the NaN residual on one edge must not be dropped by the fold over edges
+    net = catalog.cylinder_net(4, 5, 0.3, 0.7)
+    u = net.weights.u.copy()
+    u[1] = np.nan
+    with pytest.raises(GeometryError, match="net fails validation") as got:
+        net.with_weights(EdgeFunction(net.domain, u, net.weights.v)).validate()
+    assert np.isnan(got.value.check.value)
+    coeffs = catalog.cylinder_quantity(net).coeffs.copy()
+    for index in ((2, 3, 1, 0), (1, 1, 0, 4)):
+        bad = coeffs.copy()
+        bad[index] = np.nan
+        with pytest.raises(NotConserved):
+            ConservedQuantity(IsothermicNet(net.domain, net.lifts, net.weights), bad)

@@ -124,7 +124,7 @@ def test_pcq_darboux(cylinder):
     d = darboux_propagate(net, mu, euclidean_lift(np.array([0.5, 1.7, 0.4])))
     pd = pcq_darboux(cq, d)
     assert pd.degree == 2
-    assert pcq_verify(d.net(), pd).max_residual < 1e-10
+    assert pcq_verify(d.net(), pd).value < 1e-10
     # |Phat|^2 = (lam - mu)^2 |P|^2 and the top norm is preserved
     lhs = pd.norm_poly()
     rhs = np.convolve(np.convolve([-mu, 1.0], [-mu, 1.0]), cq.norm_poly())
@@ -138,7 +138,7 @@ def test_pcq_backlund_preserves_data(cylinder):
     d = darboux_propagate(net, mu, backlund_init(cq, mu, 0.3))
     pb = pcq_backlund(cq, d)
     assert pb.degree == 1
-    assert pcq_verify(d.net(), pb).max_residual < 1e-9
+    assert pcq_verify(d.net(), pb).value < 1e-9
     np.testing.assert_allclose(pb.constant, cq.constant, atol=1e-9)
     H, kappa = mean_curvature_data(normalize_top(pb))
     assert H == pytest.approx(0.5, abs=1e-9)
@@ -309,9 +309,9 @@ def test_double_darboux_scenario(cylinder):
     sections = [(mu_hi, comps[1].lifts), (mu_lo, comps[0].lifts)]
     weights = [1.0 / (mu_hi - mu_lo), 1.0 / (mu_lo - mu_hi)]
     rec = pcq_from_parallel_sections(tnet, sections, weights)
-    assert pcq_verify(tnet, rec).max_residual < 1e-9
+    assert pcq_verify(tnet, rec).value < 1e-9
     gauged = normalize_top(reparametrize(rec, -mu_hi * mu_lo))
-    assert pcq_verify(gauged.net, gauged).max_residual < 1e-9
+    assert pcq_verify(gauged.net, gauged).value < 1e-9
     H, kappa = mean_curvature_data(gauged)
     expected = (mu_hi - mu_lo) ** 2 / (4.0 * mu_hi ** 2 * mu_lo ** 2)
     assert H * H + kappa == pytest.approx(expected, rel=1e-9)
