@@ -2,12 +2,13 @@
 
 Subcommands: generate, verify, transform, classify, export.  Exit codes:
 0 on success, 2 when a verification fails (a :class:`errors.GeometryError`,
-or floating-point overflow, division by zero or an invalid operation, which
-the command runs under ``numpy.errstate`` to raise), 1 on usage errors (an
-input that cannot be read, an output that cannot be written, a number that
-is not finite).  --tol or the ISOTHERMIC_TOL environment variable sets the
-relative tolerance in a :func:`tolerances.tolerance` scope around the
-command; without either, the caller's scope holds.
+or overflow, division by zero or an invalid operation in the arithmetic of
+the command, which runs under ``numpy.errstate`` to raise and is named in
+the message), 1 on usage errors (an input that cannot be read, an output
+that cannot be written, a number that is not finite).  --tol or the
+ISOTHERMIC_TOL environment variable sets the relative tolerance in a
+:func:`tolerances.tolerance` scope around the command; without either, the
+caller's scope holds.
 """
 
 from __future__ import annotations
@@ -271,9 +272,8 @@ def _cmd_export(args) -> int:
     if Q.shape != (5,):
         raise GeometryError("--Q expects 3 or 5 reals")
     report = export_obj(net, Q, args.model, args.output, clamp=args.clamp)
-    rows, cols = net.domain.rows, net.domain.cols
-    print(f"wrote {report.path}: {rows * cols} vertices, "
-          f"{(rows - 1) * (cols - 1)} quads, {len(report.flagged)} flagged")
+    print(f"wrote {report.path}: {net.domain.rows * net.domain.cols} vertices, "
+          f"{(net.domain.rows - 1) * (net.domain.cols - 1)} quads, {len(report.flagged)} flagged")
     return 0
 
 
@@ -297,13 +297,13 @@ def build_parser() -> _Parser:
     rev.add_argument("--seed-edge", default=None,
                      help="JSON file with M0, M1 (and optionally Q) in Lorentz 3-space")
     rev.add_argument("-o", "--output", required=True)
-    rev.set_defaults(func=_cmd_generate)
+    rev.set_defaults(func=_cmd_generate, prog=rev.prog)
 
     ver = sub.add_parser("verify", help="verify a net file")
     ver.add_argument("net")
     ver.add_argument("--lcq", default=None, metavar="Q=...",
                      help="solve for a linear conserved quantity with this ambient vector")
-    ver.set_defaults(func=_cmd_verify)
+    ver.set_defaults(func=_cmd_verify, prog=ver.prog)
 
     tra = sub.add_parser("transform", help="apply a transformation")
     tra_sub = tra.add_subparsers(dest="kind", required=True)
@@ -327,11 +327,11 @@ def build_parser() -> _Parser:
     for p in (cal, dar, bac, tra_sub.choices["christoffel"], bia):
         p.add_argument("net")
         p.add_argument("-o", "--output", required=True)
-        p.set_defaults(func=_cmd_transform)
+        p.set_defaults(func=_cmd_transform, prog=p.prog)
 
     cla = sub.add_parser("classify", help="classify a net file")
     cla.add_argument("net")
-    cla.set_defaults(func=_cmd_classify)
+    cla.set_defaults(func=_cmd_classify, prog=cla.prog)
 
     exp = sub.add_parser("export", help="export an OBJ quad mesh")
     exp.add_argument("net")
@@ -340,7 +340,7 @@ def build_parser() -> _Parser:
     exp.add_argument("--Q", default=None, help="ambient vector (3 or 5 reals)")
     exp.add_argument("--clamp", type=_finite, default=1e6)
     exp.add_argument("-o", "--output", required=True)
-    exp.set_defaults(func=_cmd_export)
+    exp.set_defaults(func=_cmd_export, prog=exp.prog)
     return parser
 
 
@@ -365,7 +365,8 @@ def main(argv=None) -> int:
             print(f"{parser.prog}: error: {exc}", file=sys.stderr)
             return USAGE_ERROR
         except (GeometryError, FloatingPointError) as exc:
-            print(f"verification error: {exc}", file=sys.stderr)
+            command = "" if isinstance(exc, GeometryError) else f"{args.prog}: "
+            print(f"verification error: {command}{exc}", file=sys.stderr)
             return VERIFY_FAILURE
 
 

@@ -51,7 +51,8 @@ class DegenerateEdge(GeometryError):
 
 
 class PoleParameter(GeometryError):
-    """Spectral parameter hits a pole 1 - lambda * a = 0 of the connection."""
+    """Spectral parameter hits a pole 1 - lambda * a = 0 of the connection,
+    or gives Darboux quads a cross ratio mu * a of 0 or infinity."""
 
 
 class NotFlat(GeometryError):

@@ -25,7 +25,7 @@ from .errors import (
     SingularParameter,
     SingularSystem,
 )
-from .tolerances import Check, tol
+from .tolerances import tol
 
 #: Diagonal of the metric, as a vector for broadcasting.
 SIGNATURE = np.array([-1.0, 1.0, 1.0, 1.0, 1.0])
@@ -102,10 +102,11 @@ class QuadInvariants(NamedTuple):
     def cross_ratios(self) -> np.ndarray:
         """``q``, or DegeneratePoints if two points of a quadruple coincide."""
         regularity = np.asarray(self.regularity)
-        if regularity.size:  # the regularity floor, at the worst quadruple
+        if regularity.size and regularity.min() <= regularity_tol():
             worst = np.unravel_index(int(np.argmin(regularity)), regularity.shape)
-            Check("two points coincide", regularity_tol(), float(regularity[worst]),
-                  tuple(map(int, worst)) or None).require(DegeneratePoints)
+            where = f" of quadruple {tuple(map(int, worst))}" if worst else ""
+            raise DegeneratePoints(f"two points{where} coincide "
+                                   f"(regularity {float(regularity.min()):.3g})")
         return self.q
 
 

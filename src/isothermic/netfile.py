@@ -110,12 +110,6 @@ def _require(doc, key, path):
     return doc[key]
 
 
-def _finite(arr, key, path):
-    if not np.isfinite(arr).all():
-        raise ParseError(f"{path}: field '{key}' holds a non-finite number")
-    return arr
-
-
 def load_net(path):
     """Load (net, quantities, metadata) from a net file.
 
@@ -153,8 +147,8 @@ def load_net(path):
         raise ParseError(f"{path}: grid size must be positive")
     domain = GridDomain(rows, cols)
 
-    def array_field(key, shape):
-        raw = _require(doc, key, path)
+    def array_field(key, shape, raw=None):
+        raw = _require(doc, key, path) if raw is None else raw
         try:
             arr = np.asarray(raw, dtype=float)
         except (TypeError, ValueError) as exc:
@@ -162,7 +156,9 @@ def load_net(path):
         if arr.shape != shape:
             raise DimensionMismatch(
                 f"{path}: field '{key}' has shape {arr.shape}, expected {shape}")
-        return _finite(arr, key, path)
+        if not np.isfinite(arr).all():
+            raise ParseError(f"{path}: field '{key}' holds a non-finite number")
+        return arr
 
     lifts = array_field("lifts", (rows, cols, 5))
     a_u = array_field("a_u", (rows - 1,))
@@ -175,15 +171,11 @@ def load_net(path):
         raise ParseError(f"{path}: conserved_quantities must be a list")
     for idx, item in enumerate(items):
         try:
-            degree = int(item["degree"])
-            coeffs = np.asarray(item["coeffs"], dtype=float)
+            degree, raw = int(item["degree"]), item["coeffs"]
         except (LookupError, TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"{path}: conserved_quantities[{idx}] needs an integer "
-                             f"'degree' and numeric 'coeffs' ({exc!r})") from exc
-        if coeffs.shape != (rows, cols, degree + 1, 5):
-            raise DimensionMismatch(
-                f"{path}: conserved_quantities[{idx}] has inconsistent shape")
-        coeffs = _finite(coeffs, f"conserved_quantities[{idx}]", path)
+                             f"'degree' and 'coeffs' ({exc!r})") from exc
+        coeffs = array_field(f"conserved_quantities[{idx}]", (rows, cols, degree + 1, 5), raw)
         quantities.append(ConservedQuantity(net, coeffs, check=False))
     metadata = doc.get("metadata", {})
     if not isinstance(metadata, dict):

@@ -136,9 +136,8 @@ def verify_isothermic(lifts: VertexField, *, strict: bool = True) -> IsothermicR
     if domain.rows > 1 and domain.cols > 1:
         inv = invariants_from_products(*face_products(lifts.data))
         report.min_regularity = float(inv.regularity.min())
-        # a floor: the tolerance must stay below the smallest regularity
         report.check = Check("a face has three nearly dependent lifts", regularity_tol(),
-                             report.min_regularity)
+                             np.nextafter(report.min_regularity, -np.inf))  # a floor
     if report.ok:
         q = inv.q
         ratios = q.real
@@ -436,7 +435,8 @@ def calapso(net: IsothermicNet, mu: float, basepoint=None) -> tuple[CalapsoFrame
     # a flat connection can still grow frames so large that T F keeps no
     # digits: the transformed faces then degenerate, and no net is returned
     Check(f"a transformed face, with frames up to {largest:.3g}, has three nearly dependent "
-          "lifts", regularity_tol(), face_regularity(new_lifts)).require(DegeneratePoints)
+          "lifts", regularity_tol(), np.nextafter(face_regularity(new_lifts), -np.inf)
+          ).require(DegeneratePoints)  # a floor
     frames = VertexField(domain, frames)
     transformed = IsothermicNet(domain, new_lifts, net.weights.calapso_shifted(mu),
                                 revolution=None)

@@ -49,8 +49,8 @@ class Check(NamedTuple):
     """A residual ``value`` decided against its tolerance ``limit``, with
     the vertex, edge or face ``where`` the worst case sits (or None).
 
-    The check holds when value <= limit, so a NaN value fails it.  A lower
-    bound is written with the floor as ``value`` and the measure as ``limit``.
+    The check holds when value <= limit, so a NaN value fails it; a floor,
+    Check(name, tolerance, numpy.nextafter(measure, -inf)), fails at equality.
     """
 
     name: str

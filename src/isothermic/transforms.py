@@ -25,6 +25,7 @@ from .errors import (
     NotBacklund,
     NotParallel,
     NotPolynomial,
+    PoleParameter,
 )
 from .grids import VertexField, edge_stacks, sweep_propagate
 from .minkowski import (
@@ -108,7 +109,9 @@ def darboux_propagate(net: IsothermicNet, mu: float, start, basepoint=None) -> D
     DegenerateStart
         If the start is not finite, not isotropic or proportional to the base lift.
     PoleParameter
-        If 1 - mu * a vanishes on some edge.
+        If 1 - mu * a vanishes on some edge, or the cross ratio mu * a of
+        some quad (f_i, f_j, fhat_j, fhat_i) is not finite or is 0 or
+        infinite within tolerance (mu = 0, say).
     NotParallel
         If the section is path dependent (the input net is not isothermic).
     """
@@ -124,6 +127,9 @@ def darboux_propagate(net: IsothermicNet, mu: float, start, basepoint=None) -> D
     if ray_distance(start, net.lifts[basepoint]) <= tol(1.0):
         raise DegenerateStart("start coincides with the base net")
 
+    ratios = abs(mu) * np.abs(np.concatenate([net.weights.u, net.weights.v]))  # of the quads
+    if not ((tol(1.0) < ratios) & (ratios < 1.0 / tol(1.0))).all():
+        raise PoleParameter(f"cross ratio mu * a is 0, infinite or not finite at mu = {mu}")
     step = _parallel_step(edge_connections(net, mu))
     lifts, worst, edge = sweep_propagate(dom, start[:, None], basepoint, step)
     check = Check("Darboux propagation is path dependent",

@@ -15,7 +15,7 @@ from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import darboux_stacked_net, ref_face_regularity
 from isothermic import catalog, conserved, grids, minkowski, nets, transforms
@@ -726,15 +726,22 @@ def outcome(fn):
 #: references round along different paths, and ill-conditioned draws amplify
 #: the difference (by at most 2.7 units in 800 to 1000 draws of each comparison).
 ROUNDING = 8 * np.finfo(float).eps
+#: Largest relative bound a draw's conditioning may set: it still catches a
+#: slicing slip, which moves entries by their own size.  Draws above it are
+#: left out (see test_conditioning_rarely_reaches_the_cap).
+ROUNDING_CAP = 1e-6
 
 
-def assert_same(got, ref, rtol=1e-12, decided=True):
+def assert_same(got, ref, rtol=1e-12, closing=None):
     """Equal outcomes: arrays equal to ``rtol`` relative to the largest entry
-    of ``ref``, or the same error class.  Unless ``decided``, the rounding of
-    the draw reaches the checks' tolerance, so the two may also differ in
-    whether they raise."""
-    if isinstance(ref, type) or isinstance(got, type):
-        assert got is ref or not decided
+    of ``ref``, or the same error class.  Given ``closing``, the class of a
+    closing check that the draw's rounding can decide, one side may raise
+    that class where the other returns an array; no other class may differ."""
+    raised = [x for x in (got, ref) if isinstance(x, type)]
+    if len(raised) == 2:
+        assert got is ref
+    elif raised:
+        assert closing is not None and raised[0] is closing, (got, ref)
     else:
         np.testing.assert_allclose(got, ref, rtol=rtol, atol=rtol * np.abs(ref).max())
 
@@ -749,9 +756,10 @@ def connection_conditioning(net, mu):
 
 def pair_conditioning(A, B):
     """Largest |A||B| / |<A, B>| over the vertices: how much dividing by
-    <A, B> amplifies the rounding of a product."""
-    return float((np.linalg.norm(A, axis=-1) * np.linalg.norm(B, axis=-1)
-                  / np.abs(minkowski_inner(A, B))).max())
+    <A, B> amplifies the rounding of a product (inf where <A, B> = 0)."""
+    with np.errstate(divide="ignore"):
+        return float((np.linalg.norm(A, axis=-1) * np.linalg.norm(B, axis=-1)
+                      / np.abs(minkowski_inner(A, B))).max())
 
 
 PATCH_SHAPES = [(1, 4), (4, 1), (2, 5), (5, 2), (3, 4)]
@@ -812,27 +820,33 @@ PATCHES = st.tuples(st.integers(0, 10 ** 6), st.sampled_from(PATCH_SHAPES),
 @given(PATCHES, st.sampled_from(["corner", "centre", "far corner"]), st.floats(-2.0, 2.0))
 @example((91450, (2, 5), "moutard"), "corner", 2.0)  # frames up to 125
 @example((836009, (3, 4), "moutard"), "corner", 2.0)
-@example((916144, (3, 4), "moutard"), "centre", -2.0)  # conditioning 3.9e7: undecided
+@example((916144, (3, 4), "moutard"), "centre", -2.0)  # conditioning 3.9e7: references raise
 def test_propagators_match_bfs_references(drawn, where, mu):
     seed, shape, kind = drawn
     net, coeffs = net_with_quantity(seed, shape, kind)
     base = basepoint(net.domain, where)
     mu = admissible_mu(net, mu)
-    # the propagated values round to about the conditioning of the connections
+    # the propagated values round to about the conditioning of the connections;
+    # from tol(1) on, that rounding can decide the closing checks
     rounding = ROUNDING * connection_conditioning(net, mu)
-    same = functools.partial(assert_same, rtol=max(1e-12, rounding), decided=rounding < tol(1.0))
+    assume(rounding <= ROUNDING_CAP)
+    undecided = rounding >= tol(1.0)
+    same = functools.partial(assert_same, rtol=max(1e-12, rounding))
     same(outcome(lambda: calapso(net, mu, base)[0].frames.data),
-         outcome(lambda: ref_calapso_frames(net, mu, base)))
+         outcome(lambda: ref_calapso_frames(net, mu, base)),
+         closing=NotFlat if undecided else None)
     rng = np.random.default_rng(seed)
     start = rng.uniform(0.5, 2.0) * euclidean_lift(rng.uniform(2.0, 3.0, 3))
     same(outcome(lambda: darboux_propagate(net, mu, start, base).lifts.data),
-         outcome(lambda: ref_darboux_lifts(net, mu, start, base)))
+         outcome(lambda: ref_darboux_lifts(net, mu, start, base)),
+         closing=NotParallel if undecided else None)
     if coeffs is None:
         seed_poly = rng.normal(size=(2, 5))
     else:
         seed_poly = coeffs[net.domain.index(base)]
     got = outcome(lambda: pcq_propagate(net, seed_poly, base).coeffs)
-    same(got, outcome(lambda: ref_pcq_propagate(net, seed_poly, base)))
+    same(got, outcome(lambda: ref_pcq_propagate(net, seed_poly, base)),
+         closing=NotConserved if undecided else None)
     if coeffs is not None:
         assert_same(got, coeffs, rtol=1e-9)
     else:
@@ -865,20 +879,57 @@ def test_quantity_transforms_match_vertex_references(drawn, mu1, mu2, s):
             tb = darboux_propagate(net, mu_b, backlund_init(cq, mu_b, s_b))
         except GeometryError:
             return
+        got = outcome(lambda: pcq_backlund(cq, tb).coeffs)
         ref = outcome(lambda: ref_pcq_backlund(cq, tb).coeffs)
-        # the quotient's constant coefficient, zero in exact arithmetic, keeps
-        # rounding of the quantity's size that 1 / <F, Fhat> amplifies
-        rounding = 0.0 if isinstance(ref, type) else (
-            ROUNDING * pair_conditioning(net.lifts.data, tb.lifts.data) * cq.scale()
-            / np.abs(ref).max())
-        assert_same(outcome(lambda: pcq_backlund(cq, tb).coeffs), ref,
-                    rtol=max(1e-12, rounding))
+        rounding = 0.0
+        if not isinstance(ref, type):
+            # the quotient's constant coefficient, zero in exact arithmetic,
+            # keeps rounding of the quantity's size that 1 / <F, Fhat> amplifies
+            rounding = (ROUNDING * pair_conditioning(net.lifts.data, tb.lifts.data)
+                        * cq.scale() / np.abs(ref).max())
+            assume(rounding <= ROUNDING_CAP)
+        assert_same(got, ref, rtol=max(1e-12, rounding))
         pairs.append(tb)
     t1, t2 = pairs
-    rounding = ROUNDING * pair_conditioning(t1.lifts.data, t2.lifts.data)
-    assert_same(outcome(lambda: bianchi(net, t1, t2).lifts.data),
-                outcome(lambda: ref_bianchi_lifts(net, t1, t2)), rtol=max(1e-12, rounding))
+    got = outcome(lambda: bianchi(net, t1, t2).lifts.data)
+    ref = outcome(lambda: ref_bianchi_lifts(net, t1, t2))
+    rounding = 0.0
+    if not isinstance(ref, type):
+        rounding = ROUNDING * pair_conditioning(t1.lifts.data, t2.lifts.data)
+        assume(rounding <= ROUNDING_CAP)
+    assert_same(got, ref, rtol=max(1e-12, rounding))
 
+
+
+def test_conditioning_rarely_reaches_the_cap():
+    """The draws the two comparisons above leave out are rare: of draws
+    spread evenly over their inputs, at most 1 in 100 bounds exceeds the cap."""
+    rng = np.random.default_rng(2024)
+    bounds = []
+    for n in range(200):
+        kind = ("cylinder", "darboux", "moutard")[n % 3]
+        net, coeffs = net_with_quantity(int(rng.integers(10 ** 6)),
+                                        PATCH_SHAPES[n % len(PATCH_SHAPES)], kind)
+        bounds.append(ROUNDING * connection_conditioning(net, admissible_mu(
+            net, rng.uniform(-2.0, 2.0))))
+        if kind == "moutard":
+            continue
+        cq = ConservedQuantity(net, coeffs)
+        pairs = []
+        for mu in rng.uniform(-3.0, -0.5, 2):
+            mu = admissible_mu(net, mu)
+            try:
+                tb = darboux_propagate(net, mu, backlund_init(cq, mu, rng.uniform(0.0, 1.0)))
+                ref = ref_pcq_backlund(cq, tb).coeffs
+            except GeometryError:
+                continue
+            bounds.append(ROUNDING * pair_conditioning(net.lifts.data, tb.lifts.data)
+                          * cq.scale() / np.abs(ref).max())
+            pairs.append(tb)
+        if len(pairs) == 2 and abs(pairs[0].mu - pairs[1].mu) >= 0.1:
+            bounds.append(ROUNDING * pair_conditioning(pairs[0].lifts.data, pairs[1].lifts.data))
+    assert len(bounds) > 300
+    assert np.count_nonzero(np.array(bounds) > ROUNDING_CAP) <= len(bounds) // 100
 
 # --- the same errors, naming where they happen ---------------------------------
 
@@ -1017,10 +1068,16 @@ def ref_random_moutard_net(rng, rows, cols):
         if ref_fill(F, u, v, lambda g: abs(g) >= 1e-6,
                     lambda Fk: np.abs(Fk).max() <= 1e3) is not None:
             continue
-        dom = GridDomain(rows, cols)
-        try:  # the library's own validation decides, as in the catalog
-            IsothermicNet(dom, VertexField(dom, F), EdgeFunction(dom, u, v)).validate()
-        except GeometryError:
+        # redraw a fill that drifted off the weights: each face's own Gram
+        # cross ratio against u / v, and each lift's isotropy, within tol(1)
+        try:
+            drift = max(abs(ref_cross_ratio(*(F[p] for p in face)) - u[face[0][0]] / v[face[0][1]])
+                        / (1.0 + abs(u[face[0][0]] / v[face[0][1]]))
+                        for face in GridDomain(rows, cols).faces())
+        except DegeneratePoints:
+            continue
+        isotropy = max(abs(float(minkowski_inner(f, f))) for f in F.reshape(-1, 5))
+        if max(drift, isotropy / float(np.abs(F).max()) ** 2) > tol(1.0):
             continue
         return F, u, v
     raise DegenerateEdge("could not draw a non-degenerate random net")

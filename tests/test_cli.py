@@ -74,6 +74,28 @@ def test_verify_refuses_a_nan_weight(tmp_path, capsys):
                                     "non-finite number")
 
 
+@pytest.mark.parametrize("mu", ["0", "1e-320", "1e300"])
+def test_darboux_parameter_without_a_transform_is_named(tmp_path, capsys, mu):
+    # these once ended in numpy's "divide by zero encountered in divide"
+    src = tmp_path / "net.json"
+    save_net(src, catalog.cylinder_net(4, 4, 0.3, 0.7))
+    assert run(["transform", "darboux", src, "--mu", mu, "--start", "3,0.5,0.2",
+                "-o", tmp_path / "out.json"]) == 2
+    assert capsys.readouterr().err == ("verification error: cross ratio mu * a is 0, infinite "
+                                       f"or not finite at mu = {float(mu)}\n")
+
+
+def test_arithmetic_failure_names_the_command(tmp_path, capsys):
+    src = tmp_path / "net.json"
+    assert run(["generate", "revolution", "--H", 0.5, "--kappa", -1, "--steps", 2,
+                "--angles", 6, "-o", src]) == 0
+    capsys.readouterr()
+    # P(1e300) overflows before any geometry is decided
+    assert run(["transform", "backlund", src, "--mu=1e300", "-o", tmp_path / "out.json"]) == 2
+    assert capsys.readouterr().err == ("verification error: isothermic transform backlund: "
+                                       "overflow encountered in multiply\n")
+
+
 def test_verify_accepts_calapso_transform(tmp_path, capsys):
     # the transformed net's faces are small in the unit-representative
     # normalization; their cross ratios still match the shifted weights

@@ -59,6 +59,10 @@ def test_check_decides_and_raises_with_itself():
     with pytest.raises(NotConserved) as got:
         failed.require(NotConserved)
     assert got.value.check is failed and str(got.value) == str(failed)
+    # a floor fails when the measure only reaches the tolerance
+    floor = tol(1.0) ** 2
+    assert not Check("floor", floor, np.nextafter(floor, -np.inf)).ok
+    assert Check("floor", floor, np.nextafter(np.nextafter(floor, 1.0), -np.inf)).ok
 
 
 @pytest.mark.parametrize("bad", [float("nan"), np.float64("nan")])

@@ -1,6 +1,7 @@
 """Darboux/Backlund transforms, permutability, complementary nets, and
 reconstruction from parallel sections."""
 
+import re
 import warnings
 
 import numpy as np
@@ -439,6 +440,16 @@ def test_parallel_sections_must_be_parallel(cylinder):
     with pytest.raises(NotParallel):
         pcq_from_parallel_sections(net, [(2.0, bad), (-1.5, cq.evaluate(-1.5))],
                                    [1.0 / 3.5, -1.0 / 3.5])
+
+
+@pytest.mark.parametrize("mu", [0.0, -0.0, 1e-320, 1e-12, 1e12, 1e300])
+def test_darboux_parameter_with_degenerate_quads_raises(cylinder, mu):
+    """The quads (f_i, f_j, fhat_j, fhat_i) have cross ratio mu * a: at 0 or
+    infinity within tolerance there is no Darboux transform (pcq_darboux
+    then divided by mu = 0)."""
+    net, _ = cylinder
+    with pytest.raises(PoleParameter, match=re.escape(f"infinite or not finite at mu = {mu}")):
+        darboux_propagate(net, mu, euclidean_lift(np.array([3.0, 0.5, 0.2])))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
