@@ -19,6 +19,7 @@ import functools
 import json
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -92,6 +93,32 @@ def _load(path):
         raise UsageError(f"cannot read {path}: {exc.strerror or exc}") from exc
 
 
+#: The start of the warning of each meridian step that crosses the infinity
+#: boundary (:func:`revolution.meridian_step`).
+CROSSING = "meridian crossed the infinity boundary"
+
+
+def _count_crossings(build, prog):
+    """build(), with the meridian crossings of the infinity boundary it warns
+    about counted into one line on stderr.  That line and any other warning
+    show only as the caller's warning filters let them."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.filterwarnings("always", message=CROSSING)
+        result = build()
+    crossings = 0
+    for w in caught:
+        if str(w.message).startswith(CROSSING):
+            crossings += 1
+        else:
+            warnings.showwarning(w.message, w.category, w.filename, w.lineno)
+    if crossings:
+        with warnings.catch_warnings(record=True) as shown:
+            warnings.warn(f"{CROSSING} of the space form in {crossings} meridian steps")
+        for w in shown:
+            print(f"{prog}: warning: {w.message}", file=sys.stderr)
+    return result
+
+
 def _cmd_generate(args) -> int:
     if args.angles < 2 or args.steps < 0:
         raise UsageError(f"need --angles at least 2 and --steps at least 0, "
@@ -114,8 +141,9 @@ def _cmd_generate(args) -> int:
         M0, M1, auto_branch = find_seed_edge(Q3, args.H)
         branch = args.branch if args.branch is not None else auto_branch
     profile = RotationProfile.uniform(args.angles, 2.0 * np.pi / args.angles)
-    net, quantity = build_revolution_cmc(Q3, args.H, M0, M1, args.steps,
-                                         profile, branch=branch)
+    net, quantity = _count_crossings(
+        lambda: build_revolution_cmc(Q3, args.H, M0, M1, args.steps, profile, branch=branch),
+        args.prog)
     H, kap = mean_curvature_data(quantity)
     metadata = {
         "construction": "revolution-cmc",

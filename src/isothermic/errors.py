@@ -20,6 +20,10 @@ class DegenerateLift(GeometryError):
     """A light-cone representative lies on the infinity boundary of a space form."""
 
 
+class NonFiniteLift(GeometryError):
+    """A lift holds a NaN or infinite entry."""
+
+
 class DegeneratePoints(GeometryError):
     """A cross-ratio denominator vanishes (coinciding projective points)."""
 

@@ -22,6 +22,7 @@ from .errors import (
     DegenerateLift,
     DegeneratePair,
     DegeneratePoints,
+    NonFiniteLift,
     SingularParameter,
     SingularSystem,
 )
@@ -166,6 +167,8 @@ def quad_invariants(V) -> QuadInvariants:
     ------
     DegeneratePoints
         If a representative is zero.
+    NonFiniteLift
+        If a representative holds a NaN or infinite entry.
     """
     U, s = _units(V)
     corners = tuple(U[..., k, :] for k in range(4))
@@ -203,10 +206,21 @@ def _inner(X, Y):
     return (((xy[..., 1] - xy[..., 0]) + xy[..., 2]) + xy[..., 3]) + xy[..., 4]
 
 
+def require_finite(V) -> None:
+    """Raise NonFiniteLift naming the first vector of V (..., 5) with a NaN or
+    infinite entry, by its index into the leading axes."""
+    bad = ~np.isfinite(V).all(axis=-1)
+    if bad.any():
+        index = tuple(int(i) for i in np.argwhere(bad)[0])
+        raise NonFiniteLift(f"lift at index {index} is not finite")
+
+
 def _units(V):
     """Unit representatives V / |V| and their self-products <U, U>."""
     V = np.asarray(V, dtype=float)
     norms = np.sqrt((V * V).sum(axis=-1))
+    if not np.isfinite(norms).all():
+        require_finite(V)
     if (norms == 0.0).any():
         raise DegeneratePoints("zero representative")
     U = V / norms[..., None]

@@ -45,6 +45,7 @@ from .minkowski import (
     minkowski_inner,
     norm2,
     regularity_tol,
+    require_finite,
     span_normal,
 )
 from .tolerances import Check, tol
@@ -128,6 +129,8 @@ def verify_isothermic(lifts: VertexField, *, strict: bool = True) -> IsothermicR
     Raises (in strict mode)
     -----------------------
     GeometryError, NonConcircularFace, FactorizationFailure
+
+    In either mode a lift with a NaN or infinite entry raises NonFiniteLift.
     """
     domain = lifts.domain
     report = IsothermicReport(Check("need at least one face", np.inf, 0.0,
@@ -174,7 +177,8 @@ def face_regularity(lifts: VertexField) -> float:
     are away from 0; a regular net keeps this above
     :func:`minkowski.regularity_tol`, which is quadratic like the measure.
     The products are those of :func:`minkowski.face_products`, taken once
-    per vertex, edge or face diagonal; no cross ratio is formed."""
+    per vertex, edge or face diagonal; no cross ratio is formed.  A lift with
+    a NaN or infinite entry raises NonFiniteLift."""
     _, products, selfs = face_products(lifts.data)
     return float(_regularity(products, selfs).min(initial=np.inf))
 
@@ -263,8 +267,15 @@ def moutard_lift(lifts: VertexField, weights: EdgeFunction) -> VertexField:
 
 def moutard_check(lifts: VertexField) -> Check:
     """Whether the diagonals F_k - F_i and F_j - F_l are parallel on every
-    face: the worst relative second singular value against tol(1)."""
+    face: the worst relative second singular value against tol(1).
+
+    Raises
+    ------
+    NonFiniteLift
+        If a lift holds a NaN or infinite entry.
+    """
     F = lifts.data
+    require_finite(F)
     D = np.stack([F[1:, 1:] - F[:-1, :-1], F[1:, :-1] - F[:-1, 1:]], axis=2)
     s = np.linalg.svd(D, compute_uv=False)
     # s[1] <= s[0], so a face with s[0] = 0 contributes 0

@@ -1,5 +1,7 @@
 """Command line surface: exit codes, verification flows, determinism."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -521,3 +523,21 @@ def test_faceless_net_file(tmp_path, capsys):
     dual = tmp_path / "dual.json"
     assert run(["transform", "christoffel", path, "-o", dual]) == 0
     assert load_net(dual)[0].domain == dom
+
+
+@pytest.mark.filterwarnings("default:meridian crossed")
+def test_generate_counts_meridian_crossings_in_one_line(tmp_path, capsys):
+    """Each meridian step across the infinity boundary warns in the library;
+    generate prints them as one counted line on stderr, as shown by the
+    warning filters in force."""
+    argv = ["generate", "revolution", "--H", 0, "--kappa", -1, "--steps", 6, "--angles", 8,
+            "-o", tmp_path / "net.json"]
+    assert run(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ("isothermic generate revolution: warning: meridian crossed the "
+                            "infinity boundary of the space form in 6 meridian steps\n")
+    assert captured.out.startswith("wrote ")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert run(argv) == 0
+    assert capsys.readouterr().err == ""

@@ -2,13 +2,16 @@
 
 import json
 import re
+import subprocess
+import sys
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from isothermic import catalog
+from isothermic import catalog, netfile
 from isothermic.errors import DimensionMismatch, ModelMismatch, ParseError
 from isothermic.grids import VertexField, face_stack
 from isothermic.minkowski import embed_lorentz3, hyperbolic_point
@@ -233,6 +236,180 @@ def test_load_refuses_non_finite_numbers(tmp_path, field, literal):
     target[1] = "@"
     path.write_text(json.dumps(doc).replace('"@"', literal))
     with pytest.raises(ParseError, match=re.escape(f"field '{field}' holds a non-finite number")):
+        load_net(path)
+
+
+# --- the loader against a json-only one ------------------------------------------
+
+
+def json_only_load(path):
+    """load_net with every text decoded by json.loads alone."""
+    with mock.patch.object(netfile, "_decode", json.loads):
+        return load_net(path)
+
+
+def outcome(load, path):
+    """The bytes of the arrays load(path) returns, with the repr of its
+    metadata (which tells ints from floats and -0.0 from 0), or the type and
+    text of what it raises."""
+    try:
+        net, quantities, metadata = load(path)
+    except Exception as exc:  # every refusal is compared, typed or not
+        return type(exc), str(exc)
+    return (net.lifts.data.tobytes(), net.weights.u.tobytes(), net.weights.v.tobytes(),
+            [(cq.degree, cq.coeffs.tobytes()) for cq in quantities], repr(metadata))
+
+
+#: Literals that orjson refuses or reads otherwise than json: non-finite,
+#: out of range, and integers beyond 64 bits.
+ODD_LITERALS = ["NaN", "Infinity", "-Infinity", "1e999", "-1e400", "18446744073709551616",
+                "-9223372036854775809", "123456789012345678901234567890", "1" + "0" * 400]
+NUMBER = re.compile(r"-?\d[\d.eE+-]*")
+
+
+@st.composite
+def net_texts(draw):
+    """A net document, with an integer beyond 64 bits in its metadata or not,
+    in its canonical layout or re-laid out by json.dumps, intact or with one
+    mutation: truncated, a character inserted or deleted, a non-ASCII byte,
+    or a number token replaced by an odd literal."""
+    doc = draw(documents())
+    if draw(st.booleans()):
+        doc["metadata"]["wide"] = draw(st.one_of(st.integers(2 ** 63, 10 ** 30),
+                                                 st.integers(-10 ** 30, -2 ** 63 - 1)))
+    text = canonical_json(doc)
+    layout = draw(st.sampled_from([None, 0, 1]))
+    if layout is not None:
+        text = json.dumps(json.loads(text), indent=layout or None) + "\n"
+    data = text.encode()
+    where = draw(st.integers(0, len(data)))
+    kind = draw(st.sampled_from(3 * ["intact"] + ["truncate", "insert", "delete", "byte",
+                                                  "literal", "literal"]))
+    if kind == "truncate":
+        return data[:where]
+    if kind == "insert":
+        return data[:where] + bytes([draw(st.sampled_from(b'[]{}",:-.e0 \\'))]) + data[where:]
+    if kind == "delete":
+        return data[:where] + data[where + 1:]
+    if kind == "byte":
+        return data[:where] + bytes([draw(st.integers(0x80, 0xFF))]) + data[where:]
+    if kind == "literal":
+        token = draw(st.sampled_from(list(NUMBER.finditer(text))))
+        return (text[:token.start()] + draw(st.sampled_from(ODD_LITERALS))
+                + text[token.end():]).encode()
+    return data
+
+
+@settings(max_examples=200, deadline=None)
+@given(net_texts())
+def test_loader_matches_json_only_loader(tmp_path_factory, data):
+    """orjson with its json fallback loads every net text to the bits that
+    json.loads + np.asarray give (random doubles with subnormals, -0.0 and
+    +-1.797e308, integers beyond 64 bits in the metadata), and refuses
+    malformed and non-finite texts with the same error and text."""
+    path = tmp_path_factory.getbasetemp() / "differential.json"
+    path.write_bytes(data)
+    assert outcome(load_net, path) == outcome(json_only_load, path)
+
+
+@pytest.mark.parametrize("literal", ["18446744073709551616", "-9223372036854775809",
+                                     "123456789012345678901234567890"])
+@pytest.mark.parametrize("field", ["version", "rows", "degree", "item", "metadata"])
+def test_wide_integers_read_as_json_reads_them(tmp_path, field, literal):
+    """orjson reads these integer literals as floats; the loader gives the
+    ints, in the error text and in the metadata, that json gives."""
+    net = catalog.cylinder_net(3, 4, ETA, PHI)
+    text = canonical_json(net_to_document(net, [catalog.cylinder_quantity(net)],
+                                          {"label": "@"}))
+    target = {"version": '"version": 1', "rows": '"rows": 3', "degree": '"degree": 1',
+              "item": '{\n      "degree"', "metadata": '"label": "@"'}[field]
+    assert target in text
+    replace = {"item": literal + ', {\n      "degree"',
+               "metadata": '"label": ' + literal}.get(field, target.split(":")[0] + ": " + literal)
+    path = tmp_path / "net.json"
+    path.write_text(text.replace(target, replace))
+    assert outcome(load_net, path) == outcome(json_only_load, path)
+    if field == "metadata":
+        assert load_net(path)[2]["label"] == int(literal)
+
+
+def test_canonical_files_are_decoded_without_json(tmp_path):
+    """A canonical file takes the orjson path: json.loads is not called."""
+    net = catalog.cylinder_net(4, 5, ETA, PHI)
+    path = tmp_path / "net.json"
+    metadata = {"H": 0.5, "label": "[cyl\u00e9] \\\"]"}  # written with escapes
+    save_net(path, net, [catalog.cylinder_quantity(net)], metadata)
+    with mock.patch.object(netfile.json, "loads", side_effect=AssertionError("json decoded")):
+        net2, _, metadata2 = load_net(path)
+    np.testing.assert_array_equal(net2.lifts.data, net.lifts.data)
+    assert metadata2 == metadata
+
+
+def nesting(value) -> int:
+    if isinstance(value, dict):
+        return 1 + max(map(nesting, value.values()), default=0)
+    if isinstance(value, list):
+        return 1 + max(map(nesting, value), default=0)
+    return 0
+
+
+JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.integers(), st.text(alphabet='[]{}"\\ab\u00e9', max_size=6)),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.text(alphabet='[]{}"\\a', max_size=3), inner,
+                                            max_size=3)),
+    max_leaves=20)
+
+
+@given(JSON_VALUES)
+def test_depth_counts_nesting_outside_strings(value):
+    """The depth that decides between orjson and json is the nesting depth of
+    the text, with brackets, escaped quotes and backslashes in its strings."""
+    assert netfile._depth(json.dumps(value)) == nesting(value)
+
+
+@pytest.mark.parametrize("depth", [600, 300_000])
+def test_deep_documents_are_left_to_json(tmp_path, depth):
+    """orjson 3.8 recurses without a limit and kills the interpreter on
+    200000 nested arrays; the loader hands deep texts to json, so it fails as
+    json does (or loads), in a child process that must exit cleanly."""
+    path = tmp_path / "deep.json"
+    path.write_text('{"format": "isothermic-net", "version": 1, "rows": 1, "cols": 1, '
+                    '"lifts": [[[1, 0, 0, 0, 1]]], "a_u": [], "a_v": [], "metadata": {"x": '
+                    + "[" * depth + "]" * depth + "}}\n")
+    script = (f"import sys; sys.path[:0] = {sys.path!r}\n"
+              "import test_netfile as t\n"
+              f"a, b = (t.outcome(f, {str(path)!r}) for f in (t.load_net, t.json_only_load))\n"
+              "assert a == b, (a, b)\n")
+    child = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                           timeout=120)
+    assert child.returncode == 0, child.stderr[-2000:]
+
+
+@pytest.mark.parametrize("field", ["lifts", "a_u", "conserved_quantities[0]"])
+def test_load_refuses_integers_beyond_doubles(tmp_path, field):
+    """json reads an integer literal of 401 digits as an int that no double
+    holds; it is refused like 1e999, not with numpy's OverflowError."""
+    net = catalog.cylinder_net(3, 4, ETA, PHI)
+    path = tmp_path / "net.json"
+    save_net(path, net, [catalog.cylinder_quantity(net)])
+    doc = json.loads(path.read_text())
+    target = {"lifts": doc["lifts"][1][2], "a_u": doc["a_u"],
+              "conserved_quantities[0]": doc["conserved_quantities"][0]["coeffs"][2][1][1]}[field]
+    target[1] = 10 ** 400
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParseError, match=re.escape(f"field '{field}' holds a non-finite number")):
+        load_net(path)
+
+
+def test_load_refuses_deep_nesting(tmp_path):
+    """A document nested deeper than json recurses is a ParseError, not a
+    RecursionError."""
+    net = catalog.cylinder_net(3, 3, ETA, PHI)
+    path = tmp_path / "net.json"
+    save_net(path, net, metadata={"deep": "@"})
+    path.write_text(path.read_text().replace('"@"', "[" * 5000 + "]" * 5000))
+    with pytest.raises(ParseError, match="nested too deep"):
         load_net(path)
 
 

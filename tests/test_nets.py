@@ -8,7 +8,7 @@ import pytest
 
 from conftest import darboux_stacked_net
 from isothermic import catalog
-from isothermic.errors import NonConcircularFace, NotFlat, PoleParameter
+from isothermic.errors import NonConcircularFace, NonFiniteLift, NotFlat, PoleParameter
 from isothermic.grids import EdgeFunction, VertexField, edge_stacks, face_stack
 from isothermic.minkowski import cross_ratios, euclidean_lift, euclidean_point, minkowski_inner
 from isothermic.nets import (
@@ -16,6 +16,7 @@ from isothermic.nets import (
     circle_identity_check,
     edge_connection,
     face_holonomy,
+    face_regularity,
     holonomy_residual,
     moutard_check,
     moutard_lift,
@@ -290,3 +291,16 @@ def test_verify_accepts_thin_faces():
     assert net.validate() <= 1e-12
     report = verify_isothermic(net.lifts)
     assert report.ok and 1e-5 < report.min_regularity < 1e-4
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("check", [moutard_check, face_regularity, verify_isothermic])
+def test_non_finite_lift_is_named(check, bad):
+    """A lift built in memory with a NaN or infinite entry raises NonFiniteLift
+    naming its vertex, not numpy's LinAlgError from the SVD (moutard_check),
+    a regularity of 0 (face_regularity) or a report of dependent lifts."""
+    net = catalog.cylinder_net(4, 4, 0.3, 0.7)
+    lifts = net.lifts.data.copy()
+    lifts[1, 2, 3] = bad
+    with pytest.raises(NonFiniteLift, match=r"lift at index \(1, 2\) is not finite"):
+        check(VertexField(net.domain, lifts))
