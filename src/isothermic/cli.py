@@ -2,13 +2,14 @@
 
 Subcommands: generate, verify, transform, classify, export.  Exit codes:
 0 on success, 2 when a verification fails (a :class:`errors.GeometryError`,
-or overflow, division by zero or an invalid operation in the arithmetic of
-the command, which runs under ``numpy.errstate`` to raise and is named in
-the message), 1 on usage errors (an input that cannot be read, an output
-that cannot be written, a number that is not finite).  --tol or the
-ISOTHERMIC_TOL environment variable sets the relative tolerance in a
-:func:`tolerances.tolerance` scope around the command; without either, the
-caller's scope holds.
+overflow, division by zero or an invalid operation in the arithmetic of
+the command, which runs under ``numpy.errstate`` to raise, or a warning
+that the warning filters turn into an error, as ``python -W error`` does;
+the message names the command for all but the first), 1 on usage errors
+(an input that cannot be read, an output that cannot be written, a number
+that is not finite).  --tol or the ISOTHERMIC_TOL environment variable sets
+the relative tolerance in a :func:`tolerances.tolerance` scope around the
+command; without either, the caller's scope holds.
 """
 
 from __future__ import annotations
@@ -392,7 +393,8 @@ def main(argv=None) -> int:
             parser.print_usage(sys.stderr)
             print(f"{parser.prog}: error: {exc}", file=sys.stderr)
             return USAGE_ERROR
-        except (GeometryError, FloatingPointError) as exc:
+        except (GeometryError, FloatingPointError, Warning) as exc:
+            # a Warning arrives here when the warning filters turn it into an error
             command = "" if isinstance(exc, GeometryError) else f"{args.prog}: "
             print(f"verification error: {command}{exc}", file=sys.stderr)
             return VERIFY_FAILURE

@@ -139,8 +139,8 @@ def verify_isothermic(lifts: VertexField, *, strict: bool = True) -> IsothermicR
     if domain.rows > 1 and domain.cols > 1:
         inv = invariants_from_products(*face_products(lifts.data))
         report.min_regularity = float(inv.regularity.min())
-        report.check = Check("a face has three nearly dependent lifts", regularity_tol(),
-                             np.nextafter(report.min_regularity, -np.inf))  # a floor
+        report.check = Check("a face has three nearly dependent lifts", report.min_regularity,
+                             regularity_tol(), floor="regularity")
     if report.ok:
         q = inv.q
         ratios = q.real
@@ -446,8 +446,8 @@ def calapso(net: IsothermicNet, mu: float, basepoint=None) -> tuple[CalapsoFrame
     # a flat connection can still grow frames so large that T F keeps no
     # digits: the transformed faces then degenerate, and no net is returned
     Check(f"a transformed face, with frames up to {largest:.3g}, has three nearly dependent "
-          "lifts", regularity_tol(), np.nextafter(face_regularity(new_lifts), -np.inf)
-          ).require(DegeneratePoints)  # a floor
+          "lifts", face_regularity(new_lifts), regularity_tol(), floor="regularity"
+          ).require(DegeneratePoints)
     frames = VertexField(domain, frames)
     transformed = IsothermicNet(domain, new_lifts, net.weights.calapso_shifted(mu),
                                 revolution=None)

@@ -49,21 +49,28 @@ class Check(NamedTuple):
     """A residual ``value`` decided against its tolerance ``limit``, with
     the vertex, edge or face ``where`` the worst case sits (or None).
 
-    The check holds when value <= limit, so a NaN value fails it; a floor,
-    Check(name, tolerance, numpy.nextafter(measure, -inf)), fails at equality.
+    The check holds when value <= limit, so a NaN value fails it.  A floor
+    names in ``floor`` the measure that ``value`` is, which must exceed the
+    tolerance ``limit``: it holds when value > limit, so it fails at
+    equality and on NaN.
     """
 
     name: str
     value: float
     limit: float
     where: object = None
+    floor: str = ""
 
     @property
     def ok(self) -> bool:
+        if self.floor:
+            return bool(self.value > self.limit)
         return bool(self.value <= self.limit)
 
     def __str__(self) -> str:
         at = "" if self.where is None else f" at {self.where}"
+        if self.floor:
+            return f"{self.name} ({self.floor} {self.value:.3g} <= {self.limit:.3g}){at}"
         return f"{self.name} ({self.value:.3g} > {self.limit:.3g}){at}"
 
     def require(self, error):

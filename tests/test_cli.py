@@ -1,5 +1,8 @@
 """Command line surface: exit codes, verification flows, determinism."""
 
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -417,8 +420,8 @@ def test_verify_inconsistent_weights_exits_2(tmp_path):
     save_net(path, net)
     doc = path.read_text()
     # corrupt one stored weight value without touching the lifts
-    doc = doc.replace("-0.022499999999999999", "-0.050000000000000000", 1)
-    path.write_text(doc)
+    assert '"a_u": [-0.0225,' in doc
+    path.write_text(doc.replace('"a_u": [-0.0225,', '"a_u": [-0.05,'))
     assert run(["verify", path]) == 2
 
 
@@ -541,3 +544,19 @@ def test_generate_counts_meridian_crossings_in_one_line(tmp_path, capsys):
         warnings.simplefilter("ignore")
         assert run(argv) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_warnings_raised_as_errors_give_one_error_line(tmp_path):
+    """Under python -W error the counted crossing line is raised as a
+    UserWarning; the command exits 2 with one error line and writes nothing."""
+    out = tmp_path / "net.json"
+    child = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "isothermic.cli", "generate", "revolution",
+         "--H", "0", "--kappa", "-1", "--steps", "6", "--angles", "8", "-o", str(out)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert child.returncode == 2
+    assert child.stderr == ("verification error: isothermic generate revolution: meridian "
+                            "crossed the infinity boundary of the space form in 6 meridian "
+                            "steps\n")
+    assert child.stdout == "" and not out.exists()

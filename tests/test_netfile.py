@@ -4,6 +4,7 @@ import json
 import re
 import subprocess
 import sys
+from decimal import Decimal
 from unittest import mock
 
 import numpy as np
@@ -15,13 +16,7 @@ from isothermic import catalog, netfile
 from isothermic.errors import DimensionMismatch, ModelMismatch, ParseError
 from isothermic.grids import VertexField, face_stack
 from isothermic.minkowski import embed_lorentz3, hyperbolic_point
-from isothermic.netfile import (
-    canonical_json,
-    format_float,
-    load_net,
-    net_to_document,
-    save_net,
-)
+from isothermic.netfile import load_net, net_to_document, save_net
 from isothermic.nets import verify_isothermic
 from isothermic.objexport import export_obj
 from isothermic.revolution import (
@@ -34,7 +29,16 @@ from isothermic.revolution import (
 ETA, PHI = 0.3, np.pi / 4
 
 
-# --- reference renderer, one Python call per value -----------------------------
+# --- reference renderers, one Python call per value ----------------------------
+
+
+def format_float(x: float) -> str:
+    """A float as version 1 writes it: 17 significant digits, -0.0 as "0"."""
+    if x != x or x in (float("inf"), float("-inf")):
+        raise ValueError("non-finite value cannot be serialized")
+    if x == 0.0:
+        return "0"
+    return format(float(x), ".17g")
 
 
 def ref_render(obj, out: list, indent: int):
@@ -83,10 +87,60 @@ def _fmt_number(x) -> str:
 
 
 def ref_canonical_json(obj) -> str:
+    """The version-1 text of a document."""
     out: list[str] = []
     ref_render(obj, out, 0)
     out.append("\n")
     return "".join(out)
+
+
+def shortest_float(x: float) -> str:
+    """A float as version 2 writes it, in orjson's form of the shortest
+    digits that read back to x (the digits of repr): a plain decimal from
+    1e-5 up to below 1e16, else d.ddde<n>; -0.0 as "0.0"."""
+    if x != x or x in (float("inf"), float("-inf")):
+        raise ValueError("non-finite value cannot be serialized")
+    if x == 0.0:
+        return "0.0"
+    sign, digits, exp = Decimal(repr(float(x))).as_tuple()
+    text = "".join(map(str, digits))
+    digits = text.rstrip("0")
+    exp += len(text) - len(digits)
+    kk = len(digits) + exp  # 10**(kk - 1) <= |x| < 10**kk
+    if exp >= 0 and kk <= 16:
+        text = digits + "0" * exp + ".0"
+    elif 0 < kk <= 16:
+        text = digits[:kk] + "." + digits[kk:]
+    elif -5 < kk <= 0:
+        text = "0." + "0" * -kk + digits
+    else:
+        text = digits[0] + ("." + digits[1:] if len(digits) > 1 else "") + f"e{kk - 1}"
+    return "-" * sign + text
+
+
+def ref_v2_render(obj) -> str:
+    """The version-2 text of a document value: an object one item per line,
+    a list of lists one item per line, any other list on one line."""
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    if isinstance(obj, dict):
+        return "{" + ",\n".join(json.dumps(key) + ": " + ref_v2_render(value)
+                                for key, value in obj.items()) + "}"
+    if isinstance(obj, (list, tuple)):
+        rows = all(isinstance(value, (list, tuple)) for value in obj)
+        return "[" + (",\n" if rows else ",").join(map(ref_v2_render, obj)) + "]"
+    if isinstance(obj, (float, np.floating)):
+        return shortest_float(float(obj))
+    if isinstance(obj, np.integer):
+        return str(int(obj))
+    if isinstance(obj, (bool, int, str)) or obj is None:
+        return json.dumps(obj)
+    raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+def v2_text(doc) -> str:
+    """The text save_net writes for a document, as version 2."""
+    return netfile._encode({**doc, "version": 2}).decode("ascii") + "\n"
 
 
 # --- documents shaped like net_to_document and the CLI's metadata --------------
@@ -94,7 +148,8 @@ def ref_canonical_json(obj) -> str:
 FLOATS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     st.sampled_from([0.0, -0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308, 1e300, -1e300,
-                     1e-300, -1e-300, 1.7976931348623157e308]),
+                     1e-300, -1e-300, 1.7976931348623157e308, -1.7976931348623157e308,
+                     1e16, 1e-5, 1e-6, 1e15 + 0.5]),
     st.integers(-10 ** 6, 10 ** 6).map(float))
 
 
@@ -102,11 +157,14 @@ def float_array(shape):
     return arrays(np.float64, shape, elements=FLOATS)
 
 
+# strings with non-ASCII text, and with the "],[" that joins two rows of an array
 SCALARS = st.one_of(st.booleans(), st.integers(-10 ** 20, 10 ** 20), FLOATS,
-                    st.text(max_size=8), st.none())
+                    st.text(max_size=8), st.sampled_from(['"],["', "],\n[", "/tmp/caf\u00e9",
+                                                          "\U0001d11e]", "\\u00e9"]),
+                    st.none())
 NUMBER_LISTS = st.lists(st.one_of(st.integers(-10 ** 6, 10 ** 6), FLOATS), max_size=4)
 METADATA = st.recursive(
-    st.one_of(SCALARS, NUMBER_LISTS, float_array(st.sampled_from([(0,), (1,), (3,)]))),
+    st.one_of(SCALARS, NUMBER_LISTS, float_array(st.sampled_from([(0,), (1,), (3,), (2, 3), (2, 0), (1, 2, 2)]))),
     lambda inner: st.dictionaries(st.text(max_size=6), inner, max_size=4), max_leaves=12)
 
 
@@ -125,22 +183,99 @@ def documents(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(documents())
-def test_canonical_json_matches_reference(doc):
-    assert canonical_json(doc) == ref_canonical_json(doc)
+def test_canonical_json_matches_reference(tmp_path_factory, doc):
+    """save_net writes the reference's version-2 text, value by value, and
+    saving what it loads gives the same bytes (twice over)."""
+    text = v2_text(doc)
+    assert text == ref_v2_render({**doc, "version": 2}) + "\n"
+    path = tmp_path_factory.getbasetemp() / "canonical.json"
+    path.write_text(text)
+    for _ in range(2):
+        save_net(path, *load_net(path))
+        # save_net leaves out an empty metadata object
+        assert path.read_text() == (text if doc["metadata"] else
+                                    v2_text({k: v for k, v in doc.items() if k != "metadata"}))
+
+
+def plain(value, number):
+    """The value as JSON reads it back, with each float x as number(x)."""
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if isinstance(value, dict):
+        return {key: plain(item, number) for key, item in value.items()}
+    if isinstance(value, list):
+        return [plain(item, number) for item in value]
+    if isinstance(value, float):
+        return number(value + 0.0)
+    return value
+
+
+@settings(max_examples=200, deadline=None)
+@given(documents())
+def test_version_2_loads_as_version_1(tmp_path_factory, doc):
+    """A document's version-2 and version-1 files load to its arrays, bit for
+    bit (-0.0 read as 0.0), and to its metadata by repr; version 1 wrote an
+    integral float as an integer literal, which reads back as an int."""
+    base = tmp_path_factory.getbasetemp()
+    (base / "v1.json").write_text(ref_canonical_json({**doc, "version": 1}))
+    (base / "v2.json").write_text(v2_text(doc))
+    for name, number in (("v1", lambda x: json.loads(format_float(x))), ("v2", float)):
+        net, quantities, metadata = load_net(base / f"{name}.json")
+        saved = [doc["lifts"], doc["a_u"], doc["a_v"]] + [
+            item["coeffs"] for item in doc.get("conserved_quantities", [])]
+        loaded = [net.lifts.data, net.weights.u, net.weights.v] + [
+            cq.coeffs for cq in quantities]
+        assert [a.tobytes() for a in loaded] == [(a + 0.0).tobytes() for a in saved]
+        assert repr(metadata) == repr(plain(doc["metadata"], number))
+
+
+def test_writer_takes_any_float_array_layout():
+    """orjson refuses arrays that are not C-contiguous; transposed, strided,
+    Fortran-ordered and float32 arrays are written as their values are."""
+    base = np.arange(-6.0, 6.0).reshape(3, 4) / 7
+    for arr in (base.T, base[:, ::2], np.asfortranarray(base), base.astype(np.float32),
+                -0.0 * base, base[:0], np.float64(-0.0), np.array(2.5)):
+        assert netfile._encode(arr).decode("ascii") == ref_v2_render(arr)
+
+
+def test_saved_files_are_ascii_and_load_back(tmp_path):
+    """Non-ASCII text is escaped, a string holding "],[" keeps its one line,
+    and integers beyond 64 bits, -0.0 and the extreme doubles load back."""
+    net = catalog.cylinder_net(3, 4, ETA, PHI)
+    metadata = {"derived_from": "/tmp/caf\u00e9/net.json", "label": 'a"],["b',
+                "wide": -2 ** 70, "mu": -0.0,
+                "seed": np.array([-0.0, 5e-324, -1.7976931348623157e308, 1e16])}
+    path = tmp_path / "net.json"
+    save_net(path, net, [catalog.cylinder_quantity(net)], metadata)
+    text = path.read_bytes().decode("ascii")
+    assert '"label": "a\\"],[\\"b",\n' in text and "\\u00e9" in text
+    got = load_net(path)[2]
+    assert repr(got) == repr({**metadata, "mu": 0.0,
+                              "seed": [0.0, 5e-324, -1.7976931348623157e308, 1e16]})
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("field", ["lifts", "a_u", "coeffs", "seed_M0"])
-def test_non_finite_array_entries_raise(bad, field):
+@pytest.mark.parametrize("field", ["lifts", "a_u", "coeffs", "seed_M0", "H", "gaps"])
+def test_non_finite_array_entries_raise(tmp_path, bad, field):
+    # orjson would write NaN and inf as null without an error
     net = catalog.cylinder_net(3, 4, ETA, PHI)
-    doc = net_to_document(net, [catalog.cylinder_quantity(net)], {"seed_M0": np.ones(3)})
+    quantity = catalog.cylinder_quantity(net)
+    metadata = {"seed_M0": np.ones(3), "H": 0.5, "gaps": [0.5, [1.0, 2.0]]}
+    path = tmp_path / "net.json"
+    if field in ("H", "gaps"):
+        metadata[field] = bad if field == "H" else [0.5, [1.0, bad]]
+        with pytest.raises(ValueError, match="non-finite value cannot be serialized"):
+            save_net(path, net, [quantity], metadata)
+        assert not path.exists()
+        return
+    doc = net_to_document(net, [quantity], metadata)
     holder = {"coeffs": doc["conserved_quantities"][0], "seed_M0": doc["metadata"]}.get(field, doc)
     clean = holder[field]
     for pos in (0, clean.size // 2, clean.size - 1):
         holder[field] = clean.copy()
         holder[field].reshape(-1)[pos] = bad
-        with pytest.raises(ValueError, match="non-finite"):
-            canonical_json(doc)
+        with pytest.raises(ValueError, match="non-finite value cannot be serialized"):
+            netfile._encode(doc)
 
 
 def test_obj_matches_per_float_rendering(tmp_path):
@@ -211,6 +346,7 @@ def test_load_reports_field_errors(tmp_path):
         load_net(path)
     # documents that are not net objects
     for text, message in (("5", "not an object"), ('["format"]', "not an object"),
+                          ('{"format": "isothermic-net", "version": 3}', "unsupported version 3"),
                           ('{"format": "isothermic-net", "version": 1, "rows": "x", "cols": 2}',
                            "grid size is not an integer"),
                           ('{"format": "isothermic-net", "version": 1, "rows": 2, "cols": 2,'
@@ -270,14 +406,14 @@ NUMBER = re.compile(r"-?\d[\d.eE+-]*")
 @st.composite
 def net_texts(draw):
     """A net document, with an integer beyond 64 bits in its metadata or not,
-    in its canonical layout or re-laid out by json.dumps, intact or with one
+    in the canonical layout of version 1 or 2 or re-laid out by json.dumps, intact or with one
     mutation: truncated, a character inserted or deleted, a non-ASCII byte,
     or a number token replaced by an odd literal."""
     doc = draw(documents())
     if draw(st.booleans()):
         doc["metadata"]["wide"] = draw(st.one_of(st.integers(2 ** 63, 10 ** 30),
                                                  st.integers(-10 ** 30, -2 ** 63 - 1)))
-    text = canonical_json(doc)
+    text = draw(st.sampled_from([ref_canonical_json, v2_text]))(doc)
     layout = draw(st.sampled_from([None, 0, 1]))
     if layout is not None:
         text = json.dumps(json.loads(text), indent=layout or None) + "\n"
@@ -319,18 +455,20 @@ def test_wide_integers_read_as_json_reads_them(tmp_path, field, literal):
     """orjson reads these integer literals as floats; the loader gives the
     ints, in the error text and in the metadata, that json gives."""
     net = catalog.cylinder_net(3, 4, ETA, PHI)
-    text = canonical_json(net_to_document(net, [catalog.cylinder_quantity(net)],
-                                          {"label": "@"}))
-    target = {"version": '"version": 1', "rows": '"rows": 3', "degree": '"degree": 1',
-              "item": '{\n      "degree"', "metadata": '"label": "@"'}[field]
-    assert target in text
-    replace = {"item": literal + ', {\n      "degree"',
-               "metadata": '"label": ' + literal}.get(field, target.split(":")[0] + ": " + literal)
-    path = tmp_path / "net.json"
-    path.write_text(text.replace(target, replace))
-    assert outcome(load_net, path) == outcome(json_only_load, path)
-    if field == "metadata":
-        assert load_net(path)[2]["label"] == int(literal)
+    doc = net_to_document(net, [catalog.cylinder_quantity(net)], {"label": "@"})
+    for version, text, item in ((1, ref_canonical_json({**doc, "version": 1}),
+                                 '{\n      "degree"'),
+                                (2, v2_text(doc), '{"degree"')):
+        target = {"version": f'"version": {version}', "rows": '"rows": 3',
+                  "degree": '"degree": 1', "item": item, "metadata": '"label": "@"'}[field]
+        assert target in text
+        replace = {"item": literal + ", " + item, "metadata": '"label": ' + literal}.get(
+            field, target.split(":")[0] + ": " + literal)
+        path = tmp_path / "net.json"
+        path.write_text(text.replace(target, replace))
+        assert outcome(load_net, path) == outcome(json_only_load, path)
+        if field == "metadata":
+            assert load_net(path)[2]["label"] == int(literal)
 
 
 def test_canonical_files_are_decoded_without_json(tmp_path):
@@ -343,6 +481,30 @@ def test_canonical_files_are_decoded_without_json(tmp_path):
         net2, _, metadata2 = load_net(path)
     np.testing.assert_array_equal(net2.lifts.data, net.lifts.data)
     assert metadata2 == metadata
+
+
+def test_library_calls_without_files_leave_orjson_unimported(tmp_path):
+    """orjson is imported on the first save or load: imported with the package,
+    it slowed operations on nets in memory by about 5 %.  Building, verifying
+    and transforming a net without saving it must not import it."""
+    script = (f"import sys; sys.path[:0] = {sys.path!r}\n"
+              "import numpy as np\n"
+              "from isothermic import (RotationProfile, build_revolution_cmc, calapso,\n"
+              "    darboux_propagate, euclidean_lift, pcq_verify, save_net, verify_isothermic)\n"
+              "from isothermic.revolution import default_space_form, find_seed_edge\n"
+              "Q3 = default_space_form(0.0)\n"
+              "M0, M1, branch = find_seed_edge(Q3, 0.5)\n"
+              "net, cq = build_revolution_cmc(Q3, 0.5, M0, M1, 3,\n"
+              "                               RotationProfile.uniform(8, np.pi / 4), branch=branch)\n"
+              "assert verify_isothermic(net.lifts).ok and pcq_verify(net, cq).ok\n"
+              "calapso(net, -0.5)\n"
+              "darboux_propagate(net, 0.4, euclidean_lift(np.array([3.0, 0.5, 0.2]))).net()\n"
+              "assert 'orjson' not in sys.modules, 'orjson imported without a file'\n"
+              f"save_net({str(tmp_path / 'net.json')!r}, net, [cq])\n"
+              "assert 'orjson' in sys.modules\n")
+    child = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                           timeout=120)
+    assert child.returncode == 0, child.stderr[-2000:]
 
 
 def nesting(value) -> int:

@@ -283,6 +283,14 @@ def test_verify_rejects_irregular_face():
         verify_isothermic(bad)
 
 
+def test_irregular_face_message_names_the_regularity():
+    net = catalog.cylinder_net(3, 3, 0.3, 0.7)
+    lifts = net.lifts.data.copy()
+    lifts[1, 1] = lifts[1, 0]
+    report = verify_isothermic(VertexField(net.domain, lifts), strict=False)
+    assert str(report.check) == "a face has three nearly dependent lifts (regularity 0 <= 1e-18)"
+
+
 def test_verify_accepts_thin_faces():
     # faces about 200 times longer than wide: the regularity
     # min |<ij>| / max |<ij>| is quadratic in that ratio (about 2e-5 here)

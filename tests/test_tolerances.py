@@ -86,3 +86,13 @@ def test_nan_data_fail_validation_and_invariants():
         bad[index] = np.nan
         with pytest.raises(NotConserved):
             ConservedQuantity(IsothermicNet(net.domain, net.lifts, net.weights), bad)
+
+
+def test_a_floor_reads_as_its_measure_and_fails_at_equality():
+    floor = tol(1.0) ** 2
+    above = Check("a face has three nearly dependent lifts", 2 * floor, floor, floor="regularity")
+    assert above.ok
+    assert str(above._replace(value=0.0)) == (
+        "a face has three nearly dependent lifts (regularity 0 <= 1e-18)")
+    assert not above._replace(value=floor).ok
+    assert not above._replace(value=float("nan")).ok
