@@ -45,9 +45,6 @@ from .nets import (
     CalapsoFrame,
     IsothermicNet,
     calapso,
-    circle_identity_check,
-    edge_connection,
-    face_holonomy,
     face_regularity,
     holonomy_residual,
     moutard_check,

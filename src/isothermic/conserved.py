@@ -69,16 +69,12 @@ class ConservedQuantity:
         return self.coeffs.shape[2] - 1
 
     def at(self, v) -> np.ndarray:
+        """Coefficients at vertex ``v`` (the library indexes ``coeffs``)."""
         mi, ni = self.net.domain.index(v)
         return self.coeffs[mi, ni]
 
     def evaluate(self, lam: float) -> VertexField:
         return VertexField(self.net.domain, mp_eval(self.coeffs, lam))
-
-    @property
-    def top(self) -> VertexField:
-        """Field of leading coefficients."""
-        return VertexField(self.net.domain, self.coeffs[:, :, -1, :].copy())
 
     @property
     def constant(self) -> np.ndarray:
@@ -305,19 +301,18 @@ def lcq_solve_3x3(net: IsothermicNet, Q) -> ConservedQuantity:
     dom = net.domain
     if dom.rows != 3 or dom.cols != 3:
         raise ValueError("lcq_solve_3x3 expects a 3x3 net")
-    c = dom.center()
+    m, n = dom.center()
+    u, v = net.weights.u, net.weights.v
     Q = np.asarray(Q, dtype=float)
-    rows = [net.lifts[c] * SIGNATURE]
-    rhs = [0.0]
-    for nbr in dom.neighbors(c):
-        a = net.weight((c, nbr))
-        rows.append(net.lifts[nbr] * SIGNATURE)
-        rhs.append(-a * float(minkowski_inner(Q, net.lifts[nbr])))
+    # the center, then its neighbours along +m, -m, +n and -n
+    F = net.lifts.data[[m, m + 1, m - 1, m, m], [n, n, n, n + 1, n - 1]]
+    rhs = np.concatenate([[0.0], -np.array([u[m], u[m - 1], v[n], v[n - 1]])
+                          * minkowski_inner(Q, F[1:])])
     try:
-        Zc = solve_dense(np.stack(rows), np.asarray(rhs))
+        Zc = solve_dense(F * SIGNATURE, rhs)
     except SingularSystem as exc:
         raise SphericalStar("vertex star is cospherical") from exc
-    Z = propagate_congruence(net, Q, Zc, c)
+    Z = propagate_congruence(net, Q, Zc, (m, n))
     cq = ConservedQuantity.linear(net, Q, Z.data, check=False)
     pcq_verify(net, cq)._replace(
         name="star solve did not yield a conserved quantity").require(NotConserved)

@@ -158,50 +158,36 @@ def bp_sphere(cq: ConservedQuantity, vertex) -> MeanCurvatureSphere:
     if abs(kappa) > tol(1.0) or float(np.abs(Q - Q_EUCLIDEAN).max()) > tol(1.0):
         raise ValueError("mean curvature spheres need the flat gauge Q = (1,0,0,0,-1)")
     net = cq.net
-    dom = net.domain
     m, n = vertex
-    for w in ((m + 1, n), (m - 1, n), (m, n + 1), (m, n - 1)):
-        if not dom.contains(w):
-            raise KeyError(f"{vertex} is not interior")
+    if not (net.domain.contains((m - 1, n - 1)) and net.domain.contains((m + 1, n + 1))):
+        raise KeyError(f"{vertex} is not interior")
 
-    Z = cq.coeffs[dom.index(vertex)][1]
-    pts = euclidean_point(net.lifts.data)
-    f = pts[dom.index(vertex)]
+    Z = cq.coeffs[m, n, 1]
+    # the vertex, then its neighbours along +m, -m, +n and -n with their weights
+    pts = euclidean_point(net.lifts.data[[m, m + 1, m - 1, m, m], [n, n, n, n + 1, n - 1]])
+    f, nbrs = pts[0], pts[1:]
+    a = np.array([net.weights.u[m], net.weights.u[m - 1], net.weights.v[n], net.weights.v[n - 1]])
     lift_slope = float(Z[0] + Z[4])
-
-    def neighbor_residuals(center):
-        pairs = (((m + 1, n), (m - 1, n)), ((m, n + 1), (m, n - 1)))
-        worst_eq = 0.0
-        for a, b in pairs:
-            da = np.linalg.norm(pts[dom.index(a)] - center)
-            db = np.linalg.norm(pts[dom.index(b)] - center)
-            worst_eq = np.maximum(worst_eq, abs(da - db) / (1.0 + da))
-        return float(worst_eq)
 
     scale = 1.0 + float(np.abs(Z).max())
     if abs(lift_slope) <= tol(scale):
         normal = Z[1:4].copy()
         offset = float(Z[0])
-        worst_power = 0.0
-        for w in ((m + 1, n), (m - 1, n), (m, n + 1), (m, n - 1)):
-            a = net.weight((vertex, w))
-            lhs = float(np.dot(normal, pts[dom.index(w)] - f))
-            worst_power = np.maximum(worst_power, abs(lhs - a) / (1.0 + abs(a)))
+        worst_power = np.max(np.abs((nbrs - f) @ normal - a) / (1.0 + np.abs(a)))
         r_inc = abs(float(np.dot(normal, f)) - offset) / (1.0 + abs(offset))
         return MeanCurvatureSphere("plane", None, None, normal, offset,
                                    0.0, float(worst_power), r_inc)
 
     r = 1.0 / lift_slope
     center = r * Z[1:4]
-    worst_eq = neighbor_residuals(center)
-    worst_power = 0.0
-    for w in ((m + 1, n), (m - 1, n), (m, n + 1), (m, n - 1)):
-        a = net.weight((vertex, w))
-        power = float(np.dot(pts[dom.index(w)] - center, pts[dom.index(w)] - center)) - r * r
-        worst_power = np.maximum(worst_power, abs(power / (-2.0 * r) - a) / (1.0 + abs(a)))
+    # equal distances from the center to the two neighbours along each axis
+    d = np.linalg.norm(nbrs - center, axis=-1)
+    worst_eq = np.max(np.abs(d[0::2] - d[1::2]) / (1.0 + d[0::2]))
+    power = ((nbrs - center) ** 2).sum(-1) - r * r
+    worst_power = np.max(np.abs(power / (-2.0 * r) - a) / (1.0 + np.abs(a)))
     r_resid = abs(np.linalg.norm(f - center) - abs(r)) / (1.0 + abs(r))
     return MeanCurvatureSphere("sphere", center, abs(r), None, None,
-                               worst_eq, float(worst_power), r_resid)
+                               float(worst_eq), float(worst_power), r_resid)
 
 
 @dataclass

@@ -22,9 +22,6 @@ import numpy as np
 from .errors import PoleParameter
 from .tolerances import tol
 
-Vertex = tuple  # (m, n)
-Edge = tuple  # ((m, n), (m', n'))
-
 
 @dataclass(frozen=True)
 class GridDomain:
@@ -48,35 +45,6 @@ class GridDomain:
             raise KeyError(f"vertex {v} outside domain")
         return v[0], v[1]
 
-    def vertices(self):
-        for m in range(self.rows):
-            for n in range(self.cols):
-                yield (m, n)
-
-    def interior_vertices(self):
-        for m in range(1, self.rows - 1):
-            for n in range(1, self.cols - 1):
-                yield (m, n)
-
-    def edges(self):
-        """Each undirected edge once, directed along +m or +n."""
-        for m, n in self.vertices():
-            if m < self.rows - 1:
-                yield ((m, n), (m + 1, n))
-            if n < self.cols - 1:
-                yield ((m, n), (m, n + 1))
-
-    def faces(self):
-        for m in range(self.rows - 1):
-            for n in range(self.cols - 1):
-                yield ((m, n), (m + 1, n), (m + 1, n + 1), (m, n + 1))
-
-    @staticmethod
-    def face_edges(face):
-        """The four directed boundary edges (ij), (jk), (kl), (li)."""
-        i, j, k, l = face
-        return ((i, j), (j, k), (k, l), (l, i))
-
     def vertex_at(self, index):
         """The vertex at array index (mi, ni), as a pair of ints."""
         return int(index[0]), int(index[1])
@@ -86,6 +54,12 @@ class GridDomain:
         (``axis`` 0) or +n (``axis`` 1), as a vertex pair."""
         i = self.vertex_at(index)
         return i, (i[0] + 1 - axis, i[1] + axis)
+
+    def stack_face(self, index):
+        """The face at array index (mi, ni) of the face stack, as its
+        corners (i, j, k, l)."""
+        m, n = self.vertex_at(index)
+        return (m, n), (m + 1, n), (m + 1, n + 1), (m, n + 1)
 
     def worst_edge(self, resid, axis: int, index, forward: bool = True):
         """Largest entry of a per-edge residual over the block ``index`` (a
@@ -97,12 +71,6 @@ class GridDomain:
         w = np.unravel_index(int(np.argmax(resid)), resid.shape)
         edge = self.stack_edge(axis, (index[0].start + w[0], index[1].start + w[1]))
         return float(resid[w]), edge if forward else edge[::-1]
-
-    def neighbors(self, v):
-        m, n = v
-        for w in ((m + 1, n), (m - 1, n), (m, n + 1), (m, n - 1)):
-            if self.contains(w):
-                yield w
 
     def center(self):
         return ((self.rows - 1) // 2, (self.cols - 1) // 2)
@@ -145,12 +113,9 @@ class VertexField:
         self.data = data
 
     def __getitem__(self, v):
+        """Entry at vertex ``v`` (the library indexes ``data``)."""
         mi, ni = self.domain.index(v)
         return self.data[mi, ni]
-
-    def __setitem__(self, v, value):
-        mi, ni = self.domain.index(v)
-        self.data[mi, ni] = value
 
     def copy(self):
         return VertexField(self.domain, self.data.copy())
@@ -178,6 +143,7 @@ class EdgeFunction:
                    np.full(domain.cols - 1, float(v_value)))
 
     def value(self, edge) -> float:
+        """Weight of a grid edge (the library reads ``u`` and ``v``)."""
         (mi, ni), (mj, nj) = edge
         dm, dn = mj - mi, nj - ni
         if abs(dm) + abs(dn) != 1:

@@ -43,7 +43,8 @@ def _encode(obj) -> bytes:
     items of a list of lists, so that an array and the list it loads back as
     give the same text; each item of an object takes its own line; other
     values are written by ``json.dumps`` (ASCII, integers of any size).
-    Raises ValueError on a NaN or infinite float."""
+    Raises ValueError on a NaN or infinite float, and TypeError on an object
+    key that is not a string."""
     # imported here: a top-level import slowed grid-ops, which writes no
     # file, by about 5 % (see _decode)
     import orjson
@@ -60,6 +61,9 @@ def _encode(obj) -> bytes:
                 b"],[", b"],\n[")
         obj = obj.tolist()
     if isinstance(obj, dict):
+        for key in obj:
+            if not isinstance(key, str):
+                raise TypeError(f"object key {key!r} is not a string")
         return b"{" + b",\n".join(json.dumps(key).encode() + b": " + _encode(value)
                                   for key, value in obj.items()) + b"}"
     if isinstance(obj, (list, tuple)):
@@ -97,7 +101,7 @@ def save_net(path, net: IsothermicNet, quantities=(), metadata=None) -> None:
 
     Raises ValueError ("non-finite value cannot be serialized") on a NaN or
     infinite float anywhere in the document, and TypeError on a metadata
-    value JSON has no form for.
+    value JSON has no form for or a metadata key that is not a string.
     """
     data = _encode(net_to_document(net, quantities, metadata)) + b"\n"
     with open(path, "wb") as fh:

@@ -39,7 +39,6 @@ from .minkowski import (
     _circle_apply,
     _regularity,
     circle_coefficients,
-    cross_ratio_matrix,
     face_products,
     invariants_from_products,
     minkowski_inner,
@@ -70,9 +69,6 @@ class IsothermicNet:
         if self.lifts.data.shape[2:] != (5,):
             raise ValueError("lifts must be 5-vectors")
 
-    def weight(self, edge) -> float:
-        return self.weights.value(edge)
-
     def lift_scale(self) -> float:
         return float(np.abs(self.lifts.data).max())
 
@@ -85,14 +81,20 @@ class IsothermicNet:
 
     def validate(self, q=None) -> float:
         """Check lightlike lifts and that weight ratios match the face cross
-        ratios ``q`` (computed if not given); returns the worst residual."""
+        ratios ``q`` (computed if not given); returns the worst residual,
+        and a failure names its vertex or face."""
         scale = self.lift_scale() ** 2
         if q is None:
             q = invariants_from_products(*face_products(self.lifts.data)).cross_ratios()
         expected = self.weights.u[:, None] / self.weights.v[None, :]
-        worst = np.maximum(np.abs(norm2(self.lifts.data)).max() / max(scale, 1e-300),
-                           (np.abs(q - expected) / (1.0 + np.abs(expected))).max(initial=0.0))
-        return Check("net fails validation", float(worst), tol(1.0)).require(GeometryError).value
+        isotropy = np.abs(norm2(self.lifts.data)) / max(scale, 1e-300)  # per vertex
+        mismatch = np.abs(q - expected) / (1.0 + np.abs(expected))  # per face
+        resid = np.concatenate([isotropy.ravel(), mismatch.ravel()])
+        k = int(np.argmax(resid))
+        where = (self.domain.vertex_at(np.unravel_index(k, isotropy.shape)) if k < isotropy.size
+                 else self.domain.stack_face(np.unravel_index(k - isotropy.size, mismatch.shape)))
+        return Check("net fails validation", float(resid[k]), tol(1.0),
+                     where).require(GeometryError).value
 
 
 @dataclass
@@ -124,7 +126,9 @@ def verify_isothermic(lifts: VertexField, *, strict: bool = True) -> IsothermicR
     (embedded faces) and to +1 otherwise.
 
     The report holds the first check that fails, or the last one when all
-    hold; strict mode raises a failed check.
+    hold; strict mode raises a failed check.  A face check names its worst
+    face by its corners (i, j, k, l); the product-one check names the
+    vertex whose four faces fail it.
 
     Raises (in strict mode)
     -----------------------
@@ -138,20 +142,26 @@ def verify_isothermic(lifts: VertexField, *, strict: bool = True) -> IsothermicR
     error = GeometryError
     if domain.rows > 1 and domain.cols > 1:
         inv = invariants_from_products(*face_products(lifts.data))
-        report.min_regularity = float(inv.regularity.min())
+        f = np.unravel_index(int(np.argmin(inv.regularity)), inv.regularity.shape)
+        report.min_regularity = float(inv.regularity[f])
         report.check = Check("a face has three nearly dependent lifts", report.min_regularity,
-                             regularity_tol(), floor="regularity")
+                             regularity_tol(), domain.stack_face(f), floor="regularity")
     if report.ok:
         q = inv.q
         ratios = q.real
-        report.check = Check("a face has a complex cross ratio",
-                             float((np.abs(q.imag) / (1.0 + np.abs(q))).max()), tol(1.0))
+        imag = np.abs(q.imag) / (1.0 + np.abs(q))
+        f = np.unravel_index(int(np.argmax(imag)), imag.shape)
+        report.check = Check("a face has a complex cross ratio", float(imag[f]), tol(1.0),
+                             domain.stack_face(f))
         error = NonConcircularFace
     if report.ok:
-        # product-one condition on all 3x3 subgrids
-        prod = (ratios[1:, :-1] / ratios[1:, 1:]) * (ratios[:-1, 1:] / ratios[:-1, :-1])
-        report.check = Check("cross ratios fail the 3x3 product-one condition",
-                             float(np.abs(prod - 1.0).max(initial=0.0)), tol(1.0))
+        # product-one condition on the four faces around every interior vertex
+        prod = np.zeros((domain.rows, domain.cols))
+        prod[1:-1, 1:-1] = np.abs((ratios[1:, :-1] / ratios[1:, 1:])
+                                  * (ratios[:-1, 1:] / ratios[:-1, :-1]) - 1.0)
+        c = np.unravel_index(int(np.argmax(prod)), prod.shape)
+        report.check = Check("cross ratios fail the 3x3 product-one condition", float(prod[c]),
+                             tol(1.0), domain.vertex_at(c))
         error = FactorizationFailure
     if report.ok:
         v0 = -1.0 if (ratios < 0.0).all() else 1.0
@@ -294,42 +304,22 @@ def vertex_star_cospherical(lifts: VertexField, center):
     encodes the sphere through the five points.
     """
     m, n = center
-    domain = lifts.domain
-    diag = [(m, n), (m + 1, n + 1), (m - 1, n + 1), (m - 1, n - 1), (m + 1, n - 1)]
-    axis = [(m, n), (m + 1, n), (m, n + 1), (m - 1, n), (m, n - 1)]
-    for v in diag + axis:
-        if not domain.contains(v):
-            raise KeyError(f"{center} is not interior")
+    if not (lifts.domain.contains((m - 1, n - 1)) and lifts.domain.contains((m + 1, n + 1))):
+        raise KeyError(f"{center} is not interior")
 
-    def span(vs):
-        V = np.stack([lifts[v] / np.linalg.norm(lifts[v]) for v in vs])
+    def span(rows, cols):
+        V = lifts.data[rows, cols]
+        V = V / np.linalg.norm(V, axis=-1, keepdims=True)
         return V, np.linalg.svd(V, compute_uv=False)
 
-    (Vd, sd), (_, sa) = span(diag), span(axis)
+    Vd, sd = span([m, m + 1, m - 1, m - 1, m + 1], [n, n + 1, n + 1, n - 1, n - 1])
+    _, sa = span([m, m + 1, m, m - 1, m], [n, n, n + 1, n, n - 1])
     diagonal = Check("diagonal star is not cospherical", float(sd[4] / sd[0]), tol(1.0), center)
     axis = Check("axis star is not cospherical", float(sa[4] / sa[0]), tol(1.0), center)
     sphere = None
     if diagonal.ok and sd[3] / sd[0] > tol(1.0):  # span is exactly 4-dimensional
         sphere = span_normal(Vd)
     return diagonal, axis, sphere
-
-
-def edge_connection(net: IsothermicNet, lam: float, edge) -> np.ndarray:
-    """Matrix of the edge connection at spectral parameter ``lam``: the
-    circle transform with parameter 1 - lam * a_ij anchored at the edge
-    endpoints, mapping the fiber over j to the fiber over i.
-
-    Raises
-    ------
-    PoleParameter
-        If 1 - lam * a_ij vanishes.
-    """
-    i, j = edge
-    a = net.weight(edge)
-    q = 1.0 - lam * a
-    if abs(q) <= tol(1.0 + abs(lam * a)):
-        raise PoleParameter(f"parameter {lam} is a pole of edge {edge}")
-    return cross_ratio_matrix(q, net.lifts[i], net.lifts[j])
 
 
 def edge_connections(net: IsothermicNet, lam: float):
@@ -369,11 +359,6 @@ def _parallel_step(connections):
     return step
 
 
-def face_holonomy(net: IsothermicNet, lam: float, face) -> np.ndarray:
-    """C(ij) C(jk) C(kl) C(li) around the face (i, j, k, l)."""
-    return np.linalg.multi_dot([edge_connection(net, lam, e) for e in GridDomain.face_edges(face)])
-
-
 def holonomy_residual(net: IsothermicNet, lams) -> float:
     """Largest deviation of any face holonomy from the identity over the
     given spectral parameters.  Zero (within tolerance) iff the net is
@@ -389,21 +374,6 @@ def holonomy_residual(net: IsothermicNet, lams) -> float:
             M = _circle_apply(U, J, c, M)
         worst = np.maximum(worst, np.abs(M - eye).max(initial=0.0))
     return float(worst)
-
-
-def circle_identity_check(P1, P2, P3, P4, a: float, b: float, lam: float) -> float:
-    """Residual of the four-point circle identity
-
-        C(1-a*lam; p1,p2) C(1-b*lam; p2,p3) = C(1-b*lam; p1,p4) C(1-a*lam; p4,p3)
-
-    for concircular points with cross ratio a/b."""
-    qa = 1.0 - a * lam
-    qb = 1.0 - b * lam
-    if abs(qa) <= tol(1.0) or abs(qb) <= tol(1.0):
-        raise PoleParameter("parameter hits a pole of the identity")
-    left = cross_ratio_matrix(qa, P1, P2) @ cross_ratio_matrix(qb, P2, P3)
-    right = cross_ratio_matrix(qb, P1, P4) @ cross_ratio_matrix(qa, P4, P3)
-    return float(np.abs(left - right).max())
 
 
 @dataclass

@@ -124,7 +124,7 @@ def darboux_propagate(net: IsothermicNet, mu: float, start, basepoint=None) -> D
     s2 = float(np.dot(start, start))
     if abs(norm2(start)) > tol(s2):
         raise DegenerateStart("start vector is not isotropic")
-    if ray_distance(start, net.lifts[basepoint]) <= tol(1.0):
+    if ray_distance(start, net.lifts.data[dom.index(basepoint)]) <= tol(1.0):
         raise DegenerateStart("start coincides with the base net")
 
     ratios = abs(mu) * np.abs(np.concatenate([net.weights.u, net.weights.v]))  # of the quads
@@ -159,7 +159,8 @@ def backlund_init(cq: ConservedQuantity, mu: float, s: float, basepoint=None) ->
     net = cq.net
     if basepoint is None:
         basepoint = (0, 0)
-    P = mp_eval(cq.at(basepoint), mu)
+    index = net.domain.index(basepoint)
+    P = mp_eval(cq.coeffs[index], mu)
     p2 = float(norm2(P))
     scale = float(np.dot(P, P))
     if scale <= tol(1.0) ** 2:
@@ -175,7 +176,7 @@ def backlund_init(cq: ConservedQuantity, mu: float, s: float, basepoint=None) ->
     u1, u2 = dirs[1], dirs[2]
     den = 1.0 + s * s
     X = t + ((1.0 - s * s) / den) * u1 + (2.0 * s / den) * u2
-    if ray_distance(X, net.lifts[basepoint]) <= tol(1.0):
+    if ray_distance(X, net.lifts.data[index]) <= tol(1.0):
         raise DegenerateStart("start direction coincides with the net; vary s")
     return X
 

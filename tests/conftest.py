@@ -5,6 +5,7 @@ from isothermic import catalog
 from isothermic.grids import VertexField
 from isothermic.minkowski import euclidean_lift
 from isothermic.transforms import darboux_propagate
+from reference import faces
 
 
 @pytest.fixture
@@ -21,7 +22,7 @@ def ref_face_regularity(lifts: VertexField):
     faces, one face at a time (unit representatives): the regularity margin
     the random test nets are drawn with."""
     worst = np.inf
-    for face in lifts.domain.faces():
+    for face in faces(lifts.domain):
         V = np.stack([lifts[v] / np.linalg.norm(lifts[v]) for v in face])
         for drop in range(4):
             s = np.linalg.svd(np.delete(V, drop, axis=0), compute_uv=False)

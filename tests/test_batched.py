@@ -38,7 +38,7 @@ from isothermic.errors import (
     NotParallel,
     PoleParameter,
 )
-from isothermic.euclidean import EuclideanNet, christoffel
+from isothermic.euclidean import EuclideanNet, bp_sphere, christoffel
 from isothermic.grids import EdgeFunction, GridDomain, VertexField, edge_stacks
 from isothermic.minkowski import (
     Q_EUCLIDEAN,
@@ -56,13 +56,13 @@ from isothermic.minkowski import (
 from isothermic.nets import (
     IsothermicNet,
     calapso,
-    edge_connection,
     edge_connections,
     face_regularity,
     holonomy_residual,
     moutard_check,
     moutard_lift,
     verify_isothermic,
+    vertex_star_cospherical,
 )
 from isothermic.tolerances import tol
 from isothermic.transforms import (
@@ -74,6 +74,7 @@ from isothermic.transforms import (
     pcq_backlund,
     pcq_darboux,
 )
+from reference import edge_connection, edges, faces, weight
 
 # --- references, one face or edge at a time -----------------------------------
 
@@ -115,19 +116,19 @@ def ref_cross_ratio(P1, P2, P3, P4, rel=1e-9):
 def ref_face_cross_ratios(lifts: VertexField):
     dom = lifts.domain
     out = np.zeros((dom.rows - 1, dom.cols - 1), dtype=complex)
-    for face in dom.faces():
+    for face in faces(dom):
         out[dom.index(face[0])] = ref_cross_ratio(*(lifts[v] for v in face))
     return out
 
 
 def ref_face_grams(lifts: VertexField):
-    """Gram matrices of the unit representatives of every face, one face at
-    a time (:func:`ref_unit_gram`): shape (rows-1, cols-1, 4, 4)."""
-    dom = lifts.domain
-    out = np.zeros((dom.rows - 1, dom.cols - 1, 4, 4))
-    for face in dom.faces():
-        out[dom.index(face[0])] = ref_unit_gram([lifts[v] for v in face])[1]
-    return out
+    """Unit representatives and Gram matrices of every face, one face at a
+    time (:func:`ref_unit_gram`): shapes (rows-1, cols-1, 4, 5) and (..., 4, 4)."""
+    stack = (lifts.domain.rows - 1, lifts.domain.cols - 1)
+    units, grams = np.zeros(stack + (4, 5)), np.zeros(stack + (4, 4))
+    for face in faces(lifts.domain):
+        units[face[0]], grams[face[0]] = ref_unit_gram([lifts[v] for v in face])
+    return units, grams
 
 
 def cross_ratio_rounding(q, *lifts):
@@ -141,7 +142,7 @@ def cross_ratio_rounding(q, *lifts):
     eps = np.finfo(float).eps
     real = imag = 0.0
     for L in lifts:
-        G = ref_face_grams(L)
+        G = ref_face_grams(L)[1]
         d = eps + np.abs(np.diagonal(G, axis1=-2, axis2=-1)).max(axis=-1)
         g = np.abs(G[(...,) + PAIRS])
         gmin, gmax = g.min(axis=-1), g.max(axis=-1)
@@ -162,10 +163,10 @@ def ref_pcq_residuals(net: IsothermicNet, coeffs):
     scale = 1.0 + float(np.sqrt((coeffs * coeffs).sum(-1)).max())
     dom = net.domain
     worst = np.zeros(k + 1)
-    for i, j in dom.edges():
+    for i, j in edges(dom):
         ci, cj = coeffs[dom.index(i)], coeffs[dom.index(j)]
         Fi, Fj = net.lifts[i], net.lifts[j]
-        a = net.weight((i, j))
+        a = weight(net, (i, j))
         g = float(minkowski_inner(Fi, Fj))
         pii = (ci * Fi * SIGNATURE).sum(-1)
         pjj = (cj * Fj * SIGNATURE).sum(-1)
@@ -182,9 +183,9 @@ def ref_pcq_residual(net: IsothermicNet, coeffs):
 
 def ref_cross_ratio_residual(t: DarbouxTransform):
     worst = 0.0
-    for i, j in t.base.domain.edges():
+    for i, j in edges(t.base.domain):
         q = ref_cross_ratio(t.base.lifts[i], t.base.lifts[j], t.lifts[j], t.lifts[i])
-        target = t.base.weight((i, j)) * t.mu
+        target = weight(t.base, (i, j)) * t.mu
         worst = max(worst, abs(q - target) / (1.0 + abs(target)))
     return worst
 
@@ -192,7 +193,7 @@ def ref_cross_ratio_residual(t: DarbouxTransform):
 def ref_parallel_residual(net, mu, section):
     scale = 1.0 + float(np.abs(section.data).max())
     return max(float(np.abs(section[i] - edge_connection(net, mu, (i, j)) @ section[j]).max())
-               for i, j in net.domain.edges()) / scale
+               for i, j in edges(net.domain)) / scale
 
 
 # --- nets ---------------------------------------------------------------------
@@ -244,7 +245,7 @@ def test_face_checks_match_references(drawn, bend):
     assert np.array_equal(q.imag == 0.0, ref.imag == 0.0)
     imag = cross_ratio_rounding(ref, lifts)[1]
     assert np.all(np.abs(q.imag - ref.imag) <= 1e-13 + 1e-12 * np.abs(ref) + imag)
-    g = np.abs(ref_face_grams(lifts)[(...,) + PAIRS])
+    g = np.abs(ref_face_grams(lifts)[1][(...,) + PAIRS])
     assert face_regularity(lifts) == pytest.approx((g.min(axis=-1) / g.max(axis=-1)).min(),
                                                    rel=1e-12)
     if bend:
@@ -288,10 +289,7 @@ def test_quad_products_are_the_oracles_bitwise(drawn, bend):
     dom = net.domain
     F = net.lifts.data
     H = bent(net, seed + 1).lifts.data
-    faces = (dom.rows - 1, dom.cols - 1)
-    units, grams = np.zeros(faces + (4, 5)), np.zeros(faces + (4, 4))
-    for face in dom.faces():
-        units[dom.index(face[0])], grams[dom.index(face[0])] = ref_unit_gram([F[v] for v in face])
+    units, grams = ref_face_grams(net.lifts)
     assert_quad_products_equal(face_products(F), grams, units)
     for axis, built in enumerate(edge_quad_products(F, H)):
         stack = (dom.rows - 1 + axis, dom.cols - axis)
@@ -563,14 +561,14 @@ def bfs_tree(dom, base):
     the remaining edges."""
     seen, tree, queue = {base}, [], deque([base])
     while queue:
-        v = queue.popleft()
-        for w in dom.neighbors(v):
-            if w not in seen:
+        m, n = v = queue.popleft()
+        for w in ((m + 1, n), (m - 1, n), (m, n + 1), (m, n - 1)):
+            if dom.contains(w) and w not in seen:
                 seen.add(w)
                 tree.append((v, w))
                 queue.append(w)
     in_tree = {frozenset(e) for e in tree}
-    return tree, [e for e in dom.edges() if frozenset(e) not in in_tree]
+    return tree, [e for e in edges(dom) if frozenset(e) not in in_tree]
 
 
 def as_array(dom, values):
@@ -618,7 +616,7 @@ def ref_pcq_propagate(net, seed, base):
 
     def transport(ci, i, j):
         Fi, Fj = net.lifts[i], net.lifts[j]
-        a = net.weight((i, j))
+        a = weight(net, (i, j))
         s = (ci * Fj * SIGNATURE).sum(-1)
         pj = np.zeros(k)
         for d in range(k - 1):
@@ -650,7 +648,7 @@ def ref_congruence(net, Q, Z0, base):
 
     def form(i, j):
         Fi, Fj = net.lifts[i], net.lifts[j]
-        return (net.weight((i, j)) / float(minkowski_inner(Fi, Fj))
+        return (weight(net, (i, j)) / float(minkowski_inner(Fi, Fj))
                 * (float(minkowski_inner(Q, Fj)) * Fi - float(minkowski_inner(Q, Fi)) * Fj))
 
     tree, cross = bfs_tree(dom, base)
@@ -669,8 +667,8 @@ def ref_pcq_darboux(cq, t):
     dom, mu = cq.net.domain, t.mu
     k = cq.coeffs.shape[2]
     out = {}
-    for v in dom.vertices():
-        c, F, Fh = cq.at(v), cq.net.lifts[v], t.lifts[v]
+    for v in np.ndindex(dom.rows, dom.cols):
+        c, F, Fh = cq.coeffs[v], cq.net.lifts[v], t.lifts[v]
         g = float(minkowski_inner(F, Fh))
         pf, pfh = (c * F * SIGNATURE).sum(-1), (c * Fh * SIGNATURE).sum(-1)
         total = np.zeros((k + 2, 5))
@@ -688,8 +686,8 @@ def ref_pcq_backlund(cq, t):
     k = cq.coeffs.shape[2]
     scale = cq.scale() * (1.0 + float(np.abs(t.lifts.data).max()))
     out, defects = {}, {}
-    for v in dom.vertices():
-        c, F, Fh = cq.at(v), cq.net.lifts[v], t.lifts[v]
+    for v in np.ndindex(dom.rows, dom.cols):
+        c, F, Fh = cq.coeffs[v], cq.net.lifts[v], t.lifts[v]
         g = float(minkowski_inner(F, Fh))
         pf, pfh = (c * F * SIGNATURE).sum(-1), (c * Fh * SIGNATURE).sum(-1)
         quot, rem = np.polynomial.polynomial.polydiv(np.concatenate([[0.0], pfh]), [-mu, 1.0])
@@ -706,7 +704,7 @@ def ref_pcq_backlund(cq, t):
 
 def ref_bianchi_lifts(net, first, second):
     out = {}
-    for v in net.domain.vertices():
+    for v in np.ndindex(net.domain.rows, net.domain.cols):
         A, B = first.lifts[v], second.lifts[v]
         if abs(float(minkowski_inner(A, B))) <= tol(np.linalg.norm(A) * np.linalg.norm(B)):
             raise CoincidentTransforms(f"at {v}")
@@ -751,7 +749,7 @@ def connection_conditioning(net, mu):
     through an edge connection can amplify the rounding of its input."""
     return max((float(np.abs(edge_connection(net, mu, (i, j))).max()
                       * np.abs(edge_connection(net, mu, (j, i))).max())
-                for i, j in net.domain.edges()), default=1.0)
+                for i, j in edges(net.domain)), default=1.0)
 
 
 def pair_conditioning(A, B):
@@ -976,9 +974,9 @@ def test_path_dependence_names_the_worst_edge():
     assert str(got.value).startswith("transport ")
     for base in ((0, 0), (3, 4), (2, 1)):
         with pytest.raises(NotConserved) as got:
-            propagate_congruence(net, cq.constant, cq.at(base)[1], base)
+            propagate_congruence(net, cq.constant, cq.coeffs[base][1], base)
         with pytest.raises(NotConserved) as ref:
-            ref_congruence(net, cq.constant, cq.at(base)[1], base)
+            ref_congruence(net, cq.constant, cq.coeffs[base][1], base)
         assert str(got.value).startswith("congruence propagation is path dependent")
         assert str(got.value).endswith(str(ref.value))
 
@@ -1008,6 +1006,27 @@ def test_coincident_transforms_name_the_vertex():
             run()
 
 
+@pytest.mark.parametrize("call", [
+    lambda net, cq, v: darboux_propagate(net, 0.4, euclidean_lift([3.0, 0.5, 0.2]), v),
+    lambda net, cq, v: backlund_init(cq, -1.0, 0.3, v),
+    lambda net, cq, v: calapso(net, 0.2, v),
+    lambda net, cq, v: pcq_propagate(net, cq.coeffs[2, 2], v),
+    lambda net, cq, v: lcq_solve_grid(net, Q_EUCLIDEAN, v),
+    lambda net, cq, v: bp_sphere(cq, v),
+    lambda net, cq, v: vertex_star_cospherical(net.lifts, v),
+], ids=["darboux_propagate", "backlund_init", "calapso", "pcq_propagate", "lcq_solve_grid",
+        "bp_sphere", "vertex_star_cospherical"])
+def test_vertices_outside_the_grid_raise_key_error(call):
+    # numpy would read (-1, 0) as the last row: each basepoint or vertex is
+    # looked up in the domain first
+    net = small_cylinder()
+    cq = catalog.cylinder_quantity(net)
+    call(net, cq, (2, 2))
+    for vertex in ((-1, 0), (net.domain.rows, 0)):
+        with pytest.raises(KeyError):
+            call(net, cq, vertex)
+
+
 # --- nets without faces ---------------------------------------------------------
 
 
@@ -1015,6 +1034,11 @@ def test_coincident_transforms_name_the_vertex():
 def test_faceless_nets_pass_the_face_checks(shape):
     net, _ = block(catalog.cylinder_net(4, 4, 0.5, 0.9), shape)
     assert net.validate() <= tol(1.0)
+    # with no face to name, validate names the vertex of the worst lift
+    data, vertex = net.lifts.data.copy(), (0, 2) if shape == (1, 4) else (2, 0)
+    data[vertex + (0,)] += 0.1
+    with pytest.raises(GeometryError, match=re.escape(f"at {vertex}")):
+        net.with_lifts(VertexField(net.domain, data)).validate()
     assert holonomy_residual(net, [0.3, -1.2]) == 0.0
     check = moutard_check(net.lifts)
     assert check.ok and check.value == 0.0
@@ -1073,7 +1097,7 @@ def ref_random_moutard_net(rng, rows, cols):
         try:
             drift = max(abs(ref_cross_ratio(*(F[p] for p in face)) - u[face[0][0]] / v[face[0][1]])
                         / (1.0 + abs(u[face[0][0]] / v[face[0][1]]))
-                        for face in GridDomain(rows, cols).faces())
+                        for face in faces(GridDomain(rows, cols)))
         except DegeneratePoints:
             continue
         isotropy = max(abs(float(minkowski_inner(f, f))) for f in F.reshape(-1, 5))
@@ -1112,9 +1136,9 @@ def ref_moutard_lift(lifts, weights):
     out = F * lam[..., None]
     worst = max(abs(float(minkowski_inner(out[i], out[j])) - weights.value((i, j)))
                 / (abs(weights.value((i, j))) + np.linalg.norm(out[i]) * np.linalg.norm(out[j]))
-                for i, j in lifts.domain.edges())
+                for i, j in edges(lifts.domain))
     defect = 0.0
-    for i, j, k, l in lifts.domain.faces():
+    for i, j, k, l in faces(lifts.domain):
         s = np.linalg.svd(np.stack([out[k] - out[i], out[j] - out[l]]), compute_uv=False)
         defect = max(defect, s[1] / s[0] if s[0] > 0 else 0.0)
     if not worst <= tol(1.0):

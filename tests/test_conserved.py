@@ -77,13 +77,13 @@ def test_pcq_propagate_constant_on_spherical():
 def test_pcq_propagate_recovers_cylinder():
     net, cq = cylinder_with_quantity()
     base = net.domain.center()
-    prop = pcq_propagate(net, cq.at(base), base)
+    prop = pcq_propagate(net, cq.coeffs[base], base)
     assert np.abs(prop.coeffs - cq.coeffs).max() < 1e-9
 
 
 def test_pcq_propagate_rejects_bad_seed():
     net, cq = cylinder_with_quantity()
-    seed = cq.at(net.domain.center()).copy()
+    seed = cq.coeffs[net.domain.center()].copy()
     seed[1] += np.array([0.0, 0.05, 0.0, 0.0, 0.0])
     with pytest.raises(NotConserved):
         pcq_propagate(net, seed, net.domain.center())

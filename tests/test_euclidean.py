@@ -18,6 +18,7 @@ from isothermic.grids import VertexField, edge_stacks
 from isothermic.minkowski import euclidean_point
 from isothermic.nets import calapso
 from isothermic.transforms import calapso_pcq, complementary
+from reference import interior_vertices
 
 ETA, PHI = 0.3, np.pi / 4
 
@@ -123,7 +124,7 @@ def test_parallel_lcq_validates_input():
 def test_bp_sphere_cylinder():
     net, cq, enet = cylinder_euclidean()
     fstar = euclidean_point(catalog.cylinder_dual_lifts(net))
-    for v in net.domain.interior_vertices():
+    for v in interior_vertices(net.domain):
         ms = bp_sphere(cq, v)
         assert ms.kind == "sphere"
         # the sphere has radius 1/H and touches at the vertex; its center is
@@ -152,15 +153,16 @@ def test_bp_sphere_encoding_roundtrip(rng):
 
 def test_bp_sphere_planes_for_minimal():
     # a Euclidean minimal net of revolution: the congruence members are
-    # planes through the vertex stars
+    # planes through the vertex stars; uneven angles make the weights of the
+    # two edges along the rotation at a vertex differ
     from isothermic.minkowski import hyperbolic_point
     from isothermic.revolution import RotationProfile, build_revolution_cmc
 
     net, cq = build_revolution_cmc(np.array([1.0, 0.0, -1.0]), 0.0,
                                    hyperbolic_point(0.0, 1.0),
                                    hyperbolic_point(0.25, 1.1), 2,
-                                   RotationProfile.uniform(6, 0.8))
-    for v in net.domain.interior_vertices():
+                                   RotationProfile([0.0, 0.5, 1.3, 1.7, 2.6, 3.0]))
+    for v in interior_vertices(net.domain):
         ms = bp_sphere(cq, v)
         assert ms.kind == "plane"
         assert abs(float(np.dot(ms.normal, ms.normal)) - 1.0) < 1e-9

@@ -278,6 +278,17 @@ def test_non_finite_array_entries_raise(tmp_path, bad, field):
             netfile._encode(doc)
 
 
+@pytest.mark.parametrize("metadata, key", [({1: 2.0}, 1), ({"outer": {(0, 1): "x"}}, (0, 1)),
+                                           ({"runs": [{"ok": 1, None: 2}]}, None)])
+def test_non_string_metadata_keys_raise_before_writing(tmp_path, metadata, key):
+    # a key that is not a string was written as a bare token, `{1: 2.0}`, in
+    # a file that load_net then refused
+    path = tmp_path / "net.json"
+    with pytest.raises(TypeError, match=re.escape(f"object key {key!r} is not a string")):
+        save_net(path, catalog.cylinder_net(3, 3, 0.3, 0.7), metadata=metadata)
+    assert not path.exists()
+
+
 def test_obj_matches_per_float_rendering(tmp_path):
     # this chart gives some coordinates -0.0, which must be written "0"
     Q3 = default_space_form(0.0)

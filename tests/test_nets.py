@@ -9,13 +9,11 @@ import pytest
 from conftest import darboux_stacked_net
 from isothermic import catalog
 from isothermic.errors import NonConcircularFace, NonFiniteLift, NotFlat, PoleParameter
-from isothermic.grids import EdgeFunction, VertexField, edge_stacks, face_stack
+from isothermic.grids import EdgeFunction, GridDomain, VertexField, edge_stacks, face_stack
 from isothermic.minkowski import cross_ratios, euclidean_lift, euclidean_point, minkowski_inner
 from isothermic.nets import (
     calapso,
-    circle_identity_check,
-    edge_connection,
-    face_holonomy,
+    edge_connections,
     face_regularity,
     holonomy_residual,
     moutard_check,
@@ -24,6 +22,14 @@ from isothermic.nets import (
     vertex_star_cospherical,
 )
 from isothermic.revolution import RotationProfile, revolution_lift
+from reference import (
+    circle_identity_check,
+    edge_connection,
+    face_holonomy,
+    faces,
+    interior_vertices,
+    weight,
+)
 
 
 def test_verify_planar_grid():
@@ -55,13 +61,31 @@ def test_verify_revolution_net():
 
 def test_verify_detects_perturbation(rng):
     net = catalog.cylinder_net(4, 4, 0.4, 0.8)
-    pts = euclidean_point(net.lifts.data)
-    pts[2, 1] += 1e-3 * np.array([1.0, 1.0, 0.5]) / np.linalg.norm([1.0, 1.0, 0.5])
-    bad = VertexField(net.domain, euclidean_lift(pts))
-    with pytest.raises(NonConcircularFace):
-        verify_isothermic(bad)
-    report = verify_isothermic(bad, strict=False)
-    assert not report.ok
+    for vertex in ((2, 1), (0, 0), (3, 3), (1, 3)):
+        pts = euclidean_point(net.lifts.data)
+        pts[vertex] += 1e-3 * np.array([1.0, 1.0, 0.5]) / np.linalg.norm([1.0, 1.0, 0.5])
+        bad = VertexField(net.domain, euclidean_lift(pts))
+        with pytest.raises(NonConcircularFace):
+            verify_isothermic(bad)
+        check = verify_isothermic(bad, strict=False).check
+        # the check names a face of the moved vertex
+        assert not check.ok and vertex in check.where and check.where in set(faces(net.domain))
+        assert str(check).endswith(f" at {check.where}")
+
+
+def test_product_one_check_names_the_vertex_of_its_four_faces(rng):
+    # on points of one circle every face is concircular, and the cross
+    # ratios fail the product-one condition around the interior vertices
+    angles = rng.permutation(np.linspace(0.0, 2.0 * np.pi, 12, endpoint=False)).reshape(3, 4)
+    pts = np.stack([np.cos(angles), np.sin(angles), np.zeros_like(angles)], axis=-1)
+    lifts = VertexField(GridDomain(3, 4), euclidean_lift(pts))
+    check = verify_isothermic(lifts, strict=False).check
+    assert check.name == "cross ratios fail the 3x3 product-one condition"
+    r = cross_ratios(face_stack(lifts.data)).real
+    defect = {(m, n): abs(r[m, n - 1] / r[m, n] * (r[m - 1, n] / r[m - 1, n - 1]) - 1.0)
+              for m, n in interior_vertices(lifts.domain)}
+    assert check.where == max(defect, key=defect.get)
+    assert check.value == pytest.approx(defect[check.where], rel=1e-12)
 
 
 def test_moutard_lift_idempotent(rng):
@@ -77,9 +101,9 @@ def test_moutard_lift_of_zigzag():
     # the alternating lift realizes the weights 2a through its products
     dom = net.domain
     zf = VertexField(dom, Z)
-    for e in dom.edges():
-        prod = float(minkowski_inner(zf[e[0]], zf[e[1]]))
-        assert prod == pytest.approx(2.0 * net.weight(e), rel=1e-12)
+    for (Zi, Zj), a in zip(edge_stacks(Z), net.weights.stacks()):
+        np.testing.assert_allclose(minkowski_inner(Zi, Zj), np.broadcast_to(2.0 * a, Zi.shape[:2]),
+                                   rtol=1e-12)
     assert moutard_check(zf).ok
     # moutard_lift with those products and the matching corner reproduces it
     doubled = EdgeFunction(dom, 2.0 * net.weights.u, 2.0 * net.weights.v)
@@ -119,7 +143,7 @@ def test_moutard_lift_diagonal_parallelism(rng):
     check = moutard_check(net.lifts)
     assert check.ok and check.value < 1e-12
     # rank oracle: stack the two diagonal differences per face
-    for face in net.domain.faces():
+    for face in faces(net.domain):
         i, j, k, l = face
         D = np.stack([net.lifts[k] - net.lifts[i], net.lifts[j] - net.lifts[l]])
         s = np.linalg.svd(D, compute_uv=False)
@@ -146,7 +170,7 @@ def test_moutard_check_revolution_cylinder():
 def test_vertex_star_cospherical(rng):
     # any isothermic net: diagonal star cospherical at interior vertices
     net = darboux_stacked_net(rng, 4, 4)
-    for v in net.domain.interior_vertices():
+    for v in interior_vertices(net.domain):
         diagonal, _, _ = vertex_star_cospherical(net.lifts, v)
         assert diagonal.ok and diagonal.where == v
     # spherical net: axis star cospherical too, with the plane's normal
@@ -158,6 +182,11 @@ def test_vertex_star_cospherical(rng):
     cyl = catalog.cylinder_net(4, 4, 0.5, 0.9)
     diagonal, axis, _ = vertex_star_cospherical(cyl.lifts, (2, 2))
     assert diagonal.ok and not axis.ok
+    # the axis check is the relative fifth singular value of the star's unit lifts
+    V = np.array([cyl.lifts[w] / np.linalg.norm(cyl.lifts[w])
+                  for w in ((2, 2), (3, 2), (1, 2), (2, 3), (2, 1))])
+    s = np.linalg.svd(V, compute_uv=False)
+    assert axis.value == pytest.approx(s[4] / s[0], rel=1e-9)
 
 
 def test_edge_connection_basics(rng):
@@ -168,8 +197,8 @@ def test_edge_connection_basics(rng):
         M = edge_connection(net, lam, e)
         Minv = edge_connection(net, lam, (e[1], e[0]))
         np.testing.assert_allclose(M @ Minv, np.eye(5), atol=1e-11)
-    with pytest.raises(PoleParameter):
-        edge_connection(net, 1.0 / net.weight(e), e)
+    with pytest.raises(PoleParameter, match="is a pole of edge"):
+        edge_connections(net, 1.0 / weight(net, e))
 
 
 def test_face_holonomy_flatness(rng):
@@ -219,11 +248,8 @@ def test_calapso_group_property():
     f1, net_mu = calapso(net, mu)
     f2, _ = calapso(net_mu, lam)
     f3, _ = calapso(net, mu + lam)
-    C = None
-    for v in net.domain.vertices():
-        this = f3.frames[v] @ np.linalg.inv(f2.frames[v] @ f1.frames[v])
-        C = this if C is None else C
-        np.testing.assert_allclose(this, C, atol=1e-11)
+    C = f3.frames.data @ np.linalg.inv(f2.frames.data @ f1.frames.data)
+    np.testing.assert_allclose(C, np.broadcast_to(C[0, 0], C.shape), atol=1e-11)
 
 
 def test_calapso_rejects_non_isothermic(rng):
@@ -244,12 +270,8 @@ def test_flatness_residual_grows_with_perturbation(rng):
     direction = rng.normal(size=3)
     pts[2, 2] += 1e-3 * direction / np.linalg.norm(direction)
     pert = net.with_lifts(VertexField(net.domain, euclidean_lift(pts)))
-    worst = 0.0
-    for face in pert.domain.faces():
-        if (2, 2) in face:
-            worst = max(worst, max(
-                float(np.abs(face_holonomy(pert, float(lam), face) - np.eye(5)).max())
-                for lam in lams))
+    worst = max(float(np.abs(face_holonomy(pert, float(lam), face) - np.eye(5)).max())
+                for face in faces(pert.domain) if (2, 2) in face for lam in lams)
     assert worst > 1e-5
 
 
@@ -265,7 +287,7 @@ def test_moutard_lift_determines_cross_ratio(rng):
 def test_edge_connection_pole_and_calapso_pole():
     net = catalog.cylinder_net(3, 3, 0.4, 0.8)
     e = ((0, 0), (1, 0))
-    mu_pole = 1.0 / net.weight(e)
+    mu_pole = 1.0 / weight(net, e)
     with pytest.raises(PoleParameter):
         calapso(net, mu_pole)
 
@@ -288,7 +310,8 @@ def test_irregular_face_message_names_the_regularity():
     lifts = net.lifts.data.copy()
     lifts[1, 1] = lifts[1, 0]
     report = verify_isothermic(VertexField(net.domain, lifts), strict=False)
-    assert str(report.check) == "a face has three nearly dependent lifts (regularity 0 <= 1e-18)"
+    assert str(report.check) == ("a face has three nearly dependent lifts (regularity 0 <= 1e-18)"
+                                 " at ((0, 0), (1, 0), (1, 1), (0, 1))")
 
 
 def test_verify_accepts_thin_faces():

@@ -69,13 +69,9 @@ def test_revolution_lift_cross_ratio_closed_form(rng):
     phi = np.array([0.0, 0.7, 1.2, 2.1])
     net = revolution_lift(eta, rho, phi)
     q_faces = cross_ratios(face_stack(net.lifts.data))
-    for face in net.domain.faces():
-        (m, n) = face[0]
-        q = q_faces[m, n]
-        de, dr, dp = eta[m + 1] - eta[m], rho[m + 1] - rho[m], phi[n + 1] - phi[n]
-        expected = -(de * de + dr * dr) / (4 * rho[m] * rho[m + 1]
-                                           * np.sin(dp / 2.0) ** 2)
-        assert q == pytest.approx(expected, rel=1e-11)
+    de, dr, dp = np.diff(eta)[:, None], np.diff(rho)[:, None], np.diff(phi)[None, :]
+    expected = -(de * de + dr * dr) / (4 * rho[:-1, None] * rho[1:, None] * np.sin(dp / 2.0) ** 2)
+    np.testing.assert_allclose(q_faces, expected, rtol=1e-11)
 
 
 def test_revolution_lift_validation():

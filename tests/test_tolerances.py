@@ -80,6 +80,7 @@ def test_nan_data_fail_validation_and_invariants():
     with pytest.raises(GeometryError, match="net fails validation") as got:
         net.with_weights(EdgeFunction(net.domain, u, net.weights.v)).validate()
     assert np.isnan(got.value.check.value)
+    assert got.value.check.where == ((1, 0), (2, 0), (2, 1), (1, 1))  # the first face it spoils
     coeffs = catalog.cylinder_quantity(net).coeffs.copy()
     for index in ((2, 3, 1, 0), (1, 1, 0, 4)):
         bad = coeffs.copy()

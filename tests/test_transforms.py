@@ -47,6 +47,7 @@ from isothermic.transforms import (
     pcq_darboux,
     pcq_from_parallel_sections,
 )
+from reference import edges, weight
 
 ETA, PHI = 0.3, np.pi / 4
 
@@ -63,10 +64,10 @@ def test_darboux_cross_ratio_condition(cylinder):
     assert d.cross_ratio_residual() < 1e-9
     assert verify_isothermic(d.lifts).ok
     # symmetry: the base net satisfies the Darboux condition of the transform
-    for e in net.domain.edges():
+    for e in edges(net.domain):
         i, j = e
         q = cross_ratio(d.lifts[i], d.lifts[j], net.lifts[j], net.lifts[i])
-        assert q == pytest.approx(net.weight(e) * d.mu, rel=1e-9)
+        assert q == pytest.approx(weight(net, e) * d.mu, rel=1e-9)
 
 
 def test_darboux_calapso_frames(cylinder):
@@ -77,12 +78,9 @@ def test_darboux_calapso_frames(cylinder):
     d = darboux_propagate(net, mu, euclidean_lift(np.array([0.5, 1.7, 0.4])))
     f_base, _ = calapso(net, lam)
     f_hat, _ = calapso(d.net(), lam)
-    C = None
-    for v in net.domain.vertices():
-        G = cross_ratio_matrix(1.0 - lam / mu, net.lifts[v], d.lifts[v])
-        this = f_hat.frames[v] @ np.linalg.inv(f_base.frames[v] @ G)
-        C = this if C is None else C
-        np.testing.assert_allclose(this, C, atol=1e-9)
+    G = cross_ratio_matrix(1.0 - lam / mu, net.lifts.data, d.lifts.data)
+    C = f_hat.frames.data @ np.linalg.inv(f_base.frames.data @ G)
+    np.testing.assert_allclose(C, np.broadcast_to(C[0, 0], C.shape), atol=1e-9)
 
 
 def test_darboux_parallel_net_start(cylinder):
@@ -96,7 +94,7 @@ def test_darboux_parallel_net_start(cylinder):
 def test_backlund_init_postconditions(cylinder):
     net, cq = cylinder
     mu = 2.4
-    P = mp_eval(cq.at((0, 0)), mu)
+    P = mp_eval(cq.coeffs[0, 0], mu)
     starts = []
     for s in (0.0, 0.4, 2.0):
         X = backlund_init(cq, mu, s)
@@ -107,8 +105,7 @@ def test_backlund_init_postconditions(cylinder):
     assert ray_distance(starts[1], starts[2]) > 1e-3
     # orthogonality persists along the whole transform
     d = darboux_propagate(net, mu, starts[1])
-    vals = [float(minkowski_inner(mp_eval(cq.at(v), mu), d.lifts[v]))
-            for v in net.domain.vertices()]
+    vals = minkowski_inner(mp_eval(cq.coeffs, mu), d.lifts.data)
     assert np.abs(vals).max() < 1e-9 * (1.0 + np.abs(d.lifts.data).max())
 
 
@@ -186,14 +183,11 @@ def test_ribaucour_sphere_two_expressions(cylinder):
     pb = pcq_backlund(cq, d)
     Q = cq.constant  # coefficient below the top for a linear quantity
     Qh = pb.constant
-    for v in net.domain.vertices():
-        F, Fh = net.lifts[v], d.lifts[v]
-        g = float(minkowski_inner(F, Fh))
-        Z = cq.coeffs[net.domain.index(v)][1]
-        Zh = pb.coeffs[net.domain.index(v)][1]
-        lhs = Z + float(minkowski_inner(Qh, Fh)) / (mu * g) * F
-        rhs = Zh + float(minkowski_inner(Q, F)) / (mu * g) * Fh
-        np.testing.assert_allclose(lhs, rhs, atol=1e-10)
+    F, Fh = net.lifts.data, d.lifts.data
+    g = mu * minkowski_inner(F, Fh)[..., None]
+    lhs = cq.coeffs[:, :, 1] + minkowski_inner(Fh, Qh)[..., None] / g * F
+    rhs = pb.coeffs[:, :, 1] + minkowski_inner(F, Q)[..., None] / g * Fh
+    np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
 
 def test_bianchi_permutability(cylinder):
@@ -273,11 +267,9 @@ def test_complementary_antipodality():
     assert len(comps) == 2
     Q = cq.constant
     q2 = float(norm2(Q))
-    for v in net.domain.vertices():
-        plus = comps[1].lifts[v] / comps[1].mu
-        minus = comps[0].lifts[v] / comps[0].mu
-        reflected = minus - 2.0 * float(minkowski_inner(minus, Q)) / q2 * Q
-        np.testing.assert_allclose(plus, reflected, atol=1e-9)
+    plus, minus = comps[1].lifts.data / comps[1].mu, comps[0].lifts.data / comps[0].mu
+    reflected = minus - 2.0 * minkowski_inner(minus, Q)[..., None] / q2 * Q
+    np.testing.assert_allclose(plus, reflected, atol=1e-9)
 
 
 def test_interpolation_identity(cylinder):
@@ -330,7 +322,7 @@ def test_triple_darboux_scenario(cylinder):
     mus = [0.0, 1.0, mu]
     sections = [(m, pd.evaluate(m)) for m in mus]
     # collinearity: the constant coefficient lies in the span of the sections
-    for v in hat.domain.vertices():
+    for v in np.ndindex(hat.domain.rows, hat.domain.cols):
         S = np.stack([sec[1][v] for sec in sections])
         resid = np.linalg.lstsq(S.T, pd.constant, rcond=None)[1]
         assert not len(resid) or resid[0] < 1e-16
