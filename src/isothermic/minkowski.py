@@ -43,8 +43,6 @@ Q_EUCLIDEAN = np.array([1.0, 0.0, 0.0, 0.0, -1.0])
 LORENTZ3_SLOTS = (0, 1, 4)
 ROTATION_SLOTS = (2, 3)
 
-SIGNATURE3 = np.array([-1.0, 1.0, 1.0])
-
 
 def minkowski_inner(x, y):
     """Indefinite inner product; broadcasts over leading axes."""
@@ -361,8 +359,13 @@ def cross_ratio_matrix(q, A, B):
 
 
 def solve_dense(A, b):
-    """Solve a small (k <= 6) dense system by Gaussian elimination with
-    partial pivoting.
+    """Solve a small (k <= 6) dense system A x = b, b of shape (k,) or (k, m),
+    by Gaussian elimination with partial pivoting on rows of np.float64
+    scalars.  The operation order is part of the contract, and gives every
+    column of x bitwise as the elimination on arrays did: the pivot is the
+    first largest entry of its column (a NaN first, as in ``np.argmax``),
+    the pivot row is divided by it, and every other row r becomes
+    row_r - row_r[col] * pivot_row over the whole row.
 
     Raises
     ------
@@ -372,23 +375,24 @@ def solve_dense(A, b):
     A = np.array(A, dtype=float)
     b = np.array(b, dtype=float)
     k = A.shape[0]
-    if A.shape != (k, k) or b.shape != (k,):
-        raise ValueError("solve_dense expects a square matrix and matching vector")
+    if A.shape != (k, k) or b.shape[:1] != (k,) or b.ndim > 2:
+        raise ValueError("solve_dense expects a square matrix and matching right-hand sides")
     if k > 6:
         raise ValueError("solve_dense is limited to systems of size <= 6")
-    scale = max(1.0, float(np.abs(A).max()))
-    M = np.hstack([A, b[:, None]])
+    limit = tol(max(1.0, float(np.abs(A).max())))
+    B = b.reshape(k, -1)
+    M = [[A[r, j] for j in range(k)] + [B[r, j] for j in range(B.shape[1])] for r in range(k)]
     for col in range(k):
-        p = col + int(np.argmax(np.abs(M[col:, col])))
-        if abs(M[p, col]) <= tol(scale):
+        p = max(range(col, k), key=lambda r: (M[r][col] != M[r][col], abs(M[r][col])))
+        if abs(M[p][col]) <= limit:
             raise SingularSystem("pivot below tolerance")
-        if p != col:
-            M[[col, p]] = M[[p, col]]
-        M[col] = M[col] / M[col, col]
+        M[col], M[p] = M[p], M[col]
+        pivot_row = M[col] = [x / M[col][col] for x in M[col]]
         for r in range(k):
             if r != col:
-                M[r] -= M[r, col] * M[col]
-    return M[:, k].copy()
+                f = M[r][col]
+                M[r] = [x - f * y for x, y in zip(M[r], pivot_row)]
+    return np.array([row[k:] for row in M]).reshape(b.shape)
 
 
 def orthonormal_complement(X):
@@ -480,23 +484,20 @@ def ray_distance(x, y):
 
 # --- the Lorentz R^{2,1} factor ------------------------------------------------
 
+def _dot3(x, y):
+    """Inner product of the R^{2,1} factor from three components each (scalars
+    or arrays), summed as numpy sums a last axis: ((0 - x0 y0) + x1 y1) + x2 y2."""
+    return 0.0 - x[0] * y[0] + x[1] * y[1] + x[2] * y[2]
+
+
 def inner3(x, y):
-    """Inner product of the R^{2,1} factor (slots 0, 1, 4 of the ambient)."""
-    return (np.asarray(x) * np.asarray(y) * SIGNATURE3).sum(axis=-1)
+    """Inner product of the R^{2,1} factor (slots 0, 1, 4): _dot3 over the last axis."""
+    x, y = np.asarray(x), np.asarray(y)
+    return _dot3([x[..., i] for i in range(3)], [y[..., i] for i in range(3)])
 
 
 def norm3(x):
     return inner3(x, x)
-
-
-def lorentz_cross(a, b):
-    """Vector y with <y, w> = det(a, b, w) for all w in R^{2,1}.
-
-    For a in the hyperbolic plane (|a|^2 = -1) and b orthogonal to a this
-    produces the vector completing (a, b) to a positively oriented basis,
-    with |y|^2 = |b|^2.
-    """
-    return SIGNATURE3 * np.cross(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
 
 
 def hyperbolic_point(eta, rho):

@@ -415,9 +415,13 @@ def calapso(net: IsothermicNet, mu: float, basepoint=None) -> tuple[CalapsoFrame
     new_lifts = VertexField(domain, np.einsum("mnij,mnj->mni", frames, net.lifts.data))
     # a flat connection can still grow frames so large that T F keeps no
     # digits: the transformed faces then degenerate, and no net is returned
-    Check(f"a transformed face, with frames up to {largest:.3g}, has three nearly dependent "
-          "lifts", face_regularity(new_lifts), regularity_tol(), floor="regularity"
-          ).require(DegeneratePoints)
+    regularity = _regularity(*face_products(new_lifts.data)[1:])
+    floor = Check(f"a transformed face, with frames up to {largest:.3g}, has three nearly "
+                  "dependent lifts", float(regularity.min(initial=np.inf)), regularity_tol(),
+                  floor="regularity")
+    if not floor.ok:
+        worst = np.unravel_index(int(np.argmin(regularity)), regularity.shape)
+        floor._replace(where=domain.stack_face(worst)).require(DegeneratePoints)
     frames = VertexField(domain, frames)
     transformed = IsothermicNet(domain, new_lifts, net.weights.calapso_shifted(mu),
                                 revolution=None)

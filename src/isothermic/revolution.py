@@ -17,10 +17,18 @@ subject to <S, M> = 0, dS = 2 alpha <Q, M_avg> dM, and the prescribed mean
 curvature <S, Q> = -H + alpha <M, Q>^2.  Solving these on a seed edge and
 propagating with a constant meridian weight builds cmc nets of revolution
 for any admissible (H, kappa).
+
+The recursion is sequential, so the seed solve, the meridian step and the
+meridian check hold each vector as three np.float64 scalars (the check as
+three columns) and take numpy's operation order (:func:`minkowski._dot3`),
+which keeps the nets bitwise those of array code at a third of its cost
+per step.  numpy's scalars, unlike Python floats, raise under the caller's
+``np.errstate`` as arrays do.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -40,10 +48,10 @@ from .errors import (
 from .grids import EdgeFunction, GridDomain, VertexField
 from .minkowski import (
     SIGNATURE,
+    _dot3,
     embed_lorentz3,
     hyperbolic_point,
     inner3,
-    lorentz_cross,
     norm3,
     solve_dense,
 )
@@ -100,18 +108,23 @@ class Meridian:
     mean_curvature: float
 
     def validate(self) -> float:
-        M, S, Q = self.points, self.spheres, self.space_form
-        alpha, c, H = self.alpha, self.edge_weight, self.mean_curvature
-        dM = M[1:] - M[:-1]
-        Mavg = (M[1:] + M[:-1]) / 2.0
-        dS = S[1:] - S[:-1]
-        qm = inner3(Q, Mavg)
-        return float(np.max([np.abs(norm3(M) + 1.0).max(),
-                             np.abs(norm3(S) - 1.0).max(),
-                             np.abs(inner3(S, M)).max(),
-                             np.abs(dS - 2.0 * alpha * qm[:, None] * dM).max(),
-                             np.abs(inner3(S, Q) + H - alpha * inner3(M, Q) ** 2).max(),
-                             np.abs(inner3(M[1:], M[:-1]) + 1.0 + c / alpha).max()]))
+        (M, Mn), (S, Sn) = ([[X[cut, i] for i in range(3)] for cut in (np.s_[:-1], np.s_[1:])]
+                            for X in (self.points, self.spheres))
+        return _meridian_residual(M, S, Mn, Sn, _components(self.space_form),
+                                  self.alpha, self.edge_weight, self.mean_curvature)
+
+
+def _meridian_residual(M, S, Mn, Sn, Q, alpha, c, H) -> float:
+    """Largest residual of the :class:`Meridian` equations on the edges (M, S)
+    to (Mn, Sn), as three components each: scalars, or columns of edges."""
+    qm = _dot3(Q, [(a + b) / 2.0 for a, b in zip(Mn, M)])
+    terms = [(sn - s) - 2.0 * alpha * qm * (mn - m) for s, sn, m, mn in zip(S, Sn, M, Mn)]
+    terms.append(_dot3(Mn, M) + 1.0 + c / alpha)
+    for P, T in ((M, S), (Mn, Sn)):
+        pq = _dot3(P, Q)
+        terms += [_dot3(P, P) + 1.0, _dot3(T, T) - 1.0, _dot3(T, P),
+                  _dot3(T, Q) + H - alpha * (pq * pq)]
+    return float(np.max(np.abs(terms)))
 
 
 @dataclass
@@ -231,26 +244,22 @@ def seed_edge(Q, H: float, M0, M1) -> list[SeedSolution]:
     ------
     InfinityBoundary, DegenerateBasis, ConstraintViolated
     """
-    Q = np.asarray(Q, dtype=float)
-    M0 = np.asarray(M0, dtype=float)
-    M1 = np.asarray(M1, dtype=float)
-    qm0 = float(inner3(Q, M0))
-    qm1 = float(inner3(Q, M1))
-    qscale = float(np.linalg.norm(Q))
+    q, m0, m1 = (_components(x) for x in (Q, M0, M1))
+    qm0, qm1 = float(_dot3(q, m0)), float(_dot3(q, m1))
+    qscale = math.sqrt(_euclid2(q))
     if abs(qm0) <= tol(qscale) or abs(qm1) <= tol(qscale):
         raise InfinityBoundary("seed points lie on the infinity boundary")
-    G = np.array([[float(norm3(Q)), qm0, qm1],
-                  [qm0, -1.0, float(inner3(M0, M1))],
-                  [qm1, float(inner3(M0, M1)), -1.0]])
-    delta = float(np.linalg.det(G))
+    g01 = float(_dot3(m0, m1))
+    G = [[float(_dot3(q, q)), qm0, qm1], [qm0, -1.0, g01], [qm1, g01, -1.0]]
+    delta = float(np.linalg.det(np.array(G)))
     if abs(delta) <= tol(max(1.0, qscale ** 2)):
         raise DegenerateBasis("(Q, M0, M1) do not span the Lorentz 3-space")
-    dM = M1 - M0
-    Mavg = (M0 + M1) / 2.0
-    d2 = float(norm3(dM))
-    gram_mm = float(1.0 - inner3(M0, M1) ** 2)  # det of the 2x2 Gram of (M0, M1), < 0
-    cc = d2 * float(inner3(Mavg, Q))
-    bb = -d2 * (float(norm3(Mavg)) * qm0 * qm1 + 2.0 * float(inner3(Mavg, Q)) ** 2)
+    dM = [b - a for a, b in zip(m0, m1)]
+    Mavg = [(a + b) / 2.0 for a, b in zip(m0, m1)]
+    d2 = float(_dot3(dM, dM))
+    gram_mm = float(1.0 - _dot3(m0, m1) ** 2)  # det of the 2x2 Gram of (M0, M1), < 0
+    cc = d2 * float(_dot3(Mavg, q))
+    bb = -d2 * (float(_dot3(Mavg, Mavg)) * qm0 * qm1 + 2.0 * float(_dot3(Mavg, q)) ** 2)
     aa = -(bb * bb - delta * cc * cc) / gram_mm
     if aa <= 0.0:
         raise DegenerateBasis(f"seed normalization scale A = {aa:.3g} is not positive")
@@ -276,19 +285,17 @@ def seed_edge(Q, H: float, M0, M1) -> list[SeedSolution]:
             raise ConstraintViolated("both normalization factors vanish")
 
     out = []
+    basis = np.array([q, m0, m1])  # S = basis^T x stays BLAS's, with fused multiply-adds
     for alpha in alphas:
-        rhs_shared = -alpha * float(inner3(Q, Mavg)) * d2
-        b0 = np.array([-H + alpha * qm0 * qm0, 0.0, rhs_shared])
-        b1 = np.array([-H + alpha * qm1 * qm1, rhs_shared, 0.0])
-        x0 = solve_dense(G, b0)
-        x1 = solve_dense(G, b1)
-        basis = np.stack([Q, M0, M1])
+        rhs_shared = -alpha * float(_dot3(q, Mavg)) * d2
+        x0, x1 = solve_dense(G, [[-H + alpha * qm0 * qm0, -H + alpha * qm1 * qm1],
+                                 [0.0, rhs_shared], [rhs_shared, 0.0]]).T.copy()
         S0 = basis.T @ x0
         S1 = basis.T @ x1
         c = alpha * d2 / 2.0
         sol = SeedSolution(float(alpha), S0, S1, float(c))
-        resid = Meridian(np.stack([M0, M1]), np.stack([S0, S1]), Q,
-                         float(alpha), float(c), H).validate()
+        resid = _meridian_residual(m0, _components(S0), m1, _components(S1), q,
+                                   float(alpha), float(c), H)
         Check("seed solve inconsistent", resid,
               tol(10.0 * (1.0 + abs(alpha)) * (1.0 + qscale) ** 2)).require(ConstraintViolated)
         out.append(sol)
@@ -319,12 +326,12 @@ def meridian_step(state, Q, alpha: float, c: float, H: float, kappa: float,
     ------
     ConstraintViolated, VanishingX, InfinityBoundary, AxisCrossing
     """
-    M, S = (np.asarray(x, dtype=float) for x in state)
-    Q = np.asarray(Q, dtype=float)
+    M, S, q = (_components(x) for x in (*state, Q))
     if c / alpha <= 0:
         raise ConstraintViolated("c / alpha must be positive")
-    qm = float(inner3(Q, M))
-    if abs(qm) <= tol(float(np.linalg.norm(Q))):
+    qm = float(_dot3(q, M))
+    qq = _euclid2(q)
+    if abs(qm) <= tol(math.sqrt(qq)):
         raise InfinityBoundary("meridian point on the infinity boundary")
     gate = 1.0 - 2.0 * c * H - c * c * kappa
     gate_scale = 1.0 + abs(c * H) + abs(c * c * kappa)
@@ -335,33 +342,45 @@ def meridian_step(state, Q, alpha: float, c: float, H: float, kappa: float,
     if gate < 0:
         raise ConstraintViolated(
             f"propagation gate 1 - 2cH - c^2 kappa = {gate:.3g} is negative")
-    X = S + c * (Q + qm * M)
-    x2 = float(norm3(X))
-    if x2 <= tol(1.0 + c * c * float(np.dot(Q, Q))):
+    X = [s + c * (qi + qm * m) for s, qi, m in zip(S, q, M)]
+    x2 = float(_dot3(X, X))
+    if x2 <= tol(1.0 + c * c * qq):
         raise VanishingX("auxiliary sphere vanishes; edge would cross the axis")
-    Y = lorentz_cross(M, X)
+    # the Lorentz cross product <Y, w> = det(M, X, w): diag(-1, 1, 1) np.cross(M, X)
+    Y = [-(M[1] * X[2] - M[2] * X[1]), M[2] * X[0] - M[0] * X[2], M[0] * X[1] - M[1] * X[0]]
     ratio = (alpha + c) / alpha
     drop = ((alpha + c) ** 2 - alpha ** 2) / alpha
-    base = ratio * M - (drop * qm / x2) * X
+    base = [ratio * m - (drop * qm / x2) * x for m, x in zip(M, X)]
     t2 = (((alpha + c) ** 2 - alpha ** 2) * gate) / (alpha * alpha)
     t = np.sqrt(t2)
-    cand_plus = base + (t / x2) * Y
-    cand_minus = base - (t / x2) * Y
+    cand_plus = [b + (t / x2) * y for b, y in zip(base, Y)]
+    cand_minus = [b - (t / x2) * y for b, y in zip(base, Y)]
     if prev is not None:
-        prev = np.asarray(prev, dtype=float)
-        d_plus = float(np.linalg.norm(cand_plus - prev))
-        d_minus = float(np.linalg.norm(cand_minus - prev))
-        M_next = cand_plus if d_plus > d_minus else cand_minus
+        p = _components(prev)  # squared distances order as the distances do
+        M_next = cand_plus if _euclid2(cand_plus, p) > _euclid2(cand_minus, p) else cand_minus
     else:
         M_next = cand_plus if cand_plus[1] >= cand_minus[1] else cand_minus
     if M_next[0] <= 0:
         raise AxisCrossing("next meridian point left the hyperbolic half plane")
-    if float(inner3(Q, M_next)) * qm < 0:
+    if float(_dot3(q, M_next)) * qm < 0:
         warnings.warn("meridian crossed the infinity boundary of the space form",
                       stacklevel=2)
-    Mavg = (M + M_next) / 2.0
-    S_next = S + 2.0 * alpha * float(inner3(Q, Mavg)) * (M_next - M)
-    return M_next, S_next
+    Mavg = [(a + b) / 2.0 for a, b in zip(M, M_next)]
+    k = 2.0 * alpha * float(_dot3(q, Mavg))
+    S_next = [s + k * (b - a) for s, a, b in zip(S, M, M_next)]
+    return np.array(M_next), np.array(S_next)
+
+
+def _components(x) -> list:
+    """The three components of an R^{2,1} vector as np.float64 scalars."""
+    x = np.asarray(x, dtype=float).reshape(3)
+    return [x[0], x[1], x[2]]
+
+
+def _euclid2(x, y=(0.0, 0.0, 0.0)) -> float:
+    """Squared Euclidean distance |x - y|^2 of three components each."""
+    d0, d1, d2 = (a - b for a, b in zip(x, y))
+    return float(d0 * d0 + d1 * d1 + d2 * d2)
 
 
 def closure_defect(net: IsothermicNet) -> dict:
@@ -452,13 +471,14 @@ def find_seed_edge(Q, H):
             for deta in (0.25, 0.4, 0.15):
                 for drho in (0.1, -0.15, 0.3, 0.0):
                     candidates.append((eta0, rho0, eta0 + deta, rho0 + drho))
-    kappa = -float(norm3(Q))
+    q = _components(Q)
+    kappa = -float(_dot3(q, q))
     for eta0, rho0, eta1, rho1 in candidates:
         if rho1 <= 0.05:
             continue
         M0 = hyperbolic_point(eta0, rho0)
         M1 = hyperbolic_point(eta1, rho1)
-        if abs(inner3(Q, M0)) < 1e-6 or abs(inner3(Q, M1)) < 1e-6:
+        if abs(_dot3(q, M0)) < 1e-6 or abs(_dot3(q, M1)) < 1e-6:
             continue
         try:
             sols = seed_edge(Q, H, M0, M1)

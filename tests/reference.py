@@ -1,12 +1,26 @@
-"""Scalar references for the tests: a domain's interior vertices, edges and
-faces one at a time, and single edge connections, face holonomies and the four-point
-circle identity, against which the tests check the library's array code."""
+"""References for the tests.  Scalar ones: a domain's interior vertices,
+edges and faces one at a time, and single edge connections, face holonomies
+and the four-point circle identity, against which the tests check the
+library's array code.  Array ones: the meridian step, the seed solve, the
+meridian residual and the dense solve as numpy code on 3-element arrays,
+against which the tests check the library's scalar constructor bit for bit."""
+
+import warnings
 
 import numpy as np
 
-from isothermic.errors import PoleParameter
+from isothermic.errors import (
+    AxisCrossing,
+    ConstraintViolated,
+    DegenerateBasis,
+    InfinityBoundary,
+    PoleParameter,
+    SingularSystem,
+    VanishingX,
+)
 from isothermic.minkowski import cross_ratio_matrix
-from isothermic.tolerances import tol
+from isothermic.revolution import Meridian, SeedSolution
+from isothermic.tolerances import Check, tol
 
 
 def interior_vertices(dom):
@@ -67,3 +81,173 @@ def circle_identity_check(P1, P2, P3, P4, a: float, b: float, lam: float) -> flo
     left = cross_ratio_matrix(qa, P1, P2) @ cross_ratio_matrix(qb, P2, P3)
     right = cross_ratio_matrix(qb, P1, P4) @ cross_ratio_matrix(qa, P4, P3)
     return float(np.abs(left - right).max())
+
+
+# --- the revolution constructor on 3-element arrays -----------------------------
+
+SIGNATURE3 = np.array([-1.0, 1.0, 1.0])
+
+
+def inner3(x, y):
+    return (np.asarray(x) * np.asarray(y) * SIGNATURE3).sum(axis=-1)
+
+
+def norm3(x):
+    return inner3(x, x)
+
+
+def lorentz_cross(a, b):
+    return SIGNATURE3 * np.cross(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+
+
+def solve_dense(A, b):
+    """Gaussian elimination with partial pivoting on the array [A | b]."""
+    A = np.array(A, dtype=float)
+    b = np.array(b, dtype=float)
+    k = A.shape[0]
+    if A.shape != (k, k) or b.shape != (k,):
+        raise ValueError("solve_dense expects a square matrix and matching vector")
+    if k > 6:
+        raise ValueError("solve_dense is limited to systems of size <= 6")
+    scale = max(1.0, float(np.abs(A).max()))
+    M = np.hstack([A, b[:, None]])
+    for col in range(k):
+        p = col + int(np.argmax(np.abs(M[col:, col])))
+        if abs(M[p, col]) <= tol(scale):
+            raise SingularSystem("pivot below tolerance")
+        if p != col:
+            M[[col, p]] = M[[p, col]]
+        M[col] = M[col] / M[col, col]
+        for r in range(k):
+            if r != col:
+                M[r] -= M[r, col] * M[col]
+    return M[:, k].copy()
+
+
+def meridian_validate(meridian) -> float:
+    """``Meridian.validate`` on the (k, 3) arrays of the meridian."""
+    M, S, Q = meridian.points, meridian.spheres, meridian.space_form
+    alpha, c, H = meridian.alpha, meridian.edge_weight, meridian.mean_curvature
+    dM = M[1:] - M[:-1]
+    Mavg = (M[1:] + M[:-1]) / 2.0
+    dS = S[1:] - S[:-1]
+    qm = inner3(Q, Mavg)
+    return float(np.max([np.abs(norm3(M) + 1.0).max(),
+                         np.abs(norm3(S) - 1.0).max(),
+                         np.abs(inner3(S, M)).max(),
+                         np.abs(dS - 2.0 * alpha * qm[:, None] * dM).max(),
+                         np.abs(inner3(S, Q) + H - alpha * inner3(M, Q) ** 2).max(),
+                         np.abs(inner3(M[1:], M[:-1]) + 1.0 + c / alpha).max()]))
+
+
+def seed_edge(Q, H: float, M0, M1) -> list:
+    """``revolution.seed_edge`` on 3-element arrays."""
+    Q = np.asarray(Q, dtype=float)
+    M0 = np.asarray(M0, dtype=float)
+    M1 = np.asarray(M1, dtype=float)
+    qm0 = float(inner3(Q, M0))
+    qm1 = float(inner3(Q, M1))
+    qscale = float(np.linalg.norm(Q))
+    if abs(qm0) <= tol(qscale) or abs(qm1) <= tol(qscale):
+        raise InfinityBoundary("seed points lie on the infinity boundary")
+    G = np.array([[float(norm3(Q)), qm0, qm1],
+                  [qm0, -1.0, float(inner3(M0, M1))],
+                  [qm1, float(inner3(M0, M1)), -1.0]])
+    delta = float(np.linalg.det(G))
+    if abs(delta) <= tol(max(1.0, qscale ** 2)):
+        raise DegenerateBasis("(Q, M0, M1) do not span the Lorentz 3-space")
+    dM = M1 - M0
+    Mavg = (M0 + M1) / 2.0
+    d2 = float(norm3(dM))
+    gram_mm = float(1.0 - inner3(M0, M1) ** 2)  # det of the 2x2 Gram of (M0, M1), < 0
+    cc = d2 * float(inner3(Mavg, Q))
+    bb = -d2 * (float(norm3(Mavg)) * qm0 * qm1 + 2.0 * float(inner3(Mavg, Q)) ** 2)
+    aa = -(bb * bb - delta * cc * cc) / gram_mm
+    if aa <= 0.0:
+        raise DegenerateBasis(f"seed normalization scale A = {aa:.3g} is not positive")
+
+    margin = aa - cc * cc * H * H
+    scale = abs(aa) + cc * cc * H * H
+    Check("mean curvature too large for this edge: C^2 H^2 - A", -margin,
+          tol(scale)).require(ConstraintViolated)
+    margin = max(margin, 0.0)
+    disc = np.sqrt(delta * (-margin)) / aa  # delta < 0, so the radicand is >= 0
+    center = -bb * H / aa
+    if margin <= tol(scale):
+        # double root; it must not vanish
+        if abs(center) <= tol(1.0):
+            raise ConstraintViolated(
+                "equality case with H^2 = Delta / gram(M0, M1): no nonzero factor")
+        alphas = [center]
+    elif H == 0.0:
+        alphas = [abs(disc)]
+    else:
+        alphas = [a for a in (center + disc, center - disc) if abs(a) > tol(1.0)]
+        if not alphas:
+            raise ConstraintViolated("both normalization factors vanish")
+
+    out = []
+    for alpha in alphas:
+        rhs_shared = -alpha * float(inner3(Q, Mavg)) * d2
+        b0 = np.array([-H + alpha * qm0 * qm0, 0.0, rhs_shared])
+        b1 = np.array([-H + alpha * qm1 * qm1, rhs_shared, 0.0])
+        x0 = solve_dense(G, b0)
+        x1 = solve_dense(G, b1)
+        basis = np.stack([Q, M0, M1])
+        S0 = basis.T @ x0
+        S1 = basis.T @ x1
+        c = alpha * d2 / 2.0
+        sol = SeedSolution(float(alpha), S0, S1, float(c))
+        resid = meridian_validate(Meridian(np.stack([M0, M1]), np.stack([S0, S1]), Q,
+                                           float(alpha), float(c), H))
+        Check("seed solve inconsistent", resid,
+              tol(10.0 * (1.0 + abs(alpha)) * (1.0 + qscale) ** 2)).require(ConstraintViolated)
+        out.append(sol)
+    return out
+
+
+def meridian_step(state, Q, alpha: float, c: float, H: float, kappa: float, prev=None):
+    """``revolution.meridian_step`` on 3-element arrays."""
+    M, S = (np.asarray(x, dtype=float) for x in state)
+    Q = np.asarray(Q, dtype=float)
+    if c / alpha <= 0:
+        raise ConstraintViolated("c / alpha must be positive")
+    qm = float(inner3(Q, M))
+    if abs(qm) <= tol(float(np.linalg.norm(Q))):
+        raise InfinityBoundary("meridian point on the infinity boundary")
+    gate = 1.0 - 2.0 * c * H - c * c * kappa
+    gate_scale = 1.0 + abs(c * H) + abs(c * c * kappa)
+    if abs(gate) <= tol(gate_scale):
+        raise ConstraintViolated(
+            "degenerate propagation (1 - 2cH - c^2 kappa = 0): the step would "
+            "alternate the two endpoints of one edge")
+    if gate < 0:
+        raise ConstraintViolated(
+            f"propagation gate 1 - 2cH - c^2 kappa = {gate:.3g} is negative")
+    X = S + c * (Q + qm * M)
+    x2 = float(norm3(X))
+    if x2 <= tol(1.0 + c * c * float(np.dot(Q, Q))):
+        raise VanishingX("auxiliary sphere vanishes; edge would cross the axis")
+    Y = lorentz_cross(M, X)
+    ratio = (alpha + c) / alpha
+    drop = ((alpha + c) ** 2 - alpha ** 2) / alpha
+    base = ratio * M - (drop * qm / x2) * X
+    t2 = (((alpha + c) ** 2 - alpha ** 2) * gate) / (alpha * alpha)
+    t = np.sqrt(t2)
+    cand_plus = base + (t / x2) * Y
+    cand_minus = base - (t / x2) * Y
+    if prev is not None:
+        prev = np.asarray(prev, dtype=float)
+        d_plus = float(np.linalg.norm(cand_plus - prev))
+        d_minus = float(np.linalg.norm(cand_minus - prev))
+        M_next = cand_plus if d_plus > d_minus else cand_minus
+    else:
+        M_next = cand_plus if cand_plus[1] >= cand_minus[1] else cand_minus
+    if M_next[0] <= 0:
+        raise AxisCrossing("next meridian point left the hyperbolic half plane")
+    if float(inner3(Q, M_next)) * qm < 0:
+        warnings.warn("meridian crossed the infinity boundary of the space form",
+                      stacklevel=2)
+    Mavg = (M + M_next) / 2.0
+    S_next = S + 2.0 * alpha * float(inner3(Q, Mavg)) * (M_next - M)
+    return M_next, S_next

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from isothermic import catalog, cli, minkowski, nets
+from isothermic import catalog, cli, minkowski, nets, revolution
 from isothermic.cli import main
 from isothermic.grids import EdgeFunction, GridDomain, VertexField
 from isothermic.minkowski import euclidean_lift, euclidean_point
@@ -62,6 +62,30 @@ def test_generate_reports_unnormalized_quantity(tmp_path, capsys):
                 "--angles", 16, "-o", tmp_path / "net.json"]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and "quantity is not normalized: |top|^2 - 1 (" in err[0]
+
+
+EXTREME_CURVATURES = [("1e200", "0"), ("0.5", "1e300"), ("1e300", "1")]
+
+
+@pytest.mark.parametrize("H, kappa", EXTREME_CURVATURES)
+def test_generate_overflow_is_one_error_line(tmp_path, capsys, H, kappa):
+    out = tmp_path / "net.json"
+    assert run(["generate", "revolution", "--steps", 3, "--angles", 8, "--H", H,
+                "--kappa", kappa, "-o", out]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("verification error:"), err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("H, kappa", EXTREME_CURVATURES)
+def test_constructor_overflow_is_a_floating_point_error(H, kappa):
+    """numpy's scalars raise as the errstate says, never as Python floats do."""
+    Q = revolution.default_space_form(float(kappa))
+    with np.errstate(all="raise"), pytest.raises(Exception) as exc:
+        revolution.build_revolution_cmc(Q, float(H), minkowski.hyperbolic_point(0.15, 1.0),
+                                        minkowski.hyperbolic_point(0.4, 1.1), 3,
+                                        revolution.RotationProfile.uniform(8, np.pi / 4))
+    assert exc.type is FloatingPointError, exc.value
 
 
 def test_verify_refuses_a_nan_weight(tmp_path, capsys):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import reference
 from isothermic.errors import (
     DegenerateLift,
     DegeneratePair,
@@ -25,6 +26,7 @@ from isothermic.minkowski import (
     cross_ratio_matrix,
     euclidean_lift,
     euclidean_point,
+    inner3,
     minkowski_inner,
     norm2,
     orthonormal_complement,
@@ -287,6 +289,63 @@ def test_solve_dense():
         solve_dense(np.array([[1.0, 2.0], [2.0, 4.0]]), np.array([1.0, 1.0]))
     with pytest.raises(ValueError):
         solve_dense(np.eye(7), np.zeros(7))
+
+
+def _solve_outcome(solve, A, b):
+    try:
+        x = solve(A, b)
+    except SingularSystem as exc:
+        return SingularSystem, str(exc)
+    return x.dtype, x.shape, x.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(k=st.sampled_from([3, 5]), data=st.data(),
+       singular=st.sampled_from([None, "zero row", "combination"]))
+def test_solve_dense_is_the_array_elimination_bitwise(k, data, singular):
+    """The scalar elimination gives the array elimination's solution bit for
+    bit, or both raise SingularSystem; several right-hand sides give each
+    column's solution."""
+    entries = st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0, 1.0, -1.0])
+    A = np.array(data.draw(st.lists(entries, min_size=k * k, max_size=k * k))).reshape(k, k)
+    B = np.array(data.draw(st.lists(entries, min_size=2 * k, max_size=2 * k))).reshape(k, 2)
+    if singular == "zero row":
+        A[k - 1] = 0.0
+    elif singular == "combination":
+        A[k - 1] = 0.5 * A[0] - 3.0 * A[1]
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        expected = [_solve_outcome(reference.solve_dense, A, b) for b in B.T]
+        assert [_solve_outcome(solve_dense, A, b) for b in B.T] == expected
+        if expected[0][0] is SingularSystem:
+            with pytest.raises(SingularSystem):
+                solve_dense(A, B)
+        else:
+            assert solve_dense(A, B).T.tobytes() == b"".join(x for *_, x in expected)
+
+
+def test_solve_dense_pivots_on_the_first_largest_entry():
+    """Ties go to the first row, and a NaN wins its column as in np.argmax:
+    beside entries below tolerance it pivots, where they would raise."""
+    A = np.array([[1.0, 2.0, 0.0], [-3.0, 1.0, 1.0], [3.0, 0.5, 2.0]])
+    b = np.array([1.0, 2.0, 3.0])
+    assert solve_dense(A, b).tobytes() == reference.solve_dense(A, b).tobytes()
+    A = np.array([[1e-13, 1.0, 0.0], [np.nan, 0.0, 1.0], [0.0, 1.0, 1.0]])
+    assert np.isnan(reference.solve_dense(A, b)).all()
+    assert np.isnan(solve_dense(A, b)).all()
+    with pytest.raises(SingularSystem):
+        solve_dense(np.zeros((5, 5)), np.ones(5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(x=POINT3, y=POINT3)
+def test_inner3_sums_as_numpy_sums_the_last_axis(x, y):
+    # zero entries make products of either sign of zero, whose sum numpy
+    # gives as +0
+    x, y = x * [1.0, -1.0, 0.0], y * [0.0, 1.0, -1.0]
+    expected = (x * y * np.array([-1.0, 1.0, 1.0])).sum(axis=-1)
+    assert inner3(x, y).tobytes() == expected.tobytes()
+    stack = np.stack([x, y, x])
+    assert inner3(stack, y).tobytes() == (stack * y * np.array([-1.0, 1.0, 1.0])).sum(-1).tobytes()
 
 
 def _assert_orthonormal_complement(P):

@@ -7,8 +7,14 @@ import numpy as np
 import pytest
 
 from conftest import darboux_stacked_net
-from isothermic import catalog
-from isothermic.errors import NonConcircularFace, NonFiniteLift, NotFlat, PoleParameter
+from isothermic import catalog, nets, revolution
+from isothermic.errors import (
+    DegeneratePoints,
+    NonConcircularFace,
+    NonFiniteLift,
+    NotFlat,
+    PoleParameter,
+)
 from isothermic.grids import EdgeFunction, GridDomain, VertexField, edge_stacks, face_stack
 from isothermic.minkowski import cross_ratios, euclidean_lift, euclidean_point, minkowski_inner
 from isothermic.nets import (
@@ -312,6 +318,29 @@ def test_irregular_face_message_names_the_regularity():
     report = verify_isothermic(VertexField(net.domain, lifts), strict=False)
     assert str(report.check) == ("a face has three nearly dependent lifts (regularity 0 <= 1e-18)"
                                  " at ((0, 0), (1, 0), (1, 1), (0, 1))")
+
+
+def test_calapso_names_its_degenerate_face(monkeypatch):
+    """The kappa < 0 net of revolution at mu 0.2: the frames reach 8e6 and a
+    transformed face loses its digits; the floor check names the face of
+    the smallest regularity."""
+    Q = revolution.default_space_form(-1.0)
+    M0, M1, branch = revolution.find_seed_edge(Q, 0.3)
+    with pytest.warns(UserWarning, match="meridian crossed"):
+        net, _ = revolution.build_revolution_cmc(Q, 0.3, M0, M1, 10,
+                                                 RotationProfile.uniform(24, np.pi / 12),
+                                                 branch=branch)
+    seen = []
+    regularity_of = nets._regularity
+    monkeypatch.setattr(nets, "_regularity",
+                        lambda *args: seen.append(regularity_of(*args)) or seen[-1])
+    with pytest.raises(DegeneratePoints) as exc:
+        calapso(net, 0.2)
+    (regularity,) = seen
+    worst = np.unravel_index(int(np.argmin(regularity)), regularity.shape)
+    assert exc.value.check.where == net.domain.stack_face(worst)
+    assert str(exc.value).endswith(
+        "(regularity 0 <= 1e-18) at ((20, 0), (21, 0), (21, 1), (20, 1))")
 
 
 def test_verify_accepts_thin_faces():

@@ -1,4 +1,5 @@
-"""Every third-party module the package imports is declared in pyproject.toml."""
+"""Every third-party module the package and its tests import is declared in
+pyproject.toml."""
 
 import ast
 import pathlib
@@ -24,13 +25,34 @@ def imported_top_level_modules(package: pathlib.Path) -> set:
     return names
 
 
+def declared_modules(project: dict, *extras: str) -> set:
+    """Module names of the project's dependencies and of the given extras."""
+    requirements = project["dependencies"] + [
+        req for extra in extras for req in project["optional-dependencies"][extra]]
+    return {re.match(r"[A-Za-z0-9_.-]+", req).group().lower().replace("-", "_")
+            for req in requirements}
+
+
+def load_project() -> dict:
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        return tomllib.load(fh)["project"]
+
+
 def test_third_party_imports_are_declared():
     package = ROOT / "src" / "isothermic"
     third_party = imported_top_level_modules(package) - set(sys.stdlib_module_names)
     third_party.discard(package.name)
-    with open(ROOT / "pyproject.toml", "rb") as fh:
-        requirements = tomllib.load(fh)["project"]["dependencies"]
-    declared = {re.match(r"[A-Za-z0-9_.-]+", req).group().lower().replace("-", "_")
-                for req in requirements}
+    declared = declared_modules(load_project())
     assert third_party == {"numpy", "orjson"}
+    assert third_party <= declared, third_party - declared
+
+
+def test_test_imports_are_declared():
+    """A test or oracle that imports an installed but undeclared module (say
+    mpmath or scipy) fails here rather than on a clean checkout."""
+    tests = ROOT / "tests"
+    local = {path.stem for path in tests.glob("*.py")} | {"isothermic"}
+    third_party = imported_top_level_modules(tests) - set(sys.stdlib_module_names) - local
+    declared = declared_modules(load_project(), "test")
+    assert third_party == {"hypothesis", "numpy", "pytest"}
     assert third_party <= declared, third_party - declared

@@ -1,15 +1,21 @@
 """Surfaces of revolution: lifts, rotational symmetry, seed solver,
 meridian propagation, and the cmc constructor."""
 
+import warnings
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from isothermic import catalog
+import reference
+from isothermic import catalog, revolution
 from isothermic.conserved import mean_curvature_data, pcq_verify
 from isothermic.errors import (
     AxisPoint,
     ConstraintViolated,
     DegenerateBasis,
+    GeometryError,
     InfinityBoundary,
     RepeatedPoint,
 )
@@ -26,6 +32,7 @@ from isothermic.revolution import (
     Meridian,
     RotationProfile,
     build_revolution_cmc,
+    default_space_form,
     meridian_step,
     revolution_lift,
     seed_edge,
@@ -299,3 +306,70 @@ def test_closure_defect_report():
     defect = closure_defect(net)
     assert defect["angle_defect"] == pytest.approx(0.0, abs=1e-12)
     assert defect["meridian_gap"] > 0
+
+
+def _outcome(run):
+    """The bytes of the arrays run() returns, or the type and message of the
+    error it raises, with the messages of the warnings it gives; under the
+    CLI's ``np.errstate``.  numpy names an operation on scalars "scalar
+    multiply" where the same one on arrays reads "multiply", so that word
+    is dropped from the messages of floating-point errors."""
+    with warnings.catch_warnings(record=True) as caught, \
+            np.errstate(over="raise", divide="raise", invalid="raise"):
+        warnings.simplefilter("always")
+        try:
+            result = [(a.dtype, a.shape, a.tobytes()) for a in map(np.asarray, run())]
+        except FloatingPointError as exc:
+            result = (FloatingPointError, str(exc).replace("scalar ", ""))
+        except (GeometryError, ValueError) as exc:
+            result = (type(exc), str(exc))
+    return result, [str(w.message) for w in caught]
+
+
+def _constructor_outcomes(Q, H, seed, steps, angles):
+    """Seed solve, an unguided step, seed search and build through the
+    functions of the ``revolution`` module, each with its outcome."""
+    kappa = -float(norm3(Q))
+    M0, M1, branch = seed
+
+    def step():
+        sol = revolution.seed_edge(Q, H, M0, M1)[0]
+        return revolution.meridian_step((M1, sol.sphere1), Q, sol.alpha, sol.edge_weight,
+                                        H, kappa)
+
+    def build():
+        net, cq = revolution.build_revolution_cmc(
+            Q, H, M0, M1, steps, RotationProfile.uniform(angles, 2.0 * np.pi / angles),
+            branch=branch)
+        return (net.lifts.data, net.weights.u, net.weights.v, cq.coeffs,
+                net.revolution.meridian_points)
+
+    return [_outcome(lambda: [x for s in revolution.seed_edge(Q, H, M0, M1)
+                              for x in ([s.alpha, s.edge_weight], s.sphere0, s.sphere1)]),
+            _outcome(step),
+            _outcome(lambda: revolution.find_seed_edge(Q, H)),
+            _outcome(build)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(H=st.floats(-2.0, 2.0), kappa=st.floats(-2.0, 2.0), found=st.booleans(),
+       ends=st.tuples(st.floats(-1.0, 1.0), st.floats(0.1, 2.0),
+                      st.floats(-1.0, 1.0), st.floats(0.1, 2.0)),
+       branch=st.integers(0, 1), steps=st.integers(0, 8), angles=st.integers(2, 9))
+def test_constructor_is_the_array_oracle_bitwise(H, kappa, found, ends, branch, steps, angles):
+    """The scalar constructor gives the lifts, weights, quantity coefficients and
+    meridian of the array oracles of tests/reference.py bit for bit, or
+    raises the same error with the same message, with the same warnings."""
+    Q = default_space_form(kappa)
+    try:
+        seed = revolution.find_seed_edge(Q, H) if found else None
+    except GeometryError:
+        seed = None
+    if seed is None:
+        seed = (hyperbolic_point(*ends[:2]), hyperbolic_point(*ends[2:]), branch)
+    scalar = _constructor_outcomes(Q, H, seed, steps, angles)
+    with mock.patch.multiple(revolution, seed_edge=reference.seed_edge,
+                             meridian_step=reference.meridian_step), \
+            mock.patch.object(revolution.Meridian, "validate", reference.meridian_validate):
+        oracle = _constructor_outcomes(Q, H, seed, steps, angles)
+    assert scalar == oracle
