@@ -9,32 +9,28 @@ import numpy as np
 
 from .conserved import ConservedQuantity
 from .errors import DegenerateEdge, GeometryError
-from .grids import EdgeFunction, GridDomain, VertexField
+from .grids import EdgeFunction, VertexField
 from .minkowski import Q_EUCLIDEAN, euclidean_lift, euclidean_point, minkowski_inner
 from .nets import IsothermicNet, moutard_fill
 from .revolution import RevolutionStructure, RotationProfile
 from .tolerances import tol
 
 
-def cylinder_net(rows: int, cols: int, eta: float, phi: float,
-                 n_start: int = 0) -> IsothermicNet:
+def cylinder_net(rows: int, cols: int, eta: float, phi: float) -> IsothermicNet:
     """Discrete circular cylinder f = (eta*m, cos(n*phi), sin(n*phi)) for
-    n = n_start .. n_start+cols-1, with Euclidean lifts and weights
-    +-<F_i, F_j>/2 (negative along the rulings, positive along the
-    circles); its face cross ratios are -eta^2 / (4 sin^2(phi/2))."""
+    n = 0 .. cols-1, with Euclidean lifts and weights +-<F_i, F_j>/2
+    (negative along the rulings, positive along the circles); its face
+    cross ratios are -eta^2 / (4 sin^2(phi/2))."""
     if rows < 2 or cols < 2:
         raise ValueError("cylinder needs at least a 2x2 grid")
-    domain = GridDomain(rows, cols)
     m = np.arange(rows)[:, None]
-    n = (n_start + np.arange(cols))[None, :]
+    n = np.arange(cols)[None, :]
     pts = np.stack(np.broadcast_arrays(eta * m, np.cos(n * phi), np.sin(n * phi)),
                    axis=-1).astype(float)
-    lifts = VertexField(domain, euclidean_lift(pts))
     u = np.full(rows - 1, -eta * eta / 4.0)
     v = np.full(cols - 1, np.sin(phi / 2.0) ** 2)
-    revolution = RevolutionStructure(RotationProfile(phi * (n_start + np.arange(cols))),
-                                     meridian_points=None, alpha=None)
-    return IsothermicNet(domain, lifts, EdgeFunction(domain, u, v), revolution=revolution)
+    return IsothermicNet(VertexField(euclidean_lift(pts)), EdgeFunction(u, v),
+                         revolution=RevolutionStructure(RotationProfile(phi * n[0]), None))
 
 
 def cylinder_dual_lifts(net: IsothermicNet) -> np.ndarray:
@@ -87,50 +83,45 @@ def cylinder_family_quantity(net: IsothermicNet, t: float) -> ConservedQuantity:
     return ConservedQuantity(net, base.coeffs + (t / 2.0) * zz.coeffs)
 
 
-def zigzag_net(rows: int, cols: int, eta: float, alpha: float, beta: float,
-               n_start: int = 0) -> IsothermicNet:
+def zigzag_net(rows: int, cols: int, eta: float, alpha: float, beta: float) -> IsothermicNet:
     """Zigzag plane f = (eta*m, (1+alpha)/2 + (-1)^n (1-alpha)/2, beta*n)
     with rectangular faces; weights are +-<F_i, F_j>/2 as for the cylinder."""
     if not 0.0 < alpha < 1.0 or beta <= 0 or eta <= 0:
         raise ValueError("zigzag parameters need 0 < alpha < 1 and beta, eta > 0")
-    domain = GridDomain(rows, cols)
     m = np.arange(rows)[:, None]
-    n = (n_start + np.arange(cols))[None, :]
+    n = np.arange(cols)[None, :]
     y = (1.0 + alpha) / 2.0 + ((-1.0) ** n) * (1.0 - alpha) / 2.0
     pts = np.stack(np.broadcast_arrays(eta * m, y, beta * n), axis=-1).astype(float)
-    lifts = VertexField(domain, euclidean_lift(pts))
     u = np.full(rows - 1, -eta * eta / 4.0)
     v = np.full(cols - 1, ((1.0 - alpha) ** 2 + beta * beta) / 4.0)
-    return IsothermicNet(domain, lifts, EdgeFunction(domain, u, v))
+    return IsothermicNet(VertexField(euclidean_lift(pts)), EdgeFunction(u, v))
 
 
 def planar_grid_net(rows: int, cols: int) -> IsothermicNet:
     """Unit square grid f = (m, n, 0); every face cross ratio is -1."""
-    domain = GridDomain(rows, cols)
     m = np.arange(rows)[:, None]
     n = np.arange(cols)[None, :]
     pts = np.stack(np.broadcast_arrays(m.astype(float), n.astype(float),
                                        np.zeros((rows, cols))), axis=-1)
-    lifts = VertexField(domain, euclidean_lift(pts))
-    return IsothermicNet(domain, lifts,
-                         EdgeFunction.constant(domain, 1.0, -1.0))
+    return IsothermicNet(VertexField(euclidean_lift(pts)),
+                         EdgeFunction(np.full(rows - 1, 1.0), np.full(cols - 1, -1.0)))
 
 
-def random_moutard_net(rng: np.random.Generator, rows: int, cols: int,
-                       box: float = 1.0, max_tries: int = 50) -> IsothermicNet:
+def random_moutard_net(rng: np.random.Generator, rows: int, cols: int) -> IsothermicNet:
     """Random isothermic net with Moutard-normalized lifts.
 
-    Draws a random first row and first column of lifts (random points of a
-    box with random positive scalings), reads off the edge weights there,
-    and fills the grid through the Moutard equation (:func:`moutard_fill`);
-    the filled lifts stay isotropic and realize the weights on every edge
-    automatically.  A draw is rejected when an edge weight is below 1e-3, a
-    face diagonal product below 1e-6, a filled lift entry above 1e3 in
-    absolute value, or the net fails :meth:`IsothermicNet.validate`.
+    Draws a random first row and first column of lifts (random points of
+    the box [-1, 1]^3 with random positive scalings), reads off the edge
+    weights there, and fills the grid through the Moutard equation
+    (:func:`moutard_fill`); the filled lifts stay isotropic and realize the
+    weights on every edge automatically.  A draw is rejected when an edge
+    weight is below 1e-3, a face diagonal product below 1e-6, a filled lift
+    entry above 1e3 in absolute value, or the net fails
+    :meth:`IsothermicNet.validate`; after 50 rejected draws it raises
+    DegenerateEdge.
     """
-    domain = GridDomain(rows, cols)
-    for _ in range(max_tries):
-        pts = rng.uniform(-box, box, size=(rows + cols, 3))
+    for _ in range(50):
+        pts = rng.uniform(-1.0, 1.0, size=(rows + cols, 3))
         scales = rng.uniform(0.5, 2.0, size=rows + cols)
         F = np.zeros((rows, cols, 5))
         F[:, 0] = scales[:rows, None] * euclidean_lift(pts[:rows])
@@ -141,7 +132,7 @@ def random_moutard_net(rng: np.random.Generator, rows: int, cols: int,
             continue
         # g_floor just below 1e-6 rejects exactly the products |g| < 1e-6
         if moutard_fill(F, u, v, np.nextafter(1e-6, 0.0), f_max=1e3) is None:
-            net = IsothermicNet(domain, VertexField(domain, F), EdgeFunction(domain, u, v))
+            net = IsothermicNet(VertexField(F), EdgeFunction(u, v))
             with contextlib.suppress(GeometryError):  # the fill's drift fails validation
                 net.validate()
                 return net

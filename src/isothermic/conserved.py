@@ -74,7 +74,7 @@ class ConservedQuantity:
         return self.coeffs[mi, ni]
 
     def evaluate(self, lam: float) -> VertexField:
-        return VertexField(self.net.domain, mp_eval(self.coeffs, lam))
+        return VertexField(mp_eval(self.coeffs, lam))
 
     @property
     def constant(self) -> np.ndarray:
@@ -278,7 +278,7 @@ def propagate_congruence(net: IsothermicNet, Q, Z0, basepoint) -> VertexField:
     Z += np.asarray(Z0, dtype=float)
     Check("congruence propagation is path dependent", worst,
           tol(1.0 + float(np.abs(Z).max())), edge).require(NotConserved)
-    return VertexField(dom, Z)
+    return VertexField(Z)
 
 
 def lcq_solve_3x3(net: IsothermicNet, Q) -> ConservedQuantity:
@@ -344,7 +344,7 @@ def lcq_solve_grid(net: IsothermicNet, Q, basepoint=None):
     F = net.lifts.data[idx]
     Zc, *_ = np.linalg.lstsq(F * SIGNATURE, -mp_inner_vec(W.data[idx], F), rcond=None)
 
-    Z = VertexField(dom, W.data + Zc)
+    Z = VertexField(W.data + Zc)
     scale = (1.0 + float(np.abs(Z.data).max())) * net.lift_scale()
     inc = np.abs(mp_inner_vec(Z.data, net.lifts.data)) / scale
     worst = np.unravel_index(int(np.argmax(inc)), inc.shape)

@@ -1,5 +1,8 @@
 """Euclidean specializations: Christoffel duals, the parallel-net linear
-quantity, per-vertex mean curvature spheres, and cmc classification."""
+quantity, per-vertex mean curvature spheres, and cmc classification.
+
+A Euclidean net, ``EuclideanNet(points, weights)``, takes its grid from the
+points."""
 
 from __future__ import annotations
 
@@ -11,9 +14,9 @@ from .conserved import ConservedQuantity, mean_curvature_data
 from .errors import NotChristoffel, NotClosed, NotParallel
 from .grids import (
     EdgeFunction,
-    GridDomain,
     VertexField,
     edge_stacks,
+    net_domain,
     sweep_integrate,
 )
 from .minkowski import (
@@ -27,12 +30,12 @@ from .tolerances import Check, tol
 
 
 class EuclideanNet:
-    """Isothermic net presented by points of R^3 plus edge weights."""
+    """Isothermic net presented by points of R^3, shape (rows, cols, 3),
+    plus edge weights of lengths rows - 1 and cols - 1; ``domain`` is the
+    grid of the points."""
 
-    def __init__(self, domain: GridDomain, points: VertexField, weights: EdgeFunction):
-        if points.data.shape[2:] != (3,):
-            raise ValueError("points must be 3-vectors")
-        self.domain = domain
+    def __init__(self, points: VertexField, weights: EdgeFunction):
+        self.domain = net_domain(points, 3, weights)
         self.points = points
         self.weights = weights
 
@@ -43,11 +46,10 @@ class EuclideanNet:
             Q = Q_EUCLIDEAN
         w = -minkowski_inner(net.lifts.data, Q)
         pts = net.lifts.data[:, :, 1:4] / w[:, :, None]
-        return cls(net.domain, VertexField(net.domain, pts), net.weights)
+        return cls(VertexField(pts), net.weights)
 
     def to_isothermic(self) -> IsothermicNet:
-        lifts = VertexField(self.domain, euclidean_lift(self.points.data))
-        return IsothermicNet(self.domain, lifts, self.weights)
+        return IsothermicNet(VertexField(euclidean_lift(self.points.data)), self.weights)
 
 
 def christoffel(net: EuclideanNet, basepoint=None) -> EuclideanNet:
@@ -79,7 +81,7 @@ def christoffel(net: EuclideanNet, basepoint=None) -> EuclideanNet:
     Check("dual edge form is not closed", worst,
           tol(1.0 + max(float(np.abs(w).max(initial=0.0)) for w in omega)),
           edge).require(NotClosed)
-    return EuclideanNet(dom, VertexField(dom, dual), net.weights)
+    return EuclideanNet(VertexField(dual), net.weights)
 
 
 def parallel_lcq(net: EuclideanNet, dual: EuclideanNet, H: float) -> ConservedQuantity:
@@ -124,7 +126,7 @@ def extract_parallel(cq: ConservedQuantity) -> EuclideanNet:
     Q = cq.constant
     lifts = (2.0 * H * Z + Q) / (2.0 * H * H)
     pts = euclidean_point(lifts)
-    return EuclideanNet(cq.net.domain, VertexField(cq.net.domain, pts), cq.net.weights)
+    return EuclideanNet(VertexField(pts), cq.net.weights)
 
 
 @dataclass

@@ -5,6 +5,9 @@ each is its own index into arrays of shape (rows, cols, ...).
 Directed edges are vertex pairs one step apart; faces are quadruples
 ((m,n) (m+1,n) (m+1,n+1) (m,n+1)).  Edge weights that take equal values on
 opposite edges of every face are stored as two one-variable arrays.
+The arrays fix the grid: ``VertexField(data)`` reads (rows, cols) off
+``data.shape[:2]`` and ``EdgeFunction(u, v)`` off the lengths rows - 1 and
+cols - 1, and each builds its :class:`GridDomain` once, as ``.domain``.
 
 Batched checks see a vertex array of shape (rows, cols, ...) through two
 *edge stacks*, one entry per edge ((m,n) (m+1,n)) with shape
@@ -101,15 +104,14 @@ def _edge_pairs(data, axis: int, reverse: bool = False):
 
 
 class VertexField:
-    """Dense per-vertex storage with leading axes (rows, cols)."""
+    """Dense per-vertex storage with leading axes (rows, cols); the grid
+    is read off the shape of ``data``."""
 
-    def __init__(self, domain: GridDomain, data):
+    def __init__(self, data):
         data = np.asarray(data, dtype=float)
-        if data.shape[:2] != (domain.rows, domain.cols):
-            raise ValueError(
-                f"data shape {data.shape} does not match {domain.rows}x{domain.cols} grid"
-            )
-        self.domain = domain
+        if data.ndim < 2:
+            raise ValueError(f"vertex data of shape {data.shape} has no (rows, cols) axes")
+        self.domain = GridDomain(*data.shape[:2])
         self.data = data
 
     def __getitem__(self, v):
@@ -118,29 +120,25 @@ class VertexField:
         return self.data[mi, ni]
 
     def copy(self):
-        return VertexField(self.domain, self.data.copy())
+        return VertexField(self.data.copy())
 
 
 class EdgeFunction:
     """Symmetric edge weights with equal values on opposite face edges.
 
     Stored as two one-variable arrays: ``u[mi]`` on all edges
-    ((m,n) (m+1,n)) and ``v[ni]`` on all edges ((m,n) (m,n+1)).
+    ((m,n) (m+1,n)) and ``v[ni]`` on all edges ((m,n) (m,n+1)), so the grid
+    has len(u) + 1 rows and len(v) + 1 columns.
     """
 
-    def __init__(self, domain: GridDomain, u, v):
+    def __init__(self, u, v):
         u = np.asarray(u, dtype=float)
         v = np.asarray(v, dtype=float)
-        if u.shape != (domain.rows - 1,) or v.shape != (domain.cols - 1,):
-            raise ValueError("edge weight arrays do not match the grid size")
-        self.domain = domain
+        if u.ndim != 1 or v.ndim != 1:
+            raise ValueError(f"edge weights u {u.shape}, v {v.shape} are not one-variable arrays")
+        self.domain = GridDomain(len(u) + 1, len(v) + 1)
         self.u = u
         self.v = v
-
-    @classmethod
-    def constant(cls, domain, u_value, v_value):
-        return cls(domain, np.full(domain.rows - 1, float(u_value)),
-                   np.full(domain.cols - 1, float(v_value)))
 
     def value(self, edge) -> float:
         """Weight of a grid edge (the library reads ``u`` and ``v``)."""
@@ -160,7 +158,7 @@ class EdgeFunction:
         return self.u[:, None], self.v[None, :]
 
     def scaled(self, factor: float) -> "EdgeFunction":
-        return EdgeFunction(self.domain, self.u * factor, self.v * factor)
+        return EdgeFunction(self.u * factor, self.v * factor)
 
     def calapso_shifted(self, mu: float) -> "EdgeFunction":
         """The weight function a / (1 - mu*a) of a Calapso transform."""
@@ -169,10 +167,22 @@ class EdgeFunction:
         scale = 1.0 + self.max_abs()
         if np.any(np.abs(du) <= tol(scale)) or np.any(np.abs(dv) <= tol(scale)):
             raise PoleParameter("parameter hits a pole of the edge weights")
-        return EdgeFunction(self.domain, self.u / du, self.v / dv)
+        return EdgeFunction(self.u / du, self.v / dv)
 
     def max_abs(self) -> float:
         return float(max(np.abs(self.u).max(initial=0.0), np.abs(self.v).max(initial=0.0)))
+
+
+def net_domain(points: VertexField, width: int, weights: EdgeFunction) -> GridDomain:
+    """The grid of a net: that of ``points``, whose entries must be
+    ``width``-vectors, and whose weights must have lengths rows - 1 and
+    cols - 1.  Raises ValueError naming the shapes otherwise."""
+    shape = points.data.shape
+    if shape[2:] != (width,) or weights.domain != points.domain:
+        raise ValueError(f"vertex array {shape} and weights u {weights.u.shape}, "
+                         f"v {weights.v.shape} do not make a net: need (rows, cols, {width}) "
+                         "with u (rows - 1,), v (cols - 1,)")
+    return points.domain
 
 
 def _sum_outward(w, k0):

@@ -26,7 +26,7 @@ import numpy as np
 
 from .conserved import ConservedQuantity
 from .errors import DimensionMismatch, ParseError
-from .grids import EdgeFunction, GridDomain, VertexField
+from .grids import EdgeFunction, VertexField
 from .nets import IsothermicNet
 
 FORMAT_NAME = "isothermic-net"
@@ -222,7 +222,6 @@ def load_net(path):
         raise ParseError(f"{path}: grid size is not an integer ({exc})") from exc
     if rows < 1 or cols < 1:
         raise ParseError(f"{path}: grid size must be positive")
-    domain = GridDomain(rows, cols)
 
     def array_field(key, shape, raw=None):
         raw = _require(doc, key, path) if raw is None else raw
@@ -242,8 +241,7 @@ def load_net(path):
     lifts = array_field("lifts", (rows, cols, 5))
     a_u = array_field("a_u", (rows - 1,))
     a_v = array_field("a_v", (cols - 1,))
-    net = IsothermicNet(domain, VertexField(domain, lifts),
-                        EdgeFunction(domain, a_u, a_v))
+    net = IsothermicNet(VertexField(lifts), EdgeFunction(a_u, a_v))
 
     quantities, items = [], doc.get("conserved_quantities", [])
     if not isinstance(items, list):

@@ -1,9 +1,10 @@
 """Discrete isothermic nets: verification, Moutard normalization, the
 family of edge connections, and Calapso transformations.
 
-A net is a grid of isotropic lifts together with a symmetric edge weight
-function, equal on opposite face edges, whose ratio across each face equals
-the face cross ratio.  Everything here is lift-scaling invariant except
+A net, ``IsothermicNet(lifts, weights, revolution=None)``, is a grid of
+isotropic lifts together with a symmetric edge weight function, equal on
+opposite face edges, whose ratio across each face equals the face cross
+ratio; the lifts fix the grid.  Everything here is lift-scaling invariant except
 where a specific normalization is the point (:func:`moutard_lift`).
 
 Operations return fresh data and never modify a net's lifts or weights,
@@ -32,6 +33,7 @@ from .grids import (
     VertexField,
     _edge_pairs,
     edge_stacks,
+    net_domain,
     sweep_propagate,
 )
 from .minkowski import (
@@ -55,29 +57,30 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True, eq=False)
 class IsothermicNet:
-    """Grid of isotropic lifts with a cross-ratio factorizing edge function,
-    and the rotational structure of the revolution builders (or None)."""
+    """Grid of isotropic lifts, shape (rows, cols, 5), with a cross-ratio
+    factorizing edge function of lengths rows - 1 and cols - 1, and the
+    rotational structure of the revolution builders (or None); ``domain``
+    is the grid of the lifts."""
 
-    domain: GridDomain
     lifts: VertexField
     weights: EdgeFunction
     revolution: RevolutionStructure | None = None
 
     def __post_init__(self):
-        if self.lifts.domain != self.domain or self.weights.domain != self.domain:
-            raise ValueError("lifts/weights domain mismatch")
-        if self.lifts.data.shape[2:] != (5,):
-            raise ValueError("lifts must be 5-vectors")
+        net_domain(self.lifts, 5, self.weights)
+
+    @property
+    def domain(self) -> GridDomain:
+        return self.lifts.domain
 
     def lift_scale(self) -> float:
         return float(np.abs(self.lifts.data).max())
 
     def with_weights(self, weights: EdgeFunction) -> "IsothermicNet":
-        return IsothermicNet(self.domain, self.lifts.copy(), weights,
-                             revolution=self.revolution)
+        return IsothermicNet(self.lifts.copy(), weights, revolution=self.revolution)
 
     def with_lifts(self, lifts: VertexField) -> "IsothermicNet":
-        return IsothermicNet(self.domain, lifts, self.weights)
+        return IsothermicNet(lifts, self.weights)
 
     def validate(self, q=None) -> float:
         """Check lightlike lifts and that weight ratios match the face cross
@@ -169,7 +172,7 @@ def verify_isothermic(lifts: VertexField, *, strict: bool = True) -> IsothermicR
         v = np.empty(domain.cols - 1)
         v[0] = v0
         v[1:] = u[0] / ratios[0, 1:]
-        report.weights, report.cross_ratios = EdgeFunction(domain, u, v), q
+        report.weights, report.cross_ratios = EdgeFunction(u, v), q
         report.check = Check("reconstructed weights do not reproduce the cross ratios",
                              float(np.abs(u[:, None] / v[None, :] - ratios).max()),
                              tol(1.0 + float(np.abs(ratios).max())))
@@ -262,7 +265,7 @@ def moutard_lift(lifts: VertexField, weights: EdgeFunction) -> VertexField:
         return targets[axis][index] / g
 
     scales, _, _ = sweep_propagate(domain, 1.0, (0, 0), step)
-    out = VertexField(domain, F * scales[..., None])
+    out = VertexField(F * scales[..., None])
     # each product against the scale of its own edge, so that a lift blown
     # up elsewhere cannot excuse a miss
     worst = np.max([(np.abs(minkowski_inner(Fi, Fj) - a)
@@ -412,7 +415,7 @@ def calapso(net: IsothermicNet, mu: float, basepoint=None) -> tuple[CalapsoFrame
     check = Check("path dependence; input net is not isothermic", worst, tol(10.0 + largest),
                   edge).require(NotFlat)
 
-    new_lifts = VertexField(domain, np.einsum("mnij,mnj->mni", frames, net.lifts.data))
+    new_lifts = VertexField(np.einsum("mnij,mnj->mni", frames, net.lifts.data))
     # a flat connection can still grow frames so large that T F keeps no
     # digits: the transformed faces then degenerate, and no net is returned
     regularity = _regularity(*face_products(new_lifts.data)[1:])
@@ -422,8 +425,7 @@ def calapso(net: IsothermicNet, mu: float, basepoint=None) -> tuple[CalapsoFrame
     if not floor.ok:
         worst = np.unravel_index(int(np.argmin(regularity)), regularity.shape)
         floor._replace(where=domain.stack_face(worst)).require(DegeneratePoints)
-    frames = VertexField(domain, frames)
-    transformed = IsothermicNet(domain, new_lifts, net.weights.calapso_shifted(mu),
-                                revolution=None)
+    frames = VertexField(frames)
+    transformed = IsothermicNet(new_lifts, net.weights.calapso_shifted(mu))
     frame = CalapsoFrame(mu, frames, net, transformed, basepoint, check)
     return frame, transformed

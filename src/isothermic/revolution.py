@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,7 +45,7 @@ from .errors import (
     RepeatedPoint,
     VanishingX,
 )
-from .grids import EdgeFunction, GridDomain, VertexField
+from .grids import EdgeFunction, VertexField
 from .minkowski import (
     SIGNATURE,
     _dot3,
@@ -62,32 +62,27 @@ from .tolerances import Check, tol
 
 @dataclass
 class RotationProfile:
-    """Rotation angles (radians) for the circular direction, plus the unit
-    starting direction of the rotation plane."""
+    """Rotation angles (radians) for the circular direction, measured from
+    the first axis of the rotation plane."""
 
     angles: np.ndarray
-    direction: np.ndarray = field(default_factory=lambda: np.array([1.0, 0.0]))
 
     def __post_init__(self):
         self.angles = np.asarray(self.angles, dtype=float)
-        self.direction = np.asarray(self.direction, dtype=float)
         if len(self.angles) < 2:
             raise ValueError("need at least two rotation angles")
         d = np.diff(self.angles)
         if np.any(np.abs(np.sin(d / 2.0)) <= tol(1.0)):
             raise RepeatedPoint("consecutive rotation angles coincide mod 2*pi")
-        if abs(float(np.dot(self.direction, self.direction)) - 1.0) > tol(1.0):
-            raise ValueError("rotation direction must be a unit vector")
 
     @classmethod
-    def uniform(cls, count: int, step: float, start: float = 0.0) -> "RotationProfile":
-        return cls(start + step * np.arange(count))
+    def uniform(cls, count: int, step: float) -> "RotationProfile":
+        """The angles 0, step, ..., (count - 1) step."""
+        return cls(step * np.arange(count))
 
     def plane_points(self) -> np.ndarray:
         """The rotated directions (cos, sin pairs), shape (count, 2)."""
-        c, s = self.direction
-        return np.stack([c * np.cos(self.angles) - s * np.sin(self.angles),
-                         c * np.sin(self.angles) + s * np.cos(self.angles)], axis=-1)
+        return np.stack([np.cos(self.angles), np.sin(self.angles)], axis=-1)
 
 
 @dataclass
@@ -165,7 +160,6 @@ def _assemble_net(M, profile: RotationProfile, alpha: float) -> IsothermicNet:
     k = M.shape[0]
     plane = profile.plane_points()
     count = plane.shape[0]
-    domain = GridDomain(k, count)
     signs = (-1.0) ** np.arange(k)
     lifts = np.zeros((k, count, 5))
     lifts[:, :, 0] = M[:, None, 0]
@@ -177,8 +171,8 @@ def _assemble_net(M, profile: RotationProfile, alpha: float) -> IsothermicNet:
     u = alpha * (-1.0 - inner3(M[1:], M[:-1]))
     dphi = np.diff(profile.angles)
     v = alpha * (-2.0) * np.sin(dphi / 2.0) ** 2
-    return IsothermicNet(domain, VertexField(domain, lifts), EdgeFunction(domain, u, v),
-                         revolution=RevolutionStructure(profile, M.copy(), alpha))
+    return IsothermicNet(VertexField(lifts), EdgeFunction(u, v),
+                         revolution=RevolutionStructure(profile, M.copy()))
 
 
 @dataclass
@@ -186,8 +180,7 @@ class RevolutionStructure:
     """Rotational data attached to nets built by the revolution builders."""
 
     profile: RotationProfile
-    meridian_points: np.ndarray
-    alpha: float
+    meridian_points: np.ndarray | None
 
 
 def symmetric_pcq_check(net: IsothermicNet, cq: ConservedQuantity) -> bool:
@@ -465,27 +458,30 @@ def find_seed_edge(Q, H):
     GeometryError
         If no scanned edge is admissible.
     """
-    candidates = []
-    for eta0 in (0.0, 0.15, -0.2, 0.3):
-        for rho0 in (1.0, 0.8, 1.3, 0.6):
-            for deta in (0.25, 0.4, 0.15):
-                for drho in (0.1, -0.15, 0.3, 0.0):
-                    candidates.append((eta0, rho0, eta0 + deta, rho0 + drho))
     q = _components(Q)
     kappa = -float(_dot3(q, q))
-    for eta0, rho0, eta1, rho1 in candidates:
-        if rho1 <= 0.05:
-            continue
+    starts = [(eta0, rho0) for eta0 in (0.0, 0.15, -0.2, 0.3) for rho0 in (1.0, 0.8, 1.3, 0.6)]
+    steps = [(deta, drho) for deta in (0.25, 0.4, 0.15) for drho in (0.1, -0.15, 0.3, 0.0)]
+    for eta0, rho0 in starts:
         M0 = hyperbolic_point(eta0, rho0)
-        M1 = hyperbolic_point(eta1, rho1)
-        if abs(_dot3(q, M0)) < 1e-6 or abs(_dot3(q, M1)) < 1e-6:
+        # a start on the infinity boundary, or parallel to a timelike Q (then
+        # (Q, M0, M1) span no Lorentz 3-space for any M1), admits no edge
+        if (abs(_dot3(q, M0)) < 1e-6
+                or np.linalg.norm(np.cross(Q, M0)) <= tol(np.linalg.norm(Q) * np.linalg.norm(M0))):
             continue
-        try:
-            sols = seed_edge(Q, H, M0, M1)
-        except GeometryError:
-            continue
-        for branch, sol in enumerate(sols):
-            gate = 1.0 - 2.0 * sol.edge_weight * H - sol.edge_weight ** 2 * kappa
-            if gate > 1e-6:
-                return M0, M1, branch
+        for deta, drho in steps:
+            eta1, rho1 = eta0 + deta, rho0 + drho
+            if rho1 <= 0.05:
+                continue
+            M1 = hyperbolic_point(eta1, rho1)
+            if abs(_dot3(q, M1)) < 1e-6:
+                continue
+            try:
+                sols = seed_edge(Q, H, M0, M1)
+            except GeometryError:
+                continue
+            for branch, sol in enumerate(sols):
+                gate = 1.0 - 2.0 * sol.edge_weight * H - sol.edge_weight ** 2 * kappa
+                if gate > 1e-6:
+                    return M0, M1, branch
     raise GeometryError("no admissible seed edge found for these (H, kappa)")

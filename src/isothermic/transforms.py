@@ -69,9 +69,7 @@ class DarbouxTransform:
         """
         data = self.lifts.data
         norms = np.linalg.norm(data, axis=-1, keepdims=True)
-        return IsothermicNet(self.base.domain,
-                             VertexField(self.base.domain, data / norms),
-                             self.base.weights)
+        return IsothermicNet(VertexField(data / norms), self.base.weights)
 
     def cross_ratio_residual(self) -> float:
         """Worst deviation of [f_i; f_j; fhat_j; fhat_i] from a_ij * mu, over
@@ -134,7 +132,7 @@ def darboux_propagate(net: IsothermicNet, mu: float, start, basepoint=None) -> D
     lifts, worst, edge = sweep_propagate(dom, start[:, None], basepoint, step)
     check = Check("Darboux propagation is path dependent",
                   worst / (1.0 + float(np.abs(lifts).max())), tol(1.0), edge).require(NotParallel)
-    return DarbouxTransform(mu, VertexField(dom, lifts[..., 0]), net, check)
+    return DarbouxTransform(mu, VertexField(lifts[..., 0]), net, check)
 
 
 def backlund_init(cq: ConservedQuantity, mu: float, s: float, basepoint=None) -> np.ndarray:
@@ -287,7 +285,7 @@ def bianchi(net: IsothermicNet, first: DarbouxTransform, second: DarbouxTransfor
     if (g <= limit).any():
         index = np.unravel_index(int(np.argmin(g / limit)), g.shape)
         raise CoincidentTransforms(f"transforms coincide at {net.domain.vertex_at(index)}")
-    lifts = VertexField(net.domain, cross_ratio_apply(mu2 / mu1, A, B, net.lifts.data))
+    lifts = VertexField(cross_ratio_apply(mu2 / mu1, A, B, net.lifts.data))
 
     d_of_first = DarbouxTransform(mu2, lifts, first.net())
     d_of_second = DarbouxTransform(mu1, lifts, second.net())
@@ -348,7 +346,7 @@ def complementary(cq: ConservedQuantity) -> list[ComplementaryNet]:
         values = mp_eval(cq.coeffs, mu)
         size = float(np.sqrt((values * values).sum(-1)).max())
         degenerate = size <= tol(cq.scale() * (1.0 + abs(mu)) ** cq.degree)
-        lifts = None if degenerate else VertexField(cq.net.domain, values)
+        lifts = None if degenerate else VertexField(values)
         out.append(ComplementaryNet(mu, len(cluster), lifts, degenerate))
     return out
 
@@ -402,10 +400,11 @@ def calapso_pcq(cq: ConservedQuantity, frame: CalapsoFrame) -> ConservedQuantity
     are preserved; for linear quantities the curvatures move along the
     family H -> H - mu, kappa -> kappa + 2 mu H - mu^2 with H^2 + kappa
     invariant."""
-    if frame.net is not cq.net:
-        # allow equality by value for reloaded nets
-        if frame.net.domain != cq.net.domain:
-            raise ValueError("frame was built for a different net")
+    a, b = frame.net, cq.net
+    if a is not b and not (np.array_equal(a.lifts.data, b.lifts.data)  # a reloaded net
+                           and np.array_equal(a.weights.u, b.weights.u)
+                           and np.array_equal(a.weights.v, b.weights.v)):
+        raise ValueError("frame was built for a different net")
     shifted = mp_shift(cq.coeffs, frame.mu)
     data = np.einsum("mnij,mnkj->mnki", frame.frames.data, shifted)
     return ConservedQuantity(frame.transformed, data)

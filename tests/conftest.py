@@ -4,6 +4,8 @@ import pytest
 from isothermic import catalog
 from isothermic.grids import VertexField
 from isothermic.minkowski import euclidean_lift
+from isothermic.nets import IsothermicNet
+from isothermic.revolution import RevolutionStructure, RotationProfile
 from isothermic.transforms import darboux_propagate
 from reference import faces
 
@@ -11,6 +13,29 @@ from reference import faces
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def centred_cylinder(rows, cols, eta, phi):
+    """``catalog.cylinder_net(rows, cols, eta, phi)`` with its columns numbered
+    from -1: a three-column patch has the angles {-phi, 0, phi}, where the
+    cylinder coincides with the zigzag plane of ``catalog.zigzag_quantity``."""
+    n = -1 + np.arange(cols)
+    pts = np.stack(np.broadcast_arrays(eta * np.arange(rows)[:, None], np.cos(n * phi),
+                                       np.sin(n * phi)), axis=-1).astype(float)
+    return IsothermicNet(VertexField(euclidean_lift(pts)),
+                         catalog.cylinder_net(rows, cols, eta, phi).weights,
+                         revolution=RevolutionStructure(RotationProfile(phi * n), None))
+
+
+def centred_zigzag(rows, cols, eta, alpha, beta):
+    """``catalog.zigzag_net(rows, cols, eta, alpha, beta)`` with its columns
+    numbered from -1, so that its y coordinates start at alpha."""
+    n = -1 + np.arange(cols)
+    y = (1.0 + alpha) / 2.0 + ((-1.0) ** n) * (1.0 - alpha) / 2.0
+    pts = np.stack(np.broadcast_arrays(eta * np.arange(rows)[:, None], y, beta * n),
+                   axis=-1).astype(float)
+    return IsothermicNet(VertexField(euclidean_lift(pts)),
+                         catalog.zigzag_net(rows, cols, eta, alpha, beta).weights)
 
 
 def random_lightlike(rng, box=1.0):

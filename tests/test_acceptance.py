@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import darboux_stacked_net
+from conftest import centred_cylinder, darboux_stacked_net
 from isothermic import catalog
 from isothermic.conserved import (
     ConservedQuantity,
@@ -72,7 +72,7 @@ def test_acceptance_01_cylinder_cmc():
 def test_acceptance_02_space_form_family():
     # the superposition family lives on the three-column patch of the same
     # cylinder, where it coincides with the zigzag plane
-    net = catalog.cylinder_net(20, 3, ETA, PHI, n_start=-1)
+    net = centred_cylinder(20, 3, ETA, PHI)
     c = np.cos(PHI)
     worst = 0.0
     for t in (0.25, 0.5, 1.0):
@@ -118,7 +118,7 @@ def test_acceptance_04_flatness_iff_isothermic():
         pts = euclidean_point(net.lifts.data)
         direction = rng.normal(size=3)
         pts[2, 2] += 1e-3 * direction / np.linalg.norm(direction)
-        pert = net.with_lifts(VertexField(net.domain, euclidean_lift(pts)))
+        pert = net.with_lifts(VertexField(euclidean_lift(pts)))
         affected = [f for f in faces(pert.domain) if (2, 2) in f]
         for face in affected:
             face_worst = max(

@@ -218,7 +218,7 @@ def bent(net, seed):
     pts[rng.integers(net.domain.rows), rng.integers(net.domain.cols)] += \
         rng.uniform(0.02, 0.05, 3)
     lifts = euclidean_lift(pts) * rng.uniform(0.5, 2.0, pts.shape[:2])[..., None]
-    return IsothermicNet(net.domain, VertexField(net.domain, lifts), net.weights)
+    return IsothermicNet(VertexField(lifts), net.weights)
 
 
 NETS = st.tuples(st.integers(0, 10 ** 6), st.sampled_from(SHAPES),
@@ -355,7 +355,7 @@ def test_edge_checks_match_references(drawn, mu):
     t = darboux_propagate(net, mu, start)
     assert t.cross_ratio_residual() == pytest.approx(ref_cross_ratio_residual(t),
                                                      rel=1e-6, abs=1e-12)
-    noise = VertexField(net.domain, t.lifts.data + rng.normal(size=t.lifts.data.shape) * 1e-3)
+    noise = VertexField(t.lifts.data + rng.normal(size=t.lifts.data.shape) * 1e-3)
     for section in (t.lifts, noise):
         assert parallel_residual(net, mu, section) == pytest.approx(
             ref_parallel_residual(net, mu, section), rel=1e-9, abs=1e-12)
@@ -497,8 +497,8 @@ def test_face_checks_are_invariant(drawn, bend, move, seed):
         data = data @ lorentz_map(rng).T
     else:
         data = data * 10.0 ** rng.uniform(-6.0, 6.0, data.shape[:2])[..., None]
-    lifts = VertexField(net.domain, data)
-    moved = IsothermicNet(net.domain, lifts, net.weights)
+    lifts = VertexField(data)
+    moved = IsothermicNet(lifts, net.weights)
 
     q0, q1 = (cross_ratios(np.stack([L[:-1, :-1], L[1:, :-1], L[1:, 1:], L[:-1, 1:]], axis=2))
               for L in (net.lifts.data, data))
@@ -525,7 +525,7 @@ def test_coincident_points_raise(shape):
     net = catalog.cylinder_net(*shape, 0.5, 0.9)
     data = net.lifts.data.copy()
     data[0, 1] = 3.0 * data[0, 0]  # the edge (i, l) of face (0, 0) collapses
-    lifts = VertexField(net.domain, data)
+    lifts = VertexField(data)
     with pytest.raises(DegeneratePoints):
         ref_face_cross_ratios(lifts)
     V = np.stack([data[:-1, :-1], data[1:, :-1], data[1:, 1:], data[:-1, 1:]], axis=2)
@@ -767,9 +767,8 @@ def block(net, shape, coeffs=None):
     """The top-left ``shape`` block of a net (and of a quantity's
     coefficients)."""
     rows, cols = shape
-    dom = GridDomain(rows, cols)
-    patch = IsothermicNet(dom, VertexField(dom, net.lifts.data[:rows, :cols]),
-                          EdgeFunction(dom, net.weights.u[:rows - 1], net.weights.v[:cols - 1]))
+    patch = IsothermicNet(VertexField(net.lifts.data[:rows, :cols]),
+                          EdgeFunction(net.weights.u[:rows - 1], net.weights.v[:cols - 1]))
     if coeffs is None:
         return patch, None
     return patch, coeffs[:rows, :cols]
@@ -950,7 +949,7 @@ def moved(net, vertex, by=1e-6):
     data = net.lifts.data.copy()
     pts = euclidean_point(data)
     pts[net.domain.index(vertex)] += by
-    return IsothermicNet(net.domain, VertexField(net.domain, euclidean_lift(pts)), net.weights)
+    return IsothermicNet(VertexField(euclidean_lift(pts)), net.weights)
 
 
 def test_path_dependence_names_the_worst_edge():
@@ -999,7 +998,7 @@ def test_coincident_transforms_name_the_vertex():
     first = darboux_propagate(net, -1.0, euclidean_lift([3.0, 0.5, 0.2]))
     data = darboux_propagate(net, -0.5, euclidean_lift([2.0, -1.0, 0.4])).lifts.data.copy()
     data[net.domain.index((2, 3))] = 2.0 * first.lifts[(2, 3)]
-    second = DarbouxTransform(-0.5, VertexField(net.domain, data), net)
+    second = DarbouxTransform(-0.5, VertexField(data), net)
     for run in (lambda: bianchi(net, first, second),
                 lambda: ref_bianchi_lifts(net, first, second)):
         with pytest.raises(CoincidentTransforms, match=r"at \(2, 3\)"):
@@ -1038,7 +1037,7 @@ def test_faceless_nets_pass_the_face_checks(shape):
     data, vertex = net.lifts.data.copy(), (0, 2) if shape == (1, 4) else (2, 0)
     data[vertex + (0,)] += 0.1
     with pytest.raises(GeometryError, match=re.escape(f"at {vertex}")):
-        net.with_lifts(VertexField(net.domain, data)).validate()
+        net.with_lifts(VertexField(data)).validate()
     assert holonomy_residual(net, [0.3, -1.2]) == 0.0
     check = moutard_check(net.lifts)
     assert check.ok and check.value == 0.0
@@ -1187,10 +1186,9 @@ def test_moutard_fill_matches_face_loop(seed, rows, cols):
         np.random.default_rng(seed), rows, cols)))
     if isinstance(got, Exception):
         return
-    dom = GridDomain(rows, cols)
-    weights = EdgeFunction(dom, got[1], got[2])
+    weights = EdgeFunction(got[1], got[2])
     scales = np.random.default_rng(seed + 1).uniform(0.3, 3.0, (rows, cols))
-    lifts = VertexField(dom, got[0] * scales[..., None])
+    lifts = VertexField(got[0] * scales[..., None])
     normalized = raised(lambda: (moutard_lift(lifts, weights).data,))
     assert_bitwise(normalized, raised(lambda: (ref_moutard_lift(lifts, weights),)))
     if not isinstance(normalized, Exception):
@@ -1200,12 +1198,12 @@ def test_moutard_fill_matches_face_loop(seed, rows, cols):
         limit = tol(1.0 + weights.max_abs() + float(np.abs(out).max()) ** 2)
         for (Fi, Fj), a in zip(edge_stacks(out), weights.stacks()):
             assert np.abs(minkowski_inner(Fi, Fj) - a).max() <= limit
-        assert moutard_check(VertexField(dom, out)).ok
+        assert moutard_check(VertexField(out)).ok
     # the same point at the corners j and l of face (0, 0): no rescaling
     # meets the products of both paths around that face
     data = lifts.data.copy()
     data[1, 0] = 2.0 * data[0, 1]
-    lifts = VertexField(dom, data)
+    lifts = VertexField(data)
     with pytest.raises(DegenerateEdge):
         moutard_lift(lifts, weights)
     assert_bitwise(raised(lambda: moutard_lift(lifts, weights)),

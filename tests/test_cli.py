@@ -154,7 +154,7 @@ def test_verify_perturbed_fixture_exits_2(tmp_path):
     cq = catalog.cylinder_quantity(net)
     pts = euclidean_point(net.lifts.data)
     pts[2, 1] += 5e-3 * np.array([1.0, -0.3, 0.4]) / np.linalg.norm([1.0, -0.3, 0.4])
-    bad = net.with_lifts(VertexField(net.domain, euclidean_lift(pts)))
+    bad = net.with_lifts(VertexField(euclidean_lift(pts)))
     path = tmp_path / "bad.json"
     save_net(path, bad, [cq])
     assert run(["verify", path]) == 2
@@ -217,7 +217,7 @@ def _bent_net_file(tmp_path):
     net = catalog.cylinder_net(3, 3, 0.3, np.pi / 4)
     pts = euclidean_point(net.lifts.data)
     pts[1, 1, 0] += 1e-7
-    bent = IsothermicNet(net.domain, VertexField(net.domain, euclidean_lift(pts)), net.weights)
+    bent = IsothermicNet(VertexField(euclidean_lift(pts)), net.weights)
     src = tmp_path / "bent.json"
     save_net(src, bent)
     return src
@@ -541,8 +541,8 @@ def test_faceless_net_file(tmp_path, capsys):
     cyl = catalog.cylinder_net(2, 4, 0.5, 0.9)
     dom = GridDomain(1, 4)
     path = tmp_path / "row.json"
-    save_net(path, IsothermicNet(dom, VertexField(dom, cyl.lifts.data[:1]),
-                                 EdgeFunction(dom, [], cyl.weights.v)))
+    save_net(path, IsothermicNet(VertexField(cyl.lifts.data[:1]),
+                                 EdgeFunction([], cyl.weights.v)))
     assert run(["verify", path]) == 2
     assert "need at least one face" in capsys.readouterr().out
     assert run(["classify", path]) == 0

@@ -4,7 +4,7 @@ linear solvers, and classification."""
 import numpy as np
 import pytest
 
-from conftest import darboux_stacked_net
+from conftest import centred_cylinder, centred_zigzag, darboux_stacked_net
 from isothermic import catalog
 from isothermic.conserved import (
     ConservedQuantity,
@@ -23,7 +23,7 @@ from isothermic.errors import (
     NotConserved,
     SphericalStar,
 )
-from isothermic.grids import EdgeFunction, GridDomain, VertexField, edge_stacks
+from isothermic.grids import EdgeFunction, VertexField, edge_stacks
 from isothermic.minkowski import (
     Q_EUCLIDEAN,
     SIGNATURE,
@@ -37,8 +37,9 @@ from isothermic.tolerances import Check
 ETA, PHI = 0.3, np.pi / 4
 
 
-def cylinder_with_quantity(rows=5, cols=5, n_start=0):
-    net = catalog.cylinder_net(rows, cols, ETA, PHI, n_start=n_start)
+def cylinder_with_quantity(rows=5, cols=5, centred=False):
+    build = centred_cylinder if centred else catalog.cylinder_net
+    net = build(rows, cols, ETA, PHI)
     return net, catalog.cylinder_quantity(net)
 
 
@@ -48,11 +49,11 @@ def test_pcq_verify_cylinder():
 
 
 def test_pcq_verify_zigzag_degenerate():
-    net = catalog.zigzag_net(3, 3, 0.7, 0.4, 0.8, n_start=-1)
+    net = centred_zigzag(3, 3, 0.7, 0.4, 0.8)
     cq = catalog.zigzag_quantity(net)
     assert pcq_verify(net, cq).value < 1e-12
     # its top coefficient is isotropic but is a Moutard lift
-    Z = VertexField(net.domain, cq.coeffs[:, :, 1, :])
+    Z = VertexField(cq.coeffs[:, :, 1, :])
     assert abs(cq.top_norm2()) < 1e-12
     assert moutard_check(Z).ok
 
@@ -158,7 +159,7 @@ def test_normalize_top():
     np.testing.assert_allclose(normalize_top(cq).coeffs, cq.coeffs, atol=1e-14)
     np.testing.assert_allclose(normalize_top(cq.scaled(2.0)).coeffs, cq.coeffs,
                                atol=1e-13)
-    zz_net = catalog.zigzag_net(3, 3, 0.7, 0.4, 0.8, n_start=-1)
+    zz_net = centred_zigzag(3, 3, 0.7, 0.4, 0.8)
     with pytest.raises(DegenerateTop):
         normalize_top(catalog.zigzag_quantity(zz_net))
 
@@ -173,7 +174,7 @@ def test_classify_type():
     rep = classify_type(net, [cq])
     assert not rep.spherical and rep.min_degree == 1 and rep.verified == 1
 
-    zz_net = catalog.zigzag_net(3, 3, 0.7, 0.4, 0.8, n_start=-1)
+    zz_net = centred_zigzag(3, 3, 0.7, 0.4, 0.8)
     rep = classify_type(zz_net, [catalog.zigzag_quantity(zz_net)])
     assert not rep.spherical
     assert rep.min_degree is None and rep.degenerate_present
@@ -181,10 +182,9 @@ def test_classify_type():
 
 def test_classify_type_fewer_than_five_vertices():
     cyl = catalog.cylinder_net(2, 4, 0.5, 0.9)
-    row = GridDomain(1, 4)
     for net in (catalog.cylinder_net(2, 2, 0.5, 0.9),
-                IsothermicNet(row, VertexField(row, cyl.lifts.data[:1]),
-                              EdgeFunction(row, [], cyl.weights.v))):
+                IsothermicNet(VertexField(cyl.lifts.data[:1]),
+                              EdgeFunction([], cyl.weights.v))):
         rep = classify_type(net)
         assert rep.spherical and rep.min_degree == 0
         # a unit spacelike sphere vector through every vertex
@@ -196,10 +196,9 @@ def test_classify_type_reports_the_span():
     """The sphere through a net is unique only when its lifts span four
     dimensions; four concircular points span three (a pencil of spheres)."""
     cyl = catalog.cylinder_net(2, 4, 0.5, 0.9)
-    pair = GridDomain(1, 2)
     net, _ = cylinder_with_quantity()
-    for example, span in ((IsothermicNet(pair, VertexField(pair, cyl.lifts.data[:1, :2]),
-                                         EdgeFunction(pair, [], cyl.weights.v[:1])), 2),
+    for example, span in ((IsothermicNet(VertexField(cyl.lifts.data[:1, :2]),
+                                         EdgeFunction([], cyl.weights.v[:1])), 2),
                           (catalog.cylinder_net(2, 2, 0.5, 0.9), 3),
                           (catalog.planar_grid_net(4, 4), 4), (net, 5)):
         assert classify_type(example).span == span
@@ -260,7 +259,7 @@ def test_lcq_solve_grid_cylinder():
 
 def test_lcq_solve_grid_family():
     # three-column patch centred at angle 0 carries the superposition family
-    net, _ = cylinder_with_quantity(6, 3, n_start=-1)
+    net, _ = cylinder_with_quantity(6, 3, centred=True)
     for t in (0.25, 0.5, 1.0):
         cq = catalog.cylinder_family_quantity(net, t)
         assert pcq_verify(net, cq).value < 1e-12
@@ -282,7 +281,7 @@ def test_lcq_solve_grid_inconsistent(rng):
 
 
 def test_superposition():
-    net, cq = cylinder_with_quantity(5, 3, n_start=-1)
+    net, cq = cylinder_with_quantity(5, 3, centred=True)
     zz = catalog.zigzag_quantity(net)
     assert pcq_verify(net, zz).value < 1e-12
     combo = ConservedQuantity(net, 0.7 * cq.coeffs - 1.3 * zz.coeffs, check=False)
@@ -292,7 +291,7 @@ def test_superposition():
 def test_uniqueness_difference_reduces():
     # two degree-2 quantities agreeing at (mu0, every vertex): their
     # difference admits a degree reduction at mu0
-    net, _ = cylinder_with_quantity(5, 3, n_start=-1)
+    net, _ = cylinder_with_quantity(5, 3, centred=True)
     p0 = catalog.cylinder_family_quantity(net, 0.0)
     p1 = catalog.cylinder_family_quantity(net, 0.4)
     mu0 = -0.6

@@ -77,8 +77,8 @@ def test_christoffel_rejects_wrong_weights():
     assert christoffel(enet) is not None  # correct weights close up
     scrambled_u = net.weights.u.copy()
     scrambled_u[1] *= 2.0
-    scrambled = EdgeFunction(net.domain, scrambled_u, net.weights.v)
-    bad = EuclideanNet(enet.domain, enet.points, scrambled)
+    scrambled = EdgeFunction(scrambled_u, net.weights.v)
+    bad = EuclideanNet(enet.points, scrambled)
     with pytest.raises(NotClosed):
         christoffel(bad)
     # the doubled weight sits on the edges between rows 1 and 2, so the sum
@@ -94,7 +94,7 @@ def test_christoffel_rejects_wrong_weights():
 def test_parallel_lcq_roundtrip():
     net, cq, enet = cylinder_euclidean()
     fstar = euclidean_point(catalog.cylinder_dual_lifts(net))
-    dual = EuclideanNet(net.domain, VertexField(net.domain, fstar), net.weights)
+    dual = EuclideanNet(VertexField(fstar), net.weights)
     built = parallel_lcq(enet, dual, 0.5)
     np.testing.assert_allclose(built.coeffs, cq.coeffs, atol=1e-12)
     back = extract_parallel(built)
@@ -112,11 +112,10 @@ def test_parallel_lcq_roundtrip():
 def test_parallel_lcq_validates_input():
     net, _, enet = cylinder_euclidean()
     fstar = euclidean_point(catalog.cylinder_dual_lifts(net))
-    dual = EuclideanNet(net.domain, VertexField(net.domain, fstar), net.weights)
+    dual = EuclideanNet(VertexField(fstar), net.weights)
     with pytest.raises(NotParallel):
         parallel_lcq(enet, dual, 0.4)
-    squeezed = EuclideanNet(net.domain,
-                            VertexField(net.domain, 0.9 * fstar), net.weights)
+    squeezed = EuclideanNet(VertexField(0.9 * fstar), net.weights)
     with pytest.raises((NotParallel, NotChristoffel)):
         parallel_lcq(enet, squeezed, 0.5)
 

@@ -1,20 +1,31 @@
-"""Grid combinatorics and discrete calculus."""
+"""Grid combinatorics and discrete calculus, and the arrays as the one
+source of a grid's size."""
+
+import ast
+import pathlib
 
 import numpy as np
 import pytest
 
+from isothermic import catalog
+from isothermic.euclidean import EuclideanNet
 from isothermic.grids import (
     EdgeFunction,
     GridDomain,
+    VertexField,
     sweep_integrate,
     sweep_propagate,
 )
+from isothermic.nets import IsothermicNet
 from reference import faces
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "isothermic"
+GRID_CLASSES = {"VertexField", "EdgeFunction", "IsothermicNet", "EuclideanNet"}
 
 
 def test_edge_function_symmetric_lookup():
     dom = GridDomain(3, 3)
-    ef = EdgeFunction(dom, np.array([1.0, 2.0]), np.array([-3.0, -4.0]))
+    ef = EdgeFunction(np.array([1.0, 2.0]), np.array([-3.0, -4.0]))
     assert ef.value(((0, 0), (1, 0))) == ef.value(((1, 0), (0, 0))) == 1.0
     assert ef.value(((1, 1), (1, 2))) == ef.value(((1, 2), (1, 1))) == -4.0
     # opposite edges of a face agree by construction
@@ -23,6 +34,71 @@ def test_edge_function_symmetric_lookup():
         assert ef.value((j, k)) == ef.value((i, l))
     with pytest.raises(KeyError):
         ef.value(((0, 0), (1, 1)))
+
+
+def test_the_grid_is_read_off_the_arrays():
+    field = VertexField(np.zeros((3, 4, 5)))
+    weights = EdgeFunction(np.zeros(2), np.zeros(3))
+    assert field.domain == weights.domain == GridDomain(3, 4)
+    net = IsothermicNet(field, weights)
+    assert net.domain is field.domain
+    assert EuclideanNet.from_isothermic(catalog.cylinder_net(3, 4, 0.3, 0.7)).domain == net.domain
+    with pytest.raises(ValueError, match=r"shape \(3,\)"):
+        VertexField(np.zeros(3))
+    with pytest.raises(ValueError, match=r"u \(2, 2\)"):
+        EdgeFunction(np.zeros((2, 2)), np.zeros(3))
+
+
+def test_one_size_check_names_both_shapes():
+    net = catalog.cylinder_net(4, 4, 0.3, 0.7)
+    with pytest.raises(ValueError, match=r"\(4, 4, 5\) and weights u \(4,\), v \(3,\)"):
+        IsothermicNet(net.lifts, EdgeFunction(np.ones(4), net.weights.v))
+    points = EuclideanNet.from_isothermic(net).points
+    with pytest.raises(ValueError, match=r"\(4, 4, 3\) and weights u \(4,\), v \(4,\)"):
+        EuclideanNet(points, catalog.cylinder_net(5, 5, 0.3, 0.7).weights)
+    with pytest.raises(ValueError, match=r"\(4, 4, 3\).*need \(rows, cols, 5\)"):
+        IsothermicNet(points, net.weights)
+    with pytest.raises(ValueError, match=r"\(4, 4, 5\).*need \(rows, cols, 3\)"):
+        EuclideanNet(net.lifts, net.weights)
+
+
+def test_lookups_outside_the_grid_raise_key_error():
+    field = VertexField(np.zeros((3, 4, 5)))
+    weights = EdgeFunction(np.zeros(2), np.zeros(3))
+    for v in ((-1, 0), (3, 0), (0, 4), (0, -1)):
+        with pytest.raises(KeyError):
+            field[v]
+    for edge in (((2, 0), (3, 0)), ((-1, 1), (0, 1)), ((0, 3), (0, 4)), ((3, 0), (3, 1))):
+        with pytest.raises(KeyError):
+            weights.value(edge)
+
+
+def constructor_parameters(cls: ast.ClassDef) -> set:
+    """The names a class's constructor takes: the arguments of its
+    ``__init__``, or else its annotated (dataclass) fields."""
+    for node in cls.body:
+        if isinstance(node, ast.FunctionDef) and node.name == "__init__":
+            args = node.args
+            return {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+    return {node.target.id for node in cls.body
+            if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)}
+
+
+def test_grid_domains_are_built_only_from_arrays():
+    """No source file but grids.py calls GridDomain(...), and no constructor
+    of a field, weight function or net takes a ``domain``."""
+    calls, params = [], {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call) and path.name != "grids.py":
+                func = node.func
+                if getattr(func, "id", getattr(func, "attr", None)) == "GridDomain":
+                    calls.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.ClassDef) and node.name in GRID_CLASSES:
+                params[node.name] = constructor_parameters(node)
+    assert calls == []
+    assert set(params) == GRID_CLASSES
+    assert {name: p for name, p in params.items() if "domain" in p} == {}
 
 
 def _differential(g):

@@ -6,7 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import darboux_stacked_net
+from conftest import centred_zigzag, darboux_stacked_net
 from isothermic import catalog, nets, revolution
 from isothermic.errors import (
     DegeneratePoints,
@@ -15,7 +15,7 @@ from isothermic.errors import (
     NotFlat,
     PoleParameter,
 )
-from isothermic.grids import EdgeFunction, GridDomain, VertexField, edge_stacks, face_stack
+from isothermic.grids import EdgeFunction, VertexField, edge_stacks, face_stack
 from isothermic.minkowski import cross_ratios, euclidean_lift, euclidean_point, minkowski_inner
 from isothermic.nets import (
     calapso,
@@ -70,7 +70,7 @@ def test_verify_detects_perturbation(rng):
     for vertex in ((2, 1), (0, 0), (3, 3), (1, 3)):
         pts = euclidean_point(net.lifts.data)
         pts[vertex] += 1e-3 * np.array([1.0, 1.0, 0.5]) / np.linalg.norm([1.0, 1.0, 0.5])
-        bad = VertexField(net.domain, euclidean_lift(pts))
+        bad = VertexField(euclidean_lift(pts))
         with pytest.raises(NonConcircularFace):
             verify_isothermic(bad)
         check = verify_isothermic(bad, strict=False).check
@@ -84,7 +84,7 @@ def test_product_one_check_names_the_vertex_of_its_four_faces(rng):
     # ratios fail the product-one condition around the interior vertices
     angles = rng.permutation(np.linspace(0.0, 2.0 * np.pi, 12, endpoint=False)).reshape(3, 4)
     pts = np.stack([np.cos(angles), np.sin(angles), np.zeros_like(angles)], axis=-1)
-    lifts = VertexField(GridDomain(3, 4), euclidean_lift(pts))
+    lifts = VertexField(euclidean_lift(pts))
     check = verify_isothermic(lifts, strict=False).check
     assert check.name == "cross ratios fail the 3x3 product-one condition"
     r = cross_ratios(face_stack(lifts.data)).real
@@ -101,18 +101,18 @@ def test_moutard_lift_idempotent(rng):
 
 
 def test_moutard_lift_of_zigzag():
-    net = catalog.zigzag_net(3, 3, 0.7, 0.4, 0.8, n_start=-1)
+    net = centred_zigzag(3, 3, 0.7, 0.4, 0.8)
     zz = catalog.zigzag_quantity(net)
     Z = zz.coeffs[:, :, 1, :]
     # the alternating lift realizes the weights 2a through its products
     dom = net.domain
-    zf = VertexField(dom, Z)
+    zf = VertexField(Z)
     for (Zi, Zj), a in zip(edge_stacks(Z), net.weights.stacks()):
         np.testing.assert_allclose(minkowski_inner(Zi, Zj), np.broadcast_to(2.0 * a, Zi.shape[:2]),
                                    rtol=1e-12)
     assert moutard_check(zf).ok
     # moutard_lift with those products and the matching corner reproduces it
-    doubled = EdgeFunction(dom, 2.0 * net.weights.u, 2.0 * net.weights.v)
+    doubled = EdgeFunction(2.0 * net.weights.u, 2.0 * net.weights.v)
     rebuilt = moutard_lift(zf, doubled)
     np.testing.assert_allclose(rebuilt.data, Z, atol=1e-12)
 
@@ -159,7 +159,7 @@ def test_moutard_lift_diagonal_parallelism(rng):
 def test_moutard_check_fails_for_euclidean_lifts(rng):
     net = catalog.random_moutard_net(rng, 4, 4)
     pts = euclidean_point(net.lifts.data)
-    euclid = VertexField(net.domain, euclidean_lift(pts))
+    euclid = VertexField(euclidean_lift(pts))
     check = moutard_check(euclid)
     assert not check.ok
     assert check.value > 1e-4
@@ -262,7 +262,7 @@ def test_calapso_rejects_non_isothermic(rng):
     net = catalog.cylinder_net(4, 4, 0.4, 0.8)
     pts = euclidean_point(net.lifts.data)
     pts[1, 2] += 2e-3 * np.array([0.0, 1.0, 0.0])
-    bad = net.with_lifts(VertexField(net.domain, euclidean_lift(pts)))
+    bad = net.with_lifts(VertexField(euclidean_lift(pts)))
     with pytest.raises(NotFlat):
         calapso(bad, 0.7)
 
@@ -275,7 +275,7 @@ def test_flatness_residual_grows_with_perturbation(rng):
     pts = euclidean_point(net.lifts.data)
     direction = rng.normal(size=3)
     pts[2, 2] += 1e-3 * direction / np.linalg.norm(direction)
-    pert = net.with_lifts(VertexField(net.domain, euclidean_lift(pts)))
+    pert = net.with_lifts(VertexField(euclidean_lift(pts)))
     worst = max(float(np.abs(face_holonomy(pert, float(lam), face) - np.eye(5)).max())
                 for face in faces(pert.domain) if (2, 2) in face for lam in lams)
     assert worst > 1e-5
@@ -304,7 +304,7 @@ def test_verify_rejects_irregular_face():
     net = catalog.cylinder_net(3, 3, 0.4, 0.8)
     lifts = net.lifts.data.copy()
     lifts[1, 1] = 1.001 * lifts[1, 0]  # nearly dependent with a neighbour
-    bad = VertexField(net.domain, lifts)
+    bad = VertexField(lifts)
     report = verify_isothermic(bad, strict=False)
     assert not report.ok and "dependent" in report.check.name
     with pytest.raises(GeometryError):
@@ -315,7 +315,7 @@ def test_irregular_face_message_names_the_regularity():
     net = catalog.cylinder_net(3, 3, 0.3, 0.7)
     lifts = net.lifts.data.copy()
     lifts[1, 1] = lifts[1, 0]
-    report = verify_isothermic(VertexField(net.domain, lifts), strict=False)
+    report = verify_isothermic(VertexField(lifts), strict=False)
     assert str(report.check) == ("a face has three nearly dependent lifts (regularity 0 <= 1e-18)"
                                  " at ((0, 0), (1, 0), (1, 1), (0, 1))")
 
@@ -363,4 +363,4 @@ def test_non_finite_lift_is_named(check, bad):
     lifts = net.lifts.data.copy()
     lifts[1, 2, 3] = bad
     with pytest.raises(NonFiniteLift, match=r"lift at index \(1, 2\) is not finite"):
-        check(VertexField(net.domain, lifts))
+        check(VertexField(lifts))

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference
+from conftest import centred_cylinder
 from isothermic import catalog, revolution
 from isothermic.conserved import mean_curvature_data, pcq_verify
 from isothermic.errors import (
@@ -100,11 +101,26 @@ def test_symmetric_pcq_check():
 
     # a quantity whose ambient vector has a rotation-plane component is not
     # rotationally symmetric
-    patch = catalog.cylinder_net(5, 3, 0.3, np.pi / 4, n_start=-1)
+    patch = centred_cylinder(5, 3, 0.3, np.pi / 4)
     zz = catalog.zigzag_quantity(patch)
     assert not symmetric_pcq_check(patch, zz)
     # the cylinder's own quantity (flat ambient vector) is symmetric
     assert symmetric_pcq_check(patch, catalog.cylinder_quantity(patch))
+
+
+@pytest.mark.parametrize("H", [0.0, 0.5, 1.0])
+def test_find_seed_edge_skips_starts_parallel_to_Q(H):
+    """At kappa 1, Q = (1, 0, 0) is the first scanned start M0 = (1, 0, 0):
+    the scan skips it, solves one seed edge and finds the edge it found
+    after twelve refused solves before."""
+    solves = mock.Mock(side_effect=revolution.seed_edge)
+    with mock.patch.object(revolution, "seed_edge", solves):
+        M0, M1, branch = revolution.find_seed_edge(default_space_form(1.0), H)
+    assert solves.call_count == 1
+    assert [x.hex() for x in (*M0, *M1)] == [
+        "0x1.0666666666666p+0", "0x0.0p+0", "0x1.ccccccccccccap-3",
+        "0x1.0a4fa4fa4fa50p+0", "0x1.1c71c71c71c72p-2", "0x1.2222222222220p-4"]
+    assert branch == 0
 
 
 def test_seed_edge_minimal_has_single_factor(rng):

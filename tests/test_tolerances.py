@@ -78,7 +78,7 @@ def test_nan_data_fail_validation_and_invariants():
     u = net.weights.u.copy()
     u[1] = np.nan
     with pytest.raises(GeometryError, match="net fails validation") as got:
-        net.with_weights(EdgeFunction(net.domain, u, net.weights.v)).validate()
+        net.with_weights(EdgeFunction(u, net.weights.v)).validate()
     assert np.isnan(got.value.check.value)
     assert got.value.check.where == ((1, 0), (2, 0), (2, 1), (1, 1))  # the first face it spoils
     coeffs = catalog.cylinder_quantity(net).coeffs.copy()
@@ -86,7 +86,7 @@ def test_nan_data_fail_validation_and_invariants():
         bad = coeffs.copy()
         bad[index] = np.nan
         with pytest.raises(NotConserved):
-            ConservedQuantity(IsothermicNet(net.domain, net.lifts, net.weights), bad)
+            ConservedQuantity(IsothermicNet(net.lifts, net.weights), bad)
 
 
 def test_a_floor_reads_as_its_measure_and_fails_at_equality():

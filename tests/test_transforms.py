@@ -33,8 +33,9 @@ from isothermic.minkowski import (
     norm2,
     ray_distance,
 )
+from isothermic.grids import EdgeFunction
 from isothermic.netfile import load_net
-from isothermic.nets import calapso, edge_connections, verify_isothermic
+from isothermic.nets import IsothermicNet, calapso, edge_connections, verify_isothermic
 from isothermic.polyvec import mp_eval, mp_scale_poly
 from isothermic.transforms import (
     DarbouxTransform,
@@ -332,6 +333,21 @@ def test_triple_darboux_scenario(cylinder):
     np.testing.assert_allclose(rec.coeffs, pd.coeffs, atol=1e-9)
 
 
+def test_calapso_pcq_compares_nets_by_value():
+    """A frame applies to the quantity of an equal net (a reloaded copy, say),
+    and is refused for the quantity of another net of the same size."""
+    net = catalog.cylinder_net(4, 4, 0.3, 0.7)
+    frame, _ = calapso(net, 0.05)
+    other = catalog.cylinder_net(4, 4, 0.5, 0.9)
+    with pytest.raises(ValueError, match="frame was built for a different net"):
+        calapso_pcq(catalog.cylinder_quantity(other), frame)
+    copy = IsothermicNet(net.lifts.copy(), EdgeFunction(net.weights.u.copy(),
+                                                        net.weights.v.copy()))
+    moved = calapso_pcq(catalog.cylinder_quantity(copy), frame)
+    np.testing.assert_array_equal(
+        moved.coeffs, calapso_pcq(catalog.cylinder_quantity(net), frame).coeffs)
+
+
 def test_calapso_pcq_identity_and_lawson(cylinder, rng):
     net, cq = cylinder
     frame0, _ = calapso(net, 0.0)
@@ -388,7 +404,7 @@ def test_type_lowering_at_double_root():
     assert comps[0].multiplicity == 2
     assert not comps[0].degenerate
     assert comps[0].mu == pytest.approx(H, abs=1e-6)
-    hat = IsothermicNet(net.domain, comps[0].lifts, net.weights)
+    hat = IsothermicNet(comps[0].lifts, net.weights)
     assert verify_isothermic(hat.lifts).ok
     assert classify_type(hat).spherical
     # the Backlund transform at the double root lowers the type: its
@@ -428,7 +444,7 @@ def test_parallel_sections_must_be_parallel(cylinder):
     bad_data[2, 2] *= 1.001
     from isothermic.grids import VertexField
 
-    bad = VertexField(net.domain, bad_data)
+    bad = VertexField(bad_data)
     with pytest.raises(NotParallel):
         pcq_from_parallel_sections(net, [(2.0, bad), (-1.5, cq.evaluate(-1.5))],
                                    [1.0 / 3.5, -1.0 / 3.5])
