@@ -7,9 +7,11 @@ the command, which runs under ``numpy.errstate`` to raise, or a warning
 that the warning filters turn into an error, as ``python -W error`` does;
 the message names the command for all but the first), 1 on usage errors
 (an input that cannot be read, an output that cannot be written, a number
-that is not finite).  --tol or the ISOTHERMIC_TOL environment variable sets
-the relative tolerance in a :func:`tolerances.tolerance` scope around the
-command; without either, the caller's scope holds.
+that is not finite, and, without the usage line, a closed standard output
+or sizes that cannot be allocated).  --tol or the ISOTHERMIC_TOL
+environment variable sets the relative tolerance in a
+:func:`tolerances.tolerance` scope around the command; without either, the
+caller's scope holds.
 """
 
 from __future__ import annotations
@@ -388,7 +390,21 @@ def main(argv=None) -> int:
                 parser.error(f"bad --tol or ISOTHERMIC_TOL: {exc}")
         try:
             with np.errstate(over="raise", divide="raise", invalid="raise"):
-                return args.func(args)
+                code = args.func(args)
+            sys.stdout.flush()  # so that a closed stdout shows here, not at exit
+            return code
+        except BrokenPipeError as exc:  # the reader of stdout has gone
+            with contextlib.suppress(OSError, ValueError):
+                # nothing is left for the flush at exit to fail on
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, sys.stdout.fileno())
+                os.close(devnull)
+            print(f"{parser.prog}: error: cannot write to standard output: {exc}",
+                  file=sys.stderr)
+            return USAGE_ERROR
+        except MemoryError as exc:  # sizes the command cannot allocate
+            print(f"{args.prog}: error: out of memory: {exc}", file=sys.stderr)
+            return USAGE_ERROR
         except (UsageError, OSError) as exc:  # OSError: an output that cannot be written
             parser.print_usage(sys.stderr)
             print(f"{parser.prog}: error: {exc}", file=sys.stderr)

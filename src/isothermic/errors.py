@@ -21,7 +21,8 @@ class DegenerateLift(GeometryError):
 
 
 class NonFiniteLift(GeometryError):
-    """A lift holds a NaN or infinite entry."""
+    """A lift, or a rotation angle that lifts are built from, holds a NaN or
+    infinite entry."""
 
 
 class DegeneratePoints(GeometryError):

@@ -5,6 +5,9 @@ ambient vector, the unit ball for hyperbolic ambients, and stereographic
 projection for spherical ones.  Vertices that the chart cannot place
 (infinity boundary, far sheet, projection pole) are clamped and listed in
 a sidecar report next to the OBJ file.
+
+Each coordinate is written by ``orjson`` as the shortest decimal that reads
+back to the same double (as in net files of version 2), -0.0 as ``0.0``.
 """
 
 from __future__ import annotations
@@ -115,6 +118,9 @@ def export_obj(net: IsothermicNet, Q, model: str, path, clamp: float = 1e6) -> E
     Raises
     ------
     ModelMismatch
+    ValueError
+        When a coordinate is NaN or infinite (such as with an infinite
+        ``clamp``), before the OBJ file is opened.
     """
     Q = np.asarray(Q, dtype=float)
     q2 = float(norm2(Q))
@@ -148,15 +154,27 @@ def export_obj(net: IsothermicNet, Q, model: str, path, clamp: float = 1e6) -> E
         flagged += [(v, "on or past the ideal boundary")
                     for v in _vertices(good & (radii >= 1.0 - POLE_TOL))]
 
+    # orjson would write NaN and inf as null without an error
     if not np.isfinite(xyz).all():
         raise ValueError("non-finite value cannot be serialized")
+    # imported here, as in netfile: a top-level import slowed operations on
+    # nets in memory by about 5 %
+    import orjson
+
     nv, nf = dom.rows * dom.cols, (dom.rows - 1) * (dom.cols - 1)
     ids = face_stack(1 + np.arange(nv).reshape(dom.rows, dom.cols))
-    # one template for the whole file; + 0.0 turns -0.0 into 0.0, written "0"
-    text = ("v %.17g %.17g %.17g\n" * nv + "f %d %d %d %d\n" * nf) % tuple(
-        (xyz + 0.0).ravel().tolist() + ids.ravel().tolist())
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(text)
+    data = b""
+    # C-contiguous arrays, as orjson requires; + 0.0 turns -0.0 into 0.0
+    for tag, arr in ((b"v", np.ascontiguousarray(xyz.reshape(nv, 3), dtype=float) + 0.0),
+                     (b"f", np.ascontiguousarray(ids.reshape(nf, 4)))):
+        if len(arr):
+            # "[[a,b,c],[d,e,f]]" becomes "v a b c\nv d e f\n"; the text holds
+            # numbers only, so every "],[" joins two rows
+            text = orjson.dumps(arr, option=orjson.OPT_SERIALIZE_NUMPY)
+            data += (tag + b" " + text[2:-2].replace(b"],[", b"\n" + tag + b" ")
+                     .replace(b",", b" ") + b"\n")
+    with open(path, "wb") as fh:
+        fh.write(data)
 
     with open(str(path) + ".report.txt", "w", encoding="ascii") as fh:
         fh.write(f"model: {model}\nvertices: {nv}\nfaces: {nf}\nflagged: {len(flagged)}\n"

@@ -42,6 +42,7 @@ from .errors import (
     DegenerateBasis,
     GeometryError,
     InfinityBoundary,
+    NonFiniteLift,
     RepeatedPoint,
     VanishingX,
 )
@@ -71,6 +72,9 @@ class RotationProfile:
         self.angles = np.asarray(self.angles, dtype=float)
         if len(self.angles) < 2:
             raise ValueError("need at least two rotation angles")
+        if not np.isfinite(self.angles).all():
+            index = int(np.argmin(np.isfinite(self.angles)))
+            raise NonFiniteLift(f"rotation angle at index {index} is not finite")
         d = np.diff(self.angles)
         if np.any(np.abs(np.sin(d / 2.0)) <= tol(1.0)):
             raise RepeatedPoint("consecutive rotation angles coincide mod 2*pi")
@@ -78,6 +82,8 @@ class RotationProfile:
     @classmethod
     def uniform(cls, count: int, step: float) -> "RotationProfile":
         """The angles 0, step, ..., (count - 1) step."""
+        if not math.isfinite(step):
+            raise NonFiniteLift(f"rotation step {step} is not finite")
         return cls(step * np.arange(count))
 
     def plane_points(self) -> np.ndarray:

@@ -584,3 +584,45 @@ def test_warnings_raised_as_errors_give_one_error_line(tmp_path):
                             "crossed the infinity boundary of the space form in 6 meridian "
                             "steps\n")
     assert child.stdout == "" and not out.exists()
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_closed_stdout_exits_1_without_the_usage_line(tmp_path, capsys, unbuffered):
+    """A closed stdout is an output that cannot be written: exit 1 with one
+    error line, whether the write fails inside the command (unbuffered) or
+    on the flush of buffered output."""
+    net = tmp_path / "net.json"
+    assert run(["generate", "revolution", "--H", 0.5, "--kappa", 0, "--steps", 2,
+                "--angles", 6, "-o", net]) == 0
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader has gone before the command writes
+    try:
+        child = subprocess.run(
+            [sys.executable, "-m", "isothermic.cli", "verify", str(net)], stdout=write_end,
+            stderr=subprocess.PIPE, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path),
+                 "PYTHONUNBUFFERED": unbuffered})
+    finally:
+        os.close(write_end)
+    assert child.returncode == 1
+    assert child.stderr == ("isothermic: error: cannot write to standard output: "
+                            "[Errno 32] Broken pipe\n")
+
+
+def test_sizes_that_cannot_be_allocated_give_one_error_line(tmp_path):
+    """--angles 1e12 asks for 7.3 TiB; the child caps its address space at
+    4 GiB first, so nothing of it is allocated."""
+    out = tmp_path / "net.json"
+    script = ("import resource, sys\n"
+              "soft, hard = resource.getrlimit(resource.RLIMIT_AS)\n"
+              "resource.setrlimit(resource.RLIMIT_AS, (4 << 30, hard))\n"
+              f"sys.path[:0] = {sys.path!r}\n"
+              "from isothermic.cli import main\n"
+              "sys.exit(main(['generate', 'revolution', '--H', '0.5', '--kappa', '0',\n"
+              f"               '--steps', '0', '--angles', '1000000000000', '-o', {str(out)!r}]))\n")
+    child = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                           timeout=120, env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
+    assert child.returncode == 1
+    assert child.stderr.startswith("isothermic generate revolution: error: out of memory: ")
+    assert child.stderr.count("\n") == 1 and "Traceback" not in child.stderr
+    assert child.stdout == "" and not out.exists()

@@ -12,12 +12,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from isothermic import catalog, netfile
+from isothermic import catalog, netfile, objexport
 from isothermic.errors import DimensionMismatch, ModelMismatch, ParseError
-from isothermic.grids import VertexField, face_stack
+from isothermic.grids import EdgeFunction, VertexField, face_stack
 from isothermic.minkowski import embed_lorentz3, hyperbolic_point
 from isothermic.netfile import load_net, net_to_document, save_net
-from isothermic.nets import verify_isothermic
+from isothermic.nets import IsothermicNet, verify_isothermic
 from isothermic.objexport import export_obj
 from isothermic.revolution import (
     RotationProfile,
@@ -289,25 +289,66 @@ def test_non_string_metadata_keys_raise_before_writing(tmp_path, metadata, key):
     assert not path.exists()
 
 
-def test_obj_matches_per_float_rendering(tmp_path):
-    # this chart gives some coordinates -0.0, which must be written "0"
+def obj_reference(xyz, rows, cols) -> str:
+    """The OBJ text of (rows * cols, 3) coordinates, one Python call per
+    value: shortest round-trip floats, then the grid quads."""
+    ids = face_stack(1 + np.arange(rows * cols).reshape(rows, cols)).reshape(-1, 4)
+    lines = ["v " + " ".join(shortest_float(float(c)) for c in row) for row in xyz]
+    lines += ["f " + " ".join(map(str, quad)) for quad in ids.tolist()]
+    return "".join(line + "\n" for line in lines)
+
+
+def obj_values(text: str) -> np.ndarray:
+    """The bits of the v coordinates of an OBJ text, parsed back."""
+    return np.array([[float(x) for x in line.split()[1:]] for line in text.splitlines()
+                     if line.startswith("v ")], dtype=float).reshape(-1, 3).view(np.uint64)
+
+
+def test_obj_matches_shortest_float_rendering(tmp_path):
+    # this chart gives some coordinates -0.0, which must be written "0.0"
     Q3 = default_space_form(0.0)
     M0, M1, branch = find_seed_edge(Q3, 0.5)
     net, cq = build_revolution_cmc(Q3, 0.5, M0, M1, 2, RotationProfile.uniform(4, np.pi / 2),
                                    branch=branch)
+    coords, good = objexport._euclidean_chart(cq.constant, net.lifts.data)
+    assert good.all() and np.any(np.signbit(coords) & (coords == 0.0))
     path = tmp_path / "mesh.obj"
-    export_obj(net, cq.constant, "euclidean", path)
+    assert not export_obj(net, cq.constant, "euclidean", path).flagged
     text = path.read_text()
-    # 17 significant digits round-trip, so the coordinates read back are the
-    # ones written, and the per-float rendering of them must give the same bytes
-    xyz = [[float(x) for x in line.split()[1:]] for line in text.splitlines()
-           if line.startswith("v ")]
-    assert any(c == 0.0 for row in xyz for c in row)
-    ids = face_stack(1 + np.arange(len(xyz)).reshape(net.domain.rows, net.domain.cols))
-    ids = ids.reshape(-1, 4)
-    lines = ["v " + " ".join(format_float(c) for c in row) for row in xyz]
-    lines += ["f " + " ".join(map(str, quad)) for quad in ids]
-    assert text == "\n".join(lines) + "\n"
+    rows, cols = net.domain.rows, net.domain.cols
+    xyz = coords.reshape(-1, 3) + 0.0
+    assert text == obj_reference(xyz, rows, cols)
+    assert np.array_equal(obj_values(text), xyz.view(np.uint64))
+    # the face lines are the %d rendering of the grid quads
+    ids = face_stack(1 + np.arange(rows * cols).reshape(rows, cols)).reshape(-1, 4)
+    assert [line for line in text.splitlines() if line.startswith("f ")] == [
+        "f %d %d %d %d" % tuple(quad) for quad in ids.tolist()]
+
+
+#: Coordinates on both sides of orjson's switches between plain decimals and
+#: exponents (1e-5 and 1e16), subnormals and -0.0.
+COORDS = st.one_of(FLOATS, st.sampled_from([
+    -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-5, -1e-5, 9.999999999999999e-06,
+    1.0000000000000002e-05, 1e16, -1e16, 9999999999999998.0, 1.0000000000000002e16,
+    0.00001234, 1.234e-5, 123456789012345.67, 1.2345678901234567e16]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.data())
+def test_obj_coordinates_read_back_bitwise(tmp_path_factory, rows, cols, data):
+    """Whatever the chart gives, every written token reads back to its
+    coordinate bitwise (-0.0 as 0.0), and the text is the reference's."""
+    xyz = data.draw(arrays(np.float64, (rows, cols, 3), elements=COORDS))
+    net = IsothermicNet(VertexField(np.zeros((rows, cols, 5))),
+                        EdgeFunction(np.ones(rows - 1), np.ones(cols - 1)))
+    path = tmp_path_factory.getbasetemp() / "drawn.obj"
+    with mock.patch.object(objexport, "_euclidean_chart",
+                           return_value=(xyz, np.ones((rows, cols), dtype=bool))), \
+            np.errstate(over="ignore"):  # the clamp direction of coordinates near 1e308
+        export_obj(net, np.array([1.0, 0, 0, 0, -1.0]), "euclidean", path)
+    text = path.read_text()
+    assert text == obj_reference(xyz.reshape(-1, 3), rows, cols)
+    assert np.array_equal(obj_values(text), (xyz.reshape(-1, 3) + 0.0).view(np.uint64))
 
 
 def test_obj_non_finite_coordinates_raise(tmp_path):
@@ -495,13 +536,16 @@ def test_canonical_files_are_decoded_without_json(tmp_path):
 
 
 def test_library_calls_without_files_leave_orjson_unimported(tmp_path):
-    """orjson is imported on the first save or load: imported with the package,
-    it slowed operations on nets in memory by about 5 %.  Building, verifying
-    and transforming a net without saving it must not import it."""
+    """orjson is imported on the first save, load or OBJ export: imported with
+    the package, it slowed operations on nets in memory by about 5 %.
+    Building, verifying and transforming a net without writing it, and
+    importing objexport, must not import it; save_net and export_obj each
+    must."""
     script = (f"import sys; sys.path[:0] = {sys.path!r}\n"
               "import numpy as np\n"
               "from isothermic import (RotationProfile, build_revolution_cmc, calapso,\n"
-              "    darboux_propagate, euclidean_lift, pcq_verify, save_net, verify_isothermic)\n"
+              "    darboux_propagate, euclidean_lift, export_obj, pcq_verify, save_net,\n"
+              "    verify_isothermic)\n"
               "from isothermic.revolution import default_space_form, find_seed_edge\n"
               "Q3 = default_space_form(0.0)\n"
               "M0, M1, branch = find_seed_edge(Q3, 0.5)\n"
@@ -510,12 +554,14 @@ def test_library_calls_without_files_leave_orjson_unimported(tmp_path):
               "assert verify_isothermic(net.lifts).ok and pcq_verify(net, cq).ok\n"
               "calapso(net, -0.5)\n"
               "darboux_propagate(net, 0.4, euclidean_lift(np.array([3.0, 0.5, 0.2]))).net()\n"
-              "assert 'orjson' not in sys.modules, 'orjson imported without a file'\n"
-              f"save_net({str(tmp_path / 'net.json')!r}, net, [cq])\n"
-              "assert 'orjson' in sys.modules\n")
-    child = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                           timeout=120)
-    assert child.returncode == 0, child.stderr[-2000:]
+              "import isothermic.objexport\n"
+              "assert 'orjson' not in sys.modules, 'orjson imported without a file'\n")
+    for first_file in (f"save_net({str(tmp_path / 'net.json')!r}, net, [cq])",
+                       f"export_obj(net, cq.constant, 'euclidean', {str(tmp_path / 'm.obj')!r})"):
+        child = subprocess.run([sys.executable, "-c", script + first_file + "\n"
+                                "assert 'orjson' in sys.modules\n"],
+                               capture_output=True, text=True, timeout=120)
+        assert child.returncode == 0, child.stderr[-2000:]
 
 
 def nesting(value) -> int:

@@ -1,6 +1,8 @@
 """Surfaces of revolution: lifts, rotational symmetry, seed solver,
 meridian propagation, and the cmc constructor."""
 
+import subprocess
+import sys
 import warnings
 from unittest import mock
 
@@ -18,6 +20,7 @@ from isothermic.errors import (
     DegenerateBasis,
     GeometryError,
     InfinityBoundary,
+    NonFiniteLift,
     RepeatedPoint,
 )
 from isothermic.grids import face_stack
@@ -91,6 +94,33 @@ def test_revolution_lift_validation():
                         RotationProfile.uniform(3, 0.5))
     with pytest.raises(RepeatedPoint):
         RotationProfile(np.array([0.0, 2.0 * np.pi]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_angles_raise(bad):
+    with pytest.raises(NonFiniteLift, match="rotation angle at index 1 is not finite"):
+        RotationProfile([0.0, bad, 1.0])
+    with pytest.raises(NonFiniteLift, match="rotation angle at index 1 is not finite"):
+        revolution_lift([0.0, 0.5], [1.0, 1.2], [0.0, bad, 1.0])
+    with pytest.raises(NonFiniteLift, match="rotation step .* is not finite"):
+        RotationProfile.uniform(4, bad)
+
+
+def test_non_finite_angles_raise_under_warnings_as_errors():
+    """Under python -W error the refusal is the typed error, not a
+    RuntimeWarning from the arithmetic on the angles."""
+    script = (f"import sys; sys.path[:0] = {sys.path!r}\n"
+              "from isothermic.errors import NonFiniteLift\n"
+              "from isothermic.revolution import RotationProfile\n"
+              "for angles in ([0.0, float('nan'), 1.0], [0.0, 1.0, float('inf')]):\n"
+              "    try:\n"
+              "        RotationProfile(angles)\n"
+              "    except NonFiniteLift:\n"
+              "        continue\n"
+              "    sys.exit(f'{angles} accepted')\n")
+    child = subprocess.run([sys.executable, "-W", "error", "-c", script], capture_output=True,
+                           text=True, timeout=120)
+    assert child.returncode == 0, child.stderr[-2000:]
 
 
 def test_symmetric_pcq_check():
