@@ -12,7 +12,6 @@ from .conserved import (
     TypeReport,
     classify_type,
     degree_reduce,
-    lcq_solve_3x3,
     lcq_solve_grid,
     mean_curvature_data,
     normalize_top,

@@ -7,11 +7,13 @@ the command, which runs under ``numpy.errstate`` to raise, or a warning
 that the warning filters turn into an error, as ``python -W error`` does;
 the message names the command for all but the first), 1 on usage errors
 (an input that cannot be read, an output that cannot be written, a number
-that is not finite, and, without the usage line, a closed standard output
-or sizes that cannot be allocated).  --tol or the ISOTHERMIC_TOL
-environment variable sets the relative tolerance in a
-:func:`tolerances.tolerance` scope around the command; without either, the
-caller's scope holds.
+that is not finite, a list of reals of the wrong length, and, without the
+usage line, a closed standard output or sizes that cannot be allocated).
+``generate`` prints each warning of the build that the warning filters let
+through (the count of meridian steps across the infinity boundary) as one
+line on stderr.  --tol or the ISOTHERMIC_TOL environment variable sets the
+relative tolerance in a :func:`tolerances.tolerance` scope around the
+command; without either, the caller's scope holds.
 """
 
 from __future__ import annotations
@@ -62,7 +64,8 @@ VERIFY_FAILURE = 2
 
 class UsageError(Exception):
     """An input file of a command cannot be read, its output file cannot be
-    written, or a list of reals it takes holds anything but finite numbers."""
+    written, or a list of reals it takes holds anything but finite numbers
+    or has the wrong length."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -80,13 +83,18 @@ def _finite(text: str) -> float:
     raise argparse.ArgumentTypeError(f"expected a finite number, not {text!r}")
 
 
-def _parse_reals(text: str, prefix: str = "") -> np.ndarray:
+def _parse_reals(text: str, flag: str, lengths, prefix: str = "") -> np.ndarray:
+    """The finite reals of a list flag, of one of the allowed ``lengths``."""
     if prefix and text.startswith(prefix):
         text = text[len(prefix):]
     try:
-        return np.array([_finite(x) for x in text.replace(",", " ").split()])
+        values = np.array([_finite(x) for x in text.replace(",", " ").split()])
     except argparse.ArgumentTypeError as exc:
         raise UsageError(f"cannot parse a list of finite reals from {text!r}: {exc}") from exc
+    if len(values) not in lengths:
+        raise UsageError(f"{flag} expects {' or '.join(map(str, lengths))} reals, "
+                         f"not {len(values)}")
+    return values
 
 
 def _load(path):
@@ -94,32 +102,6 @@ def _load(path):
         return load_net(path)
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc.strerror or exc}") from exc
-
-
-#: The start of the warning of each meridian step that crosses the infinity
-#: boundary (:func:`revolution.meridian_step`).
-CROSSING = "meridian crossed the infinity boundary"
-
-
-def _count_crossings(build, prog):
-    """build(), with the meridian crossings of the infinity boundary it warns
-    about counted into one line on stderr.  That line and any other warning
-    show only as the caller's warning filters let them."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.filterwarnings("always", message=CROSSING)
-        result = build()
-    crossings = 0
-    for w in caught:
-        if str(w.message).startswith(CROSSING):
-            crossings += 1
-        else:
-            warnings.showwarning(w.message, w.category, w.filename, w.lineno)
-    if crossings:
-        with warnings.catch_warnings(record=True) as shown:
-            warnings.warn(f"{CROSSING} of the space form in {crossings} meridian steps")
-        for w in shown:
-            print(f"{prog}: warning: {w.message}", file=sys.stderr)
-    return result
 
 
 def _cmd_generate(args) -> int:
@@ -144,9 +126,11 @@ def _cmd_generate(args) -> int:
         M0, M1, auto_branch = find_seed_edge(Q3, args.H)
         branch = args.branch if args.branch is not None else auto_branch
     profile = RotationProfile.uniform(args.angles, 2.0 * np.pi / args.angles)
-    net, quantity = _count_crossings(
-        lambda: build_revolution_cmc(Q3, args.H, M0, M1, args.steps, profile, branch=branch),
-        args.prog)
+    with warnings.catch_warnings(record=True) as caught:  # as the caller's filters let them
+        net, quantity = build_revolution_cmc(Q3, args.H, M0, M1, args.steps, profile,
+                                             branch=branch)
+    for w in caught:
+        print(f"{args.prog}: warning: {w.message}", file=sys.stderr)
     H, kap = mean_curvature_data(quantity)
     metadata = {
         "construction": "revolution-cmc",
@@ -167,6 +151,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    Q = _parse_reals(args.lcq, "--lcq", (5,), prefix="Q=") if args.lcq else None
     net, quantities, metadata = _load(args.net)
     report = verify_isothermic(net.lifts, strict=False)
     if not report.ok:
@@ -187,10 +172,7 @@ def _cmd_verify(args) -> int:
               f"(residual {vr.value:.3g})")
         if not vr.ok:
             code = VERIFY_FAILURE
-    if args.lcq:
-        Q = _parse_reals(args.lcq, prefix="Q=")
-        if Q.shape != (5,):
-            raise GeometryError("--lcq expects 5 reals")
+    if Q is not None:
         result = lcq_solve_grid(net, Q)
         if isinstance(result, Check):
             print(f"FAIL lcq: {result}")
@@ -218,11 +200,9 @@ def _cmd_transform(args) -> int:
         out_quantities = [calapso_pcq(cq, frame) for cq in quantities]
         out_meta["mu"] = args.mu
     elif args.kind == "darboux":
-        start = _parse_reals(args.start)
+        start = _parse_reals(args.start, "--start", (3, 5))
         if start.shape == (3,):
             start = euclidean_lift(start)
-        if start.shape != (5,):
-            raise GeometryError("--start expects 3 or 5 reals")
         transform = darboux_propagate(net, args.mu, start)
         out_net = transform.net()
         out_quantities = [pcq_darboux(cq, transform) for cq in quantities]
@@ -290,18 +270,15 @@ def _cmd_export(args) -> int:
     net, quantities, metadata = _load(args.net)
     Q = None
     if args.Q:
-        Q = _parse_reals(args.Q)
+        Q = _parse_reals(args.Q, "--Q", (3, 5))
     elif quantities:
         Q = quantities[0].constant
     elif isinstance(metadata.get("kappa"), (int, float)) and np.isfinite(metadata["kappa"]):
         Q = embed_lorentz3(default_space_form(float(metadata["kappa"])))
     if Q is None:
         raise GeometryError("no ambient vector available: pass --Q")
-    Q = np.asarray(Q, dtype=float)
     if Q.shape == (3,):
         Q = embed_lorentz3(Q)
-    if Q.shape != (5,):
-        raise GeometryError("--Q expects 3 or 5 reals")
     report = export_obj(net, Q, args.model, args.output, clamp=args.clamp)
     print(f"wrote {report.path}: {net.domain.rows * net.domain.cols} vertices, "
           f"{(net.domain.rows - 1) * (net.domain.cols - 1)} quads, {len(report.flagged)} flagged")

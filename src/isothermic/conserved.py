@@ -23,11 +23,10 @@ from .errors import (
     NonzeroRoot,
     NotConserved,
     NotNormalized,
-    SingularSystem,
     SphericalStar,
 )
 from .grids import VertexField, edge_stacks, sweep_integrate, sweep_propagate
-from .minkowski import SIGNATURE, minkowski_inner, norm2, solve_dense, span_normal
+from .minkowski import SIGNATURE, minkowski_inner, norm2, span_normal
 from .nets import IsothermicNet
 from .polyvec import (
     mp_divide_linear,
@@ -281,52 +280,22 @@ def propagate_congruence(net: IsothermicNet, Q, Z0, basepoint) -> VertexField:
     return VertexField(Z)
 
 
-def lcq_solve_3x3(net: IsothermicNet, Q) -> ConservedQuantity:
-    """Unique linear conserved quantity lam*Z + Q of a non-spherical 3x3 net.
-
-    The value of Z at the center is pinned by incidence at the center and
-    the four incidence conditions at its neighbors,
-
-        <Z, F_c> = 0,   <Z, F_nbr> = -a_{c,nbr} <Q, F_nbr>,
-
-    a 5x5 solve that is regular exactly when the axis vertex star spans the
-    whole space; Z is then propagated across the grid (incidence at the
-    diagonal vertices holds automatically).
-
-    Raises
-    ------
-    SphericalStar
-        If the vertex star system is singular.
-    """
-    dom = net.domain
-    if dom.rows != 3 or dom.cols != 3:
-        raise ValueError("lcq_solve_3x3 expects a 3x3 net")
-    m, n = dom.center()
-    u, v = net.weights.u, net.weights.v
-    Q = np.asarray(Q, dtype=float)
-    # the center, then its neighbours along +m, -m, +n and -n
-    F = net.lifts.data[[m, m + 1, m - 1, m, m], [n, n, n, n + 1, n - 1]]
-    rhs = np.concatenate([[0.0], -np.array([u[m], u[m - 1], v[n], v[n - 1]])
-                          * minkowski_inner(Q, F[1:])])
-    try:
-        Zc = solve_dense(F * SIGNATURE, rhs)
-    except SingularSystem as exc:
-        raise SphericalStar("vertex star is cospherical") from exc
-    Z = propagate_congruence(net, Q, Zc, (m, n))
-    cq = ConservedQuantity.linear(net, Q, Z.data, check=False)
-    pcq_verify(net, cq)._replace(
-        name="star solve did not yield a conserved quantity").require(NotConserved)
-    return cq
-
-
 def lcq_solve_grid(net: IsothermicNet, Q, basepoint=None):
     """Linear conserved quantity with prescribed constant term on a whole
     grid, or the failed :class:`tolerances.Check` when none exists.
 
     Solves the nine incidence conditions on the extended vertex star of the
-    basepoint in least squares, propagates, and checks incidence at every
-    vertex (naming the worst) and the edge condition (:func:`pcq_verify`);
-    failure means the net is not cmc for this ambient vector.
+    basepoint in least squares (on a 3x3 net the axis star: five conditions
+    for the five components of Z there), propagates, and checks incidence at
+    every vertex (naming the worst) and the edge condition
+    (:func:`pcq_verify`); failure means the net is not cmc for this ambient
+    vector.
+
+    Raises
+    ------
+    SphericalStar
+        If the star's lifts span fewer than five dimensions, so that they
+        do not pin Z at the basepoint.
     """
     dom = net.domain
     if basepoint is None:
@@ -342,7 +311,9 @@ def lcq_solve_grid(net: IsothermicNet, Q, basepoint=None):
             (m + 2, n), (m - 2, n), (m, n + 2), (m, n - 2)]
     idx = tuple(np.array([v for v in star if dom.contains(v)]).T)
     F = net.lifts.data[idx]
-    Zc, *_ = np.linalg.lstsq(F * SIGNATURE, -mp_inner_vec(W.data[idx], F), rcond=None)
+    Zc, _, _, s = np.linalg.lstsq(F * SIGNATURE, -mp_inner_vec(W.data[idx], F), rcond=None)
+    Check("vertex star is cospherical", float(s[4] / s[0]) if len(s) == 5 else 0.0, tol(1.0),
+          basepoint, floor="singular value ratio").require(SphericalStar)
 
     Z = VertexField(W.data + Zc)
     scale = (1.0 + float(np.abs(Z.data).max())) * net.lift_scale()

@@ -23,7 +23,6 @@ from .minkowski import (
     Q_EUCLIDEAN,
     euclidean_lift,
     euclidean_point,
-    minkowski_inner,
 )
 from .nets import IsothermicNet
 from .tolerances import Check, tol
@@ -40,13 +39,10 @@ class EuclideanNet:
         self.weights = weights
 
     @classmethod
-    def from_isothermic(cls, net: IsothermicNet, Q=None) -> "EuclideanNet":
-        """Read off R^3 points from the lifts in a flat space-form gauge."""
-        if Q is None:
-            Q = Q_EUCLIDEAN
-        w = -minkowski_inner(net.lifts.data, Q)
-        pts = net.lifts.data[:, :, 1:4] / w[:, :, None]
-        return cls(VertexField(pts), net.weights)
+    def from_isothermic(cls, net: IsothermicNet) -> "EuclideanNet":
+        """Read off R^3 points from the lifts in the flat chart of
+        :data:`minkowski.Q_EUCLIDEAN`."""
+        return cls(VertexField(euclidean_point(net.lifts.data)), net.weights)
 
     def to_isothermic(self) -> IsothermicNet:
         return IsothermicNet(VertexField(euclidean_lift(self.points.data)), self.weights)

@@ -17,13 +17,21 @@ from .minkowski import SIGNATURE
 from .tolerances import tol
 
 
+def _divide(c, x):
+    """Synthetic division of the coefficients ``c`` by (lam - x): the quotient,
+    of one coefficient fewer, and the remainder P(x), carried by Horner's rule."""
+    k = c.shape[-2]
+    q = np.zeros(c.shape[:-2] + (k - 1, c.shape[-1]))
+    carry = c[..., k - 1, :].copy()
+    for j in range(k - 2, -1, -1):
+        q[..., j, :] = carry
+        carry = c[..., j, :] + x * carry
+    return q, carry
+
+
 def mp_eval(coeffs, lam):
     """Horner evaluation; returns shape (..., 5)."""
-    c = np.asarray(coeffs, dtype=float)
-    out = c[..., -1, :].copy()
-    for k in range(c.shape[-2] - 2, -1, -1):
-        out = out * lam + c[..., k, :]
-    return out
+    return _divide(np.asarray(coeffs, dtype=float), lam)[1]
 
 
 def mp_inner_vec(coeffs, X):
@@ -65,15 +73,9 @@ def mp_divide_linear(coeffs, mu):
 
     The remainder equals P(mu)."""
     c = np.asarray(coeffs, dtype=float)
-    k = c.shape[-2]
-    if k < 2:
+    if c.shape[-2] < 2:
         raise ValueError("cannot divide a constant polynomial by (lam - mu)")
-    q = np.zeros(c.shape[:-2] + (k - 1, c.shape[-1]))
-    carry = c[..., k - 1, :]
-    for j in range(k - 2, -1, -1):
-        q[..., j, :] = carry
-        carry = c[..., j, :] + mu * carry
-    return q, carry
+    return _divide(c, mu)
 
 
 def mp_divide_one_minus(coeffs, a):
@@ -81,19 +83,15 @@ def mp_divide_one_minus(coeffs, a):
     quotient Q of degree K-2 and the remainder vector r with
     P = (1 - a*lam) Q + r lam^(K-1).
 
-    Exact division leaves a zero remainder, which happens iff P(1/a) = 0,
-    or, for a = 0, iff the top coefficient vanishes.  ``a`` may be an array
-    broadcasting against the remainder's shape (..., 5).
+    This is the division of the reversed coefficients by (lam - a).  Exact
+    division leaves a zero remainder, which happens iff P(1/a) = 0, or, for
+    a = 0, iff the top coefficient vanishes.  ``a`` may be an array
+    broadcasting against the remainder's shape (..., 5).  A constant
+    polynomial has the zero quotient of one coefficient.
     """
     c = np.asarray(coeffs, dtype=float)
-    k = c.shape[-2]
-    q = np.zeros(c.shape[:-2] + (max(k - 1, 1), c.shape[-1]))
-    carry = np.zeros(c.shape[:-2] + (c.shape[-1],))
-    for j in range(k - 1):
-        carry = c[..., j, :] + a * carry
-        q[..., j, :] = carry
-    remainder = c[..., k - 1, :] + a * carry if k > 1 else c[..., 0, :]
-    return q, remainder
+    q, remainder = _divide(c[..., ::-1, :], a)
+    return (q[..., ::-1, :] if q.shape[-2] else np.zeros_like(c)), remainder
 
 
 def mp_shift(coeffs, mu):

@@ -319,7 +319,9 @@ def meridian_step(state, Q, alpha: float, c: float, H: float, kappa: float,
     One sign of t returns to the predecessor; if ``prev`` is given that
     branch is discarded, otherwise the branch advancing the axis coordinate
     slot is taken.  The sphere curve then follows as
-    S' = S + 2 alpha <Q, M_avg> dM.
+    S' = S + 2 alpha <Q, M_avg> dM.  The step may cross the infinity
+    boundary of the space form (<Q, M> changes sign); it does so without a
+    word, and :func:`build_revolution_cmc` counts such steps.
 
     Raises
     ------
@@ -361,9 +363,6 @@ def meridian_step(state, Q, alpha: float, c: float, H: float, kappa: float,
         M_next = cand_plus if cand_plus[1] >= cand_minus[1] else cand_minus
     if M_next[0] <= 0:
         raise AxisCrossing("next meridian point left the hyperbolic half plane")
-    if float(_dot3(q, M_next)) * qm < 0:
-        warnings.warn("meridian crossed the infinity boundary of the space form",
-                      stacklevel=2)
     Mavg = [(a + b) / 2.0 for a, b in zip(M, M_next)]
     k = 2.0 * alpha * float(_dot3(q, Mavg))
     S_next = [s + k * (b - a) for s, a, b in zip(S, M, M_next)]
@@ -406,7 +405,9 @@ def build_revolution_cmc(Q, H: float, M0, M1, steps_each_dir: int,
     Seeds the meridian edge (M0, M1), propagates ``steps_each_dir`` steps in
     both directions, assembles the net with weights alpha <F_i, F_j>, and
     attaches the normalized linear conserved quantity built from the sphere
-    curve.  Returns (net, quantity).
+    curve.  Returns (net, quantity).  Meridian steps across the infinity
+    boundary of the space form are allowed; a build that makes any warns
+    once with their count.
     """
     Q = np.asarray(Q, dtype=float)
     kappa = -float(norm3(Q))
@@ -441,7 +442,15 @@ def build_revolution_cmc(Q, H: float, M0, M1, steps_each_dir: int,
     S5 = embed_lorentz3(meridian.spheres)  # (k, 5)
     qf = (net.lifts.data * SIGNATURE * Q5).sum(-1)  # <Q, F> per vertex
     Z = S5[:, None, :] - alpha * qf[:, :, None] * net.lifts.data
-    return net, ConservedQuantity.linear(net, Q5, Z)
+    quantity = ConservedQuantity.linear(net, Q5, Z)
+
+    qm = inner3(Q, meridian.points)  # <Q, M>, bitwise as meridian_step computes it
+    crossed = qm[1:] * qm[:-1] < 0
+    crossed[steps_each_dir] = False  # the seed edge is no meridian step
+    if crossed.any():
+        warnings.warn("meridian crossed the infinity boundary of the space form in "
+                      f"{np.count_nonzero(crossed)} meridian steps", stacklevel=2)
+    return net, quantity
 
 
 def default_space_form(kappa: float) -> np.ndarray:

@@ -366,8 +366,12 @@ def pcq_from_parallel_sections(net: IsothermicNet, sections, weights) -> Conserv
 
     Raises
     ------
+    ValueError
+        If the weights are not one per section.
     NotParallel, IncidenceFailure
     """
+    if len(weights) != len(sections):
+        raise ValueError(f"{len(weights)} weights for {len(sections)} sections")
     mus = [mu for mu, _ in sections]
     if len(set(np.round(mus, 12))) != len(mus):
         raise ValueError("section parameters must be pairwise distinct")

@@ -3,7 +3,9 @@ edges and faces one at a time, and single edge connections, face holonomies
 and the four-point circle identity, against which the tests check the
 library's array code.  Array ones: the meridian step, the seed solve, the
 meridian residual and the dense solve as numpy code on 3-element arrays,
-against which the tests check the library's scalar constructor bit for bit."""
+against which the tests check the library's scalar constructor bit for bit.
+Loop ones: Horner evaluation and the division by (1 - a*lam) as their own
+loops, against which the tests check ``polyvec``'s one synthetic division."""
 
 import warnings
 
@@ -251,3 +253,30 @@ def meridian_step(state, Q, alpha: float, c: float, H: float, kappa: float, prev
     Mavg = (M + M_next) / 2.0
     S_next = S + 2.0 * alpha * float(inner3(Q, Mavg)) * (M_next - M)
     return M_next, S_next
+
+
+# --- polynomial loops -------------------------------------------------------------
+
+
+def mp_eval(coeffs, lam):
+    """Horner evaluation; returns shape (..., 5)."""
+    c = np.asarray(coeffs, dtype=float)
+    out = c[..., -1, :].copy()
+    for k in range(c.shape[-2] - 2, -1, -1):
+        out = out * lam + c[..., k, :]
+    return out
+
+
+def mp_divide_one_minus(coeffs, a):
+    """Division by (1 - a*lam) of a polynomial of degree K-1: returns the
+    quotient Q of degree K-2 and the remainder vector r with
+    P = (1 - a*lam) Q + r lam^(K-1)."""
+    c = np.asarray(coeffs, dtype=float)
+    k = c.shape[-2]
+    q = np.zeros(c.shape[:-2] + (max(k - 1, 1), c.shape[-1]))
+    carry = np.zeros(c.shape[:-2] + (c.shape[-1],))
+    for j in range(k - 1):
+        carry = c[..., j, :] + a * carry
+        q[..., j, :] = carry
+    remainder = c[..., k - 1, :] + a * carry if k > 1 else c[..., 0, :]
+    return q, remainder

@@ -19,7 +19,6 @@ from isothermic.conserved import (
     normalize_top,
     pcq_propagate,
     pcq_verify,
-    lcq_solve_3x3,
 )
 from isothermic.errors import ConstraintViolated, DegenerateBasis, GeometryError, InfinityBoundary
 from isothermic.euclidean import EuclideanNet, bp_sphere, christoffel
@@ -306,7 +305,7 @@ def test_acceptance_10_oracle_equivalence():
             Q = rng.normal(size=5)
             if np.abs(minkowski_inner(net.lifts.data, Q)).min() > 1e-3:
                 break
-        sol = lcq_solve_3x3(net, Q)
+        sol = lcq_solve_grid(net, Q)
         prop = pcq_propagate(net, sol.coeffs[net.domain.center()], net.domain.center())
         worst = max(worst, float(np.abs(prop.coeffs - sol.coeffs).max()))
     solver_ok = worst <= 1e-10

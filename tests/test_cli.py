@@ -554,9 +554,9 @@ def test_faceless_net_file(tmp_path, capsys):
 
 @pytest.mark.filterwarnings("default:meridian crossed")
 def test_generate_counts_meridian_crossings_in_one_line(tmp_path, capsys):
-    """Each meridian step across the infinity boundary warns in the library;
-    generate prints them as one counted line on stderr, as shown by the
-    warning filters in force."""
+    """The builder counts the meridian steps across the infinity boundary
+    into one warning; generate prints it as one line on stderr, as the
+    warning filters in force let it through."""
     argv = ["generate", "revolution", "--H", 0, "--kappa", -1, "--steps", 6, "--angles", 8,
             "-o", tmp_path / "net.json"]
     assert run(argv) == 0
@@ -626,3 +626,39 @@ def test_sizes_that_cannot_be_allocated_give_one_error_line(tmp_path):
     assert child.stderr.startswith("isothermic generate revolution: error: out of memory: ")
     assert child.stderr.count("\n") == 1 and "Traceback" not in child.stderr
     assert child.stdout == "" and not out.exists()
+
+
+def test_list_flags_of_the_wrong_length_are_usage_errors(tmp_path, capsys):
+    """--lcq takes 5 reals, --start and --Q 3 or 5: another length exits 1
+    with the usage line and one error line naming the flag, before verify
+    prints anything, and writes nothing."""
+    src = tmp_path / "net.json"
+    assert run(["generate", "revolution", "--H", 0.5, "--kappa", 0,
+                "--steps", 1, "--angles", 4, "-o", src]) == 0
+    capsys.readouterr()
+    out = tmp_path / "never.json"
+    for argv, message in (
+            (["verify", src, "--lcq", "1,2,3"], "--lcq expects 5 reals, not 3"),
+            (["verify", src, "--lcq", "Q=1,0,0,0,-1,0"], "--lcq expects 5 reals, not 6"),
+            (["transform", "darboux", "--mu", 0.4, "--start", "1,2", src, "-o", out],
+             "--start expects 3 or 5 reals, not 2"),
+            (["export", src, "--model", "euclidean", "--Q", "1,2", "-o", out],
+             "--Q expects 3 or 5 reals, not 2")):
+        assert run(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: isothermic")
+        assert captured.err.splitlines()[-1] == f"isothermic: error: {message}"
+        assert not out.exists()
+
+
+def test_verify_lcq_on_a_spherical_net_names_the_star(tmp_path, capsys):
+    """A cospherical vertex star cannot pin the linear conserved quantity:
+    verify --lcq exits 2 with one error line naming the star's centre."""
+    path = tmp_path / "plane.json"
+    save_net(path, catalog.planar_grid_net(4, 4))
+    assert run(["verify", path, "--lcq", "Q=1,0,0,0,-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out.startswith("isothermic: ok")
+    assert captured.err == ("verification error: vertex star is cospherical (singular value "
+                            "ratio 0 <= 1e-09) at (1, 1)\n")

@@ -10,7 +10,6 @@ from isothermic.conserved import (
     ConservedQuantity,
     classify_type,
     degree_reduce,
-    lcq_solve_3x3,
     lcq_solve_grid,
     mean_curvature_data,
     normalize_top,
@@ -207,13 +206,24 @@ def test_classify_type_reports_the_span():
 
 def test_lcq_solve_3x3_cylinder_patch():
     net, cq = cylinder_with_quantity(3, 3)
-    sol = lcq_solve_3x3(net, Q_EUCLIDEAN)
+    sol = lcq_solve_grid(net, Q_EUCLIDEAN)
     np.testing.assert_allclose(sol.coeffs, cq.coeffs, atol=1e-10)
 
 
 def test_lcq_solve_3x3_spherical_star():
-    with pytest.raises(SphericalStar):
-        lcq_solve_3x3(catalog.planar_grid_net(3, 3), Q_EUCLIDEAN)
+    """On a 3x3 net the extended star is the axis star: cospherical there,
+    it cannot pin Z, and the solver names the basepoint."""
+    with pytest.raises(SphericalStar, match=r"vertex star is cospherical \(singular value "
+                                            r"ratio .* <= 1e-09\) at \(1, 1\)"):
+        lcq_solve_grid(catalog.planar_grid_net(3, 3), Q_EUCLIDEAN)
+
+
+def test_lcq_solve_grid_spherical_star():
+    """A planar grid is spherical everywhere: its extended star spans four
+    dimensions, so the solver raises rather than fail an incidence check
+    with a least-squares start."""
+    with pytest.raises(SphericalStar, match=r"at \(2, 2\)"):
+        lcq_solve_grid(catalog.planar_grid_net(6, 6), Q_EUCLIDEAN)
 
 
 def test_lcq_solve_3x3_bad_ambient_vector(rng):
@@ -228,7 +238,7 @@ def test_lcq_solve_3x3_bad_ambient_vector(rng):
     ])
     _, _, vt = np.linalg.svd(diffs * SIGNATURE)
     Q = vt[-1] + vt[-2]
-    sol = lcq_solve_3x3(net, Q)
+    sol = lcq_solve_grid(net, Q)
     assert abs(sol.top_norm2()) < 1e-9 * sol.scale() ** 2
     # the isotropic top is a multiple of the net's own (Moutard) lift
     from isothermic.minkowski import ray_distance
@@ -243,7 +253,7 @@ def test_lcq_solve_3x3_generic_ambient(rng):
     for _ in range(5):
         net = catalog.random_moutard_net(rng, 3, 3)
         Q = rng.normal(size=5)
-        sol = lcq_solve_3x3(net, Q)
+        sol = lcq_solve_grid(net, Q)
         assert pcq_verify(net, sol).ok
         assert sol.top_norm2() > 0
 

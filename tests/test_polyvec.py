@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.polynomial.polynomial import polyval
+
+import reference
 
 from isothermic.minkowski import minkowski_inner
 from isothermic.polyvec import (
@@ -133,3 +136,41 @@ def test_apply_and_trim(rng):
     c = rng.normal(size=(3, 5))
     padded = np.concatenate([c, np.full((2, 5), 1e-15)], axis=0)
     assert mp_trim(padded).shape == (3, 5)
+
+
+#: Reals with both zeros drawn often, as the division turns on their signs.
+REALS = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-10.0, 10.0))
+
+
+def _bits(arrays):
+    return [(x.dtype, x.shape, x.tobytes()) for x in map(np.asarray, arrays)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), k=st.integers(1, 5), lead=st.sampled_from([(), (3,), (2, 3)]),
+       a_kind=st.sampled_from(["scalar", "array"]))
+def test_the_one_division_is_the_reference_loops_bitwise(data, k, lead, a_kind):
+    """mp_eval and mp_divide_one_minus, both read off one synthetic division
+    by (lam - x), give the results of their former loops in
+    tests/reference.py bit for bit, for one to five coefficients and scalar
+    or array-valued a (negative, zero or positive).  The one difference: the
+    former division's first step added a * 0.0 to the constant coefficient,
+    which turns a -0.0 there into +0.0 when a >= 0."""
+    c = np.array(data.draw(st.lists(REALS, min_size=k * 5 * int(np.prod(lead)),
+                                    max_size=k * 5 * int(np.prod(lead))))).reshape(lead + (k, 5))
+    lam = data.draw(REALS)
+    assert _bits([mp_eval(c, lam)]) == _bits([reference.mp_eval(c, lam)])
+
+    if a_kind == "scalar":
+        a = data.draw(REALS)
+    else:
+        a = np.array(data.draw(st.lists(REALS, min_size=int(np.prod(lead)),
+                                        max_size=int(np.prod(lead))))).reshape(lead + (1,))
+    old = _bits(reference.mp_divide_one_minus(c, a))
+    if k > 1:
+        c_first = c.copy()
+        c_first[..., 0, :] = c[..., 0, :] + a * 0.0
+        assert _bits(mp_divide_one_minus(c_first, a)) == old
+    zeros = c[..., 0, :][c[..., 0, :] == 0.0]
+    if k == 1 or not np.signbit(zeros).any():
+        assert _bits(mp_divide_one_minus(c, a)) == old

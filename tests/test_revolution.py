@@ -1,6 +1,8 @@
 """Surfaces of revolution: lifts, rotational symmetry, seed solver,
 meridian propagation, and the cmc constructor."""
 
+import ast
+import pathlib
 import subprocess
 import sys
 import warnings
@@ -317,12 +319,54 @@ def test_complementary_count_matches_invariant_sign():
         assert len(complementary(cq)) == count
 
 
+#: The warning of the array oracle's meridian step at each crossing.
+CROSSING = "meridian crossed the infinity boundary of the space form"
+
+
 def test_meridian_crossing_warns():
-    # crossing the infinity boundary is allowed and announced
-    with pytest.warns(UserWarning, match="infinity boundary"):
-        build_revolution_cmc(Q_HYP, 0.0, hyperbolic_point(0.1, 0.7),
-                             hyperbolic_point(0.35, 0.8), 3,
-                             RotationProfile.uniform(5, 0.8))
+    """Crossing the infinity boundary is allowed and announced: a meridian
+    step across it gives no warning, and the build warns once, naming the
+    steps that changed the sign of <Q, M> (the seed edge is no step)."""
+    M0, M1 = hyperbolic_point(0.1, 0.7), hyperbolic_point(0.35, 0.8)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        net, _ = build_revolution_cmc(Q_HYP, 0.0, M0, M1, 3, RotationProfile.uniform(5, 0.8))
+    points = net.revolution.meridian_points
+    qm = inner3(Q_HYP, points)
+    crossed = qm[1:] * qm[:-1] < 0
+    assert crossed.any() and not crossed[3]
+    assert [str(w.message) for w in caught] == [
+        f"{CROSSING} in {np.count_nonzero(crossed)} meridian steps"]
+
+    # step forward from the seed edge through the first crossing, silently
+    last = 4 + int(np.argmax(crossed[4:]))
+    assert crossed[last]
+    sol = seed_edge(Q_HYP, 0.0, M0, M1)[0]
+    state = (M1, sol.sphere1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for m in range(4, last + 1):
+            state = meridian_step(state, Q_HYP, sol.alpha, sol.edge_weight, 0.0,
+                                  -float(norm3(Q_HYP)), prev=points[m - 1])
+    assert np.array_equal(state[0], points[last + 1])
+
+
+def test_the_crossing_text_lives_in_the_builder_only():
+    """One module words the crossing warning, and the command line counts
+    nothing itself: no filter of cli.py matches on a message's text."""
+    src = pathlib.Path(revolution.__file__).parent
+    wording, filters = [], []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                    and "meridian crossed the infinity boundary" in node.value):
+                wording.append(path.name)
+            elif (isinstance(node, ast.Call) and path.name == "cli.py"
+                  and getattr(node.func, "attr", getattr(node.func, "id", None)) == "filterwarnings"
+                  and (len(node.args) > 1 or any(k.arg == "message" for k in node.keywords))):
+                filters.append(node.lineno)
+    assert wording == ["revolution.py"]
+    assert filters == []
 
 
 def test_seed_and_step_consistent():
@@ -405,7 +449,8 @@ def _constructor_outcomes(Q, H, seed, steps, angles):
 def test_constructor_is_the_array_oracle_bitwise(H, kappa, found, ends, branch, steps, angles):
     """The scalar constructor gives the lifts, weights, quantity coefficients and
     meridian of the array oracles of tests/reference.py bit for bit, or
-    raises the same error with the same message, with the same warnings."""
+    raises the same error with the same message; its one crossing warning
+    counts the oracle's warnings of one crossing each."""
     Q = default_space_form(kappa)
     try:
         seed = revolution.find_seed_edge(Q, H) if found else None
@@ -418,4 +463,11 @@ def test_constructor_is_the_array_oracle_bitwise(H, kappa, found, ends, branch, 
                              meridian_step=reference.meridian_step), \
             mock.patch.object(revolution.Meridian, "validate", reference.meridian_validate):
         oracle = _constructor_outcomes(Q, H, seed, steps, angles)
-    assert scalar == oracle
+    # The oracle's step warns at each crossing, the library's never; a build
+    # that completes warns once, with as many steps as the oracle warned of.
+    crossings = oracle[3][1].count(CROSSING)
+    built = isinstance(scalar[3][0], list)
+    assert scalar[3][1] == ([f"{CROSSING} in {crossings} meridian steps"]
+                            if built and crossings else [])
+    assert scalar == [(result, [w for w in caught if w != CROSSING])
+                      for result, caught in oracle]

@@ -290,6 +290,16 @@ def test_reconstruction_rejects_bad_weights(cylinder):
         pcq_from_parallel_sections(net, sections, [1.0, 1.0])
 
 
+@pytest.mark.parametrize("weights", [[0.3, -0.3, 1.0], []])
+def test_reconstruction_needs_one_weight_per_section(cylinder, weights):
+    """Weights pair with sections one to one: a third weight for two
+    sections, or none at all, is refused, not cut to length."""
+    net, cq = cylinder
+    sections = [(mu, cq.evaluate(mu)) for mu in (2.0, -1.5)]
+    with pytest.raises(ValueError, match=f"^{len(weights)} weights for 2 sections$"):
+        pcq_from_parallel_sections(net, sections, weights)
+
+
 def test_double_darboux_scenario(cylinder):
     # two antipodal Darboux transforms of a Calapso transform reconstruct a
     # normalized linear quantity whose antipodal gauge has
