@@ -1,17 +1,15 @@
-"""Ready-made nets: circular cylinder, zigzag plane, planar grid, and random
-Moutard-normalized nets for testing and demos."""
+"""Ready-made nets: circular cylinder, zigzag plane and planar grid, with the
+cylinder's and the zigzag plane's conserved quantities.  The tests draw
+their random Moutard nets themselves, in exact arithmetic."""
 
 from __future__ import annotations
-
-import contextlib
 
 import numpy as np
 
 from .conserved import ConservedQuantity
-from .errors import DegenerateEdge, GeometryError
 from .grids import EdgeFunction, VertexField
-from .minkowski import Q_EUCLIDEAN, euclidean_lift, euclidean_point, minkowski_inner
-from .nets import IsothermicNet, moutard_fill
+from .minkowski import Q_EUCLIDEAN, euclidean_lift, euclidean_point
+from .nets import IsothermicNet
 from .revolution import RevolutionStructure, RotationProfile
 from .tolerances import tol
 
@@ -105,35 +103,3 @@ def planar_grid_net(rows: int, cols: int) -> IsothermicNet:
                                        np.zeros((rows, cols))), axis=-1)
     return IsothermicNet(VertexField(euclidean_lift(pts)),
                          EdgeFunction(np.full(rows - 1, 1.0), np.full(cols - 1, -1.0)))
-
-
-def random_moutard_net(rng: np.random.Generator, rows: int, cols: int) -> IsothermicNet:
-    """Random isothermic net with Moutard-normalized lifts.
-
-    Draws a random first row and first column of lifts (random points of
-    the box [-1, 1]^3 with random positive scalings), reads off the edge
-    weights there, and fills the grid through the Moutard equation
-    (:func:`moutard_fill`); the filled lifts stay isotropic and realize the
-    weights on every edge automatically.  A draw is rejected when an edge
-    weight is below 1e-3, a face diagonal product below 1e-6, a filled lift
-    entry above 1e3 in absolute value, or the net fails
-    :meth:`IsothermicNet.validate`; after 50 rejected draws it raises
-    DegenerateEdge.
-    """
-    for _ in range(50):
-        pts = rng.uniform(-1.0, 1.0, size=(rows + cols, 3))
-        scales = rng.uniform(0.5, 2.0, size=rows + cols)
-        F = np.zeros((rows, cols, 5))
-        F[:, 0] = scales[:rows, None] * euclidean_lift(pts[:rows])
-        F[0, 1:] = scales[rows + 1:, None] * euclidean_lift(pts[rows + 1:])
-        u = minkowski_inner(F[:-1, 0], F[1:, 0])
-        v = minkowski_inner(F[0, :-1], F[0, 1:])
-        if np.any(np.abs(u) < 1e-3) or np.any(np.abs(v) < 1e-3):
-            continue
-        # g_floor just below 1e-6 rejects exactly the products |g| < 1e-6
-        if moutard_fill(F, u, v, np.nextafter(1e-6, 0.0), f_max=1e3) is None:
-            net = IsothermicNet(VertexField(F), EdgeFunction(u, v))
-            with contextlib.suppress(GeometryError):  # the fill's drift fails validation
-                net.validate()
-                return net
-    raise DegenerateEdge("could not draw a non-degenerate random net")

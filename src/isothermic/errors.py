@@ -52,7 +52,7 @@ class FactorizationFailure(GeometryError):
 
 
 class DegenerateEdge(GeometryError):
-    """An edge inner product needed for rescaling or filling vanishes."""
+    """An edge inner product needed for rescaling vanishes."""
 
 
 class PoleParameter(GeometryError):

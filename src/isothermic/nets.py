@@ -107,7 +107,6 @@ class IsothermicReport:
     check: Check
     weights: EdgeFunction | None = None
     cross_ratios: np.ndarray | None = None  # of the faces; set when the weights are rebuilt
-    min_regularity: float = np.inf
 
     @property
     def ok(self) -> bool:
@@ -146,8 +145,7 @@ def verify_isothermic(lifts: VertexField, *, strict: bool = True) -> IsothermicR
     if domain.rows > 1 and domain.cols > 1:
         inv = invariants_from_products(*face_products(lifts.data))
         f = np.unravel_index(int(np.argmin(inv.regularity)), inv.regularity.shape)
-        report.min_regularity = float(inv.regularity[f])
-        report.check = Check("a face has three nearly dependent lifts", report.min_regularity,
+        report.check = Check("a face has three nearly dependent lifts", float(inv.regularity[f]),
                              regularity_tol(), domain.stack_face(f), floor="regularity")
     if report.ok:
         q = inv.q
@@ -194,40 +192,6 @@ def face_regularity(lifts: VertexField) -> float:
     a NaN or infinite entry raises NonFiniteLift."""
     _, products, selfs = face_products(lifts.data)
     return float(_regularity(products, selfs).min(initial=np.inf))
-
-
-def moutard_fill(F, u, v, g_floor: float, f_max: float = np.inf):
-    """Fill the lifts ``F``, shape (rows, cols, 5) and given on the first row
-    and column, through the Moutard equation of every face (i, j, k, l),
-
-        F_k = F_i + (a_ij - a_il) / <F_j, F_l> * (F_j - F_l),
-
-    where a_ij = u[m] and a_il = v[n] on the face at (m, n).  Each step
-    fills the faces of one anti-diagonal m + n = d, rows + cols - 3 steps in
-    all.  The fill stops before a step where some |<F_j, F_l>| <= g_floor,
-    or after one where some new F_k has an entry above ``f_max`` in absolute
-    value, and returns the array index of the first such face on that
-    anti-diagonal; it returns None once ``F`` is full.
-
-    The fill extrapolates, and its errors grow with the grid: filled from the
-    Moutard-normalized first row and column of ``catalog.cylinder_net(N, N,
-    2/N, 2 pi/N)``, it missed the cylinder's own weights by 19.3 at N = 48
-    and 1.9e3 at N = 64.  It now serves only :func:`catalog.random_moutard_net`
-    (nets of at most 8x8 in the tests).
-    """
-    rows, cols = F.shape[:2]
-    for d in range(rows + cols - 3):
-        m = np.arange(max(0, d - cols + 2), min(d, rows - 2) + 1)
-        n = d - m
-        g = minkowski_inner(F[m + 1, n], F[m, n + 1])
-        bad = np.abs(g) <= g_floor
-        if not bad.any():
-            F[m + 1, n + 1] = F[m, n] + ((u[m] - v[n]) / g)[:, None] * (F[m + 1, n] - F[m, n + 1])
-            bad = np.abs(F[m + 1, n + 1]).max(axis=-1) > f_max
-        if bad.any():
-            w = int(np.argmax(bad))
-            return int(m[w]), int(n[w])
-    return None
 
 
 def moutard_lift(lifts: VertexField, weights: EdgeFunction) -> VertexField:

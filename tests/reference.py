@@ -5,8 +5,12 @@ library's array code.  Array ones: the meridian step, the seed solve, the
 meridian residual and the dense solve as numpy code on 3-element arrays,
 against which the tests check the library's scalar constructor bit for bit.
 Loop ones: Horner evaluation and the division by (1 - a*lam) as their own
-loops, against which the tests check ``polyvec``'s one synthetic division."""
+loops, against which the tests check ``polyvec``'s one synthetic division.
+Exact ones: random Moutard nets, filled face by face in decimal arithmetic
+and rounded to doubles at the end, on which the tests probe every check;
+exact arithmetic stays here, out of the library."""
 
+import decimal
 import warnings
 
 import numpy as np
@@ -15,12 +19,15 @@ from isothermic.errors import (
     AxisCrossing,
     ConstraintViolated,
     DegenerateBasis,
+    DegenerateEdge,
     InfinityBoundary,
     PoleParameter,
     SingularSystem,
     VanishingX,
 )
+from isothermic.grids import EdgeFunction, VertexField
 from isothermic.minkowski import cross_ratio_matrix
+from isothermic.nets import IsothermicNet
 from isothermic.revolution import Meridian, SeedSolution
 from isothermic.tolerances import Check, tol
 
@@ -83,6 +90,70 @@ def circle_identity_check(P1, P2, P3, P4, a: float, b: float, lam: float) -> flo
     left = cross_ratio_matrix(qa, P1, P2) @ cross_ratio_matrix(qb, P2, P3)
     right = cross_ratio_matrix(qb, P1, P4) @ cross_ratio_matrix(qa, P4, P3)
     return float(np.abs(left - right).max())
+
+
+# --- random Moutard nets in decimal arithmetic ----------------------------------
+
+
+def _decimal_lift(point, scale):
+    """``scale * euclidean_lift(point)`` from the exact values of the doubles."""
+    f = [decimal.Decimal(float(x)) for x in point]
+    s = decimal.Decimal(float(scale))
+    q = sum(x * x for x in f)
+    return [s * (1 + q) / 2, *(s * x for x in f), s * (1 - q) / 2]
+
+
+def _decimal_inner(x, y):
+    return -x[0] * y[0] + x[1] * y[1] + x[2] * y[2] + x[3] * y[3] + x[4] * y[4]
+
+
+def _decimal_fill(F, u, v):
+    """Fill the lifts F through the Moutard equation of every face, row by
+    row; False at the first face whose |<F_j, F_l>| is below 1e-6 or whose
+    new lift has an entry above 1e3 in absolute value."""
+    for m in range(len(u)):
+        for n in range(len(v)):
+            Fi, Fj, Fl = F[m][n], F[m + 1][n], F[m][n + 1]
+            g = _decimal_inner(Fj, Fl)
+            if abs(g) < 1e-6:
+                return False
+            c = (u[m] - v[n]) / g
+            F[m + 1][n + 1] = [xi + c * (xj - xl) for xi, xj, xl in zip(Fi, Fj, Fl)]
+            if max(abs(x) for x in F[m + 1][n + 1]) > 1e3:
+                return False
+    return True
+
+
+def random_moutard_net(rng, rows, cols, digits=34):
+    """Random isothermic net with Moutard lifts, <F_i, F_j> = a_ij.
+
+    Draws the first column and the first row of lifts, Euclidean lifts of
+    random points of the box [-1, 1]^3 with random scalings in [0.5, 2],
+    reads the edge weights off them and fills every face (i, j, k, l), row
+    by row, through the Moutard equation
+
+        F_k = F_i + (a_ij - a_il) / <F_j, F_l> (F_j - F_l),
+
+    all in ``digits``-digit decimal arithmetic; the lifts and weights are
+    rounded to doubles at the end, so the net realizes its weights to double
+    precision at every size.  A draw is rejected when an edge weight is
+    below 1e-3, a face diagonal product |<F_j, F_l>| below 1e-6, or a lift
+    entry above 1e3 in absolute value; after 50 rejected draws it raises
+    DegenerateEdge.
+    """
+    for _ in range(50):
+        pts = rng.uniform(-1.0, 1.0, size=(rows + cols, 3))
+        scales = rng.uniform(0.5, 2.0, size=rows + cols)
+        with decimal.localcontext(prec=digits):
+            F = [[_decimal_lift(pts[m], scales[m])] + [None] * (cols - 1) for m in range(rows)]
+            F[0][1:] = [_decimal_lift(pts[rows + n], scales[rows + n]) for n in range(1, cols)]
+            u = [_decimal_inner(F[m][0], F[m + 1][0]) for m in range(rows - 1)]
+            v = [_decimal_inner(F[0][n], F[0][n + 1]) for n in range(cols - 1)]
+            if min(abs(a) for a in u + v) >= 1e-3 and _decimal_fill(F, u, v):
+                return IsothermicNet(VertexField(np.array(F, dtype=float)),
+                                     EdgeFunction(np.array(u, dtype=float),
+                                                  np.array(v, dtype=float)))
+    raise DegenerateEdge("could not draw a non-degenerate random net")
 
 
 # --- the revolution constructor on 3-element arrays -----------------------------

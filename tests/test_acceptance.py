@@ -47,7 +47,14 @@ from isothermic.transforms import (
     darboux_propagate,
     pcq_backlund,
 )
-from reference import edges, face_holonomy, faces, interior_vertices, weight
+from reference import (
+    edges,
+    face_holonomy,
+    faces,
+    interior_vertices,
+    random_moutard_net,
+    weight,
+)
 
 ETA, PHI = 0.3, np.pi / 4
 
@@ -300,7 +307,7 @@ def test_acceptance_10_oracle_equivalence():
     rng = np.random.default_rng(404)
     worst = 0.0
     for _ in range(25):
-        net = catalog.random_moutard_net(rng, 3, 3)
+        net = random_moutard_net(rng, 3, 3)
         while True:
             Q = rng.normal(size=5)
             if np.abs(minkowski_inner(net.lifts.data, Q)).min() > 1e-3:

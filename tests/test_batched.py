@@ -74,7 +74,7 @@ from isothermic.transforms import (
     pcq_backlund,
     pcq_darboux,
 )
-from reference import edge_connection, edges, faces, weight
+from reference import edge_connection, edges, faces, random_moutard_net, weight
 
 # --- references, one face or edge at a time -----------------------------------
 
@@ -207,7 +207,7 @@ def random_net(seed, shape, kind):
     if kind == "cylinder":
         return catalog.cylinder_net(rows, cols, rng.uniform(0.2, 0.8), rng.uniform(0.4, 1.2))
     if kind == "moutard":
-        return catalog.random_moutard_net(rng, rows, cols)
+        return random_moutard_net(rng, rows, cols)
     return darboux_stacked_net(rng, rows, cols, layers=1)
 
 
@@ -780,7 +780,7 @@ def net_with_quantity(seed, shape, kind):
     rng = np.random.default_rng(seed)
     full = (max(shape[0], 2), max(shape[1], 2))
     if kind == "moutard":
-        return block(catalog.random_moutard_net(rng, *full), shape)
+        return block(random_moutard_net(rng, *full), shape)
     cyl = catalog.cylinder_net(*full, rng.uniform(0.2, 0.8), rng.uniform(0.4, 1.2))
     cq = catalog.cylinder_quantity(cyl)
     if kind == "cylinder":
@@ -1057,53 +1057,7 @@ def test_faceless_nets_pass_the_face_checks(shape):
                                    rtol=1e-12, atol=1e-15)
 
 
-# --- the Moutard fill and the Moutard lift against loops -------------------------
-
-
-def ref_fill(F, u, v, g_ok, f_ok=lambda Fk: True):
-    """Fill F through the Moutard equation one face at a time, in row-major
-    order; returns the first face whose product g or new lift fails."""
-    rows, cols = F.shape[:2]
-    for m in range(rows - 1):
-        for n in range(cols - 1):
-            g = float(minkowski_inner(F[m + 1, n], F[m, n + 1]))
-            if not g_ok(g):
-                return m, n
-            F[m + 1, n + 1] = F[m, n] + ((u[m] - v[n]) / g) * (F[m + 1, n] - F[m, n + 1])
-            if not f_ok(F[m + 1, n + 1]):
-                return m, n
-    return None
-
-
-def ref_random_moutard_net(rng, rows, cols):
-    for _ in range(50):
-        pts = rng.uniform(-1.0, 1.0, size=(rows + cols, 3))
-        scales = rng.uniform(0.5, 2.0, size=rows + cols)
-        F = np.zeros((rows, cols, 5))
-        for m in range(rows):
-            F[m, 0] = scales[m] * euclidean_lift(pts[m])
-        for n in range(1, cols):
-            F[0, n] = scales[rows + n] * euclidean_lift(pts[rows + n])
-        u = np.array([float(minkowski_inner(F[m, 0], F[m + 1, 0])) for m in range(rows - 1)])
-        v = np.array([float(minkowski_inner(F[0, n], F[0, n + 1])) for n in range(cols - 1)])
-        if np.any(np.abs(u) < 1e-3) or np.any(np.abs(v) < 1e-3):
-            continue
-        if ref_fill(F, u, v, lambda g: abs(g) >= 1e-6,
-                    lambda Fk: np.abs(Fk).max() <= 1e3) is not None:
-            continue
-        # redraw a fill that drifted off the weights: each face's own Gram
-        # cross ratio against u / v, and each lift's isotropy, within tol(1)
-        try:
-            drift = max(abs(ref_cross_ratio(*(F[p] for p in face)) - u[face[0][0]] / v[face[0][1]])
-                        / (1.0 + abs(u[face[0][0]] / v[face[0][1]]))
-                        for face in faces(GridDomain(rows, cols)))
-        except DegeneratePoints:
-            continue
-        isotropy = max(abs(float(minkowski_inner(f, f))) for f in F.reshape(-1, 5))
-        if max(drift, isotropy / float(np.abs(F).max()) ** 2) > tol(1.0):
-            continue
-        return F, u, v
-    raise DegenerateEdge("could not draw a non-degenerate random net")
+# --- random Moutard nets, and the Moutard lift against loops ---------------------
 
 
 def ref_moutard_lift(lifts, weights):
@@ -1150,9 +1104,9 @@ def ref_moutard_lift(lifts, weights):
 
 @pytest.mark.parametrize("seed, rows, cols", [(1607, 6, 7), (2008, 8, 8)])
 def test_random_moutard_nets_pass_their_own_validation(seed, rows, cols):
-    # these draws once kept fills whose drift missed the stored weights by
-    # 4.7e-7 and 4.7e-9; such draws are now redrawn
-    net = catalog.random_moutard_net(np.random.default_rng(seed), rows, cols)
+    # a fill in doubles once missed the stored weights on these draws by
+    # 4.7e-7 and 4.7e-9; filled exactly, they realize them to rounding
+    net = random_moutard_net(np.random.default_rng(seed), rows, cols)
     assert net.validate() <= tol(1.0)
     assert moutard_lift(net.lifts, net.weights).data.shape == (rows, cols, 5)
 
@@ -1176,24 +1130,35 @@ def raised(fn):
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10 ** 6), st.integers(2, 8), st.integers(2, 8))
-def test_moutard_fill_matches_face_loop(seed, rows, cols):
-    def library():
-        net = catalog.random_moutard_net(np.random.default_rng(seed), rows, cols)
+def test_random_moutard_nets_round_an_exact_build(seed, rows, cols):
+    """The nets' doubles are those of the same build at 60 digits: the
+    34-digit fill is exact to the last bit."""
+    def build(**digits):
+        net = random_moutard_net(np.random.default_rng(seed), rows, cols, **digits)
         return net.lifts.data, net.weights.u, net.weights.v
 
-    got = raised(library)
-    assert_bitwise(got, raised(lambda: ref_random_moutard_net(
-        np.random.default_rng(seed), rows, cols)))
-    if isinstance(got, Exception):
-        return
-    weights = EdgeFunction(got[1], got[2])
+    assert_bitwise(build(), build(digits=60))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(2, 8), st.integers(2, 8))
+def test_random_moutard_nets_validate(seed, rows, cols):
+    net = random_moutard_net(np.random.default_rng(seed), rows, cols)
+    assert net.validate() <= tol(1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(2, 8), st.integers(2, 8))
+def test_moutard_lift_matches_edge_loop(seed, rows, cols):
+    net = random_moutard_net(np.random.default_rng(seed), rows, cols)
+    weights = net.weights
     scales = np.random.default_rng(seed + 1).uniform(0.3, 3.0, (rows, cols))
-    lifts = VertexField(got[0] * scales[..., None])
+    lifts = VertexField(net.lifts.data * scales[..., None])
     normalized = raised(lambda: (moutard_lift(lifts, weights).data,))
     assert_bitwise(normalized, raised(lambda: (ref_moutard_lift(lifts, weights),)))
     if not isinstance(normalized, Exception):
-        # every prescribed product holds at the tolerance moutard_lift used
-        # with the fill, and the rescaled lifts are Moutard lifts
+        # every prescribed product holds at the tolerance moutard_lift uses,
+        # and the rescaled lifts are Moutard lifts
         out = normalized[0]
         limit = tol(1.0 + weights.max_abs() + float(np.abs(out).max()) ** 2)
         for (Fi, Fj), a in zip(edge_stacks(out), weights.stacks()):

@@ -32,6 +32,7 @@ from isothermic.minkowski import (
 from isothermic.nets import IsothermicNet, moutard_check
 from isothermic.polyvec import mp_eval, mp_scale_poly
 from isothermic.tolerances import Check
+from reference import random_moutard_net
 
 ETA, PHI = 0.3, np.pi / 4
 
@@ -229,7 +230,7 @@ def test_lcq_solve_grid_spherical_star():
 def test_lcq_solve_3x3_bad_ambient_vector(rng):
     # ambient vector orthogonal to the differences of the axis star forces
     # an isotropic top coefficient (a Moutard lift multiple)
-    net = catalog.random_moutard_net(rng, 3, 3)
+    net = random_moutard_net(rng, 3, 3)
     c = (1, 1)
     diffs = np.stack([
         net.lifts[(2, 1)] - net.lifts[(0, 1)],
@@ -251,7 +252,7 @@ def test_lcq_solve_3x3_bad_ambient_vector(rng):
 
 def test_lcq_solve_3x3_generic_ambient(rng):
     for _ in range(5):
-        net = catalog.random_moutard_net(rng, 3, 3)
+        net = random_moutard_net(rng, 3, 3)
         Q = rng.normal(size=5)
         sol = lcq_solve_grid(net, Q)
         assert pcq_verify(net, sol).ok

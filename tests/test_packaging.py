@@ -1,5 +1,5 @@
 """Every third-party module the package and its tests import is declared in
-pyproject.toml."""
+pyproject.toml, and the package imports no exact arithmetic."""
 
 import ast
 import pathlib
@@ -56,3 +56,11 @@ def test_test_imports_are_declared():
     declared = declared_modules(load_project(), "test")
     assert third_party == {"hypothesis", "numpy", "pytest"}
     assert third_party <= declared, third_party - declared
+
+
+def test_exact_arithmetic_stays_in_the_tests():
+    """The package computes in doubles: no module of it imports decimal or
+    fractions.  The tests' exact builds live in tests/reference.py."""
+    exact = {"decimal", "fractions"}
+    assert imported_top_level_modules(ROOT / "src" / "isothermic") & exact == set()
+    assert "decimal" in imported_top_level_modules(ROOT / "tests")

@@ -25,7 +25,7 @@ from isothermic.errors import (
     NonFiniteLift,
     RepeatedPoint,
 )
-from isothermic.grids import face_stack
+from isothermic.grids import VertexField, face_stack
 from isothermic.minkowski import (
     cross_ratios,
     hyperbolic_point,
@@ -33,7 +33,8 @@ from isothermic.minkowski import (
     norm3,
     profile_coordinates,
 )
-from isothermic.nets import moutard_check, verify_isothermic
+from isothermic.nets import IsothermicNet, moutard_check, verify_isothermic
+from isothermic.polyvec import mp_inner_vec
 from isothermic.revolution import (
     Meridian,
     RotationProfile,
@@ -44,6 +45,7 @@ from isothermic.revolution import (
     seed_edge,
     symmetric_pcq_check,
 )
+from isothermic.tolerances import tol
 from isothermic.transforms import complementary
 
 Q_FLAT = np.array([1.0, 0.0, -1.0])
@@ -125,19 +127,44 @@ def test_non_finite_angles_raise_under_warnings_as_errors():
     assert child.returncode == 0, child.stderr[-2000:]
 
 
+def scalar_symmetric(net, cq):
+    """The scalar criterion of rotational symmetry: <P(lam), F> does not
+    depend on the rotation index.  It means something only where the lifts'
+    scalings do not depend on the rotation index either, as on the
+    builders' nets and the cylinder's Euclidean lifts."""
+    p = mp_inner_vec(cq.coeffs, net.lifts.data[:, :, None, :])
+    return float(np.abs(p - p[:, :1]).max()) <= tol(cq.scale() * net.lift_scale())
+
+
 def test_symmetric_pcq_check():
     net, cq = build_revolution_cmc(Q_SPH, 0.3, hyperbolic_point(0.1, 0.9),
                                    hyperbolic_point(0.4, 1.0), 2,
                                    RotationProfile.uniform(5, 0.9))
-    assert symmetric_pcq_check(net, cq)
+    assert symmetric_pcq_check(net, cq) and scalar_symmetric(net, cq)
 
     # a quantity whose ambient vector has a rotation-plane component is not
     # rotationally symmetric
     patch = centred_cylinder(5, 3, 0.3, np.pi / 4)
     zz = catalog.zigzag_quantity(patch)
-    assert not symmetric_pcq_check(patch, zz)
+    assert not symmetric_pcq_check(patch, zz) and not scalar_symmetric(patch, zz)
     # the cylinder's own quantity (flat ambient vector) is symmetric
-    assert symmetric_pcq_check(patch, catalog.cylinder_quantity(patch))
+    cyl = catalog.cylinder_quantity(patch)
+    assert symmetric_pcq_check(patch, cyl) and scalar_symmetric(patch, cyl)
+
+
+def test_symmetric_pcq_check_ignores_lift_scalings():
+    """Lifts rescaled along the rotation carry the same quantity, and it
+    stays symmetric; only the scalar criterion, which reads the scalings,
+    changes its answer."""
+    net, cq = build_revolution_cmc(Q_SPH, 0.3, hyperbolic_point(0.1, 0.9),
+                                   hyperbolic_point(0.4, 1.0), 2,
+                                   RotationProfile.uniform(5, 0.9))
+    scales = np.linspace(1.0, 2.0, net.domain.cols)
+    rescaled = IsothermicNet(VertexField(net.lifts.data * scales[None, :, None]), net.weights,
+                             revolution=net.revolution)
+    assert pcq_verify(rescaled, cq).ok
+    assert symmetric_pcq_check(rescaled, cq)
+    assert not scalar_symmetric(rescaled, cq)
 
 
 @pytest.mark.parametrize("H", [0.0, 0.5, 1.0])
@@ -267,7 +294,7 @@ def test_build_hyperbolic_catenoid():
     assert H == pytest.approx(0.0, abs=1e-12)
     assert kappa == pytest.approx(-1.0, abs=1e-12)
     assert complementary(cq) == []
-    assert symmetric_pcq_check(net, cq)
+    assert symmetric_pcq_check(net, cq) and scalar_symmetric(net, cq)
 
 
 def test_build_spherical_candidate_torus():
