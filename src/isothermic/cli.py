@@ -11,9 +11,9 @@ that is not finite, a list of reals of the wrong length, and, without the
 usage line, a closed standard output or sizes that cannot be allocated).
 ``generate`` prints each warning of the build that the warning filters let
 through (the count of meridian steps across the infinity boundary) as one
-line on stderr.  --tol or the ISOTHERMIC_TOL environment variable sets the
-relative tolerance in a :func:`tolerances.tolerance` scope around the
-command; without either, the caller's scope holds.
+line on stderr.  --tol sets the relative tolerance in a
+:func:`tolerances.tolerance` scope around the command; without it, the
+caller's scope holds.  No environment variable sets an option.
 """
 
 from __future__ import annotations
@@ -279,9 +279,9 @@ def _cmd_export(args) -> int:
         raise GeometryError("no ambient vector available: pass --Q")
     if Q.shape == (3,):
         Q = embed_lorentz3(Q)
-    report = export_obj(net, Q, args.model, args.output, clamp=args.clamp)
-    print(f"wrote {report.path}: {net.domain.rows * net.domain.cols} vertices, "
-          f"{(net.domain.rows - 1) * (net.domain.cols - 1)} quads, {len(report.flagged)} flagged")
+    flagged = export_obj(net, Q, args.model, args.output, clamp=args.clamp)
+    print(f"wrote {args.output}: {net.domain.rows * net.domain.cols} vertices, "
+          f"{(net.domain.rows - 1) * (net.domain.cols - 1)} quads, {len(flagged)} flagged")
     return 0
 
 
@@ -358,13 +358,12 @@ _parser = functools.cache(build_parser)
 def main(argv=None) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
-    rel = args.tol if args.tol is not None else os.environ.get("ISOTHERMIC_TOL") or None
     with contextlib.ExitStack() as scope:
-        if rel is not None:
+        if args.tol is not None:
             try:
-                scope.enter_context(tolerance(float(rel)))
+                scope.enter_context(tolerance(args.tol))
             except ValueError as exc:
-                parser.error(f"bad --tol or ISOTHERMIC_TOL: {exc}")
+                parser.error(f"bad --tol: {exc}")
         try:
             with np.errstate(over="raise", divide="raise", invalid="raise"):
                 code = args.func(args)

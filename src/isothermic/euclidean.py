@@ -48,21 +48,20 @@ class EuclideanNet:
         return IsothermicNet(VertexField(euclidean_lift(self.points.data)), self.weights)
 
 
-def christoffel(net: EuclideanNet, basepoint=None) -> EuclideanNet:
+def christoffel(net: EuclideanNet) -> EuclideanNet:
     """Dual net integrated from the edge form
 
         w_ij = -( a_ij / |df_ij|^2 ) df_ij,
 
-    anchored at 0 on the basepoint.  Closedness of the form is exactly the
-    isothermic property for the stored weights.
+    anchored at 0 on the vertex (0, 0); the dual is determined up to
+    translation.  Closedness of the form is exactly the isothermic property
+    for the stored weights.
 
     Raises
     ------
     NotClosed
     """
     dom = net.domain
-    if basepoint is None:
-        basepoint = (0, 0)
     omega = []
     for axis, ((fi, fj), a) in enumerate(zip(edge_stacks(net.points.data),
                                              net.weights.stacks())):
@@ -73,7 +72,7 @@ def christoffel(net: EuclideanNet, basepoint=None) -> EuclideanNet:
             raise NotClosed(f"degenerate edge {dom.stack_edge(axis, degenerate[0])}")
         omega.append(-(a / d2)[..., None] * df)
 
-    dual, worst, edge = sweep_integrate(dom, *omega, basepoint)
+    dual, worst, edge = sweep_integrate(dom, *omega, (0, 0))
     Check("dual edge form is not closed", worst,
           tol(1.0 + max(float(np.abs(w).max(initial=0.0)) for w in omega)),
           edge).require(NotClosed)
@@ -127,7 +126,9 @@ def extract_parallel(cq: ConservedQuantity) -> EuclideanNet:
 
 @dataclass
 class MeanCurvatureSphere:
-    kind: str  # "sphere" | "plane"
+    """A sphere (``center`` and ``radius``) or, when ``center`` is None, a
+    plane (``normal`` and ``offset``), with its verification residuals."""
+
     center: np.ndarray | None
     radius: float | None
     normal: np.ndarray | None
@@ -173,7 +174,7 @@ def bp_sphere(cq: ConservedQuantity, vertex) -> MeanCurvatureSphere:
         offset = float(Z[0])
         worst_power = np.max(np.abs((nbrs - f) @ normal - a) / (1.0 + np.abs(a)))
         r_inc = abs(float(np.dot(normal, f)) - offset) / (1.0 + abs(offset))
-        return MeanCurvatureSphere("plane", None, None, normal, offset,
+        return MeanCurvatureSphere(None, None, normal, offset,
                                    0.0, float(worst_power), r_inc)
 
     r = 1.0 / lift_slope
@@ -184,7 +185,7 @@ def bp_sphere(cq: ConservedQuantity, vertex) -> MeanCurvatureSphere:
     power = ((nbrs - center) ** 2).sum(-1) - r * r
     worst_power = np.max(np.abs(power / (-2.0 * r) - a) / (1.0 + np.abs(a)))
     r_resid = abs(np.linalg.norm(f - center) - abs(r)) / (1.0 + abs(r))
-    return MeanCurvatureSphere("sphere", center, abs(r), None, None,
+    return MeanCurvatureSphere(center, abs(r), None, None,
                                float(worst_eq), float(worst_power), r_resid)
 
 

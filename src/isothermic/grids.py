@@ -65,10 +65,10 @@ class GridDomain:
         return (m, n), (m + 1, n), (m + 1, n + 1), (m, n + 1)
 
     def worst_edge(self, resid, axis: int, index, forward: bool = True):
-        """Largest entry of a per-edge residual over the block ``index`` (a
-        pair of slices with explicit starts) of the edge stack along
-        ``axis``, and its edge, directed backwards unless ``forward``;
-        (0.0, None) when the block is empty."""
+        """Largest entry of a per-edge residual, which may have trailing
+        axes, over the block ``index`` (a pair of slices with explicit
+        starts) of the edge stack along ``axis``, and its edge, directed
+        backwards unless ``forward``; (0.0, None) when the block is empty."""
         if not resid.size:
             return 0.0, None
         w = np.unravel_index(int(np.argmax(resid)), resid.shape)
@@ -209,9 +209,9 @@ def sweep_integrate(domain: GridDomain, wu, wv, base):
     if domain.rows == 1 or domain.cols == 1:
         return g, 0.0, None
     resid = np.abs(g[1:] - g[:-1] - wu)
-    resid[:, n0] = 0.0
-    worst = np.unravel_index(int(np.argmax(resid)), resid.shape)
-    return g, float(resid[worst]), domain.stack_edge(0, worst)
+    resid[:, n0] = -np.inf  # the tree's own edges
+    worst, edge = domain.worst_edge(resid, 0, (slice(0, domain.rows - 1), slice(0, domain.cols)))
+    return g, worst, edge
 
 
 def sweep_propagate(domain: GridDomain, start, base, step):

@@ -26,7 +26,7 @@ from .errors import (
     SingularParameter,
     SingularSystem,
 )
-from .tolerances import tol
+from .tolerances import Check, tol
 
 #: Diagonal of the metric, as a vector for broadcasting.
 SIGNATURE = np.array([-1.0, 1.0, 1.0, 1.0, 1.0])
@@ -38,10 +38,6 @@ METRIC = np.diag(SIGNATURE)
 #: ``{Y : <Y,Q> = -1}`` is Euclidean 3-space, and :func:`euclidean_lift`
 #: lands in it.
 Q_EUCLIDEAN = np.array([1.0, 0.0, 0.0, 0.0, -1.0])
-
-#: Slots of the Lorentz R^{2,1} factor and of the rotation plane R^2.
-LORENTZ3_SLOTS = (0, 1, 4)
-ROTATION_SLOTS = (2, 3)
 
 
 def minkowski_inner(x, y):
@@ -97,16 +93,6 @@ class QuadInvariants(NamedTuple):
 
     q: np.ndarray
     regularity: np.ndarray
-
-    def cross_ratios(self) -> np.ndarray:
-        """``q``, or DegeneratePoints if two points of a quadruple coincide."""
-        regularity = np.asarray(self.regularity)
-        if regularity.size and regularity.min() <= regularity_tol():
-            worst = np.unravel_index(int(np.argmin(regularity)), regularity.shape)
-            where = f" of quadruple {tuple(map(int, worst))}" if worst else ""
-            raise DegeneratePoints(f"two points{where} coincide "
-                                   f"(regularity {float(regularity.min()):.3g})")
-        return self.q
 
 
 def quad_invariants(V) -> QuadInvariants:
@@ -238,7 +224,7 @@ def invariants_from_products(corners, products, selfs) -> QuadInvariants:
     m11, m22, m33 = g22 * g33 - g23 * g23, g11 * g33 - g13 * g13, g11 * g22 - g12 * g12
     m12, m13, m23 = g13 * g23 - g12 * g33, g12 * g23 - g13 * g22, g12 * g13 - g23 * g11
     # a degenerate quadruple gets an infinite or nan q; callers reject it
-    # by its regularity
+    # by its regularity (regularity_floor)
     with np.errstate(divide="ignore", invalid="ignore"):
         q = np.array((a - b + c) / (2.0 * c), dtype=complex)
         det_m = g11 * m11 + g12 * m12 + g13 * m13
@@ -275,6 +261,19 @@ def regularity_tol() -> float:
     return tol(1.0) ** 2
 
 
+def regularity_floor(name: str, regularity, where) -> Check:
+    """The one place a quadruple is decided degenerate: the floor check
+    ``name`` that the least ``regularity`` of a stack of quadruples exceeds
+    :func:`regularity_tol`, placed at ``where(index)`` of that quadruple (a
+    face or an edge).  An empty stack holds."""
+    regularity = np.asarray(regularity)
+    if not regularity.size:
+        return Check(name, np.inf, regularity_tol(), floor="regularity")
+    worst = np.unravel_index(int(np.argmin(regularity)), regularity.shape)
+    return Check(name, float(regularity[worst]), regularity_tol(), where(worst),
+                 floor="regularity")
+
+
 def cross_ratios(V):
     """Cross ratios of quadruples of points stacked by the caller: ``V`` has
     shape (..., 4, 5), one quadruple of isotropic representatives per leading
@@ -293,9 +292,12 @@ def cross_ratios(V):
     DegeneratePoints
         If a representative is zero, or two points of some quadruple
         coincide: its regularity min |<ij>| / max |<ij>| is at most
-        :func:`regularity_tol`.
+        :func:`regularity_tol`; the error names the quadruple's index.
     """
-    return quad_invariants(V).cross_ratios()
+    inv = quad_invariants(V)
+    regularity_floor("a quadruple has three nearly dependent lifts", inv.regularity,
+                     lambda index: tuple(map(int, index)) or None).require(DegeneratePoints)
+    return inv.q
 
 
 def cross_ratio(P1, P2, P3, P4):

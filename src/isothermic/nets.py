@@ -45,7 +45,7 @@ from .minkowski import (
     invariants_from_products,
     minkowski_inner,
     norm2,
-    regularity_tol,
+    regularity_floor,
     require_finite,
     span_normal,
 )
@@ -85,10 +85,14 @@ class IsothermicNet:
     def validate(self, q=None) -> float:
         """Check lightlike lifts and that weight ratios match the face cross
         ratios ``q`` (computed if not given); returns the worst residual,
-        and a failure names its vertex or face."""
+        and a failure names its vertex or face.  Computing ``q`` raises
+        DegeneratePoints, naming the face, if a face is degenerate."""
         scale = self.lift_scale() ** 2
         if q is None:
-            q = invariants_from_products(*face_products(self.lifts.data)).cross_ratios()
+            inv = invariants_from_products(*face_products(self.lifts.data))
+            regularity_floor("a face has three nearly dependent lifts", inv.regularity,
+                             self.domain.stack_face).require(DegeneratePoints)
+            q = inv.q
         expected = self.weights.u[:, None] / self.weights.v[None, :]
         isotropy = np.abs(norm2(self.lifts.data)) / max(scale, 1e-300)  # per vertex
         mismatch = np.abs(q - expected) / (1.0 + np.abs(expected))  # per face
@@ -144,9 +148,8 @@ def verify_isothermic(lifts: VertexField, *, strict: bool = True) -> IsothermicR
     error = GeometryError
     if domain.rows > 1 and domain.cols > 1:
         inv = invariants_from_products(*face_products(lifts.data))
-        f = np.unravel_index(int(np.argmin(inv.regularity)), inv.regularity.shape)
-        report.check = Check("a face has three nearly dependent lifts", float(inv.regularity[f]),
-                             regularity_tol(), domain.stack_face(f), floor="regularity")
+        report.check = regularity_floor("a face has three nearly dependent lifts",
+                                        inv.regularity, domain.stack_face)
     if report.ok:
         q = inv.q
         ratios = q.real
@@ -351,7 +354,6 @@ class CalapsoFrame:
     frames: VertexField  # (rows, cols, 5, 5)
     net: IsothermicNet
     transformed: IsothermicNet
-    basepoint: tuple
     check: Check | None = None  # the sweep's closing check
 
 
@@ -382,14 +384,10 @@ def calapso(net: IsothermicNet, mu: float, basepoint=None) -> tuple[CalapsoFrame
     new_lifts = VertexField(np.einsum("mnij,mnj->mni", frames, net.lifts.data))
     # a flat connection can still grow frames so large that T F keeps no
     # digits: the transformed faces then degenerate, and no net is returned
-    regularity = _regularity(*face_products(new_lifts.data)[1:])
-    floor = Check(f"a transformed face, with frames up to {largest:.3g}, has three nearly "
-                  "dependent lifts", float(regularity.min(initial=np.inf)), regularity_tol(),
-                  floor="regularity")
-    if not floor.ok:
-        worst = np.unravel_index(int(np.argmin(regularity)), regularity.shape)
-        floor._replace(where=domain.stack_face(worst)).require(DegeneratePoints)
+    regularity_floor(f"a transformed face, with frames up to {largest:.3g}, has three nearly "
+                     "dependent lifts", _regularity(*face_products(new_lifts.data)[1:]),
+                     domain.stack_face).require(DegeneratePoints)
     frames = VertexField(frames)
     transformed = IsothermicNet(new_lifts, net.weights.calapso_shifted(mu))
-    frame = CalapsoFrame(mu, frames, net, transformed, basepoint, check)
+    frame = CalapsoFrame(mu, frames, net, transformed, check)
     return frame, transformed

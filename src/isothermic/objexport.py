@@ -12,8 +12,6 @@ back to the same double (as in net files of version 2), -0.0 as ``0.0``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ModelMismatch
@@ -100,14 +98,9 @@ def _vertices(mask):
     return [(int(m), int(n)) for m, n in np.argwhere(mask)]
 
 
-@dataclass
-class ExportReport:
-    path: str
-    flagged: list  # [(vertex, reason)]
-
-
-def export_obj(net: IsothermicNet, Q, model: str, path, clamp: float = 1e6) -> ExportReport:
-    """Write the net as an OBJ quad mesh in the requested chart.
+def export_obj(net: IsothermicNet, Q, model: str, path, clamp: float = 1e6) -> list:
+    """Write the net as an OBJ quad mesh in the requested chart, and return
+    the flagged vertices as a list of (vertex, reason) pairs.
 
     ``model`` must match the curvature sign of Q: "euclidean" needs
     |Q|^2 = 0, "poincare" |Q|^2 > 0 (negative ambient curvature),
@@ -179,4 +172,4 @@ def export_obj(net: IsothermicNet, Q, model: str, path, clamp: float = 1e6) -> E
     with open(str(path) + ".report.txt", "w", encoding="ascii") as fh:
         fh.write(f"model: {model}\nvertices: {nv}\nfaces: {nf}\nflagged: {len(flagged)}\n"
                  + "".join(f"  vertex {v}: {reason}\n" for v, reason in flagged))
-    return ExportReport(str(path), flagged)
+    return flagged

@@ -118,11 +118,9 @@ def mp_max_coeff(coeffs):
     return float(np.sqrt(np.einsum("...j,...j->...", c, c).max())) if c.size else 0.0
 
 
-def mp_trim(coeffs, scale=None):
-    """Drop trailing coefficient blocks that vanish within tolerance."""
+def mp_trim(coeffs, scale):
+    """Drop trailing coefficient blocks that vanish within tol(scale)."""
     c = np.asarray(coeffs, dtype=float)
-    if scale is None:
-        scale = 1.0 + mp_max_coeff(c)
     k = c.shape[-2]
     while k > 1:
         top = c[..., k - 1, :]

@@ -147,7 +147,7 @@ def _check_profile(eta, rho):
     return eta, rho
 
 
-def revolution_lift(eta, rho, angles) -> IsothermicNet:
+def revolution_lift(eta, rho, angles: RotationProfile) -> IsothermicNet:
     """Isothermic net of the surface of revolution with profile (eta, rho)
     and rotation angles ``angles``.
 
@@ -156,9 +156,8 @@ def revolution_lift(eta, rho, angles) -> IsothermicNet:
     along the rotation -2 sin^2(d phi / 2).
     """
     eta, rho = _check_profile(eta, rho)
-    profile = angles if isinstance(angles, RotationProfile) else RotationProfile(angles)
     M = np.stack([hyperbolic_point(e, r) for e, r in zip(eta, rho)])
-    return _assemble_net(M, profile, alpha=1.0)
+    return _assemble_net(M, angles, alpha=1.0)
 
 
 def _assemble_net(M, profile: RotationProfile, alpha: float) -> IsothermicNet:
@@ -286,10 +285,10 @@ def seed_edge(Q, H: float, M0, M1) -> list[SeedSolution]:
     return out
 
 
-def meridian_step(state, Q, alpha: float, c: float, H: float, kappa: float,
-                  prev=None):
+def meridian_step(state, Q, alpha: float, c: float, H: float, kappa: float, prev):
     """One propagation step of the meridian: from (M_m, S_m) construct
-    (M_{m+1}, S_{m+1}) with constant edge weight c.
+    (M_{m+1}, S_{m+1}) with constant edge weight c, away from the
+    neighbour ``prev`` of M_m on the other side.
 
     The next point lies on the line cut out by <M', M> = -(1 + c/alpha)
     and the sphere condition through
@@ -301,9 +300,8 @@ def meridian_step(state, Q, alpha: float, c: float, H: float, kappa: float,
 
         t^2 = ((alpha+c)^2 - alpha^2)(1 - 2cH - c^2 kappa) / alpha^2.
 
-    One sign of t returns to the predecessor; if ``prev`` is given that
-    branch is discarded, otherwise the branch advancing the axis coordinate
-    slot is taken.  The sphere curve then follows as
+    One sign of t returns to ``prev``; the other branch, the candidate
+    farther from ``prev``, is taken.  The sphere curve then follows as
     S' = S + 2 alpha <Q, M_avg> dM.  The step may cross the infinity
     boundary of the space form (<Q, M> changes sign); it does so without a
     word, and :func:`build_revolution_cmc` counts such steps.
@@ -341,11 +339,8 @@ def meridian_step(state, Q, alpha: float, c: float, H: float, kappa: float,
     t = np.sqrt(t2)
     cand_plus = [b + (t / x2) * y for b, y in zip(base, Y)]
     cand_minus = [b - (t / x2) * y for b, y in zip(base, Y)]
-    if prev is not None:
-        p = _components(prev)  # squared distances order as the distances do
-        M_next = cand_plus if _euclid2(cand_plus, p) > _euclid2(cand_minus, p) else cand_minus
-    else:
-        M_next = cand_plus if cand_plus[1] >= cand_minus[1] else cand_minus
+    p = _components(prev)  # squared distances order as the distances do
+    M_next = cand_plus if _euclid2(cand_plus, p) > _euclid2(cand_minus, p) else cand_minus
     if M_next[0] <= 0:
         raise AxisCrossing("next meridian point left the hyperbolic half plane")
     Mavg = [(a + b) / 2.0 for a, b in zip(M, M_next)]
@@ -383,7 +378,7 @@ def closure_defect(net: IsothermicNet) -> dict:
 
 
 def build_revolution_cmc(Q, H: float, M0, M1, steps_each_dir: int,
-                         angles, branch: int = 0):
+                         angles: RotationProfile, branch: int = 0):
     """End-to-end constructor for a cmc net of revolution with prescribed
     mean curvature H and ambient curvature kappa = -|Q|^2.
 
@@ -420,8 +415,7 @@ def build_revolution_cmc(Q, H: float, M0, M1, steps_each_dir: int,
     Check("meridian propagation inconsistent", meridian.validate(),
           tol(100.0 * (1.0 + abs(alpha)) * (1.0 + float(np.dot(Q, Q))))).require(ConstraintViolated)
 
-    profile = angles if isinstance(angles, RotationProfile) else RotationProfile(angles)
-    net = _assemble_net(meridian.points, profile, alpha)
+    net = _assemble_net(meridian.points, angles, alpha)
 
     Q5 = embed_lorentz3(Q)
     S5 = embed_lorentz3(meridian.spheres)  # (k, 5)

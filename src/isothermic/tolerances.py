@@ -52,7 +52,8 @@ class Check(NamedTuple):
     The check holds when value <= limit, so a NaN value fails it.  A floor
     names in ``floor`` the measure that ``value`` is, which must exceed the
     tolerance ``limit``: it holds when value > limit, so it fails at
-    equality and on NaN.
+    equality and on NaN.  Printed, a check reads as the comparison came
+    out: "drift (3 > 1)" fails and "drift (0.5 <= 1)" holds.
     """
 
     name: str
@@ -69,9 +70,9 @@ class Check(NamedTuple):
 
     def __str__(self) -> str:
         at = "" if self.where is None else f" at {self.where}"
-        if self.floor:
-            return f"{self.name} ({self.floor} {self.value:.3g} <= {self.limit:.3g}){at}"
-        return f"{self.name} ({self.value:.3g} > {self.limit:.3g}){at}"
+        measure = f"{self.floor} " if self.floor else ""
+        sign = ">" if self.ok == bool(self.floor) else "<="  # a floor holds above its limit
+        return f"{self.name} ({measure}{self.value:.3g} {sign} {self.limit:.3g}){at}"
 
     def require(self, error):
         """This check when it holds; else raises ``error(str(self), check=self)``."""

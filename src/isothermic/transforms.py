@@ -13,12 +13,14 @@ ambient space form and the mean curvature).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .conserved import ConservedQuantity
 from .errors import (
     CoincidentTransforms,
+    DegeneratePoints,
     DegenerateStart,
     EmptyConic,
     IncidenceFailure,
@@ -38,6 +40,7 @@ from .minkowski import (
     norm2,
     orthonormal_complement,
     ray_distance,
+    regularity_floor,
 )
 from .nets import CalapsoFrame, IsothermicNet, _parallel_step, edge_connections
 from .polyvec import (
@@ -75,13 +78,18 @@ class DarbouxTransform:
         """Worst deviation of [f_i; f_j; fhat_j; fhat_i] from a_ij * mu, over
         the edge quadruples of :func:`minkowski.edge_quad_products`.
 
-        Raises DegeneratePoints if two points of an edge quadruple coincide."""
+        Raises DegeneratePoints, naming the edge (i, j), if an edge
+        quadruple is degenerate."""
         worst = 0.0
-        for products, a in zip(edge_quad_products(self.base.lifts.data, self.lifts.data),
-                               self.base.weights.stacks()):
-            q = invariants_from_products(*products).cross_ratios()
+        stacks = zip(edge_quad_products(self.base.lifts.data, self.lifts.data),
+                     self.base.weights.stacks())
+        for axis, (products, a) in enumerate(stacks):
+            inv = invariants_from_products(*products)
+            regularity_floor("an edge quadruple (f_i, f_j, fhat_j, fhat_i) has three nearly "
+                             "dependent lifts", inv.regularity,
+                             partial(self.base.domain.stack_edge, axis)).require(DegeneratePoints)
             target = a * self.mu
-            worst = np.maximum(worst, np.max(np.abs(q - target) / (1.0 + np.abs(target)),
+            worst = np.maximum(worst, np.max(np.abs(inv.q - target) / (1.0 + np.abs(target)),
                                              initial=0.0))
         return float(worst)
 
@@ -266,15 +274,19 @@ def bianchi(net: IsothermicNet, first: DarbouxTransform, second: DarbouxTransfor
 
         F_12 = C(mu2/mu1; fhat1, fhat2) F   (vertexwise),
 
-    verified to be a Darboux transform of the first input with parameter
-    mu2 and of the second with parameter mu1.  When the two inputs are
-    Backlund transforms with their quantities supplied, the transformed
-    quantity is computed along both routes and the agreement reported.
+    with its edge cross-ratio residuals as a Darboux transform of the first
+    input at mu2 (``residual_first``) and of the second at mu1
+    (``residual_second``), which are returned, not decided.  When the two
+    inputs are Backlund transforms with their quantities supplied, the
+    transformed quantity is computed along both routes and the largest
+    coefficient gap between them returned as ``quantity_gap``.
 
     Raises
     ------
     CoincidentTransforms
         If the two transforms touch at some vertex.
+    DegeneratePoints
+        If an edge quadruple of either route is degenerate.
     """
     mu1, mu2 = first.mu, second.mu
     if abs(mu1 - mu2) <= tol(1.0 + abs(mu1)):
@@ -308,13 +320,12 @@ class ComplementaryNet:
     mu: float
     multiplicity: int
     lifts: VertexField | None  # None when P(mu) vanishes identically
-    degenerate: bool
 
 
 def complementary(cq: ConservedQuantity) -> list[ComplementaryNet]:
     """Evaluations of the quantity at the real roots of |P(lam)|^2.
 
-    Each non-degenerate entry is an isotropic parallel section, i.e. a
+    Each entry with lifts is an isotropic parallel section, i.e. a
     Backlund transform of the net; for a normalized linear quantity the
     roots are H +- sqrt(H^2 + kappa), so their count tracks the sign of
     H^2 + kappa.  Roots come from companion-matrix eigenvalues; a root is
@@ -347,7 +358,7 @@ def complementary(cq: ConservedQuantity) -> list[ComplementaryNet]:
         size = float(np.sqrt((values * values).sum(-1)).max())
         degenerate = size <= tol(cq.scale() * (1.0 + abs(mu)) ** cq.degree)
         lifts = None if degenerate else VertexField(values)
-        out.append(ComplementaryNet(mu, len(cluster), lifts, degenerate))
+        out.append(ComplementaryNet(mu, len(cluster), lifts))
     return out
 
 

@@ -279,7 +279,7 @@ def seed_edge(Q, H: float, M0, M1) -> list:
     return out
 
 
-def meridian_step(state, Q, alpha: float, c: float, H: float, kappa: float, prev=None):
+def meridian_step(state, Q, alpha: float, c: float, H: float, kappa: float, prev):
     """``revolution.meridian_step`` on 3-element arrays."""
     M, S = (np.asarray(x, dtype=float) for x in state)
     Q = np.asarray(Q, dtype=float)
@@ -309,13 +309,10 @@ def meridian_step(state, Q, alpha: float, c: float, H: float, kappa: float, prev
     t = np.sqrt(t2)
     cand_plus = base + (t / x2) * Y
     cand_minus = base - (t / x2) * Y
-    if prev is not None:
-        prev = np.asarray(prev, dtype=float)
-        d_plus = float(np.linalg.norm(cand_plus - prev))
-        d_minus = float(np.linalg.norm(cand_minus - prev))
-        M_next = cand_plus if d_plus > d_minus else cand_minus
-    else:
-        M_next = cand_plus if cand_plus[1] >= cand_minus[1] else cand_minus
+    prev = np.asarray(prev, dtype=float)
+    d_plus = float(np.linalg.norm(cand_plus - prev))
+    d_minus = float(np.linalg.norm(cand_minus - prev))
+    M_next = cand_plus if d_plus > d_minus else cand_minus
     if M_next[0] <= 0:
         raise AxisCrossing("next meridian point left the hyperbolic half plane")
     if float(inner3(Q, M_next)) * qm < 0:

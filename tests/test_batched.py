@@ -1005,6 +1005,20 @@ def test_coincident_transforms_name_the_vertex():
             run()
 
 
+def test_coincident_edge_quadruple_names_its_edge():
+    """A transform that touches the net at (2, 3) degenerates the edge
+    quadruples there; the error names the first of their edges as a pair
+    of vertices and carries the failed floor check."""
+    net = small_cylinder()
+    data = darboux_propagate(net, -1.0, euclidean_lift([3.0, 0.5, 0.2])).lifts.data.copy()
+    data[2, 3] = 2.0 * net.lifts[(2, 3)]
+    with pytest.raises(DegeneratePoints) as got:
+        DarbouxTransform(-1.0, VertexField(data), net).cross_ratio_residual()
+    assert got.value.check.where == ((1, 3), (2, 3)) and not got.value.check.ok
+    assert str(got.value) == ("an edge quadruple (f_i, f_j, fhat_j, fhat_i) has three nearly "
+                              "dependent lifts (regularity 0 <= 1e-18) at ((1, 3), (2, 3))")
+
+
 @pytest.mark.parametrize("call", [
     lambda net, cq, v: darboux_propagate(net, 0.4, euclidean_lift([3.0, 0.5, 0.2]), v),
     lambda net, cq, v: backlund_init(cq, -1.0, 0.3, v),

@@ -236,10 +236,24 @@ def test_tolerance_flag(tmp_path):
 
 
 def test_tolerance_env(tmp_path, monkeypatch):
+    """The environment sets no tolerance: only --tol loosens the check."""
     src = _bent_net_file(tmp_path)
     monkeypatch.setenv("ISOTHERMIC_TOL", "1e-5")
-    assert run(["verify", src]) == 0
+    assert run(["verify", src]) == 2
     assert tol(1.0) == DEFAULT_REL_TOL
+
+
+def test_isothermic_tol_is_not_read(tmp_path):
+    """ISOTHERMIC_TOL=abc isothermic verify net.json exits 0: the command
+    line is the one channel that sets an option."""
+    src = tmp_path / "net.json"
+    save_net(src, catalog.cylinder_net(3, 3, 0.3, np.pi / 4))
+    child = subprocess.run(
+        [sys.executable, "-m", "isothermic.cli", "verify", str(src)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "ISOTHERMIC_TOL": "abc"})
+    assert (child.returncode, child.stderr) == (0, "")
+    assert child.stdout.startswith("isothermic: ok")
 
 
 def test_tolerance_restored_after_main(tmp_path):
@@ -255,24 +269,19 @@ def test_tolerance_restored_after_main(tmp_path):
     assert tol(1.0) == 1e-9
 
 
-def test_invalid_tolerance_is_a_usage_error(tmp_path, monkeypatch, capsys):
-    """--tol and ISOTHERMIC_TOL accept only finite values in (0, 1); anything
-    else exits 1 with one error line, not a traceback or a run at that value."""
+def test_invalid_tolerance_is_a_usage_error(tmp_path, capsys):
+    """--tol accepts only finite values in (0, 1); anything else exits 1
+    with one error line, not a traceback or a run at that value."""
     src = tmp_path / "net.json"
     save_net(src, catalog.cylinder_net(3, 3, 0.3, np.pi / 4))
     for value in ("-1", "0", "nan", "inf", "1e300", "abc"):
-        for argv, env in ((["--tol", value, "verify", src], None), (["verify", src], value)):
-            if env is None:
-                monkeypatch.delenv("ISOTHERMIC_TOL", raising=False)
-            else:
-                monkeypatch.setenv("ISOTHERMIC_TOL", env)
-            with pytest.raises(SystemExit) as exc:
-                run(argv)
-            assert exc.value.code == 1, (value, env)
-            captured = capsys.readouterr()
-            errors = [line for line in captured.err.splitlines() if "error:" in line]
-            assert len(errors) == 1 and "tol" in errors[0], (value, env, captured.err)
-            assert captured.out == ""
+        with pytest.raises(SystemExit) as exc:
+            run(["--tol", value, "verify", src])
+        assert exc.value.code == 1, value
+        captured = capsys.readouterr()
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and "tol" in errors[0], (value, captured.err)
+        assert captured.out == ""
     assert tol(1.0) == DEFAULT_REL_TOL
 
 

@@ -123,6 +123,19 @@ def test_closedness_constant_form():
         assert worst < 1e-14
 
 
+def test_an_exact_form_names_an_edge_the_sum_did_not_use():
+    """sweep_integrate finds its worst closing edge through
+    GridDomain.worst_edge, as sweep_propagate does, so even an exactly
+    closed form, the planar grid's Christoffel form (-e1 along +m, e2 along
+    +n), names an edge off the base column, never one of the tree's."""
+    dom = GridDomain(4, 4)
+    wu = np.broadcast_to([-1.0, 0.0, 0.0], (3, 4, 3))
+    wv = np.broadcast_to([0.0, 1.0, 0.0], (4, 3, 3))
+    for base in np.ndindex(dom.rows, dom.cols):
+        _, worst, ((mi, ni), far) = sweep_integrate(dom, wu, wv, base)
+        assert worst == 0.0 and far == (mi + 1, ni) and ni != base[1]
+
+
 def test_closedness_detects_perturbation(rng):
     dom = GridDomain(4, 4)
     g = rng.normal(size=(4, 4, 5))

@@ -313,7 +313,7 @@ def test_obj_matches_shortest_float_rendering(tmp_path):
     coords, good = objexport._euclidean_chart(cq.constant, net.lifts.data)
     assert good.all() and np.any(np.signbit(coords) & (coords == 0.0))
     path = tmp_path / "mesh.obj"
-    assert not export_obj(net, cq.constant, "euclidean", path).flagged
+    assert export_obj(net, cq.constant, "euclidean", path) == []
     text = path.read_text()
     rows, cols = net.domain.rows, net.domain.cols
     xyz = coords.reshape(-1, 3) + 0.0
@@ -645,8 +645,7 @@ def test_load_dimension_mismatch(tmp_path):
 def test_export_euclidean(tmp_path):
     net = catalog.cylinder_net(4, 5, ETA, PHI)
     path = tmp_path / "mesh.obj"
-    report = export_obj(net, np.array([1.0, 0, 0, 0, -1.0]), "euclidean", path)
-    assert report.path == str(path) and not report.flagged
+    assert export_obj(net, np.array([1.0, 0, 0, 0, -1.0]), "euclidean", path) == []
     lines = path.read_text().splitlines()
     vs = [l for l in lines if l.startswith("v ")]
     fs = [l for l in lines if l.startswith("f ")]
@@ -669,11 +668,11 @@ def test_export_poincare(tmp_path):
                                    hyperbolic_point(0.35, 0.8), 3,
                                    RotationProfile.uniform(7, 0.8))
     path = tmp_path / "catenoid.obj"
-    report = export_obj(net, cq.constant, "poincare", path)
+    flagged = export_obj(net, cq.constant, "poincare", path)
     coords = np.array([[float(x) for x in line.split()[1:]]
                        for line in path.read_text().splitlines()
                        if line.startswith("v ")])
-    flagged_ids = {v[0] * net.domain.cols + v[1] for v, _ in report.flagged}
+    flagged_ids = {v[0] * net.domain.cols + v[1] for v, _ in flagged}
     inside = [i for i in range(len(coords)) if i not in flagged_ids]
     assert np.all(np.linalg.norm(coords[inside], axis=1) < 1.0)
 
@@ -684,11 +683,11 @@ def test_export_stereographic(tmp_path):
                                    hyperbolic_point(0.4, 1.0), 3,
                                    RotationProfile.uniform(6, 0.9))
     path = tmp_path / "torus.obj"
-    report = export_obj(net, cq.constant, "stereographic", path)
+    flagged = export_obj(net, cq.constant, "stereographic", path)
     coords = np.array([[float(x) for x in line.split()[1:]]
                        for line in path.read_text().splitlines()
                        if line.startswith("v ")])
-    assert not report.flagged
+    assert flagged == []
     assert np.all(np.isfinite(coords))
     assert np.abs(coords).max() < 1e6
 
@@ -712,9 +711,9 @@ def test_export_flags_infinity_boundary(tmp_path):
     lifts[1, 1] = np.array([1.0, 1.0, 0.0, 0.0, -1.0])  # <F, Q0> = 0
     bad = net.with_lifts(VertexField(lifts))
     path = tmp_path / "clamped.obj"
-    report = export_obj(bad, np.array([1.0, 0, 0, 0, -1.0]), "euclidean", path,
+    flagged = export_obj(bad, np.array([1.0, 0, 0, 0, -1.0]), "euclidean", path,
                         clamp=1e4)
-    assert [v for v, _ in report.flagged] == [(1, 1)]
+    assert [v for v, _ in flagged] == [(1, 1)]
     sidecar = (tmp_path / "clamped.obj.report.txt").read_text()
     assert "flagged: 1" in sidecar
     coords = np.array([[float(x) for x in line.split()[1:]]

@@ -321,6 +321,17 @@ def test_irregular_face_message_names_the_regularity():
                                  " at ((0, 0), (1, 0), (1, 1), (0, 1))")
 
 
+def test_validate_names_a_coincident_face_by_its_corners():
+    net = catalog.cylinder_net(3, 3, 0.3, 0.7)
+    lifts = net.lifts.data.copy()
+    lifts[1, 1] = lifts[1, 0]
+    with pytest.raises(DegeneratePoints) as got:
+        net.with_lifts(VertexField(lifts)).validate()
+    assert got.value.check.where == ((0, 0), (1, 0), (1, 1), (0, 1)) and not got.value.check.ok
+    assert str(got.value) == ("a face has three nearly dependent lifts (regularity 0 <= 1e-18)"
+                              " at ((0, 0), (1, 0), (1, 1), (0, 1))")
+
+
 def test_calapso_names_its_degenerate_face(monkeypatch):
     """The kappa < 0 net of revolution at mu 0.2: the frames reach 8e6 and a
     transformed face loses its digits; the floor check names the face of

@@ -64,3 +64,21 @@ def test_exact_arithmetic_stays_in_the_tests():
     exact = {"decimal", "fractions"}
     assert imported_top_level_modules(ROOT / "src" / "isothermic") & exact == set()
     assert "decimal" in imported_top_level_modules(ROOT / "tests")
+
+
+def test_the_package_reads_no_environment_variable():
+    """The command line and the arguments of the library's functions are
+    the only channels that set an option: no module of the package reads
+    os.environ or os.getenv."""
+    reads = []
+    for path in sorted((ROOT / "src" / "isothermic").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute):
+                names = {node.attr}
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                names = {alias.name for alias in node.names}
+            else:
+                continue
+            if names & {"environ", "environb", "getenv", "getenvb"}:
+                reads.append(f"{path.name}:{node.lineno}")
+    assert reads == []

@@ -14,6 +14,7 @@ from isothermic.polyvec import (
     mp_eval,
     mp_inner_poly,
     mp_inner_vec,
+    mp_max_coeff,
     mp_norm_poly,
     mp_scale_arg,
     mp_scale_poly,
@@ -135,7 +136,7 @@ def test_shift_and_scale_arg(rng):
 def test_apply_and_trim(rng):
     c = rng.normal(size=(3, 5))
     padded = np.concatenate([c, np.full((2, 5), 1e-15)], axis=0)
-    assert mp_trim(padded).shape == (3, 5)
+    assert mp_trim(padded, 1.0 + mp_max_coeff(padded)).shape == (3, 5)
 
 
 #: Reals with both zeros drawn often, as the division turns on their signs.

@@ -1,16 +1,19 @@
 """The tolerance scope: its range, its isolation between threads and its
 restoration on exit; the check record that decides against it."""
 
+import re
 import threading
 
 import numpy as np
 import pytest
 
 from isothermic import catalog
-from isothermic.conserved import ConservedQuantity
+from isothermic.conserved import ConservedQuantity, pcq_verify
 from isothermic.errors import GeometryError, NotConserved
-from isothermic.grids import EdgeFunction
+from isothermic.grids import EdgeFunction, VertexField
+from isothermic.minkowski import hyperbolic_point
 from isothermic.nets import IsothermicNet
+from isothermic.revolution import RotationProfile, build_revolution_cmc
 from isothermic.tolerances import DEFAULT_REL_TOL, Check, tol, tolerance
 
 
@@ -97,3 +100,24 @@ def test_a_floor_reads_as_its_measure_and_fails_at_equality():
         "a face has three nearly dependent lifts (regularity 0 <= 1e-18)")
     assert not above._replace(value=floor).ok
     assert not above._replace(value=float("nan")).ok
+
+
+def test_a_check_that_holds_reads_as_holding():
+    """The quantity of a revolution net with lifts rescaled along the
+    rotation passes its edge condition, and its check says so."""
+    net, cq = build_revolution_cmc(np.array([1.0, 0.0, 0.0]), 0.3, hyperbolic_point(0.1, 0.9),
+                                   hyperbolic_point(0.4, 1.0), 2,
+                                   RotationProfile.uniform(8, np.pi / 4))
+    scales = np.linspace(0.5, 2.0, net.domain.cols)
+    check = pcq_verify(IsothermicNet(VertexField(net.lifts.data * scales[None, :, None]),
+                                     net.weights), cq)
+    assert check.ok
+    assert re.fullmatch(r"edge condition of the conserved quantity \(\S+ <= 1e-09\)", str(check))
+    assert str(Check("drift", 0.5, 1.0, (2, 3))) == "drift (0.5 <= 1) at (2, 3)"
+
+
+def test_a_floor_that_holds_reads_as_holding():
+    floor = tol(1.0) ** 2
+    held = Check("a face has three nearly dependent lifts", 0.25, floor, floor="regularity")
+    assert held.ok
+    assert str(held) == "a face has three nearly dependent lifts (regularity 0.25 > 1e-18)"

@@ -217,7 +217,7 @@ def test_complementary_census(cylinder):
     comps = complementary(cq)
     assert [c.mu for c in comps] == [pytest.approx(0.0, abs=1e-9),
                                      pytest.approx(1.0, abs=1e-9)]
-    assert all(c.multiplicity == 1 and not c.degenerate for c in comps)
+    assert all(c.multiplicity == 1 and c.lifts is not None for c in comps)
     # mu = 0: the constant ambient vector; mu = 2H: the parallel net
     np.testing.assert_allclose(comps[0].lifts.data - cq.constant,
                                np.zeros((5, 5, 5)), atol=1e-9)
@@ -250,7 +250,7 @@ def test_complementary_counts_by_invariant():
     comps = complementary(raised)
     assert len(comps) == 1
     assert comps[0].multiplicity == 2
-    assert comps[0].degenerate  # P(mu0) = 0: reducible, not a genuine net
+    assert comps[0].lifts is None  # P(mu0) = 0: reducible, not a genuine net
 
 
 def test_complementary_antipodality():
@@ -412,7 +412,7 @@ def test_type_lowering_at_double_root():
     comps = complementary(cq)
     assert len(comps) == 1
     assert comps[0].multiplicity == 2
-    assert not comps[0].degenerate
+    assert comps[0].lifts is not None
     assert comps[0].mu == pytest.approx(H, abs=1e-6)
     hat = IsothermicNet(comps[0].lifts, net.weights)
     assert verify_isothermic(hat.lifts).ok
