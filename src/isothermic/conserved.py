@@ -26,7 +26,7 @@ from .errors import (
     SphericalStar,
 )
 from .grids import VertexField, edge_stacks, sweep_integrate, sweep_propagate
-from .minkowski import SIGNATURE, minkowski_inner, norm2, span_normal
+from .minkowski import SIGNATURE, _dot, minkowski_inner, norm2, span_normal
 from .nets import IsothermicNet
 from .polyvec import (
     mp_divide_linear,
@@ -200,7 +200,7 @@ def degree_reduce(cq: ConservedQuantity, mu: float) -> ConservedQuantity:
     NonzeroRoot
     """
     values = mp_eval(cq.coeffs, mu)
-    Check(f"|P({mu})| is not a root", float(np.sqrt((values * values).sum(-1)).max()),
+    Check(f"|P({mu})| is not a root", float(np.sqrt(_dot(values, values)).max()),
           tol(cq.scale() * (1.0 + abs(mu)) ** cq.degree)).require(NonzeroRoot)
     if cq.coeffs.shape[2] < 2:
         raise NonzeroRoot("cannot reduce a constant quantity")
@@ -348,7 +348,7 @@ def classify_type(net: IsothermicNet, candidates=()) -> TypeReport:
     quantity was seen.
     """
     V = net.lifts.data.reshape(-1, 5)
-    V = V / np.linalg.norm(V, axis=1)[:, None]
+    V = V / np.sqrt(_dot(V, V))[:, None]
     s = np.linalg.svd(V, compute_uv=False)
     span = int(np.count_nonzero(s / s[0] > tol(1.0)))
     if span < 5:

@@ -21,6 +21,7 @@ from .grids import (
 )
 from .minkowski import (
     Q_EUCLIDEAN,
+    _dot,
     euclidean_lift,
     euclidean_point,
 )
@@ -66,7 +67,7 @@ def christoffel(net: EuclideanNet) -> EuclideanNet:
     for axis, ((fi, fj), a) in enumerate(zip(edge_stacks(net.points.data),
                                              net.weights.stacks())):
         df = fj - fi
-        d2 = (df * df).sum(axis=-1)
+        d2 = _dot(df, df)
         degenerate = np.argwhere(d2 <= tol(1.0) ** 2)
         if len(degenerate):
             raise NotClosed(f"degenerate edge {dom.stack_edge(axis, degenerate[0])}")
@@ -96,13 +97,14 @@ def parallel_lcq(net: EuclideanNet, dual: EuclideanNet, H: float) -> ConservedQu
     """
     if H == 0.0:
         raise ValueError("parallel net characterization needs H != 0")
-    gap = np.linalg.norm(dual.points.data - net.points.data, axis=-1) - 1.0 / H
+    diff = dual.points.data - net.points.data
+    gap = np.sqrt(_dot(diff, diff)) - 1.0 / H
     Check("|f* - f| deviates from 1/H", float(np.abs(gap).max()),
           tol(1.0 + 1.0 / abs(H))).require(NotParallel)
     worst = 0.0
     for (fi, fj), (gi, gj), a in zip(edge_stacks(net.points.data),
                                      edge_stacks(dual.points.data), net.weights.stacks()):
-        target = -(H / 2.0) * ((fj - fi) * (gj - gi)).sum(axis=-1)
+        target = -(H / 2.0) * _dot(fj - fi, gj - gi)
         worst = np.maximum(worst, np.abs(a - target).max())
     Check("weights miss the canonical dual scaling", float(worst),
           tol(1.0 + net.weights.max_abs())).require(NotChristoffel)
@@ -180,9 +182,9 @@ def bp_sphere(cq: ConservedQuantity, vertex) -> MeanCurvatureSphere:
     r = 1.0 / lift_slope
     center = r * Z[1:4]
     # equal distances from the center to the two neighbours along each axis
-    d = np.linalg.norm(nbrs - center, axis=-1)
+    d = np.sqrt(d2 := _dot(nbrs - center, nbrs - center))
     worst_eq = np.max(np.abs(d[0::2] - d[1::2]) / (1.0 + d[0::2]))
-    power = ((nbrs - center) ** 2).sum(-1) - r * r
+    power = d2 - r * r
     worst_power = np.max(np.abs(power / (-2.0 * r) - a) / (1.0 + np.abs(a)))
     r_resid = abs(np.linalg.norm(f - center) - abs(r)) / (1.0 + abs(r))
     return MeanCurvatureSphere(center, abs(r), None, None,

@@ -250,7 +250,7 @@ def sweep_propagate(domain: GridDomain, start, base, step):
     if rows == 1 or cols == 1:
         return out, 0.0, None
     index = (slice(0, rows - 1), slice(0, cols))
-    resid = np.abs(out[1:] - step(out[:-1], 0, index, True)).reshape(rows - 1, cols, -1).max(-1)
+    resid = np.abs(out[1:] - step(out[:-1], 0, index, True))
     resid[:, n0] = -np.inf  # the tree's own edges
     worst, edge = domain.worst_edge(resid, 0, index)
     return out, worst, edge

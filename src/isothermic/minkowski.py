@@ -42,7 +42,7 @@ Q_EUCLIDEAN = np.array([1.0, 0.0, 0.0, 0.0, -1.0])
 
 def minkowski_inner(x, y):
     """Indefinite inner product; broadcasts over leading axes."""
-    return (np.asarray(x) * np.asarray(y) * SIGNATURE).sum(axis=-1)
+    return _inner(np.asarray(x), np.asarray(y))
 
 
 def norm2(x):
@@ -57,7 +57,7 @@ def euclidean_lift(f):
     <F, G> = -|f - g|^2 / 2.
     """
     f = np.asarray(f, dtype=float)
-    s = (f * f).sum(axis=-1)
+    s = _dot(f, f)
     return np.concatenate(
         [((1.0 + s) / 2.0)[..., None], f, ((1.0 - s) / 2.0)[..., None]], axis=-1
     )
@@ -184,10 +184,26 @@ def edge_quad_products(F, H):
             for i, j in ((np.s_[:-1], np.s_[1:]), (np.s_[:, :-1], np.s_[:, 1:]))]
 
 
+#: Vectors from which the products add column by column; below, numpy's one call is faster.
+_COLUMNS_FROM = 256
+
+
 def _inner(X, Y):
-    """<X, Y> in the fixed order (((-x0 y0 + x1 y1) + x2 y2) + x3 y3) + x4 y4."""
+    """<X, Y> in the fixed order ((((0 - x0 y0) + x1 y1) + x2 y2) + x3 y3) + x4 y4,
+    the one in which numpy sums ``(X * Y * SIGNATURE).sum(-1)``."""
     xy = X * Y
-    return (((xy[..., 1] - xy[..., 0]) + xy[..., 2]) + xy[..., 3]) + xy[..., 4]
+    if xy.size < 5 * _COLUMNS_FROM:
+        return (xy * SIGNATURE).sum(axis=-1)
+    return ((((0.0 - xy[..., 0]) + xy[..., 1]) + xy[..., 2]) + xy[..., 3]) + xy[..., 4]
+
+
+def _dot(X, Y):
+    """Euclidean X . Y over the last axis in the order ((0 + x0 y0) + x1 y1) + ...,
+    the one in which numpy sums ``(X * Y).sum(-1)`` and ``np.linalg.norm``."""
+    xy = X * Y
+    if xy.size < xy.shape[-1] * _COLUMNS_FROM:
+        return xy.sum(axis=-1)
+    return sum((xy[..., k] for k in range(xy.shape[-1])), 0.0)
 
 
 def require_finite(V) -> None:
@@ -202,7 +218,7 @@ def require_finite(V) -> None:
 def _units(V):
     """Unit representatives V / |V| and their self-products <U, U>."""
     V = np.asarray(V, dtype=float)
-    norms = np.sqrt((V * V).sum(axis=-1))
+    norms = np.sqrt(_dot(V, V))
     if not np.isfinite(norms).all():
         require_finite(V)
     if (norms == 0.0).any():
@@ -232,7 +248,7 @@ def invariants_from_products(corners, products, selfs) -> QuadInvariants:
                  (m12 * g14 + m22 * g24 + m23 * g34) / det_m,
                  (m13 * g14 + m23 * g24 + m33 * g34) / det_m]
         R = corners[3] - sum(w[..., None] * corners[k] for k, w in enumerate(alpha))
-        off = np.sqrt((R * R).sum(axis=-1)) > tol(1.0 + sum(np.abs(w) for w in alpha))
+        off = np.sqrt(_dot(R, R)) > tol(1.0 + sum(np.abs(w) for w in alpha))
     if off.any():
         a, b, c = a[off], b[off], c[off]
         big_a = (np.abs(a) >= np.abs(b)) & (np.abs(a) >= np.abs(c))
@@ -430,7 +446,7 @@ def orthonormal_complement(X):
     if dirs is not None:
         gram_defect = np.abs(np.abs((dirs * SIGNATURE) @ dirs.T) - np.eye(4)).max()
         incidence = (np.abs(minkowski_inner(dirs, X))
-                     / (np.linalg.norm(dirs, axis=1) * np.linalg.norm(X)))
+                     / (np.sqrt(_dot(dirs, dirs)) * np.linalg.norm(X)))
         if not max(gram_defect, incidence.max()) <= tol(1.0):
             dirs = None
     if dirs is None:

@@ -39,6 +39,7 @@ from .grids import (
 from .minkowski import (
     SIGNATURE,
     _circle_apply,
+    _dot,
     _regularity,
     circle_coefficients,
     face_products,
@@ -235,10 +236,10 @@ def moutard_lift(lifts: VertexField, weights: EdgeFunction) -> VertexField:
     out = VertexField(F * scales[..., None])
     # each product against the scale of its own edge, so that a lift blown
     # up elsewhere cannot excuse a miss
-    worst = np.max([(np.abs(minkowski_inner(Fi, Fj) - a)
-                     / (np.abs(a) + np.linalg.norm(Fi, axis=-1) * np.linalg.norm(Fj, axis=-1))
-                     ).max(initial=0.0)
-                    for (Fi, Fj), a in zip(edge_stacks(out.data), weights.stacks())])
+    norms = np.sqrt(_dot(out.data, out.data))
+    worst = np.max([(np.abs(minkowski_inner(Fi, Fj) - a) / (np.abs(a) + si * sj)).max(initial=0.0)
+                    for (Fi, Fj), (si, sj), a in zip(edge_stacks(out.data), edge_stacks(norms),
+                                                     weights.stacks())])
     Check("normalized lifts miss the prescribed edge products", float(worst),
           tol(1.0)).require(DegenerateEdge)
     moutard_check(out).require(DegenerateEdge)
@@ -279,7 +280,7 @@ def vertex_star_cospherical(lifts: VertexField, center):
 
     def span(rows, cols):
         V = lifts.data[rows, cols]
-        V = V / np.linalg.norm(V, axis=-1, keepdims=True)
+        V = V / np.sqrt(_dot(V, V))[..., None]
         return V, np.linalg.svd(V, compute_uv=False)
 
     Vd, sd = span([m, m + 1, m - 1, m - 1, m + 1], [n, n + 1, n + 1, n - 1, n - 1])

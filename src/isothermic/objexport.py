@@ -19,6 +19,7 @@ from .grids import face_stack
 from .minkowski import (
     METRIC,
     SIGNATURE,
+    _dot,
     minkowski_inner,
     norm2,
     orthonormal_complement,
@@ -143,7 +144,7 @@ def export_obj(net: IsothermicNet, Q, model: str, path, clamp: float = 1e6) -> l
     xyz = np.where(good[..., None], coords, clamp * direction)
     flagged = [(v, "unplaceable in chart") for v in _vertices(~good)]
     if model == "poincare":
-        radii = np.linalg.norm(coords, axis=-1)
+        radii = np.sqrt(_dot(coords, coords))
         flagged += [(v, "on or past the ideal boundary")
                     for v in _vertices(good & (radii >= 1.0 - POLE_TOL))]
 

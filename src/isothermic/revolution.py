@@ -48,11 +48,11 @@ from .errors import (
 )
 from .grids import EdgeFunction, VertexField
 from .minkowski import (
-    SIGNATURE,
     _dot3,
     embed_lorentz3,
     hyperbolic_point,
     inner3,
+    minkowski_inner,
     norm3,
     solve_dense,
 )
@@ -419,7 +419,7 @@ def build_revolution_cmc(Q, H: float, M0, M1, steps_each_dir: int,
 
     Q5 = embed_lorentz3(Q)
     S5 = embed_lorentz3(meridian.spheres)  # (k, 5)
-    qf = (net.lifts.data * SIGNATURE * Q5).sum(-1)  # <Q, F> per vertex
+    qf = minkowski_inner(net.lifts.data, Q5)  # <Q, F> per vertex
     Z = S5[:, None, :] - alpha * qf[:, :, None] * net.lifts.data
     quantity = ConservedQuantity.linear(net, Q5, Z)
 

@@ -31,8 +31,8 @@ from .errors import (
 )
 from .grids import VertexField, edge_stacks, sweep_propagate
 from .minkowski import (
-    SIGNATURE,
     _circle_apply,
+    _dot,
     cross_ratio_apply,
     edge_quad_products,
     invariants_from_products,
@@ -71,8 +71,8 @@ class DarbouxTransform:
         parallel section itself stays available as ``lifts``.
         """
         data = self.lifts.data
-        norms = np.linalg.norm(data, axis=-1, keepdims=True)
-        return IsothermicNet(VertexField(data / norms), self.base.weights)
+        return IsothermicNet(VertexField(data / np.sqrt(_dot(data, data))[..., None]),
+                             self.base.weights)
 
     def cross_ratio_residual(self) -> float:
         """Worst deviation of [f_i; f_j; fhat_j; fhat_i] from a_ij * mu, over
@@ -293,7 +293,7 @@ def bianchi(net: IsothermicNet, first: DarbouxTransform, second: DarbouxTransfor
         raise CoincidentTransforms("equal parameters")
     A, B = first.lifts.data, second.lifts.data
     g = np.abs(minkowski_inner(A, B))
-    limit = tol(np.linalg.norm(A, axis=-1) * np.linalg.norm(B, axis=-1))
+    limit = tol(np.sqrt(_dot(A, A)) * np.sqrt(_dot(B, B)))
     if (g <= limit).any():
         index = np.unravel_index(int(np.argmin(g / limit)), g.shape)
         raise CoincidentTransforms(f"transforms coincide at {net.domain.vertex_at(index)}")
@@ -355,7 +355,7 @@ def complementary(cq: ConservedQuantity) -> list[ComplementaryNet]:
     for cluster in clusters:
         mu = float(np.mean(cluster))
         values = mp_eval(cq.coeffs, mu)
-        size = float(np.sqrt((values * values).sum(-1)).max())
+        size = float(np.sqrt(_dot(values, values)).max())
         degenerate = size <= tol(cq.scale() * (1.0 + abs(mu)) ** cq.degree)
         lifts = None if degenerate else VertexField(values)
         out.append(ComplementaryNet(mu, len(cluster), lifts))
@@ -393,7 +393,7 @@ def pcq_from_parallel_sections(net: IsothermicNet, sections, weights) -> Conserv
     top = np.zeros((dom.rows, dom.cols, 5))
     for w, (mu, sec) in zip(weights, sections):
         top += w * sec.data
-    inc = np.abs((top * SIGNATURE * net.lifts.data).sum(-1))
+    inc = np.abs(minkowski_inner(top, net.lifts.data))
     scale = (1.0 + float(np.abs(top).max())) * net.lift_scale()
     Check("combined top coefficient not orthogonal to the net", float(inc.max()),
           tol(scale)).require(IncidenceFailure)

@@ -7,7 +7,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from isothermic import catalog
+from isothermic import catalog, nets, transforms
 from isothermic.euclidean import EuclideanNet
 from isothermic.grids import (
     EdgeFunction,
@@ -16,6 +16,7 @@ from isothermic.grids import (
     sweep_integrate,
     sweep_propagate,
 )
+from isothermic.minkowski import euclidean_lift
 from isothermic.nets import IsothermicNet
 from reference import faces
 
@@ -99,6 +100,50 @@ def test_grid_domains_are_built_only_from_arrays():
     assert calls == []
     assert set(params) == GRID_CLASSES
     assert {name: p for name, p in params.items() if "domain" in p} == {}
+
+
+#: Reductions over a trailing axis that stay, (file, function, method) -> why.
+TRAILING_REDUCTIONS_KEPT = {
+    ("minkowski.py", "require_finite", "all"): "runs only on the error path, to name the first "
+                                               "non-finite lift",
+    ("minkowski.py", "_inner", "sum"): "under _COLUMNS_FROM vectors one numpy call is faster "
+                                       "than one per column, and adds in the same order",
+    ("minkowski.py", "_dot", "sum"): "under _COLUMNS_FROM vectors one numpy call is faster "
+                                     "than one per column, and adds in the same order",
+}
+
+
+def is_minus_one(node) -> bool:
+    return isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub) and (
+        isinstance(node.operand, ast.Constant) and node.operand.value == 1)
+
+
+def trailing_reductions(node, function=None):
+    """(function, method, line) of every call under ``node`` to sum, max, min,
+    all or any with axis -1, and to np.linalg.norm with an axis."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        function = node.name
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+        method, axis = node.func.attr, [k.value for k in node.keywords if k.arg == "axis"]
+        if method in {"sum", "max", "min", "all", "any"}:
+            if any(is_minus_one(a) for a in node.args + axis):
+                yield function, method, node.lineno
+        elif method == "norm" and (axis or len(node.args) > 2):
+            yield function, method, node.lineno
+    for child in ast.iter_child_nodes(node):
+        yield from trailing_reductions(child, function)
+
+
+def test_trailing_axis_products_and_norms_go_through_the_column_sums():
+    """No source file reduces over a trailing vector axis with numpy, which
+    on grid arrays runs such reductions several times slower than
+    ``minkowski._inner`` and ``minkowski._dot`` add the columns, to the same
+    bits; the exceptions are listed with their reasons."""
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        for function, method, line in trailing_reductions(ast.parse(path.read_text(), str(path))):
+            found.setdefault((path.name, function, method), []).append(line)
+    assert set(found) == set(TRAILING_REDUCTIONS_KEPT), found
 
 
 def _differential(g):
@@ -202,3 +247,52 @@ def test_sweep_steps_along_a_tree_then_closes():
         assert worst == (2 if base[0] else 0)
         (mi, ni), far = edge
         assert far == (mi + 1, ni) and ni != base[1] and (mi < base[0] or not base[0])
+
+
+def per_edge_closing(domain, out, base, step):
+    """The closing (worst, edge) of a sweep, reduced first to the largest
+    entry on each edge and then over the edges."""
+    rows, cols = domain.rows, domain.cols
+    index = (slice(0, rows - 1), slice(0, cols))
+    resid = np.abs(out[1:] - step(out[:-1], 0, index, True)).reshape(rows - 1, cols, -1).max(-1)
+    resid[:, domain.index(base)[1]] = -np.inf
+    return domain.worst_edge(resid, 0, index)
+
+
+@pytest.mark.parametrize("module, transform, start_shape", [
+    (transforms, lambda net: transforms.darboux_propagate(
+        net, 0.4, euclidean_lift(np.array([3.0, 0.5, 0.2])), (2, 3)), (5, 1)),
+    (nets, lambda net: nets.calapso(net, 0.2, (2, 3)), (5, 5)),
+])
+def test_sweep_closing_is_the_worst_edge_of_its_largest_entries(monkeypatch, module, transform,
+                                                                start_shape):
+    """One argmax over the whole closing residual names the edge and value
+    that the largest entry per edge, reduced over the edges, names."""
+    seen = []
+
+    def recording(domain, start, base, step):
+        out, worst, edge = sweep_propagate(domain, start, base, step)
+        seen.append((np.shape(start), (worst, edge), per_edge_closing(domain, out, base, step)))
+        return out, worst, edge
+
+    monkeypatch.setattr(module, "sweep_propagate", recording)
+    transform(catalog.cylinder_net(5, 7, 0.4, 0.7))
+    [(shape, closing, reference)] = seen
+    assert shape == start_shape and closing[1] is not None
+    assert closing == reference
+
+
+def test_sweep_closing_names_the_first_of_two_tied_edges():
+    """Two edges miss by the same largest amount, the later edge in an
+    earlier trailing entry: the sweep names the earlier edge."""
+    dom, base = GridDomain(3, 4), (0, 1)
+    miss = np.zeros((2, 4, 2))
+    miss[0, 2, 1] = miss[1, 0, 0] = 3.0
+    miss[1, 3, 0] = 1.0
+
+    def step(values, axis, index, forward):
+        return values + miss[index] if axis == 0 else values
+
+    out, worst, edge = sweep_propagate(dom, np.zeros(2), base, step)
+    assert (worst, edge) == (3.0, ((0, 2), (1, 2)))
+    assert (worst, edge) == per_edge_closing(dom, out, base, step)

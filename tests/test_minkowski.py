@@ -2,12 +2,15 @@
 transforms, and the small dense solver."""
 
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import reference
+from isothermic import minkowski
 from isothermic.errors import (
     DegenerateLift,
     DegeneratePair,
@@ -15,11 +18,13 @@ from isothermic.errors import (
     SingularParameter,
     SingularSystem,
 )
+from isothermic.grids import edge_stacks
 from isothermic.minkowski import (
     METRIC,
     Q_EUCLIDEAN,
     SIGNATURE,
     _circle_apply,
+    _dot,
     circle_coefficients,
     cross_ratio,
     cross_ratio_apply,
@@ -66,6 +71,100 @@ def test_inner_componentwise_oracle(rng):
         y = rng.normal(size=5)
         oracle = -x[0] * y[0] + sum(x[k] * y[k] for k in range(1, 5))
         assert minkowski_inner(x, y) == pytest.approx(oracle, rel=1e-14, abs=1e-14)
+
+
+# any double, with signed zeros and NaN drawn often
+ENTRY = st.sampled_from([0.0, -0.0, np.nan]) | st.floats()
+LEADING = st.just(()) | st.tuples(st.integers(1, 8), st.integers(1, 8))
+
+
+def vectors(width, leading=LEADING):
+    """Single ``width``-vectors or (rows, cols) grids of them."""
+    return leading.flatmap(lambda lead: hnp.arrays(float, lead + (width,), elements=ENTRY))
+
+
+def vector_pairs(width):
+    """Two arrays of ``width``-vectors of one shape."""
+    return LEADING.flatmap(lambda lead: st.tuples(vectors(width, st.just(lead)),
+                                                  vectors(width, st.just(lead))))
+
+
+def assert_bitwise(got, want):
+    """The same shape and, entry by entry, the same double: the same bits
+    (so 0.0 is not -0.0) or both NaN."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype == float and got.shape == want.shape
+    nan = np.isnan(want)
+    np.testing.assert_array_equal(np.isnan(got), nan)
+    np.testing.assert_array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
+
+
+def both_splits():
+    """The default split between numpy's reduction (few vectors) and the
+    column sums, then the column sums at every size."""
+    for columns_from in (minkowski._COLUMNS_FROM, 0):
+        with mock.patch.object(minkowski, "_COLUMNS_FROM", columns_from):
+            yield
+
+
+def assert_products_as_numpy(x, y):
+    """Every trailing-axis product and norm of the package against the numpy
+    reduction it replaces."""
+    for _ in both_splits():
+        with np.errstate(all="ignore"):
+            if x.shape[-1] == 5:
+                assert_bitwise(minkowski_inner(x, y), (x * y * SIGNATURE).sum(axis=-1))
+                assert_bitwise(norm2(x), (x * x * SIGNATURE).sum(axis=-1))
+            assert_bitwise(_dot(x, y), (x * y).sum(axis=-1))
+            assert_bitwise(_dot(x, x), (x * x).sum(-1))
+            assert_bitwise(np.sqrt(_dot(x, x)), np.linalg.norm(x, axis=-1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([3, 5]).flatmap(vector_pairs))
+def test_products_are_bitwise_numpy_reductions(pair):
+    assert_products_as_numpy(*pair)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([3, 5]).flatmap(lambda width: vectors(width, st.tuples(
+    st.integers(1, 8), st.integers(1, 8)))))
+def test_products_on_edge_stacks_are_bitwise_numpy_reductions(data):
+    for near, far in edge_stacks(data):
+        assert_products_as_numpy(near, far)
+
+
+@settings(max_examples=100, deadline=None)
+@given(vectors(5, st.tuples(st.integers(1, 8), st.integers(1, 8))), vectors(5, st.just(())))
+def test_product_of_a_grid_with_one_vector_is_bitwise_numpy(F, Q):
+    for _ in both_splits():
+        with np.errstate(all="ignore"):
+            assert_bitwise(minkowski_inner(F, Q), (F * Q * SIGNATURE).sum(axis=-1))
+            assert_bitwise(minkowski_inner(Q, F), (Q * F * SIGNATURE).sum(axis=-1))
+            assert_bitwise(_dot(F, Q), (F * Q).sum(axis=-1))
+
+
+def test_products_of_a_large_grid_are_bitwise_numpy(rng):
+    """At the default split a 40x40 grid takes the column sums."""
+    x, y = (rng.choice([0.0, -0.0, np.nan, 1e-300, 1.0, -3.0, 1e300], (40, 40, 5))
+            * rng.normal(size=(40, 40, 5)) for _ in range(2))
+    assert 40 * 40 >= minkowski._COLUMNS_FROM
+    with np.errstate(all="ignore"):
+        assert_bitwise(minkowski_inner(x, y), (x * y * SIGNATURE).sum(axis=-1))
+        assert_bitwise(_dot(x, y), (x * y).sum(axis=-1))
+        assert_bitwise(np.sqrt(_dot(x[..., :3], x[..., :3])), np.linalg.norm(x[..., :3], axis=-1))
+
+
+def test_products_keep_numpy_signed_zeros():
+    """numpy sums from +0, so a sum of negative zeros is +0, and so are the
+    helpers' sums."""
+    x = np.full(5, -0.0)
+    y = np.array([-0.0, 0.0, 0.0, 0.0, 0.0])  # every term of <x, y> is -0
+    z = np.zeros(5)  # every term of x . z is -0
+    assert np.signbit(x * y * SIGNATURE).all() and np.signbit(x * z).all()
+    for a, b in ((x, y), (x, z), (x[:3], z[:3])):
+        assert_products_as_numpy(a, b)
+    assert not np.signbit(minkowski_inner(x, y)) and not np.signbit(_dot(x, z))
 
 
 def test_euclidean_lift_values():
