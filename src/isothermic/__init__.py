@@ -58,6 +58,7 @@ from .revolution import (
     RotationProfile,
     build_revolution_cmc,
     closure_defect,
+    meridian_points,
     meridian_step,
     revolution_lift,
     seed_edge,

@@ -10,7 +10,6 @@ from .conserved import ConservedQuantity
 from .grids import EdgeFunction, VertexField
 from .minkowski import Q_EUCLIDEAN, euclidean_lift, euclidean_point
 from .nets import IsothermicNet
-from .revolution import RevolutionStructure, RotationProfile
 from .tolerances import tol
 
 
@@ -27,8 +26,7 @@ def cylinder_net(rows: int, cols: int, eta: float, phi: float) -> IsothermicNet:
                    axis=-1).astype(float)
     u = np.full(rows - 1, -eta * eta / 4.0)
     v = np.full(cols - 1, np.sin(phi / 2.0) ** 2)
-    return IsothermicNet(VertexField(euclidean_lift(pts)), EdgeFunction(u, v),
-                         revolution=RevolutionStructure(RotationProfile(phi * n[0]), None))
+    return IsothermicNet(VertexField(euclidean_lift(pts)), EdgeFunction(u, v))
 
 
 def cylinder_dual_lifts(net: IsothermicNet) -> np.ndarray:

@@ -141,7 +141,7 @@ def _cmd_generate(args) -> int:
         "branch": branch,
         "seed_M0": M0,
         "seed_M1": M1,
-        "closure": closure_defect(net),
+        "closure": closure_defect(net, profile),
     }
     save_net(args.output, net, [quantity], metadata)
     # + 0.0 turns -0.0 into 0.0, which prints as "0"

@@ -212,8 +212,8 @@ def reparametrize(cq: ConservedQuantity, alpha: float) -> ConservedQuantity:
     same net with edge weights alpha * a."""
     if alpha == 0.0:
         raise ValueError("alpha must be nonzero")
-    new_net = cq.net.with_weights(cq.net.weights.scaled(alpha))
-    return ConservedQuantity(new_net, mp_scale_arg(cq.coeffs, alpha))
+    net = IsothermicNet(cq.net.lifts.copy(), cq.net.weights.scaled(alpha))
+    return ConservedQuantity(net, mp_scale_arg(cq.coeffs, alpha))
 
 
 def normalize_top(cq: ConservedQuantity) -> ConservedQuantity:

@@ -1,11 +1,12 @@
 """Discrete isothermic nets: verification, Moutard normalization, the
 family of edge connections, and Calapso transformations.
 
-A net, ``IsothermicNet(lifts, weights, revolution=None)``, is a grid of
-isotropic lifts together with a symmetric edge weight function, equal on
-opposite face edges, whose ratio across each face equals the face cross
-ratio; the lifts fix the grid.  Everything here is lift-scaling invariant except
-where a specific normalization is the point (:func:`moutard_lift`).
+A net, ``IsothermicNet(lifts, weights)``, is a grid of isotropic lifts
+together with a symmetric edge weight function, equal on opposite face
+edges, whose ratio across each face equals the face cross ratio; the lifts
+fix the grid, and the net carries nothing else.  Everything here is
+lift-scaling invariant except where a specific normalization is the point
+(:func:`moutard_lift`).
 
 Operations return fresh data and never modify a net's lifts or weights,
 and a net's fields are set once, by its constructor.
@@ -14,7 +15,6 @@ and a net's fields are set once, by its constructor.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -52,20 +52,15 @@ from .minkowski import (
 )
 from .tolerances import Check, tol
 
-if TYPE_CHECKING:
-    from .revolution import RevolutionStructure
-
 
 @dataclass(frozen=True, eq=False)
 class IsothermicNet:
     """Grid of isotropic lifts, shape (rows, cols, 5), with a cross-ratio
-    factorizing edge function of lengths rows - 1 and cols - 1, and the
-    rotational structure of the revolution builders (or None); ``domain``
+    factorizing edge function of lengths rows - 1 and cols - 1; ``domain``
     is the grid of the lifts."""
 
     lifts: VertexField
     weights: EdgeFunction
-    revolution: RevolutionStructure | None = None
 
     def __post_init__(self):
         net_domain(self.lifts, 5, self.weights)
@@ -76,12 +71,6 @@ class IsothermicNet:
 
     def lift_scale(self) -> float:
         return float(np.abs(self.lifts.data).max())
-
-    def with_weights(self, weights: EdgeFunction) -> "IsothermicNet":
-        return IsothermicNet(self.lifts.copy(), weights, revolution=self.revolution)
-
-    def with_lifts(self, lifts: VertexField) -> "IsothermicNet":
-        return IsothermicNet(lifts, self.weights)
 
     def validate(self, q=None) -> float:
         """Check lightlike lifts and that weight ratios match the face cross

@@ -138,15 +138,14 @@ def export_obj(net: IsothermicNet, Q, model: str, path, clamp: float = 1e6) -> l
 
     dom = net.domain
     # clamp each unplaceable vertex to ``clamp`` times its direction (or e1);
-    # the batched dot product is the one np.linalg.norm takes of one vertex
-    norm = np.sqrt((coords[..., None, :] @ coords[..., :, None])[..., 0])
+    # the Poincare ball flags its boundary by the same norm
+    norm = np.sqrt(_dot(coords, coords))[..., None]
     direction = np.where(norm > 0, coords / np.where(norm > 0, norm, 1.0), [1.0, 0.0, 0.0])
     xyz = np.where(good[..., None], coords, clamp * direction)
     flagged = [(v, "unplaceable in chart") for v in _vertices(~good)]
     if model == "poincare":
-        radii = np.sqrt(_dot(coords, coords))
         flagged += [(v, "on or past the ideal boundary")
-                    for v in _vertices(good & (radii >= 1.0 - POLE_TOL))]
+                    for v in _vertices(good & (norm[..., 0] >= 1.0 - POLE_TOL))]
 
     # orjson would write NaN and inf as null without an error
     if not np.isfinite(xyz).all():

@@ -8,8 +8,12 @@ alternates sign along the meridian,
     F_(m,n) = (-1)^m ( M_m + (cos phi_n, sin phi_n) ).
 
 With edge weights a_ij = alpha <F_i, F_j> this lift satisfies the Moutard
-normalization.  A rotationally symmetric linear conserved quantity is
-carried by a sphere curve S_m in the Lorentz factor via
+normalization.  The net holds its lifts and weights only: the meridian is
+read back from the lifts (:func:`meridian_points`), and the rotation angles
+travel as the :class:`RotationProfile` the net was built with.
+
+A rotationally symmetric linear conserved quantity is carried by a sphere
+curve S_m in the Lorentz factor via
 
     Z_(m,n) = S_m - alpha <Q, F_(m,n)> F_(m,n),
 
@@ -175,28 +179,30 @@ def _assemble_net(M, profile: RotationProfile, alpha: float) -> IsothermicNet:
     u = alpha * (-1.0 - inner3(M[1:], M[:-1]))
     dphi = np.diff(profile.angles)
     v = alpha * (-2.0) * np.sin(dphi / 2.0) ** 2
-    return IsothermicNet(VertexField(lifts), EdgeFunction(u, v),
-                         revolution=RevolutionStructure(profile, M.copy()))
+    return IsothermicNet(VertexField(lifts), EdgeFunction(u, v))
 
 
-@dataclass
-class RevolutionStructure:
-    """Rotational data attached to nets built by the revolution builders."""
+def meridian_points(net: IsothermicNet) -> np.ndarray:
+    """The meridian M_m = (-1)^m F_(m,n)[0, 1, 4], shape (rows, 3), that the
+    revolution builders place in every column; a ValueError unless every
+    column carries the same M exactly (they only multiply it by +-1)."""
+    M = net.lifts.data[..., [0, 1, 4]] * ((-1.0) ** np.arange(net.domain.rows))[:, None, None]
+    if not (M == M[:, :1]).all():
+        raise ValueError("the columns of the net carry different meridians")
+    return M[:, 0]
 
-    profile: RotationProfile
-    meridian_points: np.ndarray | None
 
-
-def symmetric_pcq_check(net: IsothermicNet, cq: ConservedQuantity) -> bool:
-    """Whether a conserved quantity shares the net's rotational symmetry,
-    i.e. the vertex polynomials differ along the circular direction only by
-    the plane rotation.  Like the conserved-quantity condition itself, the
-    answer does not depend on the scalings of the lifts.
+def symmetric_pcq_check(cq: ConservedQuantity, profile: RotationProfile) -> bool:
+    """Whether a conserved quantity shares the rotational symmetry of
+    ``profile``, i.e. the vertex polynomials differ along the circular
+    direction only by the plane rotation; a ValueError unless the profile
+    has one angle per column.  Like the conserved-quantity condition itself,
+    the answer does not depend on the scalings of the lifts.
     """
-    if net.revolution is None:
-        raise ValueError("net carries no rotational structure")
-    angles = net.revolution.profile.angles
     coeffs = cq.coeffs
+    angles = profile.angles
+    if len(angles) != coeffs.shape[1]:
+        raise ValueError(f"{len(angles)} rotation angles for {coeffs.shape[1]} columns")
     rotated = coeffs.copy()
     for ni, phi in enumerate(angles):
         c, s = np.cos(-phi), np.sin(-phi)
@@ -361,14 +367,12 @@ def _euclid2(x, y=(0.0, 0.0, 0.0)) -> float:
     return float(d0 * d0 + d1 * d1 + d2 * d2)
 
 
-def closure_defect(net: IsothermicNet) -> dict:
+def closure_defect(net: IsothermicNet, profile: RotationProfile) -> dict:
     """Measured closure defects of a net of revolution (reported, never
-    solved for): the gap between the first and last meridian samples and
-    the angular mismatch of the rotation profile against a full turn."""
-    if net.revolution is None or net.revolution.meridian_points is None:
-        raise ValueError("net carries no meridian data")
-    pts = net.revolution.meridian_points
-    angles = net.revolution.profile.angles
+    solved for): the gap between the first and last :func:`meridian_points`
+    and the angular mismatch of the rotation ``profile`` against a full turn."""
+    pts = meridian_points(net)
+    angles = profile.angles
     step = float(angles[1] - angles[0])
     total = float(angles[-1] - angles[0]) + step
     return {

@@ -5,7 +5,6 @@ from isothermic import catalog
 from isothermic.grids import VertexField
 from isothermic.minkowski import euclidean_lift
 from isothermic.nets import IsothermicNet
-from isothermic.revolution import RevolutionStructure, RotationProfile
 from isothermic.transforms import darboux_propagate
 from reference import faces
 
@@ -23,8 +22,7 @@ def centred_cylinder(rows, cols, eta, phi):
     pts = np.stack(np.broadcast_arrays(eta * np.arange(rows)[:, None], np.cos(n * phi),
                                        np.sin(n * phi)), axis=-1).astype(float)
     return IsothermicNet(VertexField(euclidean_lift(pts)),
-                         catalog.cylinder_net(rows, cols, eta, phi).weights,
-                         revolution=RevolutionStructure(RotationProfile(phi * n), None))
+                         catalog.cylinder_net(rows, cols, eta, phi).weights)
 
 
 def centred_zigzag(rows, cols, eta, alpha, beta):

@@ -1051,7 +1051,7 @@ def test_faceless_nets_pass_the_face_checks(shape):
     data, vertex = net.lifts.data.copy(), (0, 2) if shape == (1, 4) else (2, 0)
     data[vertex + (0,)] += 0.1
     with pytest.raises(GeometryError, match=re.escape(f"at {vertex}")):
-        net.with_lifts(VertexField(data)).validate()
+        IsothermicNet(VertexField(data), net.weights).validate()
     assert holonomy_residual(net, [0.3, -1.2]) == 0.0
     check = moutard_check(net.lifts)
     assert check.ok and check.value == 0.0

@@ -154,7 +154,7 @@ def test_verify_perturbed_fixture_exits_2(tmp_path):
     cq = catalog.cylinder_quantity(net)
     pts = euclidean_point(net.lifts.data)
     pts[2, 1] += 5e-3 * np.array([1.0, -0.3, 0.4]) / np.linalg.norm([1.0, -0.3, 0.4])
-    bad = net.with_lifts(VertexField(euclidean_lift(pts)))
+    bad = IsothermicNet(VertexField(euclidean_lift(pts)), net.weights)
     path = tmp_path / "bad.json"
     save_net(path, bad, [cq])
     assert run(["verify", path]) == 2

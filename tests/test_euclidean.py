@@ -88,6 +88,15 @@ def test_christoffel_rejects_wrong_weights():
     assert str(got.value).endswith(" at ((1, 4), (2, 4))")
 
 
+def test_christoffel_refuses_a_degenerate_edge():
+    """An edge of length 0 has no dual edge a df / |df|^2."""
+    net = catalog.planar_grid_net(3, 3)
+    pts = euclidean_point(net.lifts.data)
+    pts[1, 1] = pts[1, 0]
+    with pytest.raises(NotClosed, match=r"degenerate edge \(\(1, 0\), \(1, 1\)\)"):
+        christoffel(EuclideanNet(VertexField(pts), net.weights))
+
+
 def test_parallel_lcq_roundtrip():
     net, cq, enet = cylinder_euclidean()
     fstar = euclidean_point(catalog.cylinder_dual_lifts(net))
@@ -162,6 +171,9 @@ def test_bp_sphere_planes_for_minimal():
         ms = bp_sphere(cq, v)
         assert ms.center is None and ms.radius is None
         assert abs(float(np.dot(ms.normal, ms.normal)) - 1.0) < 1e-9
+        # the plane {x : <normal, x> = offset} holds the vertex
+        f = euclidean_point(net.lifts.data[v])
+        assert abs(float(np.dot(ms.normal, f)) - ms.offset) <= 1e-9
         assert ms.residual_power < 1e-9
         assert ms.residual_radius < 1e-9
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from isothermic import catalog, nets, transforms
+from isothermic.errors import PoleParameter
 from isothermic.euclidean import EuclideanNet
 from isothermic.grids import (
     EdgeFunction,
@@ -35,6 +36,16 @@ def test_edge_function_symmetric_lookup():
         assert ef.value((j, k)) == ef.value((i, l))
     with pytest.raises(KeyError):
         ef.value(((0, 0), (1, 1)))
+
+
+def test_calapso_shifted_weights_refuse_a_pole():
+    """a / (1 - mu a) has a pole where mu a = 1 on some edge, here mu 2
+    on the vertical weight 0.5.  Through ``nets.calapso`` the edge
+    connections meet the same pole first."""
+    ef = EdgeFunction(np.array([0.5, 0.25]), np.array([-1.0]))
+    np.testing.assert_array_equal(ef.calapso_shifted(1.0).u, [1.0, 1.0 / 3.0])
+    with pytest.raises(PoleParameter, match="parameter hits a pole of the edge weights"):
+        ef.calapso_shifted(2.0)
 
 
 def test_the_grid_is_read_off_the_arrays():

@@ -355,7 +355,7 @@ def test_obj_non_finite_coordinates_raise(tmp_path):
     net = catalog.cylinder_net(3, 3, ETA, PHI)
     lifts = net.lifts.data.copy()
     lifts[1, 1] = np.array([1.0, 1.0, 0.0, 0.0, -1.0])  # on the infinity boundary
-    bad = net.with_lifts(VertexField(lifts))
+    bad = IsothermicNet(VertexField(lifts), net.weights)
     # an infinite clamp sends the vertex to inf (and 0 * inf to nan)
     with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
         export_obj(bad, np.array([1.0, 0, 0, 0, -1.0]), "euclidean", tmp_path / "m.obj",
@@ -709,7 +709,7 @@ def test_export_flags_infinity_boundary(tmp_path):
     net = catalog.cylinder_net(3, 3, ETA, PHI)
     lifts = net.lifts.data.copy()
     lifts[1, 1] = np.array([1.0, 1.0, 0.0, 0.0, -1.0])  # <F, Q0> = 0
-    bad = net.with_lifts(VertexField(lifts))
+    bad = IsothermicNet(VertexField(lifts), net.weights)
     path = tmp_path / "clamped.obj"
     flagged = export_obj(bad, np.array([1.0, 0, 0, 0, -1.0]), "euclidean", path,
                         clamp=1e4)

@@ -2,6 +2,7 @@
 and Calapso transforms."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from conftest import centred_zigzag, darboux_stacked_net
 from isothermic import catalog, nets, revolution
 from isothermic.errors import (
+    DegenerateEdge,
     DegeneratePoints,
     NonConcircularFace,
     NonFiniteLift,
@@ -18,6 +20,7 @@ from isothermic.errors import (
 from isothermic.grids import EdgeFunction, VertexField, edge_stacks, face_stack
 from isothermic.minkowski import cross_ratios, euclidean_lift, euclidean_point, minkowski_inner
 from isothermic.nets import (
+    IsothermicNet,
     calapso,
     edge_connections,
     face_regularity,
@@ -101,6 +104,17 @@ def test_moutard_lift_idempotent(rng):
     np.testing.assert_allclose(again.data, net.lifts.data, atol=1e-10)
 
 
+def test_moutard_lift_refuses_a_vanishing_edge_product():
+    """Two coincident lightlike lifts have product 0, so no scale meets the
+    weight of their edge."""
+    net = catalog.planar_grid_net(3, 3)
+    lifts = net.lifts.data.copy()
+    lifts[1, 1] = lifts[1, 0]
+    with pytest.raises(DegenerateEdge, match=re.escape(
+            "vanishing inner product on edge ((1, 0), (1, 1))")):
+        moutard_lift(VertexField(lifts), net.weights)
+
+
 def test_moutard_lift_of_zigzag():
     net = centred_zigzag(3, 3, 0.7, 0.4, 0.8)
     zz = catalog.zigzag_quantity(net)
@@ -134,9 +148,9 @@ def test_moutard_lift_of_fine_cylinders(N):
 
 def test_nets_are_built_once():
     net = catalog.cylinder_net(3, 4, 0.5, 0.9)
-    assert net.revolution is not None
+    assert [field.name for field in dataclasses.fields(net)] == ["lifts", "weights"]
     with pytest.raises(dataclasses.FrozenInstanceError):
-        net.revolution = None
+        net.weights = None
     # equality stays by identity
     assert net == net and net != catalog.cylinder_net(3, 4, 0.5, 0.9)
     # the zigzag quantity reads alpha and the column parity off the lifts,
@@ -263,7 +277,7 @@ def test_calapso_rejects_non_isothermic(rng):
     net = catalog.cylinder_net(4, 4, 0.4, 0.8)
     pts = euclidean_point(net.lifts.data)
     pts[1, 2] += 2e-3 * np.array([0.0, 1.0, 0.0])
-    bad = net.with_lifts(VertexField(euclidean_lift(pts)))
+    bad = IsothermicNet(VertexField(euclidean_lift(pts)), net.weights)
     with pytest.raises(NotFlat):
         calapso(bad, 0.7)
 
@@ -276,7 +290,7 @@ def test_flatness_residual_grows_with_perturbation(rng):
     pts = euclidean_point(net.lifts.data)
     direction = rng.normal(size=3)
     pts[2, 2] += 1e-3 * direction / np.linalg.norm(direction)
-    pert = net.with_lifts(VertexField(euclidean_lift(pts)))
+    pert = IsothermicNet(VertexField(euclidean_lift(pts)), net.weights)
     worst = max(float(np.abs(face_holonomy(pert, float(lam), face) - np.eye(5)).max())
                 for face in faces(pert.domain) if (2, 2) in face for lam in lams)
     assert worst > 1e-5
@@ -326,7 +340,7 @@ def test_validate_names_a_coincident_face_by_its_corners():
     lifts = net.lifts.data.copy()
     lifts[1, 1] = lifts[1, 0]
     with pytest.raises(DegeneratePoints) as got:
-        net.with_lifts(VertexField(lifts)).validate()
+        IsothermicNet(VertexField(lifts), net.weights).validate()
     assert got.value.check.where == ((0, 0), (1, 0), (1, 1), (0, 1)) and not got.value.check.ok
     assert str(got.value) == ("a face has three nearly dependent lifts (regularity 0 <= 1e-18)"
                               " at ((0, 0), (1, 0), (1, 1), (0, 1))")

@@ -1,7 +1,9 @@
 """Every third-party module the package and its tests import is declared in
-pyproject.toml, and the package imports no exact arithmetic."""
+pyproject.toml, the package imports no exact arithmetic, and its modules
+import one another without a cycle."""
 
 import ast
+import graphlib
 import pathlib
 import re
 import sys
@@ -82,3 +84,34 @@ def test_the_package_reads_no_environment_variable():
             if names & {"environ", "environb", "getenv", "getenvb"}:
                 reads.append(f"{path.name}:{node.lineno}")
     assert reads == []
+
+
+def internal_imports(package: pathlib.Path) -> dict:
+    """Each module of the package (by file stem) with the set of the
+    package's modules it imports, from every import statement: at the top
+    level, under ``if TYPE_CHECKING:`` and inside functions alike.  A name
+    of the package that is no module counts as an import of ``__init__``."""
+    modules = {path.stem for path in package.glob("*.py")}
+    graph = {}
+    for path in package.glob("*.py"):
+        dotted = []
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                dotted += [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                base = ".".join(filter(None, [package.name if node.level else "", node.module]))
+                dotted += [f"{base}.{alias.name}" for alias in node.names]
+        parts = [name.split(".") for name in dotted]
+        graph[path.stem] = {p[1] if p[1:] and p[1] in modules else "__init__"
+                            for p in parts if p[0] == package.name}
+    return graph
+
+
+def test_the_package_imports_form_no_cycle():
+    graph = internal_imports(ROOT / "src" / "isothermic")
+    assert {"nets", "conserved"} <= graph["revolution"]  # the parse sees imports
+    try:
+        graphlib.TopologicalSorter(graph).prepare()
+    except graphlib.CycleError as exc:
+        # graphlib lists each module before one that imports it
+        pytest.fail(f"import cycle: {' imports '.join(reversed(exc.args[1]))}")

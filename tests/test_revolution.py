@@ -3,6 +3,7 @@ meridian propagation, and the cmc constructor."""
 
 import ast
 import pathlib
+import re
 import subprocess
 import sys
 import warnings
@@ -14,8 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 import reference
 from conftest import centred_cylinder
-from isothermic import catalog, revolution
-from isothermic.conserved import mean_curvature_data, pcq_verify
+from isothermic import catalog, cli, revolution
+from isothermic.conserved import ConservedQuantity, mean_curvature_data, pcq_verify
 from isothermic.errors import (
     AxisPoint,
     ConstraintViolated,
@@ -24,6 +25,7 @@ from isothermic.errors import (
     InfinityBoundary,
     NonFiniteLift,
     RepeatedPoint,
+    VanishingX,
 )
 from isothermic.grids import VertexField, face_stack
 from isothermic.minkowski import (
@@ -33,13 +35,16 @@ from isothermic.minkowski import (
     norm3,
     profile_coordinates,
 )
+from isothermic.netfile import load_net
 from isothermic.nets import IsothermicNet, moutard_check, verify_isothermic
 from isothermic.polyvec import mp_inner_vec
 from isothermic.revolution import (
     Meridian,
     RotationProfile,
     build_revolution_cmc,
+    closure_defect,
     default_space_form,
+    meridian_points,
     meridian_step,
     revolution_lift,
     seed_edge,
@@ -135,33 +140,36 @@ def scalar_symmetric(net, cq):
 
 
 def test_symmetric_pcq_check():
+    profile = RotationProfile.uniform(5, 0.9)
     net, cq = build_revolution_cmc(Q_SPH, 0.3, hyperbolic_point(0.1, 0.9),
-                                   hyperbolic_point(0.4, 1.0), 2,
-                                   RotationProfile.uniform(5, 0.9))
-    assert symmetric_pcq_check(net, cq) and scalar_symmetric(net, cq)
+                                   hyperbolic_point(0.4, 1.0), 2, profile)
+    assert symmetric_pcq_check(cq, profile) and scalar_symmetric(net, cq)
 
     # a quantity whose ambient vector has a rotation-plane component is not
     # rotationally symmetric
     patch = centred_cylinder(5, 3, 0.3, np.pi / 4)
+    angles = RotationProfile(np.pi / 4 * np.array([-1.0, 0.0, 1.0]))
     zz = catalog.zigzag_quantity(patch)
-    assert not symmetric_pcq_check(patch, zz) and not scalar_symmetric(patch, zz)
+    assert not symmetric_pcq_check(zz, angles) and not scalar_symmetric(patch, zz)
     # the cylinder's own quantity (flat ambient vector) is symmetric
     cyl = catalog.cylinder_quantity(patch)
-    assert symmetric_pcq_check(patch, cyl) and scalar_symmetric(patch, cyl)
+    assert symmetric_pcq_check(cyl, angles) and scalar_symmetric(patch, cyl)
+    # the profile gives one angle per column
+    with pytest.raises(ValueError, match="4 rotation angles for 3 columns"):
+        symmetric_pcq_check(cyl, RotationProfile.uniform(4, np.pi / 4))
 
 
 def test_symmetric_pcq_check_ignores_lift_scalings():
     """Lifts rescaled along the rotation carry the same quantity, and it
     stays symmetric; only the scalar criterion, which reads the scalings,
     changes its answer."""
+    profile = RotationProfile.uniform(5, 0.9)
     net, cq = build_revolution_cmc(Q_SPH, 0.3, hyperbolic_point(0.1, 0.9),
-                                   hyperbolic_point(0.4, 1.0), 2,
-                                   RotationProfile.uniform(5, 0.9))
+                                   hyperbolic_point(0.4, 1.0), 2, profile)
     scales = np.linspace(1.0, 2.0, net.domain.cols)
-    rescaled = IsothermicNet(VertexField(net.lifts.data * scales[None, :, None]), net.weights,
-                             revolution=net.revolution)
+    rescaled = IsothermicNet(VertexField(net.lifts.data * scales[None, :, None]), net.weights)
     assert pcq_verify(rescaled, cq).ok
-    assert symmetric_pcq_check(rescaled, cq)
+    assert symmetric_pcq_check(ConservedQuantity(rescaled, cq.coeffs), profile)
     assert not scalar_symmetric(rescaled, cq)
 
 
@@ -271,7 +279,7 @@ def test_build_reproduces_cylinder():
     assert alphas[branch] == pytest.approx(-0.5, abs=1e-12)
     net, cq = build_revolution_cmc(Q_FLAT, 0.5, M0, M1, 4,
                                    RotationProfile.uniform(6, 0.9), branch=branch)
-    eta, rho = profile_coordinates(net.revolution.meridian_points)
+    eta, rho = profile_coordinates(meridian_points(net))
     np.testing.assert_allclose(rho, 1.0, atol=1e-10)
     np.testing.assert_allclose(np.diff(eta), eta_step, atol=1e-10)
     H, kappa = mean_curvature_data(cq)
@@ -292,7 +300,7 @@ def test_build_hyperbolic_catenoid():
     assert H == pytest.approx(0.0, abs=1e-12)
     assert kappa == pytest.approx(-1.0, abs=1e-12)
     assert complementary(cq) == []
-    assert symmetric_pcq_check(net, cq) and scalar_symmetric(net, cq)
+    assert symmetric_pcq_check(cq, RotationProfile.uniform(7, 0.8)) and scalar_symmetric(net, cq)
 
 
 def test_build_spherical_candidate_torus():
@@ -305,7 +313,7 @@ def test_build_spherical_candidate_torus():
     assert (H, kappa) == (pytest.approx(0.3, abs=1e-12), pytest.approx(1.0, abs=1e-12))
     assert len(complementary(cq)) == 2
     # meridian closure defect: distance between first and last samples
-    pts = net.revolution.meridian_points
+    pts = meridian_points(net)
     defect = float(np.linalg.norm(pts[-1] - pts[0]))
     assert np.isfinite(defect)
 
@@ -323,7 +331,7 @@ def test_build_invariants_meridian_weight_constant():
     assert gate > 0
     # sphere curve consistency: stepping from the seed reproduces the data
     # used to assemble the net (validated internally); |S| = 1 throughout
-    M = net.revolution.meridian_points
+    M = meridian_points(net)
     assert np.abs(norm3(M) + 1.0).max() < 1e-10
 
 
@@ -356,7 +364,7 @@ def test_meridian_crossing_warns():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         net, _ = build_revolution_cmc(Q_HYP, 0.0, M0, M1, 3, RotationProfile.uniform(5, 0.8))
-    points = net.revolution.meridian_points
+    points = meridian_points(net)
     qm = inner3(Q_HYP, points)
     crossed = qm[1:] * qm[:-1] < 0
     assert crossed.any() and not crossed[3]
@@ -411,14 +419,55 @@ def test_seed_and_step_consistent():
 
 
 def test_closure_defect_report():
-    from isothermic.revolution import closure_defect
-
+    profile = RotationProfile.uniform(8, 2 * np.pi / 8)
     net, _ = build_revolution_cmc(Q_SPH, 0.3, hyperbolic_point(0.1, 0.9),
-                                  hyperbolic_point(0.4, 1.0), 2,
-                                  RotationProfile.uniform(8, 2 * np.pi / 8))
-    defect = closure_defect(net)
+                                  hyperbolic_point(0.4, 1.0), 2, profile)
+    defect = closure_defect(net, profile)
     assert defect["angle_defect"] == pytest.approx(0.0, abs=1e-12)
     assert defect["meridian_gap"] > 0
+
+
+def test_a_loaded_net_of_revolution_reads_as_the_built_one(tmp_path):
+    """A net file keeps lifts and weights only, and they are all the
+    closure report and the symmetry check need: on the net that
+    ``generate revolution`` wrote and ``load_net`` read back, both answer
+    as on the net built in memory, and the closure equals the file's."""
+    path = tmp_path / "net.json"
+    assert cli.main(["generate", "revolution", "--H", "0.3", "--kappa", "1", "--steps", "3",
+                     "--angles", "8", "-o", str(path)]) == 0
+    loaded, (loaded_cq,), metadata = load_net(path)
+    profile = RotationProfile.uniform(8, 2 * np.pi / 8)
+    M0, M1, branch = revolution.find_seed_edge(Q_SPH, 0.3)
+    built, built_cq = build_revolution_cmc(Q_SPH, 0.3, M0, M1, 3, profile, branch=branch)
+    assert closure_defect(loaded, profile) == closure_defect(built, profile) == metadata["closure"]
+    assert symmetric_pcq_check(loaded_cq, profile) and symmetric_pcq_check(built_cq, profile)
+    np.testing.assert_array_equal(meridian_points(loaded), meridian_points(built))
+    # the cylinder's Euclidean lifts carry |f|^2 = (eta m)^2 + cos^2 + sin^2,
+    # which rounds differently from column to column
+    with pytest.raises(ValueError, match="the columns of the net carry different meridians"):
+        meridian_points(catalog.cylinder_net(4, 4, 0.3, np.pi / 4))
+
+
+M_GUARD = hyperbolic_point(0.1, 0.9)
+
+
+@pytest.mark.parametrize("state, Q, c, H, kappa, error, message", [
+    ((M_GUARD, [0.0, 0.0, 1.0]), Q_FLAT, -0.1, 0.0, 0.0, ConstraintViolated,
+     "c / alpha must be positive"),
+    ((hyperbolic_point(0.0, 1.0), [0.0, 0.0, 1.0]), Q_HYP, 0.1, 0.0, -1.0, InfinityBoundary,
+     "meridian point on the infinity boundary"),
+    ((M_GUARD, [0.0, 0.0, 1.0]), Q_FLAT, 0.5, 1.0, 0.0, ConstraintViolated,
+     "degenerate propagation (1 - 2cH - c^2 kappa = 0)"),
+    # S = -c (Q + <Q, M> M) makes the auxiliary sphere X vanish
+    ((M_GUARD, -0.1 * (Q_FLAT + inner3(Q_FLAT, M_GUARD) * M_GUARD)), Q_FLAT, 0.1, 0.0, 0.0,
+     VanishingX, "auxiliary sphere vanishes"),
+])
+def test_meridian_step_guards(state, Q, c, H, kappa, error, message):
+    """Each guard of a meridian step, in the order it checks them: the sign
+    of c / alpha, a point on the infinity boundary, a zero propagation gate
+    and a vanishing auxiliary sphere."""
+    with pytest.raises(error, match=re.escape(message)):
+        meridian_step(state, Q, 1.0, c, H, kappa, prev=hyperbolic_point(0.0, 1.0))
 
 
 def _outcome(run):
@@ -455,7 +504,7 @@ def _constructor_outcomes(Q, H, seed, steps, angles):
             Q, H, M0, M1, steps, RotationProfile.uniform(angles, 2.0 * np.pi / angles),
             branch=branch)
         return (net.lifts.data, net.weights.u, net.weights.v, cq.coeffs,
-                net.revolution.meridian_points)
+                revolution.meridian_points(net))
 
     return [_outcome(lambda: [x for s in revolution.seed_edge(Q, H, M0, M1)
                               for x in ([s.alpha, s.edge_weight], s.sphere0, s.sphere1)]),

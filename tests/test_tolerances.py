@@ -81,7 +81,7 @@ def test_nan_data_fail_validation_and_invariants():
     u = net.weights.u.copy()
     u[1] = np.nan
     with pytest.raises(GeometryError, match="net fails validation") as got:
-        net.with_weights(EdgeFunction(u, net.weights.v)).validate()
+        IsothermicNet(net.lifts, EdgeFunction(u, net.weights.v)).validate()
     assert np.isnan(got.value.check.value)
     assert got.value.check.where == ((1, 0), (2, 0), (2, 1), (1, 1))  # the first face it spoils
     coeffs = catalog.cylinder_quantity(net).coeffs.copy()

@@ -33,7 +33,7 @@ from isothermic.minkowski import (
     norm2,
     ray_distance,
 )
-from isothermic.grids import EdgeFunction
+from isothermic.grids import EdgeFunction, VertexField
 from isothermic.netfile import load_net
 from isothermic.nets import IsothermicNet, calapso, edge_connections, verify_isothermic
 from isothermic.polyvec import mp_eval, mp_scale_poly
@@ -115,6 +115,22 @@ def test_backlund_init_empty_conic(cylinder):
     # |P(mu)|^2 = mu^2 - mu < 0 inside (0, 1): timelike value, no real starts
     with pytest.raises(EmptyConic):
         backlund_init(cq, 0.5, 0.0)
+
+
+def test_backlund_init_refuses_a_start_on_the_net(cylinder):
+    """A start ray that is the net's own lift at the basepoint gives no
+    transform.  On a linear quantity <P(mu), F> = <Q, F> never vanishes, so
+    no lift of a conserved quantity lies on the circle of starts; the net
+    here takes the start itself as its lift at (0, 0), with the same
+    coefficients, unchecked."""
+    net, cq = cylinder
+    X = backlund_init(cq, 2.4, 0.4)
+    lifts = net.lifts.data.copy()
+    lifts[0, 0] = X
+    on_start = ConservedQuantity(IsothermicNet(VertexField(lifts), net.weights), cq.coeffs,
+                                 check=False)
+    with pytest.raises(DegenerateStart, match="start direction coincides with the net"):
+        backlund_init(on_start, 2.4, 0.4)
 
 
 def test_pcq_darboux(cylinder):
@@ -251,6 +267,15 @@ def test_complementary_counts_by_invariant():
     assert len(comps) == 1
     assert comps[0].multiplicity == 2
     assert comps[0].lifts is None  # P(mu0) = 0: reducible, not a genuine net
+
+
+def test_complementary_of_a_zero_or_constant_norm_is_empty():
+    """|P(lam)|^2 without a root: the zero quantity and the plane z = 0 of
+    the planar grid as a constant quantity, |P|^2 = 1."""
+    net = catalog.planar_grid_net(3, 3)
+    assert complementary(ConservedQuantity(net, np.zeros((3, 3, 2, 5)))) == []
+    plane = np.broadcast_to([0.0, 0.0, 0.0, 1.0, 0.0], (3, 3, 1, 5))
+    assert complementary(ConservedQuantity(net, plane)) == []
 
 
 def test_complementary_antipodality():
@@ -452,12 +477,17 @@ def test_parallel_sections_must_be_parallel(cylinder):
     good = cq.evaluate(2.0)
     bad_data = good.data.copy()
     bad_data[2, 2] *= 1.001
-    from isothermic.grids import VertexField
-
     bad = VertexField(bad_data)
     with pytest.raises(NotParallel):
         pcq_from_parallel_sections(net, [(2.0, bad), (-1.5, cq.evaluate(-1.5))],
                                    [1.0 / 3.5, -1.0 / 3.5])
+
+
+def test_parallel_sections_need_distinct_parameters(cylinder):
+    net, cq = cylinder
+    with pytest.raises(ValueError, match="section parameters must be pairwise distinct"):
+        pcq_from_parallel_sections(net, [(2.0, cq.evaluate(2.0)), (2.0, cq.evaluate(2.0))],
+                                   [0.5, 0.5])
 
 
 @pytest.mark.parametrize("mu", [0.0, -0.0, 1e-320, 1e-12, 1e12, 1e300])
