@@ -54,7 +54,6 @@ from .nets import (
 from .netfile import load_net, save_net
 from .objexport import export_obj
 from .revolution import (
-    Meridian,
     RotationProfile,
     build_revolution_cmc,
     closure_defect,

@@ -262,7 +262,7 @@ def _cmd_classify(args) -> int:
             except GeometryError:
                 continue
             print(f"quantity {idx}: {label.label} (H={label.H:.12g}, "
-                  f"kappa={label.kappa:.12g}, H^2+kappa={label.lawson_invariant:.12g})")
+                  f"kappa={label.kappa:.12g}, H^2+kappa={label.H * label.H + label.kappa:.12g})")
     return 0
 
 

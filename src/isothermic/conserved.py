@@ -136,11 +136,11 @@ def pcq_residual(net: IsothermicNet, coeffs) -> float:
     return float(worst) / (1.0 + mp_max_coeff(coeffs))
 
 
-def pcq_verify(net: IsothermicNet, quantity) -> Check:
+def pcq_verify(net: IsothermicNet, quantity: ConservedQuantity) -> Check:
     """The conserved-quantity edge condition as a check, never raised: the
-    :func:`pcq_residual` of a quantity or its coefficients against tol(1)."""
-    coeffs = quantity.coeffs if isinstance(quantity, ConservedQuantity) else quantity
-    return Check("edge condition of the conserved quantity", pcq_residual(net, coeffs), tol(1.0))
+    :func:`pcq_residual` of the quantity's coefficients against tol(1)."""
+    return Check("edge condition of the conserved quantity",
+                 pcq_residual(net, quantity.coeffs), tol(1.0))
 
 
 def pcq_propagate(net: IsothermicNet, seed, basepoint=None) -> ConservedQuantity:

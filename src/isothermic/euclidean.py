@@ -196,7 +196,6 @@ class CmcLabel:
     label: str
     H: float
     kappa: float
-    lawson_invariant: float
 
 
 def classify_cmc(cq: ConservedQuantity) -> CmcLabel:
@@ -215,4 +214,4 @@ def classify_cmc(cq: ConservedQuantity) -> CmcLabel:
     else:
         sign = "+" if inv > tol(1.0) else ("-" if inv < -tol(1.0) else "0")
         label = f"cmc-spaceform({sign})"
-    return CmcLabel(label, H, kappa, inv)
+    return CmcLabel(label, H, kappa)

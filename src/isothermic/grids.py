@@ -22,9 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PoleParameter
-from .tolerances import tol
-
 
 @dataclass(frozen=True)
 class GridDomain:
@@ -159,15 +156,6 @@ class EdgeFunction:
 
     def scaled(self, factor: float) -> "EdgeFunction":
         return EdgeFunction(self.u * factor, self.v * factor)
-
-    def calapso_shifted(self, mu: float) -> "EdgeFunction":
-        """The weight function a / (1 - mu*a) of a Calapso transform."""
-        du = 1.0 - mu * self.u
-        dv = 1.0 - mu * self.v
-        scale = 1.0 + self.max_abs()
-        if np.any(np.abs(du) <= tol(scale)) or np.any(np.abs(dv) <= tol(scale)):
-            raise PoleParameter("parameter hits a pole of the edge weights")
-        return EdgeFunction(self.u / du, self.v / dv)
 
     def max_abs(self) -> float:
         return float(max(np.abs(self.u).max(initial=0.0), np.abs(self.v).max(initial=0.0)))

@@ -289,19 +289,24 @@ def edge_connections(net: IsothermicNet, lam: float):
     J = [JF_j; JF_i] windows over the lifts and JF: X + U (c * (J X)) maps
     the fiber over j to the fiber over i, and c[..., ::-1, :] maps it back.
 
+    This is the package's one decision on a pole of 1 - lam a: every
+    transform that meets the factor builds these connections first.
+
     Raises
     ------
     PoleParameter
-        If ``lam`` is not finite, or 1 - lam * a vanishes on some edge.
+        If ``lam`` is not finite, or |1 - lam a| <= tol(1 + |lam a| + max |a|)
+        on some edge (the first such edge is named).
     """
     if not np.isfinite(lam):
         raise PoleParameter(f"parameter {lam} is not finite")
     F, JF = net.lifts.data, net.lifts.data * SIGNATURE
+    largest = net.weights.max_abs()
     out = []
     for axis, ((Fi, Fj), a) in enumerate(zip(edge_stacks(F), net.weights.stacks())):
         a = np.broadcast_to(a, Fi.shape[:2])
         q = 1.0 - lam * a
-        poles = np.argwhere(np.abs(q) <= tol(1.0 + np.abs(lam * a)))
+        poles = np.argwhere(np.abs(q) <= tol(1.0 + np.abs(lam * a) + largest))
         if len(poles):
             raise PoleParameter(f"parameter {lam} is a pole of edge "
                                 f"{net.domain.stack_edge(axis, poles[0])}")
@@ -354,7 +359,8 @@ def calapso(net: IsothermicNet, mu: float, basepoint=None) -> tuple[CalapsoFrame
     (identity there) along a spanning tree (:func:`grids.sweep_propagate`);
     flatness of the connection makes the result path independent, and the
     residual over the remaining edges is checked and kept in the frame.
-    The transformed net has lifts T_i F_i and edge weights a / (1 - mu*a).
+    The transformed net has lifts T_i F_i and edge weights a / (1 - mu*a),
+    whose poles :func:`edge_connections` has refused.
 
     Raises
     ------
@@ -378,6 +384,7 @@ def calapso(net: IsothermicNet, mu: float, basepoint=None) -> tuple[CalapsoFrame
                      "dependent lifts", _regularity(*face_products(new_lifts.data)[1:]),
                      domain.stack_face).require(DegeneratePoints)
     frames = VertexField(frames)
-    transformed = IsothermicNet(new_lifts, net.weights.calapso_shifted(mu))
+    u, v = net.weights.u, net.weights.v
+    transformed = IsothermicNet(new_lifts, EdgeFunction(u / (1.0 - mu * u), v / (1.0 - mu * v)))
     frame = CalapsoFrame(mu, frames, net, transformed, check)
     return frame, transformed

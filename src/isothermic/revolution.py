@@ -94,33 +94,14 @@ class RotationProfile:
         return np.stack([np.cos(self.angles), np.sin(self.angles)], axis=-1)
 
 
-@dataclass
-class Meridian:
-    """Meridian polygon with its enveloped sphere curve and quantity data.
-
-    Fields: hyperbolic points (|M|^2 = -1, first component positive), unit
-    sphere vectors S with <S, M> = 0, the ambient vector Q of the Lorentz
-    factor, the lift normalization factor alpha, the constant meridian edge
-    weight c and the mean curvature H.
-    """
-
-    points: np.ndarray  # (k, 3)
-    spheres: np.ndarray  # (k, 3)
-    space_form: np.ndarray  # (3,)
-    alpha: float
-    edge_weight: float
-    mean_curvature: float
-
-    def validate(self) -> float:
-        (M, Mn), (S, Sn) = ([[X[cut, i] for i in range(3)] for cut in (np.s_[:-1], np.s_[1:])]
-                            for X in (self.points, self.spheres))
-        return _meridian_residual(M, S, Mn, Sn, _components(self.space_form),
-                                  self.alpha, self.edge_weight, self.mean_curvature)
-
-
 def _meridian_residual(M, S, Mn, Sn, Q, alpha, c, H) -> float:
-    """Largest residual of the :class:`Meridian` equations on the edges (M, S)
-    to (Mn, Sn), as three components each: scalars, or columns of edges."""
+    """Largest residual of the meridian equations on the edges (M, S) to
+    (Mn, Sn), as three components each: scalars, or columns of edges.  The
+    points are hyperbolic (|M|^2 = -1), the spheres S unit with <S, M> = 0
+    and <S, Q> = -H + alpha <M, Q>^2, and along each edge
+    dS = 2 alpha <Q, M_avg> dM and <Mn, M> = -(1 + c / alpha), for the
+    ambient vector Q, lift factor alpha, meridian edge weight c and mean
+    curvature H."""
     qm = _dot3(Q, [(a + b) / 2.0 for a, b in zip(Mn, M)])
     terms = [(sn - s) - 2.0 * alpha * qm * (mn - m) for s, sn, m, mn in zip(S, Sn, M, Mn)]
     terms.append(_dot3(Mn, M) + 1.0 + c / alpha)
@@ -415,19 +396,21 @@ def build_revolution_cmc(Q, H: float, M0, M1, steps_each_dir: int,
         points.insert(0, Mn)
         spheres.insert(0, Sn)
 
-    meridian = Meridian(np.stack(points), np.stack(spheres), Q, alpha, c, H)
-    Check("meridian propagation inconsistent", meridian.validate(),
+    points, spheres = np.stack(points), np.stack(spheres)
+    Check("meridian propagation inconsistent",  # on the columns of the edges
+          _meridian_residual(points[:-1].T, spheres[:-1].T, points[1:].T, spheres[1:].T,
+                             _components(Q), alpha, c, H),
           tol(100.0 * (1.0 + abs(alpha)) * (1.0 + float(np.dot(Q, Q))))).require(ConstraintViolated)
 
-    net = _assemble_net(meridian.points, angles, alpha)
+    net = _assemble_net(points, angles, alpha)
 
     Q5 = embed_lorentz3(Q)
-    S5 = embed_lorentz3(meridian.spheres)  # (k, 5)
+    S5 = embed_lorentz3(spheres)  # (k, 5)
     qf = minkowski_inner(net.lifts.data, Q5)  # <Q, F> per vertex
     Z = S5[:, None, :] - alpha * qf[:, :, None] * net.lifts.data
     quantity = ConservedQuantity.linear(net, Q5, Z)
 
-    qm = inner3(Q, meridian.points)  # <Q, M>, bitwise as meridian_step computes it
+    qm = inner3(Q, points)  # <Q, M>, bitwise as meridian_step computes it
     crossed = qm[1:] * qm[:-1] < 0
     crossed[steps_each_dir] = False  # the seed edge is no meridian step
     if crossed.any():

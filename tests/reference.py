@@ -28,7 +28,7 @@ from isothermic.errors import (
 from isothermic.grids import EdgeFunction, VertexField
 from isothermic.minkowski import cross_ratio_matrix
 from isothermic.nets import IsothermicNet
-from isothermic.revolution import Meridian, SeedSolution
+from isothermic.revolution import SeedSolution
 from isothermic.tolerances import Check, tol
 
 
@@ -197,10 +197,15 @@ def solve_dense(A, b):
     return M[:, k].copy()
 
 
-def meridian_validate(meridian) -> float:
-    """``Meridian.validate`` on the (k, 3) arrays of the meridian."""
-    M, S, Q = meridian.points, meridian.spheres, meridian.space_form
-    alpha, c, H = meridian.alpha, meridian.edge_weight, meridian.mean_curvature
+def meridian_residual(M, S, Mn, Sn, Q, alpha: float, c: float, H: float) -> float:
+    """``revolution._meridian_residual`` on the (k, 3) arrays of the meridian:
+    its points and spheres are the first of M and S followed by Mn and Sn,
+    each given as three components, scalars or columns of edges."""
+    def rows(x):
+        return np.asarray(x, dtype=float).T.reshape(-1, 3)
+
+    M, S = (np.concatenate([rows(x)[:1], rows(xn)]) for x, xn in ((M, Mn), (S, Sn)))
+    Q = np.asarray(Q, dtype=float)
     dM = M[1:] - M[:-1]
     Mavg = (M[1:] + M[:-1]) / 2.0
     dS = S[1:] - S[:-1]
@@ -271,8 +276,7 @@ def seed_edge(Q, H: float, M0, M1) -> list:
         S1 = basis.T @ x1
         c = alpha * d2 / 2.0
         sol = SeedSolution(float(alpha), S0, S1, float(c))
-        resid = meridian_validate(Meridian(np.stack([M0, M1]), np.stack([S0, S1]), Q,
-                                           float(alpha), float(c), H))
+        resid = meridian_residual(M0, S0, M1, S1, Q, float(alpha), float(c), H)
         Check("seed solve inconsistent", resid,
               tol(10.0 * (1.0 + abs(alpha)) * (1.0 + qscale) ** 2)).require(ConstraintViolated)
         out.append(sol)

@@ -516,6 +516,35 @@ def test_generate_inadmissible_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_classify_skips_a_quantity_it_cannot_label(tmp_path, capsys):
+    """The zigzag plane's linear quantity holds on every edge, but its top
+    coefficient is isotropic, so it cannot be normalized and has no
+    (H, kappa): classify prints the type and no label for it."""
+    net = catalog.zigzag_net(4, 4, 0.3, 0.5, 0.7)
+    path = tmp_path / "zigzag.json"
+    save_net(path, net, [catalog.zigzag_quantity(net)])
+    assert run(["classify", path]) == 0
+    assert capsys.readouterr().out == "type: unknown (1 verified candidate(s), degenerate=True)\n"
+
+
+def test_generate_refuses_a_seed_it_cannot_use(tmp_path, capsys):
+    """A seed branch the seed edge does not have, and a --seed-edge whose
+    points lie off the hyperboloid so that the seed's normalization scale
+    is negative, each exit 2 with one error line and write nothing."""
+    out = tmp_path / "net.json"
+    assert run(["generate", "revolution", "--H", 0, "--kappa", 0, "--branch", 1,
+                "-o", out]) == 2
+    assert capsys.readouterr().err == ("verification error: seed branch 1 not available "
+                                       "(1 solution(s))\n")
+    seed = tmp_path / "seed.json"
+    seed.write_text('{"M0": [-1, -1, -1], "M1": [-1, -1, 0]}')
+    assert run(["generate", "revolution", "--H", 0, "--kappa", 0, "--seed-edge", seed,
+                "-o", out]) == 2
+    assert capsys.readouterr().err == ("verification error: seed normalization scale "
+                                       "A = -13.8 is not positive\n")
+    assert not out.exists()
+
+
 def test_classify_spherical(tmp_path, capsys):
     net = catalog.planar_grid_net(4, 4)
     path = tmp_path / "plane.json"

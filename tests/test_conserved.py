@@ -62,7 +62,7 @@ def test_pcq_verify_detects_perturbation():
     net, cq = cylinder_with_quantity()
     coeffs = cq.coeffs.copy()
     coeffs[2, 2, 1, 1] += 1e-4
-    report = pcq_verify(net, coeffs)
+    report = pcq_verify(net, ConservedQuantity(net, coeffs, check=False))
     assert not report.ok
     assert report.value > 1e-6
 

@@ -180,8 +180,9 @@ def test_bp_sphere_planes_for_minimal():
 
 def test_classify_cmc_labels():
     net, cq, _ = cylinder_euclidean()
-    assert classify_cmc(cq).label == "cmc-euclidean"
-    assert classify_cmc(cq).lawson_invariant == pytest.approx(0.25, abs=1e-12)
+    label = classify_cmc(cq)
+    assert label.label == "cmc-euclidean"
+    assert label.H * label.H + label.kappa == pytest.approx(0.25, abs=1e-12)
 
     # Lawson shift by mu = 1/2: H = 0, kappa = 1/4 (a minimal net in the
     # spherical space form)
@@ -213,7 +214,8 @@ def test_lawson_family_keeps_invariant(rng):
     for mu in (-0.4, 0.2, 0.9):
         frame, _ = calapso(net, mu)
         shifted = calapso_pcq(cq, frame)
-        assert classify_cmc(shifted).lawson_invariant == pytest.approx(0.25, abs=1e-9)
+        label = classify_cmc(shifted)
+        assert label.H * label.H + label.kappa == pytest.approx(0.25, abs=1e-9)
 
 
 def test_complementary_at_2h_is_christoffel():

@@ -15,7 +15,7 @@ from hypothesis.extra.numpy import arrays
 from isothermic import catalog, netfile, objexport
 from isothermic.errors import DimensionMismatch, ModelMismatch, ParseError
 from isothermic.grids import EdgeFunction, VertexField, face_stack
-from isothermic.minkowski import embed_lorentz3, hyperbolic_point
+from isothermic.minkowski import embed_lorentz3, hyperbolic_point, minkowski_inner, norm2
 from isothermic.netfile import load_net, net_to_document, save_net
 from isothermic.nets import IsothermicNet, verify_isothermic
 from isothermic.objexport import export_obj
@@ -675,6 +675,26 @@ def test_export_poincare(tmp_path):
     flagged_ids = {v[0] * net.domain.cols + v[1] for v, _ in flagged}
     inside = [i for i in range(len(coords)) if i not in flagged_ids]
     assert np.all(np.linalg.norm(coords[inside], axis=1) < 1.0)
+
+
+@pytest.mark.filterwarnings("ignore:meridian crossed")
+def test_export_poincare_picks_the_majority_sheet(tmp_path):
+    """Reflecting the lifts in Q, F -> F - 2<F, Q>/<Q, Q> Q, negates <F, Q>
+    and so every chart coordinate, which swaps the sheets of the hyperboloid:
+    exactly one of the two exports flips to the majority sheet, and both
+    write the same file and flag the same vertices.  The net is that of
+    ``generate revolution --H 0.3 --kappa -1 --steps 10 --angles 24``."""
+    Q3 = default_space_form(-1.0)
+    M0, M1, branch = find_seed_edge(Q3, 0.3)
+    net, cq = build_revolution_cmc(Q3, 0.3, M0, M1, 10,
+                                   RotationProfile.uniform(24, 2.0 * np.pi / 24), branch)
+    Q, F = cq.constant, net.lifts.data
+    reflected = IsothermicNet(
+        VertexField(F - (2.0 * minkowski_inner(F, Q) / norm2(Q))[..., None] * Q), net.weights)
+    flagged = export_obj(net, Q, "poincare", tmp_path / "a.obj")
+    assert export_obj(reflected, Q, "poincare", tmp_path / "b.obj") == flagged
+    assert len(flagged) == 240
+    assert (tmp_path / "a.obj").read_bytes() == (tmp_path / "b.obj").read_bytes()
 
 
 def test_export_stereographic(tmp_path):

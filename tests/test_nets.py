@@ -6,6 +6,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import centred_zigzag, darboux_stacked_net
 from isothermic import catalog, nets, revolution
@@ -31,6 +32,7 @@ from isothermic.nets import (
     vertex_star_cospherical,
 )
 from isothermic.revolution import RotationProfile, revolution_lift
+from isothermic.tolerances import tol
 from reference import (
     circle_identity_check,
     edge_connection,
@@ -257,10 +259,10 @@ def test_calapso_identity_and_transform(rng):
     rep = verify_isothermic(transformed.lifts)
     assert rep.ok
     # the reconstructed weights match a/(1 - mu a) up to one global factor
-    target = net.weights.calapso_shifted(mu)
-    ratio = target.u / rep.weights.u
+    u, v = net.weights.u, net.weights.v
+    ratio = (u / (1.0 - mu * u)) / rep.weights.u
     np.testing.assert_allclose(ratio, ratio[0], rtol=1e-9)
-    np.testing.assert_allclose(target.v / rep.weights.v, ratio[0], rtol=1e-9)
+    np.testing.assert_allclose((v / (1.0 - mu * v)) / rep.weights.v, ratio[0], rtol=1e-9)
 
 
 def test_calapso_group_property():
@@ -303,6 +305,66 @@ def test_moutard_lift_determines_cross_ratio(rng):
     F = face_stack(net.lifts.data)
     expected = minkowski_inner(F[:, :, 0], F[:, :, 1]) / minkowski_inner(F[:, :, 0], F[:, :, 3])
     np.testing.assert_allclose(cross_ratios(F), expected, rtol=1e-10)
+
+
+def test_calapso_shifted_weights_refuse_a_pole():
+    """The Calapso transform stores a / (1 - mu a), which has a pole where
+    mu a = 1 on some edge, here mu 2 on the vertical weight 0.5: the edge
+    connections refuse it, naming the edge.  The planar net has rectangular
+    faces with sides sqrt(1/2), 1/2 and 1, so its weights are u = (1/2, 1/4)
+    and v = -1."""
+    x = np.array([0.0, np.sqrt(0.5), np.sqrt(0.5) + 0.5])
+    pts = np.stack(np.broadcast_arrays(x[:, None], np.arange(2.0)[None, :], 0.0), axis=-1)
+    net = IsothermicNet(VertexField(euclidean_lift(pts)), EdgeFunction([0.5, 0.25], [-1.0]))
+    _, shifted = calapso(net, 1.0)
+    np.testing.assert_array_equal(shifted.weights.u, [1.0, 1.0 / 3.0])
+    np.testing.assert_array_equal(shifted.weights.v, [-0.5])
+    with pytest.raises(PoleParameter, match=re.escape("parameter 2.0 is a pole of edge "
+                                                      "((0, 0), (1, 0))")):
+        calapso(net, 2.0)
+
+
+WEIGHTS = st.lists(st.builds(lambda size, sign: size * sign, st.floats(1e-3, 1e3),
+                             st.sampled_from([-1.0, 1.0])), min_size=1, max_size=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(u=WEIGHTS, v=WEIGHTS, pick=st.integers(0, 5),
+       gap=st.one_of(st.floats(-2e-6, 2e-6), st.integers(-2000, 2000).map(lambda k: k * 1e-9)))
+def test_one_pole_rule_covers_both_floors(u, v, pick, gap):
+    """``edge_connections`` refuses lam = (1 - gap) / a near the pole of a
+    weight a wherever either earlier floor did, |1 - lam a| <= tol(1 + |lam a|)
+    on that edge or <= tol(1 + max |a|) (the Calapso weights' own check),
+    and names the first edge of its rule |1 - lam a| <= tol(1 + |lam a| +
+    max |a|): the stack along +m row by row, then the stack along +n."""
+    a = np.array(u + v)
+    lam = (1.0 - gap) / a[pick % len(a)]
+    q = np.abs(1.0 - lam * a)
+    largest = float(np.abs(a).max())
+    refused = q <= tol(1.0 + np.abs(lam * a) + largest)
+    assert (refused | ~((q <= tol(1.0 + np.abs(lam * a))) | (q <= tol(1.0 + largest)))).all()
+    net = IsothermicNet(catalog.planar_grid_net(len(u) + 1, len(v) + 1).lifts,
+                        EdgeFunction(u, v))
+    if not refused.any():
+        edge_connections(net, lam)
+        return
+    k = int(np.argmax(refused))
+    edge = ((k, 0), (k + 1, 0)) if k < len(u) else ((0, k - len(u)), (0, k - len(u) + 1))
+    with pytest.raises(PoleParameter, match=re.escape(f"parameter {lam} is a pole of edge {edge}")):
+        edge_connections(net, lam)
+
+
+@pytest.mark.parametrize("gap", [5e-7, 1e-8])
+def test_calapso_blames_the_parameter_near_a_pole(gap):
+    """On the cylinder with weights u = -900 and v = 0.152, mu = (1 - gap) / v
+    lies in the pole band of v, which widens with the largest weight: the
+    edge connections refuse mu, naming an edge, before the sweep could call
+    the net not flat."""
+    net = catalog.cylinder_net(3, 3, 60.0, 0.8)
+    mu = (1.0 - gap) / net.weights.v[0]
+    with pytest.raises(PoleParameter, match=re.escape(f"parameter {mu} is a pole of edge "
+                                                      "((0, 0), (0, 1))")):
+        calapso(net, mu)
 
 
 def test_edge_connection_pole_and_calapso_pole():

@@ -18,6 +18,7 @@ from conftest import centred_cylinder
 from isothermic import catalog, cli, revolution
 from isothermic.conserved import ConservedQuantity, mean_curvature_data, pcq_verify
 from isothermic.errors import (
+    AxisCrossing,
     AxisPoint,
     ConstraintViolated,
     DegenerateBasis,
@@ -39,7 +40,6 @@ from isothermic.netfile import load_net
 from isothermic.nets import IsothermicNet, moutard_check, verify_isothermic
 from isothermic.polyvec import mp_inner_vec
 from isothermic.revolution import (
-    Meridian,
     RotationProfile,
     build_revolution_cmc,
     closure_defect,
@@ -207,9 +207,8 @@ def test_seed_edge_generic_two_solutions(rng):
     for sol in sols:
         assert abs(float(norm3(sol.sphere0)) - 1.0) < 1e-9
         assert abs(float(norm3(sol.sphere1)) - 1.0) < 1e-9
-        meridian = Meridian(np.stack([M0, M1]), np.stack([sol.sphere0, sol.sphere1]),
-                            Q_FLAT, sol.alpha, sol.edge_weight, 0.35)
-        assert meridian.validate() < 1e-9
+        assert reference.meridian_residual(M0, sol.sphere0, M1, sol.sphere1, Q_FLAT,
+                                           sol.alpha, sol.edge_weight, 0.35) < 1e-9
 
 
 def test_seed_edge_constraint_violated():
@@ -227,6 +226,24 @@ def test_seed_edge_boundary_and_basis_errors():
     M1 = hyperbolic_point(0.3, 1.0)
     with pytest.raises(DegenerateBasis):
         seed_edge(M0 + M1, 0.2, M0, M1)
+
+
+@pytest.mark.parametrize("H, M0, M1, error, message", [
+    (0.0, [-1.0, -1.0, -1.0], [-1.0, -1.0, 0.0], DegenerateBasis,
+     "seed normalization scale A = -13.8 is not positive"),
+    (1.0, [1.0, 0.0, 0.0], [2.0, 0.0, 0.0], ConstraintViolated,
+     "equality case with H^2 = Delta / gram(M0, M1): no nonzero factor"),
+    (0.5, [-1e5, -1e5, -1e5], [-1e5, -1e5, 5e4], ConstraintViolated,
+     "both normalization factors vanish"),
+])
+def test_seed_edge_refuses_points_off_the_hyperboloid(H, M0, M1, error, message):
+    """``seed_edge`` takes its points as given, as a ``--seed-edge`` file
+    passes them: off the hyperboloid |M|^2 = -1 the normalization scale A
+    can be negative, the double root zero, or, for points of length s, both
+    roots of size 1/s^2 vanish.  Each is refused with its own message; on
+    the hyperboloid A is positive."""
+    with pytest.raises(error, match=re.escape(message)):
+        seed_edge(Q_FLAT, H, np.array(M0), np.array(M1))
 
 
 def test_meridian_step_postconditions():
@@ -461,11 +478,17 @@ M_GUARD = hyperbolic_point(0.1, 0.9)
     # S = -c (Q + <Q, M> M) makes the auxiliary sphere X vanish
     ((M_GUARD, -0.1 * (Q_FLAT + inner3(Q_FLAT, M_GUARD) * M_GUARD)), Q_FLAT, 0.1, 0.0, 0.0,
      VanishingX, "auxiliary sphere vanishes"),
+    ((M_GUARD, [0.0, 0.0, 1.0]), Q_FLAT, 0.5, 2.0, 0.0, ConstraintViolated,
+     "propagation gate 1 - 2cH - c^2 kappa = -1 is negative"),
+    # a point on the other sheet of the hyperboloid steps along that sheet
+    ((-M_GUARD, [0.0, 0.0, 1.0]), Q_FLAT, 0.1, 0.0, 0.0, AxisCrossing,
+     "next meridian point left the hyperbolic half plane"),
 ])
 def test_meridian_step_guards(state, Q, c, H, kappa, error, message):
-    """Each guard of a meridian step, in the order it checks them: the sign
-    of c / alpha, a point on the infinity boundary, a zero propagation gate
-    and a vanishing auxiliary sphere."""
+    """Each guard of a meridian step: the sign of c / alpha, a point on the
+    infinity boundary, a zero propagation gate, a vanishing auxiliary
+    sphere, a negative propagation gate and a next point off the hyperbolic
+    half plane."""
     with pytest.raises(error, match=re.escape(message)):
         meridian_step(state, Q, 1.0, c, H, kappa, prev=hyperbolic_point(0.0, 1.0))
 
@@ -532,8 +555,8 @@ def test_constructor_is_the_array_oracle_bitwise(H, kappa, found, ends, branch, 
         seed = (hyperbolic_point(*ends[:2]), hyperbolic_point(*ends[2:]), branch)
     scalar = _constructor_outcomes(Q, H, seed, steps, angles)
     with mock.patch.multiple(revolution, seed_edge=reference.seed_edge,
-                             meridian_step=reference.meridian_step), \
-            mock.patch.object(revolution.Meridian, "validate", reference.meridian_validate):
+                             meridian_step=reference.meridian_step,
+                             _meridian_residual=reference.meridian_residual):
         oracle = _constructor_outcomes(Q, H, seed, steps, angles)
     # The oracle's step warns at each crossing, the library's never; a build
     # that completes warns once, with as many steps as the oracle warned of.

@@ -37,6 +37,7 @@ from isothermic.grids import EdgeFunction, VertexField
 from isothermic.netfile import load_net
 from isothermic.nets import IsothermicNet, calapso, edge_connections, verify_isothermic
 from isothermic.polyvec import mp_eval, mp_scale_poly
+from isothermic.tolerances import tol
 from isothermic.transforms import (
     DarbouxTransform,
     backlund_init,
@@ -276,6 +277,21 @@ def test_complementary_of_a_zero_or_constant_norm_is_empty():
     assert complementary(ConservedQuantity(net, np.zeros((3, 3, 2, 5)))) == []
     plane = np.broadcast_to([0.0, 0.0, 0.0, 1.0, 0.0], (3, 3, 1, 5))
     assert complementary(ConservedQuantity(net, plane)) == []
+
+
+def test_complementary_trims_a_vanishing_top_coefficient():
+    """The zigzag quantity has an isotropic top coefficient, so |P(lam)|^2
+    is linear up to rounding, 64 - 4 lam: its lam^2 coefficient is trimmed
+    before the roots are taken, which leaves the one root 16, where P is an
+    isotropic section."""
+    net = catalog.zigzag_net(4, 4, 0.3, 0.5, 0.7)
+    zz = catalog.zigzag_quantity(net)
+    poly = zz.norm_poly()
+    assert abs(poly[2]) <= tol(float(np.abs(poly).max()))
+    (comp,) = complementary(zz)
+    assert (comp.mu, comp.multiplicity) == (pytest.approx(-poly[0] / poly[1], rel=1e-12), 1)
+    assert comp.mu == pytest.approx(16.0, rel=1e-12)
+    assert np.abs(norm2(comp.lifts.data)).max() <= tol(float(np.abs(comp.lifts.data).max()) ** 2)
 
 
 def test_complementary_antipodality():
