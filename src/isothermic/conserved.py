@@ -25,16 +25,16 @@ from .errors import (
     NotNormalized,
     SphericalStar,
 )
-from .grids import VertexField, edge_stacks, sweep_integrate, sweep_propagate
+from .grids import EdgeFunction, VertexField, edge_stacks, sweep_integrate, sweep_propagate
 from .minkowski import SIGNATURE, _dot, minkowski_inner, norm2, span_normal
 from .nets import IsothermicNet
 from .polyvec import (
     mp_divide_linear,
     mp_divide_one_minus,
     mp_eval,
+    mp_inner_poly,
     mp_inner_vec,
     mp_max_coeff,
-    mp_norm_poly,
     mp_scale_arg,
 )
 from .tolerances import Check, tol
@@ -102,7 +102,7 @@ class ConservedQuantity:
 
     def _norm_polys(self, s: float) -> np.ndarray:
         """|P(lam)|^2 at every vertex, which must spread by at most tol(s^2)."""
-        np_all = mp_norm_poly(self.coeffs)
+        np_all = mp_inner_poly(self.coeffs, self.coeffs)
         Check("|P|^2 varies over vertices", float(np.abs(np_all - np_all.mean(axis=(0, 1))).max()),
               tol(s * s)).require(NotConserved)
         return np_all
@@ -115,10 +115,11 @@ class ConservedQuantity:
         return float(self.norm_poly()[-1])
 
 
-def pcq_residual(net: IsothermicNet, coeffs) -> float:
-    """Worst coefficientwise residual of the edge condition, relative to the
-    coefficient scale."""
-    coeffs = np.asarray(coeffs, dtype=float)
+def pcq_verify(net: IsothermicNet, quantity: ConservedQuantity) -> Check:
+    """The conserved-quantity edge condition as a check, never raised: the
+    worst coefficientwise residual of the edge condition, relative to the
+    coefficient scale, against tol(1)."""
+    coeffs = quantity.coeffs
     k = coeffs.shape[2]
     F = net.lifts.data
     p = mp_inner_vec(coeffs, F[:, :, None, :])  # <P, F>(lam) at every vertex
@@ -133,14 +134,8 @@ def pcq_residual(net: IsothermicNet, coeffs) -> float:
             if l:
                 r = r - w * (pj[..., l - 1, None] * Fi - pi[..., l - 1, None] * Fj)
             worst = np.maximum(worst, np.abs(r).max(initial=0.0))
-    return float(worst) / (1.0 + mp_max_coeff(coeffs))
-
-
-def pcq_verify(net: IsothermicNet, quantity: ConservedQuantity) -> Check:
-    """The conserved-quantity edge condition as a check, never raised: the
-    :func:`pcq_residual` of the quantity's coefficients against tol(1)."""
     return Check("edge condition of the conserved quantity",
-                 pcq_residual(net, quantity.coeffs), tol(1.0))
+                 float(worst) / (1.0 + mp_max_coeff(coeffs)), tol(1.0))
 
 
 def pcq_propagate(net: IsothermicNet, seed, basepoint=None) -> ConservedQuantity:
@@ -212,7 +207,9 @@ def reparametrize(cq: ConservedQuantity, alpha: float) -> ConservedQuantity:
     same net with edge weights alpha * a."""
     if alpha == 0.0:
         raise ValueError("alpha must be nonzero")
-    net = IsothermicNet(cq.net.lifts.copy(), cq.net.weights.scaled(alpha))
+    weights = cq.net.weights
+    net = IsothermicNet(VertexField(cq.net.lifts.data.copy()),
+                        EdgeFunction(weights.u * alpha, weights.v * alpha))
     return ConservedQuantity(net, mp_scale_arg(cq.coeffs, alpha))
 
 
@@ -255,8 +252,8 @@ def mean_curvature_data(cq: ConservedQuantity):
 # --- sphere-congruence propagation and linear solvers -----------------------
 
 
-def propagate_congruence(net: IsothermicNet, Q, Z0, basepoint) -> VertexField:
-    """Propagate a vertex congruence from its value at the basepoint by
+def propagate_congruence(net: IsothermicNet, Q, basepoint) -> VertexField:
+    """Propagate a vertex congruence from zero at the basepoint by
 
         Z_j = Z_i + a_ij / <F_i, F_j> * ( <Q, F_j> F_i - <Q, F_i> F_j ),
 
@@ -274,7 +271,6 @@ def propagate_congruence(net: IsothermicNet, Q, Z0, basepoint) -> VertexField:
               for (Fi, Fj), a, (qi, qj) in zip(edge_stacks(F), net.weights.stacks(),
                                                edge_stacks(QF))]
     Z, worst, edge = sweep_integrate(dom, wu, wv, basepoint)
-    Z += np.asarray(Z0, dtype=float)
     Check("congruence propagation is path dependent", worst,
           tol(1.0 + float(np.abs(Z).max())), edge).require(NotConserved)
     return VertexField(Z)
@@ -304,7 +300,7 @@ def lcq_solve_grid(net: IsothermicNet, Q, basepoint=None):
 
     # propagation is affine in the start value with trivial linear part:
     # Z(v) = Z(base) + W(v) with W independent of the start.
-    W = propagate_congruence(net, Q, np.zeros(5), basepoint)
+    W = propagate_congruence(net, Q, basepoint)
 
     m, n = basepoint
     star = [(m, n), (m + 1, n), (m - 1, n), (m, n + 1), (m, n - 1),

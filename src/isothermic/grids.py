@@ -116,9 +116,6 @@ class VertexField:
         mi, ni = self.domain.index(v)
         return self.data[mi, ni]
 
-    def copy(self):
-        return VertexField(self.data.copy())
-
 
 class EdgeFunction:
     """Symmetric edge weights with equal values on opposite face edges.
@@ -153,9 +150,6 @@ class EdgeFunction:
         """The weights on the two edge stacks, shaped (rows-1, 1) and
         (1, cols-1) to broadcast against them."""
         return self.u[:, None], self.v[None, :]
-
-    def scaled(self, factor: float) -> "EdgeFunction":
-        return EdgeFunction(self.u * factor, self.v * factor)
 
     def max_abs(self) -> float:
         return float(max(np.abs(self.u).max(initial=0.0), np.abs(self.v).max(initial=0.0)))

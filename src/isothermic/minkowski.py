@@ -89,75 +89,10 @@ def spaceform_point(F, Q):
 
 
 class QuadInvariants(NamedTuple):
-    """Per-quadruple results of :func:`quad_invariants`, arrays of shape (...)."""
+    """Per-quadruple results of :func:`invariants_from_products`, arrays of shape (...)."""
 
     q: np.ndarray
     regularity: np.ndarray
-
-
-def quad_invariants(V) -> QuadInvariants:
-    """Cross ratio and regularity of stacked quadruples of points.  ``V`` has
-    shape (..., 4, 5), one quadruple of isotropic representatives per
-    leading index; :func:`face_products` and :func:`edge_quad_products` take
-    the quadruples of vertex arrays without stacking them.
-
-    With <ij> the products of the unit representatives U_i = V_i / |V_i|
-    and
-
-        a = <12><34>,   b = <13><24>,   c = <14><23>,
-
-    the fields are
-
-    - ``q``: the cross ratio, with real part (a - b + c) / 2c.  The Gram
-      determinant of the quadruple is det = a^2 + b^2 + c^2 - 2ab - 2bc - 2ca,
-      which equals (x - y - z)^2 - 4yz for every order x, y, z of a, b, c
-      and is evaluated with x the largest in size, where the square cancels
-      least; four points off a common circle span four dimensions with
-      det < 0, and the imaginary part is then sqrt(-det) / 2|c| (the
-      canonical branch, positive).  Concircularity decides which
-      quadruples get it: U_4 is projected onto the span of U_1, U_2, U_3
-      with the closed-form inverse (cofactors over determinant) of their
-      Gram matrix M, which for isotropic vectors has zero diagonal and
-      determinant 2<12><13><23>, so that
-
-          R = U_4 - alpha_1 U_1 - alpha_2 U_2 - alpha_3 U_3,
-          alpha_1 = (a + b - c) / 2<12><13>,
-          alpha_2 = (a - b + c) / 2<12><23>,
-          alpha_3 = (b + c - a) / 2<13><23>.
-
-      |R| is linear in the off-circle distance; a quadruple with
-      |R| <= tol(1 + sum |alpha|) is concircular to working precision and
-      keeps a real cross ratio.  M keeps its computed diagonal, so lifts
-      slightly off the light cone that still span three dimensions count
-      as concircular.  a, b and c all scale with the product of the four
-      representatives and are Lorentz invariant, so ``q`` does not change
-      under rescaling of a representative or a Möbius map of the points.
-    - ``regularity``: min |<ij>| / max |<ij>| over the six pairs.  Two
-      isotropic vectors are orthogonal only when proportional, and three
-      have Gram determinant 2<12><13><23>, so this is 0 exactly when two
-      points coincide and positive exactly when every triple of the
-      quadruple is in general position.  It is quadratic in the side ratio
-      of a thin quadruple, rescaling invariant and, through the unit
-      representatives, chart dependent.  A product no larger than the
-      noise of the products, the lifts' own isotropy defect max |<ii>| plus
-      a few rounding units, cannot tell two points apart and counts as 0.
-
-    Each product is summed in the fixed order of :func:`_inner` and carries
-    a rounding error of a few units, so a quadruple whose products are small
-    against the representatives' norms (small faces far from the origin of
-    the chart) loses digits to it.
-
-    Raises
-    ------
-    DegeneratePoints
-        If a representative is zero.
-    NonFiniteLift
-        If a representative holds a NaN or infinite entry.
-    """
-    U, s = _units(V)
-    corners = tuple(U[..., k, :] for k in range(4))
-    products = tuple(_inner(x, y) for x, y in itertools.combinations(corners, 2))
-    return invariants_from_products(corners, products, tuple(s[..., k] for k in range(4)))
 
 
 def face_products(data):
@@ -228,8 +163,55 @@ def _units(V):
 
 
 def invariants_from_products(corners, products, selfs) -> QuadInvariants:
-    """The fields of :func:`quad_invariants` from the unit corners U_1 .. U_4,
-    their pair products 12, 13, 14, 23, 24, 34 and their self-products."""
+    """Cross ratio and regularity of stacked quadruples of points, from the
+    unit corners U_i = V_i / |V_i| of their representatives, the pair
+    products 12, 13, 14, 23, 24, 34 and the self-products of the corners, as
+    :func:`cross_ratios`, :func:`face_products` and :func:`edge_quad_products`
+    take them.  With <ij> the products of the unit representatives and
+
+        a = <12><34>,   b = <13><24>,   c = <14><23>,
+
+    the fields are
+
+    - ``q``: the cross ratio, with real part (a - b + c) / 2c.  The Gram
+      determinant of the quadruple is det = a^2 + b^2 + c^2 - 2ab - 2bc - 2ca,
+      which equals (x - y - z)^2 - 4yz for every order x, y, z of a, b, c
+      and is evaluated with x the largest in size, where the square cancels
+      least; four points off a common circle span four dimensions with
+      det < 0, and the imaginary part is then sqrt(-det) / 2|c| (the
+      canonical branch, positive).  Concircularity decides which
+      quadruples get it: U_4 is projected onto the span of U_1, U_2, U_3
+      with the closed-form inverse (cofactors over determinant) of their
+      Gram matrix M, which for isotropic vectors has zero diagonal and
+      determinant 2<12><13><23>, so that
+
+          R = U_4 - alpha_1 U_1 - alpha_2 U_2 - alpha_3 U_3,
+          alpha_1 = (a + b - c) / 2<12><13>,
+          alpha_2 = (a - b + c) / 2<12><23>,
+          alpha_3 = (b + c - a) / 2<13><23>.
+
+      |R| is linear in the off-circle distance; a quadruple with
+      |R| <= tol(1 + sum |alpha|) is concircular to working precision and
+      keeps a real cross ratio.  M keeps its computed diagonal, so lifts
+      slightly off the light cone that still span three dimensions count
+      as concircular.  a, b and c all scale with the product of the four
+      representatives and are Lorentz invariant, so ``q`` does not change
+      under rescaling of a representative or a Möbius map of the points.
+    - ``regularity``: min |<ij>| / max |<ij>| over the six pairs.  Two
+      isotropic vectors are orthogonal only when proportional, and three
+      have Gram determinant 2<12><13><23>, so this is 0 exactly when two
+      points coincide and positive exactly when every triple of the
+      quadruple is in general position.  It is quadratic in the side ratio
+      of a thin quadruple, rescaling invariant and, through the unit
+      representatives, chart dependent.  A product no larger than the
+      noise of the products, the lifts' own isotropy defect max |<ii>| plus
+      a few rounding units, cannot tell two points apart and counts as 0.
+
+    Each product is summed in the fixed order of :func:`_inner` and carries
+    a rounding error of a few units, so a quadruple whose products are small
+    against the representatives' norms (small faces far from the origin of
+    the chart) loses digits to it.
+    """
     # one contiguous array each, rows of which the arithmetic below runs on
     products, selfs = np.array(products), np.array(selfs)
     g12, g13, g14, g23, g24, g34 = products
@@ -262,7 +244,7 @@ def invariants_from_products(corners, products, selfs) -> QuadInvariants:
 
 
 def _regularity(products, selfs):
-    """The ``regularity`` of :func:`quad_invariants` from the six products and
+    """The ``regularity`` of :func:`invariants_from_products` from the six products and
     the four self-products of unit representatives, stacked on axis 0."""
     absg = np.abs(products)
     gmin, gmax = absg.min(axis=0), absg.max(axis=0)
@@ -271,7 +253,7 @@ def _regularity(products, selfs):
 
 
 def regularity_tol() -> float:
-    """Largest ``regularity`` of :func:`quad_invariants` that counts as 0:
+    """Largest ``regularity`` of :func:`invariants_from_products` that counts as 0:
     tol(1)^2, since the measure is quadratic in the side ratio of a thin
     quadruple."""
     return tol(1.0) ** 2
@@ -294,7 +276,7 @@ def cross_ratios(V):
     """Cross ratios of quadruples of points stacked by the caller: ``V`` has
     shape (..., 4, 5), one quadruple of isotropic representatives per leading
     index, and the result is a complex array of shape (...), the checked
-    ``q`` of :func:`quad_invariants`.  With a = <12><34>, b = <13><24>,
+    ``q`` of :func:`invariants_from_products`.  With a = <12><34>, b = <13><24>,
     c = <14><23> from the products of the unit representatives,
 
         q = ( a - b + c + sqrt(det) ) / 2c,   det = a^2 + b^2 + c^2 - 2ab - 2bc - 2ca,
@@ -309,8 +291,13 @@ def cross_ratios(V):
         If a representative is zero, or two points of some quadruple
         coincide: its regularity min |<ij>| / max |<ij>| is at most
         :func:`regularity_tol`; the error names the quadruple's index.
+    NonFiniteLift
+        If a representative holds a NaN or infinite entry.
     """
-    inv = quad_invariants(V)
+    U, s = _units(V)
+    corners = tuple(U[..., k, :] for k in range(4))
+    products = tuple(_inner(x, y) for x, y in itertools.combinations(corners, 2))
+    inv = invariants_from_products(corners, products, tuple(s[..., k] for k in range(4)))
     regularity_floor("a quadruple has three nearly dependent lifts", inv.regularity,
                      lambda index: tuple(map(int, index)) or None).require(DegeneratePoints)
     return inv.q

@@ -174,8 +174,8 @@ def verify_isothermic(lifts: VertexField, *, strict: bool = True) -> IsothermicR
 
 def face_regularity(lifts: VertexField) -> float:
     """Smallest normalized pairwise product min |<ij>| / max |<ij>| over all
-    faces (the ``regularity`` of :func:`minkowski.quad_invariants`, from
-    unit representatives, so the measure is scaling invariant).  Three
+    faces (the ``regularity`` of :func:`minkowski.invariants_from_products`,
+    from unit representatives, so the measure is scaling invariant).  Three
     isotropic vectors have Gram determinant 2<12><13><23>, so every corner
     triple of a face is in general position exactly when its six products
     are away from 0; a regular net keeps this above

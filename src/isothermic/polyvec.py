@@ -53,11 +53,6 @@ def mp_inner_poly(c1, c2):
     return out
 
 
-def mp_norm_poly(coeffs):
-    """Real polynomial |P(lam)|^2."""
-    return mp_inner_poly(coeffs, coeffs)
-
-
 def mp_scale_poly(coeffs, p):
     """Multiply a vector polynomial by a real polynomial."""
     c = np.asarray(coeffs, dtype=float)

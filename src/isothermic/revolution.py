@@ -228,6 +228,9 @@ def seed_edge(Q, H: float, M0, M1) -> list[SeedSolution]:
     Mavg = [(a + b) / 2.0 for a, b in zip(m0, m1)]
     d2 = float(_dot3(dM, dM))
     gram_mm = float(1.0 - _dot3(m0, m1) ** 2)  # det of the 2x2 Gram of (M0, M1), < 0
+    # off the hyperboloid, distinct points can have <M0, M1>^2 = 1
+    Check("seed points with <M0, M1>^2 = 1", abs(gram_mm), tol(1.0),
+          floor="|1 - <M0, M1>^2|").require(DegenerateBasis)
     cc = d2 * float(_dot3(Mavg, q))
     bb = -d2 * (float(_dot3(Mavg, Mavg)) * qm0 * qm1 + 2.0 * float(_dot3(Mavg, q)) ** 2)
     aa = -(bb * bb - delta * cc * cc) / gram_mm
@@ -239,7 +242,10 @@ def seed_edge(Q, H: float, M0, M1) -> list[SeedSolution]:
     Check("mean curvature too large for this edge: C^2 H^2 - A", -margin,
           tol(scale)).require(ConstraintViolated)
     margin = max(margin, 0.0)
-    disc = np.sqrt(delta * (-margin)) / aa  # delta < 0, so the radicand is >= 0
+    # on the hyperboloid delta < 0, so the radicand delta (C^2 H^2 - A) is >= 0
+    Check("no real normalization factor: -Delta (C^2 H^2 - A)", delta * margin,
+          0.0).require(ConstraintViolated)
+    disc = np.sqrt(delta * (-margin)) / aa
     center = -bb * H / aa
     if margin <= tol(scale):
         # double root; it must not vanish

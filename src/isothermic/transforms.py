@@ -328,18 +328,13 @@ def complementary(cq: ConservedQuantity) -> list[ComplementaryNet]:
     Each entry with lifts is an isotropic parallel section, i.e. a
     Backlund transform of the net; for a normalized linear quantity the
     roots are H +- sqrt(H^2 + kappa), so their count tracks the sign of
-    H^2 + kappa.  Roots come from companion-matrix eigenvalues; a root is
-    accepted as real when |imag| <= 1e-7 (1 + |real|), and roots are merged
-    into multiplicity clusters of radius 1e-6.
+    H^2 + kappa.  Trailing coefficients of |P|^2 within tol of its largest
+    go first (:func:`polyvec.mp_trim`).  Roots come from companion-matrix
+    eigenvalues; a root is accepted as real when |imag| <= 1e-7 (1 + |real|),
+    and roots are merged into multiplicity clusters of radius 1e-6.
     """
     poly = cq.norm_poly()
-    scale = float(np.abs(poly).max())
-    if scale == 0.0:
-        return []
-    k = len(poly)
-    while k > 1 and abs(poly[k - 1]) <= tol(scale):
-        k -= 1
-    poly = poly[:k]
+    poly = mp_trim(poly[:, None], float(np.abs(poly).max()))[:, 0]
     if len(poly) <= 1:
         return []
     roots = np.roots(poly[::-1])

@@ -13,6 +13,11 @@ prints one JSON object that maps each run (its arguments, joined by spaces)
 to its exit code, stdout, stderr and the sha256 of each file it wrote
 under DIR.  A written transform records its input path (``derived_from``),
 so two trees compare only when both write into the same DIR.
+
+    python tests/cli_grid.py --diff OLD.json NEW.json
+
+compares two such objects: it prints each run whose exit code, stdout,
+stderr or file digests differ, then their count, and exits 1 if any differ.
 """
 
 from __future__ import annotations
@@ -114,10 +119,31 @@ def grid(root) -> dict:
     return results
 
 
+def diff(old_path, new_path) -> int:
+    """Print each run of two results of :func:`grid` that differs, with the
+    fields that differ (a run that only one result holds differs), then
+    their count; 1 if any run differs, else 0."""
+    with open(old_path) as fh:
+        old = json.load(fh)
+    with open(new_path) as fh:
+        new = json.load(fh)
+    runs = {**old, **new}
+    differ = [args for args in runs if old.get(args) != new.get(args)]
+    for args in differ:
+        if args not in old or args not in new:
+            print(f"{args}: only in {new_path if args in new else old_path}")
+        else:
+            print(f"{args}: " + ", ".join(k for k in new[args] if old[args].get(k) != new[args][k]))
+    print(f"{len(differ)} of {len(runs)} runs differ")
+    return 1 if differ else 0
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
+    if len(argv) == 3 and argv[0] == "--diff":
+        return diff(*argv[1:])
     if len(argv) != 1:
-        print("usage: python tests/cli_grid.py DIR", file=sys.stderr)
+        print("usage: python tests/cli_grid.py DIR | --diff OLD.json NEW.json", file=sys.stderr)
         return 1
     root = os.path.abspath(argv[0])
     os.makedirs(root, exist_ok=True)

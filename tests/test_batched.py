@@ -23,7 +23,7 @@ from isothermic.conserved import (
     ConservedQuantity,
     lcq_solve_grid,
     pcq_propagate,
-    pcq_residual,
+    pcq_verify,
     propagate_congruence,
 )
 from isothermic.errors import (
@@ -98,7 +98,7 @@ def ref_unit_gram(points):
 
 def ref_cross_ratio(P1, P2, P3, P4, rel=1e-9):
     V, G = ref_unit_gram([P1, P2, P3, P4])
-    # the regularity of minkowski.quad_invariants: min |<ij>| / max |<ij>|,
+    # the regularity of minkowski.invariants_from_products: min |<ij>| / max |<ij>|,
     # with a product within the isotropy defect and rounding counting as 0
     g = np.abs(G[PAIRS])
     noise = np.abs(np.diag(G)).max() + 8.0 * np.finfo(float).eps
@@ -350,7 +350,8 @@ def test_edge_checks_match_references(drawn, mu):
     for k in (1, 2, 3, 4):
         c = coeffs if k == 2 else np.random.default_rng([seed, k]).normal(
             size=coeffs.shape[:2] + (k, 5))
-        assert pcq_residual(net, c) == pytest.approx(ref_pcq_residual(net, c), rel=1e-12)
+        cq = ConservedQuantity(net, c, check=False)
+        assert pcq_verify(net, cq).value == pytest.approx(ref_pcq_residual(net, c), rel=1e-12)
     start = rng.uniform(0.5, 2.0) * euclidean_lift(rng.uniform(2.0, 3.0, 3))
     t = darboux_propagate(net, mu, start)
     assert t.cross_ratio_residual() == pytest.approx(ref_cross_ratio_residual(t),
@@ -377,12 +378,13 @@ def test_pcq_residual_finds_one_corrupted_vertex(last):
         coeffs[3, 2, 0] += 0.1 * F
     per_coefficient = ref_pcq_residuals(net, coeffs)
     assert per_coefficient.argmax() == (2 if last else 0)
-    assert pcq_residual(net, coeffs) == pytest.approx(per_coefficient.max(), rel=1e-12)
+    got = pcq_verify(net, ConservedQuantity(net, coeffs, check=False)).value
+    assert got == pytest.approx(per_coefficient.max(), rel=1e-12)
 
 
 def test_pcq_residual_contracts_the_lifts_once(monkeypatch):
     net = catalog.cylinder_net(4, 5, 0.3, np.pi / 4)
-    coeffs = catalog.cylinder_quantity(net).coeffs
+    quantity = ConservedQuantity(net, catalog.cylinder_quantity(net).coeffs, check=False)
     calls = []
     contract = conserved.mp_inner_vec
 
@@ -391,7 +393,7 @@ def test_pcq_residual_contracts_the_lifts_once(monkeypatch):
         return contract(c, X)
 
     monkeypatch.setattr(conserved, "mp_inner_vec", counted)
-    pcq_residual(net, coeffs)
+    pcq_verify(net, quantity)
     assert calls == [(4, 5, 2, 5)]
 
 
@@ -641,9 +643,9 @@ def ref_pcq_propagate(net, seed, base):
     return as_array(dom, P)
 
 
-def ref_congruence(net, Q, Z0, base):
+def ref_congruence(net, Q, base):
     """Z_j = Z_i + a_ij / <F_i, F_j> (<Q, F_j> F_i - <Q, F_i> F_j), summed one
-    edge at a time and checked on the remaining edges."""
+    edge at a time from zero at the base and checked on the remaining edges."""
     dom = net.domain
 
     def form(i, j):
@@ -652,7 +654,7 @@ def ref_congruence(net, Q, Z0, base):
                 * (float(minkowski_inner(Q, Fj)) * Fi - float(minkowski_inner(Q, Fi)) * Fj))
 
     tree, cross = bfs_tree(dom, base)
-    Z = {base: Z0}
+    Z = {base: np.zeros(5)}
     for parent, child in tree:
         Z[child] = Z[parent] + form(parent, child)
     resid = [float(np.abs(Z[j] - Z[i] - form(i, j)).max()) for i, j in cross]
@@ -973,9 +975,9 @@ def test_path_dependence_names_the_worst_edge():
     assert str(got.value).startswith("transport ")
     for base in ((0, 0), (3, 4), (2, 1)):
         with pytest.raises(NotConserved) as got:
-            propagate_congruence(net, cq.constant, cq.coeffs[base][1], base)
+            propagate_congruence(net, cq.constant, base)
         with pytest.raises(NotConserved) as ref:
-            ref_congruence(net, cq.constant, cq.coeffs[base][1], base)
+            ref_congruence(net, cq.constant, base)
         assert str(got.value).startswith("congruence propagation is path dependent")
         assert str(got.value).endswith(str(ref.value))
 

@@ -545,6 +545,24 @@ def test_generate_refuses_a_seed_it_cannot_use(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("H, points, error", [
+    (0, '{"M0": [-1, -1, -1], "M1": [-1, 0, 0]}',
+     "seed points with <M0, M1>^2 = 1 (|1 - <M0, M1>^2| 0 <= 1e-09)"),
+    (0.5, '{"M0": [-1, -1, -1], "M1": [-1, 0, 0.5]}',
+     "no real normalization factor: -Delta (C^2 H^2 - A) (37 > 0)"),
+], ids=["unit-product", "positive-gram"])
+def test_generate_refuses_seed_points_off_the_hyperboloid(tmp_path, capsys, H, points, error):
+    """Seed points off the hyperboloid with <M0, M1>^2 = 1, or with a
+    positive Gram determinant, exit 2 with one error line that names the
+    value, and write nothing."""
+    seed, out = tmp_path / "seed.json", tmp_path / "net.json"
+    seed.write_text(points)
+    assert run(["generate", "revolution", "--H", H, "--kappa", 0, "--seed-edge", seed,
+                "-o", out]) == 2
+    assert capsys.readouterr().err == f"verification error: {error}\n"
+    assert not out.exists()
+
+
 def test_classify_spherical(tmp_path, capsys):
     net = catalog.planar_grid_net(4, 4)
     path = tmp_path / "plane.json"

@@ -235,13 +235,19 @@ def test_seed_edge_boundary_and_basis_errors():
      "equality case with H^2 = Delta / gram(M0, M1): no nonzero factor"),
     (0.5, [-1e5, -1e5, -1e5], [-1e5, -1e5, 5e4], ConstraintViolated,
      "both normalization factors vanish"),
+    (0.0, [-1.0, -1.0, -1.0], [-1.0, 0.0, 0.0], DegenerateBasis,
+     "seed points with <M0, M1>^2 = 1 (|1 - <M0, M1>^2| 0 <= 1e-09)"),
+    (0.5, [-1.0, -1.0, -1.0], [-1.0, 0.0, 0.5], ConstraintViolated,
+     "no real normalization factor: -Delta (C^2 H^2 - A) (37 > 0)"),
 ])
 def test_seed_edge_refuses_points_off_the_hyperboloid(H, M0, M1, error, message):
     """``seed_edge`` takes its points as given, as a ``--seed-edge`` file
     passes them: off the hyperboloid |M|^2 = -1 the normalization scale A
     can be negative, the double root zero, or, for points of length s, both
-    roots of size 1/s^2 vanish.  Each is refused with its own message; on
-    the hyperboloid A is positive."""
+    roots of size 1/s^2 vanish; <M0, M1>^2 can be 1 for distinct points, and
+    the Gram determinant Delta positive, so that the roots are not real.
+    Each is refused with its own message; on the hyperboloid A is positive,
+    |<M0, M1>| > 1 and Delta < 0."""
     with pytest.raises(error, match=re.escape(message)):
         seed_edge(Q_FLAT, H, np.array(M0), np.array(M1))
 

@@ -392,8 +392,8 @@ def test_calapso_pcq_compares_nets_by_value():
     other = catalog.cylinder_net(4, 4, 0.5, 0.9)
     with pytest.raises(ValueError, match="frame was built for a different net"):
         calapso_pcq(catalog.cylinder_quantity(other), frame)
-    copy = IsothermicNet(net.lifts.copy(), EdgeFunction(net.weights.u.copy(),
-                                                        net.weights.v.copy()))
+    copy = IsothermicNet(VertexField(net.lifts.data.copy()),
+                         EdgeFunction(net.weights.u.copy(), net.weights.v.copy()))
     moved = calapso_pcq(catalog.cylinder_quantity(copy), frame)
     np.testing.assert_array_equal(
         moved.coeffs, calapso_pcq(catalog.cylinder_quantity(net), frame).coeffs)
