@@ -256,7 +256,9 @@ def _cmd_classify(args) -> int:
         print(f"type: unknown ({report.verified} verified candidate(s), "
               f"degenerate={report.degenerate_present})")
     for idx, cq in enumerate(quantities):
-        if cq.degree == 1 and pcq_verify(net, cq).ok:
+        # classify_type verified every quantity unless it stopped at a sphere
+        if cq.degree == 1 and (report.passed[idx] if report.passed is not None
+                               else pcq_verify(net, cq).ok):
             try:
                 label = classify_cmc(normalize_top(cq))
             except GeometryError:

@@ -329,8 +329,13 @@ class TypeReport:
     sphere: np.ndarray | None  # a sphere through every vertex; unique iff span == 4
     min_degree: int | None
     degenerate_present: bool
-    verified: int
+    passed: tuple[bool, ...] | None  # whether each candidate verified; None if not checked
     span: int  # dimension of the span of the lifts
+
+    @property
+    def verified(self) -> int:
+        """How many candidates verified."""
+        return sum(self.passed or ())
 
 
 def classify_type(net: IsothermicNet, candidates=()) -> TypeReport:
@@ -348,15 +353,15 @@ def classify_type(net: IsothermicNet, candidates=()) -> TypeReport:
     s = np.linalg.svd(V, compute_uv=False)
     span = int(np.count_nonzero(s / s[0] > tol(1.0)))
     if span < 5:
-        return TypeReport(True, span_normal(V), 0, False, 0, span)
+        return TypeReport(True, span_normal(V), 0, False, None, span)
 
     min_degree = None
     degenerate = False
-    verified = 0
+    passed = []
     for cand in candidates:
-        if not pcq_verify(net, cand).ok:
+        passed.append(pcq_verify(net, cand).ok)
+        if not passed[-1]:
             continue
-        verified += 1
         t2 = cand.top_norm2()
         if t2 <= tol(cand.scale() ** 2):
             degenerate = True
@@ -364,4 +369,4 @@ def classify_type(net: IsothermicNet, candidates=()) -> TypeReport:
         d = cand.degree
         if min_degree is None or d < min_degree:
             min_degree = d
-    return TypeReport(False, None, min_degree, degenerate, verified, span)
+    return TypeReport(False, None, min_degree, degenerate, tuple(passed), span)

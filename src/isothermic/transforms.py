@@ -12,7 +12,7 @@ ambient space form and the mean curvature).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -63,16 +63,20 @@ class DarbouxTransform:
     lifts: VertexField
     base: IsothermicNet
     check: Check | None = None  # the propagation's closing check
+    _net: IsothermicNet | None = field(default=None, init=False, repr=False, compare=False)
 
     def net(self) -> IsothermicNet:
-        """The transform as an isothermic net (same edge weights).
+        """The transform as an isothermic net (same edge weights), built on
+        the first call and returned by every later one.
 
         Representatives are normalized to unit length for conditioning; the
         parallel section itself stays available as ``lifts``.
         """
-        data = self.lifts.data
-        return IsothermicNet(VertexField(data / np.sqrt(_dot(data, data))[..., None]),
-                             self.base.weights)
+        if self._net is None:
+            data = self.lifts.data
+            self._net = IsothermicNet(VertexField(data / np.sqrt(_dot(data, data))[..., None]),
+                                      self.base.weights)
+        return self._net
 
     def cross_ratio_residual(self) -> float:
         """Worst deviation of [f_i; f_j; fhat_j; fhat_i] from a_ij * mu, over
@@ -301,6 +305,8 @@ def bianchi(net: IsothermicNet, first: DarbouxTransform, second: DarbouxTransfor
 
     d_of_first = DarbouxTransform(mu2, lifts, first.net())
     d_of_second = DarbouxTransform(mu1, lifts, second.net())
+    # the fourth net's lifts, normalized once for both routes
+    d_of_second._net = IsothermicNet(d_of_first.net().lifts, d_of_second.base.weights)
     r1 = d_of_first.cross_ratio_residual()
     r2 = d_of_second.cross_ratio_residual()
 

@@ -4,11 +4,13 @@ import os
 import subprocess
 import sys
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from isothermic import catalog, cli, minkowski, nets, revolution
+from isothermic import catalog, cli, conserved, minkowski, nets, revolution
+from isothermic.conserved import pcq_verify
 from isothermic.cli import main
 from isothermic.grids import EdgeFunction, GridDomain, VertexField
 from isothermic.minkowski import euclidean_lift, euclidean_point
@@ -561,6 +563,27 @@ def test_generate_refuses_seed_points_off_the_hyperboloid(tmp_path, capsys, H, p
                 "-o", out]) == 2
     assert capsys.readouterr().err == f"verification error: {error}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("rows, cols", [(6, 8), (2, 2)], ids=["cylinder", "spherical"])
+def test_classify_verifies_each_quantity_once(tmp_path, capsys, rows, cols):
+    """classify labels the linear quantities that classify_type verified
+    without verifying them again; on a spherical net, where classify_type
+    checks no candidate, it verifies each linear quantity itself, once."""
+    net = catalog.cylinder_net(rows, cols, 0.5, 0.9)
+    path = tmp_path / "net.json"
+    save_net(path, net, [catalog.cylinder_quantity(net)])
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return pcq_verify(*args)
+
+    with mock.patch.object(cli, "pcq_verify", counted), \
+            mock.patch.object(conserved, "pcq_verify", counted):
+        assert run(["classify", path]) == 0
+    assert len(calls) == 1
+    assert "quantity 0: cmc-euclidean" in capsys.readouterr().out
 
 
 def test_classify_spherical(tmp_path, capsys):

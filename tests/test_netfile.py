@@ -523,6 +523,64 @@ def test_wide_integers_read_as_json_reads_them(tmp_path, field, literal):
             assert load_net(path)[2]["label"] == int(literal)
 
 
+@pytest.mark.parametrize("newline", [b"\r\n", b"\r"])
+def test_crlf_and_cr_files_load_as_lf_files(tmp_path, newline):
+    """The loader reads bytes; CRLF and lone CR line ends load to the arrays
+    of the LF file, as a file read in text mode did."""
+    net = catalog.cylinder_net(3, 4, ETA, PHI)
+    path = tmp_path / "net.json"
+    save_net(path, net, [catalog.cylinder_quantity(net)], {"label": "x"})
+    expected = outcome(load_net, path)
+    path.write_bytes(path.read_bytes().replace(b"\n", newline))
+    assert outcome(load_net, path) == expected
+
+
+@pytest.mark.parametrize("newline", [b"\r\n", b"\r"])
+def test_truncated_crlf_and_cr_files_name_their_text_line(tmp_path, newline):
+    """A malformed file with CRLF or lone CR line ends is refused with the
+    line and column json gives for the file read as text (universal
+    newlines), not for its raw bytes."""
+    net = catalog.cylinder_net(3, 3, ETA, PHI)
+    path = tmp_path / "net.json"
+    save_net(path, net)
+    data = path.read_bytes().replace(b"\n", newline)
+    path.write_bytes(data[: len(data) // 2])
+    with pytest.raises(json.JSONDecodeError) as want:
+        json.loads(path.read_text())
+    assert want.value.lineno > 1
+    with pytest.raises(ParseError) as got:
+        load_net(path)
+    assert str(got.value) == f"{path}:{want.value.lineno}:{want.value.colno}: {want.value.msg}"
+
+
+def test_non_ascii_byte_is_named_by_its_file_offset(tmp_path):
+    """A non-ASCII byte past the first 8 KiB is named by its offset in the
+    file, not in a buffer."""
+    net = catalog.cylinder_net(12, 12, ETA, PHI)
+    path = tmp_path / "net.json"
+    save_net(path, net)
+    data = path.read_bytes()
+    where = data.rindex(b",", 0, len(data) - 10)
+    assert where > 8192
+    path.write_bytes(data[:where] + b"\xe9" + data[where:])
+    with pytest.raises(ParseError, match=f": byte {where}: not ASCII$"):
+        load_net(path)
+
+
+def test_ragged_lifts_fail_as_json_only_loader_fails(tmp_path):
+    """Lifts with the right number of entries in ragged rows are refused as
+    the json-only loader refuses them."""
+    net = catalog.cylinder_net(2, 2, ETA, PHI)
+    doc = json.loads(v2_text(net_to_document(net)))
+    lifts = doc["lifts"]
+    lifts[1][0].append(lifts[1][1].pop())  # rows of 6 and 4 entries: 20 in all
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(doc))
+    result = outcome(load_net, path)
+    assert result == outcome(json_only_load, path)
+    assert result == (ParseError, f"{path}: field 'lifts' is not numeric")
+
+
 def test_canonical_files_are_decoded_without_json(tmp_path):
     """A canonical file takes the orjson path: json.loads is not called."""
     net = catalog.cylinder_net(4, 5, ETA, PHI)
@@ -584,7 +642,7 @@ JSON_VALUES = st.recursive(
 def test_depth_counts_nesting_outside_strings(value):
     """The depth that decides between orjson and json is the nesting depth of
     the text, with brackets, escaped quotes and backslashes in its strings."""
-    assert netfile._depth(json.dumps(value)) == nesting(value)
+    assert netfile._depth(json.dumps(value).encode()) == nesting(value)
 
 
 @pytest.mark.parametrize("depth", [600, 300_000])

@@ -221,6 +221,20 @@ def test_bianchi_permutability(cylinder):
     assert verify_isothermic(result.lifts).ok
 
 
+def test_each_darboux_section_is_normalized_once(cylinder):
+    """A transform's unit-length net is built once: the quantities of the
+    transforms share it, and both routes of the permutability quadrilateral
+    share the fourth net's lifts."""
+    net, cq = cylinder
+    t1 = darboux_propagate(net, 2.4, backlund_init(cq, 2.4, 0.2))
+    t2 = darboux_propagate(net, -1.7, backlund_init(cq, -1.7, 0.7))
+    assert t1.net() is t1.net()
+    q1, q2 = pcq_backlund(cq, t1), pcq_backlund(cq, t2)
+    assert q1.net is t1.net() and pcq_darboux(cq, t2).net is q2.net
+    result = bianchi(net, t1, t2, (q1, q2))
+    assert result.quantity.net is result.net
+
+
 def test_bianchi_coincident(cylinder):
     net, cq = cylinder
     t1 = darboux_propagate(net, 2.4, backlund_init(cq, 2.4, 0.2))
