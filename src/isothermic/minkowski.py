@@ -13,9 +13,6 @@ surfaces of revolution maps the Lorentz 3-space onto the component slots
 
 from __future__ import annotations
 
-import itertools
-from typing import NamedTuple
-
 import numpy as np
 
 from .errors import (
@@ -72,51 +69,40 @@ def euclidean_point(F):
 
 
 def spaceform_point(F, Q):
-    """Rescale a lightlike F into the quadric {Y : <Y, Q> = -1}.
+    """Rescale a lightlike F into the quadric {Y : <Y, Q> = -1}; F may be a
+    stack (..., 5) of lifts, each decided on its own scale.
 
     Raises
     ------
     DegenerateLift
-        If <F, Q> vanishes, i.e. the point lies on the infinity boundary
-        of the space form defined by Q.
+        If some <F, Q> vanishes against tol(|F| |Q|), i.e. the point lies on
+        the infinity boundary of the space form defined by Q; the error
+        names the first such lift by its index into the leading axes.
     """
     F = np.asarray(F, dtype=float)
     w = minkowski_inner(F, Q)
-    scale = float(np.linalg.norm(F) * np.linalg.norm(Q))
-    if np.any(np.abs(w) <= tol(scale)):
-        raise DegenerateLift("point on the infinity boundary of the space form")
+    bad = np.abs(w) <= tol(np.sqrt(_dot(F, F)) * np.linalg.norm(Q))
+    if bad.any():
+        index = tuple(int(i) for i in np.argwhere(bad)[0])
+        raise DegenerateLift(f"lift at index {index} is on the infinity boundary of the space "
+                             "form")
     return F / (-w)[..., None]
 
 
-class QuadInvariants(NamedTuple):
-    """Per-quadruple results of :func:`invariants_from_products`, arrays of shape (...)."""
-
-    q: np.ndarray
-    regularity: np.ndarray
-
-
-def face_products(data):
-    """The arguments of :func:`invariants_from_products` for the faces of a
-    vertex array, each product taken once per vertex, edge or face diagonal."""
-    U, s = _units(data)
+def face_products(U):
+    """The arguments of :func:`invariants_from_products` for the faces of an
+    array U of unit lifts (:func:`_unit`), shape (m, n, ..., 5): each face
+    (U[i, j], U[i+1, j], U[i+1, j+1], U[i, j+1]) of the first two axes,
+    stacked as (m-1, n-1, ...).  The self-products are taken once per
+    vertex, <U_i, U_j> once per edge and the two diagonals once per face.
+    Net faces, the two-layer edge quadruples of a Darboux pair and the
+    quadruples of :func:`cross_ratios` all come through here."""
+    s = _inner(U, U)
     along_m, along_n = _inner(U[:-1], U[1:]), _inner(U[:, :-1], U[:, 1:])
     corners = U[:-1, :-1], U[1:, :-1], U[1:, 1:], U[:-1, 1:]
     products = (along_m[:, :-1], _inner(corners[0], corners[2]), along_n[:-1], along_n[1:],
                 _inner(corners[1], corners[3]), along_m[:, 1:])
     return corners, products, (s[:-1, :-1], s[1:, :-1], s[1:, 1:], s[:-1, 1:])
-
-
-def edge_quad_products(F, H):
-    """The arguments of :func:`invariants_from_products` for [F_i, F_j, H_j, H_i]
-    on the edge stacks (i, j) along +m and +n of two vertex arrays: norms and
-    <F, H> taken once per vertex, the other products once per edge."""
-    (UF, sF), (UH, sH) = _units(F), _units(H)
-    rungs = _inner(UF, UH)
-    return [((UF[i], UF[j], UH[j], UH[i]),
-             (_inner(UF[i], UF[j]), _inner(UF[i], UH[j]), rungs[i], rungs[j],
-              _inner(UF[j], UH[i]), _inner(UH[j], UH[i])),
-             (sF[i], sF[j], sH[j], sH[i]))
-            for i, j in ((np.s_[:-1], np.s_[1:]), (np.s_[:, :-1], np.s_[:, 1:]))]
 
 
 #: Vectors from which the products add column by column; below, numpy's one call is faster.
@@ -150,28 +136,27 @@ def require_finite(V) -> None:
         raise NonFiniteLift(f"lift at index {index} is not finite")
 
 
-def _units(V):
-    """Unit representatives V / |V| and their self-products <U, U>."""
+def _unit(V):
+    """Unit representatives V / |V| of the vectors of V (..., 5)."""
     V = np.asarray(V, dtype=float)
     norms = np.sqrt(_dot(V, V))
     if not np.isfinite(norms).all():
         require_finite(V)
     if (norms == 0.0).any():
         raise DegeneratePoints("zero representative")
-    U = V / norms[..., None]
-    return U, _inner(U, U)
+    return V / norms[..., None]
 
 
-def invariants_from_products(corners, products, selfs) -> QuadInvariants:
-    """Cross ratio and regularity of stacked quadruples of points, from the
-    unit corners U_i = V_i / |V_i| of their representatives, the pair
-    products 12, 13, 14, 23, 24, 34 and the self-products of the corners, as
-    :func:`cross_ratios`, :func:`face_products` and :func:`edge_quad_products`
-    take them.  With <ij> the products of the unit representatives and
+def invariants_from_products(corners, products, selfs):
+    """Cross ratio and regularity ``(q, regularity)`` of stacked quadruples
+    of points, from :func:`face_products`: the unit corners
+    U_i = V_i / |V_i| of their representatives, the pair products 12, 13,
+    14, 23, 24, 34 and the self-products of the corners.  With <ij> the
+    products of the unit representatives and
 
         a = <12><34>,   b = <13><24>,   c = <14><23>,
 
-    the fields are
+    the two arrays, of the stack's shape, are
 
     - ``q``: the cross ratio, with real part (a - b + c) / 2c.  The Gram
       determinant of the quadruple is det = a^2 + b^2 + c^2 - 2ab - 2bc - 2ca,
@@ -240,7 +225,7 @@ def invariants_from_products(corners, products, selfs) -> QuadInvariants:
         det = (x - y - z) ** 2 - 4.0 * y * z
         with np.errstate(divide="ignore", invalid="ignore"):
             q.imag[off] = np.where(det < 0.0, np.sqrt(np.abs(det)) / (2.0 * np.abs(c)), 0.0)
-    return QuadInvariants(q, regularity)
+    return q, regularity
 
 
 def _regularity(products, selfs):
@@ -294,13 +279,12 @@ def cross_ratios(V):
     NonFiniteLift
         If a representative holds a NaN or infinite entry.
     """
-    U, s = _units(V)
-    corners = tuple(U[..., k, :] for k in range(4))
-    products = tuple(_inner(x, y) for x, y in itertools.combinations(corners, 2))
-    inv = invariants_from_products(corners, products, tuple(s[..., k] for k in range(4)))
-    regularity_floor("a quadruple has three nearly dependent lifts", inv.regularity,
+    # corners 1, 2, 3, 4 on the grid face (0, 0), (1, 0), (1, 1), (0, 1)
+    grid = np.moveaxis(_unit(V)[..., [[0, 3], [1, 2]], :], (-3, -2), (0, 1))
+    q, regularity = invariants_from_products(*face_products(grid))
+    regularity_floor("a quadruple has three nearly dependent lifts", regularity[0, 0, ...],
                      lambda index: tuple(map(int, index)) or None).require(DegeneratePoints)
-    return inv.q
+    return q[0, 0, ...]
 
 
 def cross_ratio(P1, P2, P3, P4):

@@ -41,6 +41,7 @@ from .minkowski import (
     _circle_apply,
     _dot,
     _regularity,
+    _unit,
     circle_coefficients,
     face_products,
     invariants_from_products,
@@ -79,10 +80,9 @@ class IsothermicNet:
         DegeneratePoints, naming the face, if a face is degenerate."""
         scale = self.lift_scale() ** 2
         if q is None:
-            inv = invariants_from_products(*face_products(self.lifts.data))
-            regularity_floor("a face has three nearly dependent lifts", inv.regularity,
+            q, regularity = invariants_from_products(*face_products(_unit(self.lifts.data)))
+            regularity_floor("a face has three nearly dependent lifts", regularity,
                              self.domain.stack_face).require(DegeneratePoints)
-            q = inv.q
         expected = self.weights.u[:, None] / self.weights.v[None, :]
         isotropy = np.abs(norm2(self.lifts.data)) / max(scale, 1e-300)  # per vertex
         mismatch = np.abs(q - expected) / (1.0 + np.abs(expected))  # per face
@@ -137,11 +137,10 @@ def verify_isothermic(lifts: VertexField, *, strict: bool = True) -> IsothermicR
                                     f"{domain.rows}x{domain.cols} grid"))
     error = GeometryError
     if domain.rows > 1 and domain.cols > 1:
-        inv = invariants_from_products(*face_products(lifts.data))
-        report.check = regularity_floor("a face has three nearly dependent lifts",
-                                        inv.regularity, domain.stack_face)
+        q, regularity = invariants_from_products(*face_products(_unit(lifts.data)))
+        report.check = regularity_floor("a face has three nearly dependent lifts", regularity,
+                                        domain.stack_face)
     if report.ok:
-        q = inv.q
         ratios = q.real
         imag = np.abs(q.imag) / (1.0 + np.abs(q))
         f = np.unravel_index(int(np.argmax(imag)), imag.shape)
@@ -183,7 +182,7 @@ def face_regularity(lifts: VertexField) -> float:
     The products are those of :func:`minkowski.face_products`, taken once
     per vertex, edge or face diagonal; no cross ratio is formed.  A lift with
     a NaN or infinite entry raises NonFiniteLift."""
-    _, products, selfs = face_products(lifts.data)
+    _, products, selfs = face_products(_unit(lifts.data))
     return float(_regularity(products, selfs).min(initial=np.inf))
 
 
@@ -381,7 +380,7 @@ def calapso(net: IsothermicNet, mu: float, basepoint=None) -> tuple[CalapsoFrame
     # a flat connection can still grow frames so large that T F keeps no
     # digits: the transformed faces then degenerate, and no net is returned
     regularity_floor(f"a transformed face, with frames up to {largest:.3g}, has three nearly "
-                     "dependent lifts", _regularity(*face_products(new_lifts.data)[1:]),
+                     "dependent lifts", _regularity(*face_products(_unit(new_lifts.data))[1:]),
                      domain.stack_face).require(DegeneratePoints)
     frames = VertexField(frames)
     u, v = net.weights.u, net.weights.v

@@ -33,8 +33,9 @@ from .grids import VertexField, edge_stacks, sweep_propagate
 from .minkowski import (
     _circle_apply,
     _dot,
+    _unit,
     cross_ratio_apply,
-    edge_quad_products,
+    face_products,
     invariants_from_products,
     minkowski_inner,
     norm2,
@@ -79,21 +80,26 @@ class DarbouxTransform:
         return self._net
 
     def cross_ratio_residual(self) -> float:
-        """Worst deviation of [f_i; f_j; fhat_j; fhat_i] from a_ij * mu, over
-        the edge quadruples of :func:`minkowski.edge_quad_products`.
+        """Worst deviation of [f_i; f_j; fhat_j; fhat_i] from a_ij * mu over
+        the edges (i, j).  These quadruples are the faces of the two-layer
+        net [f; fhat], of shape (rows, 2, cols), and its transpose
+        (cols, 2, rows) gives those of the +n edges.
 
-        Raises DegeneratePoints, naming the edge (i, j), if an edge
-        quadruple is degenerate."""
+        Raises DegeneratePoints if an edge quadruple is degenerate, naming
+        the edge (i, j) of least regularity, the first in row-major order of
+        its edge stack on a tie; the +m edges are checked first."""
         worst = 0.0
-        stacks = zip(edge_quad_products(self.base.lifts.data, self.lifts.data),
-                     self.base.weights.stacks())
-        for axis, (products, a) in enumerate(stacks):
-            inv = invariants_from_products(*products)
+        U = _unit(np.stack([self.base.lifts.data, self.lifts.data], axis=1))
+        for axis, a in enumerate(self.base.weights.stacks()):
+            q, regularity = invariants_from_products(
+                *face_products(U.transpose(2, 1, 0, 3) if axis else U))
+            # back to the edge stack (rows-1, cols) or (rows, cols-1)
+            q, regularity = (x[:, 0].T if axis else x[:, 0] for x in (q, regularity))
             regularity_floor("an edge quadruple (f_i, f_j, fhat_j, fhat_i) has three nearly "
-                             "dependent lifts", inv.regularity,
+                             "dependent lifts", regularity,
                              partial(self.base.domain.stack_edge, axis)).require(DegeneratePoints)
             target = a * self.mu
-            worst = np.maximum(worst, np.max(np.abs(inv.q - target) / (1.0 + np.abs(target)),
+            worst = np.maximum(worst, np.max(np.abs(q - target) / (1.0 + np.abs(target)),
                                              initial=0.0))
         return float(worst)
 

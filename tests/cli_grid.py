@@ -18,6 +18,13 @@ so two trees compare only when both write into the same DIR.
 
 compares two such objects: it prints each run whose exit code, stdout,
 stderr or file digests differ, then their count, and exits 1 if any differ.
+
+    python tests/cli_grid.py --against REV DIR
+
+extracts ``git archive REV src`` to a temporary directory and runs the grid
+into DIR in a child process with that ``src`` first on ``sys.path``, then
+runs it in this tree into the same DIR, and compares the two as ``--diff``
+does.  An unknown REV is a usage error (exit 1).
 """
 
 from __future__ import annotations
@@ -28,7 +35,10 @@ import io
 import itertools
 import json
 import os
+import subprocess
 import sys
+import tarfile
+import tempfile
 
 H_VALUES = (0.0, 0.3, 0.5, 1.0)
 KAPPAS = (-1.0, 0.0, 1.0)
@@ -120,39 +130,79 @@ def grid(root) -> dict:
 
 
 def diff(old_path, new_path) -> int:
-    """Print each run of two results of :func:`grid` that differs, with the
-    fields that differ (a run that only one result holds differs), then
-    their count; 1 if any run differs, else 0."""
+    """Print each run of two results of :func:`grid`, read from JSON files,
+    that differs; see :func:`compare`."""
     with open(old_path) as fh:
         old = json.load(fh)
     with open(new_path) as fh:
         new = json.load(fh)
+    return compare(old, new, old_path, new_path)
+
+
+def compare(old, new, old_name, new_name) -> int:
+    """Print each run of two results of :func:`grid` that differs, with the
+    fields that differ (a run that only one result holds differs), then
+    their count; 1 if any run differs, else 0."""
     runs = {**old, **new}
     differ = [args for args in runs if old.get(args) != new.get(args)]
     for args in differ:
         if args not in old or args not in new:
-            print(f"{args}: only in {new_path if args in new else old_path}")
+            print(f"{args}: only in {new_name if args in new else old_name}")
         else:
             print(f"{args}: " + ", ".join(k for k in new[args] if old[args].get(k) != new[args][k]))
     print(f"{len(differ)} of {len(runs)} runs differ")
     return 1 if differ else 0
 
 
+#: The directory of this file, which the child of :func:`against` imports it from.
+TESTS = os.path.dirname(os.path.abspath(__file__))
+
+#: The child of :func:`against`: argv is the old ``src``, :data:`TESTS` and the grid's DIR.
+CHILD = ("import json, sys; sys.path[:0] = sys.argv[1:3]; import cli_grid; "
+         "json.dump(cli_grid.grid(sys.argv[3]), sys.stdout)")
+
+
+def against(rev, path) -> int:
+    """:func:`compare` the grid of the ``src`` of git revision ``rev``, run
+    in a child process, with the grid of this tree, both into the directory
+    ``path``; 1 if ``rev`` is unknown or any run differs."""
+    archive = subprocess.run(["git", "-C", os.path.dirname(TESTS), "archive", rev, "src"],
+                             capture_output=True)
+    if archive.returncode:
+        print(f"usage: no src at revision {rev!r}: {archive.stderr.decode().strip()}",
+              file=sys.stderr)
+        return 1
+    root = _directory(path)
+    with tempfile.TemporaryDirectory() as tmp:
+        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+            tar.extractall(tmp, filter="data")
+        child = subprocess.run([sys.executable, "-c", CHILD, os.path.join(tmp, "src"), TESTS,
+                                root], stdout=subprocess.PIPE, text=True, check=True)
+    return compare(json.loads(child.stdout), grid(root), rev, "this tree")
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) == 3 and argv[0] == "--diff":
         return diff(*argv[1:])
+    if len(argv) == 3 and argv[0] == "--against":
+        return against(*argv[1:])
     if len(argv) != 1:
-        print("usage: python tests/cli_grid.py DIR | --diff OLD.json NEW.json", file=sys.stderr)
+        print("usage: python tests/cli_grid.py DIR | --diff OLD.json NEW.json"
+              " | --against REV DIR", file=sys.stderr)
         return 1
-    root = os.path.abspath(argv[0])
-    os.makedirs(root, exist_ok=True)
-    json.dump(grid(root), sys.stdout, indent=1)
+    json.dump(grid(_directory(argv[0])), sys.stdout, indent=1)
     print()
     return 0
 
 
+def _directory(path) -> str:
+    """The absolute path of the grid's directory, made if missing."""
+    root = os.path.abspath(path)
+    os.makedirs(root, exist_ok=True)
+    return root
+
+
 if __name__ == "__main__":
-    sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                                    "src"))
+    sys.path.insert(0, os.path.join(os.path.dirname(TESTS), "src"))
     sys.exit(main())

@@ -44,9 +44,9 @@ from isothermic.minkowski import (
     Q_EUCLIDEAN,
     SIGNATURE,
     _circle_apply,
+    _unit,
     cross_ratio_matrix,
     cross_ratios,
-    edge_quad_products,
     euclidean_lift,
     euclidean_point,
     face_products,
@@ -275,65 +275,107 @@ def assert_quad_products_equal(built, grams, units):
         assert np.array_equal(g, grams[..., i, i])
 
 
+def edge_quad_oracle(F, H, axis):
+    """Unit representatives and Gram matrices of the quadruples
+    [F_i, F_j, H_j, H_i] on the edges (i, j) along +m (``axis`` 0) or +n,
+    one quadruple at a time: shapes (rows-1, cols, 4, 5) or (rows, cols-1,
+    4, 5) and (..., 4, 4)."""
+    dom = GridDomain(*F.shape[:2])
+    stack = (dom.rows - 1 + axis, dom.cols - axis)
+    units, grams = np.zeros(stack + (4, 5)), np.zeros(stack + (4, 4))
+    for idx in np.ndindex(stack):
+        i, j = dom.stack_edge(axis, idx)
+        units[idx], grams[idx] = ref_unit_gram([F[i], F[j], H[j], H[i]])
+    return units, grams
+
+
 @settings(max_examples=30, deadline=None)
 @given(NETS, st.booleans())
 def test_quad_products_are_the_oracles_bitwise(drawn, bend):
-    """The face products (once per vertex, edge and face diagonal) and the
-    products of the Darboux edge quadruples [F_i, F_j, H_j, H_i] (once per
-    vertex, rung, rail and diagonal) are the products one quadruple at a time
-    would take, in the same order, to the last bit."""
+    """The products face_products hands to invariants_from_products (once
+    per vertex, edge and face diagonal) are the products one quadruple at a
+    time would take, in the same order, to the last bit: on the faces of a
+    net, on the Darboux edge quadruples [F_i, F_j, H_j, H_i] that
+    cross_ratio_residual reads off the two-layer array [F; H] and its
+    transpose, and on the 2x2 grids of cross_ratios."""
     seed, shape, kind = drawn
     net = random_net(seed, shape, kind)
     if bend:
         net = bent(net, seed)
-    dom = net.domain
     F = net.lifts.data
-    H = bent(net, seed + 1).lifts.data
+    rng = np.random.default_rng(seed)
+    H = euclidean_lift(rng.normal(size=F.shape[:2] + (3,)))
+    H *= rng.uniform(0.5, 2.0, F.shape[:2] + (1,))
     units, grams = ref_face_grams(net.lifts)
-    assert_quad_products_equal(face_products(F), grams, units)
-    for axis, built in enumerate(edge_quad_products(F, H)):
-        stack = (dom.rows - 1 + axis, dom.cols - axis)
-        units, grams = np.zeros(stack + (4, 5)), np.zeros(stack + (4, 4))
-        for idx in np.ndindex(stack):
-            i, j = dom.stack_edge(axis, idx)
-            units[idx], grams[idx] = ref_unit_gram([F[i], F[j], H[j], H[i]])
-        assert_quad_products_equal(built, grams, units)
+    assert_quad_products_equal(face_products(_unit(F)), grams, units)
+
+    built = []
+
+    def recorded(U):
+        built.append(face_products(U))
+        return built[-1]
+
+    V = np.stack([F[:-1, :-1], H[1:, :-1], F[1:, 1:], H[:-1, 1:]], axis=2)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(transforms, "face_products", recorded)
+        patch.setattr(minkowski, "face_products", recorded)
+        DarbouxTransform(0.5, VertexField(H), net).cross_ratio_residual()
+        cross_ratios(V)
+    *edge_quads, grids_built = built
+    for axis, quads in enumerate(edge_quads):
+        # the one face across the two layers, back on the edge stack
+        back = (lambda x: np.swapaxes(x[:, 0], 0, 1)) if axis else (lambda x: x[:, 0])
+        assert_quad_products_equal([[back(x) for x in part] for part in quads],
+                                   *edge_quad_oracle(F, H, axis)[::-1])
+    units, grams = zip(*(ref_unit_gram(quad) for quad in V.reshape(-1, 4, 5)))
+    assert_quad_products_equal([[x[0, 0] for x in part] for part in grids_built],
+                               np.reshape(grams, V.shape[:2] + (4, 4)),
+                               np.reshape(units, V.shape))
 
 
 class _NoStack:
-    """numpy, with ``stack`` refused."""
+    """numpy, with ``stack`` of four arrays (a corner stack) refused and the
+    shape of every other ``stack`` recorded."""
+
+    def __init__(self):
+        self.shapes = []
 
     def __getattr__(self, name):
         return getattr(np, name)
 
-    @staticmethod
-    def stack(*args, **kwargs):
-        raise AssertionError("a quadruple stack was formed")
+    def stack(self, arrays, *args, **kwargs):
+        arrays = list(arrays)
+        if len(arrays) == 4:
+            raise AssertionError("a quadruple stack was formed")
+        stacked = np.stack(arrays, *args, **kwargs)
+        self.shapes.append(stacked.shape)
+        return stacked
 
 
 def test_quad_checks_form_no_quadruple_stack(monkeypatch):
     """verify_isothermic, validate and cross_ratio_residual read their
     products off the vertex arrays: they run, to the same results, with
-    face_stack and np.stack refused in the kernel, net and transform
-    modules."""
+    face_stack and every stack of four arrays refused in the kernel, net
+    and transform modules.  cross_ratio_residual stacks the base and the
+    transform into one two-layer array; the net checks stack nothing."""
     net = catalog.cylinder_net(4, 5, 0.3, np.pi / 4)
     t = darboux_propagate(net, 0.4, euclidean_lift(np.array([3.0, 0.5, 0.2])))
-
-    def checks():
-        return (verify_isothermic(net.lifts).cross_ratios, net.validate(),
-                t.cross_ratio_residual())
-
-    expected = checks()
+    checks = (lambda: verify_isothermic(net.lifts).cross_ratios, net.validate,
+              t.cross_ratio_residual)
+    expected = [check() for check in checks]
 
     def refused(data):
         raise AssertionError("a face stack was formed")
 
     for module in (grids, nets, transforms):
         monkeypatch.setattr(module, "face_stack", refused, raising=False)
+    numpy = _NoStack()
     for module in (minkowski, nets, transforms):
-        monkeypatch.setattr(module, "np", _NoStack())
-    got = checks()
-    assert np.array_equal(got[0], expected[0]) and got[1:] == expected[1:]
+        monkeypatch.setattr(module, "np", numpy)
+    for check, value, shapes in zip(checks, expected, ([], [], [(4, 2, 5, 5)])):
+        numpy.shapes.clear()
+        assert np.array_equal(check(), value)
+        assert numpy.shapes == shapes
 
 
 @settings(max_examples=30, deadline=None)
@@ -1019,6 +1061,19 @@ def test_coincident_edge_quadruple_names_its_edge():
     assert got.value.check.where == ((1, 3), (2, 3)) and not got.value.check.ok
     assert str(got.value) == ("an edge quadruple (f_i, f_j, fhat_j, fhat_i) has three nearly "
                               "dependent lifts (regularity 0 <= 1e-18) at ((1, 3), (2, 3))")
+
+
+def test_coincident_n_edge_quadruples_name_the_first_in_row_major():
+    """Two +n edge quadruples degenerate; the error names the first of them
+    in row-major order of the (rows, cols-1) edge stack, not of the
+    transposed two-layer array the products are read from."""
+    net = small_cylinder()
+    data = darboux_propagate(net, -1.0, euclidean_lift([3.0, 0.5, 0.2])).lifts.data.copy()
+    data[1, 3] = 2.0 * net.lifts[(1, 2)]
+    data[2, 1] = 2.0 * net.lifts[(2, 0)]
+    with pytest.raises(DegeneratePoints) as got:
+        DarbouxTransform(-1.0, VertexField(data), net).cross_ratio_residual()
+    assert got.value.check.where == ((1, 2), (1, 3)) and not got.value.check.ok
 
 
 @pytest.mark.parametrize("call", [

@@ -1,4 +1,5 @@
-"""The byte-identity grid's diff mode, on two small hand-made results."""
+"""The byte-identity grid's diff mode, on two small hand-made results, and
+the usage error of its --against mode."""
 
 import json
 
@@ -17,3 +18,12 @@ def test_diff_reports_the_runs_that_differ(tmp_path, capsys):
     new.write_text(json.dumps({**results, "generate a": {**RUN, "files": {"net.json": "cd34"}}}))
     assert cli_grid.main(["--diff", str(old), str(new)]) == 1
     assert capsys.readouterr().out == "generate a: files\n1 of 2 runs differ\n"
+
+
+def test_against_an_unknown_revision_is_a_usage_error(tmp_path, capsys):
+    root = tmp_path / "grid"
+    assert cli_grid.main(["--against", "no-such-revision", str(root)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: no src at revision 'no-such-revision': ")
+    assert not root.exists()

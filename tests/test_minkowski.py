@@ -207,6 +207,24 @@ def test_spaceform_point_degenerate():
         spaceform_point(F, Q_EUCLIDEAN)
 
 
+def test_spaceform_point_decides_each_lift_on_its_own_scale():
+    """<F, Q> = 5e-9 with |F| = 1.41 and Q = e_4 is off the boundary against
+    tol(|F| |Q|) = 1.4e-9, alone and among 400 other lifts, whose Frobenius
+    norm 28 would put it on the boundary."""
+    Q = np.eye(5)[4]
+    F = np.array([1.0, 1.0, 0.0, 0.0, 5e-9])
+    others = np.tile([1.0, 0.0, 0.0, 0.0, 1.0], (400, 1))
+    alone = spaceform_point(F, Q)
+    assert np.array_equal(spaceform_point(np.vstack([others, F]), Q)[-1], alone)
+
+
+def test_spaceform_point_names_the_first_refused_lift():
+    F = np.tile(euclidean_lift(np.array([0.3, -1.0, 2.0])), (3, 4, 1))
+    F[2, 0] = F[1, 2] = [1.0, 1.0, 0.0, 0.0, -1.0]  # <F, Q_EUCLIDEAN> = 0
+    with pytest.raises(DegenerateLift, match=r"^lift at index \(1, 2\) is on the infinity "):
+        spaceform_point(F, Q_EUCLIDEAN)
+
+
 def test_cross_ratio_unit_square():
     pts = [(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)]
     lifts = [euclidean_lift(np.array(p, dtype=float)) for p in pts]
