@@ -95,14 +95,27 @@ def face_products(U):
     (U[i, j], U[i+1, j], U[i+1, j+1], U[i, j+1]) of the first two axes,
     stacked as (m-1, n-1, ...).  The self-products are taken once per
     vertex, <U_i, U_j> once per edge and the two diagonals once per face.
-    Net faces, the two-layer edge quadruples of a Darboux pair and the
-    quadruples of :func:`cross_ratios` all come through here."""
+    Net faces and the quadruples of :func:`cross_ratios` come through here;
+    it is the first family of :func:`_face_families`."""
+    return next(_face_families(U))
+
+
+def _face_families(U):
+    """The one builder of a quadruple's products: the :func:`face_products`
+    of the faces of axes 0 and 1 of U, then, for L layers stacked as U
+    (rows, L, cols, 5), those of its faces (U[i, l, j], U[i, l, j+1],
+    U[i, l+1, j+1], U[i, l+1, j]) of axes 2 and 1, stacked as
+    (rows, L-1, cols-1), from the same self-products and axis-1 products."""
     s = _inner(U, U)
     along_m, along_n = _inner(U[:-1], U[1:]), _inner(U[:, :-1], U[:, 1:])
-    corners = U[:-1, :-1], U[1:, :-1], U[1:, 1:], U[:-1, 1:]
-    products = (along_m[:, :-1], _inner(corners[0], corners[2]), along_n[:-1], along_n[1:],
-                _inner(corners[1], corners[3]), along_m[:, 1:])
-    return corners, products, (s[:-1, :-1], s[1:, :-1], s[1:, 1:], s[:-1, 1:])
+    c = U[:-1, :-1], U[1:, :-1], U[1:, 1:], U[:-1, 1:]
+    yield c, (along_m[:, :-1], _inner(c[0], c[2]), along_n[:-1], along_n[1:], _inner(c[1], c[3]),
+              along_m[:, 1:]), (s[:-1, :-1], s[1:, :-1], s[1:, 1:], s[:-1, 1:])
+    along_c = _inner(U[:, :, :-1], U[:, :, 1:])
+    c = U[:, :-1, :-1], U[:, :-1, 1:], U[:, 1:, 1:], U[:, 1:, :-1]
+    yield c, (along_c[:, :-1], _inner(c[0], c[2]), along_n[:, :, :-1], along_n[:, :, 1:],
+              _inner(c[1], c[3]), along_c[:, 1:]), \
+        (s[:, :-1, :-1], s[:, :-1, 1:], s[:, 1:, 1:], s[:, 1:, :-1])
 
 
 #: Vectors from which the products add column by column; below, numpy's one call is faster.

@@ -33,9 +33,9 @@ from .grids import VertexField, edge_stacks, sweep_propagate
 from .minkowski import (
     _circle_apply,
     _dot,
+    _face_families,
     _unit,
     cross_ratio_apply,
-    face_products,
     invariants_from_products,
     minkowski_inner,
     norm2,
@@ -81,27 +81,45 @@ class DarbouxTransform:
 
     def cross_ratio_residual(self) -> float:
         """Worst deviation of [f_i; f_j; fhat_j; fhat_i] from a_ij * mu over
-        the edges (i, j).  These quadruples are the faces of the two-layer
-        net [f; fhat], of shape (rows, 2, cols), and its transpose
-        (cols, 2, rows) gives those of the +n edges.
+        the edges (i, j): the two-layer case of :func:`_layer_residuals`.
 
         Raises DegeneratePoints if an edge quadruple is degenerate, naming
         the edge (i, j) of least regularity, the first in row-major order of
         its edge stack on a tie; the +m edges are checked first."""
-        worst = 0.0
-        U = _unit(np.stack([self.base.lifts.data, self.lifts.data], axis=1))
-        for axis, a in enumerate(self.base.weights.stacks()):
-            q, regularity = invariants_from_products(
-                *face_products(U.transpose(2, 1, 0, 3) if axis else U))
-            # back to the edge stack (rows-1, cols) or (rows, cols-1)
-            q, regularity = (x[:, 0].T if axis else x[:, 0] for x in (q, regularity))
+        return _layer_residuals(self.base.weights, [self.base.lifts.data, self.lifts.data],
+                                [self.mu])[0]
+
+
+def _layer_residuals(weights, layers, mus) -> list[float]:
+    """Worst |q - a_ij mu| / (1 + |a_ij mu|) over the edge quadruples
+    (f_i, f_j, fhat_j, fhat_i) of each consecutive pair of ``layers``, with
+    ``mus[l]`` the parameter of pair l: the faces of the layered net
+    np.stack(layers, axis=1), one face-kernel pass per edge direction.  The
+    regularity floors then run pair by pair, +m edges first."""
+    U = _unit(np.stack(layers, axis=1))
+    kernels = [invariants_from_products(*family) for family in _face_families(U)]
+    worst = []
+    for pair, mu in enumerate(mus):
+        value = 0.0
+        for axis, ((q, regularity), a) in enumerate(zip(kernels, weights.stacks())):
             regularity_floor("an edge quadruple (f_i, f_j, fhat_j, fhat_i) has three nearly "
-                             "dependent lifts", regularity,
-                             partial(self.base.domain.stack_edge, axis)).require(DegeneratePoints)
-            target = a * self.mu
-            worst = np.maximum(worst, np.max(np.abs(q - target) / (1.0 + np.abs(target)),
+                             "dependent lifts", regularity[:, pair],
+                             partial(weights.domain.stack_edge, axis)).require(DegeneratePoints)
+            target = a * mu
+            value = np.maximum(value, np.max(np.abs(q[:, pair] - target) / (1.0 + np.abs(target)),
                                              initial=0.0))
-        return float(worst)
+        worst.append(float(value))
+    return worst
+
+
+def _require_same_net(net: IsothermicNet, base: IsothermicNet, what: str) -> None:
+    """Refuse with ValueError ``what``, built on ``base``, for ``net``
+    unless the two are the same net: the same object or, for a reloaded
+    net, bitwise-equal lifts and weights."""
+    if base is not net and not (np.array_equal(base.lifts.data, net.lifts.data)
+                                and np.array_equal(base.weights.u, net.weights.u)
+                                and np.array_equal(base.weights.v, net.weights.v)):
+        raise ValueError(f"{what} was built for a different net")
 
 
 def parallel_residual(net: IsothermicNet, mu: float, section: VertexField) -> float:
@@ -207,9 +225,12 @@ def pcq_darboux(cq: ConservedQuantity, transform: DarbouxTransform) -> Conserved
 
     Raises
     ------
+    ValueError
+        If the transform was built on another net than the quantity.
     NotPolynomial
         If the degree N+2 coefficient fails to cancel (bad input quantity).
     """
+    _require_same_net(cq.net, transform.base, "transform")
     mu = transform.mu
     c = cq.coeffs
     k = c.shape[2]
@@ -242,9 +263,12 @@ def pcq_backlund(cq: ConservedQuantity, transform: DarbouxTransform) -> Conserve
 
     Raises
     ------
+    ValueError
+        If the transform was built on another net than the quantity.
     NotBacklund
         If the start orthogonality <P(mu), Fhat> fails at some vertex.
     """
+    _require_same_net(cq.net, transform.base, "transform")
     mu = transform.mu
     c = cq.coeffs
     k = c.shape[2]
@@ -293,11 +317,15 @@ def bianchi(net: IsothermicNet, first: DarbouxTransform, second: DarbouxTransfor
 
     Raises
     ------
+    ValueError
+        If a transform was built on another net than ``net``.
     CoincidentTransforms
         If the two transforms touch at some vertex.
     DegeneratePoints
         If an edge quadruple of either route is degenerate.
     """
+    _require_same_net(net, first.base, "first transform")
+    _require_same_net(net, second.base, "second transform")
     mu1, mu2 = first.mu, second.mu
     if abs(mu1 - mu2) <= tol(1.0 + abs(mu1)):
         raise CoincidentTransforms("equal parameters")
@@ -313,8 +341,9 @@ def bianchi(net: IsothermicNet, first: DarbouxTransform, second: DarbouxTransfor
     d_of_second = DarbouxTransform(mu1, lifts, second.net())
     # the fourth net's lifts, normalized once for both routes
     d_of_second._net = IsothermicNet(d_of_first.net().lifts, d_of_second.base.weights)
-    r1 = d_of_first.cross_ratio_residual()
-    r2 = d_of_second.cross_ratio_residual()
+    # route 2's quadruples (fhat2_i, fhat2_j, F12_j, F12_i), reversed, with the same products
+    r1, r2 = _layer_residuals(net.weights, [first.net().lifts.data, lifts.data,
+                                            second.net().lifts.data], [mu2, mu1])
 
     quantity = None
     gap = None
@@ -422,11 +451,7 @@ def calapso_pcq(cq: ConservedQuantity, frame: CalapsoFrame) -> ConservedQuantity
     are preserved; for linear quantities the curvatures move along the
     family H -> H - mu, kappa -> kappa + 2 mu H - mu^2 with H^2 + kappa
     invariant."""
-    a, b = frame.net, cq.net
-    if a is not b and not (np.array_equal(a.lifts.data, b.lifts.data)  # a reloaded net
-                           and np.array_equal(a.weights.u, b.weights.u)
-                           and np.array_equal(a.weights.v, b.weights.v)):
-        raise ValueError("frame was built for a different net")
+    _require_same_net(cq.net, frame.net, "frame")
     shifted = mp_shift(cq.coeffs, frame.mu)
     data = np.einsum("mnij,mnkj->mnki", frame.frames.data, shifted)
     return ConservedQuantity(frame.transformed, data)

@@ -45,6 +45,7 @@ from isothermic.minkowski import (
     SIGNATURE,
     _circle_apply,
     _unit,
+    cross_ratio_apply,
     cross_ratio_matrix,
     cross_ratios,
     euclidean_lift,
@@ -292,43 +293,56 @@ def edge_quad_oracle(F, H, axis):
 @settings(max_examples=30, deadline=None)
 @given(NETS, st.booleans())
 def test_quad_products_are_the_oracles_bitwise(drawn, bend):
-    """The products face_products hands to invariants_from_products (once
+    """The products the face builder hands to invariants_from_products (once
     per vertex, edge and face diagonal) are the products one quadruple at a
     time would take, in the same order, to the last bit: on the faces of a
     net, on the Darboux edge quadruples [F_i, F_j, H_j, H_i] that
-    cross_ratio_residual reads off the two-layer array [F; H] and its
-    transpose, and on the 2x2 grids of cross_ratios."""
+    cross_ratio_residual reads off the two-layer array [F; H] along +m and
+    +n, on those of both layer pairs of a three-layer array [F; H; G] (as
+    bianchi reads its two routes), and on the 2x2 grids of cross_ratios."""
     seed, shape, kind = drawn
     net = random_net(seed, shape, kind)
     if bend:
         net = bent(net, seed)
     F = net.lifts.data
     rng = np.random.default_rng(seed)
-    H = euclidean_lift(rng.normal(size=F.shape[:2] + (3,)))
-    H *= rng.uniform(0.5, 2.0, F.shape[:2] + (1,))
+    H, G = (euclidean_lift(rng.normal(size=F.shape[:2] + (3,)))
+            * rng.uniform(0.5, 2.0, F.shape[:2] + (1,)) for _ in range(2))
     units, grams = ref_face_grams(net.lifts)
     assert_quad_products_equal(face_products(_unit(F)), grams, units)
 
     built = []
+    families = minkowski._face_families
 
     def recorded(U):
-        built.append(face_products(U))
-        return built[-1]
+        for family in families(U):
+            built.append(family)
+            yield family
 
     V = np.stack([F[:-1, :-1], H[1:, :-1], F[1:, 1:], H[:-1, 1:]], axis=2)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(transforms, "face_products", recorded)
-        patch.setattr(minkowski, "face_products", recorded)
+        patch.setattr(transforms, "_face_families", recorded)
+        patch.setattr(minkowski, "_face_families", recorded)
         DarbouxTransform(0.5, VertexField(H), net).cross_ratio_residual()
+        two_layers = built[:]
+        built.clear()
+        try:
+            transforms._layer_residuals(net.weights, [F, H, G], [0.5, -0.7])
+        except DegeneratePoints:  # raised after the kernel, by a floor
+            pass
+        three_layers = built[:]
+        built.clear()
         cross_ratios(V)
-    *edge_quads, grids_built = built
-    for axis, quads in enumerate(edge_quads):
-        # the one face across the two layers, back on the edge stack
-        back = (lambda x: np.swapaxes(x[:, 0], 0, 1)) if axis else (lambda x: x[:, 0])
-        assert_quad_products_equal([[back(x) for x in part] for part in quads],
-                                   *edge_quad_oracle(F, H, axis)[::-1])
+    assert len(two_layers) == len(three_layers) == 2
+    for layers, families_built in (([F, H], two_layers), ([F, H, G], three_layers)):
+        for pair, (f, fhat) in enumerate(zip(layers, layers[1:])):
+            for axis, quads in enumerate(families_built):
+                # the faces between layers pair and pair + 1 are the edge stack
+                assert_quad_products_equal([[x[:, pair] for x in part] for part in quads],
+                                           *edge_quad_oracle(f, fhat, axis)[::-1])
+    assert len(built) == 1
     units, grams = zip(*(ref_unit_gram(quad) for quad in V.reshape(-1, 4, 5)))
-    assert_quad_products_equal([[x[0, 0] for x in part] for part in grids_built],
+    assert_quad_products_equal([[x[0, 0] for x in part] for part in built[0]],
                                np.reshape(grams, V.shape[:2] + (4, 4)),
                                np.reshape(units, V.shape))
 
@@ -353,15 +367,24 @@ class _NoStack:
 
 
 def test_quad_checks_form_no_quadruple_stack(monkeypatch):
-    """verify_isothermic, validate and cross_ratio_residual read their
-    products off the vertex arrays: they run, to the same results, with
-    face_stack and every stack of four arrays refused in the kernel, net
-    and transform modules.  cross_ratio_residual stacks the base and the
-    transform into one two-layer array; the net checks stack nothing."""
+    """verify_isothermic, validate, cross_ratio_residual and bianchi read
+    their products off the vertex arrays: they run, to the same results,
+    with face_stack and every stack of four arrays refused in the kernel,
+    net and transform modules.  cross_ratio_residual stacks the base and the
+    transform into one two-layer array, and bianchi its two routes into one
+    three-layer array [fhat1; F12; fhat2] (after the coefficient stack and
+    the two anchor stacks of the vertex map); the net checks stack
+    nothing."""
     net = catalog.cylinder_net(4, 5, 0.3, np.pi / 4)
     t = darboux_propagate(net, 0.4, euclidean_lift(np.array([3.0, 0.5, 0.2])))
+    t2 = darboux_propagate(net, -0.7, euclidean_lift(np.array([2.0, -1.0, 0.4])))
+
+    def routes():
+        result = bianchi(net, t, t2)
+        return result.residual_first, result.residual_second
+
     checks = (lambda: verify_isothermic(net.lifts).cross_ratios, net.validate,
-              t.cross_ratio_residual)
+              t.cross_ratio_residual, routes)
     expected = [check() for check in checks]
 
     def refused(data):
@@ -372,7 +395,8 @@ def test_quad_checks_form_no_quadruple_stack(monkeypatch):
     numpy = _NoStack()
     for module in (minkowski, nets, transforms):
         monkeypatch.setattr(module, "np", numpy)
-    for check, value, shapes in zip(checks, expected, ([], [], [(4, 2, 5, 5)])):
+    for check, value, shapes in zip(checks, expected, ([], [], [(4, 2, 5, 5)], [
+            (4, 5, 2), (4, 5, 5, 2), (4, 5, 2, 5), (4, 3, 5, 5)])):
         numpy.shapes.clear()
         assert np.array_equal(check(), value)
         assert numpy.shapes == shapes
@@ -1065,8 +1089,7 @@ def test_coincident_edge_quadruple_names_its_edge():
 
 def test_coincident_n_edge_quadruples_name_the_first_in_row_major():
     """Two +n edge quadruples degenerate; the error names the first of them
-    in row-major order of the (rows, cols-1) edge stack, not of the
-    transposed two-layer array the products are read from."""
+    in row-major order of the (rows, cols-1) edge stack."""
     net = small_cylinder()
     data = darboux_propagate(net, -1.0, euclidean_lift([3.0, 0.5, 0.2])).lifts.data.copy()
     data[1, 3] = 2.0 * net.lifts[(1, 2)]
@@ -1074,6 +1097,59 @@ def test_coincident_n_edge_quadruples_name_the_first_in_row_major():
     with pytest.raises(DegeneratePoints) as got:
         DarbouxTransform(-1.0, VertexField(data), net).cross_ratio_residual()
     assert got.value.check.where == ((1, 2), (1, 3)) and not got.value.check.ok
+
+
+def test_second_bianchi_route_names_its_degenerate_edge():
+    """A second transform that touches the net at (2, 3) puts F12 on its
+    ray there.  The first route's quadruples stay regular; the second
+    route's, read off the three-layer array [fhat1; F12; fhat2], degenerate,
+    and bianchi names their first edge with the floor check it failed."""
+    net = small_cylinder()
+    first = darboux_propagate(net, -1.0, euclidean_lift([3.0, 0.5, 0.2]))
+    data = darboux_propagate(net, -0.5, euclidean_lift([2.0, -1.0, 0.4])).lifts.data.copy()
+    data[2, 3] = 2.0 * net.lifts[(2, 3)]
+    second = DarbouxTransform(-0.5, VertexField(data), net)
+    F12 = VertexField(cross_ratio_apply(-0.5 / -1.0, first.lifts.data, data, net.lifts.data))
+    assert DarbouxTransform(-0.5, F12, first.net()).cross_ratio_residual() == \
+        pytest.approx(0.125, abs=1e-3)
+    with pytest.raises(DegeneratePoints) as got:
+        bianchi(net, first, second)
+    assert got.value.check.where == ((1, 3), (2, 3)) and not got.value.check.ok
+    assert str(got.value) == ("an edge quadruple (f_i, f_j, fhat_j, fhat_i) has three nearly "
+                              "dependent lifts (regularity 0 <= 1e-18) at ((1, 3), (2, 3))")
+
+
+@settings(max_examples=30, deadline=None)
+@given(NETS.filter(lambda d: d[2] != "moutard"), st.floats(-3.0, -0.3), st.floats(0.3, 3.0))
+def test_bianchi_routes_are_the_two_layer_checks_bitwise(drawn, mu1, mu2):
+    """bianchi reads both routes off one three-layer array [fhat1; F12;
+    fhat2].  Its first route is cross_ratio_residual of F12 as a transform
+    of the first input, to the last bit.  Its second pair (F12_i, F12_j,
+    fhat2_j, fhat2_i) is route 2's quadruple reversed, with the regularity
+    and the real part of q of the two-layer array [fhat2; F12] bitwise."""
+    seed, shape, kind = drawn
+    net = random_net(seed, shape, kind)
+    rng = np.random.default_rng(seed)
+    mu1, mu2 = admissible_mu(net, mu1), admissible_mu(net, mu2)
+    assume(abs(mu1 - mu2) > 0.1)
+    try:
+        first, second = (darboux_propagate(net, mu, euclidean_lift(rng.uniform(2.0, 3.0, 3)))
+                         for mu in (mu1, mu2))
+        result = bianchi(net, first, second)
+    except GeometryError:
+        assume(False)
+    assert result.residual_first == \
+        DarbouxTransform(mu2, result.lifts, first.net()).cross_ratio_residual()
+    F12, hat2 = result.lifts.data, second.net().lifts.data
+
+    def kernels(layers):
+        U = _unit(np.stack(layers, axis=1))
+        return [minkowski.invariants_from_products(*f) for f in minkowski._face_families(U)]
+
+    for (q3, r3), (q2, r2) in zip(kernels([first.net().lifts.data, F12, hat2]),
+                                  kernels([hat2, F12])):
+        assert np.array_equal(r3[:, 1], r2[:, 0])
+        assert np.array_equal(q3.real[:, 1], q2.real[:, 0], equal_nan=True)
 
 
 @pytest.mark.parametrize("call", [

@@ -413,6 +413,51 @@ def test_calapso_pcq_compares_nets_by_value():
         moved.coeffs, calapso_pcq(catalog.cylinder_quantity(net), frame).coeffs)
 
 
+def transforms_of_two_nets():
+    """Two cylinders of one size, the quantity of the second, and Backlund
+    transforms of the first at mu -1 and of the second at mu -1.5."""
+    a, b = catalog.cylinder_net(6, 7, 0.3, 0.5), catalog.cylinder_net(6, 7, 0.25, 0.6)
+    qa, qb = catalog.cylinder_quantity(a), catalog.cylinder_quantity(b)
+    t1 = darboux_propagate(a, -1.0, backlund_init(qa, -1.0, 0.3))
+    t2 = darboux_propagate(b, -1.5, backlund_init(qb, -1.5, 0.3))
+    return a, qb, t1, t2
+
+
+def reloaded(net):
+    return IsothermicNet(VertexField(net.lifts.data.copy()),
+                         EdgeFunction(net.weights.u.copy(), net.weights.v.copy()))
+
+
+def test_bianchi_refuses_a_transform_of_another_net():
+    """Both transforms must be built on the net: each is compared with it
+    by value, so a reloaded copy of the net is accepted."""
+    a, _, t1, t2 = transforms_of_two_nets()
+    with pytest.raises(ValueError, match="second transform was built for a different net"):
+        bianchi(a, t1, t2)
+    with pytest.raises(ValueError, match="first transform was built for a different net"):
+        bianchi(t2.base, t1, t2)
+    again = darboux_propagate(a, -1.5, backlund_init(catalog.cylinder_quantity(a), -1.5, 0.3))
+    assert bianchi(reloaded(a), t1, again).residual_first < 1e-9
+
+
+def test_pcq_darboux_refuses_a_transform_of_another_net():
+    _, qb, t1, t2 = transforms_of_two_nets()
+    with pytest.raises(ValueError, match="transform was built for a different net"):
+        pcq_darboux(qb, t1)
+    copy = ConservedQuantity(reloaded(t2.base), qb.coeffs)
+    np.testing.assert_array_equal(pcq_darboux(copy, t2).coeffs, pcq_darboux(qb, t2).coeffs)
+
+
+def test_pcq_backlund_refuses_a_transform_of_another_net():
+    """The pairing is refused before the start orthogonality is checked,
+    which would blame the start (NotBacklund)."""
+    _, qb, t1, t2 = transforms_of_two_nets()
+    with pytest.raises(ValueError, match="transform was built for a different net"):
+        pcq_backlund(qb, t1)
+    copy = ConservedQuantity(reloaded(t2.base), qb.coeffs)
+    np.testing.assert_array_equal(pcq_backlund(copy, t2).coeffs, pcq_backlund(qb, t2).coeffs)
+
+
 def test_calapso_pcq_identity_and_lawson(cylinder, rng):
     net, cq = cylinder
     frame0, _ = calapso(net, 0.0)
