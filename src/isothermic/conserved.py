@@ -32,9 +32,9 @@ from .polyvec import (
     mp_divide_linear,
     mp_divide_one_minus,
     mp_eval,
-    mp_inner_poly,
     mp_inner_vec,
     mp_max_coeff,
+    mp_norm_poly,
     mp_scale_arg,
 )
 from .tolerances import Check, tol
@@ -45,7 +45,8 @@ class ConservedQuantity:
 
     def __init__(self, net: IsothermicNet, coeffs, *, check: bool = True):
         coeffs = np.asarray(coeffs, dtype=float)
-        if coeffs.shape[:2] != (net.domain.rows, net.domain.cols) or coeffs.shape[3:] != (5,):
+        if (coeffs.shape[:2] != (net.domain.rows, net.domain.cols) or coeffs.shape[3:] != (5,)
+                or coeffs.shape[2] == 0):
             raise ValueError("coefficient array must have shape (rows, cols, deg+1, 5)")
         self.net = net
         self.coeffs = coeffs
@@ -93,23 +94,24 @@ class ConservedQuantity:
         Check("constant coefficient varies over vertices",
               float(np.abs(self.coeffs[:, :, 0, :] - self.constant).max()),
               tol(s)).require(NotConserved)
-        np_all = self._norm_polys(s)
+        np_all, _ = self._norm_polys(s)
         inc = np.abs(mp_inner_vec(self.coeffs[:, :, -1, :], self.net.lifts.data))
         Check("top coefficient not orthogonal to the net", float(inc.max()),
               tol(s * self.net.lift_scale())).require(NotConserved)
         Check("top coefficient has negative Minkowski square", -float(np_all[..., -1].min()),
               tol(s * s)).require(NotConserved)
 
-    def _norm_polys(self, s: float) -> np.ndarray:
-        """|P(lam)|^2 at every vertex, which must spread by at most tol(s^2)."""
-        np_all = mp_inner_poly(self.coeffs, self.coeffs)
-        Check("|P|^2 varies over vertices", float(np.abs(np_all - np_all.mean(axis=(0, 1))).max()),
+    def _norm_polys(self, s: float) -> tuple[np.ndarray, np.ndarray]:
+        """|P(lam)|^2 at every vertex and its mean, about which it spreads by at most tol(s^2)."""
+        np_all = mp_norm_poly(self.coeffs)
+        mean = np_all.mean(axis=(0, 1))
+        Check("|P|^2 varies over vertices", float(np.abs(np_all - mean).max()),
               tol(s * s)).require(NotConserved)
-        return np_all
+        return np_all, mean
 
     def norm_poly(self) -> np.ndarray:
         """Coefficients of |P(lam)|^2 (asserts vertex independence)."""
-        return self._norm_polys(self.scale()).mean(axis=(0, 1))
+        return self._norm_polys(self.scale())[1]
 
     def top_norm2(self) -> float:
         return float(self.norm_poly()[-1])
@@ -194,6 +196,8 @@ def degree_reduce(cq: ConservedQuantity, mu: float) -> ConservedQuantity:
     ------
     NonzeroRoot
     """
+    if not np.isfinite(mu):
+        raise ValueError(f"mu = {mu} must be finite")
     values = mp_eval(cq.coeffs, mu)
     Check(f"|P({mu})| is not a root", float(np.sqrt(_dot(values, values)).max()),
           tol(cq.scale() * (1.0 + abs(mu)) ** cq.degree)).require(NonzeroRoot)
@@ -207,6 +211,8 @@ def reparametrize(cq: ConservedQuantity, alpha: float) -> ConservedQuantity:
     same net with edge weights alpha * a."""
     if alpha == 0.0:
         raise ValueError("alpha must be nonzero")
+    if not np.isfinite(alpha):
+        raise ValueError(f"alpha = {alpha} must be finite")
     weights = cq.net.weights
     net = IsothermicNet(VertexField(cq.net.lifts.data.copy()),
                         EdgeFunction(weights.u * alpha, weights.v * alpha))
@@ -221,8 +227,9 @@ def normalize_top(cq: ConservedQuantity) -> ConservedQuantity:
     DegenerateTop
         If |top|^2 vanishes (the top is then a lift of the net itself).
     """
-    t2 = cq.top_norm2()
-    if t2 <= tol(cq.scale() ** 2):
+    s = cq.scale()
+    t2 = float(cq._norm_polys(s)[1][-1])
+    if t2 <= tol(s ** 2):
         raise DegenerateTop("isotropic top coefficient cannot be normalized")
     return cq.scaled(1.0 / np.sqrt(t2))
 
@@ -239,13 +246,14 @@ def mean_curvature_data(cq: ConservedQuantity):
     """
     if cq.degree != 1:
         raise ValueError("mean curvature data needs a linear quantity")
-    Check("quantity is not normalized: |top|^2 - 1", abs(cq.top_norm2() - 1.0),
+    s = cq.scale()
+    Check("quantity is not normalized: |top|^2 - 1", abs(float(cq._norm_polys(s)[1][-1]) - 1.0),
           tol(1.0)).require(NotNormalized)
     Q = cq.constant
     zq = mp_inner_vec(cq.coeffs[:, :, 1, :], Q)
     H = -float(zq.mean())
     Check("<Z, Q> varies over vertices", float(np.abs(zq + H).max()),
-          tol(cq.scale() ** 2)).require(NotConserved)
+          tol(s ** 2)).require(NotConserved)
     return H, -float(norm2(Q))
 
 
@@ -362,8 +370,8 @@ def classify_type(net: IsothermicNet, candidates=()) -> TypeReport:
         passed.append(pcq_verify(net, cand).ok)
         if not passed[-1]:
             continue
-        t2 = cand.top_norm2()
-        if t2 <= tol(cand.scale() ** 2):
+        s = cand.scale()
+        if float(cand._norm_polys(s)[1][-1]) <= tol(s ** 2):
             degenerate = True
             continue
         d = cand.degree

@@ -5,6 +5,9 @@ ascending coefficients; real polynomials are ndarrays of shape ``(..., K)``
 (the division helpers take them with a trailing axis of length 1).
 All helpers broadcast over leading axes, so a whole grid of polynomials can
 be processed in one call.
+
+Order contract: each coefficient of a product is built once, its terms added
+by ascending index from +0, as ``sum(terms, 0.0)`` adds them.
 """
 
 from __future__ import annotations
@@ -40,26 +43,28 @@ def mp_inner_vec(coeffs, X):
     return np.einsum("...j,...j->...", c, np.asarray(X, dtype=float) * SIGNATURE)
 
 
-def mp_inner_poly(c1, c2):
-    """Real polynomial <P(lam), R(lam)> of two coefficient arrays (no broadcasting
-    over the polynomial axis; leading axes broadcast)."""
-    c1 = np.asarray(c1, dtype=float) * SIGNATURE
-    c2 = np.asarray(c2, dtype=float)
-    k1, k2 = c1.shape[-2], c2.shape[-2]
-    out = np.zeros(np.broadcast_shapes(c1.shape[:-2], c2.shape[:-2]) + (k1 + k2 - 1,))
-    for a in range(k1):
-        for b in range(k2):
-            out[..., a + b] += np.einsum("...j,...j->...", c1[..., a, :], c2[..., b, :])
-    return out
+def mp_norm_poly(coeffs):
+    """Real polynomial |P(lam)|^2.  Each product <c_a, c_b> is formed once, for
+    a <= b, and read for <c_b, c_a> too: the two are equal to the bit."""
+    c = np.asarray(coeffs, dtype=float)
+    k = c.shape[-2]
+    signed = c * SIGNATURE
+    inner = {}
+    for a in range(k):
+        for b in range(a, k):
+            inner[a, b] = inner[b, a] = np.einsum("...j,...j->...", signed[..., a, :], c[..., b, :])
+    return np.stack([sum((inner[a, d - a] for a in range(k) if 0 <= d - a < k), 0.0)
+                     for d in range(2 * k - 1)], axis=-1)
 
 
 def mp_scale_poly(coeffs, p):
     """Multiply a vector polynomial by a real polynomial."""
     c = np.asarray(coeffs, dtype=float)
     p = np.asarray(p, dtype=float)
-    out = np.zeros(c.shape[:-2] + (c.shape[-2] + len(p) - 1, 5))
-    for a in range(len(p)):
-        out[..., a : a + c.shape[-2], :] += p[a] * c
+    k, n = c.shape[-2], len(p)
+    out = np.empty(c.shape[:-2] + (k + n - 1, 5))
+    for d in range(k + n - 1):
+        out[..., d, :] = sum((p[a] * c[..., d - a, :] for a in range(n) if 0 <= d - a < k), 0.0)
     return out
 
 
@@ -93,10 +98,9 @@ def mp_shift(coeffs, mu):
     """Reparametrize lam -> lam + mu (binomial recombination)."""
     c = np.asarray(coeffs, dtype=float)
     k = c.shape[-2]
-    out = np.zeros_like(c)
-    for j in range(k):
-        for i in range(j + 1):
-            out[..., i, :] += comb(j, i) * (mu ** (j - i)) * c[..., j, :]
+    out = np.empty_like(c)
+    for i in range(k):
+        out[..., i, :] = sum((comb(j, i) * mu ** (j - i) * c[..., j, :] for j in range(i, k)), 0.0)
     return out
 
 

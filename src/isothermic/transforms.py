@@ -215,6 +215,28 @@ def backlund_init(cq: ConservedQuantity, mu: float, s: float, basepoint=None) ->
     return X
 
 
+def _darboux_coefficients(c, F, Fh, mu):
+    """Coefficients l = 0..k+1 of Phat (:func:`pcq_darboux`) for c (..., k, 5) and lifts
+    (..., 5): -mu c_l + c_(l-1) - pf_(l-2) Fh/(mu g) + pf_(l-1) Fh/g - pfh_(l-1) F/g, the
+    present terms added in that order from +0, with each product pf_l Fh formed once."""
+    k = c.shape[-2]
+    g = minkowski_inner(F, Fh)[..., None]
+    mug = mu * g
+    pf, pfh = (mp_inner_vec(c, X[..., None, :]) for X in (F, Fh))
+    pf_fh = [pf[..., l, None] * Fh for l in range(k)]
+    out = np.empty(c.shape[:-2] + (k + 2, 5))
+    for l in range(k + 2):
+        total = 0.0 + -mu * c[..., l, :] if l < k else 0.0
+        if 0 < l <= k:
+            total = total + c[..., l - 1, :]
+        if l > 1:
+            total = total - pf_fh[l - 2] / mug
+        if 0 < l <= k:
+            total = total + pf_fh[l - 1] / g - pfh[..., l - 1, None] * F / g
+        out[..., l, :] = total
+    return out
+
+
 def pcq_darboux(cq: ConservedQuantity, transform: DarbouxTransform) -> ConservedQuantity:
     """Conserved quantity of a Darboux transform (degree at most N+1):
 
@@ -231,20 +253,8 @@ def pcq_darboux(cq: ConservedQuantity, transform: DarbouxTransform) -> Conserved
         If the degree N+2 coefficient fails to cancel (bad input quantity).
     """
     _require_same_net(cq.net, transform.base, "transform")
-    mu = transform.mu
-    c = cq.coeffs
-    k = c.shape[2]
-    F = cq.net.lifts.data[:, :, None, :]
-    Fh = transform.lifts.data[:, :, None, :]
-    g = minkowski_inner(F, Fh)[..., None]
-    pf = mp_inner_vec(c, F)[..., None]
-    pfh = mp_inner_vec(c, Fh)[..., None]
-    out = np.zeros(c.shape[:2] + (k + 2, 5))
-    out[:, :, :k] += -mu * c
-    out[:, :, 1:k + 1] += c
-    out[:, :, 2:k + 2] -= pf * Fh / (mu * g)
-    out[:, :, 1:k + 1] += pf * Fh / g
-    out[:, :, 1:k + 1] -= pfh * F / g
+    k = cq.coeffs.shape[2]
+    out = _darboux_coefficients(cq.coeffs, cq.net.lifts.data, transform.lifts.data, transform.mu)
     scale = 1.0 + mp_max_coeff(out)
     Check(f"degree {k + 1} coefficient does not cancel", float(np.abs(out[:, :, k + 1, :]).max()),
           tol(scale)).require(NotPolynomial)
@@ -374,7 +384,8 @@ def complementary(cq: ConservedQuantity) -> list[ComplementaryNet]:
     eigenvalues; a root is accepted as real when |imag| <= 1e-7 (1 + |real|),
     and roots are merged into multiplicity clusters of radius 1e-6.
     """
-    poly = cq.norm_poly()
+    s = cq.scale()
+    poly = cq._norm_polys(s)[1]
     poly = mp_trim(poly[:, None], float(np.abs(poly).max()))[:, 0]
     if len(poly) <= 1:
         return []
@@ -392,7 +403,7 @@ def complementary(cq: ConservedQuantity) -> list[ComplementaryNet]:
         mu = float(np.mean(cluster))
         values = mp_eval(cq.coeffs, mu)
         size = float(np.sqrt(_dot(values, values)).max())
-        degenerate = size <= tol(cq.scale() * (1.0 + abs(mu)) ** cq.degree)
+        degenerate = size <= tol(s * (1.0 + abs(mu)) ** cq.degree)
         lifts = None if degenerate else VertexField(values)
         out.append(ComplementaryNet(mu, len(cluster), lifts))
     return out

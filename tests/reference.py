@@ -5,13 +5,17 @@ library's array code.  Array ones: the meridian step, the seed solve, the
 meridian residual and the dense solve as numpy code on 3-element arrays,
 against which the tests check the library's scalar constructor bit for bit.
 Loop ones: Horner evaluation and the division by (1 - a*lam) as their own
-loops, against which the tests check ``polyvec``'s one synthetic division.
+loops, against which the tests check ``polyvec``'s one synthetic division,
+and the products |P|^2, p(lam) P(lam) and P(lam + mu) and the coefficients
+of a Darboux transform's quantity as accumulations into a zeroed array,
+against which the tests check their per-coefficient builds bit for bit.
 Exact ones: random Moutard nets, filled face by face in decimal arithmetic
 and rounded to doubles at the end, on which the tests probe every check;
 exact arithmetic stays here, out of the library."""
 
 import decimal
 import warnings
+from math import comb
 
 import numpy as np
 
@@ -26,8 +30,9 @@ from isothermic.errors import (
     VanishingX,
 )
 from isothermic.grids import EdgeFunction, VertexField
-from isothermic.minkowski import cross_ratio_matrix
+from isothermic.minkowski import SIGNATURE, cross_ratio_matrix, minkowski_inner
 from isothermic.nets import IsothermicNet
+from isothermic.polyvec import mp_inner_vec
 from isothermic.revolution import SeedSolution
 from isothermic.tolerances import Check, tol
 
@@ -352,3 +357,56 @@ def mp_divide_one_minus(coeffs, a):
         q[..., j, :] = carry
     remainder = c[..., k - 1, :] + a * carry if k > 1 else c[..., 0, :]
     return q, remainder
+
+
+def mp_inner_poly(c1, c2):
+    """Real polynomial <P(lam), R(lam)> of two coefficient arrays, every
+    product <c1_a, c2_b> added into coefficient a + b in turn."""
+    c1 = np.asarray(c1, dtype=float) * SIGNATURE
+    c2 = np.asarray(c2, dtype=float)
+    k1, k2 = c1.shape[-2], c2.shape[-2]
+    out = np.zeros(np.broadcast_shapes(c1.shape[:-2], c2.shape[:-2]) + (k1 + k2 - 1,))
+    for a in range(k1):
+        for b in range(k2):
+            out[..., a + b] += np.einsum("...j,...j->...", c1[..., a, :], c2[..., b, :])
+    return out
+
+
+def mp_scale_poly(coeffs, p):
+    """Multiply a vector polynomial by a real polynomial."""
+    c = np.asarray(coeffs, dtype=float)
+    p = np.asarray(p, dtype=float)
+    out = np.zeros(c.shape[:-2] + (c.shape[-2] + len(p) - 1, 5))
+    for a in range(len(p)):
+        out[..., a : a + c.shape[-2], :] += p[a] * c
+    return out
+
+
+def mp_shift(coeffs, mu):
+    """Reparametrize lam -> lam + mu (binomial recombination)."""
+    c = np.asarray(coeffs, dtype=float)
+    k = c.shape[-2]
+    out = np.zeros_like(c)
+    for j in range(k):
+        for i in range(j + 1):
+            out[..., i, :] += comb(j, i) * (mu ** (j - i)) * c[..., j, :]
+    return out
+
+
+def darboux_coefficients(c, F, Fh, mu):
+    """Coefficients of the quantity of a Darboux transform with parameter mu
+    and lifts Fh, before the degree check, as five broadcast terms added into
+    a zeroed array."""
+    k = c.shape[-2]
+    F = F[..., None, :]
+    Fh = Fh[..., None, :]
+    g = minkowski_inner(F, Fh)[..., None]
+    pf = mp_inner_vec(c, F)[..., None]
+    pfh = mp_inner_vec(c, Fh)[..., None]
+    out = np.zeros(c.shape[:-2] + (k + 2, 5))
+    out[..., :k, :] += -mu * c
+    out[..., 1:k + 1, :] += c
+    out[..., 2:k + 2, :] -= pf * Fh / (mu * g)
+    out[..., 1:k + 1, :] += pf * Fh / g
+    out[..., 1:k + 1, :] -= pfh * F / g
+    return out

@@ -21,7 +21,10 @@ from conftest import darboux_stacked_net, ref_face_regularity
 from isothermic import catalog, conserved, grids, minkowski, nets, transforms
 from isothermic.conserved import (
     ConservedQuantity,
+    classify_type,
     lcq_solve_grid,
+    mean_curvature_data,
+    normalize_top,
     pcq_propagate,
     pcq_verify,
     propagate_congruence,
@@ -70,6 +73,7 @@ from isothermic.transforms import (
     DarbouxTransform,
     backlund_init,
     bianchi,
+    complementary,
     darboux_propagate,
     parallel_residual,
     pcq_backlund,
@@ -461,6 +465,39 @@ def test_pcq_residual_contracts_the_lifts_once(monkeypatch):
     monkeypatch.setattr(conserved, "mp_inner_vec", counted)
     pcq_verify(net, quantity)
     assert calls == [(4, 5, 2, 5)]
+
+
+def test_quantity_checks_take_one_scale_and_one_norm_pass(monkeypatch):
+    """normalize_top, mean_curvature_data and complementary each take the
+    coefficient scale and |P|^2 once; classify_type takes |P|^2 once per
+    verified candidate, and the scale once more than pcq_verify does, for
+    its own tolerance."""
+    net = catalog.cylinder_net(5, 5, 0.3, np.pi / 4)
+    quantity = catalog.cylinder_quantity(net)
+    coeffs = quantity.coeffs.copy()
+    coeffs[2, 3, 1] += 0.1
+    failing = ConservedQuantity(net, coeffs, check=False)
+    calls = []
+    for name in ("mp_max_coeff", "mp_norm_poly"):
+        def counted(c, name=name, original=getattr(conserved, name)):
+            calls.append(name)
+            return original(c)
+
+        monkeypatch.setattr(conserved, name, counted)
+
+    normalize_top(quantity)
+    assert calls == ["mp_max_coeff", "mp_norm_poly"]
+    calls.clear()
+    mean_curvature_data(quantity)
+    assert calls == ["mp_max_coeff", "mp_norm_poly"]
+    calls.clear()
+    complementary(quantity)
+    assert calls == ["mp_max_coeff", "mp_norm_poly"]
+    calls.clear()
+    report = classify_type(net, [quantity, failing, quantity])
+    assert report.passed == (True, False, True)
+    verified, rejected = ["mp_max_coeff", "mp_max_coeff", "mp_norm_poly"], ["mp_max_coeff"]
+    assert calls == verified + rejected + verified
 
 
 def test_edge_connection_stacks_match_single_edges():

@@ -15,6 +15,7 @@ from isothermic.conserved import (
     normalize_top,
     pcq_propagate,
     pcq_verify,
+    reparametrize,
 )
 from isothermic.errors import (
     DegenerateTop,
@@ -101,6 +102,28 @@ def test_degree_reduce_roundtrip():
     np.testing.assert_allclose(back.coeffs, cq.coeffs, atol=1e-12)
     with pytest.raises(NonzeroRoot):
         degree_reduce(cq, 0.37)
+
+
+@pytest.mark.parametrize("check", [True, False])
+def test_quantity_with_no_coefficients_is_refused(check):
+    """A coefficient array of shape (rows, cols, 0, 5) holds no polynomial:
+    it is refused by its shape, with or without the invariant checks, and so
+    never reaches pcq_verify, which would find its empty residual conserved."""
+    net = catalog.cylinder_net(4, 5, ETA, PHI)
+    with pytest.raises(ValueError, match=r"must have shape \(rows, cols, deg\+1, 5\)"):
+        ConservedQuantity(net, np.zeros((4, 5, 0, 5)), check=check)
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_non_finite_parameters_are_refused_by_name(value):
+    """degree_reduce and reparametrize name a non-finite mu or alpha before
+    any arithmetic, so no RuntimeWarning is raised and the quantity is not
+    blamed (NonzeroRoot, NotConserved)."""
+    net, cq = cylinder_with_quantity()
+    with pytest.raises(ValueError, match=r"^mu = -?(inf|nan) must be finite$"):
+        degree_reduce(cq, value)
+    with pytest.raises(ValueError, match=r"^alpha = -?(inf|nan) must be finite$"):
+        reparametrize(cq, value)
 
 
 def test_norm_poly_cylinder():

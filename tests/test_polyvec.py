@@ -12,14 +12,15 @@ from isothermic.polyvec import (
     mp_divide_linear,
     mp_divide_one_minus,
     mp_eval,
-    mp_inner_poly,
     mp_inner_vec,
     mp_max_coeff,
+    mp_norm_poly,
     mp_scale_arg,
     mp_scale_poly,
     mp_shift,
     mp_trim,
 )
+from isothermic.transforms import _darboux_coefficients
 
 
 def direct_eval(coeffs, lam):
@@ -42,28 +43,25 @@ def test_inner_vec_exact():
     np.testing.assert_array_equal(got, expected)
 
 
-def test_inner_poly_and_norm(rng):
-    c1 = rng.integers(-3, 4, size=(3, 5)).astype(float)
-    c2 = rng.integers(-3, 4, size=(2, 5)).astype(float)
-    prod = mp_inner_poly(c1, c2)
+def test_norm_poly(rng):
+    c = rng.integers(-3, 4, size=(3, 5)).astype(float)
+    prod = mp_norm_poly(c)
+    assert prod.shape == (5,)
     for lam in (0.0, 1.0, -2.0, 0.5):
-        direct = minkowski_inner(mp_eval(c1, lam), mp_eval(c2, lam))
+        direct = minkowski_inner(mp_eval(c, lam), mp_eval(c, lam))
         assert polyval(lam, prod) == pytest.approx(direct, rel=1e-13, abs=1e-13)
 
 
-def test_inner_poly_over_a_grid(rng):
-    """Leading axes, one of them broadcast, and unequal lengths K1 != K2,
-    against the product of the values at every vertex."""
-    c1 = rng.normal(size=(3, 4, 2, 5))
-    c2 = rng.normal(size=(4, 3, 5))
-    prod = mp_inner_poly(c1, c2)
-    assert prod.shape == (3, 4, 4)
+def test_norm_poly_over_a_grid(rng):
+    """Leading axes, against the square of the values at every vertex."""
+    c = rng.normal(size=(3, 4, 2, 5))
+    prod = mp_norm_poly(c)
+    assert prod.shape == (3, 4, 3)
     for lam in (0.0, 1.0, -2.0, 0.5):
         for m in range(3):
             for n in range(4):
-                direct = minkowski_inner(mp_eval(c1[m, n], lam), mp_eval(c2[n], lam))
+                direct = minkowski_inner(mp_eval(c[m, n], lam), mp_eval(c[m, n], lam))
                 assert polyval(lam, prod[m, n]) == pytest.approx(direct, rel=1e-12, abs=1e-12)
-    np.testing.assert_allclose(mp_inner_poly(c2, c1), prod, rtol=1e-12, atol=1e-14)
 
 
 def test_scale_poly(rng):
@@ -173,3 +171,28 @@ def test_the_one_division_is_the_reference_loops_bitwise(data, k, lead, a_kind):
     zeros = c[..., 0, :][c[..., 0, :] == 0.0]
     if k == 1 or not np.signbit(zeros).any():
         assert _bits(mp_divide_one_minus(c, a)) == old
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), k=st.integers(1, 4), lead=st.sampled_from([(), (3,), (2, 3)]))
+def test_the_per_coefficient_builds_are_the_reference_accumulations_bitwise(data, k, lead):
+    """mp_norm_poly, mp_scale_poly, mp_shift and the coefficients of
+    pcq_darboux, each coefficient built once from its terms by ascending
+    index from +0, give the accumulations into a zeroed array of
+    tests/reference.py bit for bit, for one to four coefficients, with
+    signed zeros drawn often; mp_norm_poly reads each symmetric product
+    <c_a, c_b> once for both orders."""
+    def draw(shape):
+        n = int(np.prod(shape))
+        return np.array(data.draw(st.lists(REALS, min_size=n, max_size=n))).reshape(shape)
+
+    c = draw(lead + (k, 5))
+    assert _bits([mp_norm_poly(c)]) == _bits([reference.mp_inner_poly(c, c)])
+    p = draw((data.draw(st.integers(1, 3)),))
+    assert _bits([mp_scale_poly(c, p)]) == _bits([reference.mp_scale_poly(c, p)])
+    mu = data.draw(REALS)
+    assert _bits([mp_shift(c, mu)]) == _bits([reference.mp_shift(c, mu)])
+    F, Fh = draw(lead + (5,)), draw(lead + (5,))
+    with np.errstate(all="ignore"):  # mu = 0 and <F, Fh> = 0 divide by zero on both sides
+        assert (_bits([_darboux_coefficients(c, F, Fh, mu)])
+                == _bits([reference.darboux_coefficients(c, F, Fh, mu)]))
